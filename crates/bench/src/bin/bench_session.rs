@@ -11,17 +11,9 @@
 //! dense-CNOT workload (`--routing-circuit`, default the 255-qubit GHZ
 //! chain) timed cache-less under the seed (reference) router and the
 //! incremental engine, recording the speedup and the router counters.
-//! Two companion measurements land inside the same `"routing"` object:
-//! the repeat-heavy path-table workload (`--repeat-circuit`, default
-//! `magic-rounds`), whose deterministic hit ratio is recorded as
-//! `repeat.table_hit_ratio`, and the speculative parallel map stage
-//! (`--parallel-circuit`, default `cnot-bricks:12`; `--parallel-workers`,
-//! default 4), timed serial vs pooled with byte-identity enforced.
 //! `--check BASELINE.json` turns the run into a CI regression gate: the
 //! incremental map median must stay within 15% of the checked-in
-//! baseline, the hit ratio must stay above 0.5 (and near its baseline),
-//! and the parallel median must hold (see `report::check_regression` for
-//! the exact gated keys and noise vetoes).
+//! baseline (see `report::check_regression` for the noise vetoes).
 //!
 //! `--fleet N` additionally stands up N in-process loopback workers and a
 //! coordinator, pushes one JSONL batch through a plain server and through
@@ -52,13 +44,13 @@
 use ftqc_arch::TargetRegistry;
 use ftqc_bench::report::{
     check_regression, median_micros, summarise_stages, CapacityReport, CaseReport, EditReport,
-    FleetReport, LatencyPercentiles, ParallelReport, RepeatReport, RoutingReport, SessionReport,
+    FleetReport, LatencyPercentiles, RoutingReport, SessionReport,
 };
 use ftqc_bench::Table;
 use ftqc_circuit::Gate;
 use ftqc_compiler::{
-    route_circuit_with_workers, CompileSession, Compiler, CompilerOptions, DeltaKind, RouterMode,
-    StageCache, StageTrace, TraceHook,
+    route_circuit, CompileSession, Compiler, CompilerOptions, DeltaKind, RouterMode, StageCache,
+    StageTrace, TraceHook,
 };
 use ftqc_editor::{CircuitEdit, EditSession, EditSet};
 use ftqc_fleet::{CoordinatorConfig, CoordinatorExtension, WorkerConfig, WorkerExtension};
@@ -76,9 +68,6 @@ const REGRESSION_TOLERANCE: f64 = 0.15;
 struct Args {
     circuit: String,
     routing_circuit: String,
-    repeat_circuit: String,
-    parallel_circuit: String,
-    parallel_workers: usize,
     iters: u64,
     fleet: u64,
     edits: u64,
@@ -91,9 +80,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         circuit: "ising:3".into(),
         routing_circuit: "ghz".into(),
-        repeat_circuit: "magic-rounds".into(),
-        parallel_circuit: "cnot-bricks:12".into(),
-        parallel_workers: 4,
         iters: 5,
         fleet: 0,
         edits: 0,
@@ -107,13 +93,6 @@ fn parse_args() -> Result<Args, String> {
         match flag.as_str() {
             "--circuit" => args.circuit = value("--circuit")?,
             "--routing-circuit" => args.routing_circuit = value("--routing-circuit")?,
-            "--repeat-circuit" => args.repeat_circuit = value("--repeat-circuit")?,
-            "--parallel-circuit" => args.parallel_circuit = value("--parallel-circuit")?,
-            "--parallel-workers" => {
-                args.parallel_workers = value("--parallel-workers")?
-                    .parse()
-                    .map_err(|_| "--parallel-workers expects a thread count".to_string())?;
-            }
             "--iters" => {
                 args.iters = value("--iters")?
                     .parse()
@@ -139,7 +118,6 @@ fn parse_args() -> Result<Args, String> {
             other => {
                 return Err(format!(
                     "unknown flag {other:?} (use --circuit/--routing-circuit\
-                     /--repeat-circuit/--parallel-circuit/--parallel-workers\
                      /--iters/--fleet/--edits/--reactor/--json/--check)"
                 ))
             }
@@ -147,9 +125,6 @@ fn parse_args() -> Result<Args, String> {
     }
     if args.iters == 0 {
         return Err("--iters must be at least 1".into());
-    }
-    if args.parallel_workers < 2 {
-        return Err("--parallel-workers must be at least 2 (a pool needs threads)".into());
     }
     Ok(args)
 }
@@ -161,17 +136,10 @@ fn parse_args() -> Result<Args, String> {
 fn bench_routing(spec: &str, iters: u64) -> Result<RoutingReport, String> {
     let options = CompilerOptions::default();
     let lowered = lower_spec(spec, &options)?;
-
-    // Workers pinned to 1: this measurement is the serial reference-vs-
-    // incremental speedup, and the recorded route counters are the
-    // canonical serial counts (an adopted speculation replays its emits
-    // without re-querying the main engine's path table, so a pool would
-    // skew them). `FTQC_ROUTE_WORKERS` in the environment must not bend
-    // the baseline.
-    let reference = route_circuit_with_workers(&lowered, &options, RouterMode::Reference, 1)
-        .map_err(|e| e.to_string())?;
-    let incremental = route_circuit_with_workers(&lowered, &options, RouterMode::Incremental, 1)
-        .map_err(|e| e.to_string())?;
+    let reference =
+        route_circuit(&lowered, &options, RouterMode::Reference).map_err(|e| e.to_string())?;
+    let incremental =
+        route_circuit(&lowered, &options, RouterMode::Incremental).map_err(|e| e.to_string())?;
     if reference.ops != incremental.ops {
         return Err(format!(
             "router differential failure on {spec}: reference and incremental ops diverge"
@@ -182,8 +150,7 @@ fn bench_routing(spec: &str, iters: u64) -> Result<RoutingReport, String> {
         (0..iters)
             .map(|_| {
                 let started = Instant::now();
-                route_circuit_with_workers(&lowered, &options, mode, 1)
-                    .map_err(|e| e.to_string())?;
+                route_circuit(&lowered, &options, mode).map_err(|e| e.to_string())?;
                 Ok(started.elapsed().as_micros() as u64)
             })
             .collect()
@@ -200,8 +167,6 @@ fn bench_routing(spec: &str, iters: u64) -> Result<RoutingReport, String> {
         incremental_min_micros,
         incremental_percentiles: LatencyPercentiles::from_samples(incremental_samples),
         route: incremental.route,
-        repeat: None,
-        parallel: None,
     })
 }
 
@@ -214,88 +179,6 @@ fn lower_spec(spec: &str, options: &CompilerOptions) -> Result<ftqc_circuit::Cir
         .lower()
         .circuit()
         .clone())
-}
-
-/// The repeat-heavy path-table measurement: the map stage of a workload
-/// whose delivery corridors repeat round after round while distant CNOT
-/// churn claims and releases cells. The recorded hit ratio is the number
-/// the `table_hit_ratio` regression gate holds above 0.5 — it is a
-/// deterministic count, identical run to run.
-fn bench_repeat(spec: &str, iters: u64) -> Result<RepeatReport, String> {
-    let options = CompilerOptions::default();
-    let lowered = lower_spec(spec, &options)?;
-    let mut samples = Vec::with_capacity(iters as usize);
-    let mut route = None;
-    for _ in 0..iters {
-        let started = Instant::now();
-        // Workers pinned to 1: the gated hit ratio is the canonical
-        // serial count (see `bench_routing` on why a pool would skew it).
-        let routed = route_circuit_with_workers(&lowered, &options, RouterMode::Incremental, 1)
-            .map_err(|e| e.to_string())?;
-        samples.push(started.elapsed().as_micros() as u64);
-        route = Some(routed.route);
-    }
-    Ok(RepeatReport {
-        circuit: spec.to_string(),
-        iterations: iters,
-        median_micros: median_micros(samples),
-        route: route.ok_or("--iters must be at least 1")?,
-    })
-}
-
-/// The speculative parallel-routing measurement: the map stage of a
-/// CNOT-wide circuit timed with `workers = 1` and with a speculation
-/// pool in the same process. Aborts if the two modes ever emit different
-/// routed programs — byte-identity is the whole contract.
-///
-/// The requested worker count is clamped to the host's available
-/// parallelism: on a single-CPU machine a speculation pool is pure
-/// context-switch overhead (the workers can never overlap the drive
-/// loop), so forcing one would record a slowdown that says nothing about
-/// the engine. The report carries the *effective* worker count, so the
-/// committed baseline is honest about the hardware it was taken on.
-fn bench_parallel(spec: &str, workers: usize, iters: u64) -> Result<ParallelReport, String> {
-    let available = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let workers = workers.min(available).max(1);
-    let options = CompilerOptions::default();
-    let lowered = lower_spec(spec, &options)?;
-    let mode = RouterMode::Incremental;
-    let serial =
-        route_circuit_with_workers(&lowered, &options, mode, 1).map_err(|e| e.to_string())?;
-    let parallel =
-        route_circuit_with_workers(&lowered, &options, mode, workers).map_err(|e| e.to_string())?;
-    if serial.ops != parallel.ops {
-        return Err(format!(
-            "parallel differential failure on {spec}: serial and {workers}-worker ops diverge"
-        ));
-    }
-
-    let time_workers = |workers: usize| -> Result<Vec<u64>, String> {
-        (0..iters)
-            .map(|_| {
-                let started = Instant::now();
-                route_circuit_with_workers(&lowered, &options, mode, workers)
-                    .map_err(|e| e.to_string())?;
-                Ok(started.elapsed().as_micros() as u64)
-            })
-            .collect()
-    };
-    let serial_samples = time_workers(1)?;
-    let parallel_samples = time_workers(workers)?;
-    let parallel_min_micros = parallel_samples.iter().copied().min().unwrap_or(0);
-
-    Ok(ParallelReport {
-        circuit: spec.to_string(),
-        workers: workers as u64,
-        iterations: iters,
-        serial_median_micros: median_micros(serial_samples),
-        parallel_median_micros: median_micros(parallel_samples),
-        parallel_min_micros,
-        spec_adopted: parallel.spec_adopted,
-        spec_rejected: parallel.spec_rejected,
-    })
 }
 
 /// Binds a server (plain or extended) on an ephemeral or reserved
@@ -665,7 +548,7 @@ fn main() {
     }
 
     // The routing-bound hot path: reference vs incremental map stage.
-    let mut routing = match bench_routing(&args.routing_circuit, args.iters) {
+    let routing = match bench_routing(&args.routing_circuit, args.iters) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("bench_session: routing bench: {e}");
@@ -674,7 +557,7 @@ fn main() {
     };
     println!(
         "\nrouting hot path ({}, {} iters): reference {}µs -> incremental {}µs ({:.2}x), \
-         p95 {}µs, p99 {}µs, {} arena reuses, path table {}/{} hits",
+         p95 {}µs, p99 {}µs, {} arena reuses",
         routing.circuit,
         routing.iterations,
         routing.reference_median_micros,
@@ -683,62 +566,7 @@ fn main() {
         routing.incremental_percentiles.p95,
         routing.incremental_percentiles.p99,
         routing.route.arena_reuses,
-        routing.route.table_hits,
-        routing.route.table_hits + routing.route.table_misses,
     );
-
-    // The repeat-heavy path-table workload: the hit ratio the regression
-    // gate holds above the absolute floor.
-    match bench_repeat(&args.repeat_circuit, args.iters) {
-        Ok(r) => {
-            println!(
-                "path-table repeat ({}, {} iters): median {}µs, {}/{} hits (ratio {:.2}), \
-                 {} claim-invalidated, {} flushes",
-                r.circuit,
-                r.iterations,
-                r.median_micros,
-                r.route.table_hits,
-                r.route.table_hits + r.route.table_misses,
-                r.hit_ratio(),
-                r.route.table_invalidated_by_claim,
-                r.route.table_flushes,
-            );
-            routing.repeat = Some(r);
-        }
-        Err(e) => {
-            eprintln!("bench_session: repeat bench: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    // The speculative parallel map stage: serial vs pooled wall-clock on
-    // a CNOT-wide circuit, byte-identity enforced.
-    match bench_parallel(&args.parallel_circuit, args.parallel_workers, args.iters) {
-        Ok(p) => {
-            println!(
-                "parallel routing ({}, {} workers, {} iters): serial {}µs -> parallel {}µs \
-                 ({:.2}x), {} speculations adopted / {} rejected{}",
-                p.circuit,
-                p.workers,
-                p.iterations,
-                p.serial_median_micros,
-                p.parallel_median_micros,
-                p.speedup(),
-                p.spec_adopted,
-                p.spec_rejected,
-                if p.workers < 2 {
-                    " [pool disabled: single-CPU host]"
-                } else {
-                    ""
-                },
-            );
-            routing.parallel = Some(p);
-        }
-        Err(e) => {
-            eprintln!("bench_session: parallel bench: {e}");
-            std::process::exit(1);
-        }
-    }
 
     // The distributed fleet, when asked for: one batch locally, the same
     // batch coordinated over N loopback workers, and a warm repeat that

@@ -169,13 +169,6 @@ pub struct RoutingReport {
     pub incremental_percentiles: LatencyPercentiles,
     /// The incremental router's counters for one representative run.
     pub route: RouteCounters,
-    /// The repeat-heavy path-table measurement, when the run performed
-    /// one (rendered under a `"repeat"` key inside the routing object).
-    pub repeat: Option<RepeatReport>,
-    /// The speculative parallel-routing measurement, when the run
-    /// performed one (rendered under a `"parallel"` key inside the
-    /// routing object).
-    pub parallel: Option<ParallelReport>,
 }
 
 impl RoutingReport {
@@ -193,7 +186,7 @@ impl RoutingReport {
 
 impl ToJson for RoutingReport {
     fn to_json(&self) -> Value {
-        let mut fields = vec![
+        Value::Obj(vec![
             ("circuit".into(), Value::Str(self.circuit.clone())),
             ("iterations".into(), num(self.iterations)),
             (
@@ -217,122 +210,6 @@ impl ToJson for RoutingReport {
                 "route".into(),
                 ftqc_compiler::route_counters_to_json(&self.route),
             ),
-        ];
-        if let Some(repeat) = &self.repeat {
-            fields.push(("repeat".into(), repeat.to_json()));
-        }
-        if let Some(parallel) = &self.parallel {
-            fields.push(("parallel".into(), parallel.to_json()));
-        }
-        Value::Obj(fields)
-    }
-}
-
-/// The repeat-heavy path-table measurement: the map stage of a workload
-/// whose magic-state delivery corridors repeat identically round after
-/// round while a distant knot of CNOT churn keeps claiming and releasing
-/// cells. A path table invalidated by *any* occupancy change scores a hit
-/// ratio near 0 here; the spatial occupancy index keeps the repeated
-/// corridors cached. The hit ratio is a deterministic count, not a
-/// timing — the regression gate enforces an absolute floor on it
-/// ([`REPEAT_HIT_RATIO_FLOOR`]) with no noise veto.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RepeatReport {
-    /// The repeat-heavy circuit spec (e.g. `"magic-rounds"`).
-    pub circuit: String,
-    /// Timed incremental map-stage runs.
-    pub iterations: u64,
-    /// Median incremental map-stage microseconds.
-    pub median_micros: u64,
-    /// The incremental router's counters for one run (the counts are
-    /// deterministic, so any run is representative).
-    pub route: RouteCounters,
-}
-
-impl RepeatReport {
-    /// Path-table hit ratio over all lookups (0 when none happened).
-    pub fn hit_ratio(&self) -> f64 {
-        let lookups = self.route.table_hits + self.route.table_misses;
-        if lookups == 0 {
-            0.0
-        } else {
-            self.route.table_hits as f64 / lookups as f64
-        }
-    }
-}
-
-impl ToJson for RepeatReport {
-    fn to_json(&self) -> Value {
-        Value::Obj(vec![
-            ("circuit".into(), Value::Str(self.circuit.clone())),
-            ("iterations".into(), num(self.iterations)),
-            ("median_micros".into(), num(self.median_micros)),
-            ("table_hit_ratio".into(), Value::Num(self.hit_ratio())),
-            (
-                "route".into(),
-                ftqc_compiler::route_counters_to_json(&self.route),
-            ),
-        ])
-    }
-}
-
-/// The speculative parallel-routing measurement: the map stage of a
-/// CNOT-wide circuit timed through the identical engine serially
-/// (`workers = 1`) and with a speculation pool, in the same process. The
-/// two modes emit byte-identical programs (the bench aborts otherwise),
-/// so the serial/parallel ratio is a pure wall-clock effect — the
-/// machine-independent signal the regression gate's ratio veto reads.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParallelReport {
-    /// The CNOT-wide circuit spec (e.g. `"ising:10"`).
-    pub circuit: String,
-    /// Speculation workers in the parallel runs.
-    pub workers: u64,
-    /// Timed map-stage runs per mode.
-    pub iterations: u64,
-    /// Median map-stage microseconds with `workers = 1`.
-    pub serial_median_micros: u64,
-    /// Median map-stage microseconds with the speculation pool.
-    pub parallel_median_micros: u64,
-    /// Fastest parallel run — the noise-robust statistic the regression
-    /// gate's minimum veto confirms a median excursion against.
-    pub parallel_min_micros: u64,
-    /// Speculations adopted in one representative parallel run.
-    pub spec_adopted: u64,
-    /// Speculations rejected (conflicting or failed) in the same run.
-    pub spec_rejected: u64,
-}
-
-impl ParallelReport {
-    /// Serial-over-parallel speedup (0 when the parallel median is 0 —
-    /// sub-microsecond map stages are not meaningfully comparable).
-    pub fn speedup(&self) -> f64 {
-        if self.parallel_median_micros == 0 {
-            0.0
-        } else {
-            self.serial_median_micros as f64 / self.parallel_median_micros as f64
-        }
-    }
-}
-
-impl ToJson for ParallelReport {
-    fn to_json(&self) -> Value {
-        Value::Obj(vec![
-            ("circuit".into(), Value::Str(self.circuit.clone())),
-            ("workers".into(), num(self.workers)),
-            ("iterations".into(), num(self.iterations)),
-            (
-                "serial_median_micros".into(),
-                num(self.serial_median_micros),
-            ),
-            (
-                "parallel_median_micros".into(),
-                num(self.parallel_median_micros),
-            ),
-            ("parallel_min_micros".into(), num(self.parallel_min_micros)),
-            ("speedup".into(), Value::Num(self.speedup())),
-            ("spec_adopted".into(), num(self.spec_adopted)),
-            ("spec_rejected".into(), num(self.spec_rejected)),
         ])
     }
 }
@@ -599,51 +476,28 @@ impl ToJson for SessionReport {
     }
 }
 
-/// The absolute floor [`check_regression`] enforces on the repeat-heavy
-/// workload's path-table hit ratio. The workload is built so that a
-/// footprint-validating table serves well over half its lookups from
-/// cache (≈ 0.8 in practice) while a whole-grid-digest table scores ≈ 0
-/// — a ratio under 0.5 means the table has gone dead again, whatever the
-/// baseline says.
-pub const REPEAT_HIT_RATIO_FLOOR: f64 = 0.5;
-
 /// The CI regression gate: compares this run against a checked-in
 /// baseline document and rejects a regression beyond `tolerance`
 /// (0.15 = fail when more than 15% worse).
 ///
-/// Exactly three keys are **gated** — everything else in the document
+/// Exactly one key is **gated**: `routing.incremental_median_micros`, the
+/// incremental map-stage median. Everything else in the document
 /// (`cases`, `stage_cache`, `fleet`, `edits`, `reactor`, every
 /// percentile block, and the raw route counters) is trajectory data the
 /// gate never reads, so baselines missing those sections check
-/// identically to baselines carrying them:
-///
-/// * `routing.incremental_median_micros` — the incremental map-stage
-///   median, subject to the two noise vetoes below;
-/// * `routing.repeat.table_hit_ratio` — the repeat-heavy workload's
-///   path-table hit ratio must stay at or above the absolute
-///   [`REPEAT_HIT_RATIO_FLOOR`] *and* within `tolerance` of the baseline
-///   ratio when the baseline records one. Hit counts are deterministic
-///   (no timing involved), so no noise veto applies. Skipped when the
-///   run did not measure the repeat workload; the absolute floor applies
-///   even against baselines that predate the `repeat` key;
-/// * `routing.parallel.parallel_median_micros` — the speculative
-///   parallel map-stage median, subject to the same two noise vetoes
-///   (minimum from `parallel_min_micros`, ratio from the same-run
-///   serial/parallel `speedup`). Skipped when either side lacks a
-///   `parallel` section.
+/// identically to baselines carrying them.
 ///
 /// Absolute microseconds are machine- and load-dependent, so a median
-/// excursion alone is not enough. Two vetoes keep the timing gates from
-/// flaking on hardware variance while still catching real regressions:
+/// excursion alone is not enough. Two vetoes keep the gate from flaking
+/// on hardware variance while still catching real regressions:
 ///
 /// * the run's *minimum* must confirm the excursion — scheduler noise
 ///   spikes inflate medians but rarely the fastest run;
-/// * the same-run *speedup ratio* (reference/incremental for the map
-///   gate, serial/parallel for the parallel gate) must have degraded
-///   past the tolerance too. Load slows both modes in the same process
-///   equally (the ratio holds), whereas a regression in the engine
-///   uniquely collapses it — the machine-independent signal each speedup
-///   claim is actually about.
+/// * the same-run reference/incremental *speedup ratio* must have
+///   degraded past the tolerance too. Load slows both modes in the same
+///   process equally (the ratio holds), whereas a regression in the
+///   engine uniquely collapses it — the machine-independent signal the
+///   speedup claim is actually about.
 ///
 /// Baselines missing the minimum or the speedup skip that veto.
 ///
@@ -690,71 +544,6 @@ pub fn check_regression(
             tolerance * 100.0,
             limit
         ));
-    }
-
-    // The path-table hit-ratio gate: deterministic counts, no vetoes.
-    if let Some(repeat) = &current.repeat {
-        let ratio = repeat.hit_ratio();
-        if ratio < REPEAT_HIT_RATIO_FLOOR {
-            return Err(format!(
-                "path-table regression: hit ratio {:.2} on {} ({}/{} lookups) fell below the \
-                 absolute floor {:.2} — the table has gone dead",
-                ratio,
-                repeat.circuit,
-                repeat.route.table_hits,
-                repeat.route.table_hits + repeat.route.table_misses,
-                REPEAT_HIT_RATIO_FLOOR,
-            ));
-        }
-        if let Some(base_ratio) = routing
-            .get("repeat")
-            .and_then(|r| r.get("table_hit_ratio"))
-            .and_then(Value::as_f64)
-        {
-            if ratio < base_ratio * (1.0 - tolerance) {
-                return Err(format!(
-                    "path-table regression: hit ratio {:.2} on {} degrades the baseline {:.2} \
-                     by more than {:.0}%",
-                    ratio,
-                    repeat.circuit,
-                    base_ratio,
-                    tolerance * 100.0,
-                ));
-            }
-        }
-    }
-
-    // The parallel-routing gate: same two-veto shape as the map gate,
-    // with the ratio veto on the same-run serial/parallel speedup.
-    if let (Some(parallel), Some(base_par)) = (&current.parallel, routing.get("parallel")) {
-        let base_median = base_par
-            .get("parallel_median_micros")
-            .and_then(Value::as_u64)
-            .ok_or("baseline routing.parallel has no parallel_median_micros")?;
-        let par_limit = (base_median as f64 * (1.0 + tolerance)).ceil() as u64;
-        let par_min_confirms = match base_par.get("parallel_min_micros").and_then(Value::as_u64) {
-            Some(base_min) => {
-                let min_limit = (base_min as f64 * (1.0 + tolerance)).ceil() as u64;
-                parallel.parallel_min_micros > min_limit
-            }
-            None => true,
-        };
-        let par_ratio_confirms = match base_par.get("speedup").and_then(Value::as_f64) {
-            Some(base_speedup) => parallel.speedup() < base_speedup * (1.0 - tolerance),
-            None => true,
-        };
-        if parallel.parallel_median_micros > par_limit && par_min_confirms && par_ratio_confirms {
-            return Err(format!(
-                "parallel-routing regression: median {}µs (min {}µs, speedup {:.2}x) exceeds \
-                 baseline {}µs by more than {:.0}% (limit {}µs)",
-                parallel.parallel_median_micros,
-                parallel.parallel_min_micros,
-                parallel.speedup(),
-                base_median,
-                tolerance * 100.0,
-                par_limit
-            ));
-        }
     }
     Ok(())
 }
@@ -859,26 +648,6 @@ mod tests {
                     p99: 3500,
                 },
                 route: RouteCounters::default(),
-                repeat: Some(RepeatReport {
-                    circuit: "magic-rounds".into(),
-                    iterations: 5,
-                    median_micros: 700,
-                    route: RouteCounters {
-                        table_hits: 168,
-                        table_misses: 34,
-                        ..RouteCounters::default()
-                    },
-                }),
-                parallel: Some(ParallelReport {
-                    circuit: "ising:10".into(),
-                    workers: 4,
-                    iterations: 5,
-                    serial_median_micros: 2000,
-                    parallel_median_micros: 1000,
-                    parallel_min_micros: 950,
-                    spec_adopted: 120,
-                    spec_rejected: 6,
-                }),
             }),
             fleet: Some(FleetReport {
                 workers: 2,
@@ -931,14 +700,7 @@ mod tests {
         assert!(rendered.contains("\"speedup\":3"), "{rendered}");
         assert!(rendered.contains("\"p95_micros\":3400"), "{rendered}");
         assert!(rendered.contains("\"percentiles\""), "{rendered}");
-        assert!(rendered.contains("\"repeat\""), "{rendered}");
-        assert!(rendered.contains("\"table_hit_ratio\":0.83"), "{rendered}");
-        assert!(rendered.contains("\"parallel\""), "{rendered}");
-        assert!(
-            rendered.contains("\"parallel_median_micros\":1000"),
-            "{rendered}"
-        );
-        assert!(rendered.contains("\"spec_adopted\":120"), "{rendered}");
+        assert!(rendered.contains("\"arena_reuses\":0"), "{rendered}");
         assert!(
             rendered.contains("\"edit_median_micros\":200"),
             "{rendered}"
@@ -971,8 +733,6 @@ mod tests {
             incremental_min_micros: 1150,
             incremental_percentiles: LatencyPercentiles::default(),
             route: RouteCounters::default(),
-            repeat: None,
-            parallel: None,
         };
         let baseline = |micros: u64| {
             Value::parse(&format!(
@@ -1045,8 +805,6 @@ mod tests {
                 p99: 2000,
             },
             route: RouteCounters::default(),
-            repeat: None,
-            parallel: None,
         };
         let old = Value::parse(
             "{\"routing\":{\"incremental_median_micros\":1100,\
@@ -1109,8 +867,6 @@ mod tests {
             incremental_min_micros: 1150,
             incremental_percentiles: LatencyPercentiles::default(),
             route: RouteCounters::default(),
-            repeat: None,
-            parallel: None,
         };
         let fleet_less = Value::parse(
             "{\"routing\":{\"incremental_median_micros\":1100,\
@@ -1141,8 +897,6 @@ mod tests {
             incremental_min_micros: 1150,
             incremental_percentiles: LatencyPercentiles::default(),
             route: RouteCounters::default(),
-            repeat: None,
-            parallel: None,
         };
         let edit_less = Value::parse(
             "{\"routing\":{\"incremental_median_micros\":1100,\
@@ -1173,8 +927,6 @@ mod tests {
             incremental_min_micros: 1150,
             incremental_percentiles: LatencyPercentiles::default(),
             route: RouteCounters::default(),
-            repeat: None,
-            parallel: None,
         };
         let reactor_less = Value::parse(
             "{\"routing\":{\"incremental_median_micros\":1100,\
@@ -1227,146 +979,6 @@ mod tests {
         assert_eq!(zero.speedup(), 0.0);
     }
 
-    /// A current report whose timing gate passes against `plain_baseline`,
-    /// for tests that focus on the repeat/parallel gates.
-    fn passing_current() -> RoutingReport {
-        RoutingReport {
-            circuit: "ghz".into(),
-            iterations: 5,
-            reference_median_micros: 9000,
-            incremental_median_micros: 1200,
-            incremental_min_micros: 1150,
-            incremental_percentiles: LatencyPercentiles::default(),
-            route: RouteCounters::default(),
-            repeat: None,
-            parallel: None,
-        }
-    }
-
-    fn plain_baseline() -> Value {
-        Value::parse(
-            "{\"routing\":{\"incremental_median_micros\":1100,\
-             \"incremental_min_micros\":1100,\"speedup\":7.5}}",
-        )
-        .unwrap()
-    }
-
-    fn repeat_with_ratio(hits: u64, misses: u64) -> RepeatReport {
-        RepeatReport {
-            circuit: "magic-rounds".into(),
-            iterations: 5,
-            median_micros: 700,
-            route: RouteCounters {
-                table_hits: hits,
-                table_misses: misses,
-                ..RouteCounters::default()
-            },
-        }
-    }
-
-    #[test]
-    fn repeat_hit_ratio_is_hits_over_lookups() {
-        assert!((repeat_with_ratio(3, 1).hit_ratio() - 0.75).abs() < 1e-12);
-        assert_eq!(repeat_with_ratio(0, 0).hit_ratio(), 0.0, "no lookups");
-    }
-
-    #[test]
-    fn gate_enforces_the_repeat_hit_ratio_floor() {
-        // A healthy ratio checks even against a baseline that predates
-        // the repeat key (first re-baseline run)…
-        let mut current = passing_current();
-        current.repeat = Some(repeat_with_ratio(168, 34));
-        check_regression(&current, &plain_baseline(), 0.15)
-            .expect("healthy ratio, repeat-less baseline");
-        // …and a run without the measurement never trips the gate.
-        check_regression(&passing_current(), &plain_baseline(), 0.15)
-            .expect("repeat-less current skips the gate");
-        // A dead table fails on the absolute floor, baseline or not.
-        current.repeat = Some(repeat_with_ratio(10, 190));
-        let err = check_regression(&current, &plain_baseline(), 0.15).unwrap_err();
-        assert!(err.contains("absolute floor"), "{err}");
-        assert!(err.contains("0.05"), "{err}");
-    }
-
-    #[test]
-    fn gate_compares_the_hit_ratio_against_a_recorded_baseline() {
-        let with_repeat = Value::parse(
-            "{\"routing\":{\"incremental_median_micros\":1100,\
-             \"incremental_min_micros\":1100,\"speedup\":7.5,\
-             \"repeat\":{\"circuit\":\"magic-rounds\",\"table_hit_ratio\":0.83}}}",
-        )
-        .unwrap();
-        // 0.75 is above the floor but degrades 0.83 by less than 15%: pass.
-        let mut current = passing_current();
-        current.repeat = Some(repeat_with_ratio(75, 25));
-        check_regression(&current, &with_repeat, 0.15).expect("within tolerance of baseline");
-        // 0.55 is above the floor but degrades 0.83 by more than 15%: fail.
-        current.repeat = Some(repeat_with_ratio(55, 45));
-        let err = check_regression(&current, &with_repeat, 0.15).unwrap_err();
-        assert!(err.contains("degrades the baseline"), "{err}");
-        assert!(err.contains("0.83"), "{err}");
-    }
-
-    #[test]
-    fn parallel_speedup_is_serial_over_parallel() {
-        let p = ParallelReport {
-            circuit: "ising:10".into(),
-            workers: 4,
-            iterations: 5,
-            serial_median_micros: 2000,
-            parallel_median_micros: 800,
-            parallel_min_micros: 780,
-            spec_adopted: 100,
-            spec_rejected: 4,
-        };
-        assert!((p.speedup() - 2.5).abs() < 1e-12);
-        let zero = ParallelReport {
-            parallel_median_micros: 0,
-            ..p
-        };
-        assert_eq!(zero.speedup(), 0.0);
-    }
-
-    #[test]
-    fn gate_checks_the_parallel_median_with_both_vetoes() {
-        let mut current = passing_current();
-        current.parallel = Some(ParallelReport {
-            circuit: "ising:10".into(),
-            workers: 4,
-            iterations: 5,
-            serial_median_micros: 2400,
-            parallel_median_micros: 1200,
-            parallel_min_micros: 1150,
-            spec_adopted: 100,
-            spec_rejected: 4,
-        });
-        // No parallel section in the baseline: the gate skips.
-        check_regression(&current, &plain_baseline(), 0.15)
-            .expect("parallel-less baseline skips the gate");
-        let with_parallel = |median: u64, min: u64, speedup: f64| {
-            Value::parse(&format!(
-                "{{\"routing\":{{\"incremental_median_micros\":1100,\
-                 \"incremental_min_micros\":1100,\"speedup\":7.5,\
-                 \"parallel\":{{\"parallel_median_micros\":{median},\
-                 \"parallel_min_micros\":{min},\"speedup\":{speedup}}}}}}}"
-            ))
-            .unwrap()
-        };
-        // current: parallel median 1200, min 1150, speedup 2400/1200 = 2.0.
-        check_regression(&current, &with_parallel(1150, 1100, 2.0), 0.15)
-            .expect("within tolerance of the parallel baseline");
-        // A fast minimum vetoes a noisy median…
-        check_regression(&current, &with_parallel(1000, 1150, 2.5), 0.15)
-            .expect("fast parallel minimum vetoes the noisy median");
-        // …a held same-run ratio vetoes a uniform slowdown…
-        check_regression(&current, &with_parallel(1000, 900, 2.0), 0.15)
-            .expect("held serial/parallel ratio vetoes a uniform slowdown");
-        // …and a regression that moved all three still fails.
-        let err = check_regression(&current, &with_parallel(1000, 900, 2.5), 0.15).unwrap_err();
-        assert!(err.contains("parallel-routing regression"), "{err}");
-        assert!(err.contains("1200µs"), "{err}");
-    }
-
     #[test]
     fn speedup_is_reference_over_incremental() {
         let r = RoutingReport {
@@ -1377,8 +989,6 @@ mod tests {
             incremental_min_micros: 4,
             incremental_percentiles: LatencyPercentiles::default(),
             route: RouteCounters::default(),
-            repeat: None,
-            parallel: None,
         };
         assert!((r.speedup() - 2.5).abs() < 1e-12);
         let zero = RoutingReport {

@@ -21,10 +21,8 @@ pub mod condensed;
 pub mod qasmbench;
 pub mod random;
 pub mod suite;
-pub mod workloads;
 
 pub use condensed::{fermi_hubbard_2d, heisenberg_2d, ising_1d, ising_2d};
 pub use qasmbench::{adder, ghz, multiplier};
 pub use random::random_clifford_t;
 pub use suite::{condensed_sides, table1_suite, Benchmark};
-pub use workloads::{cnot_bricks, magic_rounds};

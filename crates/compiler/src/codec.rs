@@ -488,43 +488,19 @@ impl ToJson for Metrics {
 /// Renders [`ftqc_route::RouteCounters`] as a canonical JSON object (the
 /// `"route"` member of the metrics document and of `/v1/cache/stats`).
 pub fn route_counters_to_json(c: &ftqc_route::RouteCounters) -> Value {
-    Value::Obj(vec![
-        ("arena_reuses".into(), num(c.arena_reuses)),
-        ("table_hits".into(), num(c.table_hits)),
-        ("table_misses".into(), num(c.table_misses)),
-        // Legacy aggregate (= invalidated_by_claim + flushes), kept for
-        // wire compatibility; the split fields are additive, so no
-        // WIRE_VERSION bump.
-        ("table_invalidations".into(), num(c.table_invalidations)),
-        (
-            "table_invalidated_by_claim".into(),
-            num(c.table_invalidated_by_claim),
-        ),
-        ("table_flushes".into(), num(c.table_flushes)),
-    ])
+    Value::Obj(vec![("arena_reuses".into(), num(c.arena_reuses))])
 }
 
-/// Decodes the object written by [`route_counters_to_json`]. The split
-/// invalidation fields default to zero when absent (documents written
-/// before the spatial occupancy index).
+/// Decodes the object written by [`route_counters_to_json`]. Documents
+/// written while the router kept a path table also carry `table_*`
+/// counters; they are ignored.
 ///
 /// # Errors
 ///
-/// [`JsonError`] when a legacy counter field is missing or not a `u64`.
+/// [`JsonError`] when `arena_reuses` is missing or not a `u64`.
 pub fn route_counters_from_json(value: &Value) -> Result<ftqc_route::RouteCounters, JsonError> {
-    let optional_u64 = |key: &str| -> Result<u64, JsonError> {
-        match value.get(key) {
-            None => Ok(0),
-            Some(_) => json::require_u64(value, key),
-        }
-    };
     Ok(ftqc_route::RouteCounters {
         arena_reuses: json::require_u64(value, "arena_reuses")?,
-        table_hits: json::require_u64(value, "table_hits")?,
-        table_misses: json::require_u64(value, "table_misses")?,
-        table_invalidations: json::require_u64(value, "table_invalidations")?,
-        table_invalidated_by_claim: optional_u64("table_invalidated_by_claim")?,
-        table_flushes: optional_u64("table_flushes")?,
     })
 }
 
@@ -872,14 +848,7 @@ mod tests {
             n_moves: 40,
             n_moves_eliminated: 6,
             n_magic_states: 10,
-            route: ftqc_route::RouteCounters {
-                arena_reuses: 99,
-                table_hits: 7,
-                table_misses: 92,
-                table_invalidations: 120,
-                table_invalidated_by_claim: 100,
-                table_flushes: 20,
-            },
+            route: ftqc_route::RouteCounters { arena_reuses: 99 },
         };
         let back = Metrics::from_json(&m.to_json()).unwrap();
         assert_eq!(back, m);
@@ -893,6 +862,37 @@ mod tests {
         let back = Metrics::from_json(&legacy).unwrap();
         assert_eq!(back.route, ftqc_route::RouteCounters::default());
         assert_eq!(back.n_moves, m.n_moves);
+    }
+
+    #[test]
+    fn metrics_decode_route_objects_old_and_new() {
+        let with_route = |route: &str| {
+            Value::parse(&format!(
+                "{{\"execution_time\":1200,\"unit_cost_time\":1100,\"lower_bound\":1000,\
+                 \"grid_patches\":144,\"factory_patches\":11,\"routing_paths\":4,\
+                 \"factories\":1,\"n_gates\":60,\"n_surgery_ops\":150,\"n_moves\":40,\
+                 \"n_moves_eliminated\":6,\"n_magic_states\":10,\"route\":{route}}}"
+            ))
+            .unwrap()
+        };
+        // Written while the router kept a path table (stage-cache files,
+        // stored JSONL results): the table counters are ignored.
+        let old = with_route(
+            "{\"arena_reuses\":1064,\"table_hits\":0,\"table_misses\":554,\
+             \"table_invalidations\":4,\"table_invalidated_by_claim\":4,\
+             \"table_flushes\":0}",
+        );
+        let m = Metrics::from_json(&old).unwrap();
+        assert_eq!(m.route, ftqc_route::RouteCounters { arena_reuses: 1064 });
+        assert_eq!(m.n_moves, 40);
+        // Written now: the route object holds only arena_reuses.
+        let new = with_route("{\"arena_reuses\":7}");
+        let m = Metrics::from_json(&new).unwrap();
+        assert_eq!(m.route, ftqc_route::RouteCounters { arena_reuses: 7 });
+        assert_eq!(
+            m.to_json().get("route").unwrap().render(),
+            "{\"arena_reuses\":7}"
+        );
     }
 
     #[test]

@@ -12,9 +12,8 @@
 //!    computation exact rather than an estimate from the edit span);
 //! 2. **map** resumes the routing engine from the deepest checkpoint that
 //!    is *causally sound* for the edited gate sequence (the causal
-//!    bound), re-routing only the suffix, through the
-//!    persistent warm [`RouterParts`] so corridors whose path-table
-//!    entries still match their occupancy digests are never re-searched;
+//!    bound), re-routing only the suffix, through the persistent warm
+//!    [`SearchArena`] so the resumed searches skip buffer allocation;
 //! 3. **schedule** re-runs redundant-move elimination in full (its
 //!    fixed-point cancellation is not prefix-stable near an edit
 //!    boundary), splices the unchanged schedule prefix, and resumes the
@@ -29,9 +28,9 @@
 //! differential proptest harness (`tests/edit_differential.rs`) pins the
 //! stronger property that schedules and metrics are byte-identical to a
 //! cold compile; the only intentional difference is
-//! [`Metrics::route`](crate::Metrics) — the router's hit/miss counters are
-//! provenance of *how* the result was computed, and a warm cache
-//! legitimately reports different activity.
+//! [`Metrics::route`](crate::Metrics) — the router's counters are
+//! provenance of *how* the result was computed, and a resumed run over a
+//! warm arena legitimately reports different activity.
 
 use crate::engine::{Engine, EngineCheckpoint};
 use crate::error::CompileError;
@@ -45,8 +44,8 @@ use crate::timer::{CostKind, Timer};
 use crate::verify::verify;
 use ftqc_arch::{Layout, Ticks};
 use ftqc_circuit::Circuit;
-use ftqc_route::incremental::{RouterMode, RouterParts};
-use ftqc_sim::{Schedule, ScheduledOp};
+use ftqc_route::incremental::{RouterMode, SearchArena};
+use ftqc_sim::Schedule;
 
 /// Engine checkpoints are captured every this many contiguous gates unless
 /// overridden with [`DifferentialCompiler::checkpoint_every`].
@@ -154,7 +153,7 @@ pub struct DifferentialCompiler {
     options: CompilerOptions,
     checkpoint_every: usize,
     timer_every: usize,
-    parts: Option<RouterParts>,
+    arena: Option<SearchArena>,
     state: Option<DiffState>,
 }
 
@@ -166,7 +165,7 @@ impl DifferentialCompiler {
             options,
             checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
             timer_every: DEFAULT_TIMER_EVERY,
-            parts: None,
+            arena: None,
             state: None,
         }
     }
@@ -234,7 +233,7 @@ impl DifferentialCompiler {
         let bound = causal_bound(&lowered, dirty_from);
 
         // ---- map: resume routing from the deepest sound checkpoint ----
-        let parts = self.parts.take().unwrap_or_default();
+        let arena = self.arena.take().unwrap_or_default();
         let ckpt = st.checkpoints.iter().rfind(|c| c.cut <= bound);
         let resume_cut = ckpt.map_or(0, |c| c.cut);
         let mut new_ckpts = Vec::new();
@@ -252,23 +251,23 @@ impl DifferentialCompiler {
                     c,
                     prefix,
                     RouterMode::Incremental,
-                    parts,
+                    arena,
                 )
             }
             // No sound checkpoint: route from scratch, still through the
             // warm router (warmth never changes results).
-            None => Engine::with_parts(
+            None => Engine::with_arena(
                 &st.layout,
                 &mapping,
                 self.options.target.factory_bank(&st.layout),
                 &self.options,
                 RouterMode::Incremental,
-                parts,
+                arena,
             ),
         };
         engine.run_from(&lowered, resume_cut, self.checkpoint_every, &mut new_ckpts)?;
         let route = engine.route_counters();
-        let (raw_ops, n_magic_states, parts) = engine.into_ops_and_parts();
+        let (raw_ops, n_magic_states, arena) = engine.into_ops_and_arena();
         let mut checkpoints: Vec<EngineCheckpoint> = st
             .checkpoints
             .iter()
@@ -293,7 +292,7 @@ impl DifferentialCompiler {
             &elim_ops,
             common,
             &st.real_snaps,
-            Some(st.program.schedule().items()),
+            Some(st.program.into_schedule()),
             Timer::new(
                 num_qubits,
                 factories,
@@ -354,7 +353,7 @@ impl DifferentialCompiler {
         // passes the full invariant check or the whole state is discarded
         // and the compile redone from nothing.
         if let Err(e) = verify(&program, &timing) {
-            self.parts = None;
+            self.arena = None;
             return self.full(lowered, input_gates, &format!("verification failed: {e}"));
         }
 
@@ -368,7 +367,7 @@ impl DifferentialCompiler {
             ops_retimed: real.retimed,
             full_reason: None,
         };
-        self.parts = Some(parts);
+        self.arena = Some(arena);
         self.state = Some(DiffState {
             lowered,
             layout: st.layout,
@@ -385,7 +384,7 @@ impl DifferentialCompiler {
     }
 
     /// The clean path: compile from nothing (but still through the warm
-    /// router parts, which never change results), repopulating every held
+    /// search arena, which never changes results), repopulating every held
     /// artifact.
     fn full(
         &mut self,
@@ -400,19 +399,19 @@ impl DifferentialCompiler {
         let mapping = InitialMapping::for_circuit(&layout, &lowered, self.options.mapping);
         let bank = target.factory_bank(&layout);
         let factory_patches = bank.total_tiles();
-        let parts = self.parts.take().unwrap_or_default();
-        let mut engine = Engine::with_parts(
+        let arena = self.arena.take().unwrap_or_default();
+        let mut engine = Engine::with_arena(
             &layout,
             &mapping,
             bank,
             &self.options,
             RouterMode::Incremental,
-            parts,
+            arena,
         );
         let mut checkpoints = Vec::new();
         engine.run_from(&lowered, 0, self.checkpoint_every, &mut checkpoints)?;
         let route = engine.route_counters();
-        let (raw_ops, n_magic_states, parts) = engine.into_ops_and_parts();
+        let (raw_ops, n_magic_states, arena) = engine.into_ops_and_arena();
 
         let mut elim_ops = raw_ops.clone();
         let n_moves_eliminated = if self.options.eliminate_redundant_moves {
@@ -494,7 +493,7 @@ impl DifferentialCompiler {
             ops_retimed: real.retimed,
             full_reason: Some(reason.to_string()),
         };
-        self.parts = Some(parts);
+        self.arena = Some(arena);
         self.state = Some(DiffState {
             lowered,
             layout,
@@ -568,15 +567,15 @@ struct ReplayOut {
 
 /// Times `ops`, resuming from the deepest snapshot in `old_snaps` whose
 /// index is at most `common` (ops before `common` are unchanged from the
-/// replay that produced `old_snaps`). When `prefix_items` is given, the
-/// unchanged schedule prefix is spliced from it instead of re-timed; the
+/// replay that produced `old_snaps`). When `prefix` (that replay's
+/// schedule) is given, its unchanged head is kept instead of re-timed; the
 /// unit-cost replay passes `None` and only the makespan is meaningful.
 /// Fresh snapshots are recorded every `every` ops past the kept ones.
 fn resume_replay(
     ops: &[RoutedOp],
     common: usize,
     old_snaps: &[TimerSnap],
-    prefix_items: Option<&[ScheduledOp<RoutedOp>]>,
+    prefix: Option<Schedule<RoutedOp>>,
     fresh: Timer,
     every: usize,
 ) -> ReplayOut {
@@ -590,13 +589,14 @@ fn resume_replay(
         .cloned()
         .collect();
     let mut last_snap = snaps.last().map_or(0, |s| s.idx);
-    let mut schedule = Schedule::new();
-    if let Some(items) = prefix_items {
-        for item in &items[..start] {
-            schedule.push(item.op.clone(), item.start, item.duration);
+    let mut schedule = match prefix {
+        Some(mut prefix) => {
+            prefix.truncate(start);
+            debug_assert_eq!(prefix.makespan(), makespan);
+            prefix
         }
-        debug_assert_eq!(schedule.makespan(), makespan);
-    }
+        None => Schedule::new(),
+    };
     for (i, op) in ops.iter().enumerate().skip(start) {
         if i > last_snap && i % every == 0 {
             snaps.push(TimerSnap {
@@ -625,8 +625,8 @@ mod tests {
     use ftqc_route::RouteCounters;
 
     /// Byte-identical programs modulo the routing-activity counters, which
-    /// are provenance of the computation (a warm cache legitimately
-    /// reports different hit/miss activity).
+    /// are provenance of the computation (a resumed run legitimately
+    /// reports different arena activity).
     fn assert_programs_equal(a: &CompiledProgram, b: &CompiledProgram) {
         let mut ma = *a.metrics();
         let mut mb = *b.metrics();

@@ -14,23 +14,8 @@
 //!
 //! The engine emits [`RoutedOp`]s in issue order together with provisional
 //! times; the authoritative timing happens in [`crate::timer`] after the
-//! redundant-move pass.
-//!
-//! # Speculative parallel CNOT routing
-//!
-//! When [`route_workers`] ≥ 2 the engine additionally routes ready CNOTs
-//! *speculatively* on worker threads, each against a snapshot of the
-//! engine state with its own warm [`RouterParts`] (per-thread
-//! `SearchArena`). The serial gate-selection loop is left untouched — it
-//! still picks exactly the gate a serial run would pick — but when the
-//! picked CNOT has a speculation whose recorded *read footprint* (every
-//! cell whose occupancy or timeline the speculative execution probed) is
-//! disjoint from everything written since the snapshot, the speculation's
-//! recorded emissions are replayed instead of re-routing. Conflicted or
-//! failed speculations fall back to the normal serial path. Because a
-//! deterministic routine re-run over unchanged inputs produces unchanged
-//! outputs, the committed schedule is byte-identical to the serial one —
-//! the property `tests/route_differential.rs` pins across presets.
+//! redundant-move pass. Every path and space query goes through one
+//! [`Router`], which answers from its generation-stamped search arena.
 
 use crate::error::CompileError;
 use crate::mapping::InitialMapping;
@@ -41,50 +26,35 @@ use ftqc_arch::{
 };
 use ftqc_circuit::{Circuit, Gate};
 use ftqc_route::dijkstra::{CostModel, Occupancy};
-use ftqc_route::incremental::{blocked_set_digest, RouteCounters, Router, RouterMode, RouterParts};
+use ftqc_route::incremental::{RouteCounters, Router, RouterMode, SearchArena};
 use ftqc_route::moves::{best_cnot_config_with, Mover};
 use ftqc_sim::ResourceTimeline;
-use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::collections::HashSet;
 
-/// The process-wide parallel-routing knob: `FTQC_ROUTE_WORKERS` when set
-/// to an integer ≥ 2 enables speculative CNOT routing on that many worker
-/// threads; absent, unparsable, 0 or 1 means serial. Parallelism never
-/// changes routed output (see the module docs), only wall-clock.
-pub fn route_workers() -> usize {
-    static WORKERS: OnceLock<usize> = OnceLock::new();
-    *WORKERS.get_or_init(|| {
-        std::env::var("FTQC_ROUTE_WORKERS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .map(|n| n.clamp(1, 64))
-            .unwrap_or(1)
-    })
+/// Marks a free cell in the engine's row-major occupancy grid; any other
+/// value is the index of the qubit holding the cell.
+const FREE: u32 = u32::MAX;
+
+/// Row-major index of an in-bounds cell.
+#[inline]
+fn cell_index(grid: &Grid, c: Coord) -> usize {
+    c.row as usize * grid.cols() as usize + c.col as usize
 }
 
-/// Occupancy view over the engine's mutable state. The occupancy
-/// predicate reads the engine's flat per-cell mirror (`occ_grid`) instead
-/// of the `cell -> qubit` hash map: the routing searches call
-/// `is_occupied` on every neighbour relaxation, and the O(1) array probe
-/// is what keeps the query cost bounded by the search itself.
+/// The router's cost model under `options`.
+fn router_cost(options: &CompilerOptions) -> CostModel {
+    CostModel {
+        penalty_weight: options.penalty_weight,
+    }
+}
+
+/// Occupancy view over the engine's mutable state: the routing searches
+/// call `is_occupied` on every neighbour relaxation, so it is one probe of
+/// the flat occupancy grid.
 struct OccView<'a> {
     grid: &'a Grid,
-    occ_grid: &'a [bool],
+    occ: &'a [u32],
     extra_blocked: &'a HashSet<Coord>,
-    /// Read-probe recorder for speculative execution (`None` in the serial
-    /// engine). `is_blocked` is a function of the static grid and the
-    /// gate-local `extra_blocked` set only, so occupancy probes are the
-    /// sole global reads a search makes through this view.
-    probes: Option<&'a RefCell<ProbeSet>>,
-}
-
-impl OccView<'_> {
-    #[inline]
-    fn index(&self, c: Coord) -> usize {
-        c.row as usize * self.grid.cols() as usize + c.col as usize
-    }
 }
 
 impl Occupancy for OccView<'_> {
@@ -92,85 +62,8 @@ impl Occupancy for OccView<'_> {
         !self.grid.in_bounds(c) || self.extra_blocked.contains(&c)
     }
     fn is_occupied(&self, c: Coord) -> bool {
-        if !self.grid.in_bounds(c) {
-            return false;
-        }
-        if let Some(p) = self.probes {
-            p.borrow_mut().record(c);
-        }
-        self.occ_grid[self.index(c)]
+        self.grid.in_bounds(c) && self.occ[cell_index(self.grid, c)] != FREE
     }
-}
-
-/// The deduplicated set of cells a speculative execution has read, as flat
-/// row-major indexes. A speculation is safe to commit iff none of these
-/// cells was written between its snapshot and the commit point.
-struct ProbeSet {
-    rows: i32,
-    cols: i32,
-    seen: Vec<bool>,
-    list: Vec<u32>,
-}
-
-impl ProbeSet {
-    fn new(grid: &Grid) -> Self {
-        Self {
-            rows: grid.rows() as i32,
-            cols: grid.cols() as i32,
-            seen: vec![false; (grid.rows() * grid.cols()) as usize],
-            list: Vec::new(),
-        }
-    }
-
-    fn record(&mut self, c: Coord) {
-        if c.row < 0 || c.row >= self.rows || c.col < 0 || c.col >= self.cols {
-            return; // out-of-bounds probes read nothing mutable
-        }
-        let i = (c.row * self.cols + c.col) as usize;
-        if !self.seen[i] {
-            self.seen[i] = true;
-            self.list.push(i as u32);
-        }
-    }
-}
-
-/// One recorded [`Engine::emit`] call, replayable on the main engine.
-/// Provisional times are not stored: `emit` re-derives them from the
-/// committing engine's timeline, which footprint-disjointness guarantees
-/// agrees with the speculative one on every relevant cell.
-struct EmitRecord {
-    op: SurgeryOp,
-    patches: Vec<u32>,
-    factory: Option<usize>,
-    extra_dep: Ticks,
-}
-
-/// A speculative routing job: route the ready CNOT `gate_id` against the
-/// shared snapshot.
-struct SpecJob {
-    gate_id: usize,
-    control: u32,
-    target: u32,
-    ckpt: Arc<EngineCheckpoint>,
-}
-
-/// What a worker hands back: the recorded emissions and read footprint, or
-/// `None` when the speculative routing failed (the serial path decides).
-struct SpecResult {
-    gate_id: usize,
-    outcome: Option<SpecOutcome>,
-}
-
-struct SpecOutcome {
-    emits: Vec<EmitRecord>,
-    reads: Vec<u32>,
-}
-
-/// Handles into the scoped worker pool, owned by the drive loop.
-struct SpecPool {
-    job_tx: mpsc::Sender<SpecJob>,
-    res_rx: mpsc::Receiver<SpecResult>,
-    workers: usize,
 }
 
 /// The routing engine. Create with [`Engine::new`], run with
@@ -179,18 +72,13 @@ pub struct Engine<'a> {
     layout: &'a Layout,
     options: &'a CompilerOptions,
     bank: FactoryBank,
-    /// The incremental routing facade: cost model, reusable search arena,
-    /// digest-keyed path table, and the live occupancy digest (updated on
-    /// every claim/release in [`Engine::raw_move`]).
+    /// The routing facade: cost model and reusable search arena.
     router: Router,
     /// qubit -> current cell
     pos: Vec<Coord>,
-    /// cell -> qubit
-    occ: HashMap<Coord, u32>,
-    /// Flat row-major mirror of `occ`'s key set — the O(1) occupancy
-    /// predicate behind every [`OccView`]. Updated in lock-step with `occ`
-    /// by [`Engine::raw_move`].
-    occ_grid: Vec<bool>,
+    /// Row-major cell -> occupying qubit, [`FREE`] when empty. Updated by
+    /// [`Engine::raw_move`] alone.
+    occ: Vec<u32>,
     /// Provisional per-cell timeline guiding greedy ordering decisions.
     timeline: ResourceTimeline,
     qubit_ready: Vec<Ticks>,
@@ -203,16 +91,6 @@ pub struct Engine<'a> {
     /// in (the planned merge ancilla of the current gate).
     no_park: HashSet<Coord>,
     n_magic_states: u64,
-    /// Worker threads for speculative CNOT routing; ≤ 1 means serial.
-    workers: usize,
-    /// Speculations committed (clean footprint) / rejected (conflicted or
-    /// failed) by the drive loop. Observability only — never decisions.
-    spec_adopted: u64,
-    spec_rejected: u64,
-    /// When speculating: every occupancy/timeline cell this engine reads.
-    probes: Option<RefCell<ProbeSet>>,
-    /// When speculating: every `emit` call, for replay on the main engine.
-    emit_log: Option<Vec<EmitRecord>>,
 }
 
 impl<'a> Engine<'a> {
@@ -237,57 +115,40 @@ impl<'a> Engine<'a> {
         options: &'a CompilerOptions,
         mode: RouterMode,
     ) -> Self {
-        Self::with_parts(layout, mapping, bank, options, mode, RouterParts::default())
+        Self::with_arena(layout, mapping, bank, options, mode, SearchArena::new())
     }
 
-    /// [`Engine::with_mode`] seeded with previously warmed [`RouterParts`]
-    /// (search arena + path table). Warmth never changes results — path
-    /// table entries are pure functions of their digest keys — it only
-    /// skips re-deriving paths the previous compile already found.
-    pub fn with_parts(
+    /// [`Engine::with_mode`] seeded with a previously warmed
+    /// [`SearchArena`]. Warmth never changes results; it only skips
+    /// re-allocating the search buffers.
+    pub fn with_arena(
         layout: &'a Layout,
         mapping: &InitialMapping,
         bank: FactoryBank,
         options: &'a CompilerOptions,
         mode: RouterMode,
-        parts: RouterParts,
+        arena: SearchArena,
     ) -> Self {
         let pos: Vec<Coord> = mapping.cells().to_vec();
-        let occ: HashMap<Coord, u32> = pos
-            .iter()
-            .enumerate()
-            .map(|(q, &c)| (c, q as u32))
-            .collect();
-        let cost = CostModel {
-            penalty_weight: options.penalty_weight,
-        };
         let grid = layout.grid();
-        let mut router = Router::from_parts(grid, cost, mode, parts);
-        let mut occ_grid = vec![false; (grid.rows() * grid.cols()) as usize];
-        for &c in occ.keys() {
-            router.claim(c);
-            occ_grid[c.row as usize * grid.cols() as usize + c.col as usize] = true;
+        let mut occ = vec![FREE; (grid.rows() * grid.cols()) as usize];
+        for (q, &c) in pos.iter().enumerate() {
+            occ[cell_index(grid, c)] = q as u32;
         }
         Self {
             layout,
             options,
             bank,
-            router,
+            router: Router::with_arena(router_cost(options), mode, arena),
             qubit_ready: vec![Ticks::ZERO; pos.len()],
             pos,
             occ,
-            occ_grid,
             timeline: ResourceTimeline::new(),
             ops: Vec::new(),
             current_gate: 0,
             protected: HashSet::new(),
             no_park: HashSet::new(),
             n_magic_states: 0,
-            workers: route_workers(),
-            spec_adopted: 0,
-            spec_rejected: 0,
-            probes: None,
-            emit_log: None,
         }
     }
 
@@ -296,32 +157,24 @@ impl<'a> Engine<'a> {
     /// `prefix_ops` already emitted (the caller passes the first
     /// `ckpt.ops_len` ops of the run that captured the checkpoint — they
     /// are identical by determinism). The router is rebuilt around the
-    /// warm `parts` with the checkpoint's occupancy re-claimed. Continue
-    /// with [`Engine::run_from`]`(circuit, ckpt.cut, ..)`.
+    /// warm `arena`. Continue with
+    /// [`Engine::run_from`]`(circuit, ckpt.cut, ..)`.
     pub fn resume(
         layout: &'a Layout,
         options: &'a CompilerOptions,
         ckpt: &EngineCheckpoint,
         prefix_ops: Vec<RoutedOp>,
         mode: RouterMode,
-        parts: RouterParts,
+        arena: SearchArena,
     ) -> Self {
         debug_assert_eq!(prefix_ops.len(), ckpt.ops_len);
-        let cost = CostModel {
-            penalty_weight: options.penalty_weight,
-        };
-        let mut router = Router::from_parts(layout.grid(), cost, mode, parts);
-        for &c in ckpt.occ.keys() {
-            router.claim(c);
-        }
         Self {
             layout,
             options,
             bank: ckpt.bank.clone(),
-            router,
+            router: Router::with_arena(router_cost(options), mode, arena),
             pos: ckpt.pos.clone(),
             occ: ckpt.occ.clone(),
-            occ_grid: ckpt.occ_grid.clone(),
             timeline: ckpt.timeline.clone(),
             qubit_ready: ckpt.qubit_ready.clone(),
             ops: prefix_ops,
@@ -329,26 +182,7 @@ impl<'a> Engine<'a> {
             protected: HashSet::new(),
             no_park: HashSet::new(),
             n_magic_states: ckpt.n_magic_states,
-            workers: route_workers(),
-            spec_adopted: 0,
-            spec_rejected: 0,
-            probes: None,
-            emit_log: None,
         }
-    }
-
-    /// `(adopted, rejected)` speculation counts for this run: how many
-    /// CNOTs committed a worker's speculative route versus re-routed
-    /// serially after a footprint conflict or speculative failure.
-    pub fn speculation_stats(&self) -> (u64, u64) {
-        (self.spec_adopted, self.spec_rejected)
-    }
-
-    /// Overrides the speculative-routing worker count for this engine (the
-    /// process default comes from [`route_workers`]). Any value ≤ 1 routes
-    /// serially. The routed output is identical either way.
-    pub fn set_route_workers(&mut self, workers: usize) {
-        self.workers = workers.max(1);
     }
 
     /// A deep snapshot of the engine's mutable state; the caller asserts
@@ -360,7 +194,6 @@ impl<'a> Engine<'a> {
             bank: self.bank.clone(),
             pos: self.pos.clone(),
             occ: self.occ.clone(),
-            occ_grid: self.occ_grid.clone(),
             timeline: self.timeline.clone(),
             qubit_ready: self.qubit_ready.clone(),
             n_magic_states: self.n_magic_states,
@@ -397,91 +230,6 @@ impl<'a> Engine<'a> {
         checkpoint_every: usize,
         checkpoints: &mut Vec<EngineCheckpoint>,
     ) -> Result<(), CompileError> {
-        let workers = self.workers;
-        let speculable = workers >= 2
-            && (resume_cut..circuit.len())
-                .filter(|&id| matches!(circuit.dag().node(id).gate, Gate::Cnot { .. }))
-                .count()
-                >= 2;
-        if !speculable {
-            return self.drive(circuit, resume_cut, checkpoint_every, checkpoints, None);
-        }
-        let layout = self.layout;
-        let options = self.options;
-        let mode = self.router.mode();
-        std::thread::scope(|scope| {
-            let (job_tx, job_rx) = mpsc::channel::<SpecJob>();
-            let job_rx = Arc::new(Mutex::new(job_rx));
-            let (res_tx, res_rx) = mpsc::channel::<SpecResult>();
-            for _ in 0..workers {
-                let job_rx = Arc::clone(&job_rx);
-                let res_tx = res_tx.clone();
-                scope.spawn(move || {
-                    // Each worker keeps its own warm RouterParts across
-                    // jobs. Warmth never changes results: path-table
-                    // entries are pure functions of their digest keys and
-                    // are re-validated against the snapshot's occupancy.
-                    let mut parts = RouterParts::default();
-                    loop {
-                        let job = match job_rx.lock() {
-                            Ok(rx) => rx.recv(),
-                            Err(_) => break,
-                        };
-                        let Ok(job) = job else { break };
-                        let gate_id = job.gate_id;
-                        // A panic inside a speculation must not strand the
-                        // drive loop waiting for a result; it degrades to
-                        // the serial path instead.
-                        let (result, returned) = catch_unwind(AssertUnwindSafe(|| {
-                            speculate_cnot(layout, options, mode, parts, &job)
-                        }))
-                        .unwrap_or_else(|_| {
-                            (
-                                SpecResult {
-                                    gate_id,
-                                    outcome: None,
-                                },
-                                RouterParts::default(),
-                            )
-                        });
-                        parts = returned;
-                        if res_tx.send(result).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(res_tx);
-            let mut pool = SpecPool {
-                job_tx,
-                res_rx,
-                workers,
-            };
-            self.drive(
-                circuit,
-                resume_cut,
-                checkpoint_every,
-                checkpoints,
-                Some(&mut pool),
-            )
-            // Dropping `pool` closes the job channel; every worker's
-            // `recv` errors out and the scope joins them.
-        })
-    }
-
-    /// The serial gate loop, optionally assisted by a speculation pool.
-    /// The gate *selection* is identical with and without the pool — only
-    /// how an already-selected CNOT's ops get produced differs (replayed
-    /// from a clean speculation vs routed in place), and a clean replay is
-    /// byte-identical by determinism over unchanged read cells.
-    fn drive(
-        &mut self,
-        circuit: &Circuit,
-        resume_cut: usize,
-        checkpoint_every: usize,
-        checkpoints: &mut Vec<EngineCheckpoint>,
-        mut pool: Option<&mut SpecPool>,
-    ) -> Result<(), CompileError> {
         let dag = circuit.dag();
         let mut tracker = dag.tracker();
         let total = circuit.len();
@@ -497,13 +245,6 @@ impl<'a> Engine<'a> {
         let mut contiguous = resume_cut;
         let mut done = resume_cut;
         let mut last_snap = resume_cut;
-        // Stamp-based dirty set: cell i was written since the pending
-        // speculations' snapshot iff `dirty[i] == epoch`. A new snapshot
-        // bumps the epoch, clearing the set in O(1).
-        let cols = self.grid().cols() as usize;
-        let mut dirty = vec![0u32; (self.grid().rows() as usize) * cols];
-        let mut epoch = 0u32;
-        let mut pending: HashMap<usize, Option<SpecOutcome>> = HashMap::new();
         while !tracker.is_done() {
             if checkpoint_every > 0
                 && done == contiguous
@@ -511,51 +252,6 @@ impl<'a> Engine<'a> {
             {
                 checkpoints.push(self.checkpoint(contiguous));
                 last_snap = contiguous;
-            }
-            if let Some(pool) = pool.as_deref_mut() {
-                if pending.is_empty() {
-                    // Refill: speculate the ready CNOTs most likely to be
-                    // selected next, all against one fresh snapshot.
-                    let mut cands: Vec<(Ticks, usize, u32, u32)> = tracker
-                        .ready()
-                        .iter()
-                        .filter_map(|&id| match dag.node(id).gate {
-                            Gate::Cnot { control, target } => {
-                                let ready = self.qubit_ready[control as usize]
-                                    .max(self.qubit_ready[target as usize]);
-                                Some((ready, id, control, target))
-                            }
-                            _ => None,
-                        })
-                        .collect();
-                    if cands.len() >= 2 {
-                        cands.sort_unstable();
-                        cands.truncate(pool.workers * 2);
-                        let ckpt = Arc::new(self.spec_snapshot());
-                        for &(_, id, c, t) in &cands {
-                            pool.job_tx
-                                .send(SpecJob {
-                                    gate_id: id,
-                                    control: c,
-                                    target: t,
-                                    ckpt: Arc::clone(&ckpt),
-                                })
-                                .expect("speculation workers outlive the drive loop");
-                        }
-                        for _ in 0..cands.len() {
-                            let r = pool
-                                .res_rx
-                                .recv()
-                                .expect("every speculation job yields a result");
-                            pending.insert(r.gate_id, r.outcome);
-                        }
-                        epoch = epoch.wrapping_add(1);
-                        if epoch == 0 {
-                            dirty.fill(0);
-                            epoch = 1;
-                        }
-                    }
-                }
             }
             let &gate_id = tracker
                 .ready()
@@ -571,33 +267,7 @@ impl<'a> Engine<'a> {
                 })
                 .expect("tracker not done implies non-empty ready set");
             self.current_gate = gate_id;
-            let ops_before = self.ops.len();
-            let speculated = pending.remove(&gate_id);
-            let was_pending = speculated.is_some();
-            let clean = speculated
-                .flatten()
-                .filter(|o| o.reads.iter().all(|&i| dirty[i as usize] != epoch));
-            match clean {
-                Some(outcome) => {
-                    self.spec_adopted += 1;
-                    self.commit_speculation(outcome);
-                }
-                None => {
-                    if was_pending {
-                        self.spec_rejected += 1;
-                    }
-                    self.schedule_gate(&dag.node(gate_id).gate)?;
-                }
-            }
-            if !pending.is_empty() {
-                // Everything this gate wrote invalidates overlapping
-                // speculations still in flight.
-                for i in ops_before..self.ops.len() {
-                    for c in self.ops[i].op.cells() {
-                        dirty[c.row as usize * cols + c.col as usize] = epoch;
-                    }
-                }
-            }
+            self.schedule_gate(&dag.node(gate_id).gate)?;
             tracker.complete(gate_id);
             completed[gate_id] = true;
             done += 1;
@@ -608,39 +278,15 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
-    /// A checkpoint-shaped snapshot for speculation (no causal-cut claim,
-    /// no prefix ops: speculative engines start with an empty op list and
-    /// only their recorded emissions matter).
-    fn spec_snapshot(&self) -> EngineCheckpoint {
-        let mut ckpt = self.checkpoint(0);
-        ckpt.ops_len = 0;
-        ckpt
-    }
-
-    /// Replays a clean speculation's recorded emissions. Moves go through
-    /// [`Engine::raw_move`] so occupancy, the flat mirror, the router's
-    /// region digests, and positions all advance exactly as a serial
-    /// execution would have advanced them.
-    fn commit_speculation(&mut self, outcome: SpecOutcome) {
-        for rec in outcome.emits {
-            match rec.op {
-                SurgeryOp::Move { from, to } => self.raw_move(from, to),
-                op => {
-                    self.emit(op, rec.patches, rec.factory, rec.extra_dep);
-                }
-            }
-        }
-    }
-
     /// The emitted operations, in issue order.
     pub fn into_ops(self) -> (Vec<RoutedOp>, u64) {
         (self.ops, self.n_magic_states)
     }
 
-    /// [`Engine::into_ops`] that also detaches the router's warm parts for
+    /// [`Engine::into_ops`] that also detaches the router's warm arena for
     /// the next differential recompile.
-    pub fn into_ops_and_parts(self) -> (Vec<RoutedOp>, u64, RouterParts) {
-        (self.ops, self.n_magic_states, self.router.into_parts())
+    pub fn into_ops_and_arena(self) -> (Vec<RoutedOp>, u64, SearchArena) {
+        (self.ops, self.n_magic_states, self.router.into_arena())
     }
 
     /// The incremental router's activity counters so far.
@@ -652,27 +298,19 @@ impl<'a> Engine<'a> {
         self.layout.grid()
     }
 
-    /// Records `c` in the speculation read footprint (no-op when serial).
+    /// The qubit holding `c`, if any (`None` off the grid too).
     #[inline]
-    fn probe_cell(&self, c: Coord) {
-        if let Some(p) = &self.probes {
-            p.borrow_mut().record(c);
+    fn occupant(&self, c: Coord) -> Option<u32> {
+        if !self.grid().in_bounds(c) {
+            return None;
         }
+        let q = self.occ[cell_index(self.grid(), c)];
+        (q != FREE).then_some(q)
     }
 
-    /// Occupancy-map membership, recorded as a read probe. Every direct
-    /// occupancy read on a speculatable code path must go through here (or
-    /// through a probing [`OccView`]) so the footprint stays complete.
     #[inline]
     fn occ_has(&self, c: Coord) -> bool {
-        self.probe_cell(c);
-        self.occ.contains_key(&c)
-    }
-
-    /// Digest pinning the full routing-relevant state of a query whose
-    /// view blocks `extra` on top of the live occupancy.
-    fn query_digest(&self, extra: &HashSet<Coord>) -> u128 {
-        self.router.state_digest() ^ blocked_set_digest(extra)
+        self.occupant(c).is_some()
     }
 
     fn fail(&self, reason: impl Into<String>) -> CompileError {
@@ -693,22 +331,6 @@ impl<'a> Engine<'a> {
     ) -> Ticks {
         debug_assert!(op.validate().is_ok(), "emitting invalid op {op}");
         let cells = op.cells();
-        if let Some(p) = &self.probes {
-            // Reserving cells reads their timelines; a write to any of
-            // them between snapshot and commit shifts this op's start.
-            let mut p = p.borrow_mut();
-            for &c in &cells {
-                p.record(c);
-            }
-        }
-        if let Some(log) = self.emit_log.as_mut() {
-            log.push(EmitRecord {
-                op: op.clone(),
-                patches: patches.clone(),
-                factory,
-                extra_dep,
-            });
-        }
         let dep = patches
             .iter()
             .map(|&q| self.qubit_ready[q as usize])
@@ -732,19 +354,14 @@ impl<'a> Engine<'a> {
 
     /// Moves the qubit occupying `from` one step to `to` (must be free).
     fn raw_move(&mut self, from: Coord, to: Coord) {
-        let q = *self
-            .occ
-            .get(&from)
+        let q = self
+            .occupant(from)
             .unwrap_or_else(|| panic!("raw move from empty cell {from}"));
-        debug_assert!(!self.occ.contains_key(&to), "raw move into occupied {to}");
+        debug_assert!(!self.occ_has(to), "raw move into occupied {to}");
         self.emit(SurgeryOp::Move { from, to }, vec![q], None, Ticks::ZERO);
-        self.occ.remove(&from);
-        self.occ.insert(to, q);
-        let cols = self.layout.grid().cols() as usize;
-        self.occ_grid[from.row as usize * cols + from.col as usize] = false;
-        self.occ_grid[to.row as usize * cols + to.col as usize] = true;
-        self.router.release(from);
-        self.router.claim(to);
+        let grid = self.layout.grid();
+        self.occ[cell_index(grid, from)] = FREE;
+        self.occ[cell_index(grid, to)] = q;
         self.pos[q as usize] = to;
     }
 
@@ -769,10 +386,9 @@ impl<'a> Engine<'a> {
             let grid = self.layout.grid();
             let none = HashSet::new();
             let view = OccView {
-                grid,
-                occ_grid: &self.occ_grid,
+                grid: self.layout.grid(),
+                occ: &self.occ,
                 extra_blocked: &none,
-                probes: self.probes.as_ref(),
             };
             self.router
                 .clear_cell_plan(grid, &view, cell, &strict)
@@ -803,15 +419,12 @@ impl<'a> Engine<'a> {
             let path = {
                 let mut blocked = self.protected.clone();
                 blocked.extend(banned.iter().copied());
-                let grid = self.layout.grid();
-                let digest = self.query_digest(&blocked);
                 let view = OccView {
-                    grid,
-                    occ_grid: &self.occ_grid,
+                    grid: self.layout.grid(),
+                    occ: &self.occ,
                     extra_blocked: &blocked,
-                    probes: self.probes.as_ref(),
                 };
-                self.router.find_path(grid, &view, digest, from, dest)
+                self.router.find_path(self.layout.grid(), &view, from, dest)
             }
             .ok_or_else(|| self.fail(format!("no path from {from} to {dest}")))?;
             for i in 1..path.cells.len() {
@@ -847,14 +460,12 @@ impl<'a> Engine<'a> {
     /// Finds (clearing if necessary) a free ancilla adjacent to `cell`.
     fn acquire_ancilla(&mut self, cell: Coord) -> Result<Coord, CompileError> {
         let plan = {
-            let grid = self.layout.grid();
             let view = OccView {
-                grid,
-                occ_grid: &self.occ_grid,
+                grid: self.layout.grid(),
+                occ: &self.occ,
                 extra_blocked: &self.protected,
-                probes: self.probes.as_ref(),
             };
-            self.router.space_search(grid, &view, cell)
+            self.router.space_search(self.layout.grid(), &view, cell)
         };
         match plan {
             Some(p) => {
@@ -965,15 +576,13 @@ impl<'a> Engine<'a> {
 
             let grant = self.bank.acquire(self.qubit_ready[q as usize]);
             let path = {
-                let grid = self.layout.grid();
-                let digest = self.query_digest(&self.protected);
                 let view = OccView {
-                    grid,
-                    occ_grid: &self.occ_grid,
+                    grid: self.layout.grid(),
+                    occ: &self.occ,
                     extra_blocked: &self.protected,
-                    probes: self.probes.as_ref(),
                 };
-                self.router.find_path(grid, &view, digest, grant.port, dest)
+                self.router
+                    .find_path(self.layout.grid(), &view, grant.port, dest)
             }
             .ok_or_else(|| self.fail(format!("no delivery path {} -> {dest}", grant.port)))?;
             self.n_magic_states += 1;
@@ -1032,20 +641,16 @@ impl<'a> Engine<'a> {
 
         // Preferred: the gate-dependent move heuristic over free cells.
         let cfg = {
-            let grid = self.layout.grid();
-            let digest = self.router.state_digest();
             let none = HashSet::new();
             let view = OccView {
-                grid,
-                occ_grid: &self.occ_grid,
+                grid: self.layout.grid(),
+                occ: &self.occ,
                 extra_blocked: &none,
-                probes: self.probes.as_ref(),
             };
             best_cnot_config_with(
                 &mut self.router,
-                grid,
+                self.layout.grid(),
                 &view,
-                digest,
                 c_pos,
                 t_pos,
                 self.options.lookahead,
@@ -1144,44 +749,6 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// Routes one ready CNOT against a snapshot, recording its read footprint
-/// and emissions. Runs on a speculation worker thread; `parts` is the
-/// worker's warm router state and is always handed back for the next job.
-fn speculate_cnot(
-    layout: &Layout,
-    options: &CompilerOptions,
-    mode: RouterMode,
-    parts: RouterParts,
-    job: &SpecJob,
-) -> (SpecResult, RouterParts) {
-    let mut eng = Engine::resume(layout, options, &job.ckpt, Vec::new(), mode, parts);
-    eng.current_gate = job.gate_id;
-    eng.probes = Some(RefCell::new(ProbeSet::new(layout.grid())));
-    eng.emit_log = Some(Vec::new());
-    // The operand cells themselves are reads: if either operand qubit is
-    // displaced after the snapshot, its old cell shows up as a write and
-    // this speculation must not commit.
-    eng.probe_cell(eng.pos[job.control as usize]);
-    eng.probe_cell(eng.pos[job.target as usize]);
-    let routed = eng.exec_cnot(job.control, job.target).is_ok();
-    let outcome = routed.then(|| SpecOutcome {
-        emits: eng.emit_log.take().unwrap_or_default(),
-        reads: eng
-            .probes
-            .take()
-            .map(|p| p.into_inner().list)
-            .unwrap_or_default(),
-    });
-    let parts = eng.router.into_parts();
-    (
-        SpecResult {
-            gate_id: job.gate_id,
-            outcome,
-        },
-        parts,
-    )
-}
-
 /// A deep snapshot of the routing engine's mutable state at a *causal
 /// cut* — an instant where the completed-gate set is exactly the prefix
 /// `0..cut` of the lowered gate sequence. Captured by
@@ -1198,8 +765,7 @@ pub struct EngineCheckpoint {
     pub ops_len: usize,
     bank: FactoryBank,
     pos: Vec<Coord>,
-    occ: HashMap<Coord, u32>,
-    occ_grid: Vec<bool>,
+    occ: Vec<u32>,
     timeline: ResourceTimeline,
     qubit_ready: Vec<Ticks>,
     n_magic_states: u64,
@@ -1222,12 +788,6 @@ pub struct RoutedProgram {
     pub n_magic_states: u64,
     /// The incremental router's counters for this compile.
     pub route: RouteCounters,
-    /// CNOT speculations adopted by the parallel routing pool (always 0
-    /// when the worker count is ≤ 1).
-    pub spec_adopted: u64,
-    /// CNOT speculations rejected (conflicting or failed) and re-routed
-    /// serially.
-    pub spec_rejected: u64,
 }
 
 /// Runs the map stage — target validation, layout construction, initial
@@ -1251,19 +811,6 @@ pub fn route_circuit(
     options: &CompilerOptions,
     mode: RouterMode,
 ) -> Result<RoutedProgram, CompileError> {
-    route_circuit_with_workers(lowered, options, mode, route_workers())
-}
-
-/// [`route_circuit`] with an explicit speculative-routing worker count
-/// instead of the [`route_workers`] process default. `workers ≤ 1` routes
-/// serially; any value produces the identical routed program — the knob
-/// only trades threads for map-stage wall-clock.
-pub fn route_circuit_with_workers(
-    lowered: &Circuit,
-    options: &CompilerOptions,
-    mode: RouterMode,
-    workers: usize,
-) -> Result<RoutedProgram, CompileError> {
     let target = &options.target;
     target.validate(lowered.num_qubits(), lowered.t_count() as u64)?;
     let layout = target.build_layout(lowered.num_qubits())?;
@@ -1271,10 +818,8 @@ pub fn route_circuit_with_workers(
     let bank = target.factory_bank(&layout);
     let factory_patches = bank.total_tiles();
     let mut engine = Engine::with_mode(&layout, &mapping, bank, options, mode);
-    engine.set_route_workers(workers);
     engine.run(lowered)?;
     let route = engine.route_counters();
-    let (spec_adopted, spec_rejected) = engine.speculation_stats();
     let (ops, n_magic_states) = engine.into_ops();
     Ok(RoutedProgram {
         layout,
@@ -1283,8 +828,6 @@ pub fn route_circuit_with_workers(
         ops,
         n_magic_states,
         route,
-        spec_adopted,
-        spec_rejected,
     })
 }
 
@@ -1455,142 +998,6 @@ mod tests {
         for o in &ops {
             o.op.validate()
                 .unwrap_or_else(|e| panic!("invalid op {}: {e}", o.op));
-        }
-    }
-
-    /// A wide layer structure: CNOTs on disjoint qubit pairs whose rows
-    /// sit far apart, so concurrently-ready gates rarely touch the same
-    /// cells and most speculations commit.
-    fn wide_cnot_circuit(n: u32, layers: usize) -> Circuit {
-        let mut c = Circuit::new(n);
-        for layer in 0..layers {
-            let off = (layer % 2) as u32;
-            let mut q = off;
-            while q + 1 < n {
-                c.cnot(q, q + 1);
-                q += 2;
-            }
-        }
-        c
-    }
-
-    #[test]
-    fn parallel_routing_is_byte_identical_to_serial() {
-        let circuit = wide_cnot_circuit(12, 4);
-        let options = CompilerOptions::default().routing_paths(4);
-        for mode in [RouterMode::Incremental, RouterMode::Reference] {
-            let serial =
-                route_circuit_with_workers(&circuit, &options, mode, 1).expect("serial maps");
-            let parallel =
-                route_circuit_with_workers(&circuit, &options, mode, 4).expect("parallel maps");
-            assert_eq!(serial.ops, parallel.ops, "{mode:?}: ops diverge");
-            assert_eq!(serial.n_magic_states, parallel.n_magic_states);
-            assert_eq!(serial.factory_patches, parallel.factory_patches);
-        }
-    }
-
-    #[test]
-    fn wide_circuits_adopt_speculations() {
-        let circuit = wide_cnot_circuit(16, 4);
-        let options = CompilerOptions::default().routing_paths(4);
-        let layout = Layout::with_routing_paths(16, 4);
-        let mapping = InitialMapping::new(&layout, 16, MappingStrategy::Snake);
-        let bank = FactoryBank::dock(&layout, 1, options.target.timing.magic_production);
-        let mut engine = Engine::new(&layout, &mapping, bank, &options);
-        engine.set_route_workers(4);
-        engine.run(&circuit).expect("parallel engine routes");
-        let (adopted, _) = engine.speculation_stats();
-        assert!(adopted > 0, "no speculation committed on a wide circuit");
-    }
-
-    #[test]
-    fn serial_engine_never_speculates() {
-        let circuit = wide_cnot_circuit(9, 3);
-        let options = CompilerOptions::default().routing_paths(4);
-        let layout = Layout::with_routing_paths(9, 4);
-        let mapping = InitialMapping::new(&layout, 9, MappingStrategy::Snake);
-        let bank = FactoryBank::dock(&layout, 1, options.target.timing.magic_production);
-        let mut engine = Engine::new(&layout, &mapping, bank, &options);
-        engine.set_route_workers(1);
-        engine.run(&circuit).expect("serial engine routes");
-        assert_eq!(engine.speculation_stats(), (0, 0));
-    }
-
-    #[test]
-    #[ignore]
-    fn profile_speculation_costs() {
-        use std::time::Instant;
-        let circuit = wide_cnot_circuit(128, 12);
-        let options = CompilerOptions::default();
-        let layout = options.target.build_layout(128).expect("layout");
-        let mapping = InitialMapping::for_circuit(&layout, &circuit, options.mapping);
-        let bank = options.target.factory_bank(&layout);
-        let mut engine =
-            Engine::with_mode(&layout, &mapping, bank, &options, RouterMode::Incremental);
-        engine.run(&circuit).expect("serial run");
-        let n = 2000u32;
-
-        let t = Instant::now();
-        for _ in 0..n {
-            std::hint::black_box(engine.spec_snapshot());
-        }
-        println!("snapshot      : {:?}/iter", t.elapsed() / n);
-
-        let ckpt = Arc::new(engine.spec_snapshot());
-        let t = Instant::now();
-        for _ in 0..n {
-            let e = Engine::resume(
-                &layout,
-                &options,
-                &ckpt,
-                Vec::new(),
-                RouterMode::Incremental,
-                RouterParts::default(),
-            );
-            std::hint::black_box(&e);
-        }
-        println!("resume (cold) : {:?}/iter", t.elapsed() / n);
-
-        let mut parts = RouterParts::default();
-        let t = Instant::now();
-        for _ in 0..n {
-            let e = Engine::resume(
-                &layout,
-                &options,
-                &ckpt,
-                Vec::new(),
-                RouterMode::Incremental,
-                parts,
-            );
-            parts = e.router.into_parts();
-        }
-        println!("resume (warm) : {:?}/iter", t.elapsed() / n);
-
-        let t = Instant::now();
-        for _ in 0..n {
-            let job = SpecJob {
-                gate_id: 0,
-                control: 40,
-                target: 41,
-                ckpt: Arc::clone(&ckpt),
-            };
-            let (r, p) = speculate_cnot(&layout, &options, RouterMode::Incremental, parts, &job);
-            std::hint::black_box(&r);
-            parts = p;
-        }
-        println!("speculate     : {:?}/iter", t.elapsed() / n);
-
-        for workers in [1usize, 2, 4] {
-            let t = Instant::now();
-            let r =
-                route_circuit_with_workers(&circuit, &options, RouterMode::Incremental, workers)
-                    .expect("routes");
-            println!(
-                "route workers={workers}: {:?} (adopted {}, rejected {})",
-                t.elapsed(),
-                r.spec_adopted,
-                r.spec_rejected
-            );
         }
     }
 

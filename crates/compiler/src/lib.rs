@@ -71,9 +71,7 @@ pub use codec::{
 pub use differential::{
     CompileDelta, DeltaKind, DifferentialCompiler, DEFAULT_CHECKPOINT_EVERY, DEFAULT_TIMER_EVERY,
 };
-pub use engine::{
-    route_circuit, route_circuit_with_workers, route_workers, EngineCheckpoint, RoutedProgram,
-};
+pub use engine::{route_circuit, EngineCheckpoint, RoutedProgram};
 pub use error::CompileError;
 pub use estimate::{
     estimate_resources, EstimateError, EstimateRequest, Objective, ResourceEstimate,
@@ -83,7 +81,7 @@ pub use explore::{
     explore_session, explore_targets, pareto_front, target_sweep_options, DesignPoint, TargetSweep,
 };
 pub use export::{to_csv, utilization, UtilizationStats};
-pub use ftqc_route::{RouteCounters, RouterMode, RouterParts};
+pub use ftqc_route::{RouteCounters, RouterMode};
 pub use mapping::{InitialMapping, MappingStrategy};
 pub use metrics::Metrics;
 pub use options::{CompilerOptions, TStatePolicy};

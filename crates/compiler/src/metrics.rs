@@ -35,10 +35,8 @@ pub struct Metrics {
     /// Magic states consumed.
     pub n_magic_states: u64,
     /// Incremental-router activity for the routing run that produced this
-    /// program: arena reuses, path-table hits/misses, and incremental
-    /// invalidations. Deterministic per compile (the router's path table
-    /// is per-engine), so cached and fresh compiles report identical
-    /// values.
+    /// program. Deterministic per compile (the router is per-engine), so
+    /// cached and fresh compiles report identical values.
     pub route: RouteCounters,
 }
 
@@ -140,15 +138,7 @@ impl fmt::Display for Metrics {
             self.spacetime_volume_per_op(true),
             self.cpi()
         )?;
-        write!(
-            f,
-            "router: {} arena reuses, path table {}/{} hits ({} claim-invalidated, {} flushes)",
-            self.route.arena_reuses,
-            self.route.table_hits,
-            self.route.table_hits + self.route.table_misses,
-            self.route.table_invalidated_by_claim,
-            self.route.table_flushes
-        )
+        write!(f, "router: {} arena reuses", self.route.arena_reuses)
     }
 }
 
@@ -170,14 +160,7 @@ mod tests {
             n_moves: 40,
             n_moves_eliminated: 6,
             n_magic_states: 10,
-            route: RouteCounters {
-                arena_reuses: 30,
-                table_hits: 5,
-                table_misses: 35,
-                table_invalidations: 80,
-                table_invalidated_by_claim: 78,
-                table_flushes: 2,
-            },
+            route: RouteCounters { arena_reuses: 30 },
         }
     }
 
@@ -232,6 +215,6 @@ mod tests {
         assert!(s.contains("qubits: 155"));
         assert!(s.contains("overhead 1.20x"));
         assert!(s.contains("CPI 2.00"));
-        assert!(s.contains("router: 30 arena reuses, path table 5/40 hits"));
+        assert!(s.contains("router: 30 arena reuses"));
     }
 }

@@ -1,30 +1,21 @@
-//! The incremental routing engine: reusable search state and cached path
-//! tables for the compile hot path.
+//! The incremental routing engine: reusable search state for the compile
+//! hot path.
 //!
 //! The seed implementation re-ran a full [`find_path`] with freshly
 //! allocated `HashMap`/`BinaryHeap` state for every routed operation — the
 //! dominant cost of the map stage. This module rebuilds that hot path
-//! around three pieces:
+//! around two pieces:
 //!
 //! * [`SearchArena`] — distance/visited/parent buffers sized to the layout
 //!   and *generation-stamped*, so resetting between searches is O(1)
 //!   instead of O(cells), plus a bucket-queue (Dial) specialisation of
-//!   Dijkstra for the small integer penalty domain.
-//! * [`PathTable`] — a cache of shortest paths validated through a
-//!   *spatial occupancy index*: the grid is tiled into square regions
-//!   (see [`RegionMap`]), each region carries its own incremental XOR
-//!   digest, and every cached path remembers the digests of exactly the
-//!   regions its search *read*. A claim or release shifts one region's
-//!   digest, so it can only retire entries whose search footprint
-//!   actually crossed that region — distant activity leaves the rest of
-//!   the table hot. (The first cut of this engine keyed entries on a
-//!   whole-grid digest, which every claim shifted: `table_hits` was
-//!   structurally zero and the cache was pure overhead.)
+//!   Dijkstra for the small integer penalty domain. The same buffers back
+//!   the breadth-first frontiers of the space-search helpers.
 //! * [`Router`] — the facade the compiler engine drives. It owns the arena
-//!   and the table, maintains the live per-region digests, and counts its
-//!   own activity ([`RouteCounters`]). In [`RouterMode::Reference`] every
-//!   query is answered by the seed implementations instead — the hook the
-//!   differential test harness and the bench baseline use.
+//!   and counts its own activity ([`RouteCounters`]). In
+//!   [`RouterMode::Reference`] every query is answered by the seed
+//!   implementations instead — the hook the differential test harness and
+//!   the bench baseline use.
 //!
 //! **Tie-breaking invariant:** every query through the incremental engine
 //! returns results *byte-identical* to the seed functions
@@ -37,125 +28,12 @@ use crate::dijkstra::{find_path, CostModel, Occupancy, Path};
 use crate::space::{clear_cell_plan, nearest_free_cell, space_search, SpacePlan};
 use ftqc_arch::{Coord, Grid};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 /// Largest bucket ring the Dial queue will allocate. Edge weights are
 /// `1 + penalty_weight`; beyond this bound the arena falls back to the
 /// seed binary-heap search (still byte-identical, just not bucketed).
 const MAX_BUCKET_RING: usize = 4096;
-
-/// Default [`PathTable`] capacity: entries beyond this flush the table
-/// (the digest keying makes a flush correctness-neutral).
-pub const DEFAULT_PATH_TABLE_CAPACITY: usize = 1 << 14;
-
-/// Default [`RegionMap`] tile edge, in cells. Overridable per process via
-/// the `FTQC_ROUTE_REGION` environment variable (see
-/// [`default_region_size`]) or per router via
-/// [`Router::with_region_size`].
-pub const DEFAULT_REGION_SIZE: u32 = 8;
-
-/// The process-wide region-size knob: `FTQC_ROUTE_REGION` when set to a
-/// positive integer, [`DEFAULT_REGION_SIZE`] otherwise. Region size is a
-/// pure cache-granularity trade-off (smaller regions → finer invalidation
-/// but longer footprints); it never changes routing results.
-pub fn default_region_size() -> u32 {
-    static SIZE: std::sync::OnceLock<u32> = std::sync::OnceLock::new();
-    *SIZE.get_or_init(|| {
-        std::env::var("FTQC_ROUTE_REGION")
-            .ok()
-            .and_then(|v| v.trim().parse::<u32>().ok())
-            .filter(|&s| s > 0)
-            .unwrap_or(DEFAULT_REGION_SIZE)
-    })
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// A 128-bit mixing token for `(salt, cell)`. Tokens are XOR-combined, so
-/// claim/release (and add/remove from a blocked set) are their own
-/// inverses — the property that makes digest maintenance O(1) per cell.
-fn cell_token(salt: u64, c: Coord) -> u128 {
-    let packed = ((c.row as i64 as u64) << 32) ^ (c.col as i64 as u64 & 0xffff_ffff) ^ salt;
-    let lo = splitmix64(packed);
-    let hi = splitmix64(packed ^ 0xd6e8_feb8_6659_fd93);
-    ((hi as u128) << 64) | lo as u128
-}
-
-/// Digest contribution of a cell holding a data qubit.
-pub fn occupied_token(c: Coord) -> u128 {
-    cell_token(0x6f63_6375_7069_6564, c)
-}
-
-/// Digest contribution of a cell in an extra-blocked set.
-pub fn blocked_token(c: Coord) -> u128 {
-    cell_token(0x626c_6f63_6b65_645f, c)
-}
-
-/// XOR-digest of a (deduplicated) set of extra-blocked cells. Callers must
-/// pass each distinct cell once — XOR cancels duplicates — which a
-/// `HashSet` iteration guarantees.
-pub fn blocked_set_digest<'a>(cells: impl IntoIterator<Item = &'a Coord>) -> u128 {
-    cells.into_iter().fold(0u128, |d, &c| d ^ blocked_token(c))
-}
-
-/// 64-bit per-region digest contribution of an occupied cell. Regions
-/// XOR-combine these, so a claim/release touches exactly one region digest
-/// in O(1) and claim∘release restores it — the property that lets a cached
-/// path *re-validate* after a transient occupation passes through.
-fn region_token(c: Coord) -> u64 {
-    splitmix64(
-        ((c.row as i64 as u64) << 32) ^ (c.col as i64 as u64 & 0xffff_ffff) ^ 0x7265_6769_6f6e_5f31,
-    )
-}
-
-/// The spatial occupancy index's tiling: the grid cut into square regions
-/// of `region_size × region_size` cells (edge tiles may be smaller).
-///
-/// Searches record which regions they *read* (their footprint); cached
-/// paths are validated against the current digests of only those regions,
-/// so occupancy churn in one corner of the layout cannot retire paths
-/// routed in another.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RegionMap {
-    region_size: i32,
-    regions_per_row: i32,
-    num_regions: usize,
-}
-
-impl RegionMap {
-    /// Tiling of `grid` into `region_size`-cell squares.
-    pub fn new(grid: &Grid, region_size: u32) -> Self {
-        let region_size = region_size.max(1) as i32;
-        let regions_per_row = (grid.cols() as i32 + region_size - 1) / region_size;
-        let region_rows = (grid.rows() as i32 + region_size - 1) / region_size;
-        RegionMap {
-            region_size,
-            regions_per_row: regions_per_row.max(1),
-            num_regions: (regions_per_row.max(1) as usize) * (region_rows.max(1) as usize),
-        }
-    }
-
-    /// The tile edge, in cells.
-    pub fn region_size(&self) -> u32 {
-        self.region_size as u32
-    }
-
-    /// Total number of regions in the tiling.
-    pub fn num_regions(&self) -> usize {
-        self.num_regions
-    }
-
-    /// The region index of an in-bounds cell.
-    #[inline]
-    pub fn region_of(&self, c: Coord) -> u32 {
-        ((c.row / self.region_size) * self.regions_per_row + c.col / self.region_size) as u32
-    }
-}
 
 /// Per-router activity counters, surfaced through compiler `Metrics`, the
 /// CLI's `--explain` report, `/v1/cache/stats`, and `/metrics`.
@@ -164,25 +42,6 @@ pub struct RouteCounters {
     /// Searches that reused the arena's buffers via a generation bump
     /// (everything after the first search on a given grid shape).
     pub arena_reuses: u64,
-    /// Path queries answered from the [`PathTable`].
-    pub table_hits: u64,
-    /// Path queries that ran a search (and populated the table).
-    pub table_misses: u64,
-    /// Legacy aggregate kept for wire compatibility: always the sum of
-    /// [`table_invalidated_by_claim`](RouteCounters::table_invalidated_by_claim)
-    /// and [`table_flushes`](RouteCounters::table_flushes). (Before the
-    /// spatial index this counter also ticked on every claim/release,
-    /// which made it uninterpretable — 1627 "invalidations" for 554
-    /// lookups on the GHZ bench.)
-    pub table_invalidations: u64,
-    /// Cached entries retired because a claim/release shifted a region
-    /// digest inside the entry's search footprint (detected and counted at
-    /// lookup time, when the stale entry is evicted).
-    #[serde(default)]
-    pub table_invalidated_by_claim: u64,
-    /// Whole-table flushes triggered by the capacity bound.
-    #[serde(default)]
-    pub table_flushes: u64,
 }
 
 impl RouteCounters {
@@ -190,22 +49,6 @@ impl RouteCounters {
     pub fn merged(self, other: RouteCounters) -> RouteCounters {
         RouteCounters {
             arena_reuses: self.arena_reuses + other.arena_reuses,
-            table_hits: self.table_hits + other.table_hits,
-            table_misses: self.table_misses + other.table_misses,
-            table_invalidations: self.table_invalidations + other.table_invalidations,
-            table_invalidated_by_claim: self.table_invalidated_by_claim
-                + other.table_invalidated_by_claim,
-            table_flushes: self.table_flushes + other.table_flushes,
-        }
-    }
-
-    /// Hit ratio over table lookups (0 when the table was never queried).
-    pub fn hit_ratio(&self) -> f64 {
-        let lookups = self.table_hits + self.table_misses;
-        if lookups == 0 {
-            0.0
-        } else {
-            self.table_hits as f64 / lookups as f64
         }
     }
 }
@@ -237,13 +80,6 @@ pub struct SearchArena {
     last_ring: usize,
     queue: VecDeque<u32>,
     reuses: u64,
-    /// Per-region mark stamps for footprint tracking (see
-    /// [`SearchArena::find_path_tracked`]); meaningful when equal to
-    /// `fp_gen`.
-    fp_stamp: Vec<u32>,
-    fp_gen: u32,
-    /// Regions read by the last tracked search, in first-touch order.
-    fp_list: Vec<u32>,
 }
 
 impl SearchArena {
@@ -304,76 +140,22 @@ impl SearchArena {
         to: Coord,
         cost: &CostModel,
     ) -> Option<Path> {
-        self.find_path_core(grid, occ, from, to, cost, None).0
-    }
-
-    /// [`SearchArena::find_path`] plus read-footprint tracking: records the
-    /// region (per `regions`) of every cell whose occupancy or blocked
-    /// state the search probes. Returns the path and whether a footprint
-    /// was captured (`false` on the huge-penalty seed fallback, whose
-    /// result must therefore not be cached spatially). The footprint is
-    /// readable via [`SearchArena::footprint`] until the next search.
-    ///
-    /// Soundness: the search is a deterministic function of exactly the
-    /// probed cells (plus static grid shape and cost), so a cached result
-    /// may be served as long as no probed cell changed — which the
-    /// per-region digests of the footprint certify.
-    pub fn find_path_tracked(
-        &mut self,
-        grid: &Grid,
-        occ: &impl Occupancy,
-        from: Coord,
-        to: Coord,
-        cost: &CostModel,
-        regions: &RegionMap,
-    ) -> (Option<Path>, bool) {
-        if self.fp_stamp.len() != regions.num_regions() {
-            self.fp_stamp = vec![0; regions.num_regions()];
-            self.fp_gen = 0;
-        }
-        self.fp_gen = self.fp_gen.wrapping_add(1);
-        if self.fp_gen == 0 {
-            self.fp_stamp.fill(0);
-            self.fp_gen = 1;
-        }
-        self.fp_list.clear();
-        self.find_path_core(grid, occ, from, to, cost, Some(regions))
-    }
-
-    /// Regions read by the last [`SearchArena::find_path_tracked`] call.
-    pub fn footprint(&self) -> &[u32] {
-        &self.fp_list
-    }
-
-    fn find_path_core(
-        &mut self,
-        grid: &Grid,
-        occ: &impl Occupancy,
-        from: Coord,
-        to: Coord,
-        cost: &CostModel,
-        regions: Option<&RegionMap>,
-    ) -> (Option<Path>, bool) {
         let ring = match usize::try_from(cost.penalty_weight) {
             Ok(w) if w + 2 <= MAX_BUCKET_RING => w + 2,
             // Penalty weights outside the small integer domain: the bucket
-            // ring would be huge, so use the seed search (same result, but
-            // no footprint — callers must not cache it spatially).
-            _ => return (find_path(grid, occ, from, to, cost), false),
+            // ring would be huge, so use the seed search (same result).
+            _ => return find_path(grid, occ, from, to, cost),
         };
         if !grid.in_bounds(from) || !grid.in_bounds(to) {
-            return (None, true);
+            return None;
         }
         if from == to {
-            return (
-                Some(Path {
-                    cells: vec![from],
-                    length: 0,
-                    occupied: 0,
-                    cost: 0,
-                }),
-                true,
-            );
+            return Some(Path {
+                cells: vec![from],
+                length: 0,
+                occupied: 0,
+                cost: 0,
+            });
         }
         self.reset(grid);
         if self.buckets.len() < ring {
@@ -417,16 +199,6 @@ impl SearchArena {
                         if !grid.in_bounds(v) {
                             continue;
                         }
-                        // The occupancy of `v` is about to be read (blocked
-                        // and/or occupied probe): its region joins the
-                        // search footprint.
-                        if let Some(rm) = regions {
-                            let r = rm.region_of(v) as usize;
-                            if self.fp_stamp[r] != self.fp_gen {
-                                self.fp_stamp[r] = self.fp_gen;
-                                self.fp_list.push(r as u32);
-                            }
-                        }
                         if v != to && occ.is_blocked(v) {
                             continue;
                         }
@@ -462,7 +234,7 @@ impl SearchArena {
         }
 
         if !reached && !self.visited(to_i as usize) {
-            return (None, true);
+            return None;
         }
         let total = self.dist[to_i as usize];
         let mut cells = vec![to];
@@ -473,15 +245,12 @@ impl SearchArena {
         }
         cells.reverse();
         let occupied = cells[1..].iter().filter(|&&c| occ.is_occupied(c)).count() as u32;
-        (
-            Some(Path {
-                length: (cells.len() - 1) as u32,
-                occupied,
-                cost: total,
-                cells,
-            }),
-            true,
-        )
+        Some(Path {
+            length: (cells.len() - 1) as u32,
+            occupied,
+            cost: total,
+            cells,
+        })
     }
 
     /// Arena-backed breadth-first search for the nearest free cell,
@@ -624,151 +393,10 @@ impl SearchArena {
     }
 }
 
-/// Key of one cached path: the static query context (grid shape, penalty
-/// weight, region geometry, extra-blocked set) plus the endpoints. The
-/// *occupancy* state is deliberately absent — it is certified at lookup
-/// time by the entry's spatial footprint instead, which is what lets a
-/// query hit across unrelated claims elsewhere on the grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct PathKey {
-    digest: u128,
-    from: Coord,
-    to: Coord,
-}
-
-/// One cached search result plus the evidence needed to re-validate it.
-#[derive(Debug, Clone)]
-struct PathEntry {
-    path: Option<Path>,
-    /// `(region, digest-at-compute-time)` for every region the search
-    /// read. The entry is servable iff all of them still match the live
-    /// region digests.
-    footprint: Box<[(u32, u64)]>,
-}
-
-/// A cache of shortest paths validated through the spatial occupancy
-/// index.
-///
-/// # Invariants
-///
-/// * An entry is returned only when (a) its 128-bit key digest matches the
-///   query's static context — grid shape, penalty weight, region geometry
-///   and extra-blocked set — and (b) every region in its recorded search
-///   footprint still carries the digest it had when the path was computed.
-///   Together these pin every cell the original search read, so the replay
-///   is byte-identical by determinism of the search.
-/// * A claim or release shifts exactly one region digest; entries whose
-///   footprint does not include that region remain servable. A stale entry
-///   is detected (and evicted, counting `table_invalidated_by_claim`) at
-///   lookup time.
-/// * Negative results (`None`: unreachable) are cached too.
-/// * The table never exceeds its capacity: inserting into a full table
-///   flushes it (counting `table_flushes`), which is correctness-neutral
-///   because entries are pure functions of key + footprint state.
-#[derive(Debug)]
-pub struct PathTable {
-    entries: HashMap<PathKey, PathEntry>,
-    capacity: usize,
-    hits: u64,
-    misses: u64,
-    stale: u64,
-    flushes: u64,
-}
-
-impl PathTable {
-    /// A table holding at most `capacity` paths.
-    pub fn new(capacity: usize) -> Self {
-        PathTable {
-            entries: HashMap::new(),
-            capacity: capacity.max(1),
-            hits: 0,
-            misses: 0,
-            stale: 0,
-            flushes: 0,
-        }
-    }
-
-    /// Cached entries currently held.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Serves `key` if present *and* spatially valid against the live
-    /// `region_digests`; evicts (and counts) a stale entry.
-    fn lookup(&mut self, key: PathKey, region_digests: &[u64]) -> Option<Option<Path>> {
-        if let Some(entry) = self.entries.get(&key) {
-            let valid = entry
-                .footprint
-                .iter()
-                .all(|&(r, d)| region_digests.get(r as usize) == Some(&d));
-            if valid {
-                self.hits += 1;
-                return Some(entry.path.clone());
-            }
-            self.entries.remove(&key);
-            self.stale += 1;
-        }
-        self.misses += 1;
-        None
-    }
-
-    /// Caches a search result with its footprint snapshot: the current
-    /// digest of every region the search read.
-    fn insert(&mut self, key: PathKey, path: Option<Path>, footprint: &[u32], digests: &[u64]) {
-        if self.entries.len() >= self.capacity {
-            self.entries.clear();
-            self.flushes += 1;
-        }
-        let footprint = footprint
-            .iter()
-            .map(|&r| (r, digests.get(r as usize).copied().unwrap_or(0)))
-            .collect();
-        self.entries.insert(key, PathEntry { path, footprint });
-    }
-}
-
-impl Default for PathTable {
-    fn default() -> Self {
-        Self::new(DEFAULT_PATH_TABLE_CAPACITY)
-    }
-}
-
-/// The reusable halves of a [`Router`] — the warm [`SearchArena`] and
-/// [`PathTable`] — detached from any particular occupancy state so they
-/// can outlive one compile and seed the next (an edit session keeps one
-/// `RouterParts` alive and re-threads it through every differential
-/// recompile).
-///
-/// Carrying the table across compiles is correctness-neutral for the same
-/// reason flush-on-capacity is: every entry is pinned by its key (grid
-/// shape, penalty weight, region geometry, extra-blocked set, endpoints)
-/// plus its spatial footprint digests, which are canonical functions of
-/// the occupied set in the regions the search read. An entry from a
-/// previous compile is served only when the new compile reproduces that
-/// exact local state (a legitimate hit); otherwise it is detected stale at
-/// lookup and evicted.
-#[derive(Debug, Default)]
-pub struct RouterParts {
-    arena: SearchArena,
-    table: PathTable,
-}
-
-impl RouterParts {
-    /// Cached path-table entries currently held.
-    pub fn table_len(&self) -> usize {
-        self.table.len()
-    }
-}
-
 /// Which implementation a [`Router`] answers with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouterMode {
-    /// Arena + bucket queue + path table (the production hot path).
+    /// Arena + bucket queue (the production hot path).
     Incremental,
     /// The seed implementations, query for query — the baseline the
     /// differential tests and benches compare against.
@@ -780,13 +408,10 @@ pub enum RouterMode {
 /// over the seed functions or a [`Router`].
 pub trait RoutePlanner {
     /// Minimum-cost path from `from` to `to` (see [`find_path`]).
-    /// `digest` pins the occupancy + extra-blocked state of `occ` for
-    /// cache keying; implementations without a cache ignore it.
     fn plan_path(
         &mut self,
         grid: &Grid,
         occ: &impl Occupancy,
-        digest: u128,
         from: Coord,
         to: Coord,
     ) -> Option<Path>;
@@ -796,8 +421,8 @@ pub trait RoutePlanner {
         -> Option<SpacePlan>;
 }
 
-/// The seed planner: allocates per query, no caching. This is the
-/// reference behaviour the incremental engine must reproduce.
+/// The seed planner: allocates per query. This is the reference behaviour
+/// the incremental engine must reproduce.
 #[derive(Debug, Clone, Copy)]
 pub struct SeedPlanner {
     /// Pathfinding cost parameters.
@@ -809,7 +434,6 @@ impl RoutePlanner for SeedPlanner {
         &mut self,
         grid: &Grid,
         occ: &impl Occupancy,
-        _digest: u128,
         from: Coord,
         to: Coord,
     ) -> Option<Path> {
@@ -828,94 +452,34 @@ impl RoutePlanner for SeedPlanner {
 
 /// The incremental routing facade the compiler engine drives.
 ///
-/// The router owns the [`SearchArena`] and [`PathTable`], maintains the
-/// spatial occupancy index (callers report cell [`claim`](Router::claim)s
-/// and [`release`](Router::release)s, each shifting one region digest),
-/// and counts its own activity. All query methods return results
-/// byte-identical to the corresponding seed functions; in
-/// [`RouterMode::Reference`] they *are* the seed functions.
+/// The router owns the [`SearchArena`] and counts its own activity. All
+/// query methods return results byte-identical to the corresponding seed
+/// functions; in [`RouterMode::Reference`] they *are* the seed functions.
 #[derive(Debug)]
 pub struct Router {
     mode: RouterMode,
     cost: CostModel,
     arena: SearchArena,
-    table: PathTable,
-    /// Digest of the static search context: grid shape + penalty weight +
-    /// region geometry.
-    context_digest: u128,
-    /// The spatial tiling searches record footprints against.
-    regions: RegionMap,
-    /// Live per-region XOR digests of the occupied-cell set.
-    region_digests: Vec<u64>,
 }
 
 impl Router {
-    /// A router for searches on `grid` under `cost`, tiled at
-    /// [`default_region_size`].
-    pub fn new(grid: &Grid, cost: CostModel, mode: RouterMode) -> Self {
-        Router::with_region_size(grid, cost, mode, default_region_size())
+    /// A router for searches under `cost`, with a fresh arena.
+    pub fn new(cost: CostModel, mode: RouterMode) -> Self {
+        Router::with_arena(cost, mode, SearchArena::new())
     }
 
-    /// A router with an explicit spatial-index tile size (the region-size
-    /// knob). Granularity never changes routing results — only how much of
-    /// the path table a single claim can retire.
-    pub fn with_region_size(
-        grid: &Grid,
-        cost: CostModel,
-        mode: RouterMode,
-        region_size: u32,
-    ) -> Self {
-        let regions = RegionMap::new(grid, region_size);
-        // Region geometry participates in the context digest so entries
-        // recorded under one tiling are unreachable from another (their
-        // footprint region ids would not be comparable).
-        let context = splitmix64(
-            (grid.rows() as u64)
-                ^ (grid.cols() as u64).rotate_left(32)
-                ^ cost.penalty_weight
-                ^ (regions.region_size() as u64).rotate_left(16),
-        );
-        Router {
-            mode,
-            cost,
-            arena: SearchArena::new(),
-            table: PathTable::default(),
-            context_digest: ((context as u128) << 64) | splitmix64(context) as u128,
-            region_digests: vec![0; regions.num_regions()],
-            regions,
-        }
-    }
-
-    /// A router warmed by `parts` (see [`RouterParts`]). Activity counters
-    /// restart from zero — they describe one compile, not the parts'
-    /// lifetime — and the spatial index restarts empty: the caller
-    /// re-[`claim`](Router::claim)s whichever cells are occupied in the
-    /// state it resumes from, which rebuilds the region digests (and
-    /// thereby re-validates any carried entries whose local occupancy is
-    /// reproduced).
-    pub fn from_parts(grid: &Grid, cost: CostModel, mode: RouterMode, parts: RouterParts) -> Self {
-        let mut router = Router::new(grid, cost, mode);
-        let RouterParts {
-            mut arena,
-            mut table,
-        } = parts;
+    /// A router warmed by an `arena` an earlier router handed back through
+    /// [`Router::into_arena`] (an edit session re-threads one arena
+    /// through every differential recompile). The reuse counter restarts
+    /// from zero: counters describe one compile, not the arena's lifetime.
+    pub fn with_arena(cost: CostModel, mode: RouterMode, mut arena: SearchArena) -> Self {
         arena.reuses = 0;
-        table.hits = 0;
-        table.misses = 0;
-        table.stale = 0;
-        table.flushes = 0;
-        router.arena = arena;
-        router.table = table;
-        router
+        Router { mode, cost, arena }
     }
 
-    /// Detaches the warm arena and path table for reuse by a later
-    /// [`Router::from_parts`].
-    pub fn into_parts(self) -> RouterParts {
-        RouterParts {
-            arena: self.arena,
-            table: self.table,
-        }
+    /// Detaches the warm arena for reuse by a later [`Router::with_arena`].
+    pub fn into_arena(self) -> SearchArena {
+        self.arena
     }
 
     /// The router's mode.
@@ -928,74 +492,18 @@ impl Router {
         &self.cost
     }
 
-    /// Digest of the static query context (grid shape, penalty weight,
-    /// region geometry). Callers fold in [`blocked_set_digest`] of their
-    /// extra-blocked set to key a query. Occupancy is *not* part of the
-    /// key: the spatial index validates it per lookup, so the same
-    /// from/to/extra query re-hits across unrelated occupancy churn.
-    pub fn state_digest(&self) -> u128 {
-        self.context_digest
-    }
-
-    /// The spatial tiling this router records footprints against.
-    pub fn regions(&self) -> &RegionMap {
-        &self.regions
-    }
-
-    /// Live digest of one region of the spatial index.
-    pub fn region_digest(&self, region: u32) -> u64 {
-        self.region_digests
-            .get(region as usize)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Records that `c` now holds a data qubit: shifts the digest of the
-    /// one region containing `c`, implicitly retiring exactly the cached
-    /// paths whose search footprint crossed that region.
-    pub fn claim(&mut self, c: Coord) {
-        let r = self.regions.region_of(c) as usize;
-        if let Some(d) = self.region_digests.get_mut(r) {
-            *d ^= region_token(c);
-        }
-    }
-
-    /// Records that `c` no longer holds a data qubit (see
-    /// [`Router::claim`]). Release is claim's inverse, so an entry retired
-    /// by a transient occupation becomes servable again once the region's
-    /// occupancy is restored.
-    pub fn release(&mut self, c: Coord) {
-        self.claim(c);
-    }
-
-    /// Minimum-cost path from `from` to `to`, answered from the path table
-    /// when the endpoints + extra-blocked context match a previous query
-    /// whose spatial footprint is still valid.
+    /// Minimum-cost path from `from` to `to` (see [`find_path`]).
     pub fn find_path(
         &mut self,
         grid: &Grid,
         occ: &impl Occupancy,
-        digest: u128,
         from: Coord,
         to: Coord,
     ) -> Option<Path> {
-        if self.mode == RouterMode::Reference {
-            return find_path(grid, occ, from, to, &self.cost);
+        match self.mode {
+            RouterMode::Reference => find_path(grid, occ, from, to, &self.cost),
+            RouterMode::Incremental => self.arena.find_path(grid, occ, from, to, &self.cost),
         }
-        let key = PathKey { digest, from, to };
-        if let Some(cached) = self.table.lookup(key, &self.region_digests) {
-            return cached;
-        }
-        let (path, tracked) =
-            self.arena
-                .find_path_tracked(grid, occ, from, to, &self.cost, &self.regions);
-        if tracked {
-            let footprint = std::mem::take(&mut self.arena.fp_list);
-            self.table
-                .insert(key, path.clone(), &footprint, &self.region_digests);
-            self.arena.fp_list = footprint;
-        }
-        path
     }
 
     /// Nearest free cell (see [`nearest_free_cell`]).
@@ -1038,16 +546,10 @@ impl Router {
         }
     }
 
-    /// The router's activity so far. The legacy `table_invalidations`
-    /// aggregate is maintained as the sum of its two split components.
+    /// The router's activity so far.
     pub fn counters(&self) -> RouteCounters {
         RouteCounters {
             arena_reuses: self.arena.reuses(),
-            table_hits: self.table.hits,
-            table_misses: self.table.misses,
-            table_invalidations: self.table.stale + self.table.flushes,
-            table_invalidated_by_claim: self.table.stale,
-            table_flushes: self.table.flushes,
         }
     }
 }
@@ -1057,11 +559,10 @@ impl RoutePlanner for Router {
         &mut self,
         grid: &Grid,
         occ: &impl Occupancy,
-        digest: u128,
         from: Coord,
         to: Coord,
     ) -> Option<Path> {
-        self.find_path(grid, occ, digest, from, to)
+        self.find_path(grid, occ, from, to)
     }
 
     fn plan_space(
@@ -1194,239 +695,38 @@ mod tests {
     }
 
     #[test]
-    fn router_table_hits_on_identical_state() {
+    fn router_modes_agree_and_only_incremental_counts() {
         let g = grid(5, 5);
-        let occ = occ_of(&[Coord::new(1, 1)], &[]);
-        let mut router = Router::new(&g, CostModel::default(), RouterMode::Incremental);
-        let d = router.state_digest();
-        let a = router.find_path(&g, &occ, d, Coord::new(0, 0), Coord::new(4, 4));
-        let b = router.find_path(&g, &occ, d, Coord::new(0, 0), Coord::new(4, 4));
-        assert_eq!(a, b);
-        let c = router.counters();
-        assert_eq!(c.table_hits, 1);
-        assert_eq!(c.table_misses, 1);
-    }
-
-    #[test]
-    fn claim_release_shift_and_restore_the_region_digest() {
-        let g = grid(5, 5);
-        let mut router = Router::new(&g, CostModel::default(), RouterMode::Incremental);
-        let c = Coord::new(2, 2);
-        let r = router.regions().region_of(c);
-        let before = router.region_digest(r);
-        router.claim(c);
-        assert_ne!(router.region_digest(r), before, "claim shifts the region");
-        router.release(c);
-        assert_eq!(router.region_digest(r), before, "release restores it");
-        // The query context is occupancy-independent: claims do not move
-        // cache keys (that is the whole point of the spatial index).
-        assert_eq!(
-            Router::new(&g, CostModel::default(), RouterMode::Incremental).state_digest(),
-            router.state_digest()
-        );
-    }
-
-    #[test]
-    fn stale_state_never_hits() {
-        // A freed cell shifts its region digest, so a query that would now
-        // find a shorter path is *not* answered from the old entry — the
-        // entry's footprint covers the freed cell's region, it is detected
-        // stale at lookup and evicted.
-        let g = grid(3, 3);
-        let wall = [Coord::new(1, 0), Coord::new(1, 1), Coord::new(1, 2)];
-        let mut occ = occ_of(&wall, &[]);
-        let mut router = Router::new(
-            &g,
-            CostModel { penalty_weight: 20 },
-            RouterMode::Incremental,
-        );
-        let d = router.state_digest();
-        let long = router
-            .find_path(&g, &occ, d, Coord::new(0, 1), Coord::new(2, 1))
-            .expect("crosses the wall");
-        assert_eq!(long.occupied, 1);
-
-        occ.occupied.remove(&Coord::new(1, 1));
-        router.release(Coord::new(1, 1));
-        let short = router
-            .find_path(&g, &occ, d, Coord::new(0, 1), Coord::new(2, 1))
-            .expect("walks through the gap");
-        assert_eq!(short.occupied, 0);
-        let c = router.counters();
-        assert_eq!(c.table_hits, 0);
-        assert_eq!(c.table_invalidated_by_claim, 1, "stale entry evicted");
-        assert_eq!(c.table_invalidations, 1, "legacy sum tracks the split");
-    }
-
-    #[test]
-    fn far_region_claims_leave_cached_paths_servable() {
-        // The headline fix: occupancy churn in a far corner must not
-        // retire a cached path whose search never read that corner.
-        let g = grid(24, 24);
-        let occ = occ_of(&[Coord::new(1, 1)], &[]);
-        let mut router =
-            Router::with_region_size(&g, CostModel::default(), RouterMode::Incremental, 4);
-        let d = router.state_digest();
-        let first = router.find_path(&g, &occ, d, Coord::new(0, 0), Coord::new(3, 3));
-        // Claim/release storm in the opposite corner (distinct regions).
-        for _ in 0..10 {
-            router.claim(Coord::new(23, 23));
-            router.claim(Coord::new(22, 20));
-            router.release(Coord::new(23, 23));
-            router.claim(Coord::new(20, 22));
-        }
-        let second = router.find_path(&g, &occ, d, Coord::new(0, 0), Coord::new(3, 3));
-        assert_eq!(first, second);
-        let c = router.counters();
-        assert_eq!(c.table_hits, 1, "far-region churn did not invalidate");
-        assert_eq!(c.table_misses, 1);
-        assert_eq!(c.table_invalidated_by_claim, 0);
-    }
-
-    #[test]
-    fn transient_occupation_revalidates_entries() {
-        // claim ∘ release restores the region digest, so an entry retired
-        // by a passing qubit becomes servable again — digests, unlike
-        // monotonic version counters, are canonical in the occupied set.
-        let g = grid(8, 8);
-        let occ = occ_of(&[], &[]);
-        let mut router = Router::new(&g, CostModel::default(), RouterMode::Incremental);
-        let d = router.state_digest();
-        let first = router.find_path(&g, &occ, d, Coord::new(0, 0), Coord::new(7, 7));
-        router.claim(Coord::new(3, 3));
-        router.release(Coord::new(3, 3));
-        let second = router.find_path(&g, &occ, d, Coord::new(0, 0), Coord::new(7, 7));
-        assert_eq!(first, second);
-        assert_eq!(router.counters().table_hits, 1);
-    }
-
-    #[test]
-    fn region_map_tiles_the_grid() {
-        let g = grid(10, 13);
-        let rm = RegionMap::new(&g, 4);
-        // ceil(13/4) = 4 regions per row, ceil(10/4) = 3 region rows.
-        assert_eq!(rm.num_regions(), 12);
-        assert_eq!(rm.region_of(Coord::new(0, 0)), 0);
-        assert_eq!(rm.region_of(Coord::new(0, 12)), 3);
-        assert_eq!(rm.region_of(Coord::new(9, 0)), 8);
-        assert_eq!(rm.region_of(Coord::new(9, 12)), 11);
-        // Cells within one tile share a region; crossing an edge changes it.
-        assert_eq!(
-            rm.region_of(Coord::new(5, 5)),
-            rm.region_of(Coord::new(6, 6))
-        );
-        assert_ne!(
-            rm.region_of(Coord::new(3, 0)),
-            rm.region_of(Coord::new(4, 0))
-        );
-    }
-
-    #[test]
-    fn tracked_search_footprint_covers_the_path() {
-        let g = grid(16, 16);
-        let occ = occ_of(&[Coord::new(2, 3)], &[]);
-        let mut arena = SearchArena::new();
-        let rm = RegionMap::new(&g, 4);
-        let (path, tracked) = arena.find_path_tracked(
-            &g,
-            &occ,
-            Coord::new(0, 0),
-            Coord::new(5, 5),
-            &CostModel::default(),
-            &rm,
-        );
-        assert!(tracked);
-        let path = path.expect("reachable");
-        let fp: HashSet<u32> = arena.footprint().iter().copied().collect();
-        for &cell in &path.cells[1..] {
-            assert!(
-                fp.contains(&rm.region_of(cell)),
-                "footprint must cover every probed path cell"
+        let occ = occ_of(&[Coord::new(1, 1), Coord::new(2, 3)], &[]);
+        let (from, to) = (Coord::new(0, 0), Coord::new(4, 4));
+        let mut incremental = Router::new(CostModel::default(), RouterMode::Incremental);
+        let mut reference = Router::new(CostModel::default(), RouterMode::Reference);
+        for _ in 0..2 {
+            assert_eq!(
+                incremental.find_path(&g, &occ, from, to),
+                reference.find_path(&g, &occ, from, to)
             );
         }
-        // A far region the search cannot have explored is absent.
-        assert!(!fp.contains(&rm.region_of(Coord::new(15, 15))));
-    }
-
-    #[test]
-    fn blocked_set_digest_is_order_independent_and_cancels() {
-        let a = Coord::new(1, 2);
-        let b = Coord::new(3, 4);
-        let ab: HashSet<Coord> = [a, b].into_iter().collect();
-        let ba: HashSet<Coord> = [b, a].into_iter().collect();
-        assert_eq!(blocked_set_digest(&ab), blocked_set_digest(&ba));
-        assert_ne!(blocked_set_digest(&ab), 0);
         assert_eq!(
-            blocked_set_digest(&ab) ^ blocked_token(a) ^ blocked_token(b),
-            0
+            incremental.counters().arena_reuses,
+            1,
+            "second search reuses"
         );
-        // Domain separation: blocked and occupied tokens differ.
-        assert_ne!(blocked_token(a), occupied_token(a));
-    }
+        assert_eq!(reference.counters(), RouteCounters::default());
 
-    #[test]
-    fn table_flush_at_capacity_keeps_answers_correct() {
-        let g = grid(4, 4);
-        let occ = occ_of(&[], &[]);
-        let mut router = Router::new(&g, CostModel::default(), RouterMode::Incremental);
-        router.table = PathTable::new(2);
-        let d = router.state_digest();
-        let mut answers = Vec::new();
-        for c in g.coords() {
-            answers.push(router.find_path(&g, &occ, d, Coord::new(0, 0), c));
-        }
-        for (c, cached) in g.coords().zip(&answers) {
-            let fresh = find_path(&g, &occ, Coord::new(0, 0), c, &CostModel::default());
-            assert_eq!(cached, &fresh);
-        }
-        assert!(router.table.len() <= 2);
-        let c = router.counters();
-        assert!(c.table_flushes > 0, "capacity flushes are counted");
-        assert_eq!(
-            c.table_invalidations,
-            c.table_flushes + c.table_invalidated_by_claim
+        // A warm arena carries its buffers, not its count.
+        let warm = Router::with_arena(
+            CostModel::default(),
+            RouterMode::Incremental,
+            incremental.into_arena(),
         );
-    }
-
-    #[test]
-    fn reference_mode_has_no_table_activity() {
-        let g = grid(4, 4);
-        let occ = occ_of(&[], &[]);
-        let mut router = Router::new(&g, CostModel::default(), RouterMode::Reference);
-        let d = router.state_digest();
-        router.find_path(&g, &occ, d, Coord::new(0, 0), Coord::new(3, 3));
-        router.find_path(&g, &occ, d, Coord::new(0, 0), Coord::new(3, 3));
-        let c = router.counters();
-        assert_eq!(c.table_hits + c.table_misses, 0);
-        assert_eq!(c.arena_reuses, 0);
+        assert_eq!(warm.counters(), RouteCounters::default());
     }
 
     #[test]
     fn counters_merge_fieldwise() {
-        let a = RouteCounters {
-            arena_reuses: 1,
-            table_hits: 2,
-            table_misses: 3,
-            table_invalidations: 4,
-            table_invalidated_by_claim: 3,
-            table_flushes: 1,
-        };
-        let b = RouteCounters {
-            arena_reuses: 10,
-            table_hits: 20,
-            table_misses: 30,
-            table_invalidations: 40,
-            table_invalidated_by_claim: 30,
-            table_flushes: 10,
-        };
-        let m = a.merged(b);
-        assert_eq!(m.arena_reuses, 11);
-        assert_eq!(m.table_hits, 22);
-        assert_eq!(m.table_misses, 33);
-        assert_eq!(m.table_invalidations, 44);
-        assert_eq!(m.table_invalidated_by_claim, 33);
-        assert_eq!(m.table_flushes, 11);
-        assert!((m.hit_ratio() - 22.0 / 55.0).abs() < 1e-12);
-        assert_eq!(RouteCounters::default().hit_ratio(), 0.0);
+        let a = RouteCounters { arena_reuses: 1 };
+        let b = RouteCounters { arena_reuses: 10 };
+        assert_eq!(a.merged(b).arena_reuses, 11);
     }
 }

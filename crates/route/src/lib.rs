@@ -17,11 +17,10 @@
 //! the heuristics stay independent of the scheduler's internal state.
 //!
 //! The [`incremental`] module layers a production hot path on top: a
-//! reusable generation-stamped [`SearchArena`], a [`PathTable`] validated
-//! through a spatial occupancy index ([`RegionMap`]-tiled per-region
-//! digests against recorded search footprints), and the [`Router`] facade
-//! the compiler engine drives — all pinned byte-identical to the seed
-//! functions by a differential test harness.
+//! reusable generation-stamped [`SearchArena`] with a bucket-queue
+//! Dijkstra, and the [`Router`] facade the compiler engine drives — both
+//! pinned byte-identical to the seed functions by a differential test
+//! harness.
 
 pub mod dijkstra;
 pub mod incremental;
@@ -29,9 +28,6 @@ pub mod moves;
 pub mod space;
 
 pub use dijkstra::{find_path, CostModel, Occupancy, Path};
-pub use incremental::{
-    blocked_set_digest, default_region_size, PathTable, RegionMap, RouteCounters, RoutePlanner,
-    Router, RouterMode, RouterParts, SearchArena, SeedPlanner, DEFAULT_REGION_SIZE,
-};
+pub use incremental::{RouteCounters, RoutePlanner, Router, RouterMode, SearchArena, SeedPlanner};
 pub use moves::{best_cnot_config, best_cnot_config_with, CnotConfig};
 pub use space::{clear_cell_plan, nearest_free_cell, space_search, SpacePlan};

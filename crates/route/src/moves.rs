@@ -72,7 +72,6 @@ pub fn best_cnot_config(
         &mut SeedPlanner { cost: *cost },
         grid,
         occ,
-        0,
         control,
         target,
         lookahead,
@@ -81,14 +80,12 @@ pub fn best_cnot_config(
 
 /// [`best_cnot_config`] over a pluggable [`RoutePlanner`] — the same
 /// candidate enumeration and scoring, with every path/space query routed
-/// through `planner` (so the incremental engine's arena and path table are
-/// exercised with *identical* control flow to the seed search). `digest`
-/// pins the occupancy state of `occ` for planners that cache.
+/// through `planner` (so the incremental engine's arena is exercised with
+/// *identical* control flow to the seed search).
 pub fn best_cnot_config_with<P: RoutePlanner>(
     planner: &mut P,
     grid: &Grid,
     occ: &impl Occupancy,
-    digest: u128,
     control: Coord,
     target: Coord,
     lookahead: bool,
@@ -159,7 +156,7 @@ pub fn best_cnot_config_with<P: RoutePlanner>(
             if ancilla == c_pos || ancilla == t_pos {
                 continue;
             }
-            let route = match planner.plan_path(grid, occ, digest, moving_from, dest) {
+            let route = match planner.plan_path(grid, occ, moving_from, dest) {
                 Some(p) => p,
                 None => continue,
             };

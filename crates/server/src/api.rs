@@ -49,6 +49,16 @@
 //! `GET /v1/traces` + `GET /v1/trace/<id>` endpoints all landed without
 //! bumping [`WIRE_VERSION`]. A v1 client that ignores unknown fields —
 //! as the contract requires — never observes any of them.
+//!
+//! One removal broke that rule without a bump. Deleting the router's path
+//! table removed its five `table_*` counters from every metrics `"route"`
+//! object and from the `"router"` object of `GET /v1/cache/stats`, which
+//! now carry `arena_reuses` alone. Decoders written before the removal
+//! require the table's hit, miss and invalidation counters, so an older
+//! client fails to decode a current server's results on the first missing
+//! one: upgrade client and server together. Current decoders read
+//! `arena_reuses` only and ignore the table counters older servers and
+//! stored documents still carry.
 
 use ftqc_arch::{TargetEntry, TargetSpec};
 use ftqc_compiler::{

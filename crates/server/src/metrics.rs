@@ -273,7 +273,7 @@ impl ServerMetrics {
     /// latency histograms per endpoint, the in-flight gauge, connection counters,
     /// job outcomes, the shared cache's live counters, the stage cache's
     /// per-stage hit/miss counters, and the incremental router's cumulative
-    /// arena/path-table counters.
+    /// arena-reuse counter.
     pub fn render_prometheus(
         &self,
         cache: &CacheStats,
@@ -463,42 +463,11 @@ impl ServerMetrics {
                 );
             }
         }
-        let route_counters: [(&str, &str, u64); 6] = [
-            (
-                "ftqc_route_arena_reuses_total",
-                "Router searches that reused the per-compile search arena.",
-                route.arena_reuses,
-            ),
-            (
-                "ftqc_route_table_hits_total",
-                "Path queries answered from the spatially-validated path table.",
-                route.table_hits,
-            ),
-            (
-                "ftqc_route_table_misses_total",
-                "Path queries that ran a search.",
-                route.table_misses,
-            ),
-            (
-                "ftqc_route_table_invalidations_total",
-                "Legacy aggregate: invalidated_by_claim + flushes.",
-                route.table_invalidations,
-            ),
-            (
-                "ftqc_route_table_invalidated_by_claim_total",
-                "Cached paths retired because a claim/release shifted a region digest in their search footprint.",
-                route.table_invalidated_by_claim,
-            ),
-            (
-                "ftqc_route_table_flushes_total",
-                "Whole path-table flushes at the capacity bound.",
-                route.table_flushes,
-            ),
-        ];
-        for (name, help, value) in route_counters {
-            let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {value}");
-        }
+        let _ = writeln!(
+            out,
+            "# HELP ftqc_route_arena_reuses_total Router searches that reused the per-compile search arena.\n# TYPE ftqc_route_arena_reuses_total counter"
+        );
+        let _ = writeln!(out, "ftqc_route_arena_reuses_total {}", route.arena_reuses);
         out
     }
 }
@@ -673,14 +642,7 @@ mod tests {
             },
             ..StageCacheStats::default()
         };
-        let route = RouteCounters {
-            arena_reuses: 17,
-            table_hits: 4,
-            table_misses: 13,
-            table_invalidations: 29,
-            table_invalidated_by_claim: 26,
-            table_flushes: 3,
-        };
+        let route = RouteCounters { arena_reuses: 17 };
         m.record_stage(Stage::Map, 120);
         m.record_queue_wait(33);
 
@@ -715,11 +677,7 @@ mod tests {
         assert!(text.contains("ftqc_stage_cache_misses_total{stage=\"map\"} 2"));
         assert!(text.contains("ftqc_stage_cache_hits_total{stage=\"prepare\"} 0"));
         assert!(text.contains("ftqc_route_arena_reuses_total 17"));
-        assert!(text.contains("ftqc_route_table_hits_total 4"));
-        assert!(text.contains("ftqc_route_table_misses_total 13"));
-        assert!(text.contains("ftqc_route_table_invalidations_total 29"));
-        assert!(text.contains("ftqc_route_table_invalidated_by_claim_total 26"));
-        assert!(text.contains("ftqc_route_table_flushes_total 3"));
+        assert!(!text.contains("ftqc_route_table"));
         // Every exposed family carries HELP/TYPE lines.
         assert_eq!(
             text.lines().filter(|l| l.starts_with("# HELP")).count(),

@@ -1016,8 +1016,6 @@ fn trace_job_results(
                 vec![
                     ("job".into(), r.id.clone()),
                     ("arena_reuses".into(), m.route.arena_reuses.to_string()),
-                    ("table_hits".into(), m.route.table_hits.to_string()),
-                    ("table_misses".into(), m.route.table_misses.to_string()),
                 ],
             );
         }
@@ -1396,7 +1394,7 @@ fn percentiles_json(snap: &HistogramSnapshot) -> Value {
 
 /// `GET /v1/cache/stats`: the shared cache's counters, the memory tier's
 /// current entry count, the stage cache's per-stage counters, the
-/// incremental router's cumulative arena/path-table counters, and the
+/// incremental router's cumulative arena-reuse counter, and the
 /// request/stage/queue-wait latency percentiles.
 fn handle_cache_stats(state: &AppState) -> HandlerResult {
     let mut doc = match state.cache.stats().to_json() {

@@ -13,13 +13,6 @@ use crate::job::CircuitSource;
 use ftqc_benchmarks::suite::Benchmark;
 use ftqc_circuit::{parse_qasm, Circuit};
 
-/// Synthetic workload circuits resolvable by name (outside the Table I
-/// suite): the repeat-heavy path-table workload and the CNOT-wide
-/// parallel-routing workload.
-fn is_workload(name: &str) -> bool {
-    matches!(name, "magic-rounds" | "cnot-bricks")
-}
-
 /// Maps a benchmark name (as the CLI and job files spell it) to the suite.
 fn benchmark_by_name(name: &str) -> Option<Benchmark> {
     match name {
@@ -35,14 +28,6 @@ fn benchmark_by_name(name: &str) -> Option<Benchmark> {
 
 /// Builds a benchmark circuit, honouring the optional `:L` size.
 fn benchmark_circuit(name: &str, size: Option<u32>) -> Result<Circuit, String> {
-    // Synthetic workload circuits live outside the Table I suite; `:L`
-    // picks the round/layer count.
-    if name == "magic-rounds" {
-        return Ok(ftqc_benchmarks::magic_rounds(24, size.unwrap_or(16)));
-    }
-    if name == "cnot-bricks" {
-        return Ok(ftqc_benchmarks::cnot_bricks(128, size.unwrap_or(12)));
-    }
     let b = benchmark_by_name(name).ok_or_else(|| format!("no such benchmark {name:?}"))?;
     match size {
         None => Ok(b.circuit()),
@@ -66,7 +51,7 @@ pub fn load_circuit_spec(spec: &str) -> Result<Circuit, String> {
         }
         None => (spec, None),
     };
-    if is_workload(name) || benchmark_by_name(name).is_some() {
+    if benchmark_by_name(name).is_some() {
         return benchmark_circuit(name, size);
     }
     let src = std::fs::read_to_string(name)
@@ -138,7 +123,7 @@ pub fn source_from_spec(spec: &str) -> Result<CircuitSource, String> {
         },
         None => (spec, None),
     };
-    if is_workload(name) || benchmark_by_name(name).is_some() {
+    if benchmark_by_name(name).is_some() {
         return Ok(CircuitSource::Benchmark {
             name: name.to_string(),
             size,
@@ -163,29 +148,6 @@ mod tests {
         assert!(load_circuit_spec("ghz:3").is_err(), "ghz has no size");
         assert!(load_circuit_spec("ising:banana").is_err());
         assert!(load_circuit_spec("nope").is_err());
-    }
-
-    #[test]
-    fn magic_rounds_workload_resolves_with_round_count() {
-        let default = load_circuit_spec("magic-rounds").expect("default rounds");
-        assert_eq!(default.num_qubits(), 24);
-        let short = load_circuit_spec("magic-rounds:4").expect("explicit rounds");
-        assert!(short.len() < default.len());
-        // And it travels by name to a remote server.
-        let src = source_from_spec("magic-rounds:4").expect("source");
-        assert!(matches!(src, CircuitSource::Benchmark { .. }));
-        assert!(resolve_source_remote(&src).is_ok());
-    }
-
-    #[test]
-    fn cnot_bricks_workload_resolves_with_layer_count() {
-        let default = load_circuit_spec("cnot-bricks").expect("default layers");
-        assert_eq!(default.num_qubits(), 128);
-        let short = load_circuit_spec("cnot-bricks:2").expect("explicit layers");
-        assert!(short.len() < default.len());
-        let src = source_from_spec("cnot-bricks:2").expect("source");
-        assert!(matches!(src, CircuitSource::Benchmark { .. }));
-        assert!(resolve_source_remote(&src).is_ok());
     }
 
     #[test]

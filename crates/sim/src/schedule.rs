@@ -80,6 +80,16 @@ impl<T> Schedule<T> {
         self.items.is_empty()
     }
 
+    /// Keeps the first `len` operations and drops the rest.
+    pub fn truncate(&mut self, len: usize) {
+        self.items.truncate(len);
+        self.makespan = self
+            .items
+            .iter()
+            .map(ScheduledOp::end)
+            .fold(Ticks::ZERO, Ticks::max);
+    }
+
     /// Completion time of the last-finishing operation.
     pub fn makespan(&self) -> Ticks {
         self.makespan

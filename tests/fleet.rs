@@ -342,7 +342,7 @@ fn deliveries(witness: &Witness) -> Vec<usize> {
 #[test]
 fn swapped_delivery_paths_are_quarantined() {
     assert_mutant_quarantined("swapped-paths", |witness, _| {
-        // The stale-path-table mutant: each delivery carries the *other*
+        // The swapped-corridor mutant: each delivery carries the *other*
         // delivery's corridor, so neither ends where its magic is consumed.
         let ds = deliveries(witness);
         assert!(ds.len() >= 2, "testbed has two deliveries");

@@ -1,15 +1,14 @@
 //! Differential test harness for the incremental routing engine.
 //!
-//! The incremental engine (`SearchArena` bucket-queue Dijkstra +
-//! digest-keyed `PathTable`) must be **byte-identical** to the seed router:
-//! same costs, same cells, same tie-breaks, op for op. This suite pins
-//! that at three levels:
+//! The incremental engine (the `SearchArena` bucket-queue Dijkstra behind
+//! `Router`) must be **byte-identical** to the seed router: same costs,
+//! same cells, same tie-breaks, op for op. This suite pins that at three
+//! levels:
 //!
 //! 1. query level — the [`reference`] module keeps a verbatim copy of the
 //!    seed Dijkstra (hash-map state, binary-heap queue); random layouts,
 //!    occupancy patterns, and penalty weights must produce identical
-//!    [`Path`]s from the reference, the arena, and the table-backed
-//!    router;
+//!    [`Path`]s from the reference, the arena, and the router;
 //! 2. map level — `route_circuit` in [`RouterMode::Reference`] (the seed
 //!    implementations, query for query) and [`RouterMode::Incremental`]
 //!    must emit identical routed-op sequences across random circuits and
@@ -22,8 +21,7 @@ use ftqc::arch::{CellKind, Coord, Grid, TargetRegistry};
 use ftqc::benchmarks::random_clifford_t;
 use ftqc::compiler::timer::{time_ops, CostKind};
 use ftqc::compiler::{
-    eliminate_redundant_moves, route_circuit, route_circuit_with_workers, CompileSession,
-    CompilerOptions, RouterMode,
+    eliminate_redundant_moves, route_circuit, CompileSession, CompilerOptions, RouterMode,
 };
 use ftqc::route::{CostModel, Occupancy, Router, SearchArena};
 use proptest::prelude::*;
@@ -153,8 +151,8 @@ fn random_state(grid: &Grid, seed: u64) -> SetOcc {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Reference, arena, and table-backed router agree path-for-path
-    /// (cost, cells, tie-breaks) on random grids and occupancy patterns.
+    /// Reference, arena, and router agree path-for-path (cost, cells,
+    /// tie-breaks) on random grids and occupancy patterns.
     #[test]
     fn incremental_queries_match_reference(
         rows in 3u32..10,
@@ -177,121 +175,8 @@ proptest! {
         let mut arena = SearchArena::new();
         prop_assert_eq!(&arena.find_path(&grid, &occ, from, to, &cost), &expected);
 
-        let mut router = Router::new(&grid, cost, ftqc::route::RouterMode::Incremental);
-        for &c in &occ.occupied {
-            router.claim(c);
-        }
-        let digest = router.state_digest();
-        // Twice: the second query is a table hit and must answer the same.
-        prop_assert_eq!(&router.find_path(&grid, &occ, digest, from, to), &expected);
-        prop_assert_eq!(&router.find_path(&grid, &occ, digest, from, to), &expected);
-        prop_assert_eq!(router.counters().table_hits, 1);
-    }
-
-    /// The spatial occupancy index never serves a stale path. A random
-    /// storm of claims, releases, and lookups runs against the table-backed
-    /// router (random region sizes included); at every lookup the answer
-    /// must equal a fresh search over the live occupancy — the behaviour a
-    /// flush-everything-on-every-claim table gives by construction, which
-    /// the per-region footprint validation must reproduce exactly while
-    /// keeping unaffected entries alive.
-    #[test]
-    fn spatial_table_never_serves_stale_paths(
-        rows in 4u32..12,
-        cols in 4u32..12,
-        seed in 0u64..10_000,
-        penalty in 0u64..8,
-        region in 1u32..7,
-        steps in 20usize..120,
-    ) {
-        let grid = Grid::filled(rows, cols, CellKind::Bus);
-        let cost = CostModel { penalty_weight: penalty };
-        let mut router = Router::with_region_size(
-            &grid,
-            cost,
-            ftqc::route::RouterMode::Incremental,
-            region,
-        );
-        let mut arena = SearchArena::new();
-        let mut occ = SetOcc {
-            blocked: HashSet::new(),
-            occupied: HashSet::new(),
-        };
-        let coords: Vec<Coord> = grid.coords().collect();
-        let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
-        for _ in 0..steps {
-            let c = coords[(next() % coords.len() as u64) as usize];
-            match next() % 3 {
-                0 => {
-                    // Claim (occupy) the cell if free, else release it:
-                    // every branch shifts exactly one region digest.
-                    if occ.occupied.insert(c) {
-                        router.claim(c);
-                    } else {
-                        occ.occupied.remove(&c);
-                        router.release(c);
-                    }
-                }
-                1 => {
-                    if occ.occupied.remove(&c) {
-                        router.release(c);
-                    }
-                }
-                _ => {
-                    let to = coords[(next() % coords.len() as u64) as usize];
-                    let expected = arena.find_path(&grid, &occ, c, to, &cost);
-                    let digest = router.state_digest();
-                    let got = router.find_path(&grid, &occ, digest, c, to);
-                    prop_assert_eq!(&got, &expected, "stale or wrong path {} -> {}", c, to);
-                }
-            }
-        }
-        // The run must have exercised the table, not just missed through it.
-        let counters = router.counters();
-        prop_assert!(counters.table_hits + counters.table_misses > 0);
-    }
-
-    /// Speculative parallel routing is invisible in the output: the map
-    /// stage run with worker threads emits exactly the ops the serial
-    /// incremental engine emits, across random circuits and all three
-    /// built-in target presets.
-    #[test]
-    fn parallel_routing_matches_serial_across_targets(
-        n in 2u32..9,
-        gates in 1usize..60,
-        seed in 0u64..500,
-    ) {
-        let circuit = random_clifford_t(n, gates, seed);
-        for entry in TargetRegistry::builtin().entries() {
-            let options = CompilerOptions::default().target(entry.spec.clone());
-            let lowered = CompileSession::new(options.clone())
-                .prepare(&circuit)
-                .expect("prepare")
-                .lower()
-                .circuit()
-                .clone();
-            let serial =
-                route_circuit_with_workers(&lowered, &options, RouterMode::Incremental, 1)
-                    .expect("serial map");
-            let parallel =
-                route_circuit_with_workers(&lowered, &options, RouterMode::Incremental, 4)
-                    .expect("parallel map");
-            prop_assert_eq!(
-                serial.ops.len(),
-                parallel.ops.len(),
-                "{}: op counts diverge", entry.name
-            );
-            for (i, (a, b)) in serial.ops.iter().zip(&parallel.ops).enumerate() {
-                prop_assert_eq!(a, b, "{}: op {} diverges under parallel routing", entry.name, i);
-            }
-            prop_assert_eq!(serial.n_magic_states, parallel.n_magic_states);
-        }
+        let mut router = Router::new(cost, RouterMode::Incremental);
+        prop_assert_eq!(&router.find_path(&grid, &occ, from, to), &expected);
     }
 
     /// The full map stage emits byte-identical routed programs under the
@@ -391,9 +276,9 @@ fn nearest_free_cell_pins_identical_choices() {
     assert!(arena.reuses() > 0, "the frontier buffers were reused");
 }
 
-/// The incremental engine's counters move the way the design says: fresh
-/// compiles reuse the arena heavily, repeated deliveries hit the table,
-/// and the invalidation split stays consistent with its legacy sum.
+/// The incremental engine's counters move the way the design says: every
+/// search after a compile's first reuses the arena, and reference mode
+/// reports no incremental activity.
 #[test]
 fn route_counters_reflect_engine_activity() {
     let map = |c: &ftqc::circuit::Circuit, options: &CompilerOptions, mode: RouterMode| {
@@ -407,28 +292,16 @@ fn route_counters_reflect_engine_activity() {
     };
     let options = CompilerOptions::default().routing_paths(4);
 
-    // Four T gates on one stationary qubit: the delivery query repeats
-    // under an unchanged occupancy digest, so all but the first hit.
+    // Four T gates on one stationary qubit: one delivery search each (plus
+    // ancilla searches), all on one grid shape, so all but the first reuse.
     let mut t_heavy = ftqc::circuit::Circuit::new(4);
     for _ in 0..4 {
         t_heavy.t(2);
     }
     let counters = map(&t_heavy, &options, RouterMode::Incremental).route;
     assert!(
-        counters.table_hits >= 3,
+        counters.arena_reuses >= 3,
         "repeated T deliveries: {counters:?}"
-    );
-    assert!(
-        counters.table_misses > 0,
-        "first queries miss: {counters:?}"
-    );
-    // Claims alone no longer tick the invalidation counter (that was the
-    // uninterpretable pre-spatial-index behaviour); the legacy aggregate
-    // is exactly the sum of its split components.
-    assert_eq!(
-        counters.table_invalidations,
-        counters.table_invalidated_by_claim + counters.table_flushes,
-        "legacy sum stays consistent: {counters:?}"
     );
 
     // A CNOT-dense circuit keeps the arena busy: every candidate route and
@@ -440,10 +313,9 @@ fn route_counters_reflect_engine_activity() {
     let routed = map(&dense, &options, RouterMode::Incremental);
     let counters = routed.route;
     assert!(counters.arena_reuses > 0, "got {counters:?}");
-    assert!(counters.table_misses > 0, "got {counters:?}");
 
     // Reference mode routes identically but reports no incremental
-    // activity at all — no lookups, no reuses, no invalidations.
+    // activity at all.
     let reference = map(&dense, &options, RouterMode::Reference);
     assert_eq!(reference.ops, routed.ops);
     assert_eq!(reference.route, ftqc::compiler::RouteCounters::default());

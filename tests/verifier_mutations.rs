@@ -242,10 +242,10 @@ fn deliveries(p: &CompiledProgram) -> Vec<usize> {
 }
 
 #[test]
-fn stale_path_table_entry_is_caught() {
-    // Simulates the incremental router serving a *stale* PathTable entry:
-    // a cached corridor computed for a different query is spliced into a
-    // delivery, so it no longer ends at the cell the consumption reads.
+fn delivery_ending_off_its_consumer_is_caught() {
+    // Swaps the corridors of two deliveries, as a router answering one
+    // query with another query's path would: each delivery then ends at a
+    // cell other than the one its consumption reads.
     let p = magic_testbed();
     let ds = deliveries(&p);
     assert!(ds.len() >= 2, "testbed has two deliveries");
