@@ -95,7 +95,6 @@ fn bench_http_round_trip(c: &mut Criterion) {
         micros: 42,
         queue_micros: 0,
         stage: None,
-        witness: None,
     };
     group.bench_function("serialize_response", |b| {
         b.iter(|| {
@@ -147,7 +146,6 @@ fn bench_http_round_trip(c: &mut Criterion) {
                 micros: 0,
                 queue_micros: 0,
                 stage: None,
-                witness: None,
             };
             let body = result.to_json().render();
             let wire = http::render_response(200, "application/json", body.as_bytes());

@@ -15,19 +15,12 @@
 //! incremental map median must stay within 15% of the checked-in
 //! baseline (see `report::check_regression` for the noise vetoes).
 //!
-//! `--fleet N` additionally stands up N in-process loopback workers and a
-//! coordinator, pushes one JSONL batch through a plain server and through
-//! the fleet (cold, then warm), and records fleet-vs-local throughput and
-//! the sharded peer cache's hit ratio under a `"fleet"` key. The key is
-//! trajectory data only — the regression gate ignores it, so fleet-less
-//! baselines keep checking.
-//!
 //! `--reactor N` additionally measures concurrent-connection capacity:
 //! idle connections held against a thread-per-connection server and
 //! against an event-driven reactor server (up to the ceiling N) until a
 //! live probe is refused, plus the saturated reactor's request-latency
-//! percentiles — recorded under a `"reactor"` key the regression gate
-//! likewise ignores.
+//! percentiles — recorded under a `"reactor"` key. The key is trajectory
+//! data only: the regression gate ignores it.
 //!
 //! `--edits N` additionally runs the interactive-session hot path: N
 //! single-gate edit batches applied near the tail of the bench circuit
@@ -44,7 +37,7 @@
 use ftqc_arch::TargetRegistry;
 use ftqc_bench::report::{
     check_regression, median_micros, summarise_stages, CapacityReport, CaseReport, EditReport,
-    FleetReport, LatencyPercentiles, RoutingReport, SessionReport,
+    LatencyPercentiles, RoutingReport, SessionReport,
 };
 use ftqc_bench::Table;
 use ftqc_circuit::Gate;
@@ -53,11 +46,7 @@ use ftqc_compiler::{
     StageTrace, TraceHook,
 };
 use ftqc_editor::{CircuitEdit, EditSession, EditSet};
-use ftqc_fleet::{CoordinatorConfig, CoordinatorExtension, WorkerConfig, WorkerExtension};
-use ftqc_server::{
-    Client, RetryPolicy, Server, ServerConfig, ServerExtension, ShutdownHandle, Transport,
-};
-use std::sync::atomic::Ordering;
+use ftqc_server::{Server, ServerConfig, Transport};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -69,7 +58,6 @@ struct Args {
     circuit: String,
     routing_circuit: String,
     iters: u64,
-    fleet: u64,
     edits: u64,
     reactor: u64,
     json: Option<String>,
@@ -81,7 +69,6 @@ fn parse_args() -> Result<Args, String> {
         circuit: "ising:3".into(),
         routing_circuit: "ghz".into(),
         iters: 5,
-        fleet: 0,
         edits: 0,
         reactor: 0,
         json: None,
@@ -98,11 +85,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|_| "--iters expects a number".to_string())?;
             }
-            "--fleet" => {
-                args.fleet = value("--fleet")?
-                    .parse()
-                    .map_err(|_| "--fleet expects a worker count".to_string())?;
-            }
             "--edits" => {
                 args.edits = value("--edits")?
                     .parse()
@@ -118,7 +100,7 @@ fn parse_args() -> Result<Args, String> {
             other => {
                 return Err(format!(
                     "unknown flag {other:?} (use --circuit/--routing-circuit\
-                     /--iters/--fleet/--edits/--reactor/--json/--check)"
+                     /--iters/--edits/--reactor/--json/--check)"
                 ))
             }
         }
@@ -179,138 +161,6 @@ fn lower_spec(spec: &str, options: &CompilerOptions) -> Result<ftqc_circuit::Cir
         .lower()
         .circuit()
         .clone())
-}
-
-/// Binds a server (plain or extended) on an ephemeral or reserved
-/// loopback port and runs it on a background thread.
-fn serve(
-    addr: &str,
-    extension: Option<Arc<dyn ServerExtension>>,
-) -> Result<(String, ShutdownHandle, std::thread::JoinHandle<()>), String> {
-    let server = Server::bind_with(
-        ServerConfig {
-            addr: addr.into(),
-            workers: 2,
-            ..ServerConfig::default()
-        },
-        extension,
-    )
-    .map_err(|e| e.to_string())?;
-    let bound = server.local_addr().map_err(|e| e.to_string())?.to_string();
-    let handle = server.handle().map_err(|e| e.to_string())?;
-    let thread = std::thread::spawn(move || {
-        let _ = server.run();
-    });
-    Ok((bound, handle, thread))
-}
-
-/// The fleet batch: an options grid over the bench circuit, as the JSONL
-/// a client would post to `/v1/batch`.
-fn fleet_jsonl(spec: &str) -> Result<String, String> {
-    let source = match spec.split_once(':') {
-        Some((name, size)) => {
-            let size: u32 = size.parse().map_err(|_| format!("bad size in {spec:?}"))?;
-            format!("{{\"benchmark\":{:?},\"size\":{size}}}", name)
-        }
-        None => format!("{{\"benchmark\":{spec:?}}}"),
-    };
-    Ok((2u32..=5)
-        .flat_map(|r| [1u32, 2].into_iter().map(move |f| (r, f)))
-        .map(|(r, f)| {
-            format!(
-                "{{\"id\":\"r{r}f{f}\",\"source\":{source},\
-                 \"options\":{{\"routing_paths\":{r},\"factories\":{f}}}}}"
-            )
-        })
-        .collect::<Vec<_>>()
-        .join("\n"))
-}
-
-/// Times one JSONL batch through a plain local server and through a
-/// coordinator over `workers` in-process loopback workers (cold, then
-/// warm), and collects the fleet counters. Every per-process pair here is
-/// a `ftqc serve` invocation in a real deployment — loopback keeps the
-/// bench hermetic while still exercising the full HTTP dispatch, witness
-/// verification, and peer-cache paths.
-fn bench_fleet(spec: &str, workers: u64) -> Result<FleetReport, String> {
-    let jsonl = fleet_jsonl(spec)?;
-    let jobs = jsonl.lines().count() as u64;
-
-    // Peered workers need the full roster up front: reserve the ports.
-    let peers: Vec<String> = (0..workers)
-        .map(|_| {
-            std::net::TcpListener::bind("127.0.0.1:0")
-                .and_then(|l| l.local_addr())
-                .map(|a| a.to_string())
-                .map_err(|e| e.to_string())
-        })
-        .collect::<Result<_, _>>()?;
-    let mut worker_exts = Vec::new();
-    let mut running = Vec::new();
-    for addr in &peers {
-        let ext = Arc::new(WorkerExtension::new(WorkerConfig {
-            peers: peers.clone(),
-            advertise: Some(addr.clone()),
-            ..WorkerConfig::default()
-        })?);
-        running.push(serve(addr, Some(ext.clone()))?);
-        worker_exts.push(ext);
-    }
-    let coordinator = Arc::new(CoordinatorExtension::new(CoordinatorConfig {
-        workers: peers.clone(),
-        cap: 2,
-        deadline: Duration::from_secs(60),
-        retry: RetryPolicy::default(),
-    })?);
-    if coordinator.health_check() != peers.len() {
-        return Err("not all loopback workers came up healthy".into());
-    }
-    let (coord_addr, coord_handle, coord_thread) = serve("127.0.0.1:0", Some(coordinator.clone()))?;
-    let (local_addr, local_handle, local_thread) = serve("127.0.0.1:0", None)?;
-
-    let timed_batch = |addr: &str| -> Result<u64, String> {
-        let client = Client::new(addr);
-        let started = Instant::now();
-        let results = client.batch(&jsonl).map_err(|e| e.to_string())?;
-        let micros = started.elapsed().as_micros() as u64;
-        if let Some(failed) = results.iter().find(|r| !r.is_ok()) {
-            return Err(format!("job {} failed in the fleet bench", failed.id));
-        }
-        Ok(micros)
-    };
-    let local_batch_micros = timed_batch(&local_addr)?;
-    let fleet_batch_micros = timed_batch(&coord_addr)?;
-    let fleet_warm_micros = timed_batch(&coord_addr)?;
-
-    let load = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
-    let cm = coordinator.metrics();
-    let sum = |pick: fn(&ftqc_fleet::FleetMetrics) -> &std::sync::atomic::AtomicU64| {
-        worker_exts.iter().map(|w| load(pick(&w.metrics()))).sum()
-    };
-    let report = FleetReport {
-        workers,
-        jobs,
-        local_batch_micros,
-        fleet_batch_micros,
-        fleet_warm_micros,
-        dispatched: load(&cm.dispatch),
-        verified: load(&cm.verify_ok),
-        quarantined: load(&cm.quarantine),
-        local_recomputes: load(&cm.local_recompute),
-        peer_hits: sum(|m| &m.peer_hits),
-        peer_misses: sum(|m| &m.peer_misses),
-        witness_cache_hits: sum(|m| &m.witness_hits),
-    };
-
-    coord_handle.shutdown();
-    coord_thread.join().ok();
-    local_handle.shutdown();
-    local_thread.join().ok();
-    for (_, handle, thread) in running {
-        handle.shutdown();
-        thread.join().ok();
-    }
-    Ok(report)
 }
 
 /// One raw probe request: a fresh connection, `GET /healthz`, the whole
@@ -568,38 +418,6 @@ fn main() {
         routing.route.arena_reuses,
     );
 
-    // The distributed fleet, when asked for: one batch locally, the same
-    // batch coordinated over N loopback workers, and a warm repeat that
-    // shows the sharded peer cache at work.
-    let fleet = if args.fleet > 0 {
-        match bench_fleet(&args.circuit, args.fleet) {
-            Ok(f) => {
-                println!(
-                    "\nfleet ({} workers, {} jobs): local {}µs -> fleet {}µs ({:.2}x), \
-                     warm repeat {}µs, peer-cache hit ratio {:.2}, \
-                     {} dispatched / {} verified / {} quarantined",
-                    f.workers,
-                    f.jobs,
-                    f.local_batch_micros,
-                    f.fleet_batch_micros,
-                    f.speedup(),
-                    f.fleet_warm_micros,
-                    f.peer_hit_ratio(),
-                    f.dispatched,
-                    f.verified,
-                    f.quarantined,
-                );
-                Some(f)
-            }
-            Err(e) => {
-                eprintln!("bench_session: fleet bench: {e}");
-                std::process::exit(1);
-            }
-        }
-    } else {
-        None
-    };
-
     // The edit storm, when asked for: the interactive-session hot path,
     // single-gate batches through a live differential compiler against
     // cold full recompiles.
@@ -665,7 +483,6 @@ fn main() {
         cases,
         stage_cache: stages.stats(),
         routing: Some(routing),
-        fleet,
         edits,
         reactor,
     };

@@ -214,111 +214,6 @@ impl ToJson for RoutingReport {
     }
 }
 
-/// The distributed-fleet measurement: one JSONL batch pushed through a
-/// plain single-process server and through a coordinator dispatching to
-/// in-process loopback workers, plus a warm second fleet pass that shows
-/// what the sharded peer cache absorbs. Recorded for the trajectory only
-/// — the regression gate never reads it, so fleet-less baselines keep
-/// checking cleanly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FleetReport {
-    /// Workers behind the coordinator.
-    pub workers: u64,
-    /// Jobs in the benched batch.
-    pub jobs: u64,
-    /// Wall-clock microseconds for the batch on a plain local server.
-    pub local_batch_micros: u64,
-    /// Wall-clock microseconds for the cold batch through the fleet.
-    pub fleet_batch_micros: u64,
-    /// Wall-clock microseconds for the warm second batch through the
-    /// fleet (witness and peer caches populated).
-    pub fleet_warm_micros: u64,
-    /// Jobs the coordinator dispatched to workers (both passes).
-    pub dispatched: u64,
-    /// Results accepted after witness verification.
-    pub verified: u64,
-    /// Workers quarantined (0 for the in-process honest fleet).
-    pub quarantined: u64,
-    /// Jobs the coordinator fell back to computing locally.
-    pub local_recomputes: u64,
-    /// Worker-side peer-cache probe answers, summed across workers.
-    pub peer_hits: u64,
-    /// Worker-side peer-cache probe misses, summed across workers.
-    pub peer_misses: u64,
-    /// Worker-side local witness-cache answers, summed across workers.
-    pub witness_cache_hits: u64,
-}
-
-impl FleetReport {
-    /// Jobs per second, guarding empty or sub-microsecond runs.
-    fn throughput(jobs: u64, micros: u64) -> f64 {
-        if micros == 0 {
-            0.0
-        } else {
-            jobs as f64 * 1e6 / micros as f64
-        }
-    }
-
-    /// Batch throughput through the plain local server.
-    pub fn local_throughput(&self) -> f64 {
-        Self::throughput(self.jobs, self.local_batch_micros)
-    }
-
-    /// Cold batch throughput through the fleet.
-    pub fn fleet_throughput(&self) -> f64 {
-        Self::throughput(self.jobs, self.fleet_batch_micros)
-    }
-
-    /// Fleet-over-local throughput ratio (0 when local is unmeasured).
-    pub fn speedup(&self) -> f64 {
-        let local = self.local_throughput();
-        if local == 0.0 {
-            0.0
-        } else {
-            self.fleet_throughput() / local
-        }
-    }
-
-    /// Peer-cache hit ratio over all probes (0 when none happened).
-    pub fn peer_hit_ratio(&self) -> f64 {
-        let probes = self.peer_hits + self.peer_misses;
-        if probes == 0 {
-            0.0
-        } else {
-            self.peer_hits as f64 / probes as f64
-        }
-    }
-}
-
-impl ToJson for FleetReport {
-    fn to_json(&self) -> Value {
-        Value::Obj(vec![
-            ("workers".into(), num(self.workers)),
-            ("jobs".into(), num(self.jobs)),
-            ("local_batch_micros".into(), num(self.local_batch_micros)),
-            ("fleet_batch_micros".into(), num(self.fleet_batch_micros)),
-            ("fleet_warm_micros".into(), num(self.fleet_warm_micros)),
-            (
-                "local_jobs_per_sec".into(),
-                Value::Num(self.local_throughput()),
-            ),
-            (
-                "fleet_jobs_per_sec".into(),
-                Value::Num(self.fleet_throughput()),
-            ),
-            ("speedup".into(), Value::Num(self.speedup())),
-            ("dispatched".into(), num(self.dispatched)),
-            ("verified".into(), num(self.verified)),
-            ("quarantined".into(), num(self.quarantined)),
-            ("local_recomputes".into(), num(self.local_recomputes)),
-            ("peer_hits".into(), num(self.peer_hits)),
-            ("peer_misses".into(), num(self.peer_misses)),
-            ("peer_hit_ratio".into(), Value::Num(self.peer_hit_ratio())),
-            ("witness_cache_hits".into(), num(self.witness_cache_hits)),
-        ])
-    }
-}
-
 /// The concurrent-connection capacity measurement: idle connections held
 /// open against the thread-per-connection transport and against the
 /// event-driven reactor transport, each probed with live requests until
@@ -440,8 +335,6 @@ pub struct SessionReport {
     pub stage_cache: StageCacheStats,
     /// The routing-bound hot-path measurement, when the run performed one.
     pub routing: Option<RoutingReport>,
-    /// The distributed-fleet measurement, when `--fleet N` asked for one.
-    pub fleet: Option<FleetReport>,
     /// The edit-storm measurement, when `--edits N` asked for one.
     pub edits: Option<EditReport>,
     /// The connection-capacity measurement, when `--reactor N` asked for
@@ -463,9 +356,6 @@ impl ToJson for SessionReport {
         if let Some(routing) = &self.routing {
             fields.push(("routing".into(), routing.to_json()));
         }
-        if let Some(fleet) = &self.fleet {
-            fields.push(("fleet".into(), fleet.to_json()));
-        }
         if let Some(edits) = &self.edits {
             fields.push(("edits".into(), edits.to_json()));
         }
@@ -482,7 +372,7 @@ impl ToJson for SessionReport {
 ///
 /// Exactly one key is **gated**: `routing.incremental_median_micros`, the
 /// incremental map-stage median. Everything else in the document
-/// (`cases`, `stage_cache`, `fleet`, `edits`, `reactor`, every
+/// (`cases`, `stage_cache`, `edits`, `reactor`, every
 /// percentile block, and the raw route counters) is trajectory data the
 /// gate never reads, so baselines missing those sections check
 /// identically to baselines carrying them.
@@ -649,20 +539,6 @@ mod tests {
                 },
                 route: RouteCounters::default(),
             }),
-            fleet: Some(FleetReport {
-                workers: 2,
-                jobs: 8,
-                local_batch_micros: 4_000_000,
-                fleet_batch_micros: 2_500_000,
-                fleet_warm_micros: 400_000,
-                dispatched: 16,
-                verified: 16,
-                quarantined: 0,
-                local_recomputes: 0,
-                peer_hits: 3,
-                peer_misses: 1,
-                witness_cache_hits: 4,
-            }),
             edits: Some(EditReport {
                 edits: 40,
                 differential: 39,
@@ -689,8 +565,6 @@ mod tests {
         };
         let rendered = report.to_json().render();
         assert!(rendered.contains("\"circuit\":\"ising:2\""), "{rendered}");
-        assert!(rendered.contains("\"peer_hit_ratio\":0.75"), "{rendered}");
-        assert!(rendered.contains("\"fleet_jobs_per_sec\""), "{rendered}");
         assert!(rendered.contains("\"median_micros\""), "{rendered}");
         assert!(rendered.contains("\"hit_ratio\""), "{rendered}");
         assert!(
@@ -823,42 +697,10 @@ mod tests {
     }
 
     #[test]
-    fn fleet_report_ratios_guard_empty_runs() {
-        let fleet = FleetReport {
-            workers: 3,
-            jobs: 10,
-            local_batch_micros: 2_000_000,
-            fleet_batch_micros: 1_000_000,
-            fleet_warm_micros: 250_000,
-            dispatched: 20,
-            verified: 20,
-            quarantined: 0,
-            local_recomputes: 0,
-            peer_hits: 6,
-            peer_misses: 2,
-            witness_cache_hits: 2,
-        };
-        assert!((fleet.local_throughput() - 5.0).abs() < 1e-9);
-        assert!((fleet.fleet_throughput() - 10.0).abs() < 1e-9);
-        assert!((fleet.speedup() - 2.0).abs() < 1e-9);
-        assert!((fleet.peer_hit_ratio() - 0.75).abs() < 1e-9);
-        let empty = FleetReport {
-            local_batch_micros: 0,
-            fleet_batch_micros: 0,
-            peer_hits: 0,
-            peer_misses: 0,
-            ..fleet
-        };
-        assert_eq!(empty.local_throughput(), 0.0);
-        assert_eq!(empty.speedup(), 0.0);
-        assert_eq!(empty.peer_hit_ratio(), 0.0);
-    }
-
-    #[test]
     fn gate_ignores_the_fleet_section() {
-        // The fleet numbers are trajectory data: a fleet-less baseline and
-        // a fleet-carrying one must check identically, so CI runs with and
-        // without --fleet can share checked-in baselines.
+        // Baselines committed before the distributed fleet was removed
+        // still carry a "fleet" key; the gate must check them exactly as
+        // it checks fleet-less ones.
         let current = RoutingReport {
             circuit: "ghz".into(),
             iterations: 5,
@@ -885,8 +727,7 @@ mod tests {
 
     #[test]
     fn gate_ignores_the_edits_section() {
-        // Like the fleet numbers, the edit-storm numbers are trajectory
-        // data: baselines with and without an "edits" key must check
+        // The edit-storm numbers are trajectory data: baselines with and without an "edits" key must check
         // identically, so CI runs with and without --edits can share
         // checked-in baselines.
         let current = RoutingReport {

@@ -59,7 +59,6 @@ const BOOLEAN_FLAGS: &[&str] = &[
     "json",
     "explain",
     "trace",
-    "worker",
     "reactor",
 ];
 
@@ -129,6 +128,27 @@ impl ParsedArgs {
             Some(v) => v.parse().map_err(|_| ArgError::Invalid {
                 option: key.to_string(),
                 reason: format!("cannot parse {v:?}"),
+            }),
+        }
+    }
+
+    /// Checks every given option against `known`, the subcommand's
+    /// documented option names, so a typo or a retired option fails loudly
+    /// instead of being ignored.
+    ///
+    /// # Errors
+    ///
+    /// [`ArgError::Invalid`] naming the first option outside `known`.
+    pub fn reject_unknown(&self, known: &[&str]) -> Result<(), ArgError> {
+        match self
+            .options
+            .iter()
+            .find(|(k, _)| !known.contains(&k.as_str()))
+        {
+            None => Ok(()),
+            Some((key, _)) => Err(ArgError::Invalid {
+                option: key.clone(),
+                reason: format!("not an option of `ftqc {}` (see `ftqc help`)", self.command),
             }),
         }
     }
@@ -246,6 +266,27 @@ mod tests {
         // Repeated single-value options: the last occurrence is taken.
         let p = parse(&argv("compile ising --r 2 --r 6")).unwrap();
         assert_eq!(p.get_or("r", 4u32).unwrap(), 6);
+    }
+
+    #[test]
+    fn unknown_options_are_rejected_by_name() {
+        let known = ["addr", "reactor"];
+        let p = parse(&argv("serve --addr 127.0.0.1:0 --reactor")).unwrap();
+        assert_eq!(p.reject_unknown(&known), Ok(()));
+        for (line, option) in [
+            ("serve --addr 127.0.0.1:0 --adr 127.0.0.1:1", "adr"),
+            ("serve --reactor --fleet x", "fleet"),
+        ] {
+            let e = parse(&argv(line))
+                .unwrap()
+                .reject_unknown(&known)
+                .unwrap_err();
+            assert!(
+                matches!(&e, ArgError::Invalid { option: o, .. } if o == option),
+                "{line}: {e}"
+            );
+            assert!(e.to_string().starts_with(&format!("--{option}: ")), "{e}");
+        }
     }
 
     #[test]

@@ -20,13 +20,11 @@ use ftqc_compiler::{
     StageEvent, StageTrace,
 };
 use ftqc_editor::{
-    delta_to_json, edit_failed_json, edit_result_json, EditSession, EditSet, ExtensionPair,
-    SessionExtension, DEFAULT_SESSION_CAPACITY, DEFAULT_SESSION_TTL,
+    delta_to_json, edit_failed_json, edit_result_json, EditSession, EditSet, SessionExtension,
+    DEFAULT_SESSION_CAPACITY, DEFAULT_SESSION_TTL,
 };
-use ftqc_fleet::{CoordinatorConfig, CoordinatorExtension, WorkerConfig, WorkerExtension};
 use ftqc_server::{
-    Client, MultiSweepResponse, RetryPolicy, Server, ServerConfig, ServerExtension, SweepResponse,
-    Transport,
+    Client, MultiSweepResponse, RetryPolicy, Server, ServerConfig, SweepResponse, Transport,
 };
 use ftqc_service::json::ToJson;
 use ftqc_service::{
@@ -201,19 +199,6 @@ COMMANDS
                        --queue-cap N    reactor admission queue (default 256)
                        --queue-timeout-s N  max queue wait before a
                                         retryable 503 (default 30)
-                       --worker         fleet worker role: adds POST /v1/work
-                                        (result + verification witness) and
-                                        the peer-cache endpoints
-                       --peers A,B,…    all fleet node addresses (sharded
-                                        peer cache); requires --advertise
-                       --advertise ADDR this node's entry in --peers
-                       --fleet A,B,…    fleet coordinator role: dispatch
-                                        compile/batch jobs to these workers,
-                                        re-verify every witness, quarantine
-                                        cheaters, recompute locally
-                       --fleet-cap N    in-flight jobs per worker (default 2)
-                       --fleet-timeout-ms N  per-dispatch deadline before a
-                                        job is reassigned (default 60000)
                        sessions: POST /v1/session opens an interactive edit
                        session (create body = compile-job shape); POST
                        /v1/session/<id>/edit applies JSONL edit batches
@@ -390,7 +375,6 @@ fn local_job_result(id: &str, circuit: &Circuit, options: &CompilerOptions) -> J
         micros: started.elapsed().as_micros() as u64,
         queue_micros: 0,
         stage: None,
-        witness: None,
     }
 }
 
@@ -435,7 +419,6 @@ fn cmd_compile(p: &ParsedArgs) -> Result<CmdOutput, CliError> {
                     micros: started.elapsed().as_micros() as u64,
                     queue_micros: 0,
                     stage: Some(run.stage.name().to_string()),
-                    witness: None,
                 },
                 Err(e) => JobResult::<Metrics> {
                     id: spec,
@@ -446,7 +429,6 @@ fn cmd_compile(p: &ParsedArgs) -> Result<CmdOutput, CliError> {
                     micros: started.elapsed().as_micros() as u64,
                     queue_micros: 0,
                     stage: None,
-                    witness: None,
                 },
             };
             let failed = !result.is_ok();
@@ -987,62 +969,27 @@ fn cmd_batch(p: &ParsedArgs) -> Result<CmdOutput, CliError> {
     })
 }
 
-/// Splits a comma-separated address list, dropping empty entries.
-fn split_addrs(raw: &str) -> Vec<String> {
-    raw.split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(String::from)
-        .collect()
-}
-
-/// Builds the fleet role requested by `--worker` / `--fleet`, if any.
-fn fleet_extension(p: &ParsedArgs) -> Result<(Option<Arc<dyn ServerExtension>>, String), CliError> {
-    let fleet = p.get("fleet");
-    if p.flag("worker") && fleet.is_some() {
-        return Err(CliError::Unknown(
-            "--worker and --fleet are mutually exclusive roles".into(),
-        ));
-    }
-    if let Some(raw) = fleet {
-        let workers = split_addrs(raw);
-        let n = workers.len();
-        let coordinator = CoordinatorExtension::new(CoordinatorConfig {
-            workers,
-            cap: p.get_or("fleet-cap", 2usize)?.max(1),
-            deadline: Duration::from_millis(p.get_or("fleet-timeout-ms", 60_000u64)?),
-            ..CoordinatorConfig::default()
-        })
-        .map_err(CliError::Unknown)?;
-        let healthy = coordinator.health_check();
-        let note = format!(", coordinating {healthy}/{n} workers");
-        return Ok((Some(Arc::new(coordinator)), note));
-    }
-    if p.flag("worker") {
-        let peers = p
-            .get("peers")
-            .map(|raw| split_addrs(raw))
-            .unwrap_or_default();
-        let n = peers.len();
-        let worker = WorkerExtension::new(WorkerConfig {
-            peers,
-            advertise: p.get("advertise").cloned(),
-            ..WorkerConfig::default()
-        })
-        .map_err(CliError::Unknown)?;
-        let note = if n == 0 {
-            ", worker role".to_string()
-        } else {
-            format!(", worker role ({n}-node peer cache)")
-        };
-        return Ok((Some(Arc::new(worker)), note));
-    }
-    Ok((None, String::new()))
-}
+/// Every option `ftqc serve` documents; anything else is refused before
+/// the server binds.
+const SERVE_OPTIONS: &[&str] = &[
+    "addr",
+    "workers",
+    "cache",
+    "cache-capacity",
+    "max-connections",
+    "timeout-ms",
+    "reactor",
+    "shards",
+    "queue-cap",
+    "queue-timeout-s",
+    "session-capacity",
+    "session-ttl-s",
+];
 
 /// Runs the HTTP compile server until SIGINT (or a shutdown poke), then
 /// reports what it served.
 fn cmd_serve(p: &ParsedArgs) -> Result<String, CliError> {
+    p.reject_unknown(SERVE_OPTIONS)?;
     let cache_capacity: usize = p.get_or("cache-capacity", ftqc_service::DEFAULT_CACHE_CAPACITY)?;
     if cache_capacity == 0 {
         return Err(CliError::Unknown(
@@ -1070,10 +1017,6 @@ fn cmd_serve(p: &ParsedArgs) -> Result<String, CliError> {
         Some(f) => format!(", cache file {}", f.display()),
         None => String::new(),
     };
-    let (fleet_ext, role_note) = fleet_extension(p)?;
-    // Interactive edit sessions ride along on every serve role, stacked
-    // over the fleet extension (which keeps job execution) when one is
-    // configured.
     let session_capacity = p
         .get_or("session-capacity", DEFAULT_SESSION_CAPACITY)?
         .max(1);
@@ -1081,14 +1024,9 @@ fn cmd_serve(p: &ParsedArgs) -> Result<String, CliError> {
         p.get_or("session-ttl-s", DEFAULT_SESSION_TTL.as_secs())?
             .max(1),
     );
-    let sessions: Arc<dyn ServerExtension> =
-        Arc::new(SessionExtension::new(session_capacity, session_ttl));
-    let extension: Arc<dyn ServerExtension> = match fleet_ext {
-        Some(role) => Arc::new(ExtensionPair::new(sessions, role)),
-        None => sessions,
-    };
-    let server = Server::bind_with(config, Some(extension))
-        .map_err(|e| CliError::Pipeline(e.to_string()))?;
+    let sessions = Arc::new(SessionExtension::new(session_capacity, session_ttl));
+    let server =
+        Server::bind_with(config, Some(sessions)).map_err(|e| CliError::Pipeline(e.to_string()))?;
     let addr = server
         .local_addr()
         .map_err(|e| CliError::Pipeline(e.to_string()))?;
@@ -1096,7 +1034,7 @@ fn cmd_serve(p: &ParsedArgs) -> Result<String, CliError> {
     // Announce before blocking: main only prints after run() returns.
     let transport_note = if p.flag("reactor") { ", reactor" } else { "" };
     println!(
-        "ftqc-server listening on {addr} ({} workers{transport_note}{cache_note}{role_note}); Ctrl-C to stop",
+        "ftqc-server listening on {addr} ({} workers{transport_note}{cache_note}); Ctrl-C to stop",
         server.workers()
     );
     let report = server
@@ -1890,6 +1828,25 @@ mod tests {
             ftqc_service::FromJson::from_json(&doc).expect("decodes as SweepResponse");
         assert_eq!(resp.points.len(), 2);
         assert_eq!(resp.cache.misses, 2);
+    }
+
+    #[test]
+    fn serve_rejects_unknown_options_before_binding() {
+        // Every line also carries `--cache-capacity 0`, which `serve`
+        // refuses before binding, so a missing option check fails this
+        // test with the wrong message instead of serving forever.
+        for (line, option) in [
+            ("serve --fleet x", "--fleet"),
+            ("serve --worker --addr 127.0.0.1:0", "--worker"),
+            ("serve --max-conections 8", "--max-conections"),
+        ] {
+            let e = run_line(&format!("{line} --cache-capacity 0"))
+                .unwrap_err()
+                .to_string();
+            assert!(e.starts_with(&format!("{option}: ")), "{line}: {e}");
+        }
+        let e = run_line("serve --worker").unwrap_err().to_string();
+        assert!(e.starts_with("--worker: "), "{e}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Compile witnesses: the proof object an untrusted worker returns next to
-//! its metrics, and the coordinator-side checker that accepts or rejects
-//! the pair **without re-routing**.
+//! Compile witnesses: a compact record of a compiled schedule, and a
+//! checker that re-checks a `(metrics, witness)` pair against the circuit
+//! and options it claims to come from **without re-routing**.
 //!
 //! A [`Witness`] carries the post-elimination routed-op *sequence* (no
 //! start times), the four per-stage cache keys, and the target digest.
@@ -11,18 +11,18 @@
 //! 2. rebuild the layout and factory bank from the target,
 //! 3. deterministically re-time the op sequence with [`time_ops`] (greedy
 //!    replay — the same function the schedule stage uses, so a faithful
-//!    worker's makespan is reproduced exactly),
+//!    schedule's makespan is reproduced exactly),
 //! 4. run the six-invariant physical checker [`verify_items`] over the
 //!    re-timed schedule, and
 //! 5. re-derive the full [`Metrics`] document and require equality with
 //!    the claimed one.
 //!
 //! Everything is O(schedule): the expensive map stage (routing) never runs
-//! on the verifying side. Two counters are informational pass-throughs the
-//! witness cannot re-derive (`n_moves_eliminated` and the incremental
-//! router's `route` counters — both describe how the worker *got* to the
-//! op sequence, not the sequence itself); the trust model in the README
-//! documents this residual gap.
+//! during the check. Two counters are informational pass-throughs the
+//! witness cannot re-derive: `n_moves_eliminated` and the incremental
+//! router's `route` counters. Both describe how the compiler *got* to the
+//! op sequence, not the sequence itself, so a claim that misstates them
+//! skews telemetry, never a correctness-bearing metric.
 
 use crate::codec::target_digest;
 use crate::error::CompileError;
@@ -41,44 +41,43 @@ use ftqc_service::json::{FromJson, JsonError, ToJson, Value};
 /// Wire version of the witness document.
 pub const WITNESS_VERSION: u64 = 1;
 
-/// The compact proof a worker attaches to a `JobResult`: enough for the
-/// coordinator to re-verify the compilation in O(schedule).
+/// The compact record of one compiled schedule: enough to re-verify the
+/// compilation in O(schedule).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Witness {
     /// The four per-stage cache keys (prepare, lower, map, schedule) the
-    /// worker compiled under — the coordinator re-derives and compares
+    /// schedule was compiled under — the checker re-derives and compares
     /// them, pinning circuit and options.
     pub stage_keys: [u64; 4],
     /// Digest of the hardware target the schedule was compiled for.
     pub target_digest: u64,
     /// The routed operation sequence after redundant-move elimination, in
     /// schedule order. Start times are *not* carried: re-timing is
-    /// deterministic, so the coordinator replays rather than trusts.
+    /// deterministic, so the checker replays rather than trusts.
     pub ops: Vec<RoutedOp>,
 }
 
 /// Why a witness was rejected. Any variant other than [`Compile`] means
-/// the worker's claim is inconsistent and the job must be recomputed
-/// locally.
+/// the `(metrics, witness)` claim is inconsistent with the job.
 ///
 /// [`Compile`]: WitnessError::Compile
 #[derive(Debug, Clone, PartialEq)]
 pub enum WitnessError {
-    /// The coordinator-side front end (prepare/lower) failed — the job
-    /// itself is bad, not the worker.
+    /// The checker's front end (prepare/lower) failed — the job itself is
+    /// bad, not the claim.
     Compile(String),
     /// A re-derived stage key disagrees with the witness.
     StageKeyMismatch {
         /// Index into the prepare/lower/map/schedule key array.
         index: usize,
-        /// The key the coordinator derived.
+        /// The key the checker derived.
         expected: u64,
         /// The key the witness carried.
         got: u64,
     },
     /// The witness was produced for a different hardware target.
     TargetDigestMismatch {
-        /// Digest of the target the coordinator resolved.
+        /// Digest of the target the checker resolved.
         expected: u64,
         /// Digest the witness carried.
         got: u64,
@@ -195,15 +194,15 @@ fn first_metrics_diff(a: &Metrics, b: &Metrics) -> Option<&'static str> {
     None
 }
 
-/// Verifies a worker's `(metrics, witness)` claim for `circuit` compiled
-/// under `options`, in O(schedule): stage keys and target digest are
-/// re-derived and compared, the op sequence is re-timed deterministically,
-/// the six physical invariants are checked, and the metrics are
-/// re-assembled from the replay and compared member-wise with the claim.
+/// Verifies a `(metrics, witness)` claim for `circuit` compiled under
+/// `options`, in O(schedule): stage keys and target digest are re-derived
+/// and compared, the op sequence is re-timed deterministically, the six
+/// physical invariants are checked, and the metrics are re-assembled from
+/// the replay and compared member-wise with the claim.
 ///
-/// `stages` (when given) lets the cheap front-end re-runs share the
-/// coordinator's stage cache. On success the *derived* metrics document is
-/// returned; it is equal to `claimed` and safe to serve.
+/// `stages` (when given) lets the cheap prepare/lower re-runs read from
+/// and warm a caller's stage cache; `None` runs them uncached. On success
+/// the *derived* metrics document is returned; it is equal to `claimed`.
 ///
 /// # Errors
 ///
@@ -262,7 +261,7 @@ pub fn verify_witness(
     let bank = options.target.factory_bank(&layout);
 
     // 3 + 4. Deterministic re-timing and the physical invariants. The
-    // same greedy replay the schedule stage runs, so a faithful worker's
+    // same greedy replay the schedule stage runs, so a faithful schedule's
     // makespans are reproduced bit-for-bit.
     let timing = options.effective_schedule_timing();
     let schedule = time_ops(
@@ -692,6 +691,87 @@ mod tests {
         let err = verify_witness(&circuit, &options, &witness, &claimed, None).unwrap_err();
         assert!(
             matches!(err, WitnessError::MetricsMismatch { .. }),
+            "got {err:?}"
+        );
+    }
+
+    /// The two-delivery testbed: 9 qubits, T on q0 and q5, one factory, so
+    /// the schedule carries two magic-state corridors.
+    fn magic_testbed() -> (Circuit, CompilerOptions) {
+        let mut c = Circuit::new(9);
+        c.t(0).t(5);
+        (c, CompilerOptions::default().routing_paths(4).factories(1))
+    }
+
+    /// Indices of the `DeliverMagic` ops in a witness.
+    fn deliveries(witness: &Witness) -> Vec<usize> {
+        witness
+            .ops
+            .iter()
+            .enumerate()
+            .filter(|(_, op)| matches!(op.op, SurgeryOp::DeliverMagic { .. }))
+            .map(|(i, _)| i)
+            .collect()
+    }
+
+    /// Compiles the magic testbed, checks that its honest witness verifies,
+    /// then tampers the witness with `mutate` and returns the checker's
+    /// verdict on it against the honest metrics.
+    fn verify_mutant(mutate: impl FnOnce(&mut Witness)) -> Result<Metrics, WitnessError> {
+        let (circuit, options) = magic_testbed();
+        let (mut witness, claimed) = compile_witnessed(&circuit, &options);
+        assert_eq!(deliveries(&witness).len(), 2, "testbed has two deliveries");
+        verify_witness(&circuit, &options, &witness, &claimed, None)
+            .expect("the honest witness verifies");
+        mutate(&mut witness);
+        verify_witness(&circuit, &options, &witness, &claimed, None)
+    }
+
+    #[test]
+    fn swapped_delivery_paths_rejected() {
+        // Each delivery carries the other delivery's corridor, so neither
+        // ends where its magic state is consumed.
+        let err = verify_mutant(|witness| {
+            let ds = deliveries(witness);
+            witness.ops.swap(ds[0], ds[1]);
+        })
+        .unwrap_err();
+        assert!(
+            matches!(err, WitnessError::Invariant(VerifyError::UnfedMagic { .. })),
+            "got {err:?}"
+        );
+    }
+
+    #[test]
+    fn spliced_corridor_rejected() {
+        // A corridor that jumps two cells between consecutive entries
+        // cannot be walked.
+        let err = verify_mutant(|witness| {
+            let d = deliveries(witness)[0];
+            if let SurgeryOp::DeliverMagic { path } = &mut witness.ops[d].op {
+                let first = path[0];
+                *path = vec![first, Coord::new(first.row + 2, first.col)];
+            }
+        })
+        .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                WitnessError::Invariant(VerifyError::InvalidPlacement { .. })
+            ),
+            "got {err:?}"
+        );
+    }
+
+    #[test]
+    fn dropped_delivery_rejected() {
+        let err = verify_mutant(|witness| {
+            let d = deliveries(witness)[0];
+            witness.ops.remove(d);
+        })
+        .unwrap_err();
+        assert!(
+            matches!(err, WitnessError::Invariant(VerifyError::UnfedMagic { .. })),
             "got {err:?}"
         );
     }

@@ -84,7 +84,6 @@ pub fn edit_result_json(
         micros,
         queue_micros: 0,
         stage: None,
-        witness: None,
     };
     let mut fields = match result.to_json() {
         Value::Obj(fields) => fields,
@@ -112,7 +111,6 @@ pub fn edit_failed_json(session_id: &str, version: u64, message: &str) -> Value 
         micros: 0,
         queue_micros: 0,
         stage: None,
-        witness: None,
     };
     let mut fields = match result.to_json() {
         Value::Obj(fields) => fields,
@@ -512,57 +510,5 @@ impl ServerExtension for SessionExtension {
 
     fn on_shutdown(&self) {
         self.store.drain();
-    }
-}
-
-/// Two extensions stacked: `first` gets each request, then `second`;
-/// job execution delegates to `second` (the role extension — a session
-/// extension never overrides it). Lets the session endpoints ride along
-/// with a fleet coordinator or worker on the single extension slot.
-pub struct ExtensionPair {
-    first: std::sync::Arc<dyn ServerExtension>,
-    second: std::sync::Arc<dyn ServerExtension>,
-}
-
-impl ExtensionPair {
-    /// Stacks `first` over `second`.
-    pub fn new(
-        first: std::sync::Arc<dyn ServerExtension>,
-        second: std::sync::Arc<dyn ServerExtension>,
-    ) -> Self {
-        ExtensionPair { first, second }
-    }
-}
-
-impl ServerExtension for ExtensionPair {
-    fn handle(&self, ctx: &ServerContext<'_>, request: &Request) -> Option<HandlerResult> {
-        self.first
-            .handle(ctx, request)
-            .or_else(|| self.second.handle(ctx, request))
-    }
-
-    fn run_jobs(
-        &self,
-        ctx: &ServerContext<'_>,
-        jobs: Vec<ftqc_service::CompileJob<CompilerOptions>>,
-    ) -> Vec<JobResult<Metrics>> {
-        self.second.run_jobs(ctx, jobs)
-    }
-
-    fn metrics_text(&self) -> String {
-        let mut out = self.first.metrics_text();
-        out.push_str(&self.second.metrics_text());
-        out
-    }
-
-    fn stats_fields(&self) -> Vec<(String, Value)> {
-        let mut fields = self.first.stats_fields();
-        fields.extend(self.second.stats_fields());
-        fields
-    }
-
-    fn on_shutdown(&self) {
-        self.first.on_shutdown();
-        self.second.on_shutdown();
     }
 }

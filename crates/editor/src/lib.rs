@@ -56,8 +56,6 @@ pub mod store;
 pub use edit::{
     gate_from_json, gate_from_parts, gate_to_json, retarget_gate, CircuitEdit, EditSet,
 };
-pub use extension::{
-    delta_to_json, edit_failed_json, edit_result_json, ExtensionPair, SessionExtension,
-};
+pub use extension::{delta_to_json, edit_failed_json, edit_result_json, SessionExtension};
 pub use session::{apply_edit, EditApplyError, EditSession};
 pub use store::{SessionCounters, SessionStore, DEFAULT_SESSION_CAPACITY, DEFAULT_SESSION_TTL};

@@ -80,8 +80,8 @@ impl From<JsonError> for ClientError {
 /// The delay for attempt `n` (0-based) is `base_delay · 2ⁿ`, clamped to
 /// `max_delay`, with deterministic jitter keeping at least half the delay:
 /// the realised sleep lands in `[d/2, d]`, spread by a hash of the
-/// (seed, attempt) pair so a fleet of clients hammering one recovering
-/// worker desynchronises instead of thundering.
+/// (seed, attempt) pair so many clients hammering one recovering
+/// server desynchronise instead of thundering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts, including the first (1 ⇒ no retries).
@@ -256,8 +256,8 @@ impl Client {
     }
 
     /// `POST` a JSON document to an arbitrary path and parse the JSON
-    /// response — the raw seam extension endpoints (e.g. the fleet's
-    /// `/v1/work`) build their typed wrappers on.
+    /// response, for callers that want the raw document rather than a
+    /// typed wrapper's.
     ///
     /// # Errors
     ///

@@ -35,11 +35,6 @@ pub enum Endpoint {
     Healthz,
     /// `GET /metrics`
     Metrics,
-    /// `POST /v1/work` (fleet worker job execution).
-    Work,
-    /// `GET /v1/cache/peek/<key>` and `POST /v1/cache/offer/<key>`
-    /// (fleet sharded peer cache).
-    CachePeer,
     /// `POST /v1/session`, `GET|DELETE /v1/session/<id>`, and
     /// `POST /v1/session/<id>/edit` (interactive edit sessions).
     Session,
@@ -49,7 +44,7 @@ pub enum Endpoint {
 
 impl Endpoint {
     /// All tracked endpoints, in render order.
-    pub const ALL: [Endpoint; 12] = [
+    pub const ALL: [Endpoint; 10] = [
         Endpoint::Compile,
         Endpoint::Batch,
         Endpoint::Sweep,
@@ -58,8 +53,6 @@ impl Endpoint {
         Endpoint::Traces,
         Endpoint::Healthz,
         Endpoint::Metrics,
-        Endpoint::Work,
-        Endpoint::CachePeer,
         Endpoint::Session,
         Endpoint::Other,
     ];
@@ -75,8 +68,6 @@ impl Endpoint {
             Endpoint::Traces => "traces",
             Endpoint::Healthz => "healthz",
             Endpoint::Metrics => "metrics",
-            Endpoint::Work => "work",
-            Endpoint::CachePeer => "cache_peer",
             Endpoint::Session => "session",
             Endpoint::Other => "other",
         }
@@ -93,11 +84,7 @@ impl Endpoint {
             "/v1/traces" => Endpoint::Traces,
             "/healthz" => Endpoint::Healthz,
             "/metrics" => Endpoint::Metrics,
-            "/v1/work" => Endpoint::Work,
             _ if path.starts_with("/v1/trace/") => Endpoint::Traces,
-            _ if path.starts_with("/v1/cache/peek/") || path.starts_with("/v1/cache/offer/") => {
-                Endpoint::CachePeer
-            }
             "/v1/session" => Endpoint::Session,
             _ if path.starts_with("/v1/session/") => Endpoint::Session,
             _ => Endpoint::Other,
@@ -122,7 +109,7 @@ struct EndpointCounters {
 /// The process-wide counter registry.
 #[derive(Debug, Default)]
 pub struct ServerMetrics {
-    per_endpoint: [EndpointCounters; 12],
+    per_endpoint: [EndpointCounters; 10],
     /// Per-stage compile times, fed by the staged-session trace hooks.
     per_stage: [Histogram; 4],
     /// Worker-pool queue waits (batch submission → worker claim).
@@ -500,15 +487,6 @@ mod tests {
         assert_eq!(Endpoint::of_path("/v1/trace/00ff"), Endpoint::Traces);
         assert_eq!(Endpoint::of_path("/healthz"), Endpoint::Healthz);
         assert_eq!(Endpoint::of_path("/metrics"), Endpoint::Metrics);
-        assert_eq!(Endpoint::of_path("/v1/work"), Endpoint::Work);
-        assert_eq!(
-            Endpoint::of_path("/v1/cache/peek/00ff"),
-            Endpoint::CachePeer
-        );
-        assert_eq!(
-            Endpoint::of_path("/v1/cache/offer/00ff"),
-            Endpoint::CachePeer
-        );
         assert_eq!(Endpoint::of_path("/nope"), Endpoint::Other);
     }
 

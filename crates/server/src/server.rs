@@ -162,8 +162,8 @@ pub struct ServerReport {
 
 /// Everything the request handlers share, behind one `Arc`.
 struct AppState {
-    /// Role-specific behaviour grafted onto the core server (the fleet
-    /// crate's worker/coordinator roles); `None` for a plain server.
+    /// Extra endpoints grafted onto the core server (`ftqc serve`'s edit
+    /// sessions); `None` for a plain server.
     extension: Option<Arc<dyn ServerExtension>>,
     service: BatchService<Metrics>,
     cache: SharedCache<Metrics>,
@@ -261,11 +261,12 @@ impl Server {
         Server::bind_with(config, None)
     }
 
-    /// [`Server::bind`] with a role extension: the extension sees every
-    /// request before the core router, owns job execution, and contributes
-    /// to `/metrics` and `/v1/cache/stats`. This is how the fleet crate
-    /// turns the plain server into a worker or a coordinator without the
-    /// server crate depending on it.
+    /// [`Server::bind`] with an extension: the extension sees every
+    /// request except `POST /v1/batch` before the core router, and
+    /// contributes to `/metrics` and `/v1/cache/stats`. This is how the
+    /// editor crate adds its session endpoints without the server crate
+    /// depending on it. Compile and batch jobs always run on this
+    /// server's own worker pool.
     ///
     /// # Errors
     ///
@@ -592,8 +593,8 @@ fn serve_parsed(
     respond: &mut dyn FnMut(&[u8]),
 ) -> u16 {
     let endpoint = Endpoint::of_path(&request.path);
-    // Honour a caller-chosen id (distributed callers propagate theirs);
-    // mint otherwise.
+    // Honour a caller-chosen id (a client correlating its own logs with
+    // this request's trace); mint otherwise.
     let trace_id = request
         .header("x-ftqc-trace")
         .and_then(TraceId::parse)
@@ -651,14 +652,6 @@ fn route_request(
     respond: &mut dyn FnMut(&[u8]),
 ) -> Served {
     if request.method == "POST" && request.path == "/v1/batch" {
-        // The extension still gets its first crack before the stream
-        // starts (a coordinator may own this endpoint outright).
-        if let Some(ext) = &state.extension {
-            let ctx = ServerContext { state, trace };
-            if let Some(result) = ext.handle(&ctx, request) {
-                return Served::Full(result);
-            }
-        }
         return handle_batch_streamed(state, request, trace, trace_hex, respond);
     }
     Served::Full(handle_request(state, request, trace))
@@ -783,42 +776,15 @@ pub fn error_body(message: &str) -> String {
 /// What a handler returns: `(status, content type, body)`.
 pub type HandlerResult = (u16, &'static str, String);
 
-/// The slice of server internals an extension may use: local job
-/// execution (same staged sessions, stage cache, and per-job tracing the
-/// core endpoints use) plus the shared caches and registry. Handed to
-/// every [`ServerExtension`] hook by reference; never outlives the call.
+/// The slice of server internals an extension may use: the target
+/// registry and the request's trace. Handed to every [`ServerExtension`]
+/// hook by reference; never outlives the call.
 pub struct ServerContext<'a> {
     state: &'a AppState,
     trace: &'a Arc<ActiveTrace>,
 }
 
 impl ServerContext<'_> {
-    /// Runs `jobs` on this process — the exact compile path a plain
-    /// server's endpoints use (shared stage cache, per-stage spans and
-    /// histograms, whole-job cache) — returning results in submission
-    /// order. Job-outcome accounting is the caller's: the core endpoints
-    /// count results after any extension post-processing.
-    pub fn run_jobs_local(
-        &self,
-        jobs: Vec<CompileJob<CompilerOptions>>,
-    ) -> Vec<JobResult<Metrics>> {
-        self.state
-            .service
-            .run(jobs, resolve_source_remote, |c, job| {
-                compile_staged(self.state, self.trace, c, job)
-            })
-    }
-
-    /// The process-wide stage-artifact cache (cloneable shared handle).
-    pub fn stages(&self) -> &StageCache {
-        &self.state.stages
-    }
-
-    /// The whole-job compile cache.
-    pub fn cache(&self) -> &SharedCache<Metrics> {
-        &self.state.cache
-    }
-
     /// The named hardware-target registry.
     pub fn targets(&self) -> &TargetRegistry {
         &self.state.targets
@@ -828,35 +794,18 @@ impl ServerContext<'_> {
     pub fn trace(&self) -> &Arc<ActiveTrace> {
         self.trace
     }
-
-    /// The resolved worker-thread count.
-    pub fn workers(&self) -> usize {
-        self.state.workers
-    }
 }
 
-/// Role-specific behaviour grafted onto the core server via
-/// [`Server::bind_with`]: the fleet crate implements this once for the
-/// worker role (adds `/v1/work` and the peer-cache endpoints) and once for
-/// the coordinator role (reroutes job execution to remote workers). Every
-/// hook has a no-op default, so an extension overrides only what its role
-/// changes.
+/// Extra endpoints grafted onto the core server via
+/// [`Server::bind_with`]: the editor crate implements this for the
+/// `/v1/session*` endpoints. Every hook has a no-op default, so an
+/// extension overrides only what it adds.
 pub trait ServerExtension: Send + Sync {
-    /// First crack at every request. Return `Some` to answer it; `None`
-    /// falls through to the core router.
+    /// First crack at every request except `POST /v1/batch`, which
+    /// always streams from the core router. Return `Some` to answer it;
+    /// `None` falls through to the core router.
     fn handle(&self, _ctx: &ServerContext<'_>, _request: &Request) -> Option<HandlerResult> {
         None
-    }
-
-    /// Executes the jobs behind `POST /v1/compile` and `POST /v1/batch`,
-    /// in submission order. The default compiles locally; a coordinator
-    /// overrides this to dispatch across its fleet.
-    fn run_jobs(
-        &self,
-        ctx: &ServerContext<'_>,
-        jobs: Vec<CompileJob<CompilerOptions>>,
-    ) -> Vec<JobResult<Metrics>> {
-        ctx.run_jobs_local(jobs)
     }
 
     /// Extra Prometheus exposition text appended to `GET /metrics`.
@@ -1022,40 +971,32 @@ fn trace_job_results(
     }
 }
 
-/// Runs `jobs` through the extension when one is installed (the
-/// coordinator's remote dispatch), the local pool otherwise.
+/// Runs `jobs` on the server's worker pool, returning results in
+/// submission order.
 fn execute_jobs(
     state: &AppState,
     trace: &Arc<ActiveTrace>,
     jobs: Vec<CompileJob<CompilerOptions>>,
 ) -> Vec<JobResult<Metrics>> {
-    let ctx = ServerContext { state, trace };
-    match &state.extension {
-        Some(ext) => ext.run_jobs(&ctx, jobs),
-        None => ctx.run_jobs_local(jobs),
-    }
+    state.service.run(jobs, resolve_source_remote, |c, job| {
+        compile_staged(state, trace, c, job)
+    })
 }
 
-/// [`execute_jobs`] with a per-job streaming sink. The local pool calls
-/// `sink` as each job's ordered prefix completes; an extension runs the
-/// whole batch first (its results still reach the sink through the
-/// caller's trailing flush), so coordinators keep working unchanged.
+/// [`execute_jobs`] with a per-job streaming sink: the pool calls `sink`
+/// as each job's ordered prefix completes.
 fn execute_jobs_streamed(
     state: &AppState,
     trace: &Arc<ActiveTrace>,
     jobs: Vec<CompileJob<CompilerOptions>>,
     sink: &mut dyn FnMut(usize, &JobResult<Metrics>),
 ) -> Vec<JobResult<Metrics>> {
-    let ctx = ServerContext { state, trace };
-    match &state.extension {
-        Some(ext) => ext.run_jobs(&ctx, jobs),
-        None => state.service.run_streamed(
-            jobs,
-            resolve_source_remote,
-            |c, job| compile_staged(state, trace, c, job),
-            |index, result| sink(index, result),
-        ),
-    }
+    state.service.run_streamed(
+        jobs,
+        resolve_source_remote,
+        |c, job| compile_staged(state, trace, c, job),
+        sink,
+    )
 }
 
 fn run_jobs(
@@ -1852,6 +1793,41 @@ mod tests {
 
         let (status, _, _) = handle_request(&state, &post("/v1/batch", "# nothing\n"));
         assert_eq!(status, 400, "an empty batch is a client error");
+    }
+
+    /// Regression: with an extension installed (as `ftqc serve` always
+    /// has), the streamed batch path used to hand the whole batch to the
+    /// extension's non-streaming job hook, so no line reached the sink
+    /// until every job had finished.
+    #[test]
+    fn streamed_batches_reach_the_sink_with_an_extension_installed() {
+        struct Inert;
+        impl ServerExtension for Inert {}
+        let state = AppState {
+            extension: Some(Arc::new(Inert)),
+            ..test_state(1)
+        };
+        let jobs = (0..3)
+            .map(|i| {
+                CompileJob::new(
+                    format!("j{i}"),
+                    ftqc_service::CircuitSource::Benchmark {
+                        name: "ising".into(),
+                        size: Some(2),
+                    },
+                    CompilerOptions::default().routing_paths(2 + i),
+                )
+            })
+            .collect();
+        let trace = ActiveTrace::begin(TraceId::mint(), "request");
+        let mut seen = Vec::new();
+        let results = execute_jobs_streamed(&state, &trace, jobs, &mut |index, _| seen.push(index));
+        assert_eq!(results.len(), 3);
+        assert_eq!(
+            seen,
+            [0, 1, 2],
+            "the sink saw every job before the call returned"
+        );
     }
 
     #[test]

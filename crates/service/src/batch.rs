@@ -149,7 +149,6 @@ impl<M: Clone + Send + FromJson> BatchService<M> {
                 micros: start.elapsed().as_micros() as u64,
                 queue_micros,
                 stage,
-                witness: None,
             };
 
             let circuit = match resolve(&job.source) {
@@ -273,8 +272,7 @@ impl<M: Clone + Send + FromJson> BatchService<M> {
 /// apply `prepare`, hand the well-formed jobs to `run` **as one vector**,
 /// and splice its results back into line order around the malformed-line
 /// and failed-prepare slots. `run` must return exactly one result per job
-/// in submission order — [`BatchService::run`] does, and so must any
-/// remote dispatcher (e.g. a fleet coordinator) injected here.
+/// in submission order, as [`BatchService::run`] does.
 pub fn run_jsonl_via<O, M, P, F>(jsonl: &str, prepare: P, run: F) -> Vec<JobResult<M>>
 where
     O: FromJson,
@@ -326,7 +324,6 @@ where
                         micros: 0,
                         queue_micros: 0,
                         stage: None,
-                        witness: None,
                     })),
                 }
             }
@@ -563,7 +560,6 @@ mod tests {
             micros: 0,
             queue_micros: 0,
             stage: None,
-            witness: None,
         }
     }
 

@@ -318,12 +318,6 @@ pub struct JobResult<M> {
     /// The terminal stage of an explicitly staged job (`stop_after`);
     /// `None` for ordinary full compiles.
     pub stage: Option<String>,
-    /// An opaque verification witness attached by the producer (the fleet
-    /// worker's compile witness). Carried verbatim — this crate sits below
-    /// the compiler and cannot decode it. Additive wire field: rendered
-    /// only when present, so witness-less producers keep their exact
-    /// bytes.
-    pub witness: Option<Value>,
 }
 
 impl<M> JobResult<M> {
@@ -345,16 +339,7 @@ impl<M> JobResult<M> {
             micros: 0,
             queue_micros: 0,
             stage: None,
-            witness: None,
         }
-    }
-
-    /// This result without its witness — what a coordinator serves after
-    /// verification (the witness is coordinator-internal proof material,
-    /// not client payload).
-    pub fn without_witness(mut self) -> Self {
-        self.witness = None;
-        self
     }
 }
 
@@ -392,9 +377,6 @@ impl<M: ToJson> ToJson for JobResult<M> {
         }
         if let Some(m) = &self.metrics {
             fields.push(("metrics".to_string(), m.to_json()));
-        }
-        if let Some(w) = &self.witness {
-            fields.push(("witness".to_string(), w.clone()));
         }
         Value::Obj(fields)
     }
@@ -443,7 +425,6 @@ impl<M: FromJson> FromJson for JobResult<M> {
             micros,
             queue_micros,
             stage,
-            witness: value.get("witness").cloned(),
         })
     }
 }
@@ -727,7 +708,6 @@ mod tests {
                 micros: 1234,
                 queue_micros: 17,
                 stage: None,
-                witness: None,
             },
             JobResult::<Opts> {
                 id: "b".into(),
@@ -738,7 +718,6 @@ mod tests {
                 micros: 5,
                 queue_micros: 0,
                 stage: None,
-                witness: None,
             },
             JobResult::<Opts> {
                 id: "c".into(),
@@ -749,7 +728,6 @@ mod tests {
                 micros: 9,
                 queue_micros: 3,
                 stage: Some("map".into()),
-                witness: None,
             },
         ];
         let text = render_results(&results);
@@ -767,13 +745,20 @@ mod tests {
     #[test]
     fn results_tolerate_absent_and_unknown_fields() {
         // A document from an older producer (no queue_micros) decodes with
-        // the field defaulted, and unknown future fields are ignored —
-        // the additive-evolution contract new endpoints rely on.
-        let line = r#"{"id":"a","fingerprint":"00000000deadbeef","status":"ok","cache":"memory","micros":7,"future_field":{"x":1}}"#;
-        let back: JobResult<Opts> = JobResult::from_json(&Value::parse(line).unwrap()).unwrap();
-        assert_eq!(back.queue_micros, 0);
-        assert_eq!(back.micros, 7);
-        assert_eq!(back.status, JobStatus::Ok);
+        // the field defaulted, and unknown fields are ignored — the
+        // additive-evolution contract new endpoints rely on. The second
+        // line is an older producer's result carrying a "witness" object,
+        // a field this build no longer models.
+        for line in [
+            r#"{"id":"a","fingerprint":"00000000deadbeef","status":"ok","cache":"memory","micros":7,"future_field":{"x":1}}"#,
+            r#"{"id":"a","fingerprint":"00000000deadbeef","status":"ok","cache":"memory","micros":7,"witness":{"v":1,"ops":[]}}"#,
+        ] {
+            let back: JobResult<Opts> = JobResult::from_json(&Value::parse(line).unwrap()).unwrap();
+            assert_eq!(back.queue_micros, 0);
+            assert_eq!(back.micros, 7);
+            assert_eq!(back.status, JobStatus::Ok);
+            assert!(!back.to_json().render().contains("witness"));
+        }
     }
 
     #[test]

@@ -38,11 +38,6 @@
 //!   admission queue, computed `Retry-After` backpressure, and graceful
 //!   drain — ~10x the threaded transport's concurrent-connection
 //!   capacity.
-//! * [`fleet`] — the distributed compile fleet over that server: worker
-//!   processes that return results with compact verification witnesses,
-//!   a coordinator that dispatches batches and re-verifies every witness
-//!   (quarantining workers that fail), and a consistent-hash sharded
-//!   peer cache (`ftqc serve --worker` / `ftqc serve --fleet`).
 //! * [`telemetry`] — request-scoped tracing: trace ids, span trees,
 //!   log₂ latency histograms with percentiles, and the bounded flight
 //!   recorder behind the server's `/v1/traces` endpoints.
@@ -66,7 +61,6 @@ pub use ftqc_benchmarks as benchmarks;
 pub use ftqc_circuit as circuit;
 pub use ftqc_compiler as compiler;
 pub use ftqc_editor as editor;
-pub use ftqc_fleet as fleet;
 pub use ftqc_reactor as reactor;
 pub use ftqc_route as route;
 pub use ftqc_server as server;
