@@ -1,11 +1,11 @@
 //! Open-loop HTTP load generator for the compile server.
 //!
-//! Drives a running `ftqc serve` (either transport) — or a self-hosted
-//! loopback server when no `--addr` is given — with `--connections`
-//! client workers for `--duration` seconds, and reports throughput,
-//! latency percentiles, and the error mix (2xx/4xx/5xx, 429s, socket
-//! errors) at the end. Each request uses a fresh connection, so the
-//! numbers include the accept path the reactor work is about.
+//! Drives a running `ftqc serve` — or a self-hosted loopback server when
+//! no `--addr` is given — with `--connections` client workers for
+//! `--duration` seconds, and reports throughput, latency percentiles, and
+//! the error mix (2xx/4xx/5xx, 429s, socket errors) at the end. Each
+//! request uses a fresh connection, so the numbers include the accept
+//! path.
 //!
 //! With `--rate R` the generator is open-loop: R requests per second are
 //! *due* on a fixed schedule regardless of completions, and the workers
@@ -17,13 +17,13 @@
 //!
 //! ```text
 //! cargo run --release -p ftqc-bench --bin bench_load -- \
-//!     --connections 64 --duration 5 --reactor
+//!     --connections 64 --duration 5
 //! cargo run --release -p ftqc-bench --bin bench_load -- \
 //!     --addr 127.0.0.1:7878 --connections 32 --duration 10 --rate 2000
 //! ```
 
 use ftqc_bench::report::LatencyPercentiles;
-use ftqc_server::{Server, ServerConfig, Transport};
+use ftqc_server::{Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -32,7 +32,6 @@ use std::time::{Duration, Instant};
 
 struct Args {
     addr: Option<String>,
-    reactor: bool,
     connections: u64,
     duration: u64,
     rate: u64,
@@ -42,7 +41,6 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         addr: None,
-        reactor: false,
         connections: 32,
         duration: 5,
         rate: 0,
@@ -57,7 +55,6 @@ fn parse_args() -> Result<Args, String> {
         };
         match flag.as_str() {
             "--addr" => args.addr = Some(value("--addr")?),
-            "--reactor" => args.reactor = true,
             "--connections" => args.connections = number("--connections", value("--connections")?)?,
             "--duration" => args.duration = number("--duration", value("--duration")?)?,
             "--rate" => args.rate = number("--rate", value("--rate")?)?,
@@ -65,7 +62,7 @@ fn parse_args() -> Result<Args, String> {
             other => {
                 return Err(format!(
                     "unknown flag {other:?} \
-                     (use --addr/--reactor/--connections/--duration/--rate/--path)"
+                     (use --addr/--connections/--duration/--rate/--path)"
                 ))
             }
         }
@@ -155,20 +152,10 @@ fn main() {
     let (addr, hosted) = match &args.addr {
         Some(addr) => (addr.clone(), None),
         None => {
-            let transport = if args.reactor {
-                Transport::Reactor
-            } else {
-                Transport::Threaded
-            };
-            let server = match Server::bind_with(
-                ServerConfig {
-                    addr: "127.0.0.1:0".into(),
-                    transport,
-                    max_connections: 1024,
-                    ..ServerConfig::default()
-                },
-                None,
-            ) {
+            let server = match Server::bind(ServerConfig {
+                addr: "127.0.0.1:0".into(),
+                ..ServerConfig::default()
+            }) {
                 Ok(s) => s,
                 Err(e) => {
                     eprintln!("bench_load: cannot self-host: {e}");

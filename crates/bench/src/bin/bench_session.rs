@@ -16,9 +16,8 @@
 //! baseline (see `report::check_regression` for the noise vetoes).
 //!
 //! `--reactor N` additionally measures concurrent-connection capacity:
-//! idle connections held against a thread-per-connection server and
-//! against an event-driven reactor server (up to the ceiling N) until a
-//! live probe is refused, plus the saturated reactor's request-latency
+//! idle connections held against the server (up to the ceiling N) until a
+//! live probe is refused, plus the saturated server's request-latency
 //! percentiles — recorded under a `"reactor"` key. The key is trajectory
 //! data only: the regression gate ignores it.
 //!
@@ -46,7 +45,7 @@ use ftqc_compiler::{
     StageTrace, TraceHook,
 };
 use ftqc_editor::{CircuitEdit, EditSession, EditSet};
-use ftqc_server::{Server, ServerConfig, Transport};
+use ftqc_server::{Server, ServerConfig};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -207,63 +206,43 @@ fn hold_idle(addr: &str, ceiling: u64) -> (Vec<std::net::TcpStream>, u64) {
     (held, last_good)
 }
 
-/// The connection-capacity measurement: a threaded server and a reactor
-/// server, each loaded with idle connections until they refuse a live
-/// probe (capped at `ceiling`, the bench's fd budget), then the reactor
-/// probed `iters * 40` more times *while* saturated for the latency
-/// percentiles. Both servers get a long read timeout so the held idle
-/// connections survive the measurement window.
+/// The connection-capacity measurement: a server loaded with idle
+/// connections until it refuses a live probe (capped at `ceiling`, the
+/// bench's fd budget), then probed `iters * 40` more times *while*
+/// saturated for the latency percentiles. The server gets a long read
+/// timeout so the held idle connections survive the measurement window.
 fn bench_capacity(ceiling: u64, iters: u64) -> Result<CapacityReport, String> {
-    let config = |transport: Transport| ServerConfig {
+    let server = Server::bind(ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
-        transport,
         read_timeout: Duration::from_secs(120),
         ..ServerConfig::default()
-    };
-    let run = |config: ServerConfig| -> Result<_, String> {
-        let server = Server::bind_with(config, None).map_err(|e| e.to_string())?;
-        let bound = server.local_addr().map_err(|e| e.to_string())?.to_string();
-        let handle = server.handle().map_err(|e| e.to_string())?;
-        let thread = std::thread::spawn(move || {
-            let _ = server.run();
-        });
-        Ok((bound, handle, thread))
-    };
-
-    let (threaded_addr, threaded_handle, threaded_thread) = run(config(Transport::Threaded))?;
-    if probe(&threaded_addr).is_none() {
-        return Err("threaded server refused the first probe".into());
+    })
+    .map_err(|e| e.to_string())?;
+    let addr = server.local_addr().map_err(|e| e.to_string())?.to_string();
+    let handle = server.handle().map_err(|e| e.to_string())?;
+    let thread = std::thread::spawn(move || {
+        let _ = server.run();
+    });
+    if probe(&addr).is_none() {
+        handle.shutdown();
+        thread.join().ok();
+        return Err("server refused the first probe".into());
     }
-    let (threaded_held, threaded_connections) = hold_idle(&threaded_addr, ceiling);
-    drop(threaded_held);
-    threaded_handle.shutdown();
-    // The held idle sockets are closed; the drain notices on its next tick.
-    let _ = probe(&threaded_addr);
-    threaded_thread.join().ok();
-
-    let (reactor_addr, reactor_handle, reactor_thread) = run(config(Transport::Reactor))?;
-    if probe(&reactor_addr).is_none() {
-        return Err("reactor server refused the first probe".into());
-    }
-    let (reactor_held, reactor_connections) = hold_idle(&reactor_addr, ceiling);
+    let (held, reactor_connections) = hold_idle(&addr, ceiling);
     let probe_requests = iters.max(1) * 40;
-    let samples: Vec<u64> = (0..probe_requests)
-        .filter_map(|_| probe(&reactor_addr))
-        .collect();
+    let samples: Vec<u64> = (0..probe_requests).filter_map(|_| probe(&addr)).collect();
     let answered = samples.len() as u64;
-    drop(reactor_held);
-    reactor_handle.shutdown();
-    let _ = probe(&reactor_addr);
-    reactor_thread.join().ok();
+    drop(held);
+    handle.shutdown();
+    thread.join().ok();
     if answered < probe_requests {
         return Err(format!(
-            "saturated reactor dropped probes: {answered}/{probe_requests} answered"
+            "saturated server dropped probes: {answered}/{probe_requests} answered"
         ));
     }
 
     Ok(CapacityReport {
-        threaded_connections,
         reactor_connections,
         probe_ceiling: ceiling,
         probe_requests,
@@ -449,18 +428,16 @@ fn main() {
     };
 
     // The connection-capacity probe, when asked for: idle connections
-    // held against both transports until a live probe is refused, then
-    // the saturated reactor's request latency.
+    // held against the server until a live probe is refused, then the
+    // saturated server's request latency.
     let reactor = if args.reactor > 0 {
         match bench_capacity(args.reactor, args.iters) {
             Ok(c) => {
                 println!(
-                    "\ncapacity (ceiling {}): threaded {} conns -> reactor {} conns ({:.1}x); \
-                     saturated reactor p50 {}µs, p95 {}µs, p99 {}µs over {} probes",
+                    "\ncapacity (ceiling {}): {} idle conns held; \
+                     saturated p50 {}µs, p95 {}µs, p99 {}µs over {} probes",
                     c.probe_ceiling,
-                    c.threaded_connections,
                     c.reactor_connections,
-                    c.capacity_ratio(),
                     c.latency.p50,
                     c.latency.p95,
                     c.latency.p99,

@@ -215,21 +215,17 @@ impl ToJson for RoutingReport {
 }
 
 /// The concurrent-connection capacity measurement: idle connections held
-/// open against the thread-per-connection transport and against the
-/// event-driven reactor transport, each probed with live requests until
-/// the server refuses new work. The reactor side also records request
-/// latency percentiles taken *while* the idle connections are held — the
-/// number that shows event-driven readiness doesn't pay for parked
-/// sockets. Recorded for the trajectory only — the regression gate never
-/// reads it, so reactor-less baselines keep checking cleanly.
+/// open against the server, probed with live requests until it refuses
+/// new work, plus request latency percentiles taken *while* the idle
+/// connections are held — the number that shows event-driven readiness
+/// doesn't pay for parked sockets. Recorded for the trajectory only — the
+/// regression gate never reads it, so reactor-less baselines keep
+/// checking cleanly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CapacityReport {
-    /// Idle connections the threaded transport held while still serving
-    /// probes (bounded by its connection cap).
-    pub threaded_connections: u64,
-    /// Idle connections the reactor transport held while still serving
-    /// probes. When this equals [`probe_ceiling`](Self::probe_ceiling)
-    /// the measurement stopped at the bench's own fd budget, not at the
+    /// Idle connections the server held while still serving probes.
+    /// When this equals [`probe_ceiling`](Self::probe_ceiling) the
+    /// measurement stopped at the bench's own fd budget, not at the
     /// server's limit — the true capacity is at least this.
     pub reactor_connections: u64,
     /// The bench's own ceiling on held connections (fd budget).
@@ -242,28 +238,11 @@ pub struct CapacityReport {
     pub latency: LatencyPercentiles,
 }
 
-impl CapacityReport {
-    /// Reactor-over-threaded concurrent-connection capacity (0 when the
-    /// threaded capacity is unmeasured).
-    pub fn capacity_ratio(&self) -> f64 {
-        if self.threaded_connections == 0 {
-            0.0
-        } else {
-            self.reactor_connections as f64 / self.threaded_connections as f64
-        }
-    }
-}
-
 impl ToJson for CapacityReport {
     fn to_json(&self) -> Value {
         Value::Obj(vec![
-            (
-                "threaded_connections".into(),
-                num(self.threaded_connections),
-            ),
             ("reactor_connections".into(), num(self.reactor_connections)),
             ("probe_ceiling".into(), num(self.probe_ceiling)),
-            ("capacity_ratio".into(), Value::Num(self.capacity_ratio())),
             ("probe_requests".into(), num(self.probe_requests)),
             ("latency".into(), self.latency.to_json()),
         ])
@@ -552,7 +531,6 @@ mod tests {
                 full_median_micros: 1600,
             }),
             reactor: Some(CapacityReport {
-                threaded_connections: 64,
                 reactor_connections: 1280,
                 probe_ceiling: 1280,
                 probe_requests: 200,
@@ -581,7 +559,6 @@ mod tests {
         );
         assert!(rendered.contains("\"full_fallbacks\":1"), "{rendered}");
         assert!(rendered.contains("\"reactor\""), "{rendered}");
-        assert!(rendered.contains("\"capacity_ratio\":20"), "{rendered}");
         assert!(
             rendered.contains("\"reactor_connections\":1280"),
             "{rendered}"
@@ -759,7 +736,8 @@ mod tests {
         // The connection-capacity numbers are trajectory data too:
         // baselines with and without a "reactor" key must check
         // identically, so CI runs with and without --reactor can share
-        // checked-in baselines.
+        // checked-in baselines. The fixture's "reactor" object is an old
+        // baseline's, with fields the report no longer writes.
         let current = RoutingReport {
             circuit: "ghz".into(),
             iterations: 5,
@@ -783,23 +761,6 @@ mod tests {
         .unwrap();
         check_regression(&current, &reactor_less, 0.15).expect("reactor-less baseline checks");
         check_regression(&current, &reactor_full, 0.15).expect("reactor-carrying baseline checks");
-    }
-
-    #[test]
-    fn capacity_ratio_guards_unmeasured_threaded_side() {
-        let capacity = CapacityReport {
-            threaded_connections: 64,
-            reactor_connections: 1280,
-            probe_ceiling: 1280,
-            probe_requests: 200,
-            latency: LatencyPercentiles::default(),
-        };
-        assert!((capacity.capacity_ratio() - 20.0).abs() < 1e-9);
-        let unmeasured = CapacityReport {
-            threaded_connections: 0,
-            ..capacity
-        };
-        assert_eq!(unmeasured.capacity_ratio(), 0.0);
     }
 
     #[test]

@@ -59,7 +59,6 @@ const BOOLEAN_FLAGS: &[&str] = &[
     "json",
     "explain",
     "trace",
-    "reactor",
 ];
 
 /// Parses a raw argument list (without the program name).
@@ -270,12 +269,12 @@ mod tests {
 
     #[test]
     fn unknown_options_are_rejected_by_name() {
-        let known = ["addr", "reactor"];
-        let p = parse(&argv("serve --addr 127.0.0.1:0 --reactor")).unwrap();
+        let known = ["addr", "json"];
+        let p = parse(&argv("serve --addr 127.0.0.1:0 --json")).unwrap();
         assert_eq!(p.reject_unknown(&known), Ok(()));
         for (line, option) in [
             ("serve --addr 127.0.0.1:0 --adr 127.0.0.1:1", "adr"),
-            ("serve --reactor --fleet x", "fleet"),
+            ("serve --json --fleet x", "fleet"),
         ] {
             let e = parse(&argv(line))
                 .unwrap()

@@ -23,9 +23,7 @@ use ftqc_editor::{
     delta_to_json, edit_failed_json, edit_result_json, EditSession, EditSet, SessionExtension,
     DEFAULT_SESSION_CAPACITY, DEFAULT_SESSION_TTL,
 };
-use ftqc_server::{
-    Client, MultiSweepResponse, RetryPolicy, Server, ServerConfig, SweepResponse, Transport,
-};
+use ftqc_server::{Client, MultiSweepResponse, RetryPolicy, Server, ServerConfig, SweepResponse};
 use ftqc_service::json::ToJson;
 use ftqc_service::{
     fingerprint, render_results, BatchConfig, BatchService, CacheProvenance, CompileCache,
@@ -182,21 +180,20 @@ COMMANDS
                        --out FILE       write results as JSON-lines
   serve                run the HTTP compile server (POST /v1/compile,
                        /v1/batch, /v1/sweep; GET /v1/cache/stats, /v1/traces,
-                       /v1/trace/<id>, /healthz, /metrics); Ctrl-C drains
-                       and persists the cache
+                       /v1/trace/<id>, /healthz, /metrics) from sharded
+                       epoll event loops (Linux only); a bounded admission
+                       queue answers 429 + Retry-After over capacity;
+                       Ctrl-C drains and persists the cache
                        --addr HOST:PORT (default 127.0.0.1:7070; port 0
                                          picks an ephemeral port)
                        --workers N      worker threads (default: all cores)
                        --cache FILE     file-backed compile cache, persisted
                                         on shutdown
-                       --cache-capacity N / --max-connections N (default 64)
-                       --timeout-ms N   per-request read timeout (dflt 10000)
-                       --reactor        event-driven transport (Linux):
-                                        sharded epoll loops, thousands of
-                                        connections, bounded admission queue,
-                                        429 + Retry-After over capacity
-                       --shards N       reactor event-loop shards (dflt auto)
-                       --queue-cap N    reactor admission queue (default 256)
+                       --cache-capacity N / --max-connections N (dflt 4096)
+                       --timeout-ms N   whole-request read deadline, then
+                                        408 (default 10000)
+                       --shards N       event-loop shards (default auto)
+                       --queue-cap N    admission queue bound (default 256)
                        --queue-timeout-s N  max queue wait before a
                                         retryable 503 (default 30)
                        sessions: POST /v1/session opens an interactive edit
@@ -978,7 +975,6 @@ const SERVE_OPTIONS: &[&str] = &[
     "cache-capacity",
     "max-connections",
     "timeout-ms",
-    "reactor",
     "shards",
     "queue-cap",
     "queue-timeout-s",
@@ -1001,13 +997,8 @@ fn cmd_serve(p: &ParsedArgs) -> Result<String, CliError> {
         workers: p.get_or("workers", 0usize)?,
         cache_capacity,
         cache_file: p.get("cache").map(PathBuf::from),
-        max_connections: p.get_or("max-connections", 64usize)?.max(1),
+        max_connections: p.get_or("max-connections", 4096usize)?.max(1),
         read_timeout: Duration::from_millis(p.get_or("timeout-ms", 10_000u64)?),
-        transport: if p.flag("reactor") {
-            Transport::Reactor
-        } else {
-            Transport::Threaded
-        },
         shards: p.get_or("shards", 0usize)?,
         queue_cap: p.get_or("queue-cap", 256usize)?.max(1),
         queue_timeout: Duration::from_secs(p.get_or("queue-timeout-s", 30u64)?.max(1)),
@@ -1032,9 +1023,8 @@ fn cmd_serve(p: &ParsedArgs) -> Result<String, CliError> {
         .map_err(|e| CliError::Pipeline(e.to_string()))?;
     server.install_sigint_handler();
     // Announce before blocking: main only prints after run() returns.
-    let transport_note = if p.flag("reactor") { ", reactor" } else { "" };
     println!(
-        "ftqc-server listening on {addr} ({} workers{transport_note}{cache_note}); Ctrl-C to stop",
+        "ftqc-server listening on {addr} ({} workers{cache_note}); Ctrl-C to stop",
         server.workers()
     );
     let report = server
@@ -1839,14 +1829,19 @@ mod tests {
             ("serve --fleet x", "--fleet"),
             ("serve --worker --addr 127.0.0.1:0", "--worker"),
             ("serve --max-conections 8", "--max-conections"),
+            ("serve --addr 127.0.0.1:0 --reactor", "--reactor"),
         ] {
             let e = run_line(&format!("{line} --cache-capacity 0"))
                 .unwrap_err()
                 .to_string();
             assert!(e.starts_with(&format!("{option}: ")), "{line}: {e}");
         }
-        let e = run_line("serve --worker").unwrap_err().to_string();
-        assert!(e.starts_with("--worker: "), "{e}");
+        for option in ["--worker", "--reactor"] {
+            let e = run_line(&format!("serve {option}"))
+                .unwrap_err()
+                .to_string();
+            assert!(e.starts_with(&format!("{option}: ")), "{e}");
+        }
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! that must be decided before buffering the body are decided here: head
 //! and body size limits. A head whose `Content-Length` is unparsable (or
 //! that declares a non-identity `Transfer-Encoding`) is framed as
-//! body-less and handed to the service, whose strict parser produces the
-//! same 400/501 the threaded transport would.
+//! body-less and handed to the service, whose strict parser answers it
+//! with a 400/501.
 
 /// Why a connection's bytes can never frame a complete request.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,20 +1,19 @@
 //! An event-driven serving core: sharded epoll event loops, bounded fair
 //! admission, and graceful backpressure.
 //!
-//! The thread-per-connection transport in `ftqc-server` tops out at its
-//! connection cap — every concurrent peer costs a thread. This crate is
-//! the scale path: a hand-rolled reactor over raw `epoll` (no tokio, no
-//! mio, no libc crate; see [`sys`] for the `extern "C"` wrappers) that
-//! multiplexes thousands of connections across a few event-loop shards
-//! while the expensive work stays pooled behind a bounded queue.
+//! This is `ftqc-server`'s only transport: a hand-rolled reactor over raw
+//! `epoll` (no tokio, no mio, no libc crate; see [`sys`] for the
+//! `extern "C"` wrappers) that multiplexes thousands of connections across
+//! a few event-loop shards while the expensive work stays pooled behind a
+//! bounded queue. A parked connection costs one fd, not a thread, and a
+//! new one is accepted the moment epoll reports it.
 //!
 //! The moving parts:
 //!
 //! - **Sharded event loops** — `shards` threads, each with its own epoll
 //!   instance. Every shard registers the listener with `EPOLLEXCLUSIVE`
-//!   (one shard wakes per connection burst); accepted connections are
-//!   pinned to a shard by fd hash, with cross-shard handoff through a
-//!   mailbox plus an eventfd waker.
+//!   (one shard wakes per connection burst) and serves the connections it
+//!   accepts to the end, so a request never changes event loop.
 //! - **Per-connection state machines** — read → frame → dispatch →
 //!   buffered write. Framing is incremental ([`frame::FrameScan`]): the
 //!   instant a request head completes, admission control can refuse it
@@ -213,7 +212,7 @@ pub fn run<S: ReactorService, F: Fn() -> bool>(
     engine::run(listener, service, config, should_stop)
 }
 
-/// Non-Linux stub: the reactor transport requires epoll.
+/// Non-Linux stub: the reactor requires epoll.
 ///
 /// # Errors
 ///
@@ -227,7 +226,7 @@ pub fn run<S: ReactorService, F: Fn() -> bool>(
 ) -> io::Result<ReactorReport> {
     Err(io::Error::new(
         io::ErrorKind::Unsupported,
-        "the reactor transport requires Linux (epoll); use the threaded transport",
+        "the ftqc reactor requires Linux (epoll)",
     ))
 }
 
@@ -272,17 +271,11 @@ mod engine {
         Done,
     }
 
-    #[derive(Default)]
-    struct Mailbox {
-        /// Connections accepted by another shard but pinned here.
-        adopted: Vec<(TcpStream, SocketAddr)>,
-        completions: Vec<(u64, Completion)>,
-    }
-
-    /// A shard's cross-thread doorway: mailbox plus eventfd waker.
+    /// A shard's cross-thread doorway: a mailbox of response progress
+    /// from the dispatchers, plus an eventfd waker.
     struct ShardHandle {
         waker: Waker,
-        mailbox: Mutex<Mailbox>,
+        mailbox: Mutex<Vec<(u64, Completion)>>,
     }
 
     impl ShardHandle {
@@ -290,17 +283,7 @@ mod engine {
             self.mailbox
                 .lock()
                 .expect("shard mailbox lock")
-                .completions
                 .push((conn, completion));
-            self.waker.wake();
-        }
-
-        fn adopt(&self, stream: TcpStream, peer: SocketAddr) {
-            self.mailbox
-                .lock()
-                .expect("shard mailbox lock")
-                .adopted
-                .push((stream, peer));
             self.waker.wake();
         }
     }
@@ -396,7 +379,7 @@ mod engine {
             pollers.push(poller);
             handles.push(ShardHandle {
                 waker,
-                mailbox: Mutex::new(Mailbox::default()),
+                mailbox: Mutex::new(Vec::new()),
             });
         }
 
@@ -513,14 +496,7 @@ mod engine {
                 match token {
                     TOKEN_LISTENER => {
                         if !draining {
-                            accept_burst(
-                                shared,
-                                index,
-                                &poller,
-                                &mut conns,
-                                &mut next_id,
-                                listener,
-                            );
+                            accept_burst(shared, &poller, &mut conns, &mut next_id, listener);
                         }
                     }
                     TOKEN_WAKER => shared.shards[index].waker.drain(),
@@ -528,19 +504,12 @@ mod engine {
                 }
             }
 
-            // Adoptions and response chunks from other threads.
-            let mailbox = {
+            // Response chunks from the dispatchers.
+            let completions = {
                 let mut locked = shared.shards[index].mailbox.lock().expect("shard mailbox");
                 std::mem::take(&mut *locked)
             };
-            for (stream, peer) in mailbox.adopted {
-                if !draining {
-                    register_conn(shared, &poller, &mut conns, &mut next_id, stream, peer);
-                } else {
-                    shared.live.fetch_sub(1, Ordering::SeqCst);
-                }
-            }
-            for (id, completion) in mailbox.completions {
+            for (id, completion) in completions {
                 apply_completion(shared, &poller, &mut conns, id, completion);
             }
 
@@ -564,7 +533,6 @@ mod engine {
 
     fn accept_burst<S: ReactorService>(
         shared: &Shared<S>,
-        index: usize,
         poller: &Poller,
         conns: &mut HashMap<u64, Conn>,
         next_id: &mut u64,
@@ -584,21 +552,27 @@ mod engine {
                     limit: shared.config.max_connections,
                 };
                 // Best-effort refusal on a fresh socket: one non-blocking
-                // write, then drop — never stall the event loop.
+                // write, never stalling the event loop. Then half-close and
+                // drain what the peer already sent (at most 64 KiB, so a
+                // peer that keeps sending cannot hold the loop): closing a
+                // socket with unread input sends an RST, which can discard
+                // the 503 before the peer reads it.
                 let mut stream = stream;
                 let _ = stream.set_nonblocking(true);
                 let _ = stream.write(&shared.service.refuse(&refusal));
+                let _ = stream.shutdown(std::net::Shutdown::Write);
+                let mut discard = [0u8; 4096];
+                for _ in 0..16 {
+                    if !matches!(stream.read(&mut discard), Ok(n) if n > 0) {
+                        break;
+                    }
+                }
                 shared.service.on_rejected(&refusal);
                 shared.stats.rejected.fetch_add(1, Ordering::SeqCst);
                 continue;
             }
             shared.live.fetch_add(1, Ordering::SeqCst);
-            let owner = stream.as_raw_fd() as usize % shared.shards.len();
-            if owner == index {
-                register_conn(shared, poller, conns, next_id, stream, peer);
-            } else {
-                shared.shards[owner].adopt(stream, peer);
-            }
+            register_conn(shared, poller, conns, next_id, stream, peer);
         }
     }
 

@@ -7,8 +7,9 @@
 //! one message per parse call, `Content-Length` bodies (chunked encoding is
 //! rejected with `501`), case-insensitive header lookup, and byte limits on
 //! head and body so a misbehaving peer cannot balloon memory. Timeouts are
-//! the socket's job: the server sets `set_read_timeout` and a timed-out
-//! read surfaces as [`HttpError::Timeout`].
+//! the socket's job: the client sets `set_read_timeout` and a timed-out
+//! read surfaces as [`HttpError::Timeout`]. The server parses requests
+//! its event loops have already framed, under their own read deadline.
 
 use std::io::{self, Read, Write};
 

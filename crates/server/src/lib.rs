@@ -10,13 +10,12 @@
 //!
 //! * [`http`] — request/response parsing and writing with Content-Length
 //!   framing, size limits, and timeout mapping.
-//! * [`server`] — the bounded thread-per-connection accept loop, the JSON
-//!   endpoints, graceful (SIGINT-safe) shutdown that drains in-flight
-//!   requests and persists the cache file tier. A second transport
-//!   ([`Transport::Reactor`](server::Transport)) serves the same endpoints
-//!   from `ftqc_reactor`'s sharded epoll event loops with a bounded,
-//!   per-client-fair admission queue and pre-body `429 + Retry-After`
-//!   backpressure.
+//! * [`server`] — the JSON endpoints, served from `ftqc_reactor`'s
+//!   sharded epoll event loops with a bounded, per-client-fair admission
+//!   queue and pre-body `429 + Retry-After` backpressure, and graceful
+//!   (SIGINT-safe) shutdown that drains in-flight requests and persists
+//!   the cache file tier. Linux only: elsewhere `Server::run` returns
+//!   `Unsupported`.
 //! * [`metrics`] — Prometheus-style counters and latency histograms
 //!   behind `GET /metrics`.
 //! * [`api`] — sweep request/response wire types shared with the CLI.
@@ -66,5 +65,5 @@ pub use client::{Client, ClientError, RetryPolicy};
 pub use metrics::{Endpoint, ServerMetrics};
 pub use server::{
     error_body, HandlerResult, Server, ServerConfig, ServerContext, ServerError, ServerExtension,
-    ServerReport, ShutdownHandle, Transport,
+    ServerReport, ShutdownHandle,
 };

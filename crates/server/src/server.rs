@@ -1,7 +1,16 @@
-//! The compile server: a bounded thread-per-connection accept loop over
-//! `std::net::TcpListener`, JSON endpoints over the batch-compilation
-//! service, and graceful shutdown that drains in-flight requests and
-//! persists the file cache tier.
+//! The compile server: JSON endpoints over the batch-compilation service,
+//! served from `ftqc_reactor`'s sharded epoll event loops, with graceful
+//! shutdown that drains in-flight requests and persists the file cache
+//! tier.
+//!
+//! The reactor owns the sockets: it accepts on epoll readiness, frames
+//! each request incrementally, refuses over-capacity requests with a
+//! `429` + `Retry-After` before their bodies are read, reaps slow-loris
+//! peers with a `408`, and answers `503` at the connection cap. Complete
+//! requests run on `workers` dispatcher threads (`ReactorApp`), never
+//! on an event loop; with one worker, a `/healthz` waits behind a
+//! running sweep. The reactor needs epoll, so on other platforms
+//! [`Server::run`] fails with [`io::ErrorKind::Unsupported`].
 //!
 //! Every request path — single compiles, JSONL batches, design-space
 //! sweeps — shares one process-wide [`SharedCache`], so concurrent clients
@@ -44,25 +53,11 @@ use ftqc_telemetry::{
     TraceId, DEFAULT_TRACE_CAPACITY,
 };
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Which connection engine a [`Server`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Transport {
-    /// One blocking thread per connection, bounded by
-    /// [`ServerConfig::max_connections`]. Simple and the default.
-    #[default]
-    Threaded,
-    /// The `ftqc-reactor` event-driven core: sharded epoll loops
-    /// multiplexing thousands of connections, a bounded per-client-fair
-    /// admission queue feeding the worker pool, and 429 + `Retry-After`
-    /// backpressure. Linux only (`ftqc serve --reactor`).
-    Reactor,
-}
 
 /// Sizing, persistence, and safety knobs for a [`Server`].
 #[derive(Debug, Clone)]
@@ -70,30 +65,29 @@ pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port (see
     /// [`Server::local_addr`]).
     pub addr: String,
-    /// Worker threads per batch/sweep (0 ⇒ the machine's available
+    /// Worker threads per batch/sweep, and the number of dispatcher
+    /// threads that run requests (0 ⇒ the machine's available
     /// parallelism).
     pub workers: usize,
     /// Memory-tier capacity of the shared compile cache.
     pub cache_capacity: usize,
     /// Optional file-backed cache tier, persisted on graceful shutdown.
     pub cache_file: Option<PathBuf>,
-    /// Concurrent connections before new ones are turned away with 503.
+    /// Concurrent connections (at least 1) before new ones are turned
+    /// away with 503.
     pub max_connections: usize,
-    /// Per-request socket read timeout.
+    /// Whole-request read deadline: a peer that has not delivered its
+    /// complete request by then is answered 408 (slow-loris reaping).
     pub read_timeout: Duration,
     /// How long shutdown waits for in-flight connections to drain.
     pub drain_timeout: Duration,
     /// How many finished request traces the flight recorder retains for
     /// `GET /v1/traces` / `GET /v1/trace/<id>`.
     pub trace_capacity: usize,
-    /// The connection engine ([`Transport::Threaded`] by default).
-    pub transport: Transport,
-    /// Reactor event-loop shards (0 ⇒ auto). Ignored by the threaded
-    /// transport.
+    /// Event-loop shards (0 ⇒ min(4, available parallelism)).
     pub shards: usize,
-    /// Reactor admission-queue bound: requests beyond it are answered
-    /// with 429 + `Retry-After` before their bodies are read. Ignored by
-    /// the threaded transport.
+    /// Admission-queue bound (at least 1): requests beyond it are
+    /// answered with 429 + `Retry-After` before their bodies are read.
     pub queue_cap: usize,
     /// Longest a request may wait in the reactor's admission queue before
     /// it is answered with a retryable 503 instead of being served stale.
@@ -107,11 +101,10 @@ impl Default for ServerConfig {
             workers: 0,
             cache_capacity: ftqc_service::DEFAULT_CACHE_CAPACITY,
             cache_file: None,
-            max_connections: 64,
+            max_connections: 4096,
             read_timeout: Duration::from_secs(10),
             drain_timeout: Duration::from_secs(30),
             trace_capacity: DEFAULT_TRACE_CAPACITY,
-            transport: Transport::default(),
             shards: 0,
             queue_cap: 256,
             queue_timeout: Duration::from_secs(30),
@@ -181,28 +174,24 @@ struct AppState {
     recorder: FlightRecorder,
     workers: usize,
     started: Instant,
-    read_timeout: Duration,
 }
 
 /// A cloneable handle that stops a running [`Server`].
 #[derive(Debug, Clone)]
 pub struct ShutdownHandle {
     flag: Arc<AtomicBool>,
-    addr: SocketAddr,
 }
 
 impl ShutdownHandle {
-    /// Asks the server to stop: the accept loop exits, in-flight requests
-    /// drain, and the cache persists. Safe to call more than once.
+    /// Asks the server to stop: within one 10 ms stop poll the event
+    /// loops stop accepting, in-flight requests drain, and the cache
+    /// persists. Safe to call more than once.
     pub fn shutdown(&self) {
         self.flag.store(true, Ordering::SeqCst);
-        // Poke the listener so a blocked accept iteration notices promptly
-        // (the loop also polls, so this is a latency optimisation only).
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(250));
     }
 }
 
-// A SIGINT handler can only set a flag; the accept loop polls it. Installed
+// A SIGINT handler can only set a flag; the reactor polls it. Installed
 // lazily by `install_sigint_handler` so embedded servers (tests, examples)
 // never touch process-global signal state.
 static SIGINT_FLAG: AtomicBool = AtomicBool::new(false);
@@ -239,14 +228,8 @@ pub struct Server {
     listener: TcpListener,
     state: Arc<AppState>,
     shutdown: Arc<AtomicBool>,
-    active: Arc<AtomicUsize>,
-    max_connections: usize,
-    drain_timeout: Duration,
+    reactor: ReactorConfig,
     cache_file: Option<PathBuf>,
-    transport: Transport,
-    shards: usize,
-    queue_cap: usize,
-    queue_timeout: Duration,
 }
 
 impl Server {
@@ -276,7 +259,6 @@ impl Server {
         extension: Option<Arc<dyn ServerExtension>>,
     ) -> Result<Server, ServerError> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let mut cache = CompileCache::new(config.cache_capacity);
         if let Some(path) = &config.cache_file {
             cache = cache.with_file_tier(path).map_err(ServerError::CacheFile)?;
@@ -286,6 +268,19 @@ impl Server {
             WorkerPool::auto().workers()
         } else {
             config.workers
+        };
+        let reactor = ReactorConfig {
+            shards: config.shards,
+            // Compile work still fans out across the worker pool;
+            // dispatchers only shuttle requests into it.
+            dispatchers: workers,
+            queue_cap: config.queue_cap.max(1),
+            max_connections: config.max_connections.max(1),
+            read_timeout: config.read_timeout,
+            queue_timeout: config.queue_timeout,
+            drain_timeout: config.drain_timeout,
+            head_limit: http::MAX_HEAD_BYTES,
+            body_limit: http::MAX_BODY_BYTES,
         };
         let state = AppState {
             extension,
@@ -297,20 +292,13 @@ impl Server {
             recorder: FlightRecorder::new(config.trace_capacity),
             workers,
             started: Instant::now(),
-            read_timeout: config.read_timeout,
         };
         Ok(Server {
             listener,
             state: Arc::new(state),
             shutdown: Arc::new(AtomicBool::new(false)),
-            active: Arc::new(AtomicUsize::new(0)),
-            max_connections: config.max_connections.max(1),
-            drain_timeout: config.drain_timeout,
+            reactor,
             cache_file: config.cache_file,
-            transport: config.transport,
-            shards: config.shards,
-            queue_cap: config.queue_cap,
-            queue_timeout: config.queue_timeout,
         })
     }
 
@@ -327,11 +315,11 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates the socket query failure.
+    /// Never fails today; the `Result` keeps callers' error handling
+    /// stable.
     pub fn handle(&self) -> io::Result<ShutdownHandle> {
         Ok(ShutdownHandle {
             flag: Arc::clone(&self.shutdown),
-            addr: self.local_addr()?,
         })
     }
 
@@ -347,51 +335,23 @@ impl Server {
         self.state.workers
     }
 
-    /// Runs the configured transport until a [`ShutdownHandle`] fires or
-    /// SIGINT arrives (after [`Self::install_sigint_handler`]), then
-    /// drains in-flight connections, persists the cache file tier, and
-    /// reports.
+    /// Serves the endpoints from the `ftqc-reactor` event loops until a
+    /// [`ShutdownHandle`] fires or SIGINT arrives (after
+    /// [`Self::install_sigint_handler`]); then drains in-flight
+    /// connections, persists the cache file tier, and reports. The
+    /// reactor owns accepting, framing, admission, and draining.
     ///
     /// # Errors
     ///
-    /// [`ServerError::Io`] from persisting the cache (or, for the reactor
-    /// transport, from event-loop setup — including `Unsupported` on
-    /// non-Linux platforms); accept errors on individual connections are
-    /// absorbed, not fatal.
+    /// [`ServerError::Io`] from event-loop setup (`Unsupported` on
+    /// non-Linux platforms, which have no epoll) or from persisting the
+    /// cache; errors on individual connections are absorbed, not fatal.
     pub fn run(self) -> Result<ServerReport, ServerError> {
-        match self.transport {
-            Transport::Threaded => self.run_threaded(),
-            Transport::Reactor => self.run_reactor(),
-        }
-    }
-
-    /// The event-driven transport: hands the listener to `ftqc-reactor`
-    /// with [`ReactorApp`] as the service. The reactor owns accepting,
-    /// framing, admission, and draining; the application path
-    /// ([`serve_parsed`]) is byte-for-byte the one the threaded transport
-    /// runs.
-    fn run_reactor(self) -> Result<ServerReport, ServerError> {
-        let config = ReactorConfig {
-            shards: self.shards,
-            // Compile work still fans out across the worker pool;
-            // dispatchers only shuttle requests into it.
-            dispatchers: self.state.workers,
-            queue_cap: self.queue_cap.max(1),
-            // The admission queue, not the connection count, is the
-            // reactor's real backpressure: keep thousands of sockets open
-            // while refusing the requests the queue cannot absorb.
-            max_connections: self.max_connections.max(4096),
-            read_timeout: self.state.read_timeout,
-            queue_timeout: self.queue_timeout,
-            drain_timeout: self.drain_timeout,
-            head_limit: http::MAX_HEAD_BYTES,
-            body_limit: http::MAX_BODY_BYTES,
-        };
         let app = Arc::new(ReactorApp {
             state: Arc::clone(&self.state),
         });
         let shutdown = Arc::clone(&self.shutdown);
-        ftqc_reactor::run(self.listener, app, &config, move || {
+        ftqc_reactor::run(self.listener, app, &self.reactor, move || {
             shutdown.load(Ordering::SeqCst) || SIGINT_FLAG.load(Ordering::SeqCst)
         })?;
         if let Some(ext) = &self.state.extension {
@@ -412,161 +372,6 @@ impl Server {
             persisted,
         })
     }
-
-    /// The classic transport: a bounded thread-per-connection accept loop.
-    fn run_threaded(self) -> Result<ServerReport, ServerError> {
-        while !self.should_stop() {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => self.dispatch(stream),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(_) => {
-                    // Transient accept failure (e.g. EMFILE); back off
-                    // rather than spinning or dying.
-                    std::thread::sleep(Duration::from_millis(50));
-                }
-            }
-        }
-
-        if let Some(ext) = &self.state.extension {
-            ext.on_shutdown();
-        }
-
-        // Drain: connection threads are detached, so wait on the counter.
-        let deadline = Instant::now() + self.drain_timeout;
-        while self.active.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-
-        let persisted = match &self.cache_file {
-            Some(path) => {
-                self.state.cache.persist().map_err(ServerError::Io)?;
-                Some(path.clone())
-            }
-            None => None,
-        };
-        Ok(ServerReport {
-            requests: self.state.metrics.total_requests(),
-            connections: self.state.metrics.connections(),
-            cache: self.state.cache.stats(),
-            stages: self.state.stages.stats(),
-            persisted,
-        })
-    }
-
-    fn should_stop(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst) || SIGINT_FLAG.load(Ordering::SeqCst)
-    }
-
-    /// Hands an accepted stream to a connection thread, or turns it away
-    /// with 503 at the connection limit.
-    fn dispatch(&self, mut stream: TcpStream) {
-        // The listener is non-blocking for the shutdown poll; on BSD-family
-        // platforms accepted sockets inherit that flag (Linux clears it),
-        // which would turn every slow read into a spurious WouldBlock and
-        // defeat set_read_timeout. Make the stream explicitly blocking.
-        let _ = stream.set_nonblocking(false);
-        if self.active.load(Ordering::SeqCst) >= self.max_connections {
-            self.state.metrics.connection_rejected();
-            // Refuse off the accept thread: writing synchronously here
-            // used to let one peer with a full receive window stall every
-            // subsequent accept. Best-effort, bounded by a short write
-            // timeout — the peer is over limit, it is not owed patience.
-            std::thread::spawn(move || {
-                let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-                let body = error_body("server at connection limit, retry later");
-                let _ = http::write_all(
-                    &mut stream,
-                    &http::render_response(503, "application/json", body.as_bytes()),
-                );
-                // Drain whatever request the peer managed to send before
-                // closing: dropping a socket with unread input turns the
-                // close into an RST that can discard the 503 mid-flight.
-                let _ = stream.shutdown(std::net::Shutdown::Write);
-                let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
-                let mut scratch = [0u8; 4096];
-                while let Ok(n) = io::Read::read(&mut stream, &mut scratch) {
-                    if n == 0 {
-                        break;
-                    }
-                }
-            });
-            return;
-        }
-        self.state.metrics.connection_opened();
-        self.active.fetch_add(1, Ordering::SeqCst);
-        let state = Arc::clone(&self.state);
-        let active = Arc::clone(&self.active);
-        std::thread::spawn(move || {
-            // Decrement on every exit path, panics included, so shutdown's
-            // drain loop cannot hang on a crashed connection.
-            struct Release(Arc<AtomicUsize>);
-            impl Drop for Release {
-                fn drop(&mut self) {
-                    self.0.fetch_sub(1, Ordering::SeqCst);
-                }
-            }
-            let _release = Release(active);
-            serve_connection(&state, stream);
-        });
-    }
-}
-
-/// Enforces a whole-request read deadline over a blocking stream: every
-/// read's socket timeout is the time *remaining*, so a peer dribbling one
-/// byte per interval (slow loris) is reaped when the total budget runs
-/// out — a per-read timeout alone never fires against steady dribble.
-struct DeadlineStream<'a> {
-    stream: &'a mut TcpStream,
-    deadline: Instant,
-}
-
-impl io::Read for DeadlineStream<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let remaining = self.deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            return Err(io::ErrorKind::TimedOut.into());
-        }
-        self.stream.set_read_timeout(Some(remaining))?;
-        self.stream.read(buf)
-    }
-}
-
-/// Serves one request on `stream` and closes it (`Connection: close`).
-fn serve_connection(state: &AppState, mut stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    // The trace clock starts before the request is read, so header/body
-    // read time shows up as root self-time and the parse span sits at the
-    // right offset.
-    let started = Instant::now();
-    let mut reader = DeadlineStream {
-        stream: &mut stream,
-        deadline: started + state.read_timeout,
-    };
-    let request = match http::read_request(&mut reader) {
-        Ok(Some(request)) => request,
-        Ok(None) => return, // peer closed without sending anything
-        Err(e) => {
-            let status = match e {
-                HttpError::Malformed(_) => 400,
-                HttpError::TooLarge(_) => 413,
-                HttpError::Unsupported(_) => 501,
-                HttpError::Timeout => 408,
-                HttpError::Io(_) => return, // connection already gone
-            };
-            let body = error_body(&e.to_string());
-            let _ = http::write_all(
-                &mut stream,
-                &http::render_response(status, "application/json", body.as_bytes()),
-            );
-            return;
-        }
-    };
-    let mut respond = |bytes: &[u8]| {
-        let _ = http::write_all(&mut stream, bytes);
-    };
-    serve_parsed(state, &request, started, &mut respond);
 }
 
 /// How a routed request was answered.
@@ -581,10 +386,8 @@ enum Served {
     },
 }
 
-/// The transport-neutral half of the connection path: traces, routes, and
-/// answers one parsed request, pushing raw response bytes (head first,
-/// then body chunks) through `respond`. Both transports run exactly this,
-/// which is what keeps their responses byte-identical. Returns the
+/// Traces, routes, and answers one parsed request, pushing raw response
+/// bytes (head first, then body chunks) through `respond`. Returns the
 /// response status.
 fn serve_parsed(
     state: &AppState,
@@ -615,30 +418,35 @@ fn serve_parsed(
         route_request(state, request, &trace, &trace_hex, respond)
     }));
     drop(in_flight);
-    let status = match outcome.unwrap_or_else(|_| {
+    let (status, response) = match outcome.unwrap_or_else(|_| {
         Served::Full((
             500,
             "application/json",
             error_body("internal error: handler panicked"),
         ))
     }) {
-        Served::Streamed { status } => status,
-        Served::Full((status, content_type, body)) => {
-            respond(&http::render_response_with(
+        Served::Streamed { status } => (status, None),
+        Served::Full((status, content_type, body)) => (
+            status,
+            Some(http::render_response_with(
                 status,
                 content_type,
                 &[("x-ftqc-trace", &trace_hex)],
                 body.as_bytes(),
-            ));
-            status
-        }
+            )),
+        ),
     };
+    // Record before the last bytes leave: a client that reads its response
+    // and then asks `/metrics` or `/v1/trace/<id>` finds this request, and
+    // the event loop usually gets the response and the close in one
+    // wake-up.
     state.metrics.record(endpoint, status, started.elapsed());
-    // Record after the bytes are on the wire so the recorder never delays
-    // the response; the root duration therefore includes the write.
     state
         .recorder
         .record(trace.finish(status, endpoint.label()));
+    if let Some(response) = response {
+        respond(&response);
+    }
     status
 }
 
@@ -657,10 +465,10 @@ fn route_request(
     Served::Full(handle_request(state, request, trace))
 }
 
-/// The reactor-transport service: frames arrive complete from the event
-/// loops, get parsed by the same strict parser the threaded transport
-/// uses, and flow through [`serve_parsed`]. Refusals render the same
-/// bodies the threaded transport writes for the equivalent condition.
+/// The server's [`ReactorService`]: frames arrive complete from the event
+/// loops, get parsed by [`http::read_request`]'s strict parser, and flow
+/// through [`serve_parsed`] on a dispatcher thread. Refusals render the
+/// server's standard [`error_body`] shape.
 struct ReactorApp {
     state: Arc<AppState>,
 }
@@ -706,9 +514,9 @@ impl ReactorService for ReactorApp {
                 "application/json",
                 error_body("server at connection limit, retry later").as_bytes(),
             ),
-            // Exactly the bodies the threaded transport's read path
-            // produces for the same limits (HttpError::TooLarge's
-            // display over http.rs's messages).
+            // The bodies `http::read_request` produces for the same
+            // limits (HttpError::TooLarge's display over http.rs's
+            // messages).
             Refusal::HeadTooLarge { limit } => http::render_response(
                 413,
                 "application/json",
@@ -722,8 +530,8 @@ impl ReactorService for ReactorApp {
                 ))
                 .as_bytes(),
             ),
-            // The body the threaded transport's read path produces for
-            // the same condition (HttpError::Timeout's display).
+            // The body `http::read_request` produces for the same
+            // condition (HttpError::Timeout's display).
             Refusal::Timeout => http::render_response(
                 408,
                 "application/json",
@@ -819,8 +627,9 @@ pub trait ServerExtension: Send + Sync {
         Vec::new()
     }
 
-    /// Called once when the server begins draining (shutdown), before
-    /// in-flight connections finish.
+    /// Called once at shutdown, after the event loops have stopped
+    /// accepting and in-flight connections have drained (or the drain
+    /// timed out), before the cache file tier persists.
     fn on_shutdown(&self) {}
 }
 
@@ -1371,9 +1180,9 @@ fn handle_cache_stats(state: &AppState) -> HandlerResult {
         "queue_wait".into(),
         percentiles_json(&state.metrics.queue_wait_snapshot()),
     ));
-    // Reactor admission-control counters (additive, zero under the
-    // threaded transport): admitted/throttled requests and the queue-wait
-    // percentiles between framing and dispatch.
+    // Admission-control counters (an additive field): admitted/throttled
+    // requests and the queue-wait percentiles between framing and
+    // dispatch.
     doc.push((
         "admission".into(),
         Value::Obj(vec![
@@ -1430,13 +1239,12 @@ mod tests {
             recorder: FlightRecorder::new(16),
             workers,
             started: Instant::now(),
-            read_timeout: Duration::from_secs(5),
         }
     }
 
     /// Most tests don't care about tracing: mint a throwaway trace, call
-    /// the real router, and record the result like `serve_connection`
-    /// does. (Shadows the outer `handle_request` for the module.)
+    /// the real router, and record the result like `serve_parsed` does.
+    /// (Shadows the outer `handle_request` for the module.)
     fn handle_request(state: &AppState, request: &Request) -> HandlerResult {
         let trace = ActiveTrace::begin(TraceId::mint(), "request");
         trace.add_span(

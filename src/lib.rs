@@ -32,12 +32,10 @@
 //!   checkpointed routing resume, spliced re-timing) with verification
 //!   on every result, served as the stateful `/v1/session*` endpoints
 //!   (`ftqc edit`).
-//! * [`reactor`] — the event-driven serving core behind `ftqc serve
-//!   --reactor`: a dependency-free epoll reactor with sharded event
-//!   loops, incremental HTTP framing, a bounded per-client-fair
-//!   admission queue, computed `Retry-After` backpressure, and graceful
-//!   drain — ~10x the threaded transport's concurrent-connection
-//!   capacity.
+//! * [`reactor`] — the event-driven serving core behind `ftqc serve`: a
+//!   dependency-free epoll reactor with sharded event loops, incremental
+//!   HTTP framing, a bounded per-client-fair admission queue, computed
+//!   `Retry-After` backpressure, and graceful drain.
 //! * [`telemetry`] — request-scoped tracing: trace ids, span trees,
 //!   log₂ latency histograms with percentiles, and the bounded flight
 //!   recorder behind the server's `/v1/traces` endpoints.

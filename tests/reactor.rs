@@ -1,13 +1,11 @@
-//! Loopback integration tests for the event-driven reactor transport
-//! (ISSUE 9 acceptance criteria): the reactor serves the same wire
-//! surface as the thread-per-connection transport byte-for-byte (modulo
-//! volatile fields like wall-clock timings and trace ids), admission
-//! control answers overload with well-formed `429 + Retry-After`
-//! responses, and neither transport leaks connection slots to slow-loris
-//! or truncated requests.
+//! Loopback integration tests for the server's event-driven transport:
+//! one server answers the whole wire suite with the expected status lines,
+//! admission control answers overload with well-formed `429 +
+//! Retry-After` responses, slow-loris and truncated requests leak no
+//! connection slots, and a connection at the cap gets a clean `503`.
 
 use ftqc::editor::SessionExtension;
-use ftqc::server::{Server, ServerConfig, ServerExtension, ShutdownHandle, Transport};
+use ftqc::server::{Server, ServerConfig, ServerExtension, ShutdownHandle};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -36,17 +34,19 @@ fn spawn(
     (addr, handle, thread)
 }
 
-/// One raw request, the whole response read to EOF (both transports
-/// close after answering).
-fn raw(addr: &str, request: &[u8]) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    stream.write_all(request).expect("send");
+/// One raw request, the whole response read to EOF (the server closes
+/// after answering). A reset instead of a clean close is an error.
+fn try_raw(addr: &str, request: &[u8]) -> std::io::Result<String> {
+    let mut stream = TcpStream::connect(addr)?;
+    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
+    stream.write_all(request)?;
     let mut response = Vec::new();
-    stream.read_to_end(&mut response).expect("read response");
-    String::from_utf8(response).expect("utf8 response")
+    stream.read_to_end(&mut response)?;
+    Ok(String::from_utf8(response).expect("utf8 response"))
+}
+
+fn raw(addr: &str, request: &[u8]) -> String {
+    try_raw(addr, request).expect("request round trip")
 }
 
 fn post(path: &str, body: &str) -> Vec<u8> {
@@ -62,86 +62,26 @@ fn get(path: &str) -> Vec<u8> {
     format!("GET {path} HTTP/1.1\r\nhost: t\r\n\r\n").into_bytes()
 }
 
-/// Replaces the JSON number after every `"key":` with `0` — wall-clock
-/// fields differ between any two runs, never mind two transports.
-fn scrub_number(text: &str, key: &str) -> String {
-    let pat = format!("\"{key}\":");
-    let mut out = String::new();
-    let mut rest = text;
-    while let Some(pos) = rest.find(&pat) {
-        let after = pos + pat.len();
-        out.push_str(&rest[..after]);
-        let tail = &rest[after..];
-        let end = tail
-            .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-            .unwrap_or(tail.len());
-        out.push('0');
-        rest = &tail[end..];
-    }
-    out.push_str(rest);
-    out
+/// The status code of a raw response ("HTTP/1.1 NNN ...").
+fn status(response: &str) -> u16 {
+    response
+        .get(9..12)
+        .and_then(|code| code.parse().ok())
+        .unwrap_or_else(|| panic!("no status line in {response:?}"))
 }
 
-/// Replaces the JSON string after every `"key":"…"` with `"X"`.
-fn scrub_string(text: &str, key: &str) -> String {
-    let pat = format!("\"{key}\":\"");
-    let mut out = String::new();
-    let mut rest = text;
-    while let Some(pos) = rest.find(&pat) {
-        let after = pos + pat.len();
-        out.push_str(&rest[..after]);
-        let tail = &rest[after..];
-        let end = tail.find('"').unwrap_or(tail.len());
-        out.push('X');
-        rest = &tail[end..];
-    }
-    out.push_str(rest);
-    out
-}
-
-/// Normalises a full raw response for transport comparison: the trace id
-/// and content-length header values (timing digits shift lengths), and
-/// the wall-clock JSON fields.
-fn normalise(response: &str) -> String {
-    let (head, body) = response.split_once("\r\n\r\n").unwrap_or((response, ""));
-    let head: Vec<String> = head
-        .lines()
-        .map(|line| {
-            let lower = line.to_ascii_lowercase();
-            if lower.starts_with("x-ftqc-trace:") {
-                "x-ftqc-trace: X".into()
-            } else if lower.starts_with("content-length:") {
-                "content-length: X".into()
-            } else {
-                line.to_string()
-            }
-        })
-        .collect();
-    let mut body = body.to_string();
-    // queue_micros is only serialised when a request actually waited, so
-    // its very presence is run-dependent: drop the whole field.
-    while let Some(pos) = body.find("\"queue_micros\":") {
-        let tail = &body[pos..];
-        let end = tail
-            .find([',', '}'])
-            .map(|e| if tail.as_bytes()[e] == b',' { e + 1 } else { e })
-            .unwrap_or(tail.len());
-        body.replace_range(pos..pos + end, "");
-    }
-    for key in ["micros", "uptime_seconds"] {
-        body = scrub_number(&body, key);
-    }
-    body = scrub_string(&body, "id");
-    format!("{}\r\n\r\n{body}", head.join("\r\n"))
+/// A raw response's body.
+fn body(response: &str) -> &str {
+    response.split_once("\r\n\r\n").expect("framed response").1
 }
 
 const COMPILE_JOB: &str =
     r#"{"id":"smoke","source":{"benchmark":"ising","size":2},"options":{"routing_paths":4}}"#;
 
-/// The loopback suite both transports must answer identically: every
-/// endpoint family, plus the error paths (404, 405, bad JSON, oversized
-/// declared body).
-fn wire_suite() -> Vec<(&'static str, Vec<u8>)> {
+/// The loopback suite: every endpoint family plus the error paths (404,
+/// 405, bad JSON, oversized declared body), each with its expected status
+/// and a fragment its body must carry.
+fn wire_suite() -> Vec<(&'static str, u16, &'static str, Vec<u8>)> {
     let batch = concat!(
         "{\"id\":\"a\",\"source\":{\"benchmark\":\"ising\",\"size\":2}}\n",
         "{definitely not json}\n",
@@ -149,18 +89,42 @@ fn wire_suite() -> Vec<(&'static str, Vec<u8>)> {
     );
     let sweep = r#"{"source":{"benchmark":"ising","size":2},"routing_paths":[2,3],"factories":[1],"pareto":true}"#;
     vec![
-        ("healthz", get("/healthz")),
-        ("compile", post("/v1/compile", COMPILE_JOB)),
-        ("staged", post("/v1/compile?stage=map", COMPILE_JOB)),
-        ("repeat", post("/v1/compile", COMPILE_JOB)),
-        ("batch", post("/v1/batch", batch)),
-        ("sweep", post("/v1/sweep", sweep)),
-        ("targets", get("/v1/targets")),
-        ("unknown path", get("/nope")),
-        ("wrong method", get("/v1/compile")),
-        ("bad json", post("/v1/compile", "{nope")),
+        ("healthz", 200, "\"status\":\"ok\"", get("/healthz")),
+        (
+            "compile",
+            200,
+            "\"status\":\"ok\"",
+            post("/v1/compile", COMPILE_JOB),
+        ),
+        (
+            "staged",
+            200,
+            "\"stage\":\"map\"",
+            post("/v1/compile?stage=map", COMPILE_JOB),
+        ),
+        (
+            "repeat",
+            200,
+            "\"cache\":\"memory\"",
+            post("/v1/compile", COMPILE_JOB),
+        ),
+        ("batch", 200, "\"id\":\"b\"", post("/v1/batch", batch)),
+        ("sweep", 200, "\"points\"", post("/v1/sweep", sweep)),
+        ("targets", 200, "\"name\":\"paper\"", get("/v1/targets")),
+        ("unknown path", 404, "no such endpoint", get("/nope")),
+        (
+            "wrong method",
+            405,
+            "method GET not allowed here",
+            get("/v1/compile"),
+        ),
+        ("bad json", 400, "\"error\"", post("/v1/compile", "{nope")),
+        // The event loop refuses this from the head alone, before reading
+        // the body: nothing else covers this refusal's text.
         (
             "oversized declared body",
+            413,
+            "message too large: body of 67108865 bytes exceeds 67108864",
             format!(
                 "POST /v1/compile HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n",
                 64 * 1024 * 1024 + 1
@@ -171,168 +135,123 @@ fn wire_suite() -> Vec<(&'static str, Vec<u8>)> {
 }
 
 #[test]
-fn reactor_matches_threaded_byte_for_byte_across_the_wire_suite() {
-    let sessions = || -> Option<Arc<dyn ServerExtension>> {
-        Some(Arc::new(SessionExtension::new(
-            16,
-            Duration::from_secs(600),
-        )))
-    };
-    let (threaded_addr, threaded_handle, threaded_thread) = spawn(
+fn wire_suite_answers_with_expected_statuses() {
+    let sessions: Arc<dyn ServerExtension> =
+        Arc::new(SessionExtension::new(16, Duration::from_secs(600)));
+    let (addr, handle, thread) = spawn(
         ServerConfig {
             workers: 2,
             ..ServerConfig::default()
         },
-        sessions(),
-    );
-    let (reactor_addr, reactor_handle, reactor_thread) = spawn(
-        ServerConfig {
-            workers: 2,
-            transport: Transport::Reactor,
-            ..ServerConfig::default()
-        },
-        sessions(),
+        Some(sessions),
     );
 
-    // Identical request sequences against both transports: the cache and
-    // extension state evolve in lockstep, so every normalised response
-    // must match byte-for-byte.
-    for (label, request) in wire_suite() {
-        let threaded = normalise(&raw(&threaded_addr, &request));
-        let reactor = normalise(&raw(&reactor_addr, &request));
-        assert_eq!(
-            threaded, reactor,
-            "{label}: transports must answer identically"
+    for (label, expected, fragment, request) in wire_suite() {
+        let response = raw(&addr, &request);
+        assert_eq!(status(&response), expected, "{label}: got {response:?}");
+        assert!(
+            body(&response).contains(fragment),
+            "{label}: got {response:?}"
         );
     }
 
-    // The interactive-session extension rides both transports: open,
-    // edit, snapshot, close — same normalised wire text throughout.
-    let session_id = |addr: &str| -> String {
-        let opened = raw(addr, &post("/v1/session", COMPILE_JOB));
-        let body = opened.split_once("\r\n\r\n").expect("framed").1;
-        let pat = "\"id\":\"";
-        let at = body.find(pat).expect("descriptor id") + pat.len();
-        body[at..].split('"').next().expect("hex id").to_string()
-    };
-    let threaded_sid = session_id(&threaded_addr);
-    let reactor_sid = session_id(&reactor_addr);
+    // The interactive-session extension rides the same transport: open,
+    // edit, snapshot, close.
+    let opened = raw(&addr, &post("/v1/session", COMPILE_JOB));
+    assert_eq!(status(&opened), 200, "open: {opened:?}");
+    let pat = "\"id\":\"";
+    let at = body(&opened).find(pat).expect("descriptor id") + pat.len();
+    let sid = body(&opened)[at..].split('"').next().expect("hex id");
     let edit = r#"{"op":"insert","index":0,"gate":{"gate":"t","qubits":[1]}}"#;
-    type SessionRequest = Box<dyn Fn(&str) -> Vec<u8>>;
-    let exchanges: Vec<(&str, SessionRequest)> = vec![
-        (
-            "edit",
-            Box::new(move |sid| post(&format!("/v1/session/{sid}/edit"), edit)),
-        ),
-        (
-            "snapshot",
-            Box::new(|sid| get(&format!("/v1/session/{sid}"))),
-        ),
-        (
-            "close",
-            Box::new(|sid| {
-                format!("DELETE /v1/session/{sid} HTTP/1.1\r\nhost: t\r\n\r\n").into_bytes()
-            }),
-        ),
-    ];
-    for (label, request) in &exchanges {
-        let threaded = normalise(&raw(&threaded_addr, &request(&threaded_sid)));
-        let reactor = normalise(&raw(&reactor_addr, &request(&reactor_sid)));
-        assert_eq!(
-            threaded, reactor,
-            "session {label}: transports must answer identically"
-        );
-    }
-
-    // The admission telemetry is additive and reactor-only: the reactor's
-    // stats carry admitted requests, and the shared JSON shape is present
-    // on both transports.
-    let reactor_stats = raw(&reactor_addr, &get("/v1/cache/stats"));
-    assert!(
-        reactor_stats.contains("\"admission\""),
-        "reactor stats expose the admission block: {reactor_stats}"
+    let edited = raw(&addr, &post(&format!("/v1/session/{sid}/edit"), edit));
+    assert_eq!(status(&edited), 200, "edit: {edited:?}");
+    assert!(body(&edited).contains("\"delta\""), "edit: {edited:?}");
+    let snapshot = raw(&addr, &get(&format!("/v1/session/{sid}")));
+    assert_eq!(status(&snapshot), 200, "snapshot: {snapshot:?}");
+    assert!(body(&snapshot).contains("\"version\":1"), "{snapshot:?}");
+    let closed = raw(
+        &addr,
+        format!("DELETE /v1/session/{sid} HTTP/1.1\r\nhost: t\r\n\r\n").as_bytes(),
     );
-    let threaded_stats = raw(&threaded_addr, &get("/v1/cache/stats"));
+    assert_eq!(status(&closed), 200, "close: {closed:?}");
+    assert!(body(&closed).contains("\"closed\":true"), "{closed:?}");
+
+    // The admission telemetry is part of the stats document.
+    let stats = raw(&addr, &get("/v1/cache/stats"));
     assert!(
-        threaded_stats.contains("\"admission\""),
-        "the admission block is part of the shared wire shape: {threaded_stats}"
+        stats.contains("\"admission\""),
+        "stats expose the admission block: {stats}"
     );
 
-    threaded_handle.shutdown();
-    threaded_thread.join().expect("threaded server thread");
-    reactor_handle.shutdown();
-    reactor_thread.join().expect("reactor server thread");
+    handle.shutdown();
+    thread.join().expect("server thread");
 }
 
 #[test]
-fn slow_loris_and_truncation_leak_no_slots_on_either_transport() {
-    for transport in [Transport::Threaded, Transport::Reactor] {
-        let (addr, handle, thread) = spawn(
-            ServerConfig {
-                workers: 1,
-                transport,
-                read_timeout: Duration::from_millis(300),
-                ..ServerConfig::default()
-            },
-            None,
-        );
+fn slow_loris_and_truncation_leak_no_slots() {
+    let (addr, handle, thread) = spawn(
+        ServerConfig {
+            workers: 1,
+            read_timeout: Duration::from_millis(300),
+            ..ServerConfig::default()
+        },
+        None,
+    );
 
-        // Three loris cycles: stalled and truncated connections must be
-        // reaped every round, or the accumulated slots would eventually
-        // starve the healthz probe.
-        for cycle in 0..3 {
-            let mut stalled = Vec::new();
-            for _ in 0..4 {
-                let mut stream = TcpStream::connect(&addr).expect("connect");
-                stream
-                    .set_read_timeout(Some(Duration::from_secs(10)))
-                    .unwrap();
-                // A head that never finishes: the whole-request deadline
-                // must fire and answer 408.
-                stream.write_all(b"GET /healthz HT").expect("partial head");
-                stalled.push(stream);
-            }
-            for _ in 0..4 {
-                // A declared body that never arrives, then a hangup:
-                // nothing is owed, the slot just comes back.
-                let mut stream = TcpStream::connect(&addr).expect("connect");
-                stream
-                    .write_all(
-                        b"POST /v1/compile HTTP/1.1\r\nhost: t\r\ncontent-length: 100\r\n\r\ntrunc",
-                    )
-                    .expect("partial body");
-                drop(stream);
-            }
-            for mut stream in stalled {
-                let mut response = String::new();
-                stream.read_to_string(&mut response).expect("408 response");
-                assert!(
-                    response.starts_with("HTTP/1.1 408"),
-                    "{transport:?} cycle {cycle}: stalled request must time out with 408, \
-                     got {response:?}"
-                );
-                assert!(
-                    response.contains("timed out reading from peer"),
-                    "{transport:?} cycle {cycle}: got {response:?}"
-                );
-            }
-            let health = raw(&addr, &get("/healthz"));
+    // Three loris cycles: stalled and truncated connections must be
+    // reaped every round, or the accumulated slots would eventually
+    // starve the healthz probe.
+    for cycle in 0..3 {
+        let mut stalled = Vec::new();
+        for _ in 0..4 {
+            let mut stream = TcpStream::connect(&addr).expect("connect");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            // A head that never finishes: the whole-request deadline
+            // must fire and answer 408.
+            stream.write_all(b"GET /healthz HT").expect("partial head");
+            stalled.push(stream);
+        }
+        for _ in 0..4 {
+            // A declared body that never arrives, then a hangup:
+            // nothing is owed, the slot just comes back.
+            let mut stream = TcpStream::connect(&addr).expect("connect");
+            stream
+                .write_all(
+                    b"POST /v1/compile HTTP/1.1\r\nhost: t\r\ncontent-length: 100\r\n\r\ntrunc",
+                )
+                .expect("partial body");
+            drop(stream);
+        }
+        for mut stream in stalled {
+            let mut response = String::new();
+            stream.read_to_string(&mut response).expect("408 response");
             assert!(
-                health.starts_with("HTTP/1.1 200"),
-                "{transport:?} cycle {cycle}: server must stay healthy, got {health:?}"
+                response.starts_with("HTTP/1.1 408"),
+                "cycle {cycle}: stalled request must time out with 408, got {response:?}"
+            );
+            assert!(
+                response.contains("timed out reading from peer"),
+                "cycle {cycle}: got {response:?}"
             );
         }
-
-        // Full capacity survives the abuse: a real request still compiles.
-        let compiled = raw(&addr, &post("/v1/compile", COMPILE_JOB));
+        let health = raw(&addr, &get("/healthz"));
         assert!(
-            compiled.contains("\"status\":\"ok\""),
-            "{transport:?}: post-abuse compile must succeed, got {compiled:?}"
+            health.starts_with("HTTP/1.1 200"),
+            "cycle {cycle}: server must stay healthy, got {health:?}"
         );
-
-        handle.shutdown();
-        thread.join().expect("server thread");
     }
+
+    // Full capacity survives the abuse: a real request still compiles.
+    let compiled = raw(&addr, &post("/v1/compile", COMPILE_JOB));
+    assert!(
+        compiled.contains("\"status\":\"ok\""),
+        "post-abuse compile must succeed, got {compiled:?}"
+    );
+
+    handle.shutdown();
+    thread.join().expect("server thread");
 }
 
 #[test]
@@ -343,7 +262,6 @@ fn reactor_answers_overload_with_well_formed_429s() {
     let (addr, handle, thread) = spawn(
         ServerConfig {
             workers: 1,
-            transport: Transport::Reactor,
             queue_cap: 1,
             ..ServerConfig::default()
         },
@@ -415,7 +333,7 @@ fn reactor_answers_overload_with_well_formed_429s() {
 }
 
 #[test]
-fn threaded_at_limit_rejection_does_not_block_the_accept_loop() {
+fn at_limit_rejection_answers_a_clean_503() {
     let (addr, handle, thread) = spawn(
         ServerConfig {
             workers: 1,
@@ -429,22 +347,28 @@ fn threaded_at_limit_rejection_does_not_block_the_accept_loop() {
     // One idle connection pins the single slot.
     let holder = TcpStream::connect(&addr).expect("connect");
 
-    // A burst of connections that never read their 503s: the rejection
-    // writes must happen off the accept thread, so later arrivals are
-    // still answered promptly instead of queueing behind a stalled write.
+    // A burst of connections that never read their 503s: refusing them
+    // must not stall the event loop, so later arrivals are still answered
+    // promptly instead of queueing behind an unread write.
     let deadbeats: Vec<TcpStream> = (0..4)
         .map(|_| TcpStream::connect(&addr).expect("connect"))
         .collect();
+    // Every probe must read the whole 503 and a clean close: a refusal
+    // that drops the socket with the request unread resets the
+    // connection, and the reset can discard the 503.
     let started = Instant::now();
-    let refused = raw(&addr, &get("/healthz"));
-    assert!(
-        refused.starts_with("HTTP/1.1 503"),
-        "at-limit probe must get the 503, got {refused:?}"
-    );
-    assert!(
-        refused.contains("server at connection limit, retry later"),
-        "got {refused:?}"
-    );
+    for probe in 0..50 {
+        let refused = try_raw(&addr, &get("/healthz"))
+            .unwrap_or_else(|e| panic!("at-limit probe {probe} must read a clean 503: {e}"));
+        assert!(
+            refused.starts_with("HTTP/1.1 503"),
+            "at-limit probe {probe} must get the 503, got {refused:?}"
+        );
+        assert!(
+            refused.contains("server at connection limit, retry later"),
+            "got {refused:?}"
+        );
+    }
     assert!(
         started.elapsed() < Duration::from_secs(5),
         "rejection must not serialise behind the deadbeat connections: \
@@ -457,7 +381,7 @@ fn threaded_at_limit_rejection_does_not_block_the_accept_loop() {
     drop(holder);
     let mut healthy = false;
     for _ in 0..50 {
-        if raw(&addr, &get("/healthz")).starts_with("HTTP/1.1 200") {
+        if try_raw(&addr, &get("/healthz")).is_ok_and(|r| r.starts_with("HTTP/1.1 200")) {
             healthy = true;
             break;
         }
