@@ -142,11 +142,24 @@ pub struct ProgramShape {
     pub t_count: u64,
 }
 
+/// The most distillation factories a target may declare. Every factory
+/// docks one output port on the boundary (under unbounded magic too), so
+/// the cap bounds the factory bank's allocation; the paper's figures use
+/// at most 8.
+pub const MAX_FACTORIES: u32 = 1024;
+
 /// Why a program cannot run on a target.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TargetError {
     /// A bounded-magic target was declared with zero factories.
     NoFactories,
+    /// The target declares more factories than [`MAX_FACTORIES`].
+    TooManyFactories {
+        /// Factories the target declares.
+        factories: u32,
+        /// The cap.
+        max: u32,
+    },
     /// The program needs more data qubits than the target hosts.
     TooManyQubits {
         /// Qubits the program needs.
@@ -168,6 +181,12 @@ impl fmt::Display for TargetError {
                 write!(
                     f,
                     "target provides no factories but models bounded magic-state supply"
+                )
+            }
+            TargetError::TooManyFactories { factories, max } => {
+                write!(
+                    f,
+                    "target declares {factories} factories but at most {max} are supported"
                 )
             }
             TargetError::TooManyQubits { qubits, max } => {
@@ -295,8 +314,8 @@ impl TargetSpec {
     ///
     /// Geometry is *not* checked here (that is [`TargetSpec::build_layout`]'s
     /// job, with its own [`LayoutError`]); this covers the capability
-    /// flags and the factory-count invariant that used to panic deep in
-    /// the bank constructor.
+    /// flags and the factory-count bounds the bank constructor relies on:
+    /// it panics on zero factories and allocates per factory.
     ///
     /// # Errors
     ///
@@ -304,6 +323,12 @@ impl TargetSpec {
     pub fn validate(&self, qubits: u32, t_count: u64) -> Result<(), TargetError> {
         if self.factories == 0 && !self.unbounded_magic {
             return Err(TargetError::NoFactories);
+        }
+        if self.factories > MAX_FACTORIES {
+            return Err(TargetError::TooManyFactories {
+                factories: self.factories,
+                max: MAX_FACTORIES,
+            });
         }
         if let Some(max) = self.capabilities.max_qubits {
             if qubits > max {
@@ -655,6 +680,28 @@ mod tests {
         );
     }
 
+    /// A factory count past the cap is refused before any bank docks,
+    /// bounded supply or not: the bank allocates per factory, so billions
+    /// would abort the process. The cap itself is fine.
+    #[test]
+    fn validation_caps_the_factory_count() {
+        for unbounded_magic in [false, true] {
+            let spec = |factories| TargetSpec {
+                factories,
+                unbounded_magic,
+                ..TargetSpec::paper()
+            };
+            assert!(spec(MAX_FACTORIES).validate(4, 10).is_ok());
+            assert_eq!(
+                spec(4_000_000_000).validate(4, 10),
+                Err(TargetError::TooManyFactories {
+                    factories: 4_000_000_000,
+                    max: MAX_FACTORIES
+                })
+            );
+        }
+    }
+
     #[test]
     fn target_error_messages() {
         assert!(TargetError::NoFactories
@@ -664,6 +711,11 @@ mod tests {
         assert!(e.to_string().contains("16") && e.to_string().contains("9"));
         let e = TargetError::MagicStatesUnsupported { t_count: 3 };
         assert!(e.to_string().contains("Clifford-only"));
+        let e = TargetError::TooManyFactories {
+            factories: 5000,
+            max: MAX_FACTORIES,
+        };
+        assert!(e.to_string().contains("5000 factories"));
     }
 
     #[test]

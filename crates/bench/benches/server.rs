@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ftqc_benchmarks::ising_2d;
-use ftqc_compiler::{compile_cached, CompilerOptions, Metrics};
+use ftqc_compiler::{Compiler, CompilerOptions, Metrics};
 use ftqc_server::http;
 use ftqc_service::json::{FromJson, ToJson, Value};
 use ftqc_service::{fingerprint, CircuitSource, CompileJob, JobResult, SharedCache};
@@ -24,7 +24,13 @@ fn warmed() -> (
     let circuit_fp = fingerprint::fingerprint_circuit(&circuit);
     let options = CompilerOptions::default().routing_paths(4);
     let cache: SharedCache<Metrics> = SharedCache::in_memory(64);
-    compile_cached(&circuit, circuit_fp, options.clone(), &cache).expect("warm the cache");
+    let program = Compiler::new(options.clone())
+        .compile(&circuit)
+        .expect("warm the cache");
+    cache.insert(
+        fingerprint::job_key(circuit_fp, &options),
+        *program.metrics(),
+    );
     (circuit, circuit_fp, options, cache)
 }
 
@@ -43,10 +49,7 @@ fn bench_fingerprint_and_lookup(c: &mut Criterion) {
             ))
         })
     });
-    let key = fingerprint::combine(
-        fingerprint::fingerprint_circuit(&circuit),
-        fingerprint::fingerprint_value(&options.to_json()),
-    );
+    let key = fingerprint::job_key(fingerprint::fingerprint_circuit(&circuit), &options);
     group.bench_function("cache_lookup_hit", |b| {
         b.iter(|| black_box(cache.get(black_box(key)).expect("warmed key hits")))
     });
@@ -57,10 +60,7 @@ fn bench_http_round_trip(c: &mut Criterion) {
     let mut group = c.benchmark_group("server_hot_path");
     group.sample_size(200);
     let (_circuit, circuit_fp, options, cache) = warmed();
-    let fp = fingerprint::combine(
-        circuit_fp,
-        fingerprint::fingerprint_value(&options.to_json()),
-    );
+    let fp = fingerprint::job_key(circuit_fp, &options);
 
     let job = CompileJob::new(
         "bench",
@@ -132,10 +132,8 @@ fn bench_http_round_trip(c: &mut Criterion) {
             let doc = Value::parse(req.body_str().expect("utf8")).expect("json");
             let job: CompileJob<CompilerOptions> =
                 ftqc_service::job_from_value(&doc, "job-1").expect("job");
-            let key = fingerprint::combine(
-                fingerprint::fingerprint_circuit(&circuit),
-                fingerprint::fingerprint_value(&job.options.to_json()),
-            );
+            let key =
+                fingerprint::job_key(fingerprint::fingerprint_circuit(&circuit), &job.options);
             let hit = cache.get(key).expect("cached");
             let result = JobResult {
                 id: job.id,

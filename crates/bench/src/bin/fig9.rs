@@ -6,32 +6,18 @@
 //! factories as routing paths increase (r=3 optimal around 2 factories;
 //! r=22 optimal around 5-6).
 //!
-//! The sweep runs through the batch-compilation service
-//! (`explore_parallel_with`): each circuit's r × f grid fans across all
-//! cores and results land in a shared content-addressed compile cache, so
-//! the figure regenerates as fast as the hardware allows while printing
-//! exactly the numbers a serial sweep would.
+//! Each circuit's r × f grid runs through the sweep runner
+//! (`explore_session`): the points fan across all cores, whole-job results
+//! land in one shared content-addressed compile cache, and the grid shares
+//! one prepare/lower pass through a stage cache, so the figure
+//! regenerates as fast as the hardware allows while printing exactly the
+//! numbers a serial sweep would.
 
 use ftqc_bench::{f1, Table};
 use ftqc_benchmarks::{fermi_hubbard_2d, heisenberg_2d, ising_2d};
 use ftqc_circuit::Circuit;
-use ftqc_compiler::{compile_cached, CompilerOptions, Metrics};
-use ftqc_service::{fingerprint, SharedCache, WorkerPool};
-
-/// One grid cell through the worker pool + compile cache (the key recipe
-/// lives in `ftqc_compiler::compile_cached`). Unlike `explore_parallel`,
-/// each cell keeps its own `Result` so a single failed configuration
-/// renders as `err:` instead of aborting the whole figure.
-fn compile_cell(
-    circuit: &Circuit,
-    circuit_fp: u64,
-    r: u32,
-    f: u32,
-    cache: &SharedCache<Metrics>,
-) -> Result<Metrics, String> {
-    let options = CompilerOptions::default().routing_paths(r).factories(f);
-    compile_cached(circuit, circuit_fp, options, cache).map_err(|e| e.to_string())
-}
+use ftqc_compiler::{explore_session, CompilerOptions, Metrics, StageCache};
+use ftqc_service::SharedCache;
 
 fn sweep(name: &str, circuit: &Circuit, workers: usize, cache: &SharedCache<Metrics>) {
     println!("\n== {name}: spacetime volume per op (qubit-d) ==");
@@ -43,25 +29,30 @@ fn sweep(name: &str, circuit: &Circuit, workers: usize, cache: &SharedCache<Metr
     let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
     let t = Table::new(&header_refs);
 
-    let combos: Vec<(u32, u32)> = fs
-        .iter()
-        .flat_map(|&f| rs.iter().map(move |&r| (r, f)))
-        .collect();
-    let circuit_fp = fingerprint::fingerprint_circuit(circuit);
-    let cells = WorkerPool::new(workers).run(combos, |(r, f)| {
-        compile_cell(circuit, circuit_fp, r, f, cache)
-    });
-
-    // Deterministic submission-order merge: cells arrive row-major in f.
-    for (row_idx, &f) in fs.iter().enumerate() {
+    let points = match explore_session(
+        circuit,
+        &rs,
+        &fs,
+        &CompilerOptions::default(),
+        workers,
+        cache,
+        &StageCache::default(),
+    ) {
+        Ok(points) => points,
+        Err(e) => {
+            println!("err:{e}");
+            return;
+        }
+    };
+    // Points come back routing-paths-major, so one factory count's points
+    // are its row in column order (every r here fits a 10x10 layout).
+    for &f in &fs {
         let row: Vec<String> = std::iter::once(f.to_string())
             .chain(
-                cells[row_idx * rs.len()..(row_idx + 1) * rs.len()]
+                points
                     .iter()
-                    .map(|cell| match cell {
-                        Ok(m) => f1(m.spacetime_volume_per_op(true)),
-                        Err(e) => format!("err:{e}"),
-                    }),
+                    .filter(|p| p.factories == f)
+                    .map(|p| f1(p.metrics.spacetime_volume_per_op(true))),
             )
             .collect();
         t.row(&row);

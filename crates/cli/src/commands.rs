@@ -355,10 +355,7 @@ fn circuit_arg(p: &ParsedArgs) -> Result<Circuit, CliError> {
 /// local and remote output.
 fn local_job_result(id: &str, circuit: &Circuit, options: &CompilerOptions) -> JobResult<Metrics> {
     let started = Instant::now();
-    let fingerprint = fingerprint::combine(
-        fingerprint::fingerprint_circuit(circuit),
-        fingerprint::fingerprint_value(&options.to_json()),
-    );
+    let fingerprint = fingerprint::job_key(fingerprint::fingerprint_circuit(circuit), options);
     let (status, metrics) = match compile_metrics(circuit, options) {
         Ok(m) => (JobStatus::Ok, Some(m)),
         Err(e) => (JobStatus::Failed(e), None),
@@ -687,103 +684,70 @@ fn cmd_sweep(p: &ParsedArgs) -> Result<String, CliError> {
 
     let stages = StageCache::new(ftqc_compiler::DEFAULT_STAGE_CACHE_CAPACITY);
 
-    // `--target a --target b …`: a cross-target sweep — one grid and one
-    // Pareto front per target, in one process, through one worker pool,
-    // one metrics cache, and one shared stage cache.
+    // `--target a --target b …` makes a cross-target sweep: one grid and
+    // one Pareto front per target, through the same worker pool, metrics
+    // cache and stage cache as the single-machine grid. Each branch yields
+    // the `--json` document (the one the server's POST /v1/sweep returns)
+    // and the table it prints.
     let targets = targets_from(p)?;
-    if !targets.is_empty() {
+    let base = CompilerOptions::default();
+    let workers_u64 = workers as u64;
+    let pipeline = |e: ftqc_compiler::CompileError| CliError::Pipeline(e.to_string());
+    let (doc, mut out) = if targets.is_empty() {
+        let points = explore_session(&circuit, &rs, &fs, &base, workers, &cache, &stages)
+            .map_err(pipeline)?;
+        let rows = if pareto == "yes" {
+            pareto_front(&points)
+        } else {
+            points
+        };
+        let table = render_design_points(&rows) + "\n";
+        let response = SweepResponse {
+            points: rows,
+            cache: cache.stats(),
+            workers: workers_u64,
+        };
+        (response.to_json(), table)
+    } else {
         let sweeps = explore_targets(
-            &circuit,
-            &targets,
-            &rs,
-            &fs,
-            &CompilerOptions::default(),
-            workers,
-            &cache,
-            &stages,
+            &circuit, &targets, &rs, &fs, &base, workers, &cache, &stages,
         )
-        .map_err(|e| CliError::Pipeline(e.to_string()))?;
-        if cache_file.is_some() {
-            cache
-                .persist()
-                .map_err(|e| CliError::Pipeline(format!("cannot persist cache: {e}")))?;
-        }
-        let stats = cache.stats();
-        if p.flag("json") {
-            // The same document the server's target-aware POST /v1/sweep
-            // returns.
-            let response = MultiSweepResponse {
-                targets: sweeps,
-                cache: stats,
-                workers: workers as u64,
-            };
-            return Ok(response.to_json().render());
-        }
-        let mut out = String::new();
+        .map_err(pipeline)?;
+        let mut table = String::new();
         for sweep in &sweeps {
             let _ = writeln!(
-                out,
+                table,
                 "== target {} (digest {})",
                 sweep.name,
                 fingerprint::to_hex(sweep.digest)
             );
-            out.push_str(&render_design_points(&sweep.front));
+            table.push_str(&render_design_points(&sweep.front));
             let _ = writeln!(
-                out,
+                table,
                 " on the Pareto front ({} grid points evaluated)",
                 sweep.points.len()
             );
         }
-        let _ = write!(
-            out,
-            "service: {workers} worker(s), cache {}/{} hits ({:.0}%)",
-            stats.hits,
-            stats.lookups(),
-            stats.hit_rate() * 100.0,
-        );
-        let _ = write!(
-            out,
-            "\nstage cache: {}",
-            render_stage_stats(&stages.stats())
-        );
-        return Ok(out);
-    }
+        let response = MultiSweepResponse {
+            targets: sweeps,
+            cache: cache.stats(),
+            workers: workers_u64,
+        };
+        (response.to_json(), table)
+    };
 
-    let points = explore_session(
-        &circuit,
-        &rs,
-        &fs,
-        &CompilerOptions::default(),
-        workers,
-        &cache,
-        &stages,
-    )
-    .map_err(|e| CliError::Pipeline(e.to_string()))?;
     if cache_file.is_some() {
         cache
             .persist()
             .map_err(|e| CliError::Pipeline(format!("cannot persist cache: {e}")))?;
     }
-
-    let rows = if pareto == "yes" {
-        pareto_front(&points)
-    } else {
-        points
-    };
-    let stats = cache.stats();
     if p.flag("json") {
-        // The same document the server's POST /v1/sweep returns.
-        let response = SweepResponse {
-            points: rows,
-            cache: stats,
-            workers: workers as u64,
-        };
-        return Ok(response.to_json().render());
+        return Ok(doc.render());
     }
-    let mut out = render_design_points(&rows);
+    let stats = cache.stats();
     let _ = write!(
         out,
-        "\nservice: {workers} worker(s), cache {}/{} hits ({:.0}%){}",
+        "service: {workers} worker(s), cache {}/{} hits ({:.0}%){}\nstage cache: {}",
         stats.hits,
         stats.lookups(),
         stats.hit_rate() * 100.0,
@@ -791,11 +755,7 @@ fn cmd_sweep(p: &ParsedArgs) -> Result<String, CliError> {
             Some(f) => format!(", file tier {}", f.display()),
             None => String::new(),
         },
-    );
-    let _ = write!(
-        out,
-        "\nstage cache: {}",
-        render_stage_stats(&stages.stats())
+        render_stage_stats(&stages.stats()),
     );
     Ok(out)
 }
@@ -1551,6 +1511,20 @@ mod tests {
         assert!(out.contains("Ising 2D"));
         assert!(out.contains("Multiplier"));
         assert!(out.contains("255") || out.contains("GHZ"));
+    }
+
+    /// A factory count past the target's cap is a plain error, not a
+    /// multi-gigabyte factory-bank allocation that aborts the process.
+    #[test]
+    fn over_cap_factory_count_is_a_clean_error() {
+        let err = run_line("compile ising:2 --factories 4000000000").unwrap_err();
+        assert!(
+            err.to_string().contains(&format!(
+                "4000000000 factories but at most {} are supported",
+                ftqc_arch::MAX_FACTORIES
+            )),
+            "got {err}"
+        );
     }
 
     #[test]

@@ -2,23 +2,24 @@
 //! compiler "enables a richer set of space vs. time tradeoffs compared to
 //! prior work which handpicks certain space-time configurations" (§I).
 //!
-//! [`explore`] compiles a circuit across a grid of routing-path and
-//! factory counts; [`explore_parallel`] is the same sweep routed through
-//! `ftqc-service`'s worker pool and content-addressed compile cache;
-//! [`pareto_front`] filters the results to the qubit/time-Pareto-optimal
-//! machines a hardware designer would choose from; [`best_by_volume`]
-//! picks the single spacetime-volume optimum (the quantity minimised in
-//! Fig 9).
+//! Every sweep goes through one runner: [`explore_session`] compiles a
+//! circuit across a grid of routing-path and factory counts on
+//! `ftqc-service`'s worker pool, answering repeats from a caller-owned
+//! whole-job cache and sharing stage artifacts through a caller-owned
+//! [`StageCache`]. [`explore`] is that runner on one worker with fresh
+//! caches, and [`explore_targets`] feeds it one option list per hardware
+//! target. [`pareto_front`] filters the results to the
+//! qubit/time-Pareto-optimal machines a hardware designer would choose
+//! from; [`best_by_volume`] picks the single spacetime-volume optimum (the
+//! quantity minimised in Fig 9).
 
 use crate::error::CompileError;
 use crate::metrics::Metrics;
 use crate::options::CompilerOptions;
-use crate::pipeline::Compiler;
-use crate::session::{CompileSession, StageCache};
+use crate::session::{CompileSession, StageCache, DEFAULT_STAGE_CACHE_CAPACITY};
 use ftqc_arch::TargetSpec;
 use ftqc_circuit::Circuit;
-use ftqc_service::json::ToJson;
-use ftqc_service::{fingerprint, SharedCache, WorkerPool};
+use ftqc_service::{fingerprint, SharedCache, WorkerPool, DEFAULT_CACHE_CAPACITY};
 use serde::{Deserialize, Serialize};
 
 /// One evaluated machine configuration.
@@ -51,35 +52,32 @@ impl DesignPoint {
 
 /// Compiles `circuit` for every combination of `routing_paths` ×
 /// `factories`, skipping combinations whose layout is invalid for this
-/// register size.
+/// register size: [`explore_session`] on one worker with fresh caches.
 ///
 /// # Errors
 ///
-/// Returns a routing failure if one occurs; invalid-layout combinations
-/// are silently skipped (e.g. `r > 2L+2`). Returns an empty vector only if
-/// every combination was skipped.
+/// Returns the first compile failure in grid order; invalid-layout
+/// combinations are silently skipped (e.g. `r > 2L+2`). Returns an empty
+/// vector only if every combination was skipped.
 pub fn explore(
     circuit: &Circuit,
     routing_paths: &[u32],
     factories: &[u32],
     base: &CompilerOptions,
 ) -> Result<Vec<DesignPoint>, CompileError> {
-    let mut out = Vec::new();
-    for (r, f) in sweep_grid(circuit, routing_paths, factories) {
-        let options = base.clone().routing_paths(r).factories(f);
-        let metrics = *Compiler::new(options).compile(circuit)?.metrics();
-        out.push(DesignPoint {
-            routing_paths: r,
-            factories: f,
-            metrics,
-        });
-    }
-    Ok(out)
+    explore_session(
+        circuit,
+        routing_paths,
+        factories,
+        base,
+        1,
+        &SharedCache::in_memory(DEFAULT_CACHE_CAPACITY),
+        &StageCache::new(DEFAULT_STAGE_CACHE_CAPACITY),
+    )
 }
 
-/// The `(routing_paths, factories)` combinations [`explore`] would visit,
-/// in its visit order: the shared work-list of the serial and parallel
-/// sweeps.
+/// The `(routing_paths, factories)` combinations a grid sweep visits, in
+/// visit order (routing paths outer, factories inner).
 fn sweep_grid(circuit: &Circuit, routing_paths: &[u32], factories: &[u32]) -> Vec<(u32, u32)> {
     let max_r = ftqc_arch::Layout::max_routing_paths(circuit.num_qubits());
     let mut combos = Vec::new();
@@ -94,71 +92,65 @@ fn sweep_grid(circuit: &Circuit, routing_paths: &[u32], factories: &[u32]) -> Ve
     combos
 }
 
-/// [`explore`] with the sweep fanned across `workers` threads through
-/// `ftqc-service`'s deterministic worker pool, memoised in a fresh
-/// in-memory compile cache. Same arguments, same skip rules, and exactly
-/// the same result vector (submission-order merging makes the parallel
-/// run indistinguishable from the serial one).
+/// The sweep runner: compiles `circuit` under every option set of
+/// `work`, fanned across `workers` threads through `ftqc-service`'s
+/// deterministic worker pool.
 ///
-/// To reuse compile results across calls (or to attach a file-backed
-/// tier), build the cache yourself and use [`explore_parallel_with`].
-///
-/// # Errors
-///
-/// As [`explore`]: the first routing failure in grid order.
-pub fn explore_parallel(
+/// Each point is keyed with [`fingerprint::job_key`]; repeats are answered
+/// from `cache`, and misses compile through a [`CompileSession`] on
+/// `stages`, so the grid shares one prepare/lower pass and a sweep varying
+/// only scheduling knobs reuses the routed ops. Points come back in `work`
+/// order whatever the thread interleaving: artifacts are pure functions of
+/// their keys, so workers racing on either cache cannot change the
+/// outcome.
+fn run_sweep(
     circuit: &Circuit,
-    routing_paths: &[u32],
-    factories: &[u32],
-    base: &CompilerOptions,
-    workers: usize,
-) -> Result<Vec<DesignPoint>, CompileError> {
-    let cache = SharedCache::in_memory(ftqc_service::DEFAULT_CACHE_CAPACITY);
-    explore_parallel_with(circuit, routing_paths, factories, base, workers, &cache)
-}
-
-/// [`explore_parallel`] against a caller-owned [`SharedCache`], so repeated
-/// sweeps (resource estimators, interactive frontends, the `ftqc sweep`
-/// CLI) are answered from cache instead of recompiled.
-///
-/// Cache keys are content-addressed over the canonical circuit and the
-/// full option set — see `ftqc_service::fingerprint` — so a hit is only
-/// possible when both match exactly.
-///
-/// # Errors
-///
-/// As [`explore`]: the first routing failure in grid order.
-pub fn explore_parallel_with(
-    circuit: &Circuit,
-    routing_paths: &[u32],
-    factories: &[u32],
-    base: &CompilerOptions,
+    work: Vec<CompilerOptions>,
     workers: usize,
     cache: &SharedCache<Metrics>,
+    stages: &StageCache,
 ) -> Result<Vec<DesignPoint>, CompileError> {
-    explore_session(
-        circuit,
-        routing_paths,
-        factories,
-        base,
-        workers,
-        cache,
-        &StageCache::new(crate::session::DEFAULT_STAGE_CACHE_CAPACITY),
-    )
+    let circuit_fp = fingerprint::fingerprint_circuit(circuit);
+    let results = WorkerPool::new(workers).run(work, |options| {
+        let key = fingerprint::job_key(circuit_fp, &options);
+        let routing_paths = options.target.routing_paths();
+        let factories = options.target.factories;
+        let metrics = match cache.get(key) {
+            Some(hit) => hit.value,
+            None => {
+                let program = CompileSession::new(options)
+                    .with_cache(stages.clone())
+                    .compile(circuit)
+                    .map_err(CompileError::into_root)?;
+                cache.insert(key, *program.metrics());
+                *program.metrics()
+            }
+        };
+        Ok(DesignPoint {
+            routing_paths,
+            factories,
+            metrics,
+        })
+    });
+    // collect() surfaces the first error in work-list order — the same
+    // error a serial sweep would have stopped at.
+    results.into_iter().collect()
 }
 
-/// [`explore_parallel_with`] running each grid point through the staged
-/// [`CompileSession`] against a caller-owned
-/// [`StageCache`]: whole-job repeats are still answered from `cache`, and
-/// misses reuse stage artifacts — a routing grid shares one prepare/lower
-/// pass, and a sweep varying only scheduling knobs reuses the routed ops
-/// and re-runs scheduling alone. Results are byte-identical to
-/// [`explore`]: artifacts are pure functions of their keys, so concurrent
-/// workers racing on the stage cache cannot change the outcome.
+/// [`explore`] on `workers` threads against caller-owned caches: repeated
+/// sweeps (resource estimators, interactive frontends, the `ftqc sweep`
+/// CLI, the server's `POST /v1/sweep`) are answered from `cache` instead
+/// of recompiled, and misses reuse stage artifacts from `stages`. Same
+/// arguments, same skip rules, and exactly the same result vector as
+/// [`explore`] at any worker count.
+///
+/// Cache keys are content-addressed over the canonical circuit and the
+/// full option set ([`fingerprint::job_key`]), so a hit is only possible
+/// when both match exactly.
 ///
 /// # Errors
 ///
-/// As [`explore`]: the first routing failure in grid order.
+/// As [`explore`]: the first compile failure in grid order.
 pub fn explore_session(
     circuit: &Circuit,
     routing_paths: &[u32],
@@ -168,52 +160,11 @@ pub fn explore_session(
     cache: &SharedCache<Metrics>,
     stages: &StageCache,
 ) -> Result<Vec<DesignPoint>, CompileError> {
-    let combos = sweep_grid(circuit, routing_paths, factories);
-    let circuit_fp = fingerprint::fingerprint_circuit(circuit);
-    let results = WorkerPool::new(workers).run(combos, |(r, f)| {
-        let options = base.clone().routing_paths(r).factories(f);
-        let metrics = compile_cached_session(circuit, circuit_fp, options, cache, stages)?;
-        Ok(DesignPoint {
-            routing_paths: r,
-            factories: f,
-            metrics,
-        })
-    });
-    // collect() surfaces the first error in grid order — the same error a
-    // serial sweep would have stopped at.
-    results.into_iter().collect()
-}
-
-/// The whole-job cache key every memoised compile path uses:
-/// `combine(circuit_fp, fingerprint(options))`.
-fn job_key(circuit_fp: u64, options: &CompilerOptions) -> u64 {
-    fingerprint::combine(
-        circuit_fp,
-        fingerprint::fingerprint_value(&options.to_json()),
-    )
-}
-
-/// Compiles `circuit` under `options` through a staged session over
-/// `stages`, memoised in `cache` under [`job_key`] — the single recipe
-/// behind both [`explore_session`] and [`explore_targets`] grid points.
-fn compile_cached_session(
-    circuit: &Circuit,
-    circuit_fp: u64,
-    options: CompilerOptions,
-    cache: &SharedCache<Metrics>,
-    stages: &StageCache,
-) -> Result<Metrics, CompileError> {
-    let key = job_key(circuit_fp, &options);
-    if let Some(hit) = cache.get(key) {
-        return Ok(hit.value);
-    }
-    let program = CompileSession::new(options)
-        .with_cache(stages.clone())
-        .compile(circuit)
-        .map_err(CompileError::into_root)?;
-    let metrics = *program.metrics();
-    cache.insert(key, metrics);
-    Ok(metrics)
+    let work = sweep_grid(circuit, routing_paths, factories)
+        .into_iter()
+        .map(|(r, f)| base.clone().routing_paths(r).factories(f))
+        .collect();
+    run_sweep(circuit, work, workers, cache, stages)
 }
 
 /// One target's slice of a cross-target sweep: its design points in grid
@@ -231,18 +182,16 @@ pub struct TargetSweep {
 }
 
 /// The exact option sets a cross-target sweep visits for one target — the
-/// shared work-list of [`explore_targets`] and its serial equivalent (one
-/// [`explore_session`]-style compile per entry), so the two are
-/// byte-identical by construction.
+/// work-list [`explore_targets`] hands the sweep runner, in order.
 ///
 /// Targets with a pinned bus (explicit masks, [`fixed_bus`] presets) keep
 /// their own provisioning and sweep only the factory axis; routing-path
 /// families sweep the full `routing_paths × factories` grid. Targets the
 /// circuit cannot run on — capability violations (qubit cap,
-/// Clifford-only, zero factories) or a pinned layout that does not fit —
-/// contribute no entries, mirroring [`explore`]'s silent skip of invalid
-/// grid combinations, so one impossible target never sinks the rest of a
-/// cross-target fleet.
+/// Clifford-only, zero or too many factories) or a pinned layout that does
+/// not fit — contribute no entries, mirroring [`explore`]'s silent skip of
+/// invalid grid combinations, so one impossible target never sinks the
+/// rest of a cross-target sweep.
 ///
 /// [`fixed_bus`]: ftqc_arch::Capabilities::fixed_bus
 pub fn target_sweep_options(
@@ -276,11 +225,11 @@ pub fn target_sweep_options(
 }
 
 /// Cross-target design-space exploration: one sweep per named target, all
-/// fanned through a single worker pool and sharing one metrics cache and
-/// one [`StageCache`]. The circuit prepares and lowers once for the whole
-/// fleet (those stages are target-independent), each target's grid points
-/// route under its own layout/timing, and every target comes back with its
-/// grid points plus its qubit/time Pareto front.
+/// run as a single work-list through the sweep runner, sharing one metrics
+/// cache and one [`StageCache`]. The circuit prepares and lowers once for
+/// every target (those stages are target-independent), each target's grid
+/// points route under its own layout/timing, and every target comes back
+/// with its grid points plus its qubit/time Pareto front.
 ///
 /// Results are byte-identical to compiling each target's
 /// [`target_sweep_options`] serially in order.
@@ -299,70 +248,26 @@ pub fn explore_targets(
     cache: &SharedCache<Metrics>,
     stages: &StageCache,
 ) -> Result<Vec<TargetSweep>, CompileError> {
-    let mut work: Vec<(usize, CompilerOptions)> = Vec::new();
-    for (index, (_, spec)) in targets.iter().enumerate() {
-        for options in target_sweep_options(circuit, spec, routing_paths, factories, base) {
-            work.push((index, options));
-        }
-    }
-    let circuit_fp = fingerprint::fingerprint_circuit(circuit);
-    let results: Vec<Result<(usize, DesignPoint), CompileError>> = WorkerPool::new(workers.max(1))
-        .run(work, |(index, options)| {
-            let routing_paths = options.target.routing_paths();
-            let factories = options.target.factories;
-            let metrics = compile_cached_session(circuit, circuit_fp, options, cache, stages)?;
-            Ok((
-                index,
-                DesignPoint {
-                    routing_paths,
-                    factories,
-                    metrics,
-                },
-            ))
-        });
-    let mut sweeps: Vec<TargetSweep> = targets
+    let per_target: Vec<Vec<CompilerOptions>> = targets
         .iter()
-        .map(|(name, spec)| TargetSweep {
-            name: name.clone(),
-            digest: crate::codec::target_digest(spec),
-            points: Vec::new(),
-            front: Vec::new(),
-        })
+        .map(|(_, spec)| target_sweep_options(circuit, spec, routing_paths, factories, base))
         .collect();
-    for result in results {
-        let (index, point) = result?;
-        sweeps[index].points.push(point);
-    }
-    for sweep in &mut sweeps {
-        sweep.front = pareto_front(&sweep.points);
-    }
-    Ok(sweeps)
-}
-
-/// Compiles `circuit` under `options` through the monolithic compiler,
-/// memoised in `cache` under the content-addressed `job_key`
-/// (`combine(circuit_fp, fingerprint(options))` — the one recipe every
-/// memoised path shares). `circuit_fp` is
-/// `ftqc_service::fingerprint::fingerprint_circuit(circuit)`, hoisted out
-/// so sweeps hash the circuit once, not per grid point.
-///
-/// # Errors
-///
-/// Propagates [`CompileError`] on cache misses that fail to compile
-/// (failures are not cached).
-pub fn compile_cached(
-    circuit: &Circuit,
-    circuit_fp: u64,
-    options: CompilerOptions,
-    cache: &SharedCache<Metrics>,
-) -> Result<Metrics, CompileError> {
-    let key = job_key(circuit_fp, &options);
-    if let Some(hit) = cache.get(key) {
-        return Ok(hit.value);
-    }
-    let metrics = *Compiler::new(options).compile(circuit)?.metrics();
-    cache.insert(key, metrics);
-    Ok(metrics)
+    let counts: Vec<usize> = per_target.iter().map(Vec::len).collect();
+    let work = per_target.into_iter().flatten().collect();
+    let mut points = run_sweep(circuit, work, workers, cache, stages)?.into_iter();
+    Ok(targets
+        .iter()
+        .zip(counts)
+        .map(|((name, spec), count)| {
+            let points: Vec<DesignPoint> = points.by_ref().take(count).collect();
+            TargetSweep {
+                name: name.clone(),
+                digest: crate::codec::target_digest(spec),
+                front: pareto_front(&points),
+                points,
+            }
+        })
+        .collect())
 }
 
 /// Filters to the Pareto front over `(qubits, execution time)`: a point
@@ -397,6 +302,7 @@ pub fn best_by_volume(points: &[DesignPoint]) -> Option<DesignPoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::Compiler;
     use ftqc_arch::Ticks;
 
     fn point(r: u32, f: u32, qubits: u32, time_d: f64) -> DesignPoint {
@@ -452,44 +358,6 @@ mod tests {
         let best = best_by_volume(&pts).unwrap();
         assert_eq!(best.qubits(), 120);
         assert!(best_by_volume(&[]).is_none());
-    }
-
-    #[test]
-    fn explore_parallel_matches_serial() {
-        use ftqc_circuit::Circuit;
-        let mut c = Circuit::new(6);
-        for q in 0..6 {
-            c.h(q).t(q);
-        }
-        c.cnot(0, 1).cnot(2, 3).cnot(4, 5);
-        let base = CompilerOptions::default();
-        let serial = explore(&c, &[2, 4, 6], &[1, 2], &base).expect("serial compiles");
-        for workers in [1, 2, 4] {
-            let parallel =
-                explore_parallel(&c, &[2, 4, 6], &[1, 2], &base, workers).expect("parallel");
-            assert_eq!(parallel, serial, "workers = {workers}");
-        }
-    }
-
-    #[test]
-    fn explore_parallel_with_reuses_cache() {
-        use ftqc_circuit::Circuit;
-        use ftqc_service::SharedCache;
-        let mut c = Circuit::new(4);
-        c.h(0).t(0).cnot(0, 1).t(2).cnot(2, 3);
-        let base = CompilerOptions::default();
-        let cache = SharedCache::in_memory(256);
-        let first =
-            explore_parallel_with(&c, &[2, 4], &[1, 2], &base, 2, &cache).expect("first sweep");
-        let after_first = cache.stats();
-        assert_eq!(after_first.hits, 0);
-        assert_eq!(after_first.misses, 4);
-        let second =
-            explore_parallel_with(&c, &[2, 4], &[1, 2], &base, 2, &cache).expect("second sweep");
-        assert_eq!(second, first);
-        let after_second = cache.stats();
-        assert_eq!(after_second.misses, 4, "second sweep compiled nothing");
-        assert_eq!(after_second.hits, 4, "second sweep was all cache hits");
     }
 
     #[test]

@@ -77,8 +77,8 @@ pub use estimate::{
     estimate_resources, EstimateError, EstimateRequest, Objective, ResourceEstimate,
 };
 pub use explore::{
-    best_by_volume, compile_cached, explore, explore_parallel, explore_parallel_with,
-    explore_session, explore_targets, pareto_front, target_sweep_options, DesignPoint, TargetSweep,
+    best_by_volume, explore, explore_session, explore_targets, pareto_front, target_sweep_options,
+    DesignPoint, TargetSweep,
 };
 pub use export::{to_csv, utilization, UtilizationStats};
 pub use ftqc_route::{RouteCounters, RouterMode};

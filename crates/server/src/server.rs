@@ -45,8 +45,8 @@ use ftqc_reactor::{ReactorConfig, ReactorService, Refusal};
 use ftqc_service::json::{JsonError, ToJson, Value};
 use ftqc_service::resolve::resolve_source_remote;
 use ftqc_service::{
-    job_from_value, render_results, BatchService, CacheStats, CompileCache, CompileJob, JobResult,
-    SharedCache, StageOutcome, TargetRef, WorkerPool,
+    job_from_value, BatchService, CacheStats, CompileCache, CompileJob, JobResult, SharedCache,
+    StageOutcome, TargetRef, WorkerPool,
 };
 use ftqc_telemetry::{
     duration_micros_saturating, ActiveTrace, FlightRecorder, HistogramSnapshot, StageSpanHook,
@@ -460,7 +460,7 @@ fn route_request(
     respond: &mut dyn FnMut(&[u8]),
 ) -> Served {
     if request.method == "POST" && request.path == "/v1/batch" {
-        return handle_batch_streamed(state, request, trace, trace_hex, respond);
+        return handle_batch(state, request, trace, trace_hex, respond);
     }
     Served::Full(handle_request(state, request, trace))
 }
@@ -633,9 +633,9 @@ pub trait ServerExtension: Send + Sync {
     fn on_shutdown(&self) {}
 }
 
-/// Routes one parsed request to its endpoint: extension first crack, then
-/// the core router. The buffered sibling of [`route_request`], kept for
-/// callers that want a plain [`HandlerResult`] (tests, embedding).
+/// Routes one parsed request other than `POST /v1/batch` (which
+/// [`route_request`] streams) to its endpoint: extension first crack,
+/// then the core router.
 fn handle_request(state: &AppState, request: &Request, trace: &Arc<ActiveTrace>) -> HandlerResult {
     if let Some(ext) = &state.extension {
         let ctx = ServerContext { state, trace };
@@ -654,7 +654,6 @@ fn handle_request_core(
 ) -> HandlerResult {
     match (request.method.as_str(), request.path.as_str()) {
         ("POST", "/v1/compile") => handle_compile(state, request, trace),
-        ("POST", "/v1/batch") => handle_batch(state, request, trace),
         ("POST", "/v1/sweep") => handle_sweep(state, request),
         ("GET", "/v1/targets") => handle_targets(state),
         ("GET", "/v1/cache/stats") => handle_cache_stats(state),
@@ -866,36 +865,11 @@ fn handle_compile(state: &AppState, request: &Request, trace: &Arc<ActiveTrace>)
 /// `POST /v1/batch`: a JSONL body fanned through the worker pool, JSONL
 /// results in submission order. Malformed lines — including lines naming
 /// unknown targets — cost only themselves: each yields an error result
-/// naming its line number.
-fn handle_batch(state: &AppState, request: &Request, trace: &Arc<ActiveTrace>) -> HandlerResult {
-    let body = match request.body_str() {
-        Ok(b) => b,
-        Err(e) => return (400, "application/json", error_body(&e.to_string())),
-    };
-    let submitted = trace.now_micros();
-    let results = ftqc_service::run_jsonl_via::<CompilerOptions, Metrics, _, _>(
-        body,
-        |job| apply_job_target(job, &state.targets),
-        |jobs| execute_jobs(state, trace, jobs),
-    );
-    if results.is_empty() {
-        return (
-            400,
-            "application/json",
-            error_body("batch contains no jobs"),
-        );
-    }
-    trace_job_results(state, trace, submitted, &results);
-    record_job_outcomes(state, &results);
-    (200, "application/jsonl", render_results(&results))
-}
-
-/// [`handle_batch`], streaming: the 200 head goes out when the first
-/// result line is ready, and every subsequent JSONL line is written the
-/// moment its job (and all earlier lines) finish — a long batch trickles
-/// results instead of buffering them. An empty batch never streams; it
-/// stays the full 400 the buffered path produces.
-fn handle_batch_streamed(
+/// naming its line number. The 200 head goes out when the first result
+/// line is ready, and every subsequent line is written the moment its job
+/// (and all earlier lines) finish — a long batch trickles results instead
+/// of buffering them. An empty batch never streams; it is a full 400.
+fn handle_batch(
     state: &AppState,
     request: &Request,
     trace: &Arc<ActiveTrace>,
@@ -968,7 +942,9 @@ fn resolve_sweep_targets(
 /// grids and Pareto fronts in one process, sharing the server's metrics
 /// and stage caches — and answers with the [`MultiSweepResponse`] shape
 /// (each slice always carries both its grid points and its front; the
-/// `pareto` flag only reduces the classic single-machine response).
+/// `pareto` flag only reduces the classic single-machine response). A
+/// grid point that fails to compile is a 400, like every other input
+/// error here; only a handler panic is a 500.
 fn handle_sweep(state: &AppState, request: &Request) -> HandlerResult {
     let parsed = request
         .body_str()
@@ -989,13 +965,37 @@ fn handle_sweep(state: &AppState, request: &Request) -> HandlerResult {
         Ok(c) => c,
         Err(e) => return (400, "application/json", error_body(&e)),
     };
+    let targets = match resolve_sweep_targets(state, &req.targets) {
+        Ok(t) => t,
+        Err(e) => return (400, "application/json", error_body(&e)),
+    };
 
-    if !req.targets.is_empty() {
-        let targets = match resolve_sweep_targets(state, &req.targets) {
-            Ok(t) => t,
-            Err(e) => return (400, "application/json", error_body(&e)),
-        };
-        return match explore_targets(
+    let workers = state.workers as u64;
+    let swept = if targets.is_empty() {
+        explore_session(
+            &circuit,
+            &req.routing_paths,
+            &req.factories,
+            &req.options,
+            state.workers,
+            &state.cache,
+            &state.stages,
+        )
+        .map(|points| {
+            let points = if req.pareto {
+                pareto_front(&points)
+            } else {
+                points
+            };
+            SweepResponse {
+                points,
+                cache: state.cache.stats(),
+                workers,
+            }
+            .to_json()
+        })
+    } else {
+        explore_targets(
             &circuit,
             &targets,
             &req.routing_paths,
@@ -1004,50 +1004,19 @@ fn handle_sweep(state: &AppState, request: &Request) -> HandlerResult {
             state.workers,
             &state.cache,
             &state.stages,
-        ) {
-            Err(e) => (500, "application/json", error_body(&e.to_string())),
-            Ok(sweeps) => {
-                let response = MultiSweepResponse {
-                    targets: sweeps,
-                    cache: state.cache.stats(),
-                    workers: state.workers as u64,
-                };
-                (
-                    200,
-                    "application/json",
-                    versioned_as(wire, response.to_json()).render(),
-                )
-            }
-        };
-    }
-
-    match explore_session(
-        &circuit,
-        &req.routing_paths,
-        &req.factories,
-        &req.options,
-        state.workers,
-        &state.cache,
-        &state.stages,
-    ) {
-        Err(e) => (500, "application/json", error_body(&e.to_string())),
-        Ok(points) => {
-            let points = if req.pareto {
-                pareto_front(&points)
-            } else {
-                points
-            };
-            let response = SweepResponse {
-                points,
+        )
+        .map(|targets| {
+            MultiSweepResponse {
+                targets,
                 cache: state.cache.stats(),
-                workers: state.workers as u64,
-            };
-            (
-                200,
-                "application/json",
-                versioned_as(wire, response.to_json()).render(),
-            )
-        }
+                workers,
+            }
+            .to_json()
+        })
+    };
+    match swept {
+        Ok(doc) => (200, "application/json", versioned_as(wire, doc).render()),
+        Err(e) => (400, "application/json", error_body(&e.to_string())),
     }
 }
 
@@ -1243,9 +1212,11 @@ mod tests {
     }
 
     /// Most tests don't care about tracing: mint a throwaway trace, call
-    /// the real router, and record the result like `serve_parsed` does.
+    /// the real router with a byte-collecting sink, and record the result
+    /// like `serve_parsed` does. A streamed response (`POST /v1/batch`)
+    /// comes back as its status, head content type, and collected body.
     /// (Shadows the outer `handle_request` for the module.)
-    fn handle_request(state: &AppState, request: &Request) -> HandlerResult {
+    fn handle_request(state: &AppState, request: &Request) -> (u16, String, String) {
         let trace = ActiveTrace::begin(TraceId::mint(), "request");
         trace.add_span(
             "parse",
@@ -1254,7 +1225,23 @@ mod tests {
             trace.now_micros(),
             vec![("bytes".into(), request.body.len().to_string())],
         );
-        let result = super::handle_request(state, request, &trace);
+        let mut streamed = Vec::new();
+        let trace_hex = trace.id().to_hex();
+        let served = route_request(state, request, &trace, &trace_hex, &mut |bytes: &[u8]| {
+            streamed.extend_from_slice(bytes)
+        });
+        let result = match served {
+            Served::Full((status, content_type, body)) => (status, content_type.to_string(), body),
+            Served::Streamed { status } => {
+                let text = String::from_utf8(streamed).expect("utf-8 response");
+                let (head, body) = text.split_once("\r\n\r\n").expect("a streamed head");
+                let content_type = head
+                    .lines()
+                    .find_map(|line| line.strip_prefix("content-type: "))
+                    .expect("a content type");
+                (status, content_type.to_string(), body.to_string())
+            }
+        };
         state
             .recorder
             .record(trace.finish(result.0, Endpoint::of_path(&request.path).label()));
@@ -1666,6 +1653,21 @@ mod tests {
             &post("/v1/sweep", r#"{"source":{"benchmark":"nope"}}"#),
         );
         assert_eq!(status, 400, "unresolvable source is a client error");
+    }
+
+    /// A grid point that cannot compile is an input error, as the same
+    /// options are on `/v1/compile` (a job failure there, not a 500).
+    #[test]
+    fn sweep_point_that_fails_to_compile_is_a_client_error() {
+        let state = test_state(2);
+        for body in [
+            r#"{"source":{"benchmark":"ising","size":2},"routing_paths":[2,4],"factories":[0,1]}"#,
+            r#"{"source":{"benchmark":"ising","size":2},"routing_paths":[2],"factories":[0],"targets":["paper"]}"#,
+        ] {
+            let (status, _, body) = handle_request(&state, &post("/v1/sweep", body));
+            assert_eq!(status, 400, "got {body}");
+            assert!(body.contains("target provides no factories"), "got {body}");
+        }
     }
 
     #[test]

@@ -163,10 +163,7 @@ impl<M: Clone + Send + FromJson> BatchService<M> {
                     )
                 }
             };
-            let fp = fingerprint::combine(
-                fingerprint::fingerprint_circuit(&circuit),
-                fingerprint::fingerprint_value(&job.options.to_json()),
-            );
+            let fp = fingerprint::job_key(fingerprint::fingerprint_circuit(&circuit), &job.options);
             let full = job.stop_after.is_none();
             if full {
                 if let Some(hit) = cache.get(fp) {

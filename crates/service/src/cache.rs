@@ -13,7 +13,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 /// Default memory-tier capacity used by the batch service, the CLI, and
-/// `explore_parallel` when the caller doesn't size the cache explicitly.
+/// `explore` when the caller doesn't size the cache explicitly.
 pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
 
 /// Which tier satisfied a lookup.

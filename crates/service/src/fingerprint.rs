@@ -7,7 +7,7 @@
 //! named circuits with different gates get different keys, and the same
 //! circuit under two names gets the same key.
 
-use crate::json::Value;
+use crate::json::{ToJson, Value};
 use ftqc_circuit::Circuit;
 
 /// Incremental 64-bit FNV-1a hasher.
@@ -87,6 +87,14 @@ pub fn combine(a: u64, b: u64) -> u64 {
     let mut h = Fnv64::new();
     h.write_u64(a).write_u64(b);
     h.finish()
+}
+
+/// The whole-job cache key: the circuit digest ([`fingerprint_circuit`])
+/// combined with the digest of the options' canonical JSON. Every
+/// memoised compile path (batch jobs, sweeps, `ftqc compile --json`) keys
+/// on this one recipe, so their cache entries are interchangeable.
+pub fn job_key<O: ToJson + ?Sized>(circuit_fp: u64, options: &O) -> u64 {
+    combine(circuit_fp, fingerprint_value(&options.to_json()))
 }
 
 /// Formats a fingerprint the way the file cache and JSONL results carry it

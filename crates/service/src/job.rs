@@ -3,7 +3,7 @@
 //!
 //! The job model is generic over the compiler's option type `O` (and the
 //! result over its metrics type `M`): this crate sits *below* the compiler
-//! so the compiler itself can route `explore_parallel` through the pool and
+//! so the compiler itself can route `explore_session` through the pool and
 //! cache; the concrete instantiation with `CompilerOptions` / `Metrics`
 //! lives in `ftqc-compiler` and the CLI.
 

@@ -18,7 +18,7 @@
 //!
 //! [`batch::BatchService`] glues the three together. The crate sits
 //! *below* the compiler and is generic over the option/metrics types, so
-//! `ftqc_compiler::explore_parallel` can route through the same pool and
+//! `ftqc_compiler::explore_session` can route through the same pool and
 //! cache without a dependency cycle; the compiler and CLI instantiate the
 //! generics with `CompilerOptions` / `Metrics`.
 //!
@@ -84,7 +84,7 @@ pub use batch::{run_jsonl_streamed_via, run_jsonl_via, BatchConfig, BatchService
 pub use cache::{
     CacheHit, CacheStats, CacheTier, CompileCache, SharedCache, DEFAULT_CACHE_CAPACITY,
 };
-pub use fingerprint::{combine, fingerprint_circuit, fingerprint_value, Fnv64};
+pub use fingerprint::{combine, fingerprint_circuit, fingerprint_value, job_key, Fnv64};
 pub use job::{
     job_from_value, parse_jobs, parse_jobs_lenient, render_results, CacheProvenance, CircuitSource,
     CompileJob, JobResult, JobStatus, ParsedLine, StageOutcome, TargetRef, JOB_SCHEMA_VERSION,

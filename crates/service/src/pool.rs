@@ -4,8 +4,8 @@
 //! from a shared queue, then merges results **in submission order**: the
 //! output of a parallel run is byte-identical to running the same closure
 //! serially over the same list, whatever the thread interleaving was. That
-//! property is what lets `explore_parallel` promise exactly the same
-//! result set as serial `explore`.
+//! property is what lets `explore_session` promise exactly the same
+//! result set at any worker count.
 
 use std::sync::mpsc;
 use std::sync::Mutex;

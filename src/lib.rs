@@ -20,8 +20,8 @@
 //!   circuits, GHZ, adder, multiplier).
 //! * [`service`] — the parallel batch-compilation service: JSON-lines
 //!   compile jobs, a deterministic worker pool, and a content-addressed
-//!   compile cache shared by `compiler::explore_parallel`, the sweep
-//!   binaries and the `ftqc batch` / `ftqc sweep --parallel` CLI.
+//!   compile cache shared by `compiler::explore_session` (the one sweep
+//!   runner), the sweep binaries and the `ftqc batch` / `ftqc sweep` CLI.
 //! * [`server`] — the HTTP compile server over that service: JSON
 //!   endpoints for single compiles, JSONL batches, and design-space
 //!   sweeps, one process-wide compile cache shared by all clients,

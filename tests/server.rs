@@ -1,13 +1,13 @@
 //! Loopback integration tests for the HTTP compile server (ISSUE 2
 //! acceptance criteria): N concurrent clients receive byte-identical
-//! results to serial `compile_cached` compilation, a repeat pass is served
+//! results to serial local compilation, a repeat pass is served
 //! entirely from the shared cache, and `/metrics` counters match the
 //! request mix.
 
-use ftqc::compiler::{compile_cached, explore, pareto_front, CompilerOptions, Metrics};
+use ftqc::compiler::{explore, pareto_front, Compiler, CompilerOptions, Metrics};
 use ftqc::server::{Client, Server, ServerConfig, ShutdownHandle, SweepRequest};
 use ftqc::service::json::ToJson;
-use ftqc::service::{fingerprint, CircuitSource, CompileJob, JobResult, JobStatus, SharedCache};
+use ftqc::service::{fingerprint, CircuitSource, CompileJob, JobResult, JobStatus};
 
 /// Starts a server on an ephemeral loopback port; returns the client
 /// address, the shutdown handle, and the join handle for the run thread.
@@ -48,21 +48,19 @@ fn grid_jobs() -> Vec<CompileJob<CompilerOptions>> {
     jobs
 }
 
-/// Serial reference results via `compile_cached` against a fresh cache —
-/// the ground truth the served responses must reproduce byte-for-byte.
+/// Serial reference results: each job's whole-job cache key and a local
+/// compile — the ground truth the served responses must reproduce
+/// byte-for-byte.
 fn serial_reference(jobs: &[CompileJob<CompilerOptions>]) -> Vec<(u64, Metrics)> {
     let circuit = ftqc::benchmarks::ising_2d(2);
     let circuit_fp = fingerprint::fingerprint_circuit(&circuit);
-    let cache: SharedCache<Metrics> = SharedCache::in_memory(64);
     jobs.iter()
         .map(|job| {
-            let key = fingerprint::combine(
-                circuit_fp,
-                fingerprint::fingerprint_value(&job.options.to_json()),
-            );
-            let metrics = compile_cached(&circuit, circuit_fp, job.options.clone(), &cache)
+            let key = fingerprint::job_key(circuit_fp, &job.options);
+            let program = Compiler::new(job.options.clone())
+                .compile(&circuit)
                 .expect("serial compile");
-            (key, metrics)
+            (key, *program.metrics())
         })
         .collect()
 }
@@ -133,14 +131,14 @@ fn concurrent_clients_match_serial_and_hit_cache_on_repeat() {
         assert!(result.is_ok(), "{} failed: {:?}", job.id, result.status);
         assert_eq!(
             result.fingerprint, *key,
-            "{}: served fingerprint must equal the local compile_cached key",
+            "{}: served fingerprint must equal the local job key",
             job.id
         );
         let served = result.metrics.as_ref().expect("ok result has metrics");
         assert_eq!(
             served.to_json().render(),
             metrics.to_json().render(),
-            "{}: served metrics must be byte-identical to serial compile_cached",
+            "{}: served metrics must be byte-identical to a serial compile",
             job.id
         );
     }
@@ -321,13 +319,12 @@ fn staged_requests_and_per_stage_counters_over_loopback() {
     let full = client.compile(&job).expect("full compile");
     assert!(full.is_ok());
     let circuit = ftqc::benchmarks::ising_2d(2);
-    let circuit_fp = fingerprint::fingerprint_circuit(&circuit);
-    let cache: SharedCache<Metrics> = SharedCache::in_memory(8);
-    let expected = compile_cached(&circuit, circuit_fp, CompilerOptions::default(), &cache)
+    let expected = Compiler::new(CompilerOptions::default())
+        .compile(&circuit)
         .expect("local reference");
     assert_eq!(
         full.metrics.as_ref().unwrap().to_json().render(),
-        expected.to_json().render(),
+        expected.metrics().to_json().render(),
         "resumed compile must equal a cold local compile"
     );
 

@@ -1,12 +1,14 @@
 //! Integration tests for the batch-compilation service (ISSUE 1 acceptance
-//! criteria): parallel exploration is bit-identical to serial, repeated
-//! batches are served entirely from cache, and cache keys are sensitive to
-//! every input that can change a compile result.
+//! criteria): every sweep entry point is bit-identical to a serial
+//! per-point compile loop, repeated sweeps and batches are served entirely
+//! from cache, and cache keys are sensitive to every input that can change
+//! a compile result.
 
+use ftqc::arch::TargetSpec;
 use ftqc::benchmarks::ising_2d;
 use ftqc::compiler::{
-    explore, explore_parallel, explore_parallel_with, pareto_front, Compiler, CompilerOptions,
-    Metrics,
+    explore, explore_session, explore_targets, pareto_front, Compiler, CompilerOptions,
+    DesignPoint, Metrics, StageCache,
 };
 use ftqc::service::json::ToJson;
 use ftqc::service::{
@@ -25,31 +27,59 @@ fn test_circuit() -> Circuit {
     c
 }
 
-/// (a) `explore_parallel` produces exactly the serial `DesignPoint` set —
-/// same points, same order — and therefore the same Pareto front, for any
-/// worker count.
+/// (a) every sweep entry point — `explore`, `explore_session` at any
+/// worker count, and `explore_targets` over the paper target — produces
+/// exactly the design points of a serial per-point `Compiler::compile`
+/// loop: same points, same order, and therefore the same Pareto front.
 #[test]
 fn parallel_explore_equals_serial() {
     let circuit = test_circuit();
     let rs = [2u32, 4, 6, 8, 99]; // 99 is invalid for 9 qubits and skipped
     let fs = [1u32, 2, 3];
     let base = CompilerOptions::default();
-    let serial = explore(&circuit, &rs, &fs, &base).expect("serial explore");
-    assert_eq!(serial.len(), 12, "four valid r values × three f values");
+    let mut oracle = Vec::new();
+    for r in [2u32, 4, 6, 8] {
+        for &f in &fs {
+            let options = base.clone().routing_paths(r).factories(f);
+            let program = Compiler::new(options).compile(&circuit).expect("compiles");
+            oracle.push(DesignPoint {
+                routing_paths: r,
+                factories: f,
+                metrics: *program.metrics(),
+            });
+        }
+    }
+    assert_eq!(oracle.len(), 12, "four valid r values × three f values");
 
-    for workers in [2, 3, 8] {
-        let parallel =
-            explore_parallel(&circuit, &rs, &fs, &base, workers).expect("parallel explore");
+    let serial = explore(&circuit, &rs, &fs, &base).expect("explore");
+    assert_eq!(serial, oracle, "explore must equal the per-point loop");
+    for workers in [1, 2, 4] {
+        let cache = SharedCache::in_memory(64);
+        let stages = StageCache::new(64);
+        let swept = explore_session(&circuit, &rs, &fs, &base, workers, &cache, &stages)
+            .expect("explore_session");
+        assert_eq!(swept, oracle, "result set must match at {workers} workers");
         assert_eq!(
-            parallel, serial,
-            "result set must match at {workers} workers"
-        );
-        assert_eq!(
-            pareto_front(&parallel),
-            pareto_front(&serial),
+            pareto_front(&swept),
+            pareto_front(&oracle),
             "Pareto front must match at {workers} workers"
         );
     }
+    let targets = [("paper".to_string(), TargetSpec::paper())];
+    let sweeps = explore_targets(
+        &circuit,
+        &targets,
+        &rs,
+        &fs,
+        &base,
+        2,
+        &SharedCache::in_memory(64),
+        &StageCache::new(64),
+    )
+    .expect("explore_targets");
+    assert_eq!(sweeps.len(), 1);
+    assert_eq!(sweeps[0].points, oracle, "the paper target's grid");
+    assert_eq!(sweeps[0].front, pareto_front(&oracle));
 }
 
 /// (b) a second identical sweep against the same cache compiles nothing:
@@ -61,13 +91,16 @@ fn repeated_sweep_is_served_from_cache() {
     let fs = [1u32, 2];
     let base = CompilerOptions::default();
     let cache: SharedCache<Metrics> = SharedCache::in_memory(1024);
+    let stages = StageCache::new(64);
 
-    let first = explore_parallel_with(&circuit, &rs, &fs, &base, 4, &cache).expect("first sweep");
+    let first =
+        explore_session(&circuit, &rs, &fs, &base, 4, &cache, &stages).expect("first sweep");
     let stats = cache.stats();
     assert_eq!(stats.hits, 0, "cold cache");
     assert_eq!(stats.misses as usize, first.len());
 
-    let second = explore_parallel_with(&circuit, &rs, &fs, &base, 4, &cache).expect("second sweep");
+    let second =
+        explore_session(&circuit, &rs, &fs, &base, 4, &cache, &stages).expect("second sweep");
     assert_eq!(second, first, "cache must reproduce identical metrics");
     let stats = cache.stats();
     assert_eq!(
