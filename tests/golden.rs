@@ -3,8 +3,10 @@
 //! behaviour changed — intentional improvements should update the numbers
 //! *and* re-run the figure harnesses (EXPERIMENTS.md).
 
-use ftqc::benchmarks::{ising_1d, ising_2d};
-use ftqc::compiler::{Compiler, CompilerOptions, MappingStrategy, Metrics};
+use ftqc::benchmarks::{ising_1d, ising_2d, Benchmark};
+use ftqc::compiler::{export::to_csv, Compiler, CompilerOptions, MappingStrategy, Metrics};
+use ftqc::service::fingerprint::{fingerprint_bytes, to_hex};
+use ftqc::service::json::ToJson;
 
 fn compile(r: u32, f: u32) -> Metrics {
     *Compiler::new(CompilerOptions::default().routing_paths(r).factories(f))
@@ -68,4 +70,37 @@ fn snake_mapping_benefits_1d_chains() {
     assert_eq!(snake, 50);
     assert_eq!(row_major, 86);
     assert!(snake < row_major);
+}
+
+/// Digest of one Table I circuit's whole compile at paper size under the
+/// default options: every scheduled op (start, duration, cells, qubits,
+/// factory, gate) via the CSV export, plus the metrics document.
+fn paper_size_digest(benchmark: Benchmark) -> String {
+    let program = Compiler::new(CompilerOptions::default())
+        .compile(&benchmark.circuit())
+        .expect("compiles");
+    let mut doc = to_csv(&program);
+    doc.push_str(&program.metrics().to_json().render());
+    to_hex(fingerprint_bytes(doc.as_bytes()))
+}
+
+#[test]
+fn table1_paper_size_schedules_pinned() {
+    let expected = [
+        (Benchmark::Ising2d, "13604cf713465c8e"),
+        (Benchmark::Heisenberg2d, "7ec62ca806407cee"),
+        (Benchmark::FermiHubbard2d, "5ec8099df53ebeeb"),
+        (Benchmark::Ghz, "6d0f3d647be446d2"),
+        (Benchmark::Adder, "294eae05fda4a160"),
+        (Benchmark::Multiplier, "70757ff7da0e7e4a"),
+    ];
+    let got: Vec<(Benchmark, String)> = expected
+        .iter()
+        .map(|&(benchmark, _)| (benchmark, paper_size_digest(benchmark)))
+        .collect();
+    let expected: Vec<(Benchmark, String)> = expected
+        .iter()
+        .map(|&(benchmark, hex)| (benchmark, hex.to_string()))
+        .collect();
+    assert_eq!(got, expected);
 }
