@@ -148,6 +148,13 @@ pub struct ProgramShape {
 /// at most 8.
 pub const MAX_FACTORIES: u32 = 1024;
 
+/// The most data qubits a program may ask any target for. The layout, the
+/// routing state and the timing slabs all allocate per grid cell, so the
+/// cap bounds a compile's memory (a few MiB at the cap) where an unchecked
+/// `qreg q[4000000000]` asks for tens of gigabytes; the largest Table I
+/// circuit (GHZ) has 255.
+pub const MAX_QUBITS: u32 = 1 << 16;
+
 /// Why a program cannot run on a target.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TargetError {
@@ -157,6 +164,13 @@ pub enum TargetError {
     TooManyFactories {
         /// Factories the target declares.
         factories: u32,
+        /// The cap.
+        max: u32,
+    },
+    /// The program needs more data qubits than [`MAX_QUBITS`].
+    QubitCapExceeded {
+        /// Qubits the program needs.
+        qubits: u32,
         /// The cap.
         max: u32,
     },
@@ -187,6 +201,12 @@ impl fmt::Display for TargetError {
                 write!(
                     f,
                     "target declares {factories} factories but at most {max} are supported"
+                )
+            }
+            TargetError::QubitCapExceeded { qubits, max } => {
+                write!(
+                    f,
+                    "program needs {qubits} data qubits but at most {max} are supported"
                 )
             }
             TargetError::TooManyQubits { qubits, max } => {
@@ -328,6 +348,12 @@ impl TargetSpec {
             return Err(TargetError::TooManyFactories {
                 factories: self.factories,
                 max: MAX_FACTORIES,
+            });
+        }
+        if qubits > MAX_QUBITS {
+            return Err(TargetError::QubitCapExceeded {
+                qubits,
+                max: MAX_QUBITS,
             });
         }
         if let Some(max) = self.capabilities.max_qubits {
@@ -702,6 +728,34 @@ mod tests {
         }
     }
 
+    /// A qubit count past the cap is refused before any layout is built,
+    /// whatever the target's own capacity says. The cap itself is fine.
+    #[test]
+    fn validation_caps_the_qubit_count() {
+        let unlimited = TargetSpec::paper();
+        assert!(unlimited.validate(MAX_QUBITS, 10).is_ok());
+        for qubits in [MAX_QUBITS + 1, 4_000_000_000] {
+            assert_eq!(
+                unlimited.validate(qubits, 10),
+                Err(TargetError::QubitCapExceeded {
+                    qubits,
+                    max: MAX_QUBITS
+                })
+            );
+        }
+        let roomy = TargetSpec {
+            capabilities: Capabilities {
+                max_qubits: Some(u32::MAX),
+                ..Capabilities::default()
+            },
+            ..TargetSpec::paper()
+        };
+        assert!(matches!(
+            roomy.validate(4_000_000_000, 0),
+            Err(TargetError::QubitCapExceeded { .. })
+        ));
+    }
+
     #[test]
     fn target_error_messages() {
         assert!(TargetError::NoFactories
@@ -716,6 +770,13 @@ mod tests {
             max: MAX_FACTORIES,
         };
         assert!(e.to_string().contains("5000 factories"));
+        let e = TargetError::QubitCapExceeded {
+            qubits: 4_000_000_000,
+            max: MAX_QUBITS,
+        };
+        assert!(e
+            .to_string()
+            .contains("4000000000 data qubits but at most 65536 are supported"));
     }
 
     #[test]

@@ -294,6 +294,7 @@ impl DifferentialCompiler {
             &st.real_snaps,
             Some(st.program.into_schedule()),
             Timer::new(
+                st.layout.grid(),
                 num_qubits,
                 factories,
                 &timing,
@@ -308,6 +309,7 @@ impl DifferentialCompiler {
             &st.unit_snaps,
             None,
             Timer::new(
+                st.layout.grid(),
                 num_qubits,
                 factories,
                 &timing,
@@ -429,6 +431,7 @@ impl DifferentialCompiler {
             &[],
             None,
             Timer::new(
+                layout.grid(),
                 num_qubits,
                 factories,
                 &timing,
@@ -443,6 +446,7 @@ impl DifferentialCompiler {
             &[],
             None,
             Timer::new(
+                layout.grid(),
                 num_qubits,
                 factories,
                 &timing,

@@ -29,7 +29,6 @@ use ftqc_route::dijkstra::{CostModel, Occupancy};
 use ftqc_route::incremental::{RouteCounters, Router, RouterMode, SearchArena};
 use ftqc_route::moves::{best_cnot_config_with, Mover};
 use ftqc_sim::ResourceTimeline;
-use std::collections::HashSet;
 
 /// Marks a free cell in the engine's row-major occupancy grid; any other
 /// value is the index of the qubit holding the cell.
@@ -49,12 +48,15 @@ fn router_cost(options: &CompilerOptions) -> CostModel {
 }
 
 /// Occupancy view over the engine's mutable state: the routing searches
-/// call `is_occupied` on every neighbour relaxation, so it is one probe of
-/// the flat occupancy grid.
+/// call `is_occupied` and `is_blocked` on every neighbour relaxation, so
+/// the first is one probe of the flat occupancy grid and the second a scan
+/// of a few cells.
 struct OccView<'a> {
     grid: &'a Grid,
     occ: &'a [u32],
-    extra_blocked: &'a HashSet<Coord>,
+    /// Cells the search may not enter besides off-grid ones: the current
+    /// gate's operands plus any banned cells, a handful at most.
+    extra_blocked: &'a [Coord],
 }
 
 impl Occupancy for OccView<'_> {
@@ -79,17 +81,18 @@ pub struct Engine<'a> {
     /// Row-major cell -> occupying qubit, [`FREE`] when empty. Updated by
     /// [`Engine::raw_move`] alone.
     occ: Vec<u32>,
-    /// Provisional per-cell timeline guiding greedy ordering decisions.
+    /// Provisional per-cell timeline guiding greedy ordering decisions,
+    /// a slab over the layout grid.
     timeline: ResourceTimeline,
     qubit_ready: Vec<Ticks>,
     ops: Vec<RoutedOp>,
     current_gate: usize,
     /// Cells no operation may enter while the current gate executes
-    /// (operand positions).
-    protected: HashSet<Coord>,
+    /// (operand positions: one or two cells).
+    protected: Vec<Coord>,
     /// Cells displacement chains may pass *through* but never park a qubit
-    /// in (the planned merge ancilla of the current gate).
-    no_park: HashSet<Coord>,
+    /// in (the planned merge ancilla of the current gate, if any).
+    no_park: Vec<Coord>,
     n_magic_states: u64,
 }
 
@@ -143,11 +146,11 @@ impl<'a> Engine<'a> {
             qubit_ready: vec![Ticks::ZERO; pos.len()],
             pos,
             occ,
-            timeline: ResourceTimeline::new(),
+            timeline: ResourceTimeline::new(grid.rows(), grid.cols()),
             ops: Vec::new(),
             current_gate: 0,
-            protected: HashSet::new(),
-            no_park: HashSet::new(),
+            protected: Vec::new(),
+            no_park: Vec::new(),
             n_magic_states: 0,
         }
     }
@@ -179,8 +182,8 @@ impl<'a> Engine<'a> {
             qubit_ready: ckpt.qubit_ready.clone(),
             ops: prefix_ops,
             current_gate: 0,
-            protected: HashSet::new(),
-            no_park: HashSet::new(),
+            protected: Vec::new(),
+            no_park: Vec::new(),
             n_magic_states: ckpt.n_magic_states,
         }
     }
@@ -320,6 +323,12 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// Makes `cells` the whole protected set.
+    fn protect(&mut self, cells: &[Coord]) {
+        self.protected.clear();
+        self.protected.extend_from_slice(cells);
+    }
+
     /// Emits an op: assigns a provisional start (per-cell timeline + qubit
     /// readiness + `extra_dep`), reserves resources, updates qubit clocks.
     fn emit(
@@ -330,15 +339,13 @@ impl<'a> Engine<'a> {
         extra_dep: Ticks,
     ) -> Ticks {
         debug_assert!(op.validate().is_ok(), "emitting invalid op {op}");
-        let cells = op.cells();
         let dep = patches
             .iter()
             .map(|&q| self.qubit_ready[q as usize])
             .fold(extra_dep, Ticks::max);
-        let start = self.timeline.earliest_start(cells.iter().copied(), dep);
+        let start = self.timeline.earliest_start(&op, dep);
         let duration = op.duration(&self.options.target.timing);
-        self.timeline
-            .reserve(cells.iter().copied(), start, duration);
+        self.timeline.reserve(&op, start, duration);
         let end = start + duration;
         for &q in &patches {
             self.qubit_ready[q as usize] = end;
@@ -368,31 +375,35 @@ impl<'a> Engine<'a> {
     /// Frees `cell` (if occupied) by pushing its occupant — and any chain of
     /// occupants — toward the nearest free cell, never entering `avoid`
     /// cells or protected operand cells.
-    fn ensure_free(&mut self, cell: Coord, avoid: &HashSet<Coord>) -> Result<(), CompileError> {
+    fn ensure_free(&mut self, cell: Coord, avoid: &[Coord]) -> Result<(), CompileError> {
         if !self.occ_has(cell) {
             return Ok(());
         }
-        let mut strict: HashSet<Coord> = avoid.clone();
-        strict.extend(self.protected.iter().copied());
-        strict.extend(self.no_park.iter().copied());
-        strict.remove(&cell);
         // Preferred: keep the planned ancilla (no_park) clear. If that boxes
         // the occupant in, allow parking there — the ancilla gets its own
-        // clearing pass before the merge, so this is recoverable.
-        let mut relaxed: HashSet<Coord> = avoid.clone();
-        relaxed.extend(self.protected.iter().copied());
-        relaxed.remove(&cell);
+        // clearing pass before the merge, so this is recoverable. The
+        // relaxed set is a prefix of the strict one.
+        let mut strict: Vec<Coord> = avoid
+            .iter()
+            .chain(&self.protected)
+            .copied()
+            .filter(|&c| c != cell)
+            .collect();
+        let relaxed_len = strict.len();
+        strict.extend(self.no_park.iter().copied().filter(|&c| c != cell));
         let plan = {
             let grid = self.layout.grid();
-            let none = HashSet::new();
             let view = OccView {
-                grid: self.layout.grid(),
+                grid,
                 occ: &self.occ,
-                extra_blocked: &none,
+                extra_blocked: &[],
             };
             self.router
                 .clear_cell_plan(grid, &view, cell, &strict)
-                .or_else(|| self.router.clear_cell_plan(grid, &view, cell, &relaxed))
+                .or_else(|| {
+                    self.router
+                        .clear_cell_plan(grid, &view, cell, &strict[..relaxed_len])
+                })
         };
         match plan {
             Some(moves) => {
@@ -413,12 +424,11 @@ impl<'a> Engine<'a> {
     fn relocate(&mut self, q: u32, dest: Coord) -> Result<(), CompileError> {
         let budget = (self.grid().num_cells() as usize) * 8;
         let mut steps = 0usize;
-        let mut banned: HashSet<Coord> = HashSet::new();
+        let mut banned: Vec<Coord> = Vec::new();
         'replan: while self.pos[q as usize] != dest {
             let from = self.pos[q as usize];
             let path = {
-                let mut blocked = self.protected.clone();
-                blocked.extend(banned.iter().copied());
+                let blocked: Vec<Coord> = self.protected.iter().chain(&banned).copied().collect();
                 let view = OccView {
                     grid: self.layout.grid(),
                     occ: &self.occ,
@@ -434,22 +444,18 @@ impl<'a> Engine<'a> {
                 }
                 let here = self.pos[q as usize];
                 let next = path.cells[i];
-                if self.occ_has(next) {
-                    let mut avoid = HashSet::new();
-                    avoid.insert(here);
-                    if self.ensure_free(next, &avoid).is_err() {
-                        if next == dest {
-                            // The destination itself cannot be cleared:
-                            // this relocation target is infeasible.
-                            return Err(
-                                self.fail(format!("destination {dest} cannot be cleared for q{q}"))
-                            );
-                        }
-                        // The occupant of `next` is boxed in: ban the cell
-                        // and route around it.
-                        banned.insert(next);
-                        continue 'replan;
+                if self.ensure_free(next, &[here]).is_err() {
+                    if next == dest {
+                        // The destination itself cannot be cleared: this
+                        // relocation target is infeasible.
+                        return Err(
+                            self.fail(format!("destination {dest} cannot be cleared for q{q}"))
+                        );
                     }
+                    // The occupant of `next` is boxed in: ban the cell and
+                    // route around it.
+                    banned.push(next);
+                    continue 'replan;
                 }
                 self.raw_move(here, next);
             }
@@ -525,8 +531,8 @@ impl<'a> Engine<'a> {
     }
 
     fn exec_single(&mut self, q: u32, kind: SingleQubitKind) -> Result<(), CompileError> {
-        self.protected = [self.pos[q as usize]].into_iter().collect();
         let cell = self.pos[q as usize];
+        self.protect(&[cell]);
         let ancilla = self.acquire_ancilla(cell)?;
         self.emit(
             SurgeryOp::Single {
@@ -545,8 +551,8 @@ impl<'a> Engine<'a> {
 
     fn exec_magic(&mut self, q: u32, states: u32) -> Result<(), CompileError> {
         for _ in 0..states {
-            self.protected = [self.pos[q as usize]].into_iter().collect();
             let tq = self.pos[q as usize];
+            self.protect(&[tq]);
             // Delivery cell: vertical neighbour (M_ZZ constraint), preferring
             // a free one, then the cheaper to clear.
             let candidates: Vec<Coord> = [
@@ -571,8 +577,7 @@ impl<'a> Engine<'a> {
                     (occupied as u32, bus_bias, c.row, c.col)
                 })
                 .expect("candidates non-empty");
-            let avoid: HashSet<Coord> = [tq].into_iter().collect();
-            self.ensure_free(dest, &avoid)?;
+            self.ensure_free(dest, &[tq])?;
 
             let grant = self.bank.acquire(self.qubit_ready[q as usize]);
             let path = {
@@ -637,15 +642,14 @@ impl<'a> Engine<'a> {
 
     fn exec_cnot(&mut self, control: u32, target: u32) -> Result<(), CompileError> {
         let (c_pos, t_pos) = (self.pos[control as usize], self.pos[target as usize]);
-        self.protected = [c_pos, t_pos].into_iter().collect();
+        self.protect(&[c_pos, t_pos]);
 
         // Preferred: the gate-dependent move heuristic over free cells.
         let cfg = {
-            let none = HashSet::new();
             let view = OccView {
                 grid: self.layout.grid(),
                 occ: &self.occ,
-                extra_blocked: &none,
+                extra_blocked: &[],
             };
             best_cnot_config_with(
                 &mut self.router,
@@ -707,7 +711,8 @@ impl<'a> Engine<'a> {
             // Protect the anchor operand and the *planned* ancilla cell so
             // displacement chains never park a qubit where the merge must
             // happen; the mover itself walks freely.
-            self.protected.remove(&self.pos[mq as usize]);
+            let from = self.pos[mq as usize];
+            self.protected.retain(|&c| c != from);
             let planned = if mq == control {
                 cnot_ancilla(d, t_pos)
             } else {
@@ -718,21 +723,19 @@ impl<'a> Engine<'a> {
                     // Only freeze it when free — a pre-existing occupant
                     // still needs to escape through normal clearing. The
                     // mover may pass through; nothing may park there.
-                    self.no_park.insert(a);
+                    self.no_park.push(a);
                 }
             }
-            let avoid: HashSet<Coord> = HashSet::new();
-            self.ensure_free(d, &avoid)?;
+            self.ensure_free(d, &[])?;
             self.relocate(mq, d)?;
-            self.protected.insert(d);
+            self.protected.push(d);
         }
 
         let (cp, tp) = (self.pos[control as usize], self.pos[target as usize]);
         let ancilla = cnot_ancilla(cp, tp)
             .ok_or_else(|| self.fail("operands not diagonal after relocation"))?;
-        self.protected = [cp, tp].into_iter().collect();
-        let avoid: HashSet<Coord> = HashSet::new();
-        self.ensure_free(ancilla, &avoid)?;
+        self.protect(&[cp, tp]);
+        self.ensure_free(ancilla, &[])?;
         self.emit(
             SurgeryOp::Cnot {
                 control: cp,

@@ -39,7 +39,7 @@ use crate::options::CompilerOptions;
 use crate::pipeline::{lower, prepare, CompiledProgram};
 use crate::redundant::eliminate_redundant_moves;
 use crate::routed::RoutedOp;
-use crate::timer::{time_ops, CostKind};
+use crate::timer::time_schedule;
 use ftqc_arch::{Layout, Ticks};
 use ftqc_circuit::Circuit;
 use ftqc_route::incremental::{RouteCounters, RouterMode};
@@ -903,27 +903,20 @@ fn compute_schedule(
     } else {
         0
     };
-    let timing = options.effective_schedule_timing();
-    let schedule = time_ops(
-        &ops,
+    let n_surgery_ops = ops.len();
+    let n_moves = ops.iter().filter(|o| o.is_movement()).count();
+    let (schedule, unit_makespan) = time_schedule(
+        ops,
+        mapped.layout.grid(),
         num_qubits,
         options.target.factories as usize,
-        timing,
-        CostKind::Realistic,
-        options.target.unbounded_magic,
-    );
-    let unit_schedule = time_ops(
-        &ops,
-        num_qubits,
-        options.target.factories as usize,
-        timing,
-        CostKind::UnitCost,
+        options.effective_schedule_timing(),
         options.target.unbounded_magic,
     );
     ScheduledArt {
-        unit_makespan: unit_schedule.makespan(),
-        n_surgery_ops: ops.len(),
-        n_moves: ops.iter().filter(|o| o.is_movement()).count(),
+        unit_makespan,
+        n_surgery_ops,
+        n_moves,
         n_moves_eliminated,
         schedule,
     }

@@ -2,15 +2,17 @@
 //! per-cell resource timelines, per-qubit ready times and factory
 //! production.
 //!
-//! The same replay runs twice per compilation: once with realistic
-//! latencies (Fig 7) for the *execution time* and once with 1d per
-//! operation for the paper's *unit cost execution time* (Fig 8). Magic
+//! A compilation times its ops under two duration tables: realistic
+//! latencies (Fig 7) for the *execution time*, and 1d per operation for
+//! the paper's *unit cost execution time* (Fig 8). [`time_schedule`] runs
+//! both replays in one pass over the ops; only the realistic one is kept
+//! as a schedule, the unit-cost one is read for its makespan. Magic
 //! production keeps its real latency in both — the unit-cost metric
 //! isolates operation-latency effects while the distillation bottleneck
 //! stays, which is exactly what makes it comparable to the lower bound.
 
 use crate::routed::RoutedOp;
-use ftqc_arch::{Ticks, TimingModel};
+use ftqc_arch::{Grid, Ticks, TimingModel};
 use ftqc_sim::{ResourceTimeline, Schedule};
 use serde::{Deserialize, Serialize};
 
@@ -25,11 +27,11 @@ pub enum CostKind {
 
 /// The timing replay's complete mutable state, one op at a time.
 ///
-/// [`time_ops`] drives it front to back; the differential recompile path
-/// clones snapshots of it mid-replay and later resumes timing from the
-/// first op a circuit edit actually changed — item *i* of the schedule
-/// depends only on `ops[0..=i]`, so a resumed replay is byte-identical to
-/// a full one over the same prefix.
+/// [`time_schedule`] and [`time_ops`] drive it front to back; the
+/// differential recompile path clones snapshots of it mid-replay and later
+/// resumes timing from the first op a circuit edit actually changed — item
+/// *i* of the schedule depends only on `ops[0..=i]`, so a resumed replay is
+/// byte-identical to a full one over the same prefix.
 #[derive(Debug, Clone)]
 pub struct Timer {
     timing: TimingModel,
@@ -41,9 +43,31 @@ pub struct Timer {
 }
 
 impl Timer {
-    /// A fresh replay state: every cell free, every qubit ready at 0, the
-    /// first state of every factory completing at `magic_production`.
+    /// A fresh replay state for ops on `grid` (the layout's grid, which
+    /// sizes the per-cell timeline slab): every cell free, every qubit
+    /// ready at 0, the first state of every factory completing at
+    /// `magic_production`.
     pub fn new(
+        grid: &Grid,
+        num_qubits: u32,
+        num_factories: usize,
+        timing: &TimingModel,
+        cost: CostKind,
+        unbounded_magic: bool,
+    ) -> Self {
+        let timeline = ResourceTimeline::new(grid.rows(), grid.cols());
+        Self::with_timeline(
+            timeline,
+            num_qubits,
+            num_factories,
+            timing,
+            cost,
+            unbounded_magic,
+        )
+    }
+
+    fn with_timeline(
+        timeline: ResourceTimeline,
         num_qubits: u32,
         num_factories: usize,
         timing: &TimingModel,
@@ -54,7 +78,7 @@ impl Timer {
             timing: *timing,
             cost,
             unbounded_magic,
-            timeline: ResourceTimeline::new(),
+            timeline,
             qubit_ready: vec![Ticks::ZERO; num_qubits as usize],
             factory_ready: vec![timing.magic_production; num_factories.max(1)],
         }
@@ -62,16 +86,18 @@ impl Timer {
 
     /// Times the next op, advancing the replay state; returns its assigned
     /// `(start, duration)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the op names a patch at or past the timer's qubit count
+    /// (the witness checker rejects such ops before re-timing).
     pub fn push(&mut self, routed: &RoutedOp) -> (Ticks, Ticks) {
-        let cells = routed.op.cells();
         let dep_ready = routed
             .patches
             .iter()
             .map(|&q| self.qubit_ready[q as usize])
             .fold(Ticks::ZERO, Ticks::max);
-        let mut start = self
-            .timeline
-            .earliest_start(cells.iter().copied(), dep_ready);
+        let mut start = self.timeline.earliest_start(&routed.op, dep_ready);
 
         // Any op carrying a factory grant (normally the delivery; the
         // consumption directly when the port is adjacent to the consumer)
@@ -89,12 +115,71 @@ impl Timer {
             CostKind::Realistic => routed.op.duration(&self.timing),
             CostKind::UnitCost => routed.op.unit_duration(&self.timing),
         };
-        self.timeline
-            .reserve(cells.iter().copied(), start, duration);
+        self.timeline.reserve(&routed.op, start, duration);
         for &q in &routed.patches {
             self.qubit_ready[q as usize] = start + duration;
         }
         (start, duration)
+    }
+}
+
+/// The schedule stage's replay: times `ops` on `grid` with realistic
+/// latencies and, in the same pass, with unit costs. Each op moves into
+/// the returned realistic [`Schedule`] (its makespan is the execution
+/// time); the unit-cost replay keeps only its makespan, the second value.
+///
+/// Both replays follow [`time_ops`]'s rules, so the pair equals a
+/// [`CostKind::Realistic`] and a [`CostKind::UnitCost`] `time_ops` over
+/// the same ops.
+pub fn time_schedule(
+    ops: impl IntoIterator<Item = RoutedOp>,
+    grid: &Grid,
+    num_qubits: u32,
+    num_factories: usize,
+    timing: &TimingModel,
+    unbounded_magic: bool,
+) -> (Schedule<RoutedOp>, Ticks) {
+    let timer = |cost| {
+        Timer::new(
+            grid,
+            num_qubits,
+            num_factories,
+            timing,
+            cost,
+            unbounded_magic,
+        )
+    };
+    let (mut realistic, mut unit) = (timer(CostKind::Realistic), timer(CostKind::UnitCost));
+    let mut schedule = Schedule::new();
+    let mut unit_makespan = Ticks::ZERO;
+    for routed in ops {
+        let (start, duration) = unit.push(&routed);
+        unit_makespan = unit_makespan.max(start + duration);
+        let (start, duration) = realistic.push(&routed);
+        schedule.push(routed, start, duration);
+    }
+    (schedule, unit_makespan)
+}
+
+/// Slab shape `(rows, cols)` for timing `ops` without a layout: the
+/// bounding box of their cells from the origin, or an empty slab when the
+/// box holds more cells than the ops visit, so a sparse or far-flung op
+/// list times from the overflow map instead of allocating its box.
+fn slab_shape(ops: &[RoutedOp]) -> (u32, u32) {
+    let (mut rows, mut cols, mut visits) = (0u64, 0u64, 0u64);
+    for routed in ops {
+        routed.op.for_each_cell(|c| {
+            visits += 1;
+            if c.row >= 0 && c.col >= 0 {
+                rows = rows.max(c.row as u64 + 1);
+                cols = cols.max(c.col as u64 + 1);
+            }
+        });
+    }
+    if rows * cols <= visits {
+        (rows as u32, cols as u32)
+    } else {
+        (0, 0)
     }
 }
 
@@ -108,7 +193,9 @@ impl Timer {
 /// restarts production at the grant instant. `unbounded_magic` makes states
 /// always available (the DASCOT supply assumption).
 ///
-/// Returns the timed schedule; its makespan is the execution time.
+/// Returns the timed schedule; its makespan is the execution time. The
+/// compiler's schedule stage uses [`time_schedule`], which needs the
+/// layout's grid; this entry point sizes its timeline from the ops alone.
 pub fn time_ops(
     ops: &[RoutedOp],
     num_qubits: u32,
@@ -117,7 +204,15 @@ pub fn time_ops(
     cost: CostKind,
     unbounded_magic: bool,
 ) -> Schedule<RoutedOp> {
-    let mut timer = Timer::new(num_qubits, num_factories, timing, cost, unbounded_magic);
+    let (rows, cols) = slab_shape(ops);
+    let mut timer = Timer::with_timeline(
+        ResourceTimeline::new(rows, cols),
+        num_qubits,
+        num_factories,
+        timing,
+        cost,
+        unbounded_magic,
+    );
     let mut schedule = Schedule::new();
     for routed in ops {
         let (start, duration) = timer.push(routed);
@@ -129,7 +224,7 @@ pub fn time_ops(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftqc_arch::{Coord, SurgeryOp};
+    use ftqc_arch::{CellKind, Coord, SurgeryOp};
 
     fn mv(from: (i32, i32), to: (i32, i32), q: u32) -> RoutedOp {
         RoutedOp::movement(
@@ -241,6 +336,65 @@ mod tests {
         );
         let starts: Vec<f64> = s.items().iter().map(|x| x.start.as_d()).collect();
         assert_eq!(starts, vec![11.0, 11.0, 22.0, 22.0]);
+    }
+
+    #[test]
+    fn one_pass_matches_two_replays() {
+        // Shared cells, a qubit dependency, a factory grant and an op with
+        // different realistic and unit-cost latencies.
+        let ops = vec![
+            RoutedOp {
+                op: SurgeryOp::DeliverMagic {
+                    path: vec![Coord::new(0, 0), Coord::new(0, 1)],
+                },
+                patches: vec![],
+                factory: Some(0),
+                gate: Some(0),
+            },
+            mv((0, 1), (0, 2), 0),
+            RoutedOp::gate_op(
+                SurgeryOp::Single {
+                    kind: ftqc_arch::SingleQubitKind::H,
+                    cell: Coord::new(0, 2),
+                    ancilla: Coord::new(1, 2),
+                },
+                vec![0],
+                1,
+            ),
+            mv((3, 3), (3, 4), 1),
+        ];
+        let grid = Grid::filled(5, 5, CellKind::Bus);
+        let timing = TimingModel::paper();
+        for unbounded in [false, true] {
+            let real = time_ops(&ops, 2, 1, &timing, CostKind::Realistic, unbounded);
+            let unit = time_ops(&ops, 2, 1, &timing, CostKind::UnitCost, unbounded);
+            let (schedule, unit_makespan) =
+                time_schedule(ops.clone(), &grid, 2, 1, &timing, unbounded);
+            assert_eq!(schedule, real);
+            assert_eq!(unit_makespan, unit.makespan());
+        }
+    }
+
+    #[test]
+    fn slab_shape_is_capped_by_cell_visits() {
+        // Four cells visited once each fill their 2x2 box.
+        let dense = [mv((0, 0), (0, 1), 0), mv((1, 0), (1, 1), 1)];
+        assert_eq!(slab_shape(&dense), (2, 2));
+        // One far cell would need a huge box: the overflow map times it.
+        let sparse = [
+            mv((0, 0), (100_000, 100_000), 0),
+            mv((100_000, 100_000), (-5, i32::MAX), 1),
+        ];
+        assert_eq!(slab_shape(&sparse), (0, 0));
+        let s = time_ops(
+            &sparse,
+            2,
+            1,
+            &TimingModel::paper(),
+            CostKind::Realistic,
+            false,
+        );
+        assert_eq!(s.items()[1].start, Ticks::from_d(1.0), "shared far cell");
     }
 
     #[test]

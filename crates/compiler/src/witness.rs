@@ -8,10 +8,12 @@
 //!
 //! 1. re-derive the stage keys from the circuit + options (cheap: only the
 //!    prepare/lower front end runs, cache-assisted),
-//! 2. rebuild the layout and factory bank from the target,
-//! 3. deterministically re-time the op sequence with [`time_ops`] (greedy
-//!    replay — the same function the schedule stage uses, so a faithful
-//!    schedule's makespan is reproduced exactly),
+//! 2. rebuild the layout and factory bank from the target, and check that
+//!    every op names only that machine's hardware: qubits of the lowered
+//!    program, cells on the layout grid, docked factories,
+//! 3. deterministically re-time the op sequence with [`time_schedule`]
+//!    (greedy replay — the same function the schedule stage uses, so a
+//!    faithful schedule's makespans are reproduced exactly),
 //! 4. run the six-invariant physical checker [`verify_items`] over the
 //!    re-timed schedule, and
 //! 5. re-derive the full [`Metrics`] document and require equality with
@@ -31,9 +33,9 @@ use crate::options::CompilerOptions;
 use crate::pipeline::CompiledProgram;
 use crate::routed::RoutedOp;
 use crate::session::{CompileSession, StageCache};
-use crate::timer::{time_ops, CostKind};
+use crate::timer::time_schedule;
 use crate::verify::{verify_items, VerifyError};
-use ftqc_arch::{Coord, SingleQubitKind, SurgeryOp, Ticks};
+use ftqc_arch::{Coord, Grid, SingleQubitKind, SurgeryOp, Ticks};
 use ftqc_circuit::Circuit;
 use ftqc_service::fingerprint;
 use ftqc_service::json::{FromJson, JsonError, ToJson, Value};
@@ -84,6 +86,24 @@ pub enum WitnessError {
     },
     /// The target rejects the program shape or the layout cannot be built.
     Target(String),
+    /// An op names a patch the lowered program does not have.
+    UnknownQubit {
+        /// Index of the op in the witness.
+        index: usize,
+        /// The patch it names.
+        qubit: u32,
+        /// Qubits of the lowered program.
+        qubits: u32,
+    },
+    /// An op names a factory the target does not dock.
+    UnknownFactory {
+        /// Index of the op in the witness.
+        index: usize,
+        /// The factory it names.
+        factory: usize,
+        /// Factories the target docks.
+        factories: usize,
+    },
     /// The re-timed schedule violates a physical invariant.
     Invariant(VerifyError),
     /// The metrics derived from the witness disagree with the claimed
@@ -115,6 +135,22 @@ impl std::fmt::Display for WitnessError {
                 fingerprint::to_hex(*got)
             ),
             WitnessError::Target(e) => write!(f, "target rejects witness: {e}"),
+            WitnessError::UnknownQubit {
+                index,
+                qubit,
+                qubits,
+            } => write!(
+                f,
+                "op {index} names qubit {qubit} but the program has {qubits}"
+            ),
+            WitnessError::UnknownFactory {
+                index,
+                factory,
+                factories,
+            } => write!(
+                f,
+                "op {index} names factory {factory} but the target docks {factories}"
+            ),
             WitnessError::Invariant(e) => write!(f, "invariant violated: {e}"),
             WitnessError::MetricsMismatch { field } => {
                 write!(f, "derived metrics disagree on {field:?}")
@@ -194,11 +230,52 @@ fn first_metrics_diff(a: &Metrics, b: &Metrics) -> Option<&'static str> {
     None
 }
 
+/// Checks that every op names only hardware the verifier's machine has:
+/// patches below the lowered qubit count, cells on the layout grid, and
+/// factories below the docked bank's size.
+fn check_hardware(
+    ops: &[RoutedOp],
+    qubits: u32,
+    grid: &Grid,
+    factories: usize,
+) -> Result<(), WitnessError> {
+    for (index, routed) in ops.iter().enumerate() {
+        if let Some(&qubit) = routed.patches.iter().find(|&&q| q >= qubits) {
+            return Err(WitnessError::UnknownQubit {
+                index,
+                qubit,
+                qubits,
+            });
+        }
+        let mut off_grid = None;
+        routed.op.for_each_cell(|c| {
+            if off_grid.is_none() && !grid.in_bounds(c) {
+                off_grid = Some(c);
+            }
+        });
+        if let Some(cell) = off_grid {
+            return Err(WitnessError::Invariant(VerifyError::OffGrid {
+                index,
+                cell,
+            }));
+        }
+        if let Some(factory) = routed.factory.filter(|&f| f >= factories) {
+            return Err(WitnessError::UnknownFactory {
+                index,
+                factory,
+                factories,
+            });
+        }
+    }
+    Ok(())
+}
+
 /// Verifies a `(metrics, witness)` claim for `circuit` compiled under
 /// `options`, in O(schedule): stage keys and target digest are re-derived
-/// and compared, the op sequence is re-timed deterministically, the six
-/// physical invariants are checked, and the metrics are re-assembled from
-/// the replay and compared member-wise with the claim.
+/// and compared, every op is checked to name only the target's hardware,
+/// the op sequence is re-timed deterministically, the six physical
+/// invariants are checked, and the metrics are re-assembled from the
+/// replay and compared member-wise with the claim.
 ///
 /// `stages` (when given) lets the cheap prepare/lower re-runs read from
 /// and warm a caller's stage cache; `None` runs them uncached. On success
@@ -260,24 +337,20 @@ pub fn verify_witness(
         .map_err(|e| WitnessError::Target(e.to_string()))?;
     let bank = options.target.factory_bank(&layout);
 
+    // Every op must name hardware this machine has before anything indexes
+    // per-qubit, per-cell or per-factory state with it.
+    check_hardware(&witness.ops, num_qubits, layout.grid(), bank.len())?;
+
     // 3 + 4. Deterministic re-timing and the physical invariants. The
     // same greedy replay the schedule stage runs, so a faithful schedule's
     // makespans are reproduced bit-for-bit.
     let timing = options.effective_schedule_timing();
-    let schedule = time_ops(
-        &witness.ops,
+    let (schedule, unit_makespan) = time_schedule(
+        witness.ops.iter().cloned(),
+        layout.grid(),
         num_qubits,
         options.target.factories as usize,
         timing,
-        CostKind::Realistic,
-        options.target.unbounded_magic,
-    );
-    let unit_schedule = time_ops(
-        &witness.ops,
-        num_qubits,
-        options.target.factories as usize,
-        timing,
-        CostKind::UnitCost,
         options.target.unbounded_magic,
     );
     verify_items(schedule.items(), timing, |c| layout.grid().in_bounds(c))
@@ -292,7 +365,7 @@ pub fn verify_witness(
         .count() as u64;
     let derived = Metrics {
         execution_time: schedule.makespan(),
-        unit_cost_time: unit_schedule.makespan(),
+        unit_cost_time: unit_makespan,
         lower_bound: if options.target.unbounded_magic {
             Ticks::ZERO
         } else {
@@ -692,6 +765,65 @@ mod tests {
         assert!(
             matches!(err, WitnessError::MetricsMismatch { .. }),
             "got {err:?}"
+        );
+    }
+
+    #[test]
+    fn op_naming_a_missing_qubit_rejected() {
+        // Caught before re-timing indexes the per-qubit clocks with it.
+        let (circuit, options) = testbed();
+        let (mut witness, claimed) = compile_witnessed(&circuit, &options);
+        witness.ops[0].patches = vec![4_000_000];
+        let err = verify_witness(&circuit, &options, &witness, &claimed, None).unwrap_err();
+        assert_eq!(
+            err,
+            WitnessError::UnknownQubit {
+                index: 0,
+                qubit: 4_000_000,
+                qubits: 4
+            }
+        );
+    }
+
+    #[test]
+    fn grant_from_a_missing_factory_rejected() {
+        // A one-factory target: re-timing must not fold factory 99 onto
+        // factory 0 and accept the claim.
+        let (circuit, options) = testbed();
+        let (mut witness, claimed) = compile_witnessed(&circuit, &options);
+        let mut grants = 0;
+        for op in &mut witness.ops {
+            if op.factory.is_some() {
+                op.factory = Some(99);
+                grants += 1;
+            }
+        }
+        assert!(grants > 0, "testbed grants a magic state");
+        let err = verify_witness(&circuit, &options, &witness, &claimed, None).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                WitnessError::UnknownFactory {
+                    factory: 99,
+                    factories: 1,
+                    ..
+                }
+            ),
+            "got {err:?}"
+        );
+        assert!(err.to_string().contains("factory 99"), "{err}");
+    }
+
+    #[test]
+    fn off_grid_cell_rejected_before_retiming() {
+        let (circuit, options) = testbed();
+        let (mut witness, claimed) = compile_witnessed(&circuit, &options);
+        let cell = Coord::new(-7, 1_000_000);
+        witness.ops[1].op = SurgeryOp::MeasureZ { cell };
+        let err = verify_witness(&circuit, &options, &witness, &claimed, None).unwrap_err();
+        assert_eq!(
+            err,
+            WitnessError::Invariant(VerifyError::OffGrid { index: 1, cell })
         );
     }
 

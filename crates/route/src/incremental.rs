@@ -28,7 +28,7 @@ use crate::dijkstra::{find_path, CostModel, Occupancy, Path};
 use crate::space::{clear_cell_plan, nearest_free_cell, space_search, SpacePlan};
 use ftqc_arch::{Coord, Grid};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Largest bucket ring the Dial queue will allocate. Edge weights are
 /// `1 + penalty_weight`; beyond this bound the arena falls back to the
@@ -294,13 +294,14 @@ impl SearchArena {
 
     /// Arena-backed BFS push-chain to the nearest free cell (the core of
     /// [`clear_cell_plan`]/[`space_search`]), byte-identical to the seed's
-    /// `path_to_nearest_free`.
+    /// `path_to_nearest_free`. The `avoid` cells are stamped visited up
+    /// front, so their order and any repeats do not matter.
     fn chain_to_nearest_free(
         &mut self,
         grid: &Grid,
         occ: &impl Occupancy,
         start: Coord,
-        avoid: &HashSet<Coord>,
+        avoid: &[Coord],
     ) -> Option<Vec<Coord>> {
         self.reset(grid);
         let generation = self.generation;
@@ -342,13 +343,15 @@ impl SearchArena {
         None
     }
 
-    /// Arena-backed [`clear_cell_plan`] (identical results).
+    /// Arena-backed [`clear_cell_plan`] (identical results): `avoid` is
+    /// the seed's set as a slice of cells — a few cells in practice, in any
+    /// order, repeats allowed.
     pub fn clear_cell_plan(
         &mut self,
         grid: &Grid,
         occ: &impl Occupancy,
         cell: Coord,
-        avoid: &HashSet<Coord>,
+        avoid: &[Coord],
     ) -> Option<Vec<(Coord, Coord)>> {
         if !occ.is_occupied(cell) {
             return None;
@@ -367,8 +370,6 @@ impl SearchArena {
         target: Coord,
     ) -> Option<SpacePlan> {
         let mut best: Option<SpacePlan> = None;
-        let mut avoid = HashSet::new();
-        avoid.insert(target);
         for n in target.neighbours() {
             if !grid.in_bounds(n) || occ.is_blocked(n) {
                 continue;
@@ -379,7 +380,7 @@ impl SearchArena {
                     clearing_moves: Vec::new(),
                 });
             }
-            if let Some(chain) = self.chain_to_nearest_free(grid, occ, n, &avoid) {
+            if let Some(chain) = self.chain_to_nearest_free(grid, occ, n, &[target]) {
                 let plan = SpacePlan {
                     ancilla: n,
                     clearing_moves: crate::space::moves_from_chain(&chain, occ),
@@ -519,16 +520,19 @@ impl Router {
         }
     }
 
-    /// Push-chain plan freeing `cell` (see [`clear_cell_plan`]).
+    /// Push-chain plan freeing `cell` (see [`clear_cell_plan`]), never
+    /// entering the `avoid` cells.
     pub fn clear_cell_plan(
         &mut self,
         grid: &Grid,
         occ: &impl Occupancy,
         cell: Coord,
-        avoid: &HashSet<Coord>,
+        avoid: &[Coord],
     ) -> Option<Vec<(Coord, Coord)>> {
         match self.mode {
-            RouterMode::Reference => clear_cell_plan(grid, occ, cell, avoid),
+            RouterMode::Reference => {
+                clear_cell_plan(grid, occ, cell, &avoid.iter().copied().collect())
+            }
             RouterMode::Incremental => self.arena.clear_cell_plan(grid, occ, cell, avoid),
         }
     }
@@ -579,6 +583,7 @@ impl RoutePlanner for Router {
 mod tests {
     use super::*;
     use ftqc_arch::CellKind;
+    use std::collections::HashSet;
 
     struct SetOcc {
         blocked: HashSet<Coord>,
@@ -675,7 +680,7 @@ mod tests {
             let cell = Coord::new((lcg(&mut seed) % 6) as i32, (lcg(&mut seed) % 6) as i32);
             assert_eq!(
                 clear_cell_plan(&g, &occ, cell, &avoid),
-                arena.clear_cell_plan(&g, &occ, cell, &avoid)
+                arena.clear_cell_plan(&g, &occ, cell, &[at])
             );
         }
     }

@@ -26,14 +26,31 @@ fn benchmark_by_name(name: &str) -> Option<Benchmark> {
     }
 }
 
+/// The most qubits a sized benchmark (`name:L`, an `L × L` lattice) may
+/// have: `L ≤ 64`. The generators allocate per gate before any compile
+/// stage could refuse the circuit, and a lattice's routed schedule grows
+/// faster than its qubit count (`heisenberg:64` compiles in ~4 s and
+/// ~420 MiB), so a huge `L` is refused here, well below the compiler's
+/// own qubit cap (`ftqc_arch::MAX_QUBITS`). The paper's largest lattice is
+/// `L = 10`.
+pub const MAX_BENCHMARK_QUBITS: u32 = 1 << 12;
+
 /// Builds a benchmark circuit, honouring the optional `:L` size.
 fn benchmark_circuit(name: &str, size: Option<u32>) -> Result<Circuit, String> {
     let b = benchmark_by_name(name).ok_or_else(|| format!("no such benchmark {name:?}"))?;
     match size {
         None => Ok(b.circuit()),
-        Some(l) => b
-            .circuit_at(l)
-            .ok_or_else(|| format!("{name} has no size parameter (drop `:{l}`)")),
+        Some(l) => {
+            let qubits = u64::from(l) * u64::from(l);
+            if qubits > u64::from(MAX_BENCHMARK_QUBITS) {
+                return Err(format!(
+                    "{name}:{l} asks for {qubits} qubits but at most {MAX_BENCHMARK_QUBITS} are \
+                     supported"
+                ));
+            }
+            b.circuit_at(l)
+                .ok_or_else(|| format!("{name} has no size parameter (drop `:{l}`)"))
+        }
     }
 }
 
@@ -148,6 +165,29 @@ mod tests {
         assert!(load_circuit_spec("ghz:3").is_err(), "ghz has no size");
         assert!(load_circuit_spec("ising:banana").is_err());
         assert!(load_circuit_spec("nope").is_err());
+    }
+
+    #[test]
+    fn over_cap_benchmark_sizes_refused_before_generating() {
+        // 65² is one lattice row past the cap; 65536² overflows a u32.
+        for (l, qubits) in [
+            (65u32, "4225"),
+            (65_536, "4294967296"),
+            (100_000, "10000000000"),
+        ] {
+            let err = load_circuit_spec(&format!("ising:{l}")).unwrap_err();
+            assert!(
+                err.contains(&format!("{qubits} qubits but at most 4096")),
+                "got {err}"
+            );
+        }
+        assert!(resolve_source_remote(&CircuitSource::Benchmark {
+            name: "heisenberg".into(),
+            size: Some(4_000_000_000),
+        })
+        .unwrap_err()
+        .contains("at most 4096"));
+        assert!(load_circuit_spec("ising:16").is_ok());
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! The compiler turns a circuit into a sequence of [`SurgeryOp`]s
 //! (`ftqc-arch`); this crate provides the machinery that assigns start
-//! times: a [`ResourceTimeline`] tracking when each grid cell becomes free,
+//! times: a [`ResourceTimeline`] tracking when each grid cell becomes free
+//! (a row-major slab over the grid, probed once per cell an op occupies),
 //! and a [`Schedule`] recording `(op, start, duration)` triples with their
 //! makespan.
 //!

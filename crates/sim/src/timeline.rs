@@ -1,85 +1,99 @@
 //! Per-cell busy-until tracking.
 
-use ftqc_arch::{Coord, Ticks};
+use ftqc_arch::{Coord, SurgeryOp, Ticks};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// Tracks, for every grid cell, the instant it becomes free.
+/// Tracks, for every cell, the instant it becomes free.
 ///
 /// Cells never touched are free from time zero. The timeline is the
 /// contention model of the scheduler: two operations sharing any cell are
 /// serialised, operations on disjoint cells overlap freely.
 ///
+/// Storage is a row-major slab of busy-until instants for a `rows × cols`
+/// grid anchored at the origin, so the schedulers' per-cell probes are one
+/// index each. Any other coordinate (negative, or past the grid) lives in
+/// a small overflow map: it times exactly like an on-grid cell and never
+/// panics.
+///
 /// # Example
 ///
 /// ```
-/// use ftqc_arch::{Coord, Ticks};
+/// use ftqc_arch::{Coord, SurgeryOp, Ticks};
 /// use ftqc_sim::ResourceTimeline;
 ///
-/// let mut tl = ResourceTimeline::new();
-/// let cells = [Coord::new(0, 0), Coord::new(0, 1)];
-/// let start = tl.earliest_start(cells.iter().copied(), Ticks::ZERO);
-/// tl.reserve(cells.iter().copied(), start, Ticks::from_d(2.0));
+/// let mut tl = ResourceTimeline::new(2, 2);
+/// let mv = SurgeryOp::Move {
+///     from: Coord::new(0, 0),
+///     to: Coord::new(0, 1),
+/// };
+/// let start = tl.earliest_start(&mv, Ticks::ZERO);
+/// tl.reserve(&mv, start, Ticks::from_d(2.0));
 /// assert_eq!(tl.busy_until(Coord::new(0, 0)), Ticks::from_d(2.0));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ResourceTimeline {
-    busy_until: HashMap<Coord, Ticks>,
+    rows: u32,
+    cols: u32,
+    /// Busy-until of the on-grid cells, row-major.
+    slab: Vec<Ticks>,
+    /// Busy-until of the cells outside the slab's grid.
+    overflow: HashMap<Coord, Ticks>,
 }
 
 impl ResourceTimeline {
-    /// An empty timeline (everything free at time zero).
-    pub fn new() -> Self {
-        Self::default()
+    /// An empty timeline (everything free at time zero) whose slab covers
+    /// the `rows × cols` grid anchored at the origin.
+    pub fn new(rows: u32, cols: u32) -> Self {
+        ResourceTimeline {
+            rows,
+            cols,
+            slab: vec![Ticks::ZERO; rows as usize * cols as usize],
+            overflow: HashMap::new(),
+        }
+    }
+
+    /// Slab index of `cell`, `None` off the slab's grid. A negative
+    /// coordinate wraps to a huge `u32` and fails the bound check.
+    #[inline]
+    fn slot(&self, cell: Coord) -> Option<usize> {
+        let (row, col) = (cell.row as u32, cell.col as u32);
+        (row < self.rows && col < self.cols)
+            .then(|| row as usize * self.cols as usize + col as usize)
     }
 
     /// When `cell` becomes free.
+    #[inline]
     pub fn busy_until(&self, cell: Coord) -> Ticks {
-        self.busy_until.get(&cell).copied().unwrap_or(Ticks::ZERO)
+        match self.slot(cell) {
+            Some(i) => self.slab[i],
+            None => self.overflow.get(&cell).copied().unwrap_or(Ticks::ZERO),
+        }
     }
 
-    /// Earliest instant ≥ `not_before` at which every cell in `cells` is
-    /// free.
-    pub fn earliest_start(
-        &self,
-        cells: impl IntoIterator<Item = Coord>,
-        not_before: Ticks,
-    ) -> Ticks {
-        cells
-            .into_iter()
-            .map(|c| self.busy_until(c))
-            .fold(not_before, Ticks::max)
+    /// Earliest instant ≥ `not_before` at which every cell `op` occupies
+    /// is free.
+    pub fn earliest_start(&self, op: &SurgeryOp, not_before: Ticks) -> Ticks {
+        let mut start = not_before;
+        op.for_each_cell(|c| start = start.max(self.busy_until(c)));
+        start
     }
 
-    /// Marks every cell in `cells` busy during `[start, start + duration)`.
+    /// Marks every cell `op` occupies busy during `[start, start +
+    /// duration)`.
     ///
     /// Reservations are expected to be issued in non-decreasing start order
     /// per cell (the scheduler's discipline); a reservation never shortens
     /// an existing one.
-    pub fn reserve(
-        &mut self,
-        cells: impl IntoIterator<Item = Coord>,
-        start: Ticks,
-        duration: Ticks,
-    ) {
+    pub fn reserve(&mut self, op: &SurgeryOp, start: Ticks, duration: Ticks) {
         let end = start + duration;
-        for c in cells {
-            let e = self.busy_until.entry(c).or_insert(Ticks::ZERO);
-            *e = (*e).max(end);
-        }
-    }
-
-    /// The latest busy-until across all cells (the resource makespan).
-    pub fn horizon(&self) -> Ticks {
-        self.busy_until
-            .values()
-            .copied()
-            .fold(Ticks::ZERO, Ticks::max)
-    }
-
-    /// Number of cells ever reserved.
-    pub fn touched_cells(&self) -> usize {
-        self.busy_until.len()
+        op.for_each_cell(|c| {
+            let busy = match self.slot(c) {
+                Some(i) => &mut self.slab[i],
+                None => self.overflow.entry(c).or_insert(Ticks::ZERO),
+            };
+            *busy = (*busy).max(end);
+        });
     }
 }
 
@@ -87,51 +101,75 @@ impl ResourceTimeline {
 mod tests {
     use super::*;
 
+    fn mv(from: (i32, i32), to: (i32, i32)) -> SurgeryOp {
+        SurgeryOp::Move {
+            from: Coord::new(from.0, from.1),
+            to: Coord::new(to.0, to.1),
+        }
+    }
+
     #[test]
     fn untouched_cells_are_free() {
-        let tl = ResourceTimeline::new();
+        let tl = ResourceTimeline::new(3, 3);
+        assert_eq!(tl.busy_until(Coord::new(1, 1)), Ticks::ZERO);
         assert_eq!(tl.busy_until(Coord::new(5, 5)), Ticks::ZERO);
-        assert_eq!(tl.horizon(), Ticks::ZERO);
     }
 
     #[test]
     fn earliest_start_respects_not_before() {
-        let tl = ResourceTimeline::new();
-        let t = tl.earliest_start([Coord::new(0, 0)], Ticks::from_d(3.0));
+        let tl = ResourceTimeline::new(3, 3);
+        let t = tl.earliest_start(&mv((0, 0), (0, 1)), Ticks::from_d(3.0));
         assert_eq!(t, Ticks::from_d(3.0));
     }
 
     #[test]
     fn reserve_serialises_overlapping_ops() {
-        let mut tl = ResourceTimeline::new();
-        let a = [Coord::new(0, 0), Coord::new(0, 1)];
-        let b = [Coord::new(0, 1), Coord::new(0, 2)];
-        tl.reserve(a.iter().copied(), Ticks::ZERO, Ticks::from_d(2.0));
-        let start_b = tl.earliest_start(b.iter().copied(), Ticks::ZERO);
+        let mut tl = ResourceTimeline::new(6, 7);
+        tl.reserve(&mv((0, 0), (0, 1)), Ticks::ZERO, Ticks::from_d(2.0));
+        let start_b = tl.earliest_start(&mv((0, 1), (0, 2)), Ticks::ZERO);
         assert_eq!(start_b, Ticks::from_d(2.0), "shared cell (0,1) serialises");
         // Disjoint cells overlap.
-        let c = [Coord::new(5, 5)];
         assert_eq!(
-            tl.earliest_start(c.iter().copied(), Ticks::ZERO),
+            tl.earliest_start(&mv((5, 5), (5, 6)), Ticks::ZERO),
             Ticks::ZERO
         );
     }
 
     #[test]
     fn reserve_never_shrinks() {
-        let mut tl = ResourceTimeline::new();
-        let c = Coord::new(1, 1);
-        tl.reserve([c], Ticks::ZERO, Ticks::from_d(5.0));
-        tl.reserve([c], Ticks::from_d(1.0), Ticks::from_d(1.0));
-        assert_eq!(tl.busy_until(c), Ticks::from_d(5.0));
+        let mut tl = ResourceTimeline::new(2, 2);
+        let op = SurgeryOp::MeasureZ {
+            cell: Coord::new(1, 1),
+        };
+        tl.reserve(&op, Ticks::ZERO, Ticks::from_d(5.0));
+        tl.reserve(&op, Ticks::from_d(1.0), Ticks::from_d(1.0));
+        assert_eq!(tl.busy_until(Coord::new(1, 1)), Ticks::from_d(5.0));
     }
 
     #[test]
-    fn horizon_tracks_max() {
-        let mut tl = ResourceTimeline::new();
-        tl.reserve([Coord::new(0, 0)], Ticks::ZERO, Ticks::from_d(2.0));
-        tl.reserve([Coord::new(9, 9)], Ticks::from_d(4.0), Ticks::from_d(3.0));
-        assert_eq!(tl.horizon(), Ticks::from_d(7.0));
-        assert_eq!(tl.touched_cells(), 2);
+    fn off_grid_cells_time_like_on_grid_ones() {
+        // The same reservations on a slab that covers every cell and on an
+        // empty slab (everything in the overflow map), including negative
+        // and far-away coordinates.
+        let ops = [
+            mv((0, 0), (0, 1)),
+            mv((-1, 0), (0, 0)),
+            mv((0, 1), (9, 9)),
+            mv((i32::MIN, i32::MAX), (-1, 0)),
+        ];
+        let mut slab = ResourceTimeline::new(10, 10);
+        let mut overflow = ResourceTimeline::new(0, 0);
+        for (i, op) in ops.iter().enumerate() {
+            let not_before = Ticks::from_d(i as f64);
+            let start = slab.earliest_start(op, not_before);
+            assert_eq!(overflow.earliest_start(op, not_before), start, "op {i}");
+            slab.reserve(op, start, Ticks::from_d(1.5));
+            overflow.reserve(op, start, Ticks::from_d(1.5));
+        }
+        for op in &ops {
+            op.for_each_cell(|c| assert_eq!(slab.busy_until(c), overflow.busy_until(c), "{c}"));
+        }
+        assert_eq!(slab.busy_until(Coord::new(9, 9)), Ticks::from_d(3.5));
+        assert_eq!(slab.busy_until(Coord::new(-1, 0)), Ticks::from_d(4.5));
     }
 }
