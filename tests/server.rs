@@ -547,6 +547,52 @@ fn unknown_benchmarks_fail_per_job_over_loopback() {
     thread.join().expect("server thread");
 }
 
+/// A program past the qubit caps fails its own job with the typed cap
+/// error instead of aborting the server on a layout or generator
+/// allocation.
+#[test]
+fn over_cap_programs_fail_per_job_over_loopback() {
+    let (addr, handle, thread) = spawn_server(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let client = Client::new(addr);
+    let qasm = "OPENQASM 2.0;\\ninclude \\\"qelib1.inc\\\";\\nqreg q[4000000000];\\nh q[0];\\n";
+    for (source, expected) in [
+        (
+            format!("{{\"qasm\":\"{qasm}\"}}"),
+            format!(
+                "program needs 4000000000 data qubits but at most {} are supported",
+                ftqc::arch::MAX_QUBITS
+            ),
+        ),
+        (
+            "{\"benchmark\":\"ising\",\"size\":100000}".to_string(),
+            format!(
+                "ising:100000 asks for 10000000000 qubits but at most {} are supported",
+                ftqc::service::resolve::MAX_BENCHMARK_QUBITS
+            ),
+        ),
+    ] {
+        let job = format!("{{\"id\":\"huge\",\"source\":{source}}}");
+        let doc = client
+            .post_value(
+                "/v1/compile",
+                &ftqc::service::Value::parse(&job).expect("json"),
+            )
+            .expect("a per-job result, not an HTTP error");
+        let status = doc.get("status").and_then(|s| s.as_str()).expect("status");
+        assert!(
+            status.starts_with("failed: ") && status.contains(&expected),
+            "got {status:?}"
+        );
+    }
+    assert!(client.healthz().is_ok());
+
+    handle.shutdown();
+    thread.join().expect("server thread");
+}
+
 #[test]
 fn server_rejects_nonsense_gracefully() {
     let (addr, handle, thread) = spawn_server(ServerConfig {
