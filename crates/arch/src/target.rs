@@ -148,12 +148,14 @@ pub struct ProgramShape {
 /// at most 8.
 pub const MAX_FACTORIES: u32 = 1024;
 
-/// The most data qubits a program may ask any target for. The layout, the
-/// routing state and the timing slabs all allocate per grid cell, so the
-/// cap bounds a compile's memory (a few MiB at the cap) where an unchecked
-/// `qreg q[4000000000]` asks for tens of gigabytes; the largest Table I
-/// circuit (GHZ) has 255.
-pub const MAX_QUBITS: u32 = 1 << 16;
+/// The most data qubits a program may ask any target for, whether it
+/// arrives as QASM or as a sized benchmark. A compile's memory grows
+/// faster than its qubit count — the `64 × 64` Heisenberg lattice (4,096
+/// qubits) compiles in ~4 s and ~420 MiB, the `256 × 256` Ising lattice
+/// exhausts 4 GB — so the cap sits at 4,096 where an unchecked
+/// `qreg q[4000000000]` would abort on a tens-of-gigabytes allocation. The
+/// largest Table I circuit (GHZ) has 255.
+pub const MAX_QUBITS: u32 = 1 << 12;
 
 /// Why a program cannot run on a target.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -169,8 +171,9 @@ pub enum TargetError {
     },
     /// The program needs more data qubits than [`MAX_QUBITS`].
     QubitCapExceeded {
-        /// Qubits the program needs.
-        qubits: u32,
+        /// Qubits the program needs (wide enough for a sized benchmark's
+        /// `L²` before any register is built).
+        qubits: u64,
         /// The cap.
         max: u32,
     },
@@ -352,7 +355,7 @@ impl TargetSpec {
         }
         if qubits > MAX_QUBITS {
             return Err(TargetError::QubitCapExceeded {
-                qubits,
+                qubits: qubits.into(),
                 max: MAX_QUBITS,
             });
         }
@@ -738,7 +741,7 @@ mod tests {
             assert_eq!(
                 unlimited.validate(qubits, 10),
                 Err(TargetError::QubitCapExceeded {
-                    qubits,
+                    qubits: qubits.into(),
                     max: MAX_QUBITS
                 })
             );
@@ -776,7 +779,7 @@ mod tests {
         };
         assert!(e
             .to_string()
-            .contains("4000000000 data qubits but at most 65536 are supported"));
+            .contains("4000000000 data qubits but at most 4096 are supported"));
     }
 
     #[test]

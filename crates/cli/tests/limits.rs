@@ -43,8 +43,8 @@ fn over_cap_benchmark_size_exits_1_with_the_cap_error() {
     assert_eq!(code, Some(1), "stderr: {stderr}");
     assert!(
         stderr.contains(&format!(
-            "ising:100000 asks for 10000000000 qubits but at most {} are supported",
-            ftqc_service::resolve::MAX_BENCHMARK_QUBITS
+            "ising:100000: program needs 10000000000 data qubits but at most {} are supported",
+            ftqc_arch::MAX_QUBITS
         )),
         "stderr: {stderr}"
     );

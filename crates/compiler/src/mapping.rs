@@ -86,6 +86,11 @@ impl InitialMapping {
     }
 
     /// Greedy interaction-graph placement.
+    ///
+    /// The interaction graph is kept as per-qubit neighbour lists and each
+    /// unplaced qubit's weight to the placed set as a running sum, so
+    /// memory grows with the gate count and time with `n²` plus `n` times
+    /// the gate count, not with `n³`.
     fn interaction_aware(layout: &Layout, circuit: &Circuit) -> Self {
         let n = circuit.num_qubits() as usize;
         let data = layout.data_cells();
@@ -94,21 +99,37 @@ impl InitialMapping {
             "{n} qubits do not fit {} data cells",
             data.len()
         );
-        // Interaction weights: number of two-qubit gates per pair.
-        let mut weight = vec![vec![0u32; n]; n];
+        // Interaction weights: number of two-qubit gates per pair, as
+        // (partner, weight) lists.
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
         let mut total = vec![0u32; n];
         for g in circuit.iter() {
-            let qs: Vec<u32> = g.qubits().collect();
-            if qs.len() == 2 {
-                let (a, b) = (qs[0] as usize, qs[1] as usize);
-                weight[a][b] += 1;
-                weight[b][a] += 1;
-                total[a] += 1;
-                total[b] += 1;
+            let mut qs = g.qubits();
+            if let (Some(a), Some(b), None) = (qs.next(), qs.next(), qs.next()) {
+                pairs.push((a, b));
+                pairs.push((b, a));
+                total[a as usize] += 1;
+                total[b as usize] += 1;
+            }
+        }
+        pairs.sort_unstable();
+        let mut partners: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n];
+        for &(a, b) in &pairs {
+            match partners[a as usize].last_mut() {
+                Some((p, w)) if *p == b as usize => *w += 1,
+                _ => partners[a as usize].push((b as usize, 1)),
             }
         }
 
         let mut placed: Vec<Option<Coord>> = vec![None; n];
+        // Weight from each qubit to the placed set.
+        let mut attached = vec![0u32; n];
+        let place = |q: usize, cell: Coord, placed: &mut [Option<Coord>], attached: &mut [u32]| {
+            placed[q] = Some(cell);
+            for &(p, w) in &partners[q] {
+                attached[p] += w;
+            }
+        };
         let mut free: Vec<Coord> = data.to_vec();
         // Seed: the most-connected qubit at the cell closest to the block
         // centroid.
@@ -127,30 +148,28 @@ impl InitialMapping {
         let seed_cell_idx = (0..free.len())
             .min_by_key(|&i| free[i].manhattan(centroid))
             .expect("layout has data cells");
-        placed[seed] = Some(free.swap_remove(seed_cell_idx));
+        place(
+            seed,
+            free.swap_remove(seed_cell_idx),
+            &mut placed,
+            &mut attached,
+        );
 
         for _ in 1..n {
             // Next qubit: heaviest total edge weight to the placed set
             // (ties: heaviest overall, then lowest index for determinism).
             let next = (0..n)
                 .filter(|&q| placed[q].is_none())
-                .max_by_key(|&q| {
-                    let attached: u32 = (0..n)
-                        .filter(|&p| placed[p].is_some())
-                        .map(|p| weight[q][p])
-                        .sum();
-                    (attached, total[q], std::cmp::Reverse(q))
-                })
+                .max_by_key(|&q| (attached[q], total[q], std::cmp::Reverse(q)))
                 .expect("some qubit unplaced");
             // Best cell: minimise distance-weighted cost to placed partners
             // (unattached qubits take the cell nearest the centroid).
             let best = (0..free.len())
                 .min_by_key(|&i| {
-                    let cost: u64 = (0..n)
-                        .filter_map(|p| {
-                            placed[p].map(|cell| {
-                                u64::from(weight[next][p]) * u64::from(free[i].manhattan(cell))
-                            })
+                    let cost: u64 = partners[next]
+                        .iter()
+                        .filter_map(|&(p, w)| {
+                            placed[p].map(|cell| u64::from(w) * u64::from(free[i].manhattan(cell)))
                         })
                         .sum();
                     (
@@ -161,7 +180,7 @@ impl InitialMapping {
                     )
                 })
                 .expect("free cell remains");
-            placed[next] = Some(free.swap_remove(best));
+            place(next, free.swap_remove(best), &mut placed, &mut attached);
         }
 
         Self {
@@ -300,6 +319,97 @@ mod tests {
         let b = InitialMapping::for_circuit(&layout, &c, MappingStrategy::InteractionAware);
         assert_eq!(a, b);
         assert_eq!(a.len(), 9);
+    }
+
+    /// The dense `n × n` greedy placement that the neighbour-list one
+    /// replaced, kept as its oracle.
+    fn dense_placement(layout: &Layout, circuit: &Circuit) -> Vec<Coord> {
+        let n = circuit.num_qubits() as usize;
+        let data = layout.data_cells();
+        let mut weight = vec![vec![0u32; n]; n];
+        let mut total = vec![0u32; n];
+        for g in circuit.iter() {
+            let qs: Vec<u32> = g.qubits().collect();
+            if qs.len() == 2 {
+                let (a, b) = (qs[0] as usize, qs[1] as usize);
+                weight[a][b] += 1;
+                weight[b][a] += 1;
+                total[a] += 1;
+                total[b] += 1;
+            }
+        }
+        let mut placed: Vec<Option<Coord>> = vec![None; n];
+        let mut free: Vec<Coord> = data.to_vec();
+        let (r, c) = data.iter().fold((0i64, 0i64), |(r, c), cell| {
+            (r + i64::from(cell.row), c + i64::from(cell.col))
+        });
+        let k = data.len() as i64;
+        let centroid = Coord::new((r / k) as i32, (c / k) as i32);
+        let seed = (0..n)
+            .max_by_key(|&q| (total[q], std::cmp::Reverse(q)))
+            .unwrap();
+        let i = (0..free.len())
+            .min_by_key(|&i| free[i].manhattan(centroid))
+            .unwrap();
+        placed[seed] = Some(free.swap_remove(i));
+        for _ in 1..n {
+            let next = (0..n)
+                .filter(|&q| placed[q].is_none())
+                .max_by_key(|&q| {
+                    let attached: u32 = (0..n)
+                        .filter(|&p| placed[p].is_some())
+                        .map(|p| weight[q][p])
+                        .sum();
+                    (attached, total[q], std::cmp::Reverse(q))
+                })
+                .unwrap();
+            let best = (0..free.len())
+                .min_by_key(|&i| {
+                    let cost: u64 = (0..n)
+                        .filter_map(|p| {
+                            placed[p].map(|cell| {
+                                u64::from(weight[next][p]) * u64::from(free[i].manhattan(cell))
+                            })
+                        })
+                        .sum();
+                    let f = free[i];
+                    (cost, u64::from(f.manhattan(centroid)), f.row, f.col)
+                })
+                .unwrap();
+            placed[next] = Some(free.swap_remove(best));
+        }
+        placed.into_iter().map(Option::unwrap).collect()
+    }
+
+    #[test]
+    fn interaction_aware_matches_dense_placement() {
+        // Pseudo-random circuits with repeated pairs, idle qubits and
+        // single-qubit gates mixed in.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = |m: u32| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % u64::from(m)) as u32
+        };
+        for n in [2u32, 5, 9, 16, 23, 40] {
+            let mut c = Circuit::new(n);
+            for _ in 0..2 * n {
+                let a = draw(n);
+                let b = (a + 1 + draw(n - 1)) % n;
+                c.cnot(a, b);
+                if draw(3) == 0 {
+                    c.t(b);
+                }
+            }
+            let layout = Layout::with_routing_paths(n, 4);
+            let m = InitialMapping::for_circuit(&layout, &c, MappingStrategy::InteractionAware);
+            assert_eq!(
+                m.cells(),
+                dense_placement(&layout, &c).as_slice(),
+                "n = {n}"
+            );
+        }
     }
 
     #[test]

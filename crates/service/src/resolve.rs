@@ -10,6 +10,7 @@
 //! the server's filesystem.
 
 use crate::job::CircuitSource;
+use ftqc_arch::{TargetError, MAX_QUBITS};
 use ftqc_benchmarks::suite::Benchmark;
 use ftqc_circuit::{parse_qasm, Circuit};
 
@@ -26,27 +27,23 @@ fn benchmark_by_name(name: &str) -> Option<Benchmark> {
     }
 }
 
-/// The most qubits a sized benchmark (`name:L`, an `L × L` lattice) may
-/// have: `L ≤ 64`. The generators allocate per gate before any compile
-/// stage could refuse the circuit, and a lattice's routed schedule grows
-/// faster than its qubit count (`heisenberg:64` compiles in ~4 s and
-/// ~420 MiB), so a huge `L` is refused here, well below the compiler's
-/// own qubit cap (`ftqc_arch::MAX_QUBITS`). The paper's largest lattice is
-/// `L = 10`.
-pub const MAX_BENCHMARK_QUBITS: u32 = 1 << 12;
-
 /// Builds a benchmark circuit, honouring the optional `:L` size.
+///
+/// An `L × L` lattice past [`MAX_QUBITS`] is refused before generating:
+/// the generators allocate per gate before any compile stage could refuse
+/// the circuit. `L²` is computed in `u64`, so no `u32` side overflows it.
 fn benchmark_circuit(name: &str, size: Option<u32>) -> Result<Circuit, String> {
     let b = benchmark_by_name(name).ok_or_else(|| format!("no such benchmark {name:?}"))?;
     match size {
         None => Ok(b.circuit()),
         Some(l) => {
             let qubits = u64::from(l) * u64::from(l);
-            if qubits > u64::from(MAX_BENCHMARK_QUBITS) {
-                return Err(format!(
-                    "{name}:{l} asks for {qubits} qubits but at most {MAX_BENCHMARK_QUBITS} are \
-                     supported"
-                ));
+            if qubits > u64::from(MAX_QUBITS) {
+                let cap = TargetError::QubitCapExceeded {
+                    qubits,
+                    max: MAX_QUBITS,
+                };
+                return Err(format!("{name}:{l}: {cap}"));
             }
             b.circuit_at(l)
                 .ok_or_else(|| format!("{name} has no size parameter (drop `:{l}`)"))
@@ -176,9 +173,11 @@ mod tests {
             (100_000, "10000000000"),
         ] {
             let err = load_circuit_spec(&format!("ising:{l}")).unwrap_err();
-            assert!(
-                err.contains(&format!("{qubits} qubits but at most 4096")),
-                "got {err}"
+            assert_eq!(
+                err,
+                format!(
+                    "ising:{l}: program needs {qubits} data qubits but at most 4096 are supported"
+                )
             );
         }
         assert!(resolve_source_remote(&CircuitSource::Benchmark {

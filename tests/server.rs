@@ -547,9 +547,10 @@ fn unknown_benchmarks_fail_per_job_over_loopback() {
     thread.join().expect("server thread");
 }
 
-/// A program past the qubit caps fails its own job with the typed cap
+/// A program past the qubit cap fails its own job with the typed cap
 /// error instead of aborting the server on a layout or generator
-/// allocation.
+/// allocation, and a program at the cap compiles under interaction-aware
+/// placement, whose interaction graph grows with the gates, not `n²`.
 #[test]
 fn over_cap_programs_fail_per_job_over_loopback() {
     let (addr, handle, thread) = spawn_server(ServerConfig {
@@ -557,24 +558,34 @@ fn over_cap_programs_fail_per_job_over_loopback() {
         ..ServerConfig::default()
     });
     let client = Client::new(addr);
-    let qasm = "OPENQASM 2.0;\\ninclude \\\"qelib1.inc\\\";\\nqreg q[4000000000];\\nh q[0];\\n";
-    for (source, expected) in [
+    let qasm = |qubits: u64| {
+        format!(
+            "{{\"qasm\":\"OPENQASM 2.0;\\ninclude \\\"qelib1.inc\\\";\\nqreg q[{qubits}];\\ncx \
+             q[0],q[1];\\n\"}}"
+        )
+    };
+    let cap = ftqc::arch::MAX_QUBITS;
+    let refusal =
+        |qubits: u64| format!("program needs {qubits} data qubits but at most {cap} are supported");
+    for (source, options, expected) in [
+        (qasm(4_000_000_000), "{}", refusal(4_000_000_000)),
         (
-            format!("{{\"qasm\":\"{qasm}\"}}"),
-            format!(
-                "program needs 4000000000 data qubits but at most {} are supported",
-                ftqc::arch::MAX_QUBITS
-            ),
+            qasm(u64::from(cap) + 1),
+            r#"{"mapping":"interaction"}"#,
+            refusal(u64::from(cap) + 1),
         ),
         (
-            "{\"benchmark\":\"ising\",\"size\":100000}".to_string(),
-            format!(
-                "ising:100000 asks for 10000000000 qubits but at most {} are supported",
-                ftqc::service::resolve::MAX_BENCHMARK_QUBITS
-            ),
+            r#"{"benchmark":"ising","size":100000}"#.to_string(),
+            "{}",
+            format!("ising:100000: {}", refusal(10_000_000_000)),
+        ),
+        (
+            qasm(u64::from(cap)),
+            r#"{"mapping":"interaction"}"#,
+            String::new(),
         ),
     ] {
-        let job = format!("{{\"id\":\"huge\",\"source\":{source}}}");
+        let job = format!("{{\"id\":\"huge\",\"source\":{source},\"options\":{options}}}");
         let doc = client
             .post_value(
                 "/v1/compile",
@@ -582,12 +593,16 @@ fn over_cap_programs_fail_per_job_over_loopback() {
             )
             .expect("a per-job result, not an HTTP error");
         let status = doc.get("status").and_then(|s| s.as_str()).expect("status");
-        assert!(
-            status.starts_with("failed: ") && status.contains(&expected),
-            "got {status:?}"
-        );
+        if expected.is_empty() {
+            assert_eq!(status, "ok", "the at-cap program compiles");
+        } else {
+            assert!(
+                status.starts_with("failed: ") && status.contains(&expected),
+                "got {status:?}"
+            );
+        }
+        assert!(client.healthz().is_ok());
     }
-    assert!(client.healthz().is_ok());
 
     handle.shutdown();
     thread.join().expect("server thread");
