@@ -161,28 +161,6 @@ pub fn time_schedule(
     (schedule, unit_makespan)
 }
 
-/// Slab shape `(rows, cols)` for timing `ops` without a layout: the
-/// bounding box of their cells from the origin, or an empty slab when the
-/// box holds more cells than the ops visit, so a sparse or far-flung op
-/// list times from the overflow map instead of allocating its box.
-fn slab_shape(ops: &[RoutedOp]) -> (u32, u32) {
-    let (mut rows, mut cols, mut visits) = (0u64, 0u64, 0u64);
-    for routed in ops {
-        routed.op.for_each_cell(|c| {
-            visits += 1;
-            if c.row >= 0 && c.col >= 0 {
-                rows = rows.max(c.row as u64 + 1);
-                cols = cols.max(c.col as u64 + 1);
-            }
-        });
-    }
-    if rows * cols <= visits {
-        (rows as u32, cols as u32)
-    } else {
-        (0, 0)
-    }
-}
-
 /// Replays `ops` in order, assigning each operation the earliest start at
 /// which (a) every grid cell it touches is free, (b) every program qubit it
 /// involves is ready, and (c) — for magic deliveries — its factory has a
@@ -194,8 +172,9 @@ fn slab_shape(ops: &[RoutedOp]) -> (u32, u32) {
 /// always available (the DASCOT supply assumption).
 ///
 /// Returns the timed schedule; its makespan is the execution time. The
-/// compiler's schedule stage uses [`time_schedule`], which needs the
-/// layout's grid; this entry point sizes its timeline from the ops alone.
+/// compiler's schedule stage uses [`time_schedule`], which sizes its
+/// timeline slab from the layout's grid; this entry point has no grid, so
+/// every cell times through the timeline's overflow map.
 pub fn time_ops(
     ops: &[RoutedOp],
     num_qubits: u32,
@@ -204,9 +183,8 @@ pub fn time_ops(
     cost: CostKind,
     unbounded_magic: bool,
 ) -> Schedule<RoutedOp> {
-    let (rows, cols) = slab_shape(ops);
     let mut timer = Timer::with_timeline(
-        ResourceTimeline::new(rows, cols),
+        ResourceTimeline::new(0, 0),
         num_qubits,
         num_factories,
         timing,
@@ -373,28 +351,6 @@ mod tests {
             assert_eq!(schedule, real);
             assert_eq!(unit_makespan, unit.makespan());
         }
-    }
-
-    #[test]
-    fn slab_shape_is_capped_by_cell_visits() {
-        // Four cells visited once each fill their 2x2 box.
-        let dense = [mv((0, 0), (0, 1), 0), mv((1, 0), (1, 1), 1)];
-        assert_eq!(slab_shape(&dense), (2, 2));
-        // One far cell would need a huge box: the overflow map times it.
-        let sparse = [
-            mv((0, 0), (100_000, 100_000), 0),
-            mv((100_000, 100_000), (-5, i32::MAX), 1),
-        ];
-        assert_eq!(slab_shape(&sparse), (0, 0));
-        let s = time_ops(
-            &sparse,
-            2,
-            1,
-            &TimingModel::paper(),
-            CostKind::Realistic,
-            false,
-        );
-        assert_eq!(s.items()[1].start, Ticks::from_d(1.0), "shared far cell");
     }
 
     #[test]
