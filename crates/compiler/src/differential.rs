@@ -3,9 +3,10 @@
 //!
 //! A [`DifferentialCompiler`] holds the complete artifact chain of its
 //! last compile — the lowered circuit, the routed op sequence, a ladder of
-//! [`EngineCheckpoint`]s captured at causal cuts, the post-elimination
-//! ops, and timer-state snapshots from both timing replays — and, given an
-//! edited circuit, re-runs only what the edit can actually influence:
+//! [`EngineCheckpoint`]s captured at causal cuts, the compiled program
+//! (whose schedule is the post-elimination op sequence), and timer-state
+//! snapshots from both timing replays — and, given an edited circuit,
+//! re-runs only what the edit can actually influence:
 //!
 //! 1. **prepare / lower** re-run in full (they are linear-time and
 //!    microsecond-cheap; re-running them also makes the dirty-index
@@ -16,9 +17,9 @@
 //!    [`SearchArena`] so the resumed searches skip buffer allocation;
 //! 3. **schedule** re-runs redundant-move elimination in full (its
 //!    fixed-point cancellation is not prefix-stable near an edit
-//!    boundary), splices the unchanged schedule prefix, and resumes the
-//!    two timing replays from the deepest [`Timer`] snapshot at or below
-//!    the first changed op.
+//!    boundary) as a mask over the routed ops, splices the unchanged
+//!    schedule prefix, and resumes both timing replays, in one pass, from
+//!    the deepest [`Timer`] snapshot at or below the first changed op.
 //!
 //! The discipline throughout is *verify the result, not the
 //! recomputation*: every differentially produced program passes the full
@@ -38,13 +39,14 @@ use crate::mapping::InitialMapping;
 use crate::metrics::{lower_bound, Metrics};
 use crate::options::CompilerOptions;
 use crate::pipeline::{lower, prepare, CompiledProgram};
-use crate::redundant::eliminate_redundant_moves;
+use crate::redundant::cancelled_moves;
 use crate::routed::RoutedOp;
 use crate::timer::{CostKind, Timer};
 use crate::verify::verify;
 use ftqc_arch::{Layout, Ticks};
 use ftqc_circuit::Circuit;
 use ftqc_route::incremental::{RouterMode, SearchArena};
+use ftqc_route::RouteCounters;
 use ftqc_sim::Schedule;
 
 /// Engine checkpoints are captured every this many contiguous gates unless
@@ -99,32 +101,54 @@ pub struct CompileDelta {
     pub full_reason: Option<String>,
 }
 
-/// One mid-replay [`Timer`] snapshot: the state *before* timing op `idx`,
-/// plus the makespan accumulated over ops `0..idx`.
+/// One mid-replay snapshot of both timing replays: their state *before*
+/// timing op `idx`, plus the unit-cost makespan over ops `0..idx` (the
+/// realistic one is the makespan of the held schedule's first `idx` ops).
 #[derive(Debug, Clone)]
 struct TimerSnap {
     idx: usize,
-    timer: Timer,
-    makespan: Ticks,
+    real: Timer,
+    unit: Timer,
+    unit_makespan: Ticks,
 }
 
-/// Everything the previous compile left behind.
-struct DiffState {
+/// The map stage's output on either path, as the schedule stage takes it
+/// and the next recompile resumes from it.
+struct Routed {
     lowered: Circuit,
     layout: Layout,
     mapping: InitialMapping,
     factory_patches: u32,
     /// Routed ops before redundant-move elimination — the sequence the
-    /// checkpoints' `ops_len` indices refer to.
+    /// checkpoints' `ops_len` indices refer to. The ops elimination keeps
+    /// are the program's schedule, which the timer snapshots index.
     raw_ops: Vec<RoutedOp>,
     /// Causal-cut snapshots, ascending by cut.
     checkpoints: Vec<EngineCheckpoint>,
-    /// Ops after redundant-move elimination — the sequence the schedule
-    /// and the timer snapshots refer to.
-    elim_ops: Vec<RoutedOp>,
-    real_snaps: Vec<TimerSnap>,
-    unit_snaps: Vec<TimerSnap>,
+    n_magic_states: u64,
+    route: RouteCounters,
+}
+
+/// Everything the previous compile left behind.
+struct DiffState {
+    routed: Routed,
+    /// The raw-op index of each op of the program's schedule.
+    kept: Vec<usize>,
+    /// Timer snapshots, ascending by op index.
+    snaps: Vec<TimerSnap>,
     program: CompiledProgram,
+}
+
+/// What the schedule stage reuses from the previous compile (nothing, by
+/// default).
+#[derive(Default)]
+struct Held {
+    snaps: Vec<TimerSnap>,
+    schedule: Schedule<RoutedOp>,
+    /// The raw-op index of each of `schedule`'s ops.
+    kept: Vec<usize>,
+    /// Leading raw ops the new run took over unchanged.
+    shared: usize,
 }
 
 /// A compiler that remembers its last run and recompiles edited circuits
@@ -214,39 +238,52 @@ impl DifferentialCompiler {
         let prepared = prepare(circuit, &self.options);
         let lowered = lower(&prepared);
 
-        let Some(mut st) = self.state.take() else {
+        let Some(st) = self.state.take() else {
             return self.full(lowered, input_gates, "no previous compile");
         };
-        if st.lowered.num_qubits() != lowered.num_qubits() {
+        let DiffState {
+            routed: mut old,
+            kept,
+            snaps,
+            program,
+        } = st;
+        if old.lowered.num_qubits() != lowered.num_qubits() {
             return self.full(lowered, input_gates, "qubit count changed");
         }
         // The grid layout depends only on the qubit count (unchanged), but
         // the initial placement may read the whole circuit
         // (interaction-aware mapping): recompute and compare.
-        let mapping = InitialMapping::for_circuit(&st.layout, &lowered, self.options.mapping);
-        if mapping != st.mapping {
+        let mapping = InitialMapping::for_circuit(&old.layout, &lowered, self.options.mapping);
+        if mapping != old.mapping {
             return self.full(lowered, input_gates, "initial placement changed");
         }
 
         let gates_total = lowered.len();
-        let dirty_from = first_divergence(&st.lowered, &lowered);
+        let dirty_from = first_divergence(&old.lowered, &lowered);
         let bound = causal_bound(&lowered, dirty_from);
 
         // ---- map: resume routing from the deepest sound checkpoint ----
+        // The checkpoints past it are dropped; the resumed run appends its
+        // own after the rest.
+        let sound = old
+            .checkpoints
+            .iter()
+            .take_while(|c| c.cut <= bound)
+            .count();
+        old.checkpoints.truncate(sound);
+        let resume_cut = old.checkpoints.last().map_or(0, |c| c.cut);
+        let shared = old.checkpoints.last().map_or(0, |c| c.ops_len);
         let arena = self.arena.take().unwrap_or_default();
-        let ckpt = st.checkpoints.iter().rfind(|c| c.cut <= bound);
-        let resume_cut = ckpt.map_or(0, |c| c.cut);
-        let mut new_ckpts = Vec::new();
-        let mut engine = match ckpt {
+        let mut engine = match old.checkpoints.last() {
             Some(c) => {
                 // The held raw ops are replaced wholesale after this
                 // recompile, so the checkpoint prefix is moved out rather
                 // than cloned (the clone was measurable at interactive
                 // edit rates).
-                let mut prefix = std::mem::take(&mut st.raw_ops);
+                let mut prefix = std::mem::take(&mut old.raw_ops);
                 prefix.truncate(c.ops_len);
                 Engine::resume(
-                    &st.layout,
+                    &old.layout,
                     &self.options,
                     c,
                     prefix,
@@ -257,105 +294,47 @@ impl DifferentialCompiler {
             // No sound checkpoint: route from scratch, still through the
             // warm router (warmth never changes results).
             None => Engine::with_arena(
-                &st.layout,
+                &old.layout,
                 &mapping,
-                self.options.target.factory_bank(&st.layout),
+                self.options.target.factory_bank(&old.layout),
                 &self.options,
                 RouterMode::Incremental,
                 arena,
             ),
         };
-        engine.run_from(&lowered, resume_cut, self.checkpoint_every, &mut new_ckpts)?;
+        engine.run_from(
+            &lowered,
+            resume_cut,
+            self.checkpoint_every,
+            &mut old.checkpoints,
+        )?;
         let route = engine.route_counters();
         let (raw_ops, n_magic_states, arena) = engine.into_ops_and_arena();
-        let mut checkpoints: Vec<EngineCheckpoint> = st
-            .checkpoints
-            .iter()
-            .filter(|c| c.cut <= resume_cut)
-            .cloned()
-            .collect();
-        checkpoints.extend(new_ckpts);
-
-        // ---- schedule: full elimination, spliced timing replays ----
-        let mut elim_ops = raw_ops.clone();
-        let n_moves_eliminated = if self.options.eliminate_redundant_moves {
-            eliminate_redundant_moves(&mut elim_ops)
-        } else {
-            0
-        };
-        let common = common_prefix(&elim_ops, &st.elim_ops);
-        let timing = *self.options.effective_schedule_timing();
-        let num_qubits = lowered.num_qubits();
-        let factories = self.options.target.factories as usize;
-        let unbounded = self.options.target.unbounded_magic;
-        let real = resume_replay(
-            &elim_ops,
-            common,
-            &st.real_snaps,
-            Some(st.program.into_schedule()),
-            Timer::new(
-                st.layout.grid(),
-                num_qubits,
-                factories,
-                &timing,
-                CostKind::Realistic,
-                unbounded,
-            ),
-            self.timer_every,
-        );
-        let unit = resume_replay(
-            &elim_ops,
-            common,
-            &st.unit_snaps,
-            None,
-            Timer::new(
-                st.layout.grid(),
-                num_qubits,
-                factories,
-                &timing,
-                CostKind::UnitCost,
-                unbounded,
-            ),
-            self.timer_every,
-        );
-
-        let metrics = Metrics {
-            execution_time: real.makespan,
-            unit_cost_time: unit.makespan,
-            lower_bound: if unbounded {
-                Ticks::ZERO
-            } else {
-                lower_bound(
-                    n_magic_states,
-                    timing.magic_production,
-                    self.options.target.factories,
-                )
-            },
-            grid_patches: st.layout.total_patches(),
-            factory_patches: st.factory_patches,
-            routing_paths: self.options.target.routing_paths(),
-            factories: self.options.target.factories,
-            n_gates: input_gates,
-            n_surgery_ops: elim_ops.len(),
-            n_moves: elim_ops.iter().filter(|o| o.is_movement()).count(),
-            n_moves_eliminated,
+        let routed = Routed {
+            lowered,
+            mapping,
+            raw_ops,
             n_magic_states,
             route,
+            ..old
         };
-        let program = CompiledProgram::assemble(
-            st.layout.clone(),
-            real.schedule,
-            metrics,
-            lowered.clone(),
-            mapping.clone(),
-            self.options.clone(),
-        );
+
+        // ---- schedule: full elimination, spliced timing replays ----
+        let held = Held {
+            snaps,
+            schedule: program.into_schedule(),
+            kept,
+            shared,
+        };
+        let (program, state, retimed) = self.schedule(routed, input_gates, held);
 
         // A wrong shortcut must never escape: every differential result
         // passes the full invariant check or the whole state is discarded
         // and the compile redone from nothing.
-        if let Err(e) = verify(&program, &timing) {
+        let timing = self.options.effective_schedule_timing();
+        if let Err(e) = verify(&program, timing) {
             self.arena = None;
+            let lowered = state.routed.lowered;
             return self.full(lowered, input_gates, &format!("verification failed: {e}"));
         }
 
@@ -365,23 +344,12 @@ impl DifferentialCompiler {
             dirty_from,
             resume_cut,
             gates_rerouted: gates_total - resume_cut,
-            ops_total: elim_ops.len(),
-            ops_retimed: real.retimed,
+            ops_total: program.schedule().len(),
+            ops_retimed: retimed,
             full_reason: None,
         };
         self.arena = Some(arena);
-        self.state = Some(DiffState {
-            lowered,
-            layout: st.layout,
-            mapping,
-            factory_patches: st.factory_patches,
-            raw_ops,
-            checkpoints,
-            elim_ops,
-            real_snaps: real.snaps,
-            unit_snaps: unit.snaps,
-            program: program.clone(),
-        });
+        self.state = Some(state);
         Ok((program, delta))
     }
 
@@ -414,103 +382,148 @@ impl DifferentialCompiler {
         engine.run_from(&lowered, 0, self.checkpoint_every, &mut checkpoints)?;
         let route = engine.route_counters();
         let (raw_ops, n_magic_states, arena) = engine.into_ops_and_arena();
-
-        let mut elim_ops = raw_ops.clone();
-        let n_moves_eliminated = if self.options.eliminate_redundant_moves {
-            eliminate_redundant_moves(&mut elim_ops)
-        } else {
-            0
-        };
-        let timing = *self.options.effective_schedule_timing();
-        let num_qubits = lowered.num_qubits();
-        let factories = self.options.target.factories as usize;
-        let unbounded = self.options.target.unbounded_magic;
-        let real = resume_replay(
-            &elim_ops,
-            0,
-            &[],
-            None,
-            Timer::new(
-                layout.grid(),
-                num_qubits,
-                factories,
-                &timing,
-                CostKind::Realistic,
-                unbounded,
-            ),
-            self.timer_every,
-        );
-        let unit = resume_replay(
-            &elim_ops,
-            0,
-            &[],
-            None,
-            Timer::new(
-                layout.grid(),
-                num_qubits,
-                factories,
-                &timing,
-                CostKind::UnitCost,
-                unbounded,
-            ),
-            self.timer_every,
-        );
-
-        let metrics = Metrics {
-            execution_time: real.makespan,
-            unit_cost_time: unit.makespan,
-            lower_bound: if unbounded {
-                Ticks::ZERO
-            } else {
-                lower_bound(
-                    n_magic_states,
-                    timing.magic_production,
-                    self.options.target.factories,
-                )
-            },
-            grid_patches: layout.total_patches(),
-            factory_patches,
-            routing_paths: self.options.target.routing_paths(),
-            factories: self.options.target.factories,
-            n_gates: input_gates,
-            n_surgery_ops: elim_ops.len(),
-            n_moves: elim_ops.iter().filter(|o| o.is_movement()).count(),
-            n_moves_eliminated,
-            n_magic_states,
-            route,
-        };
-        let program = CompiledProgram::assemble(
-            layout.clone(),
-            real.schedule,
-            metrics,
-            lowered.clone(),
-            mapping.clone(),
-            self.options.clone(),
-        );
-        let delta = CompileDelta {
-            kind: DeltaKind::Full,
-            gates_total: lowered.len(),
-            dirty_from: 0,
-            resume_cut: 0,
-            gates_rerouted: lowered.len(),
-            ops_total: elim_ops.len(),
-            ops_retimed: real.retimed,
-            full_reason: Some(reason.to_string()),
-        };
-        self.arena = Some(arena);
-        self.state = Some(DiffState {
+        let gates_total = lowered.len();
+        let routed = Routed {
             lowered,
             layout,
             mapping,
             factory_patches,
             raw_ops,
             checkpoints,
-            elim_ops,
-            real_snaps: real.snaps,
-            unit_snaps: unit.snaps,
-            program: program.clone(),
-        });
+            n_magic_states,
+            route,
+        };
+        let (program, state, retimed) = self.schedule(routed, input_gates, Held::default());
+        let delta = CompileDelta {
+            kind: DeltaKind::Full,
+            gates_total,
+            dirty_from: 0,
+            resume_cut: 0,
+            gates_rerouted: gates_total,
+            ops_total: program.schedule().len(),
+            ops_retimed: retimed,
+            full_reason: Some(reason.to_string()),
+        };
+        self.arena = Some(arena);
+        self.state = Some(state);
         Ok((program, delta))
+    }
+
+    /// The schedule stage of both paths: eliminates redundant moves in the
+    /// routed ops and times the ops left under both cost tables in one
+    /// pass. Both replays resume from the deepest of `held`'s snapshots at
+    /// or below the first op that differs from its schedule, whose head is
+    /// kept instead of re-timed. Returns the program, the state to hold for
+    /// the next recompile, and how many ops were re-timed.
+    fn schedule(
+        &self,
+        routed: Routed,
+        input_gates: usize,
+        held: Held,
+    ) -> (CompiledProgram, DiffState, usize) {
+        let raw = &routed.raw_ops;
+        let cancel = if self.options.eliminate_redundant_moves {
+            cancelled_moves(raw)
+        } else {
+            vec![false; raw.len()]
+        };
+        let kept: Vec<usize> = (0..raw.len()).filter(|&i| !cancel[i]).collect();
+        let Held {
+            mut snaps,
+            mut schedule,
+            kept: held_kept,
+            shared,
+        } = held;
+        // An op at the same raw index inside the shared raw prefix is the
+        // same op; only the others are compared.
+        let common = kept
+            .iter()
+            .zip(&held_kept)
+            .zip(schedule.items())
+            .take_while(|((&i, &j), item)| (i == j && i < shared) || raw[i] == item.op)
+            .count();
+        snaps.truncate(snaps.iter().take_while(|s| s.idx <= common).count());
+
+        let timing = *self.options.effective_schedule_timing();
+        let target = &self.options.target;
+        let TimerSnap {
+            idx: start,
+            mut real,
+            mut unit,
+            mut unit_makespan,
+        } = snaps.last().cloned().unwrap_or_else(|| {
+            let timer = |cost| {
+                Timer::new(
+                    routed.layout.grid(),
+                    routed.lowered.num_qubits(),
+                    target.factories as usize,
+                    &timing,
+                    cost,
+                    target.unbounded_magic,
+                )
+            };
+            TimerSnap {
+                idx: 0,
+                real: timer(CostKind::Realistic),
+                unit: timer(CostKind::UnitCost),
+                unit_makespan: Ticks::ZERO,
+            }
+        });
+        schedule.truncate(start);
+        for (i, op) in kept.iter().map(|&k| &raw[k]).enumerate().skip(start) {
+            if i > start && i % self.timer_every == 0 {
+                snaps.push(TimerSnap {
+                    idx: i,
+                    real: real.clone(),
+                    unit: unit.clone(),
+                    unit_makespan,
+                });
+            }
+            let (s, d) = unit.push(op);
+            unit_makespan = unit_makespan.max(s + d);
+            let (s, d) = real.push(op);
+            schedule.push(op.clone(), s, d);
+        }
+
+        let metrics = Metrics {
+            execution_time: schedule.makespan(),
+            unit_cost_time: unit_makespan,
+            lower_bound: if target.unbounded_magic {
+                Ticks::ZERO
+            } else {
+                lower_bound(
+                    routed.n_magic_states,
+                    timing.magic_production,
+                    target.factories,
+                )
+            },
+            grid_patches: routed.layout.total_patches(),
+            factory_patches: routed.factory_patches,
+            routing_paths: target.routing_paths(),
+            factories: target.factories,
+            n_gates: input_gates,
+            n_surgery_ops: kept.len(),
+            n_moves: kept.iter().filter(|&&k| raw[k].is_movement()).count(),
+            n_moves_eliminated: raw.len() - kept.len(),
+            n_magic_states: routed.n_magic_states,
+            route: routed.route,
+        };
+        let retimed = kept.len() - start;
+        let program = CompiledProgram::assemble(
+            routed.layout.clone(),
+            schedule,
+            metrics,
+            routed.lowered.clone(),
+            routed.mapping.clone(),
+            self.options.clone(),
+        );
+        let state = DiffState {
+            routed,
+            kept,
+            snaps,
+            program: program.clone(),
+        };
+        (program, state, retimed)
     }
 }
 
@@ -554,72 +567,6 @@ fn causal_bound(new: &Circuit, dirty_from: usize) -> usize {
         }
     }
     bound
-}
-
-/// Length of the common prefix of two op sequences.
-fn common_prefix(a: &[RoutedOp], b: &[RoutedOp]) -> usize {
-    let n = a.len().min(b.len());
-    (0..n).find(|&i| a[i] != b[i]).unwrap_or(n)
-}
-
-struct ReplayOut {
-    schedule: Schedule<RoutedOp>,
-    makespan: Ticks,
-    snaps: Vec<TimerSnap>,
-    retimed: usize,
-}
-
-/// Times `ops`, resuming from the deepest snapshot in `old_snaps` whose
-/// index is at most `common` (ops before `common` are unchanged from the
-/// replay that produced `old_snaps`). When `prefix` (that replay's
-/// schedule) is given, its unchanged head is kept instead of re-timed; the
-/// unit-cost replay passes `None` and only the makespan is meaningful.
-/// Fresh snapshots are recorded every `every` ops past the kept ones.
-fn resume_replay(
-    ops: &[RoutedOp],
-    common: usize,
-    old_snaps: &[TimerSnap],
-    prefix: Option<Schedule<RoutedOp>>,
-    fresh: Timer,
-    every: usize,
-) -> ReplayOut {
-    let (start, mut timer, mut makespan) = match old_snaps.iter().rfind(|s| s.idx <= common) {
-        Some(s) => (s.idx, s.timer.clone(), s.makespan),
-        None => (0, fresh, Ticks::ZERO),
-    };
-    let mut snaps: Vec<TimerSnap> = old_snaps
-        .iter()
-        .take_while(|s| s.idx <= common)
-        .cloned()
-        .collect();
-    let mut last_snap = snaps.last().map_or(0, |s| s.idx);
-    let mut schedule = match prefix {
-        Some(mut prefix) => {
-            prefix.truncate(start);
-            debug_assert_eq!(prefix.makespan(), makespan);
-            prefix
-        }
-        None => Schedule::new(),
-    };
-    for (i, op) in ops.iter().enumerate().skip(start) {
-        if i > last_snap && i % every == 0 {
-            snaps.push(TimerSnap {
-                idx: i,
-                timer: timer.clone(),
-                makespan,
-            });
-            last_snap = i;
-        }
-        let (s, d) = timer.push(op);
-        makespan = makespan.max(s + d);
-        schedule.push(op.clone(), s, d);
-    }
-    ReplayOut {
-        schedule,
-        makespan,
-        snaps,
-        retimed: ops.len() - start,
-    }
 }
 
 #[cfg(test)]

@@ -19,18 +19,27 @@ use ftqc_arch::{Coord, SurgeryOp};
 /// Runs to a fixed point: cancelling one pair can expose another
 /// (`A→B, B→C, C→B, B→A` collapses completely in two rounds).
 pub fn eliminate_redundant_moves(ops: &mut Vec<RoutedOp>) -> usize {
+    let cancel = cancelled_moves(ops);
     let before = ops.len();
-    loop {
-        let removed = eliminate_once(ops);
-        if removed == 0 {
-            break;
-        }
-    }
+    let mut idx = 0;
+    ops.retain(|_| {
+        let keep = !cancel[idx];
+        idx += 1;
+        keep
+    });
     before - ops.len()
 }
 
-fn eliminate_once(ops: &mut Vec<RoutedOp>) -> usize {
+/// Which ops [`eliminate_redundant_moves`] removes, as a mask over `ops`,
+/// without moving or cloning any of them.
+pub(crate) fn cancelled_moves(ops: &[RoutedOp]) -> Vec<bool> {
     let mut cancel = vec![false; ops.len()];
+    while cancel_once(ops, &mut cancel) > 0 {}
+    cancel
+}
+
+/// One round over the ops not yet cancelled; returns how many it cancels.
+fn cancel_once(ops: &[RoutedOp], cancel: &mut [bool]) -> usize {
     let mut cancelled = 0usize;
     'outer: for i in 0..ops.len() {
         if cancel[i] {
@@ -63,15 +72,6 @@ fn eliminate_once(ops: &mut Vec<RoutedOp>) -> usize {
             continue 'outer;
         }
     }
-    if cancelled == 0 {
-        return 0;
-    }
-    let mut idx = 0;
-    ops.retain(|_| {
-        let keep = !cancel[idx];
-        idx += 1;
-        keep
-    });
     cancelled
 }
 
