@@ -238,15 +238,15 @@ impl DifferentialCompiler {
         let prepared = prepare(circuit, &self.options);
         let lowered = lower(&prepared);
 
-        let Some(st) = self.state.take() else {
-            return self.full(lowered, input_gates, "no previous compile");
-        };
-        let DiffState {
+        let Some(DiffState {
             routed: mut old,
             kept,
             snaps,
             program,
-        } = st;
+        }) = self.state.take()
+        else {
+            return self.full(lowered, input_gates, "no previous compile");
+        };
         if old.lowered.num_qubits() != lowered.num_qubits() {
             return self.full(lowered, input_gates, "qubit count changed");
         }
