@@ -90,7 +90,7 @@ impl InitialMapping {
     /// The interaction graph is kept as per-qubit neighbour lists and each
     /// unplaced qubit's weight to the placed set as a running sum, so
     /// memory grows with the gate count and time with `n²` plus `n` times
-    /// the gate count, not with `n³`.
+    /// the gate count: a register at `MAX_QUBITS` places in milliseconds.
     fn interaction_aware(layout: &Layout, circuit: &Circuit) -> Self {
         let n = circuit.num_qubits() as usize;
         let data = layout.data_cells();
@@ -321,8 +321,8 @@ mod tests {
         assert_eq!(a.len(), 9);
     }
 
-    /// The dense `n × n` greedy placement that the neighbour-list one
-    /// replaced, kept as its oracle.
+    /// The greedy placement over a dense `n × n` weight matrix: the oracle
+    /// for the neighbour-list form.
     fn dense_placement(layout: &Layout, circuit: &Circuit) -> Vec<Coord> {
         let n = circuit.num_qubits() as usize;
         let data = layout.data_cells();

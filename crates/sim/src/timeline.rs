@@ -13,8 +13,8 @@ use std::collections::HashMap;
 /// Storage is a row-major slab of busy-until instants for a `rows × cols`
 /// grid anchored at the origin, so the schedulers' per-cell probes are one
 /// index each. Any other coordinate (negative, or past the grid) lives in
-/// a small overflow map: it times exactly like an on-grid cell and never
-/// panics.
+/// an overflow map: it times exactly like an on-grid cell and never
+/// panics. A `0 × 0` timeline keeps every cell there.
 ///
 /// # Example
 ///
