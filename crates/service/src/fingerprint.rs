@@ -150,6 +150,37 @@ mod tests {
         assert_ne!(fingerprint_circuit(&a), fingerprint_circuit(&b));
     }
 
+    /// `--cache` files and the server's file tier persist keys built from
+    /// this digest, so its bytes are pinned: one circuit holding every
+    /// `Gate` variant (a dyadic and a non-dyadic `Rz` angle included) and
+    /// an empty register.
+    #[test]
+    fn circuit_fingerprints_are_pinned() {
+        let mut every = Circuit::new(3);
+        every
+            .h(0)
+            .s(1)
+            .sdg(2)
+            .sx(0)
+            .sxdg(1)
+            .x(2)
+            .y(0)
+            .z(1)
+            .t(2)
+            .tdg(0)
+            .rz_pi(1, 0.25)
+            .rz_pi(2, 0.1)
+            .cnot(0, 1)
+            .cz(1, 2)
+            .swap(2, 0)
+            .measure(1);
+        assert_eq!(to_hex(fingerprint_circuit(&every)), "0d3d8831953a7a56");
+        assert_eq!(
+            to_hex(fingerprint_circuit(&Circuit::new(3))),
+            "c7c2bf3b330983e6"
+        );
+    }
+
     #[test]
     fn combine_is_order_sensitive() {
         assert_ne!(combine(1, 2), combine(2, 1));
