@@ -41,7 +41,7 @@ use crate::redundant::eliminate_redundant_moves;
 use crate::routed::RoutedOp;
 use crate::timer::time_schedule;
 use ftqc_arch::{Layout, Ticks};
-use ftqc_circuit::Circuit;
+use ftqc_circuit::{Circuit, Gate};
 use ftqc_route::incremental::{RouteCounters, RouterMode};
 use ftqc_service::json::{ToJson, Value};
 use ftqc_service::{fingerprint, CacheStats, SharedCache, StageOutcome};
@@ -469,16 +469,19 @@ impl CompileSession {
         if circuit.num_qubits() == 0 {
             return Err(CompileError::EmptyRegister.at_stage(Stage::Prepare, 0));
         }
-        let key = stage_key(
-            Stage::Prepare,
-            fingerprint::fingerprint_circuit(circuit),
-            self.prepare_opts_fp,
-        );
+        let input_fp = fingerprint::fingerprint_circuit(circuit);
+        let key = stage_key(Stage::Prepare, input_fp, self.prepare_opts_fp);
         let (art, cached) = match self.cache.as_ref().and_then(|c| c.prepare.get(key)) {
             Some(hit) => (hit.value, true),
             None => {
                 let prepared = prepare(circuit, &self.options);
-                let content_fp = fingerprint::fingerprint_circuit(&prepared);
+                // Without `optimize` the prepared circuit is the input.
+                let content_fp = if self.options.optimize {
+                    fingerprint::fingerprint_circuit(&prepared)
+                } else {
+                    input_fp
+                };
+                debug_assert_eq!(content_fp, fingerprint::fingerprint_circuit(&prepared));
                 let art = Arc::new(PreparedArt {
                     circuit: prepared,
                     content_fp,
@@ -638,7 +641,19 @@ impl Prepared {
             Some(hit) => (hit.value, true),
             None => {
                 let lowered = lower(&self.art.circuit);
-                let content_fp = fingerprint::fingerprint_circuit(&lowered);
+                // Lowering only expands CZ and SWAP; without them the
+                // lowered circuit is the prepared one.
+                let expands = self
+                    .art
+                    .circuit
+                    .iter()
+                    .any(|g| matches!(g, Gate::Cz(..) | Gate::Swap(..)));
+                let content_fp = if expands {
+                    fingerprint::fingerprint_circuit(&lowered)
+                } else {
+                    self.art.content_fp
+                };
+                debug_assert_eq!(content_fp, fingerprint::fingerprint_circuit(&lowered));
                 let art = Arc::new(LoweredArt {
                     circuit: lowered,
                     content_fp,
@@ -787,10 +802,13 @@ impl Mapped {
     ///
     /// Currently infallible in practice; kept fallible for parity with the
     /// other stages and future scheduling passes.
-    pub fn schedule(self) -> Result<CompiledProgram, CompileError> {
+    pub fn schedule(mut self) -> Result<CompiledProgram, CompileError> {
         let options = self.session.options.clone();
         let sched_fp = self.session.sched_opts_fp;
-        self.finish(&options, sched_fp)
+        // With no stage cache holding the artifact, nothing else reads the
+        // routed ops, so they move into the schedule stage uncloned.
+        let owned = Arc::get_mut(&mut self.art).map(|art| std::mem::take(&mut art.ops));
+        self.finish(&options, sched_fp, owned)
     }
 
     /// Re-times this routed program under `options`, which may differ from
@@ -812,13 +830,17 @@ impl Mapped {
             }
             .at_stage(Stage::Schedule, 0));
         }
-        self.finish(options, schedule_subset_fp(options))
+        self.finish(options, schedule_subset_fp(options), None)
     }
 
+    /// The schedule stage under `options`. `owned` holds the routed ops
+    /// when the caller could take them out of a sole-owned artifact;
+    /// otherwise a cache miss clones them.
     fn finish(
         &self,
         options: &CompilerOptions,
         sched_fp: u64,
+        owned: Option<Vec<RoutedOp>>,
     ) -> Result<CompiledProgram, CompileError> {
         let started = Instant::now();
         let key = stage_key(Stage::Schedule, self.key, sched_fp);
@@ -830,7 +852,9 @@ impl Mapped {
         {
             Some(hit) => (hit.value, true),
             None => {
+                let ops = owned.unwrap_or_else(|| self.art.ops.clone());
                 let art = Arc::new(compute_schedule(
+                    ops,
                     &self.art,
                     self.lowered.circuit.num_qubits(),
                     options,
@@ -890,14 +914,15 @@ impl Mapped {
     }
 }
 
-/// The schedule stage's computation, a pure function of the routed ops and
-/// the schedule-stage option subset.
+/// The schedule stage's computation, a pure function of the routed ops
+/// (`ops`, `mapped`'s own or a copy of them) and the schedule-stage option
+/// subset.
 fn compute_schedule(
+    mut ops: Vec<RoutedOp>,
     mapped: &MappedArt,
     num_qubits: u32,
     options: &CompilerOptions,
 ) -> ScheduledArt {
-    let mut ops = mapped.ops.clone();
     let n_moves_eliminated = if options.eliminate_redundant_moves {
         eliminate_redundant_moves(&mut ops)
     } else {

@@ -9,6 +9,7 @@
 
 use crate::json::{ToJson, Value};
 use ftqc_circuit::Circuit;
+use std::fmt::{self, Write as _};
 
 /// Incremental 64-bit FNV-1a hasher.
 #[derive(Debug, Clone)]
@@ -56,6 +57,15 @@ impl Default for Fnv64 {
     }
 }
 
+/// Formatted text absorbed as it is produced, byte for byte as if it had
+/// first been rendered into a `String`.
+impl fmt::Write for Fnv64 {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.write_bytes(s.as_bytes());
+        Ok(())
+    }
+}
+
 /// Digest of a byte slice.
 pub fn fingerprint_bytes(bytes: &[u8]) -> u64 {
     let mut h = Fnv64::new();
@@ -71,12 +81,16 @@ pub fn fingerprint_value(value: &Value) -> u64 {
 
 /// Digest of a circuit's canonical form: register width plus the exact gate
 /// sequence (angles included). The circuit name does not participate.
+///
+/// Each gate contributes its `Debug` text and a `;`. The text is written
+/// straight into the hasher, so no `String` is allocated per gate; the
+/// bytes, and therefore every persisted key, are the same as rendering
+/// each gate first.
 pub fn fingerprint_circuit(circuit: &Circuit) -> u64 {
     let mut h = Fnv64::new();
     h.write_u64(u64::from(circuit.num_qubits()));
     for gate in circuit.gates() {
-        h.write_str(&format!("{gate:?}"));
-        h.write_bytes(b";");
+        write!(h, "{gate:?};").expect("hashing never fails");
     }
     h.finish()
 }
