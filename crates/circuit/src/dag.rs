@@ -186,6 +186,8 @@ pub struct FrontTracker<'a> {
     dag: &'a DagCircuit,
     indeg: Vec<usize>,
     ready: Vec<NodeId>,
+    /// The successors the last [`FrontTracker::complete`] released.
+    released: Vec<NodeId>,
     remaining: usize,
 }
 
@@ -204,6 +206,7 @@ impl<'a> FrontTracker<'a> {
             dag,
             indeg,
             ready,
+            released: Vec::new(),
             remaining: dag.len(),
         }
     }
@@ -224,31 +227,30 @@ impl<'a> FrontTracker<'a> {
     }
 
     /// Marks `id` complete, releasing successors whose predecessors are all
-    /// complete.
+    /// complete. Returns the released successors, ascending, so a caller
+    /// keeping its own order over the ready set can add just those.
     ///
     /// # Panics
     ///
     /// Panics if `id` is not currently in the ready set (completing a gate
     /// with outstanding dependencies would corrupt the schedule).
-    pub fn complete(&mut self, id: NodeId) {
+    pub fn complete(&mut self, id: NodeId) -> &[NodeId] {
         let pos = self
             .ready
-            .iter()
-            .position(|&r| r == id)
-            .unwrap_or_else(|| panic!("gate {id} completed while not ready"));
+            .binary_search(&id)
+            .unwrap_or_else(|_| panic!("gate {id} completed while not ready"));
         self.ready.remove(pos);
         self.remaining -= 1;
-        let mut newly = Vec::new();
+        self.released.clear();
         for &s in &self.dag.node(id).succs {
             self.indeg[s] -= 1;
             if self.indeg[s] == 0 {
-                newly.push(s);
+                self.released.push(s);
+                let ins = self.ready.partition_point(|&r| r < s);
+                self.ready.insert(ins, s);
             }
         }
-        for s in newly {
-            let ins = self.ready.partition_point(|&r| r < s);
-            self.ready.insert(ins, s);
-        }
+        &self.released
     }
 }
 
@@ -351,9 +353,10 @@ mod tests {
         let dag = c.dag();
         let mut t = dag.tracker();
         assert_eq!(t.ready(), &[0, 1, 2]);
-        t.complete(0);
         // gate 3 (h q0) becomes ready and must be inserted in order.
+        assert_eq!(t.complete(0), &[3]);
         assert_eq!(t.ready(), &[1, 2, 3]);
+        assert!(t.complete(1).is_empty());
     }
 
     #[test]

@@ -24,21 +24,13 @@ use crate::routed::RoutedOp;
 use ftqc_arch::{
     cnot_ancilla, CellKind, Coord, FactoryBank, Grid, Layout, SingleQubitKind, SurgeryOp, Ticks,
 };
-use ftqc_circuit::{Circuit, Gate};
-use ftqc_route::dijkstra::{CostModel, Occupancy};
-use ftqc_route::incremental::{RouteCounters, Router, RouterMode, SearchArena};
+use ftqc_circuit::{Circuit, DagCircuit, Gate, NodeId};
+use ftqc_route::dijkstra::CostModel;
+use ftqc_route::incremental::{CellGrid, RouteCounters, Router, RouterMode, SearchArena};
 use ftqc_route::moves::{best_cnot_config_with, Mover};
 use ftqc_sim::ResourceTimeline;
-
-/// Marks a free cell in the engine's row-major occupancy grid; any other
-/// value is the index of the qubit holding the cell.
-const FREE: u32 = u32::MAX;
-
-/// Row-major index of an in-bounds cell.
-#[inline]
-fn cell_index(grid: &Grid, c: Coord) -> usize {
-    c.row as usize * grid.cols() as usize + c.col as usize
-}
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// The router's cost model under `options`.
 fn router_cost(options: &CompilerOptions) -> CostModel {
@@ -47,25 +39,16 @@ fn router_cost(options: &CompilerOptions) -> CostModel {
     }
 }
 
-/// Occupancy view over the engine's mutable state: the routing searches
-/// call `is_occupied` and `is_blocked` on every neighbour relaxation, so
-/// the first is one probe of the flat occupancy grid and the second a scan
-/// of a few cells.
-struct OccView<'a> {
-    grid: &'a Grid,
-    occ: &'a [u32],
-    /// Cells the search may not enter besides off-grid ones: the current
-    /// gate's operands plus any banned cells, a handful at most.
-    extra_blocked: &'a [Coord],
-}
-
-impl Occupancy for OccView<'_> {
-    fn is_blocked(&self, c: Coord) -> bool {
-        !self.grid.in_bounds(c) || self.extra_blocked.contains(&c)
-    }
-    fn is_occupied(&self, c: Coord) -> bool {
-        self.grid.in_bounds(c) && self.occ[cell_index(self.grid, c)] != FREE
-    }
+/// The order the engine takes ready gates in: the latest readiness among
+/// the gate's operands, then the gate id.
+fn ready_key(dag: &DagCircuit, qubit_ready: &[Ticks], id: NodeId) -> (Ticks, NodeId) {
+    let ready = dag
+        .node(id)
+        .gate
+        .qubits()
+        .map(|q| qubit_ready[q as usize])
+        .fold(Ticks::ZERO, Ticks::max);
+    (ready, id)
 }
 
 /// The routing engine. Create with [`Engine::new`], run with
@@ -78,9 +61,10 @@ pub struct Engine<'a> {
     router: Router,
     /// qubit -> current cell
     pos: Vec<Coord>,
-    /// Row-major cell -> occupying qubit, [`FREE`] when empty. Updated by
-    /// [`Engine::raw_move`] alone.
-    occ: Vec<u32>,
+    /// Cell -> occupying qubit, padded with an off-grid border: the grid
+    /// every router query walks by index. Updated by [`Engine::raw_move`]
+    /// alone.
+    occ: CellGrid,
     /// Provisional per-cell timeline guiding greedy ordering decisions,
     /// a slab over the layout grid.
     timeline: ResourceTimeline,
@@ -134,9 +118,9 @@ impl<'a> Engine<'a> {
     ) -> Self {
         let pos: Vec<Coord> = mapping.cells().to_vec();
         let grid = layout.grid();
-        let mut occ = vec![FREE; (grid.rows() * grid.cols()) as usize];
+        let mut occ = CellGrid::new(grid.rows(), grid.cols());
         for (q, &c) in pos.iter().enumerate() {
-            occ[cell_index(grid, c)] = q as u32;
+            occ.place(c, q as u32);
         }
         Self {
             layout,
@@ -241,6 +225,16 @@ impl<'a> Engine<'a> {
         for id in 0..resume_cut {
             tracker.complete(id);
         }
+        // The ready gates in a min-heap on `ready_key`, each entry keyed
+        // when it was pushed. A gate's key only grows (`qubit_ready` never
+        // decreases), so a stale key is a lower bound: a popped gate whose
+        // key still holds is the ready set's minimum, and one whose key
+        // grew goes back with the new key.
+        let mut heap: BinaryHeap<Reverse<(Ticks, NodeId)>> = tracker
+            .ready()
+            .iter()
+            .map(|&id| Reverse(ready_key(&dag, &self.qubit_ready, id)))
+            .collect();
         let mut completed = vec![false; total];
         completed[..resume_cut].fill(true);
         // `contiguous` = length of the completed prefix; the completed set
@@ -256,22 +250,30 @@ impl<'a> Engine<'a> {
                 checkpoints.push(self.checkpoint(contiguous));
                 last_snap = contiguous;
             }
-            let &gate_id = tracker
-                .ready()
-                .iter()
-                .min_by_key(|&&id| {
-                    let ready = dag
-                        .node(id)
-                        .gate
-                        .qubits()
-                        .map(|q| self.qubit_ready[q as usize])
-                        .fold(Ticks::ZERO, Ticks::max);
-                    (ready, id)
-                })
-                .expect("tracker not done implies non-empty ready set");
+            let gate_id = loop {
+                let Reverse((keyed, id)) = heap
+                    .pop()
+                    .expect("tracker not done implies non-empty ready set");
+                let key = ready_key(&dag, &self.qubit_ready, id);
+                if key.0 == keyed {
+                    break id;
+                }
+                heap.push(Reverse(key));
+            };
+            debug_assert_eq!(
+                tracker
+                    .ready()
+                    .iter()
+                    .map(|&id| ready_key(&dag, &self.qubit_ready, id))
+                    .min(),
+                Some(ready_key(&dag, &self.qubit_ready, gate_id)),
+                "the heap's pick is the ready set's earliest gate"
+            );
             self.current_gate = gate_id;
             self.schedule_gate(&dag.node(gate_id).gate)?;
-            tracker.complete(gate_id);
+            for &next in tracker.complete(gate_id) {
+                heap.push(Reverse(ready_key(&dag, &self.qubit_ready, next)));
+            }
             completed[gate_id] = true;
             done += 1;
             while contiguous < total && completed[contiguous] {
@@ -301,19 +303,9 @@ impl<'a> Engine<'a> {
         self.layout.grid()
     }
 
-    /// The qubit holding `c`, if any (`None` off the grid too).
-    #[inline]
-    fn occupant(&self, c: Coord) -> Option<u32> {
-        if !self.grid().in_bounds(c) {
-            return None;
-        }
-        let q = self.occ[cell_index(self.grid(), c)];
-        (q != FREE).then_some(q)
-    }
-
     #[inline]
     fn occ_has(&self, c: Coord) -> bool {
-        self.occupant(c).is_some()
+        self.occ.occupant(c).is_some()
     }
 
     fn fail(&self, reason: impl Into<String>) -> CompileError {
@@ -362,13 +354,13 @@ impl<'a> Engine<'a> {
     /// Moves the qubit occupying `from` one step to `to` (must be free).
     fn raw_move(&mut self, from: Coord, to: Coord) {
         let q = self
+            .occ
             .occupant(from)
             .unwrap_or_else(|| panic!("raw move from empty cell {from}"));
         debug_assert!(!self.occ_has(to), "raw move into occupied {to}");
         self.emit(SurgeryOp::Move { from, to }, vec![q], None, Ticks::ZERO);
-        let grid = self.layout.grid();
-        self.occ[cell_index(grid, from)] = FREE;
-        self.occ[cell_index(grid, to)] = q;
+        self.occ.vacate(from);
+        self.occ.place(to, q);
         self.pos[q as usize] = to;
     }
 
@@ -391,20 +383,14 @@ impl<'a> Engine<'a> {
             .collect();
         let relaxed_len = strict.len();
         strict.extend(self.no_park.iter().copied().filter(|&c| c != cell));
-        let plan = {
-            let grid = self.layout.grid();
-            let view = OccView {
-                grid,
-                occ: &self.occ,
-                extra_blocked: &[],
-            };
-            self.router
-                .clear_cell_plan(grid, &view, cell, &strict)
-                .or_else(|| {
-                    self.router
-                        .clear_cell_plan(grid, &view, cell, &strict[..relaxed_len])
-                })
-        };
+        let grid = self.layout.grid();
+        let plan = self
+            .router
+            .clear_cell_plan(grid, &self.occ, cell, &strict)
+            .or_else(|| {
+                self.router
+                    .clear_cell_plan(grid, &self.occ, cell, &strict[..relaxed_len])
+            });
         match plan {
             Some(moves) => {
                 for (f, t) in moves {
@@ -427,16 +413,11 @@ impl<'a> Engine<'a> {
         let mut banned: Vec<Coord> = Vec::new();
         'replan: while self.pos[q as usize] != dest {
             let from = self.pos[q as usize];
-            let path = {
-                let blocked: Vec<Coord> = self.protected.iter().chain(&banned).copied().collect();
-                let view = OccView {
-                    grid: self.layout.grid(),
-                    occ: &self.occ,
-                    extra_blocked: &blocked,
-                };
-                self.router.find_path(self.layout.grid(), &view, from, dest)
-            }
-            .ok_or_else(|| self.fail(format!("no path from {from} to {dest}")))?;
+            let blocked: Vec<Coord> = self.protected.iter().chain(&banned).copied().collect();
+            let path = self
+                .router
+                .find_path(self.layout.grid(), &self.occ, &blocked, from, dest)
+                .ok_or_else(|| self.fail(format!("no path from {from} to {dest}")))?;
             for i in 1..path.cells.len() {
                 steps += 1;
                 if steps > budget {
@@ -465,14 +446,9 @@ impl<'a> Engine<'a> {
 
     /// Finds (clearing if necessary) a free ancilla adjacent to `cell`.
     fn acquire_ancilla(&mut self, cell: Coord) -> Result<Coord, CompileError> {
-        let plan = {
-            let view = OccView {
-                grid: self.layout.grid(),
-                occ: &self.occ,
-                extra_blocked: &self.protected,
-            };
-            self.router.space_search(self.layout.grid(), &view, cell)
-        };
+        let plan = self
+            .router
+            .space_search(self.layout.grid(), &self.occ, &self.protected, cell);
         match plan {
             Some(p) => {
                 for (f, t) in p.clearing_moves {
@@ -580,16 +556,16 @@ impl<'a> Engine<'a> {
             self.ensure_free(dest, &[tq])?;
 
             let grant = self.bank.acquire(self.qubit_ready[q as usize]);
-            let path = {
-                let view = OccView {
-                    grid: self.layout.grid(),
-                    occ: &self.occ,
-                    extra_blocked: &self.protected,
-                };
-                self.router
-                    .find_path(self.layout.grid(), &view, grant.port, dest)
-            }
-            .ok_or_else(|| self.fail(format!("no delivery path {} -> {dest}", grant.port)))?;
+            let path = self
+                .router
+                .find_path(
+                    self.layout.grid(),
+                    &self.occ,
+                    &self.protected,
+                    grant.port,
+                    dest,
+                )
+                .ok_or_else(|| self.fail(format!("no delivery path {} -> {dest}", grant.port)))?;
             self.n_magic_states += 1;
             if path.cells.len() >= 2 {
                 self.emit(
@@ -645,21 +621,14 @@ impl<'a> Engine<'a> {
         self.protect(&[c_pos, t_pos]);
 
         // Preferred: the gate-dependent move heuristic over free cells.
-        let cfg = {
-            let view = OccView {
-                grid: self.layout.grid(),
-                occ: &self.occ,
-                extra_blocked: &[],
-            };
-            best_cnot_config_with(
-                &mut self.router,
-                self.layout.grid(),
-                &view,
-                c_pos,
-                t_pos,
-                self.options.lookahead,
-            )
-        }
+        let cfg = best_cnot_config_with(
+            &mut self.router,
+            self.layout.grid(),
+            &self.occ,
+            c_pos,
+            t_pos,
+            self.options.lookahead,
+        )
         .filter(|cfg| self.ancilla_clearable(cfg.ancilla, cfg.control, cfg.target));
 
         let (mover, dest) = match cfg {
@@ -768,7 +737,7 @@ pub struct EngineCheckpoint {
     pub ops_len: usize,
     bank: FactoryBank,
     pos: Vec<Coord>,
-    occ: Vec<u32>,
+    occ: CellGrid,
     timeline: ResourceTimeline,
     qubit_ready: Vec<Ticks>,
     n_magic_states: u64,

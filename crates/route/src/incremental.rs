@@ -4,13 +4,20 @@
 //! The seed implementation re-ran a full [`find_path`] with freshly
 //! allocated `HashMap`/`BinaryHeap` state for every routed operation — the
 //! dominant cost of the map stage. This module rebuilds that hot path
-//! around two pieces:
+//! around three pieces:
 //!
-//! * [`SearchArena`] — distance/visited/parent buffers sized to the layout
-//!   and *generation-stamped*, so resetting between searches is O(1)
+//! * [`CellGrid`] — the compiler engine's occupancy: one row-major `u32`
+//!   per cell (the qubit holding it or [`FREE`]) inside a one-cell border
+//!   of [`OFF_GRID`] sentinels. A neighbour of any on-grid cell is one
+//!   index offset away and never out of the buffer, so the search kernels
+//!   relax a cell with one load: no `Coord`, no bounds check, no division.
+//!   Paired with a query's few extra-blocked cells, the grid is an
+//!   [`Occupancy`] for the seed functions.
+//! * [`SearchArena`] — distance/visited/parent buffers over the padded
+//!   cells, *generation-stamped* so resetting between searches is O(1)
 //!   instead of O(cells), plus a bucket-queue (Dial) specialisation of
 //!   Dijkstra for the small integer penalty domain. The same buffers back
-//!   the breadth-first frontiers of the space-search helpers.
+//!   the breadth-first push chains of the space-search helpers.
 //! * [`Router`] — the facade the compiler engine drives. It owns the arena
 //!   and counts its own activity ([`RouteCounters`]). In
 //!   [`RouterMode::Reference`] every query is answered by the seed
@@ -19,13 +26,15 @@
 //!
 //! **Tie-breaking invariant:** every query through the incremental engine
 //! returns results *byte-identical* to the seed functions
-//! ([`find_path`], [`nearest_free_cell`], [`clear_cell_plan`],
-//! [`space_search`]) on the same state. `tests/route_differential.rs`
+//! ([`find_path`], [`clear_cell_plan`], [`space_search`]) on the same
+//! state. Padded indices sort exactly like row-major `(row, col)` pairs,
+//! and the neighbour offsets run in the seed's N/S/W/E order, so every
+//! queue drains in the seed's order. `tests/route_differential.rs`
 //! enforces this path-for-path (cost, cells, tie-breaks) across random
-//! layouts and occupancy patterns.
+//! layouts, occupancy patterns and degenerate grid shapes.
 
 use crate::dijkstra::{find_path, CostModel, Occupancy, Path};
-use crate::space::{clear_cell_plan, nearest_free_cell, space_search, SpacePlan};
+use crate::space::{clear_cell_plan, moves_from_chain, space_search, SpacePlan};
 use ftqc_arch::{Coord, Grid};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -34,6 +43,124 @@ use std::collections::VecDeque;
 /// `1 + penalty_weight`; beyond this bound the arena falls back to the
 /// seed binary-heap search (still byte-identical, just not bucketed).
 const MAX_BUCKET_RING: usize = 4096;
+
+/// A [`CellGrid`] cell holding no qubit.
+pub const FREE: u32 = u32::MAX;
+
+/// The [`CellGrid`] border ring: never entered, never free.
+pub const OFF_GRID: u32 = u32::MAX - 1;
+
+/// Occupancy of a `rows × cols` layout grid, padded with a one-cell
+/// [`OFF_GRID`] border: a row-major `(rows + 2) × (cols + 2)` buffer whose
+/// on-grid cells hold the index of the qubit there, or [`FREE`].
+///
+/// The routing engine owns one, updates it on every move, and hands it to
+/// the [`Router`]'s queries; its checkpoints store it as is.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CellGrid {
+    rows: u32,
+    cols: u32,
+    cells: Vec<u32>,
+}
+
+impl CellGrid {
+    /// An empty `rows × cols` grid (every on-grid cell [`FREE`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the padded grid has more than `u32::MAX` cells.
+    pub fn new(rows: u32, cols: u32) -> Self {
+        let stride = cols as usize + 2;
+        let len = (rows as usize + 2) * stride;
+        assert!(u32::try_from(len).is_ok(), "{rows}x{cols} grid too large");
+        let mut cells = vec![OFF_GRID; len];
+        for r in 1..=rows as usize {
+            cells[r * stride + 1..(r + 1) * stride - 1].fill(FREE);
+        }
+        CellGrid { rows, cols, cells }
+    }
+
+    /// Number of on-grid rows.
+    pub fn rows(&self) -> u32 {
+        self.rows
+    }
+
+    /// Number of on-grid columns.
+    pub fn cols(&self) -> u32 {
+        self.cols
+    }
+
+    /// Whether `c` lies on the grid (not on the border or beyond).
+    #[inline]
+    pub fn in_bounds(&self, c: Coord) -> bool {
+        c.row >= 0 && c.col >= 0 && (c.row as u32) < self.rows && (c.col as u32) < self.cols
+    }
+
+    /// The qubit holding `c`; `None` for a free cell or any off-grid `c`.
+    #[inline]
+    pub fn occupant(&self, c: Coord) -> Option<u32> {
+        if !self.in_bounds(c) {
+            return None;
+        }
+        let q = self.cells[self.index(c)];
+        (q != FREE).then_some(q)
+    }
+
+    /// Puts qubit `q` on the on-grid cell `c`.
+    pub fn place(&mut self, c: Coord, q: u32) {
+        assert!(
+            self.in_bounds(c) && q < OFF_GRID,
+            "cannot place q{q} at {c}"
+        );
+        let i = self.index(c);
+        self.cells[i] = q;
+    }
+
+    /// Empties the on-grid cell `c`.
+    pub fn vacate(&mut self, c: Coord) {
+        assert!(self.in_bounds(c), "cannot vacate off-grid {c}");
+        let i = self.index(c);
+        self.cells[i] = FREE;
+    }
+
+    /// Padded index of `c`, which must lie on the grid or its border.
+    #[inline]
+    fn index(&self, c: Coord) -> usize {
+        (c.row + 1) as usize * self.stride() + (c.col + 1) as usize
+    }
+
+    /// The cell at padded index `i`.
+    #[inline]
+    fn coord(&self, i: usize) -> Coord {
+        let stride = self.stride();
+        Coord::new((i / stride) as i32 - 1, (i % stride) as i32 - 1)
+    }
+
+    #[inline]
+    fn stride(&self) -> usize {
+        self.cols as usize + 2
+    }
+
+    /// Index offsets of the four neighbours in the seed's N/S/W/E order
+    /// (as wrapping `usize` additions).
+    #[inline]
+    fn neighbour_offsets(&self) -> [usize; 4] {
+        let stride = self.stride();
+        [stride.wrapping_neg(), stride, 1usize.wrapping_neg(), 1]
+    }
+}
+
+/// The grid paired with the extra cells a query may not enter: the view the
+/// seed functions route over. Off-grid cells are blocked and never
+/// occupied.
+impl Occupancy for (&CellGrid, &[Coord]) {
+    fn is_blocked(&self, c: Coord) -> bool {
+        !self.0.in_bounds(c) || self.1.contains(&c)
+    }
+    fn is_occupied(&self, c: Coord) -> bool {
+        self.0.occupant(c).is_some()
+    }
+}
 
 /// Per-router activity counters, surfaced through compiler `Metrics`, the
 /// CLI's `--explain` report, `/v1/cache/stats`, and `/metrics`.
@@ -53,25 +180,34 @@ impl RouteCounters {
     }
 }
 
-/// Reusable search state for one grid shape.
+/// Reusable search state for one grid shape, indexed like a [`CellGrid`].
 ///
 /// # Invariants
 ///
 /// * A cell's `dist`/`prev` slots are meaningful only when its `stamp`
 ///   equals the arena's current `generation`; bumping the generation is
 ///   the O(1) whole-arena reset.
-/// * Buffers are sized to `rows * cols` of the last grid seen; searching a
-///   different shape reallocates (and does not count as a reuse).
+/// * Buffers are sized to the padded `(rows + 2) * (cols + 2)` cells of the
+///   last grid seen; searching a different shape reallocates (and does not
+///   count as a reuse).
+/// * A query's extra-blocked cells are stamped before it starts: as settled
+///   at distance 0 for the Dijkstra (no relaxation beats 0, so nothing
+///   enters them, except `to`, which is left unstamped), and as visited for
+///   the breadth-first chains. Border cells are skipped by their
+///   [`OFF_GRID`] value, so neither needs a bounds or set-membership probe
+///   per relaxation.
 /// * The Dial bucket ring holds only distances in `[d, d + ring)` while
 ///   level `d` drains — guaranteed because every edge weight is in
 ///   `1..=1 + penalty_weight` and `ring = penalty_weight + 2`.
-/// * Within one distance level, cells drain in ascending row-major index
-///   order — exactly the `(d, row, col)` order of the seed binary heap,
-///   which is what keeps parent choices (and therefore paths) identical.
+/// * Within one distance level, cells drain in ascending padded index
+///   order. The padded index `(row + 1) * (cols + 2) + col + 1` grows with
+///   `(row, col)` exactly as the row-major index does, so this is the
+///   `(d, row, col)` order of the seed binary heap, which is what keeps
+///   parent choices (and therefore paths) identical.
 #[derive(Debug, Default)]
 pub struct SearchArena {
-    rows: i32,
-    cols: i32,
+    rows: u32,
+    cols: u32,
     generation: u32,
     stamp: Vec<u32>,
     dist: Vec<u64>,
@@ -93,17 +229,16 @@ impl SearchArena {
         self.reuses
     }
 
-    /// Prepares the arena for a search on `grid`: O(1) generation bump
+    /// Prepares the arena for a search on `cells`: O(1) generation bump
     /// when the shape matches, reallocation otherwise.
-    fn reset(&mut self, grid: &Grid) {
-        let (rows, cols) = (grid.rows() as i32, grid.cols() as i32);
-        let cells = (rows as usize) * (cols as usize);
-        if self.rows != rows || self.cols != cols || self.stamp.len() != cells {
-            self.rows = rows;
-            self.cols = cols;
-            self.stamp = vec![0; cells];
-            self.dist = vec![0; cells];
-            self.prev = vec![0; cells];
+    fn reset(&mut self, cells: &CellGrid) {
+        let len = cells.cells.len();
+        if self.rows != cells.rows || self.cols != cells.cols || self.stamp.len() != len {
+            self.rows = cells.rows;
+            self.cols = cells.cols;
+            self.stamp = vec![0; len];
+            self.dist = vec![0; len];
+            self.prev = vec![0; len];
             self.generation = 1;
             return;
         }
@@ -116,26 +251,14 @@ impl SearchArena {
         self.reuses += 1;
     }
 
-    #[inline]
-    fn index(&self, c: Coord) -> usize {
-        c.row as usize * self.cols as usize + c.col as usize
-    }
-
-    #[inline]
-    fn coord(&self, i: u32) -> Coord {
-        Coord::new(i as i32 / self.cols, i as i32 % self.cols)
-    }
-
-    #[inline]
-    fn visited(&self, i: usize) -> bool {
-        self.stamp[i] == self.generation
-    }
-
-    /// Bucket-queue Dijkstra, byte-identical to [`find_path`].
+    /// Bucket-queue Dijkstra, byte-identical to [`find_path`] over
+    /// `(cells, blocked)`. `grid` is the layout grid `cells` mirrors; only
+    /// the fallback for huge penalty weights reads it.
     pub fn find_path(
         &mut self,
         grid: &Grid,
-        occ: &impl Occupancy,
+        cells: &CellGrid,
+        blocked: &[Coord],
         from: Coord,
         to: Coord,
         cost: &CostModel,
@@ -144,9 +267,9 @@ impl SearchArena {
             Ok(w) if w + 2 <= MAX_BUCKET_RING => w + 2,
             // Penalty weights outside the small integer domain: the bucket
             // ring would be huge, so use the seed search (same result).
-            _ => return find_path(grid, occ, from, to, cost),
+            _ => return find_path(grid, &(cells, blocked), from, to, cost),
         };
-        if !grid.in_bounds(from) || !grid.in_bounds(to) {
+        if !cells.in_bounds(from) || !cells.in_bounds(to) {
             return None;
         }
         if from == to {
@@ -157,7 +280,7 @@ impl SearchArena {
                 cost: 0,
             });
         }
-        self.reset(grid);
+        self.reset(cells);
         if self.buckets.len() < ring {
             self.buckets.resize_with(ring, Vec::new);
         }
@@ -168,11 +291,20 @@ impl SearchArena {
         self.last_ring = ring;
 
         let generation = self.generation;
-        let from_i = self.index(from) as u32;
-        let to_i = self.index(to) as u32;
-        self.stamp[from_i as usize] = generation;
-        self.dist[from_i as usize] = 0;
-        self.buckets[0].push(from_i);
+        let from_i = cells.index(from);
+        let to_i = cells.index(to);
+        for &b in blocked {
+            if cells.in_bounds(b) && b != to {
+                let i = cells.index(b);
+                self.stamp[i] = generation;
+                self.dist[i] = 0;
+            }
+        }
+        self.stamp[from_i] = generation;
+        self.dist[from_i] = 0;
+        self.buckets[0].push(from_i as u32);
+        let offsets = cells.neighbour_offsets();
+        let penalty = cost.penalty_weight;
         let mut pending = 1usize;
         let mut d: u64 = 0;
         let mut batch: Vec<u32> = Vec::new();
@@ -183,41 +315,29 @@ impl SearchArena {
             if !self.buckets[slot].is_empty() {
                 std::mem::swap(&mut batch, &mut self.buckets[slot]);
                 // Seed heap order for equal distances is (row, col) — i.e.
-                // ascending row-major index.
+                // ascending padded index.
                 batch.sort_unstable();
                 for &ui in &batch {
                     pending -= 1;
+                    let ui = ui as usize;
                     if ui == to_i {
                         reached = true;
                         break 'levels;
                     }
-                    if self.dist[ui as usize] < d {
+                    if self.dist[ui] < d {
                         continue; // superseded by a shorter push
                     }
-                    let u = self.coord(ui);
-                    for v in u.neighbours() {
-                        if !grid.in_bounds(v) {
+                    for off in offsets {
+                        let vi = ui.wrapping_add(off);
+                        let holder = cells.cells[vi];
+                        if holder == OFF_GRID {
                             continue;
                         }
-                        if v != to && occ.is_blocked(v) {
-                            continue;
-                        }
-                        let step = 1 + if occ.is_occupied(v) {
-                            cost.penalty_weight
-                        } else {
-                            0
-                        };
-                        let nd = d + step;
-                        let vi = self.index(v);
-                        let dv = if self.visited(vi) {
-                            self.dist[vi]
-                        } else {
-                            u64::MAX
-                        };
-                        if nd < dv {
+                        let nd = d + 1 + if holder == FREE { 0 } else { penalty };
+                        if self.stamp[vi] != generation || nd < self.dist[vi] {
                             self.stamp[vi] = generation;
                             self.dist[vi] = nd;
-                            self.prev[vi] = ui;
+                            self.prev[vi] = ui as u32;
                             self.buckets[(nd % ring as u64) as usize].push(vi as u32);
                             pending += 1;
                         }
@@ -233,105 +353,65 @@ impl SearchArena {
             b.clear();
         }
 
-        if !reached && !self.visited(to_i as usize) {
+        if !reached && self.stamp[to_i] != generation {
             return None;
         }
-        let total = self.dist[to_i as usize];
-        let mut cells = vec![to];
+        let mut path = Vec::new();
+        let mut occupied = 0u32;
         let mut cur = to_i;
         while cur != from_i {
-            cur = self.prev[cur as usize];
-            cells.push(self.coord(cur));
+            path.push(cells.coord(cur));
+            occupied += u32::from(cells.cells[cur] != FREE);
+            cur = self.prev[cur] as usize;
         }
-        cells.reverse();
-        let occupied = cells[1..].iter().filter(|&&c| occ.is_occupied(c)).count() as u32;
+        path.push(from);
+        path.reverse();
         Some(Path {
-            length: (cells.len() - 1) as u32,
+            length: (path.len() - 1) as u32,
             occupied,
-            cost: total,
-            cells,
+            cost: self.dist[to_i],
+            cells: path,
         })
     }
 
-    /// Arena-backed breadth-first search for the nearest free cell,
-    /// byte-identical to [`nearest_free_cell`]: the frontier queue and the
-    /// visited stamps are reused instead of re-scanned/re-allocated per
-    /// call.
-    pub fn nearest_free_cell(
-        &mut self,
-        grid: &Grid,
-        occ: &impl Occupancy,
-        from: Coord,
-    ) -> Option<Coord> {
-        if !grid.in_bounds(from) {
-            return None;
-        }
-        self.reset(grid);
-        let generation = self.generation;
-        self.queue.clear();
-        let from_i = self.index(from) as u32;
-        self.stamp[from_i as usize] = generation;
-        self.queue.push_back(from_i);
-        while let Some(ui) = self.queue.pop_front() {
-            let u = self.coord(ui);
-            for v in u.neighbours() {
-                if !grid.in_bounds(v) {
-                    continue;
-                }
-                let vi = self.index(v);
-                if self.stamp[vi] == generation || occ.is_blocked(v) {
-                    continue;
-                }
-                if !occ.is_occupied(v) {
-                    return Some(v);
-                }
-                self.stamp[vi] = generation;
-                self.queue.push_back(vi as u32);
-            }
-        }
-        None
-    }
-
-    /// Arena-backed BFS push-chain to the nearest free cell (the core of
-    /// [`clear_cell_plan`]/[`space_search`]), byte-identical to the seed's
-    /// `path_to_nearest_free`. The `avoid` cells are stamped visited up
-    /// front, so their order and any repeats do not matter.
+    /// Arena-backed BFS push-chain from the on-grid `start` to the nearest
+    /// free cell (the core of [`clear_cell_plan`]/[`space_search`]),
+    /// byte-identical to the seed's `path_to_nearest_free`. The `blocked`
+    /// and `avoid` cells are stamped visited up front, so their order and
+    /// any repeats do not matter.
     fn chain_to_nearest_free(
         &mut self,
-        grid: &Grid,
-        occ: &impl Occupancy,
+        cells: &CellGrid,
         start: Coord,
+        blocked: &[Coord],
         avoid: &[Coord],
     ) -> Option<Vec<Coord>> {
-        self.reset(grid);
+        self.reset(cells);
         let generation = self.generation;
         self.queue.clear();
-        for &a in avoid {
-            if grid.in_bounds(a) {
-                let i = self.index(a);
-                self.stamp[i] = generation;
+        for &a in blocked.iter().chain(avoid) {
+            if cells.in_bounds(a) {
+                self.stamp[cells.index(a)] = generation;
             }
         }
-        let start_i = self.index(start) as u32;
-        self.stamp[start_i as usize] = generation;
-        self.queue.push_back(start_i);
+        let start_i = cells.index(start);
+        self.stamp[start_i] = generation;
+        self.queue.push_back(start_i as u32);
+        let offsets = cells.neighbour_offsets();
         while let Some(ui) = self.queue.pop_front() {
-            let u = self.coord(ui);
-            for v in u.neighbours() {
-                if !grid.in_bounds(v) {
-                    continue;
-                }
-                let vi = self.index(v);
-                if self.stamp[vi] == generation || occ.is_blocked(v) {
+            for off in offsets {
+                let vi = (ui as usize).wrapping_add(off);
+                let holder = cells.cells[vi];
+                if holder == OFF_GRID || self.stamp[vi] == generation {
                     continue;
                 }
                 self.prev[vi] = ui;
-                if !occ.is_occupied(v) {
-                    let mut path = vec![v];
-                    let mut cur = vi as u32;
+                if holder == FREE {
+                    let mut path = vec![cells.coord(vi)];
+                    let mut cur = vi;
                     while cur != start_i {
-                        cur = self.prev[cur as usize];
-                        path.push(self.coord(cur));
+                        cur = self.prev[cur] as usize;
+                        path.push(cells.coord(cur));
                     }
                     path.reverse();
                     return Some(path);
@@ -348,30 +428,28 @@ impl SearchArena {
     /// order, repeats allowed.
     pub fn clear_cell_plan(
         &mut self,
-        grid: &Grid,
-        occ: &impl Occupancy,
+        cells: &CellGrid,
         cell: Coord,
         avoid: &[Coord],
     ) -> Option<Vec<(Coord, Coord)>> {
-        if !occ.is_occupied(cell) {
-            return None;
-        }
-        let chain = self.chain_to_nearest_free(grid, occ, cell, avoid)?;
-        Some(crate::space::moves_from_chain(&chain, occ))
+        cells.occupant(cell)?;
+        let chain = self.chain_to_nearest_free(cells, cell, &[], avoid)?;
+        Some(moves_from_chain(&chain, &(cells, avoid)))
     }
 
-    /// Arena-backed [`space_search`] (identical results): the nearest-free
-    /// frontier is reused across the four neighbour probes instead of
-    /// re-allocating per-call scan state.
+    /// Arena-backed [`space_search`] over `(cells, blocked)` (identical
+    /// results): one stamped frontier per neighbour probe instead of
+    /// freshly allocated scan state.
     pub fn space_search(
         &mut self,
-        grid: &Grid,
-        occ: &impl Occupancy,
+        cells: &CellGrid,
+        blocked: &[Coord],
         target: Coord,
     ) -> Option<SpacePlan> {
+        let occ = (cells, blocked);
         let mut best: Option<SpacePlan> = None;
         for n in target.neighbours() {
-            if !grid.in_bounds(n) || occ.is_blocked(n) {
+            if occ.is_blocked(n) {
                 continue;
             }
             if !occ.is_occupied(n) {
@@ -380,10 +458,10 @@ impl SearchArena {
                     clearing_moves: Vec::new(),
                 });
             }
-            if let Some(chain) = self.chain_to_nearest_free(grid, occ, n, &[target]) {
+            if let Some(chain) = self.chain_to_nearest_free(cells, n, blocked, &[target]) {
                 let plan = SpacePlan {
                     ancilla: n,
-                    clearing_moves: crate::space::moves_from_chain(&chain, occ),
+                    clearing_moves: moves_from_chain(&chain, &occ),
                 };
                 if best.as_ref().is_none_or(|b| plan.cost() < b.cost()) {
                     best = Some(plan);
@@ -404,57 +482,12 @@ pub enum RouterMode {
     Reference,
 }
 
-/// Pluggable path/space planning — the seam that lets
-/// [`best_cnot_config`](crate::moves::best_cnot_config) run identically
-/// over the seed functions or a [`Router`].
-pub trait RoutePlanner {
-    /// Minimum-cost path from `from` to `to` (see [`find_path`]).
-    fn plan_path(
-        &mut self,
-        grid: &Grid,
-        occ: &impl Occupancy,
-        from: Coord,
-        to: Coord,
-    ) -> Option<Path>;
-
-    /// Cheapest free-ancilla plan around `target` (see [`space_search`]).
-    fn plan_space(&mut self, grid: &Grid, occ: &impl Occupancy, target: Coord)
-        -> Option<SpacePlan>;
-}
-
-/// The seed planner: allocates per query. This is the reference behaviour
-/// the incremental engine must reproduce.
-#[derive(Debug, Clone, Copy)]
-pub struct SeedPlanner {
-    /// Pathfinding cost parameters.
-    pub cost: CostModel,
-}
-
-impl RoutePlanner for SeedPlanner {
-    fn plan_path(
-        &mut self,
-        grid: &Grid,
-        occ: &impl Occupancy,
-        from: Coord,
-        to: Coord,
-    ) -> Option<Path> {
-        find_path(grid, occ, from, to, &self.cost)
-    }
-
-    fn plan_space(
-        &mut self,
-        grid: &Grid,
-        occ: &impl Occupancy,
-        target: Coord,
-    ) -> Option<SpacePlan> {
-        space_search(grid, occ, target)
-    }
-}
-
 /// The incremental routing facade the compiler engine drives.
 ///
 /// The router owns the [`SearchArena`] and counts its own activity. All
-/// query methods return results byte-identical to the corresponding seed
+/// query methods take the layout `grid`, the engine's [`CellGrid`] over it
+/// and, where the seed function has one, the extra cells the query may not
+/// enter. They return results byte-identical to the corresponding seed
 /// functions; in [`RouterMode::Reference`] they *are* the seed functions.
 #[derive(Debug)]
 pub struct Router {
@@ -493,30 +526,21 @@ impl Router {
         &self.cost
     }
 
-    /// Minimum-cost path from `from` to `to` (see [`find_path`]).
+    /// Minimum-cost path from `from` to `to`, never entering `blocked`
+    /// cells other than `to` (see [`find_path`]).
     pub fn find_path(
         &mut self,
         grid: &Grid,
-        occ: &impl Occupancy,
+        cells: &CellGrid,
+        blocked: &[Coord],
         from: Coord,
         to: Coord,
     ) -> Option<Path> {
         match self.mode {
-            RouterMode::Reference => find_path(grid, occ, from, to, &self.cost),
-            RouterMode::Incremental => self.arena.find_path(grid, occ, from, to, &self.cost),
-        }
-    }
-
-    /// Nearest free cell (see [`nearest_free_cell`]).
-    pub fn nearest_free_cell(
-        &mut self,
-        grid: &Grid,
-        occ: &impl Occupancy,
-        from: Coord,
-    ) -> Option<Coord> {
-        match self.mode {
-            RouterMode::Reference => nearest_free_cell(grid, occ, from),
-            RouterMode::Incremental => self.arena.nearest_free_cell(grid, occ, from),
+            RouterMode::Reference => find_path(grid, &(cells, blocked), from, to, &self.cost),
+            RouterMode::Incremental => self
+                .arena
+                .find_path(grid, cells, blocked, from, to, &self.cost),
         }
     }
 
@@ -525,28 +549,33 @@ impl Router {
     pub fn clear_cell_plan(
         &mut self,
         grid: &Grid,
-        occ: &impl Occupancy,
+        cells: &CellGrid,
         cell: Coord,
         avoid: &[Coord],
     ) -> Option<Vec<(Coord, Coord)>> {
         match self.mode {
-            RouterMode::Reference => {
-                clear_cell_plan(grid, occ, cell, &avoid.iter().copied().collect())
-            }
-            RouterMode::Incremental => self.arena.clear_cell_plan(grid, occ, cell, avoid),
+            RouterMode::Reference => clear_cell_plan(
+                grid,
+                &(cells, &[] as &[Coord]),
+                cell,
+                &avoid.iter().copied().collect(),
+            ),
+            RouterMode::Incremental => self.arena.clear_cell_plan(cells, cell, avoid),
         }
     }
 
-    /// Cheapest free-ancilla plan around `target` (see [`space_search`]).
+    /// Cheapest free-ancilla plan around `target`, never entering
+    /// `blocked` cells (see [`space_search`]).
     pub fn space_search(
         &mut self,
         grid: &Grid,
-        occ: &impl Occupancy,
+        cells: &CellGrid,
+        blocked: &[Coord],
         target: Coord,
     ) -> Option<SpacePlan> {
         match self.mode {
-            RouterMode::Reference => space_search(grid, occ, target),
-            RouterMode::Incremental => self.arena.space_search(grid, occ, target),
+            RouterMode::Reference => space_search(grid, &(cells, blocked), target),
+            RouterMode::Incremental => self.arena.space_search(cells, blocked, target),
         }
     }
 
@@ -555,27 +584,6 @@ impl Router {
         RouteCounters {
             arena_reuses: self.arena.reuses(),
         }
-    }
-}
-
-impl RoutePlanner for Router {
-    fn plan_path(
-        &mut self,
-        grid: &Grid,
-        occ: &impl Occupancy,
-        from: Coord,
-        to: Coord,
-    ) -> Option<Path> {
-        self.find_path(grid, occ, from, to)
-    }
-
-    fn plan_space(
-        &mut self,
-        grid: &Grid,
-        occ: &impl Occupancy,
-        target: Coord,
-    ) -> Option<SpacePlan> {
-        self.space_search(grid, occ, target)
     }
 }
 
@@ -606,6 +614,15 @@ mod tests {
         }
     }
 
+    /// The arena's view of the same state: `occupied` cells hold qubits.
+    fn cells_of(g: &Grid, occupied: &[Coord]) -> CellGrid {
+        let mut cells = CellGrid::new(g.rows(), g.cols());
+        for (q, &c) in occupied.iter().enumerate() {
+            cells.place(c, q as u32);
+        }
+        cells
+    }
+
     fn grid(rows: u32, cols: u32) -> Grid {
         Grid::filled(rows, cols, CellKind::Bus)
     }
@@ -616,6 +633,27 @@ mod tests {
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
         *seed >> 33
+    }
+
+    #[test]
+    fn cell_grid_pads_with_off_grid_cells() {
+        let mut cells = CellGrid::new(2, 3);
+        assert_eq!(cells.cells.len(), 4 * 5);
+        assert_eq!(cells.cells.iter().filter(|&&v| v == FREE).count(), 6);
+        cells.place(Coord::new(1, 2), 7);
+        assert_eq!(cells.occupant(Coord::new(1, 2)), Some(7));
+        assert_eq!(cells.coord(cells.index(Coord::new(1, 2))), Coord::new(1, 2));
+        for off in [
+            Coord::new(-1, 0),
+            Coord::new(0, 3),
+            Coord::new(2, 0),
+            Coord::new(9, -9),
+        ] {
+            assert_eq!(cells.occupant(off), None);
+            assert!((&cells, &[] as &[Coord]).is_blocked(off));
+        }
+        cells.vacate(Coord::new(1, 2));
+        assert_eq!(cells, CellGrid::new(2, 3));
     }
 
     #[test]
@@ -636,6 +674,7 @@ mod tests {
                 }
             }
             let occ = occ_of(&occupied, &blocked);
+            let cells = cells_of(&g, &occupied);
             let from = Coord::new(
                 (lcg(&mut seed) % rows as u64) as i32,
                 (lcg(&mut seed) % cols as u64) as i32,
@@ -648,7 +687,7 @@ mod tests {
                 penalty_weight: lcg(&mut seed) % 9,
             };
             let reference = find_path(&g, &occ, from, to, &cost);
-            let incremental = arena.find_path(&g, &occ, from, to, &cost);
+            let incremental = arena.find_path(&g, &cells, &blocked, from, to, &cost);
             assert_eq!(reference, incremental, "case {case}: {from} -> {to}");
         }
         assert!(arena.reuses() > 0, "same-shape searches reuse the arena");
@@ -670,17 +709,21 @@ mod tests {
                 }
             }
             let occ = occ_of(&occupied, &blocked);
+            let cells = cells_of(&g, &occupied);
             let at = Coord::new((lcg(&mut seed) % 6) as i32, (lcg(&mut seed) % 6) as i32);
             assert_eq!(
-                nearest_free_cell(&g, &occ, at),
-                arena.nearest_free_cell(&g, &occ, at)
+                space_search(&g, &occ, at),
+                arena.space_search(&cells, &blocked, at)
             );
-            assert_eq!(space_search(&g, &occ, at), arena.space_search(&g, &occ, at));
+            // The seed's blocked cells and its avoid set both stay out of
+            // the chain, so the arena takes them as one avoid list.
             let avoid: HashSet<Coord> = [at].into_iter().collect();
+            let mut avoid_all = blocked.clone();
+            avoid_all.push(at);
             let cell = Coord::new((lcg(&mut seed) % 6) as i32, (lcg(&mut seed) % 6) as i32);
             assert_eq!(
                 clear_cell_plan(&g, &occ, cell, &avoid),
-                arena.clear_cell_plan(&g, &occ, cell, &[at])
+                arena.clear_cell_plan(&cells, cell, &avoid_all)
             );
         }
     }
@@ -689,12 +732,13 @@ mod tests {
     fn huge_penalty_falls_back_to_seed_search() {
         let g = grid(5, 5);
         let occ = occ_of(&[Coord::new(2, 2)], &[]);
+        let cells = cells_of(&g, &[Coord::new(2, 2)]);
         let cost = CostModel {
             penalty_weight: u64::MAX / 4,
         };
         let mut arena = SearchArena::new();
         assert_eq!(
-            arena.find_path(&g, &occ, Coord::new(0, 0), Coord::new(4, 4), &cost),
+            arena.find_path(&g, &cells, &[], Coord::new(0, 0), Coord::new(4, 4), &cost),
             find_path(&g, &occ, Coord::new(0, 0), Coord::new(4, 4), &cost),
         );
     }
@@ -702,14 +746,14 @@ mod tests {
     #[test]
     fn router_modes_agree_and_only_incremental_counts() {
         let g = grid(5, 5);
-        let occ = occ_of(&[Coord::new(1, 1), Coord::new(2, 3)], &[]);
+        let cells = cells_of(&g, &[Coord::new(1, 1), Coord::new(2, 3)]);
         let (from, to) = (Coord::new(0, 0), Coord::new(4, 4));
         let mut incremental = Router::new(CostModel::default(), RouterMode::Incremental);
         let mut reference = Router::new(CostModel::default(), RouterMode::Reference);
         for _ in 0..2 {
             assert_eq!(
-                incremental.find_path(&g, &occ, from, to),
-                reference.find_path(&g, &occ, from, to)
+                incremental.find_path(&g, &cells, &[], from, to),
+                reference.find_path(&g, &cells, &[], from, to)
             );
         }
         assert_eq!(

@@ -13,14 +13,17 @@
 //!   CNOT configuration reachable with the fewest data-qubit moves, looking
 //!   ahead in the circuit DAG.
 //!
-//! All three operate on an [`Occupancy`] view supplied by the compiler, so
-//! the heuristics stay independent of the scheduler's internal state.
+//! The seed functions of the first two operate on any [`Occupancy`] view,
+//! so the heuristics stay independent of the scheduler's internal state.
 //!
-//! The [`incremental`] module layers a production hot path on top: a
-//! reusable generation-stamped [`SearchArena`] with a bucket-queue
-//! Dijkstra, and the [`Router`] facade the compiler engine drives — both
-//! pinned byte-identical to the seed functions by a differential test
-//! harness.
+//! The [`incremental`] module layers the production hot path on top: the
+//! engine's padded occupancy grid ([`CellGrid`]), a reusable
+//! generation-stamped [`SearchArena`] whose bucket-queue Dijkstra and
+//! breadth-first push chains walk that grid by index, and the [`Router`]
+//! facade the compiler engine drives. The gate-dependent moves query that
+//! router. Every answer is pinned byte-identical to the seed functions by
+//! a differential test harness, and [`RouterMode::Reference`] answers
+//! with the seed functions themselves.
 
 pub mod dijkstra;
 pub mod incremental;
@@ -28,6 +31,6 @@ pub mod moves;
 pub mod space;
 
 pub use dijkstra::{find_path, CostModel, Occupancy, Path};
-pub use incremental::{RouteCounters, RoutePlanner, Router, RouterMode, SearchArena, SeedPlanner};
-pub use moves::{best_cnot_config, best_cnot_config_with, CnotConfig};
+pub use incremental::{CellGrid, RouteCounters, Router, RouterMode, SearchArena};
+pub use moves::{best_cnot_config_with, CnotConfig};
 pub use space::{clear_cell_plan, nearest_free_cell, space_search, SpacePlan};

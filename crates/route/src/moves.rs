@@ -9,8 +9,8 @@
 //! returning the cheapest. With look-ahead disabled (the ablation of
 //! DESIGN.md §7) the first feasible configuration is taken instead.
 
-use crate::dijkstra::{CostModel, Occupancy, Path};
-use crate::incremental::{RoutePlanner, SeedPlanner};
+use crate::dijkstra::{Occupancy, Path};
+use crate::incremental::{CellGrid, Router};
 use ftqc_arch::{cnot_ancilla, Coord, Grid};
 use serde::{Deserialize, Serialize};
 
@@ -50,7 +50,8 @@ impl CnotConfig {
 }
 
 /// Plans the cheapest legal CNOT configuration for qubits currently at
-/// `control` and `target`.
+/// `control` and `target`, with every path and space query answered by
+/// `router` over the engine's `cells`.
 ///
 /// When `lookahead` is true all eight candidate configurations (four
 /// diagonals around each operand) are scored and the cheapest wins (the
@@ -60,42 +61,21 @@ impl CnotConfig {
 /// Returns `None` when no configuration is reachable (e.g. the moving
 /// operand is walled in) — the caller then falls back to space search
 /// around the operands.
-pub fn best_cnot_config(
+pub fn best_cnot_config_with(
+    router: &mut Router,
     grid: &Grid,
-    occ: &impl Occupancy,
-    control: Coord,
-    target: Coord,
-    cost: &CostModel,
-    lookahead: bool,
-) -> Option<CnotConfig> {
-    best_cnot_config_with(
-        &mut SeedPlanner { cost: *cost },
-        grid,
-        occ,
-        control,
-        target,
-        lookahead,
-    )
-}
-
-/// [`best_cnot_config`] over a pluggable [`RoutePlanner`] — the same
-/// candidate enumeration and scoring, with every path/space query routed
-/// through `planner` (so the incremental engine's arena is exercised with
-/// *identical* control flow to the seed search).
-pub fn best_cnot_config_with<P: RoutePlanner>(
-    planner: &mut P,
-    grid: &Grid,
-    occ: &impl Occupancy,
+    cells: &CellGrid,
     control: Coord,
     target: Coord,
     lookahead: bool,
 ) -> Option<CnotConfig> {
+    let occ = (cells, &[] as &[Coord]);
     // Already diagonal: only the ancilla needs attention.
     if control.is_diagonal(target) {
         let ancilla = cnot_ancilla(control, target).expect("diagonal pair has an ancilla");
         if grid.in_bounds(ancilla) && !occ.is_blocked(ancilla) {
             let clearing = if occ.is_occupied(ancilla) {
-                planner.plan_space(grid, occ, ancilla).map(|p| {
+                router.space_search(grid, cells, &[], ancilla).map(|p| {
                     // Clear the ancilla cell itself: push its occupant away.
                     let mut moves = p.clearing_moves;
                     moves.push((ancilla, p.ancilla));
@@ -156,12 +136,12 @@ pub fn best_cnot_config_with<P: RoutePlanner>(
             if ancilla == c_pos || ancilla == t_pos {
                 continue;
             }
-            let route = match planner.plan_path(grid, occ, moving_from, dest) {
+            let route = match router.find_path(grid, cells, &[], moving_from, dest) {
                 Some(p) => p,
                 None => continue,
             };
             let ancilla_clearing = if occ.is_occupied(ancilla) {
-                match planner.plan_space(grid, occ, ancilla) {
+                match router.space_search(grid, cells, &[], ancilla) {
                     Some(plan) => {
                         let mut moves = plan.clearing_moves;
                         moves.push((ancilla, plan.ancilla));
@@ -192,40 +172,47 @@ pub fn best_cnot_config_with<P: RoutePlanner>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dijkstra::CostModel;
+    use crate::incremental::RouterMode;
     use ftqc_arch::CellKind;
-    use std::collections::HashSet;
-
-    struct SetOcc {
-        blocked: HashSet<Coord>,
-        occupied: HashSet<Coord>,
-    }
-
-    impl Occupancy for SetOcc {
-        fn is_blocked(&self, c: Coord) -> bool {
-            self.blocked.contains(&c)
-        }
-        fn is_occupied(&self, c: Coord) -> bool {
-            self.occupied.contains(&c)
-        }
-    }
 
     fn grid7() -> Grid {
         Grid::filled(7, 7, CellKind::Bus)
     }
 
-    fn occ_of(occupied: &[Coord]) -> SetOcc {
-        SetOcc {
-            blocked: HashSet::new(),
-            occupied: occupied.iter().copied().collect(),
+    /// The look-ahead on `g` with `occupied` cells held by qubits, through
+    /// the seed functions (`RouterMode::Reference`); the arena must plan
+    /// the same configuration.
+    fn plan_on(
+        g: &Grid,
+        occupied: &[Coord],
+        c: Coord,
+        t: Coord,
+        lookahead: bool,
+    ) -> Option<CnotConfig> {
+        let mut cells = CellGrid::new(g.rows(), g.cols());
+        for (q, &cell) in occupied.iter().enumerate() {
+            cells.place(cell, q as u32);
         }
+        let mut seed = Router::new(CostModel::default(), RouterMode::Reference);
+        let mut arena = Router::new(CostModel::default(), RouterMode::Incremental);
+        let planned = best_cnot_config_with(&mut seed, g, &cells, c, t, lookahead);
+        assert_eq!(
+            planned,
+            best_cnot_config_with(&mut arena, g, &cells, c, t, lookahead)
+        );
+        planned
+    }
+
+    fn plan(occupied: &[Coord], c: Coord, t: Coord, lookahead: bool) -> Option<CnotConfig> {
+        plan_on(&grid7(), occupied, c, t, lookahead)
     }
 
     #[test]
     fn already_diagonal_zero_cost() {
         let c = Coord::new(2, 2);
         let t = Coord::new(3, 3);
-        let occ = occ_of(&[c, t]);
-        let cfg = best_cnot_config(&grid7(), &occ, c, t, &CostModel::default(), true).unwrap();
+        let cfg = plan(&[c, t], c, t, true).unwrap();
         assert_eq!(cfg.mover, Mover::None);
         assert_eq!(cfg.move_cost(), 0);
         assert_eq!(cfg.ancilla, Coord::new(3, 2));
@@ -236,8 +223,7 @@ mod tests {
         let c = Coord::new(2, 2);
         let t = Coord::new(3, 3);
         let blockers = Coord::new(3, 2);
-        let occ = occ_of(&[c, t, blockers]);
-        let cfg = best_cnot_config(&grid7(), &occ, c, t, &CostModel::default(), true).unwrap();
+        let cfg = plan(&[c, t, blockers], c, t, true).unwrap();
         assert_eq!(cfg.mover, Mover::None);
         // One move clears the ancilla cell.
         assert_eq!(cfg.ancilla_clearing.len(), 1);
@@ -250,8 +236,7 @@ mod tests {
         // diagonal shift).
         let c = Coord::new(2, 2);
         let t = Coord::new(2, 3);
-        let occ = occ_of(&[c, t]);
-        let cfg = best_cnot_config(&grid7(), &occ, c, t, &CostModel::default(), true).unwrap();
+        let cfg = plan(&[c, t], c, t, true).unwrap();
         assert_ne!(cfg.mover, Mover::None);
         assert!(cfg.control.is_diagonal(cfg.target));
         // One diagonal step: cost 1 route, free ancilla.
@@ -264,8 +249,7 @@ mod tests {
     fn distant_pair_routes_toward_partner() {
         let c = Coord::new(0, 0);
         let t = Coord::new(5, 5);
-        let occ = occ_of(&[c, t]);
-        let cfg = best_cnot_config(&grid7(), &occ, c, t, &CostModel::default(), true).unwrap();
+        let cfg = plan(&[c, t], c, t, true).unwrap();
         assert!(cfg.control.is_diagonal(cfg.target));
         let route = cfg.route.as_ref().unwrap();
         // Moving diagonal-adjacent to a cell 10 steps away: 8 steps.
@@ -284,29 +268,19 @@ mod tests {
                 occupied.push(Coord::new(r, 2));
             }
         }
-        let occ = occ_of(&occupied);
-        let greedy = best_cnot_config(&grid7(), &occ, c, t, &CostModel::default(), true).unwrap();
-        let naive = best_cnot_config(&grid7(), &occ, c, t, &CostModel::default(), false).unwrap();
+        let greedy = plan(&occupied, c, t, true).unwrap();
+        let naive = plan(&occupied, c, t, false).unwrap();
         assert!(greedy.move_cost() <= naive.move_cost());
     }
 
     #[test]
-    fn walled_in_pair_returns_none() {
-        // Moving operand sealed by blocked cells and no diagonal free.
+    fn pair_without_a_diagonal_returns_none() {
+        // On a single row no cell is diagonal to another, so neither
+        // operand has a configuration to move to.
         let c = Coord::new(0, 0);
         let t = Coord::new(0, 2);
-        let mut occ = occ_of(&[c, t]);
-        for cell in [
-            Coord::new(0, 1),
-            Coord::new(1, 0),
-            Coord::new(1, 1),
-            Coord::new(1, 2),
-            Coord::new(1, 3),
-            Coord::new(0, 3),
-        ] {
-            occ.blocked.insert(cell);
-        }
-        assert!(best_cnot_config(&grid7(), &occ, c, t, &CostModel::default(), true).is_none());
+        let row = Grid::filled(1, 5, CellKind::Bus);
+        assert!(plan_on(&row, &[c, t], c, t, true).is_none());
     }
 
     #[test]
@@ -314,8 +288,7 @@ mod tests {
         use ftqc_arch::SurgeryOp;
         let c = Coord::new(1, 4);
         let t = Coord::new(4, 1);
-        let occ = occ_of(&[c, t]);
-        let cfg = best_cnot_config(&grid7(), &occ, c, t, &CostModel::default(), true).unwrap();
+        let cfg = plan(&[c, t], c, t, true).unwrap();
         let op = SurgeryOp::Cnot {
             control: cfg.control,
             target: cfg.target,

@@ -8,7 +8,9 @@
 //! 1. query level — the [`reference`] module keeps a verbatim copy of the
 //!    seed Dijkstra (hash-map state, binary-heap queue); random layouts,
 //!    occupancy patterns, and penalty weights must produce identical
-//!    [`Path`]s from the reference, the arena, and the router;
+//!    [`Path`]s from the reference, the arena, and the router, and the
+//!    arena's padded grid must agree with the seed functions on every
+//!    degenerate shape and border cell too;
 //! 2. map level — `route_circuit` in [`RouterMode::Reference`] (the seed
 //!    implementations, query for query) and [`RouterMode::Incremental`]
 //!    must emit identical routed-op sequences across random circuits and
@@ -23,7 +25,7 @@ use ftqc::compiler::timer::{time_ops, CostKind};
 use ftqc::compiler::{
     eliminate_redundant_moves, route_circuit, CompileSession, CompilerOptions, RouterMode,
 };
-use ftqc::route::{CostModel, Occupancy, Router, SearchArena};
+use ftqc::route::{CellGrid, CostModel, Occupancy, Path, Router, SearchArena};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -120,6 +122,18 @@ impl Occupancy for SetOcc {
     }
 }
 
+/// The arena's input for `occ`: a padded grid whose occupied cells hold
+/// qubits, plus the blocked cells as the query's extra-blocked list (in
+/// row-major order).
+fn padded(grid: &Grid, occ: &SetOcc) -> (CellGrid, Vec<Coord>) {
+    let mut cells = CellGrid::new(grid.rows(), grid.cols());
+    for (q, c) in grid.coords().filter(|&c| occ.is_occupied(c)).enumerate() {
+        cells.place(c, q as u32);
+    }
+    let blocked = grid.coords().filter(|&c| occ.is_blocked(c)).collect();
+    (cells, blocked)
+}
+
 /// A deterministic random occupancy state over `grid`: ~30% of cells hold
 /// data qubits, ~10% are blocked.
 fn random_state(grid: &Grid, seed: u64) -> SetOcc {
@@ -171,12 +185,13 @@ proptest! {
         let to = Coord::new(tr % rows as i32, tc % cols as i32);
 
         let expected = reference::find_path(&grid, &occ, from, to, &cost);
+        let (cells, blocked) = padded(&grid, &occ);
 
         let mut arena = SearchArena::new();
-        prop_assert_eq!(&arena.find_path(&grid, &occ, from, to, &cost), &expected);
+        prop_assert_eq!(&arena.find_path(&grid, &cells, &blocked, from, to, &cost), &expected);
 
         let mut router = Router::new(cost, RouterMode::Incremental);
-        prop_assert_eq!(&router.find_path(&grid, &occ, from, to), &expected);
+        prop_assert_eq!(&router.find_path(&grid, &cells, &blocked, from, to), &expected);
     }
 
     /// The full map stage emits byte-identical routed programs under the
@@ -251,29 +266,168 @@ proptest! {
     }
 }
 
-/// The arena-frontier space search (satellite: `nearest_free_cell` no
-/// longer re-allocates scan state per call) picks identical cells to the
-/// seed implementation on dense random states.
+/// The arena-frontier space search (reused stamped buffers instead of
+/// per-call scan state) picks identical cells to the seed implementation
+/// on dense random states.
 #[test]
-fn nearest_free_cell_pins_identical_choices() {
+fn space_search_pins_identical_choices() {
     let mut arena = SearchArena::new();
     for seed in 0..300u64 {
         let grid = Grid::filled(7, 7, CellKind::Bus);
         let occ = random_state(&grid, seed);
+        let (cells, blocked) = padded(&grid, &occ);
         for c in grid.coords() {
             assert_eq!(
-                ftqc::route::nearest_free_cell(&grid, &occ, c),
-                arena.nearest_free_cell(&grid, &occ, c),
-                "seed {seed}: nearest free cell diverges from {c}"
-            );
-            assert_eq!(
                 ftqc::route::space_search(&grid, &occ, c),
-                arena.space_search(&grid, &occ, c),
+                arena.space_search(&cells, &blocked, c),
                 "seed {seed}: space search diverges at {c}"
             );
         }
     }
     assert!(arena.reuses() > 0, "the frontier buffers were reused");
+}
+
+/// Every query the arena answers on a padded grid, checked against the
+/// seed functions: the arena's own kernels, and the router in both modes.
+fn assert_queries_match_seed(
+    grid: &Grid,
+    occ: &SetOcc,
+    from: Coord,
+    to: Coord,
+    avoid: &[Coord],
+    penalty: u64,
+) {
+    let (cells, blocked) = padded(grid, occ);
+    let cost = CostModel {
+        penalty_weight: penalty,
+    };
+    let expected = reference::find_path(grid, occ, from, to, &cost);
+    assert_eq!(
+        ftqc::route::find_path(grid, occ, from, to, &cost),
+        expected,
+        "seed find_path vs its verbatim copy"
+    );
+    let mut arena = SearchArena::new();
+    let mut routers = [
+        Router::new(cost, RouterMode::Incremental),
+        Router::new(cost, RouterMode::Reference),
+    ];
+    let at = format!(
+        "{}x{} {from} -> {to}, penalty {penalty}",
+        grid.rows(),
+        grid.cols()
+    );
+    assert_eq!(
+        arena.find_path(grid, &cells, &blocked, from, to, &cost),
+        expected,
+        "arena find_path, {at}"
+    );
+    for router in &mut routers {
+        assert_eq!(
+            router.find_path(grid, &cells, &blocked, from, to),
+            expected,
+            "{:?} find_path, {at}",
+            router.mode()
+        );
+    }
+
+    let expected = ftqc::route::space_search(grid, occ, to);
+    assert_eq!(
+        arena.space_search(&cells, &blocked, to),
+        expected,
+        "arena space_search, {at}"
+    );
+    for router in &mut routers {
+        assert_eq!(
+            router.space_search(grid, &cells, &blocked, to),
+            expected,
+            "{:?} space_search, {at}",
+            router.mode()
+        );
+    }
+
+    // The seed's blocked cells and its avoid set both stay out of a push
+    // chain, so the arena and the router take them as one avoid list.
+    let avoid_set: HashSet<Coord> = avoid.iter().copied().collect();
+    let expected = ftqc::route::clear_cell_plan(grid, occ, from, &avoid_set);
+    let all: Vec<Coord> = blocked.iter().chain(avoid).copied().collect();
+    assert_eq!(
+        arena.clear_cell_plan(&cells, from, &all),
+        expected,
+        "arena clear_cell_plan, {at}"
+    );
+    for router in &mut routers {
+        assert_eq!(
+            router.clear_cell_plan(grid, &cells, from, &all),
+            expected,
+            "{:?} clear_cell_plan, {at}",
+            router.mode()
+        );
+    }
+}
+
+/// Degenerate shapes and border cells, where a padded index can newly go
+/// wrong: 1×1, 1×N, N×1 and 2×2 grids (the generators above draw 3–9 ×
+/// 3–9), every `from`/`to` pair (so every border cell is an endpoint and an
+/// avoided cell), `to` inside the extra-blocked list, and the penalty
+/// weights at the bucket ring's edge: 4094 is the largest ring (4096), 4095
+/// falls back to the seed search.
+#[test]
+fn degenerate_shapes_and_border_cells_match_reference() {
+    for (rows, cols) in [(1, 1), (1, 2), (1, 6), (2, 1), (6, 1), (2, 2), (2, 5)] {
+        let grid = Grid::filled(rows, cols, CellKind::Bus);
+        for seed in 0..6u64 {
+            let mut occ = random_state(&grid, seed);
+            for from in grid.coords() {
+                for to in grid.coords() {
+                    for penalty in [0, 1, 5, 4094, 4095] {
+                        assert_queries_match_seed(&grid, &occ, from, to, &[to], penalty);
+                    }
+                    // `to` inside the extra-blocked list.
+                    let was_blocked = !occ.blocked.insert(to);
+                    assert_queries_match_seed(&grid, &occ, from, to, &[], 5);
+                    if !was_blocked {
+                        occ.blocked.remove(&to);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A blocked `to` is a legal destination for `find_path` (routing *to* a
+/// reserved delivery cell), but the breadth-first helpers never enter a
+/// blocked or avoided cell, even when it is the only free one.
+#[test]
+fn blocked_destination_is_entered_only_by_find_path() {
+    let grid = Grid::filled(1, 3, CellKind::Bus);
+    let (q, free) = (Coord::new(0, 1), Coord::new(0, 2));
+    let mut occ = SetOcc {
+        blocked: [free].into_iter().collect(),
+        occupied: [Coord::new(0, 0), q].into_iter().collect(),
+    };
+    let (cells, blocked) = padded(&grid, &occ);
+    let cost = CostModel::default();
+    for mode in [RouterMode::Incremental, RouterMode::Reference] {
+        let mut router = Router::new(cost, mode);
+        let path = router.find_path(&grid, &cells, &blocked, q, free);
+        assert_eq!(
+            path.map(|p: Path| p.cells),
+            Some(vec![q, free]),
+            "{mode:?}: the blocked destination is entered"
+        );
+        assert_eq!(router.space_search(&grid, &cells, &blocked, q), None);
+        assert_eq!(router.clear_cell_plan(&grid, &cells, q, &blocked), None);
+    }
+    assert_queries_match_seed(&grid, &occ, q, free, &[free], 5);
+    // Unblocked, the same free cell takes the pushed qubit.
+    occ.blocked.clear();
+    let (cells, _) = padded(&grid, &occ);
+    let mut router = Router::new(cost, RouterMode::Incremental);
+    assert_eq!(
+        router.clear_cell_plan(&grid, &cells, q, &[]),
+        Some(vec![(q, free)])
+    );
 }
 
 /// The incremental engine's counters move the way the design says: every
