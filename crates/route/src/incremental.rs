@@ -7,8 +7,8 @@
 //! around three pieces:
 //!
 //! * [`CellGrid`] — the compiler engine's occupancy: one row-major `u32`
-//!   per cell (the qubit holding it or [`FREE`]) inside a one-cell border
-//!   of [`OFF_GRID`] sentinels. A neighbour of any on-grid cell is one
+//!   per cell (the qubit holding it, or a free sentinel) inside a one-cell
+//!   border of off-grid sentinels. A neighbour of any on-grid cell is one
 //!   index offset away and never out of the buffer, so the search kernels
 //!   relax a cell with one load: no `Coord`, no bounds check, no division.
 //!   Paired with a query's few extra-blocked cells, the grid is an
@@ -45,14 +45,14 @@ use std::collections::VecDeque;
 const MAX_BUCKET_RING: usize = 4096;
 
 /// A [`CellGrid`] cell holding no qubit.
-pub const FREE: u32 = u32::MAX;
+const FREE: u32 = u32::MAX;
 
 /// The [`CellGrid`] border ring: never entered, never free.
-pub const OFF_GRID: u32 = u32::MAX - 1;
+const OFF_GRID: u32 = u32::MAX - 1;
 
 /// Occupancy of a `rows × cols` layout grid, padded with a one-cell
-/// [`OFF_GRID`] border: a row-major `(rows + 2) × (cols + 2)` buffer whose
-/// on-grid cells hold the index of the qubit there, or [`FREE`].
+/// off-grid border: a row-major `(rows + 2) × (cols + 2)` buffer whose
+/// on-grid cells hold the index of the qubit there, or a free sentinel.
 ///
 /// The routing engine owns one, updates it on every move, and hands it to
 /// the [`Router`]'s queries; its checkpoints store it as is.
@@ -64,7 +64,7 @@ pub struct CellGrid {
 }
 
 impl CellGrid {
-    /// An empty `rows × cols` grid (every on-grid cell [`FREE`]).
+    /// An empty `rows × cols` grid (every on-grid cell free).
     ///
     /// # Panics
     ///
@@ -80,19 +80,9 @@ impl CellGrid {
         CellGrid { rows, cols, cells }
     }
 
-    /// Number of on-grid rows.
-    pub fn rows(&self) -> u32 {
-        self.rows
-    }
-
-    /// Number of on-grid columns.
-    pub fn cols(&self) -> u32 {
-        self.cols
-    }
-
     /// Whether `c` lies on the grid (not on the border or beyond).
     #[inline]
-    pub fn in_bounds(&self, c: Coord) -> bool {
+    fn in_bounds(&self, c: Coord) -> bool {
         c.row >= 0 && c.col >= 0 && (c.row as u32) < self.rows && (c.col as u32) < self.cols
     }
 
@@ -193,9 +183,9 @@ impl RouteCounters {
 /// * A query's extra-blocked cells are stamped before it starts: as settled
 ///   at distance 0 for the Dijkstra (no relaxation beats 0, so nothing
 ///   enters them, except `to`, which is left unstamped), and as visited for
-///   the breadth-first chains. Border cells are skipped by their
-///   [`OFF_GRID`] value, so neither needs a bounds or set-membership probe
-///   per relaxation.
+///   the breadth-first chains. Border cells are skipped by their off-grid
+///   value, so neither needs a bounds or set-membership probe per
+///   relaxation.
 /// * The Dial bucket ring holds only distances in `[d, d + ring)` while
 ///   level `d` drains — guaranteed because every edge weight is in
 ///   `1..=1 + penalty_weight` and `ring = penalty_weight + 2`.
