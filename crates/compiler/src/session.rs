@@ -805,8 +805,9 @@ impl Mapped {
     pub fn schedule(mut self) -> Result<CompiledProgram, CompileError> {
         let options = self.session.options.clone();
         let sched_fp = self.session.sched_opts_fp;
-        // With no stage cache holding the artifact, nothing else reads the
-        // routed ops, so they move into the schedule stage uncloned.
+        // When nothing else holds the map artifact (no stage cache kept it,
+        // no clone of this stage shares it), its routed ops move into the
+        // schedule stage uncloned.
         let owned = Arc::get_mut(&mut self.art).map(|art| std::mem::take(&mut art.ops));
         self.finish(&options, sched_fp, owned)
     }
