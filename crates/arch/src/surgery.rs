@@ -157,8 +157,8 @@ impl SurgeryOp {
 
     /// Calls `f` with every cell the operation occupies —
     /// [`cells`](Self::cells) without the allocation, for call sites that
-    /// scan whole op sequences (the schedule verifier runs on every
-    /// interactive differential recompile).
+    /// scan whole op sequences (the resource timelines of the engine and
+    /// the timing replays, the schedule verifier and the witness check).
     pub fn for_each_cell(&self, mut f: impl FnMut(Coord)) {
         match self {
             SurgeryOp::Move { from, to } => {

@@ -23,9 +23,10 @@
 //!
 //! `--edits N` additionally runs the interactive-session hot path: N
 //! single-gate edit batches applied near the tail of the bench circuit
-//! through a live differential compiler, each timed edit-to-schedule,
-//! against the median cold full recompile — recorded under an `"edits"`
-//! key the regression gate likewise ignores.
+//! through a live edit session, each timed edit-to-schedule, against the
+//! median cold compile — recorded under an `"edits"` key the regression
+//! gate likewise ignores. Every edit is a full compile plus the session's
+//! circuit and program copies, so the ratio sits just under 1.
 //!
 //! ```text
 //! cargo run --release -p ftqc-bench --bin bench_session -- \
@@ -41,8 +42,8 @@ use ftqc_bench::report::{
 use ftqc_bench::Table;
 use ftqc_circuit::Gate;
 use ftqc_compiler::{
-    route_circuit, CompileSession, Compiler, CompilerOptions, DeltaKind, RouterMode, StageCache,
-    StageTrace, TraceHook,
+    route_circuit, CompileSession, Compiler, CompilerOptions, RouterMode, StageCache, StageTrace,
+    TraceHook,
 };
 use ftqc_editor::{CircuitEdit, EditSession, EditSet};
 use ftqc_server::{Server, ServerConfig};
@@ -253,9 +254,9 @@ fn bench_capacity(ceiling: u64, iters: u64) -> Result<CapacityReport, String> {
 /// The edit storm: opens an edit session on the bench circuit and applies
 /// `edits` single-gate batches near the tail — the IDE keystroke pattern
 /// (append a T on the last qubit, retract it, repeat) — timing each batch
-/// edit-to-schedule through the live differential compiler. The baseline
-/// is the median of `iters` cold full recompiles of the same circuit;
-/// their ratio is the latency an interactive client actually saves.
+/// edit-to-schedule through the live session. The baseline is the median
+/// of `iters` cold compiles of the same circuit; their ratio is what a
+/// session costs over a bare compile.
 fn bench_edits(spec: &str, edits: u64, iters: u64) -> Result<EditReport, String> {
     let circuit = ftqc_service::resolve::load_circuit_spec(spec)?;
     let options = CompilerOptions::default();
@@ -264,8 +265,6 @@ fn bench_edits(spec: &str, edits: u64, iters: u64) -> Result<EditReport, String>
         EditSession::open("bench", circuit.clone(), options.clone()).map_err(|e| e.to_string())?;
 
     let mut samples = Vec::with_capacity(edits as usize);
-    let mut differential = 0u64;
-    let mut full_fallbacks = 0u64;
     for i in 0..edits {
         let len = session.circuit().len();
         let edit = if i % 2 == 0 {
@@ -278,12 +277,8 @@ fn bench_edits(spec: &str, edits: u64, iters: u64) -> Result<EditReport, String>
         };
         let set = EditSet::new(vec![edit]);
         let started = Instant::now();
-        let (_, delta) = session.apply(&set).map_err(|e| e.to_string())?;
+        session.apply(&set).map_err(|e| e.to_string())?;
         samples.push(started.elapsed().as_micros() as u64);
-        match delta.kind {
-            DeltaKind::Differential => differential += 1,
-            DeltaKind::Full => full_fallbacks += 1,
-        }
     }
 
     let full_samples: Vec<u64> = (0..iters)
@@ -298,8 +293,6 @@ fn bench_edits(spec: &str, edits: u64, iters: u64) -> Result<EditReport, String>
 
     Ok(EditReport {
         edits,
-        differential,
-        full_fallbacks,
         edit_median_micros: median_micros(samples.clone()),
         edit_percentiles: LatencyPercentiles::from_samples(samples),
         full_median_micros: median_micros(full_samples),
@@ -398,23 +391,20 @@ fn main() {
     );
 
     // The edit storm, when asked for: the interactive-session hot path,
-    // single-gate batches through a live differential compiler against
-    // cold full recompiles.
+    // single-gate batches through a live edit session against cold
+    // compiles.
     let edits = if args.edits > 0 {
         match bench_edits(&args.circuit, args.edits, args.iters) {
             Ok(e) => {
                 println!(
                     "\nedit storm ({} batches): edit-to-schedule {}µs median \
-                     (p95 {}µs, p99 {}µs) vs full recompile {}µs ({:.2}x), \
-                     {} differential / {} full fallbacks",
+                     (p95 {}µs, p99 {}µs) vs cold compile {}µs ({:.2}x)",
                     e.edits,
                     e.edit_median_micros,
                     e.edit_percentiles.p95,
                     e.edit_percentiles.p99,
                     e.full_median_micros,
                     e.speedup(),
-                    e.differential,
-                    e.full_fallbacks,
                 );
                 Some(e)
             }

@@ -250,32 +250,27 @@ impl ToJson for CapacityReport {
 }
 
 /// The edit-storm measurement: single-gate edit batches applied near the
-/// tail of a live [`EditSession`]-style differential compiler, each timed
-/// edit-to-schedule, against the median of cold full recompiles of the
-/// same circuit. Recorded for the trajectory only — the regression gate
-/// never reads it, so edit-less baselines keep checking cleanly.
+/// tail of a live [`EditSession`], each timed edit-to-schedule (a full
+/// compile of the edited circuit), against the median of cold compiles
+/// of the same circuit. Recorded for the trajectory only — the regression
+/// gate never reads it, so edit-less baselines keep checking cleanly.
 ///
 /// [`EditSession`]: https://docs.rs/ftqc-editor
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EditReport {
     /// Edit batches applied in the storm.
     pub edits: u64,
-    /// Batches answered on the differential path (suffix re-lower,
-    /// checkpointed routing resume, spliced re-timing).
-    pub differential: u64,
-    /// Batches that fell back to a clean full rebuild.
-    pub full_fallbacks: u64,
     /// Median edit-to-schedule microseconds across the storm.
     pub edit_median_micros: u64,
     /// Exact tail percentiles over the edit-to-schedule samples.
     pub edit_percentiles: LatencyPercentiles,
-    /// Median microseconds for a cold full recompile of the same circuit.
+    /// Median microseconds for a cold compile of the same circuit.
     pub full_median_micros: u64,
 }
 
 impl EditReport {
-    /// Full-recompile-over-edit speedup (the headline number; 0 when the
-    /// edit median is 0 — sub-microsecond edits are not meaningfully
+    /// Cold-compile-over-edit ratio (the headline number; 0 when the edit
+    /// median is 0 — sub-microsecond edits are not meaningfully
     /// comparable).
     pub fn speedup(&self) -> f64 {
         if self.edit_median_micros == 0 {
@@ -290,8 +285,6 @@ impl ToJson for EditReport {
     fn to_json(&self) -> Value {
         Value::Obj(vec![
             ("edits".into(), num(self.edits)),
-            ("differential".into(), num(self.differential)),
-            ("full_fallbacks".into(), num(self.full_fallbacks)),
             ("edit_median_micros".into(), num(self.edit_median_micros)),
             ("edit_percentiles".into(), self.edit_percentiles.to_json()),
             ("full_median_micros".into(), num(self.full_median_micros)),
@@ -520,8 +513,6 @@ mod tests {
             }),
             edits: Some(EditReport {
                 edits: 40,
-                differential: 39,
-                full_fallbacks: 1,
                 edit_median_micros: 200,
                 edit_percentiles: LatencyPercentiles {
                     p50: 200,
@@ -557,7 +548,11 @@ mod tests {
             rendered.contains("\"edit_median_micros\":200"),
             "{rendered}"
         );
-        assert!(rendered.contains("\"full_fallbacks\":1"), "{rendered}");
+        assert!(
+            rendered.contains("\"full_median_micros\":1600"),
+            "{rendered}"
+        );
+        assert!(!rendered.contains("\"differential\""), "{rendered}");
         assert!(rendered.contains("\"reactor\""), "{rendered}");
         assert!(
             rendered.contains("\"reactor_connections\":1280"),
@@ -767,8 +762,6 @@ mod tests {
     fn edit_speedup_is_full_over_edit() {
         let e = EditReport {
             edits: 10,
-            differential: 10,
-            full_fallbacks: 0,
             edit_median_micros: 4,
             edit_percentiles: LatencyPercentiles::default(),
             full_median_micros: 30,

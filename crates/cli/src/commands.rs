@@ -198,13 +198,14 @@ COMMANDS
                                         retryable 503 (default 30)
                        sessions: POST /v1/session opens an interactive edit
                        session (create body = compile-job shape); POST
-                       /v1/session/<id>/edit applies JSONL edit batches
-                       differentially; GET/DELETE /v1/session/<id>
+                       /v1/session/<id>/edit applies JSONL edit batches,
+                       each a full recompile; GET/DELETE /v1/session/<id>
                        --session-capacity N  max live sessions (default 64)
                        --session-ttl-s N     idle eviction (default 900)
-  edit <circuit>       interactive differential recompile loop: one edit
-                       (or {\"edits\":[…]} batch) JSON per stdin line, one
-                       delta-annotated result line out; `quit` or EOF ends
+  edit <circuit>       interactive edit loop: one edit (or
+                       {\"edits\":[…]} batch) JSON per stdin line, one full
+                       recompile and one delta-annotated result line per
+                       batch; `quit` or EOF ends
                        edits: {\"op\":\"insert|remove|retarget|replace\",
                                \"index\":N[,\"gate\":{\"gate\":\"t\",\"qubits\":[0]}]
                                [,\"qubits\":[…]]}  (rz adds \"angle\", in π)
@@ -1022,10 +1023,11 @@ fn edit_seed(p: &ParsedArgs) -> Result<(String, Circuit), CliError> {
     Ok((spec.clone(), load_circuit(spec)?))
 }
 
-/// `ftqc edit`: an interactive differential-recompile loop. Reads one
-/// edit (or edit-set) JSON document per stdin line, applies it to the
-/// live session, and prints one delta-annotated result line per batch —
-/// the same wire shape `POST /v1/session/<id>/edit` answers. With
+/// `ftqc edit`: an interactive edit loop. Reads one edit (or edit-set)
+/// JSON document per stdin line, applies it to the live session, compiles
+/// the edited circuit in full, and prints one delta-annotated result line
+/// per batch — the same wire shape `POST /v1/session/<id>/edit` answers.
+/// The trailer counts the full compiles, the seed compile included. With
 /// `--server ADDR` the session lives on a remote server instead and
 /// every batch round-trips through `/v1/session/<id>/edit`.
 fn cmd_edit(p: &ParsedArgs) -> Result<CmdOutput, CliError> {
@@ -1106,11 +1108,10 @@ fn cmd_edit(p: &ParsedArgs) -> Result<CmdOutput, CliError> {
     }
     Ok(CmdOutput {
         text: format!(
-            "session closed at v{}: {} batches ({} rejected), {} differential / {} full recompiles",
+            "session closed at v{}: {} batches ({} rejected), {} full compiles",
             session.version(),
             batches,
             rejected,
-            session.differential_recompiles(),
             session.full_recompiles(),
         ),
         failed: false,

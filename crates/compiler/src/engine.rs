@@ -26,7 +26,7 @@ use ftqc_arch::{
 };
 use ftqc_circuit::{Circuit, DagCircuit, Gate, NodeId};
 use ftqc_route::dijkstra::CostModel;
-use ftqc_route::incremental::{CellGrid, RouteCounters, Router, RouterMode, SearchArena};
+use ftqc_route::incremental::{CellGrid, RouteCounters, Router, RouterMode};
 use ftqc_route::moves::{best_cnot_config_with, Mover};
 use ftqc_sim::ResourceTimeline;
 use std::cmp::Reverse;
@@ -102,20 +102,6 @@ impl<'a> Engine<'a> {
         options: &'a CompilerOptions,
         mode: RouterMode,
     ) -> Self {
-        Self::with_arena(layout, mapping, bank, options, mode, SearchArena::new())
-    }
-
-    /// [`Engine::with_mode`] seeded with a previously warmed
-    /// [`SearchArena`]. Warmth never changes results; it only skips
-    /// re-allocating the search buffers.
-    pub fn with_arena(
-        layout: &'a Layout,
-        mapping: &InitialMapping,
-        bank: FactoryBank,
-        options: &'a CompilerOptions,
-        mode: RouterMode,
-        arena: SearchArena,
-    ) -> Self {
         let pos: Vec<Coord> = mapping.cells().to_vec();
         let grid = layout.grid();
         let mut occ = CellGrid::new(grid.rows(), grid.cols());
@@ -126,7 +112,7 @@ impl<'a> Engine<'a> {
             layout,
             options,
             bank,
-            router: Router::with_arena(router_cost(options), mode, arena),
+            router: Router::new(router_cost(options), mode),
             qubit_ready: vec![Ticks::ZERO; pos.len()],
             pos,
             occ,
@@ -139,54 +125,6 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Reconstructs an engine mid-run from `ckpt`, exactly as it stood when
-    /// the checkpoint was captured: gates `0..ckpt.cut` complete,
-    /// `prefix_ops` already emitted (the caller passes the first
-    /// `ckpt.ops_len` ops of the run that captured the checkpoint — they
-    /// are identical by determinism). The router is rebuilt around the
-    /// warm `arena`. Continue with
-    /// [`Engine::run_from`]`(circuit, ckpt.cut, ..)`.
-    pub fn resume(
-        layout: &'a Layout,
-        options: &'a CompilerOptions,
-        ckpt: &EngineCheckpoint,
-        prefix_ops: Vec<RoutedOp>,
-        mode: RouterMode,
-        arena: SearchArena,
-    ) -> Self {
-        debug_assert_eq!(prefix_ops.len(), ckpt.ops_len);
-        Self {
-            layout,
-            options,
-            bank: ckpt.bank.clone(),
-            router: Router::with_arena(router_cost(options), mode, arena),
-            pos: ckpt.pos.clone(),
-            occ: ckpt.occ.clone(),
-            timeline: ckpt.timeline.clone(),
-            qubit_ready: ckpt.qubit_ready.clone(),
-            ops: prefix_ops,
-            current_gate: 0,
-            protected: Vec::new(),
-            no_park: Vec::new(),
-            n_magic_states: ckpt.n_magic_states,
-        }
-    }
-
-    /// A deep snapshot of the engine's mutable state; the caller asserts
-    /// the completed-gate set is exactly `0..cut` (a causal cut).
-    fn checkpoint(&self, cut: usize) -> EngineCheckpoint {
-        EngineCheckpoint {
-            cut,
-            ops_len: self.ops.len(),
-            bank: self.bank.clone(),
-            pos: self.pos.clone(),
-            occ: self.occ.clone(),
-            timeline: self.timeline.clone(),
-            qubit_ready: self.qubit_ready.clone(),
-            n_magic_states: self.n_magic_states,
-        }
-    }
-
     /// Routes every gate of `circuit` (already lowered to the surgery gate
     /// set), consuming the DAG front layer in earliest-ready order.
     ///
@@ -194,37 +132,8 @@ impl<'a> Engine<'a> {
     ///
     /// Returns [`CompileError::RoutingFailed`] if a gate cannot be realised.
     pub fn run(&mut self, circuit: &Circuit) -> Result<(), CompileError> {
-        self.run_from(circuit, 0, 0, &mut Vec::new())
-    }
-
-    /// [`Engine::run`], generalised for the differential recompile path:
-    /// gates `0..resume_cut` are marked complete without executing (the
-    /// engine state must already reflect them — see [`Engine::resume`]),
-    /// and whenever `checkpoint_every > 0`, a deep state snapshot is pushed
-    /// onto `checkpoints` each time the completed set grows past a *causal
-    /// cut* — an instant where the completed gates are exactly a prefix
-    /// `0..c` of the gate sequence. Only causal cuts are snapshotted:
-    /// resuming from one replays the remainder byte-identically because no
-    /// out-of-prefix gate has influenced the state yet.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileError::RoutingFailed`] if a gate cannot be realised.
-    pub fn run_from(
-        &mut self,
-        circuit: &Circuit,
-        resume_cut: usize,
-        checkpoint_every: usize,
-        checkpoints: &mut Vec<EngineCheckpoint>,
-    ) -> Result<(), CompileError> {
         let dag = circuit.dag();
         let mut tracker = dag.tracker();
-        let total = circuit.len();
-        // Pre-mark the resumed prefix complete. Ascending order is always
-        // legal: every predecessor of a gate has a smaller id.
-        for id in 0..resume_cut {
-            tracker.complete(id);
-        }
         // The ready gates in a min-heap on `ready_key`, each entry keyed
         // when it was pushed. A gate's key only grows (`qubit_ready` never
         // decreases), so a stale key is a lower bound: a popped gate whose
@@ -235,21 +144,7 @@ impl<'a> Engine<'a> {
             .iter()
             .map(|&id| Reverse(ready_key(&dag, &self.qubit_ready, id)))
             .collect();
-        let mut completed = vec![false; total];
-        completed[..resume_cut].fill(true);
-        // `contiguous` = length of the completed prefix; the completed set
-        // is exactly {0..contiguous} iff `done == contiguous`.
-        let mut contiguous = resume_cut;
-        let mut done = resume_cut;
-        let mut last_snap = resume_cut;
         while !tracker.is_done() {
-            if checkpoint_every > 0
-                && done == contiguous
-                && contiguous >= last_snap + checkpoint_every
-            {
-                checkpoints.push(self.checkpoint(contiguous));
-                last_snap = contiguous;
-            }
             let gate_id = loop {
                 let Reverse((keyed, id)) = heap
                     .pop()
@@ -274,11 +169,6 @@ impl<'a> Engine<'a> {
             for &next in tracker.complete(gate_id) {
                 heap.push(Reverse(ready_key(&dag, &self.qubit_ready, next)));
             }
-            completed[gate_id] = true;
-            done += 1;
-            while contiguous < total && completed[contiguous] {
-                contiguous += 1;
-            }
         }
         Ok(())
     }
@@ -286,12 +176,6 @@ impl<'a> Engine<'a> {
     /// The emitted operations, in issue order.
     pub fn into_ops(self) -> (Vec<RoutedOp>, u64) {
         (self.ops, self.n_magic_states)
-    }
-
-    /// [`Engine::into_ops`] that also detaches the router's warm arena for
-    /// the next differential recompile.
-    pub fn into_ops_and_arena(self) -> (Vec<RoutedOp>, u64, SearchArena) {
-        (self.ops, self.n_magic_states, self.router.into_arena())
     }
 
     /// The incremental router's activity counters so far.
@@ -719,28 +603,6 @@ impl<'a> Engine<'a> {
         self.no_park.clear();
         Ok(())
     }
-}
-
-/// A deep snapshot of the routing engine's mutable state at a *causal
-/// cut* — an instant where the completed-gate set is exactly the prefix
-/// `0..cut` of the lowered gate sequence. Captured by
-/// [`Engine::run_from`], restored by [`Engine::resume`].
-///
-/// The emitted ops themselves are not stored: the first `ops_len` ops of
-/// the run that captured the checkpoint are identical in any resumed run
-/// (the engine is deterministic), so the caller re-supplies them.
-#[derive(Debug, Clone)]
-pub struct EngineCheckpoint {
-    /// Gates `0..cut` are complete, nothing else has run.
-    pub cut: usize,
-    /// Ops emitted so far when the snapshot was taken.
-    pub ops_len: usize,
-    bank: FactoryBank,
-    pos: Vec<Coord>,
-    occ: CellGrid,
-    timeline: ResourceTimeline,
-    qubit_ready: Vec<Ticks>,
-    n_magic_states: u64,
 }
 
 /// Everything the map stage produces for a lowered circuit: the layout,

@@ -68,10 +68,8 @@ pub use codec::{
     route_counters_from_json, route_counters_to_json, target_digest, target_from_json,
     target_to_json,
 };
-pub use differential::{
-    CompileDelta, DeltaKind, DifferentialCompiler, DEFAULT_CHECKPOINT_EVERY, DEFAULT_TIMER_EVERY,
-};
-pub use engine::{route_circuit, EngineCheckpoint, RoutedProgram};
+pub use differential::{CompileDelta, DeltaKind, DifferentialCompiler};
+pub use engine::{route_circuit, RoutedProgram};
 pub use error::CompileError;
 pub use estimate::{
     estimate_resources, EstimateError, EstimateRequest, Objective, ResourceEstimate,

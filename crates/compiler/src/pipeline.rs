@@ -124,12 +124,6 @@ pub struct CompiledProgram {
 }
 
 impl CompiledProgram {
-    /// The schedule, by value: the differential compiler splices the
-    /// previous compile's schedule instead of copying its prefix.
-    pub(crate) fn into_schedule(self) -> Schedule<RoutedOp> {
-        self.schedule
-    }
-
     /// Assembles a program from the schedule stage's pieces (the session's
     /// materialisation step).
     pub(crate) fn assemble(

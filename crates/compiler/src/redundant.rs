@@ -19,7 +19,8 @@ use ftqc_arch::{Coord, SurgeryOp};
 /// Runs to a fixed point: cancelling one pair can expose another
 /// (`A→B, B→C, C→B, B→A` collapses completely in two rounds).
 pub fn eliminate_redundant_moves(ops: &mut Vec<RoutedOp>) -> usize {
-    let cancel = cancelled_moves(ops);
+    let mut cancel = vec![false; ops.len()];
+    while cancel_once(ops, &mut cancel) > 0 {}
     let before = ops.len();
     let mut idx = 0;
     ops.retain(|_| {
@@ -28,14 +29,6 @@ pub fn eliminate_redundant_moves(ops: &mut Vec<RoutedOp>) -> usize {
         keep
     });
     before - ops.len()
-}
-
-/// Which ops [`eliminate_redundant_moves`] removes, as a mask over `ops`,
-/// without moving or cloning any of them.
-pub(crate) fn cancelled_moves(ops: &[RoutedOp]) -> Vec<bool> {
-    let mut cancel = vec![false; ops.len()];
-    while cancel_once(ops, &mut cancel) > 0 {}
-    cancel
 }
 
 /// One round over the ops not yet cancelled; returns how many it cancels.

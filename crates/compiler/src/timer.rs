@@ -27,11 +27,7 @@ pub enum CostKind {
 
 /// The timing replay's complete mutable state, one op at a time.
 ///
-/// [`time_schedule`] and [`time_ops`] drive it front to back; the
-/// differential recompile path clones snapshots of it mid-replay and later
-/// resumes timing from the first op a circuit edit actually changed — item
-/// *i* of the schedule depends only on `ops[0..=i]`, so a resumed replay is
-/// byte-identical to a full one over the same prefix.
+/// [`time_schedule`] and [`time_ops`] drive it front to back.
 #[derive(Debug, Clone)]
 pub struct Timer {
     timing: TimingModel,

@@ -144,9 +144,7 @@ pub fn verify_items(
     // One pass handles invariants 1 & 5 and collects the interval lists
     // for 2 & 3. Intervals are bucketed by counting sort over the (dense,
     // bounded) cell and qubit key spaces rather than hashed or
-    // comparison-sorted — the verifier gates every interactive
-    // differential recompile, where both alternatives measurably
-    // dominated it.
+    // comparison-sorted, both of which measurably dominated the check.
     let mut cell_intervals: Vec<(Coord, u64, u64, usize)> = Vec::new();
     let mut qubit_intervals: Vec<(usize, u64, u64, usize)> = Vec::new();
     let (mut max_row, mut max_col, mut max_qubit) = (0usize, 0usize, 0usize);

@@ -31,7 +31,7 @@ use crate::store::{SessionCounters, SessionStore, DEFAULT_SESSION_CAPACITY, DEFA
 /// The JSON form of a [`CompileDelta`] — what "delta-annotated" means on
 /// the wire.
 pub fn delta_to_json(delta: &CompileDelta) -> Value {
-    let mut fields = vec![
+    Value::Obj(vec![
         (
             "kind".to_string(),
             Value::Str(delta.kind.as_str().to_string()),
@@ -39,14 +39,6 @@ pub fn delta_to_json(delta: &CompileDelta) -> Value {
         (
             "gates_total".to_string(),
             Value::Num(delta.gates_total as f64),
-        ),
-        (
-            "dirty_from".to_string(),
-            Value::Num(delta.dirty_from as f64),
-        ),
-        (
-            "resume_cut".to_string(),
-            Value::Num(delta.resume_cut as f64),
         ),
         (
             "gates_rerouted".to_string(),
@@ -57,11 +49,7 @@ pub fn delta_to_json(delta: &CompileDelta) -> Value {
             "ops_retimed".to_string(),
             Value::Num(delta.ops_retimed as f64),
         ),
-    ];
-    if let Some(reason) = &delta.full_reason {
-        fields.push(("full_reason".to_string(), Value::Str(reason.clone())));
-    }
-    Value::Obj(fields)
+    ])
 }
 
 /// A successful edit/create outcome rendered as a delta-annotated
@@ -256,14 +244,7 @@ impl SessionExtension {
                     match session.apply(&set) {
                         Ok((program, delta)) => {
                             SessionCounters::bump(&counters.edits, edits);
-                            match delta.kind {
-                                ftqc_compiler::DeltaKind::Differential => {
-                                    SessionCounters::bump(&counters.differential, 1)
-                                }
-                                ftqc_compiler::DeltaKind::Full => {
-                                    SessionCounters::bump(&counters.full, 1)
-                                }
-                            }
+                            SessionCounters::bump(&counters.full, 1);
                             let micros = ctx.trace().now_micros().saturating_sub(started);
                             (
                                 edit_result_json(
@@ -338,10 +319,6 @@ impl SessionExtension {
             (
                 "edits_applied".to_string(),
                 Value::Num(session.edits_applied() as f64),
-            ),
-            (
-                "differential_recompiles".to_string(),
-                Value::Num(session.differential_recompiles() as f64),
             ),
             (
                 "full_recompiles".to_string(),
@@ -450,16 +427,7 @@ impl ServerExtension for SessionExtension {
         );
         let _ = writeln!(
             out,
-            "# HELP ftqc_session_recompiles_total Edit-batch recompiles by path.\n# TYPE ftqc_session_recompiles_total counter"
-        );
-        let _ = writeln!(
-            out,
-            "ftqc_session_recompiles_total{{kind=\"differential\"}} {}",
-            SessionCounters::get(&c.differential)
-        );
-        let _ = writeln!(
-            out,
-            "ftqc_session_recompiles_total{{kind=\"full\"}} {}",
+            "# HELP ftqc_session_recompiles_total Edit-batch recompiles by path (every one is a full compile).\n# TYPE ftqc_session_recompiles_total counter\nftqc_session_recompiles_total{{kind=\"full\"}} {}",
             SessionCounters::get(&c.full)
         );
         let _ = writeln!(
@@ -491,10 +459,6 @@ impl ServerExtension for SessionExtension {
                 (
                     "edits".to_string(),
                     Value::Num(SessionCounters::get(&c.edits) as f64),
-                ),
-                (
-                    "differential".to_string(),
-                    Value::Num(SessionCounters::get(&c.differential) as f64),
                 ),
                 (
                     "full".to_string(),

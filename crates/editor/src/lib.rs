@@ -1,21 +1,24 @@
 //! `ftqc-editor` — interactive edit sessions for IDE-style clients.
 //!
-//! The batch endpoints treat every request as a fresh circuit; an IDE
-//! making one small change per keystroke pays a full recompile each
-//! time. This crate keeps a *session* alive instead: the circuit, plus
-//! the previous compile's artifacts held warm inside
-//! [`ftqc_compiler::DifferentialCompiler`], so each edit batch re-lowers
-//! only the affected suffix, resumes routing from the deepest sound
-//! checkpoint, and splices the unchanged prefix of the schedule — with
-//! the compiler's six-invariant verifier run on every differential
-//! result, and a clean full compile as the fallback whenever reuse is
-//! unsound.
+//! The batch endpoints take a whole circuit per request. An IDE making
+//! one small change per keystroke would resend it every time; this crate
+//! keeps a *session* alive instead: the circuit, its latest compiled
+//! program and a version counter, so a client sends only its edits. Each
+//! edit batch compiles the edited circuit in full with
+//! [`ftqc_compiler::Compiler::compile`], so a session's program is always
+//! a cold compile of its circuit.
+//!
+//! Sessions once recompiled differentially, resuming routing and timing
+//! from checkpoints of the previous compile. On the paper's Table I
+//! circuits that was slower than a cold compile for most edits, and a
+//! session on a large circuit held gigabytes of checkpoints, so it was
+//! deleted; see the README's edit-session section for the measurements.
 //!
 //! * [`edit`] — the [`CircuitEdit`] / [`EditSet`] model and its JSON
 //!   wire form (insert / remove / retarget / replace, batched, with a
 //!   stable content digest and optional optimistic version pinning).
-//! * [`session`] — [`EditSession`]: one circuit, one differential
-//!   compiler, a version counter; batches apply atomically.
+//! * [`session`] — [`EditSession`]: one circuit, its latest program, a
+//!   version counter; batches apply atomically.
 //! * [`store`] — [`SessionStore`]: bounded, TTL-evicting, one lock per
 //!   session so distinct sessions never contend.
 //! * [`extension`] — [`SessionExtension`]: the four `/v1/session*`
@@ -34,13 +37,13 @@
 //! let (mut session, _) =
 //!     EditSession::open("demo", c, CompilerOptions::default().routing_paths(4))?;
 //!
-//! // Append a gate: only the tail of the schedule is recomputed.
+//! // Append a gate: the edited circuit compiles in full.
 //! let set = EditSet::new(vec![CircuitEdit::Insert {
 //!     index: session.circuit().len(),
 //!     gate: Gate::T(2),
 //! }]);
 //! let (program, delta) = session.apply(&set).expect("edit applies");
-//! assert_eq!(delta.kind, DeltaKind::Differential);
+//! assert_eq!(delta.kind, DeltaKind::Full);
 //! assert_eq!(program.metrics().n_gates, 5);
 //! assert_eq!(session.version(), 1);
 //! # Ok::<(), ftqc_compiler::CompileError>(())

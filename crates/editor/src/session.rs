@@ -1,9 +1,9 @@
-//! One interactive edit session: a circuit plus the differential
-//! compiler that keeps its compiled form warm across edits.
+//! One interactive edit session: a circuit plus its latest compiled
+//! program. Each applied batch compiles the edited circuit in full.
 
 use ftqc_circuit::{Circuit, EditError};
 use ftqc_compiler::{
-    CompileDelta, CompileError, CompiledProgram, CompilerOptions, DeltaKind, DifferentialCompiler,
+    CompileDelta, CompileError, CompiledProgram, CompilerOptions, DifferentialCompiler,
 };
 
 use crate::edit::{retarget_gate, CircuitEdit, EditSet};
@@ -57,7 +57,7 @@ impl From<CompileError> for EditApplyError {
 }
 
 /// Applies one edit to `circuit`, validating as it goes. Public so
-/// clients (and the differential test harness) can maintain their own
+/// clients (and the session property test) can maintain their own
 /// mirror of a session's circuit.
 pub fn apply_edit(circuit: &mut Circuit, edit: &CircuitEdit) -> Result<(), EditApplyError> {
     match edit {
@@ -85,16 +85,15 @@ pub fn apply_edit(circuit: &mut Circuit, edit: &CircuitEdit) -> Result<(), EditA
     Ok(())
 }
 
-/// A live edit session: the current circuit, its compiled artifacts
-/// (held warm inside a [`DifferentialCompiler`]), and a version counter
-/// that advances once per applied batch.
+/// A live edit session: the current circuit, its latest program (held by
+/// a [`DifferentialCompiler`], which compiles every circuit in full), and
+/// a version counter that advances once per applied batch.
 pub struct EditSession {
     id: String,
     circuit: Circuit,
     compiler: DifferentialCompiler,
     version: u64,
     edits_applied: u64,
-    differential_recompiles: u64,
     full_recompiles: u64,
 }
 
@@ -118,7 +117,6 @@ impl EditSession {
                 compiler,
                 version: 0,
                 edits_applied: 0,
-                differential_recompiles: 0,
                 full_recompiles: 1,
             },
             delta,
@@ -159,22 +157,18 @@ impl EditSession {
         self.edits_applied
     }
 
-    /// How many recompiles took the differential path.
-    pub fn differential_recompiles(&self) -> u64 {
-        self.differential_recompiles
-    }
-
-    /// How many recompiles fell back to (or started as) a full compile.
+    /// How many full compiles the session has run: the one at open, plus
+    /// one per applied batch.
     pub fn full_recompiles(&self) -> u64 {
         self.full_recompiles
     }
 
-    /// Applies one batch atomically and recompiles differentially.
+    /// Applies one batch atomically, then compiles the edited circuit in
+    /// full with [`Compiler::compile`](ftqc_compiler::Compiler::compile).
     ///
     /// On any error the session is unchanged: edits land on a scratch
-    /// copy of the circuit, and the differential compiler itself falls
-    /// back to a clean full compile (discarding stale state) rather than
-    /// serving artifacts that failed verification.
+    /// copy of the circuit, and a failed compile keeps the previous
+    /// program.
     ///
     /// # Errors
     ///
@@ -200,10 +194,7 @@ impl EditSession {
         self.circuit = edited;
         self.version += 1;
         self.edits_applied += set.edits.len() as u64;
-        match delta.kind {
-            DeltaKind::Differential => self.differential_recompiles += 1,
-            DeltaKind::Full => self.full_recompiles += 1,
-        }
+        self.full_recompiles += 1;
         Ok((program, delta))
     }
 }
@@ -211,7 +202,9 @@ impl EditSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftqc_arch::TargetSpec;
     use ftqc_circuit::Gate;
+    use ftqc_compiler::{Compiler, DeltaKind};
 
     fn seed_circuit() -> Circuit {
         let mut c = Circuit::new(4);
@@ -275,16 +268,42 @@ mod tests {
     }
 
     #[test]
-    fn late_edit_takes_the_differential_path() {
+    fn every_edit_is_a_cold_compile() {
         let (mut session, _) = EditSession::open("s1", seed_circuit(), options()).unwrap();
-        let last = session.circuit().len();
         let set = EditSet::new(vec![CircuitEdit::Insert {
-            index: last,
+            index: session.circuit().len(),
             gate: Gate::T(3),
         }]);
-        let (_, delta) = session.apply(&set).unwrap();
-        assert_eq!(delta.kind, DeltaKind::Differential);
-        assert_eq!(session.differential_recompiles(), 1);
+        let (program, delta) = session.apply(&set).unwrap();
+        assert_eq!(delta.kind, DeltaKind::Full);
+        assert_eq!(delta.gates_rerouted, delta.gates_total);
+        assert_eq!(delta.ops_retimed, delta.ops_total);
+        assert_eq!(session.full_recompiles(), 2);
+        let cold = Compiler::new(options()).compile(session.circuit()).unwrap();
+        assert_eq!(program.metrics(), cold.metrics());
+        assert_eq!(program.schedule().items(), cold.schedule().items());
+    }
+
+    #[test]
+    fn failed_compile_keeps_the_last_program() {
+        // A machine without magic states compiles the Clifford seed but
+        // refuses a T, as a cold compile of the edited circuit does.
+        let mut target = TargetSpec::paper();
+        target.capabilities.magic_states = false;
+        let options = CompilerOptions::default().target(target);
+        let mut seed = Circuit::new(4);
+        seed.h(0).cnot(0, 1);
+        let (mut session, _) = EditSession::open("s1", seed.clone(), options).unwrap();
+        let before = *session.program().metrics();
+        let set = EditSet::new(vec![CircuitEdit::Insert {
+            index: 0,
+            gate: Gate::T(2),
+        }]);
+        let err = session.apply(&set).unwrap_err();
+        assert!(matches!(err, EditApplyError::Compile(_)), "{err}");
+        assert_eq!(session.version(), 0);
+        assert_eq!(session.circuit(), &seed);
+        assert_eq!(session.program().metrics(), &before);
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! Bounds: at most `capacity` sessions (creating past it evicts the
 //! least-recently-used session first), and any session idle longer than
 //! `ttl` is reaped lazily on the next store operation — there is no
-//! background thread to leak.
+//! background thread to leak. A session holds its circuit and one
+//! compiled program, so a full store holds `capacity` programs; nothing
+//! yet caps the size of each.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,9 +36,7 @@ pub struct SessionCounters {
     pub evicted: AtomicU64,
     /// Single edits applied (across all sessions and batches).
     pub edits: AtomicU64,
-    /// Edit batches answered by the differential path.
-    pub differential: AtomicU64,
-    /// Edit batches answered by a full fallback compile.
+    /// Edit batches applied, each answered by a full compile.
     pub full: AtomicU64,
     /// Edit batches rejected (version conflict, invalid edit, compile
     /// error).

@@ -55,7 +55,7 @@ const OFF_GRID: u32 = u32::MAX - 1;
 /// on-grid cells hold the index of the qubit there, or a free sentinel.
 ///
 /// The routing engine owns one, updates it on every move, and hands it to
-/// the [`Router`]'s queries; its checkpoints store it as is.
+/// the [`Router`]'s queries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellGrid {
     rows: u32,
@@ -489,21 +489,11 @@ pub struct Router {
 impl Router {
     /// A router for searches under `cost`, with a fresh arena.
     pub fn new(cost: CostModel, mode: RouterMode) -> Self {
-        Router::with_arena(cost, mode, SearchArena::new())
-    }
-
-    /// A router warmed by an `arena` an earlier router handed back through
-    /// [`Router::into_arena`] (an edit session re-threads one arena
-    /// through every differential recompile). The reuse counter restarts
-    /// from zero: counters describe one compile, not the arena's lifetime.
-    pub fn with_arena(cost: CostModel, mode: RouterMode, mut arena: SearchArena) -> Self {
-        arena.reuses = 0;
-        Router { mode, cost, arena }
-    }
-
-    /// Detaches the warm arena for reuse by a later [`Router::with_arena`].
-    pub fn into_arena(self) -> SearchArena {
-        self.arena
+        Router {
+            mode,
+            cost,
+            arena: SearchArena::new(),
+        }
     }
 
     /// The router's mode.
@@ -752,14 +742,6 @@ mod tests {
             "second search reuses"
         );
         assert_eq!(reference.counters(), RouteCounters::default());
-
-        // A warm arena carries its buffers, not its count.
-        let warm = Router::with_arena(
-            CostModel::default(),
-            RouterMode::Incremental,
-            incremental.into_arena(),
-        );
-        assert_eq!(warm.counters(), RouteCounters::default());
     }
 
     #[test]

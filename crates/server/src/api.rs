@@ -59,6 +59,16 @@
 //! one: upgrade client and server together. Current decoders read
 //! `arena_reuses` only and ignore the table counters older servers and
 //! stored documents still carry.
+//!
+//! Deleting the edit sessions' differential recompile removed fields from
+//! the `/v1/session*` surface, also without a bump: the edit result's
+//! `"delta"` object lost `dirty_from`, `resume_cut` and `full_reason`
+//! (its `"kind"` is always `"full"` now), the session snapshot lost its
+//! count of differential recompiles (only `full_recompiles` remains), the
+//! `"sessions"` object of `GET /v1/cache/stats` lost `differential`, and
+//! `/metrics` lost the `ftqc_session_recompiles_total{kind="differential"}`
+//! series. No decoder in this workspace reads any of them; a client that
+//! did must treat them as absent.
 
 use ftqc_arch::{TargetEntry, TargetSpec};
 use ftqc_compiler::{

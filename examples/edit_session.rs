@@ -1,23 +1,14 @@
-//! Interactive edit sessions: open a circuit once, then apply small
-//! edits and watch the differential compiler resume from checkpoints
-//! instead of recompiling from scratch — with every differential result
-//! checked byte-for-byte against a cold compile of the same circuit.
+//! Interactive edit sessions: open a circuit once, then send small edit
+//! batches instead of whole circuits. Every batch compiles the edited
+//! circuit in full, so the session's program is checked byte-for-byte
+//! against a cold compile of the same circuit.
 //!
 //! Run with: `cargo run --release --example edit_session`
 
 use ftqc::circuit::{Circuit, Gate};
-use ftqc::compiler::{Compiler, CompilerOptions, DeltaKind, Metrics, RouteCounters};
+use ftqc::compiler::{Compiler, CompilerOptions, DeltaKind};
 use ftqc::editor::{CircuitEdit, EditSession, EditSet};
 use std::time::Instant;
-
-/// Route counters are provenance (cache activity differs between a warm
-/// session and a cold compiler); zero them before comparing metrics.
-fn normalised(m: &Metrics) -> Metrics {
-    Metrics {
-        route: RouteCounters::default(),
-        ..*m
-    }
-}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A small seed circuit: a GHZ-style ladder with some T gates.
@@ -30,8 +21,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let options = CompilerOptions::default().routing_paths(4);
 
-    // 1. Opening a session runs the initial full compile and keeps the
-    //    compiled artifacts warm for every batch that follows.
+    // 1. Opening a session runs the initial compile and keeps the program
+    //    until the next batch replaces it.
     let (mut session, delta) = EditSession::open("demo", circuit.clone(), options.clone())?;
     println!(
         "opened   : v{} ({:?}, {} gates, schedule {} ticks)",
@@ -41,9 +32,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         session.program().metrics().execution_time
     );
 
-    // 2. An append near the end of the circuit only dirties the tail:
-    //    the session re-lowers the suffix, resumes routing from the
-    //    deepest sound checkpoint, and splices the timed prefix.
+    // 2. An append at the end of the circuit: the session applies it and
+    //    compiles the edited circuit in full.
     let set = EditSet::new(vec![CircuitEdit::Insert {
         index: session.circuit().len(),
         gate: Gate::T(4),
@@ -52,18 +42,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let start = Instant::now();
     let (_, delta) = session.apply(&set)?;
     println!(
-        "append   : v{} ({:?}) in {}µs — dirty from gate {}, resumed at op {}, {} of {} gates rerouted, {} of {} ops retimed",
+        "append   : v{} ({:?}) in {}µs — {} of {} gates rerouted, {} of {} ops retimed",
         session.version(),
         delta.kind,
         start.elapsed().as_micros(),
-        delta.dirty_from,
-        delta.resume_cut,
         delta.gates_rerouted,
         delta.gates_total,
         delta.ops_retimed,
         delta.ops_total
     );
-    assert_eq!(delta.kind, DeltaKind::Differential);
+    assert_eq!(delta.kind, DeltaKind::Full);
 
     // 3. Batches apply atomically, and every edit kind composes: here a
     //    retarget plus a replace in one version step.
@@ -78,16 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
     ]);
     let (_, delta) = session.apply(&set)?;
-    println!(
-        "batch    : v{} ({:?}{})",
-        session.version(),
-        delta.kind,
-        delta
-            .full_reason
-            .as_deref()
-            .map(|r| format!(", fallback: {r}"))
-            .unwrap_or_default()
-    );
+    println!("batch    : v{} ({:?})", session.version(), delta.kind);
 
     // 4. The wire form is one JSONL line per batch — exactly what
     //    `POST /v1/session/<id>/edit` and `ftqc edit` consume.
@@ -111,15 +90,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         session.program().schedule().items(),
         cold.schedule().items()
     );
-    assert_eq!(
-        normalised(session.program().metrics()),
-        normalised(cold.metrics())
-    );
+    assert_eq!(session.program().metrics(), cold.metrics());
     println!("contract : schedule and metrics byte-identical to a cold compile ({cold_micros}µs)");
     println!(
-        "totals   : {} edits, {} differential / {} full recompiles",
+        "totals   : {} edits, {} full compiles",
         session.edits_applied(),
-        session.differential_recompiles(),
         session.full_recompiles()
     );
     Ok(())

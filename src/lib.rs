@@ -28,9 +28,8 @@
 //!   Prometheus metrics, graceful shutdown, and a blocking client API
 //!   (`ftqc serve` / `ftqc client`).
 //! * [`editor`] — interactive edit sessions: gate-level circuit edits
-//!   batched over the wire, recompiled differentially (suffix re-lower,
-//!   checkpointed routing resume, spliced re-timing) with verification
-//!   on every result, served as the stateful `/v1/session*` endpoints
+//!   batched over the wire, each batch a full compile of the edited
+//!   circuit, served as the stateful `/v1/session*` endpoints
 //!   (`ftqc edit`).
 //! * [`reactor`] — the event-driven serving core behind `ftqc serve`: a
 //!   dependency-free epoll reactor with sharded event loops, incremental

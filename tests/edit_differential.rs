@@ -1,25 +1,20 @@
 //! Differential harness for interactive edit sessions.
 //!
-//! The editor's contract is that a session's differentially recompiled
-//! program is indistinguishable from throwing the edited circuit at a
-//! cold compiler: same schedule byte-for-byte, same metrics. The only
-//! intentional difference is [`Metrics::route`] — the router's
-//! hit/miss counters are provenance of *how* the result was computed,
-//! and a warm session legitimately reports different cache activity —
-//! so comparisons normalise the route counters on both sides.
+//! The editor's contract is that a session's program is indistinguishable
+//! from throwing the edited circuit at a cold compiler: same schedule
+//! byte-for-byte, same metrics, route counters included — an edit session
+//! compiles every edited circuit in full.
 //!
 //! Random circuits take random edit storms (insert / remove / retarget /
 //! replace, batched), and after **every** batch the session's program is
 //! checked against a cold [`Compiler::compile`] of the edited circuit,
 //! across all three built-in target presets. Every program additionally
-//! passes the six-invariant schedule verifier — including the fallback
-//! results, which the session's engine does not verify internally
-//! because they never reuse prior state.
+//! passes the six-invariant schedule verifier.
 
 use ftqc::arch::TargetRegistry;
 use ftqc::benchmarks::random_clifford_t;
 use ftqc::circuit::{Angle, Circuit, Gate};
-use ftqc::compiler::{verify, Compiler, CompilerOptions, Metrics, RouteCounters};
+use ftqc::compiler::{verify, Compiler, CompilerOptions};
 use ftqc::editor::{CircuitEdit, EditSession, EditSet};
 use proptest::prelude::*;
 
@@ -98,14 +93,6 @@ fn random_edit(circuit: &Circuit, state: &mut u64) -> CircuitEdit {
     }
 }
 
-/// Route counters are provenance, not results: zero them before comparing.
-fn normalised(m: &Metrics) -> Metrics {
-    Metrics {
-        route: RouteCounters::default(),
-        ..*m
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -156,8 +143,8 @@ proptest! {
                     delta
                 );
                 prop_assert_eq!(
-                    normalised(program.metrics()),
-                    normalised(cold.metrics()),
+                    program.metrics(),
+                    cold.metrics(),
                     "metrics diverged on {}",
                     entry.name.clone()
                 );

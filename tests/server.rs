@@ -4,10 +4,16 @@
 //! entirely from the shared cache, and `/metrics` counters match the
 //! request mix.
 
+use ftqc::circuit::Gate;
 use ftqc::compiler::{explore, pareto_front, Compiler, CompilerOptions, Metrics};
-use ftqc::server::{Client, Server, ServerConfig, ShutdownHandle, SweepRequest};
-use ftqc::service::json::ToJson;
+use ftqc::editor::{CircuitEdit, EditSet, SessionExtension};
+use ftqc::server::{
+    Client, ClientError, Server, ServerConfig, ServerExtension, ShutdownHandle, SweepRequest,
+};
+use ftqc::service::json::{FromJson, ToJson};
 use ftqc::service::{fingerprint, CircuitSource, CompileJob, JobResult, JobStatus};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Starts a server on an ephemeral loopback port; returns the client
 /// address, the shutdown handle, and the join handle for the run thread.
@@ -18,10 +24,25 @@ fn spawn_server(
     ShutdownHandle,
     std::thread::JoinHandle<ftqc::server::ServerReport>,
 ) {
-    let server = Server::bind(ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        ..config
-    })
+    spawn_server_with(config, None)
+}
+
+/// [`spawn_server`] with a server extension grafted on.
+fn spawn_server_with(
+    config: ServerConfig,
+    extension: Option<Arc<dyn ServerExtension>>,
+) -> (
+    String,
+    ShutdownHandle,
+    std::thread::JoinHandle<ftqc::server::ServerReport>,
+) {
+    let server = Server::bind_with(
+        ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            ..config
+        },
+        extension,
+    )
     .expect("bind ephemeral port");
     let addr = server.local_addr().expect("local addr").to_string();
     let handle = server.handle().expect("shutdown handle");
@@ -844,6 +865,105 @@ fn flight_recorder_keeps_slowest_over_loopback() {
         .expect("slow compile trace survives the flood of fast probes");
     assert_eq!(survived.endpoint, "compile");
     assert_eq!(survived.status, 200);
+
+    handle.shutdown();
+    thread.join().expect("server thread");
+}
+
+/// The `/v1/session*` wire through the client API: an edit batch is one
+/// full compile whose metrics equal a local compile of the edited
+/// circuit, a stale batch is rejected without moving the version, the
+/// session counters reach `/metrics`, and a closed session is gone.
+#[test]
+fn edit_sessions_over_loopback() {
+    let sessions = Arc::new(SessionExtension::new(4, Duration::from_secs(600)));
+    let (addr, handle, thread) = spawn_server_with(
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+        Some(sessions),
+    );
+    let client = Client::new(addr);
+    let options = CompilerOptions::default().routing_paths(4);
+    let job = CompileJob::new(
+        "session",
+        CircuitSource::Benchmark {
+            name: "ising".into(),
+            size: Some(2),
+        },
+        options.clone(),
+    );
+    let num = |doc: &ftqc::service::json::Value, path: &[&str]| {
+        path.iter()
+            .try_fold(doc, |v, key| v.get(key))
+            .and_then(|v| v.as_u64())
+    };
+
+    let descriptor = client.session_create(&job).expect("open session");
+    assert_eq!(num(&descriptor, &["version"]), Some(0), "{descriptor:?}");
+    let id = descriptor
+        .get("id")
+        .and_then(|v| v.as_str())
+        .expect("session id")
+        .to_string();
+
+    // One insert: a full compile equal to a local one.
+    let insert = CircuitEdit::Insert {
+        index: 0,
+        gate: Gate::T(1),
+    };
+    let batch = EditSet::new(vec![insert.clone()]).to_json().render();
+    let lines = client.session_edit(&id, &batch).expect("edit");
+    assert_eq!(lines.len(), 1, "{lines:?}");
+    let line = &lines[0];
+    let kind = line.get("delta").and_then(|d| d.get("kind"));
+    assert_eq!(kind.and_then(|k| k.as_str()), Some("full"), "{line:?}");
+    assert_eq!(num(line, &["session", "version"]), Some(1), "{line:?}");
+    let result = JobResult::<Metrics>::from_json(line).expect("edit line decodes");
+    assert_eq!(result.status, JobStatus::Ok, "{line:?}");
+    let mut edited = ftqc::benchmarks::ising_2d(2);
+    ftqc::editor::apply_edit(&mut edited, &insert).expect("insert applies");
+    let local = Compiler::new(options)
+        .compile(&edited)
+        .expect("local compile");
+    assert_eq!(result.metrics, Some(*local.metrics()));
+
+    // A batch authored against the seed version is stale now.
+    let stale = EditSet::new(vec![insert]).at_version(0).to_json().render();
+    let lines = client.session_edit(&id, &stale).expect("stale edit");
+    let status = lines[0].get("status").and_then(|s| s.as_str());
+    assert!(
+        status.is_some_and(|s| s.contains("version conflict")),
+        "{lines:?}"
+    );
+    assert_eq!(num(&lines[0], &["session", "version"]), Some(1));
+
+    let metrics = client.metrics_text().expect("metrics");
+    for series in [
+        "ftqc_session_edits_total 1",
+        "ftqc_session_recompiles_total{kind=\"full\"} 1",
+        "ftqc_session_edit_rejects_total 1",
+    ] {
+        assert!(metrics.lines().any(|l| l == series), "{series}: {metrics}");
+    }
+    assert!(!metrics.contains("kind=\"differential\""), "{metrics}");
+
+    let snapshot = client.session_get(&id).expect("snapshot");
+    assert_eq!(num(&snapshot, &["version"]), Some(1), "{snapshot:?}");
+    let rendered = snapshot.render();
+    assert!(!rendered.contains("differential"), "{rendered}");
+
+    let closed = client.session_close(&id).expect("close");
+    assert_eq!(
+        closed.get("closed").and_then(|v| v.as_bool()),
+        Some(true),
+        "{closed:?}"
+    );
+    match client.session_get(&id) {
+        Err(ClientError::Status { status: 404, .. }) => {}
+        other => panic!("closed session answered {other:?}"),
+    }
 
     handle.shutdown();
     thread.join().expect("server thread");
