@@ -17,12 +17,23 @@
 //!   cells, *generation-stamped* so resetting between searches is O(1)
 //!   instead of O(cells), plus a bucket-queue (Dial) specialisation of
 //!   Dijkstra for the small integer penalty domain. The same buffers back
-//!   the breadth-first push chains of the space-search helpers.
+//!   the breadth-first push chains of the space-search helpers. The arena
+//!   owns every scratch buffer a search uses (buckets, the level being
+//!   drained, the BFS queue, the push chains as padded indices) and keeps
+//!   them across searches, so a warmed-up search allocates only the result
+//!   it returns, at its exact length.
 //! * [`Router`] — the facade the compiler engine drives. It owns the arena
 //!   and counts its own activity ([`RouteCounters`]). In
 //!   [`RouterMode::Reference`] every query is answered by the seed
 //!   implementations instead — the hook the differential test harness and
 //!   the bench baseline use.
+//!
+//! **Cost-only queries.** [`Router::path_cost`] and
+//! [`Router::space_search_cost`] run the same searches as
+//! [`Router::find_path`] and [`Router::space_search`] but return only the
+//! cost, allocating nothing. The CNOT look-ahead scores its candidates with
+//! them; because the searches are the same, the arena's reuse counter and
+//! every routed schedule are unchanged by which of the two a caller uses.
 //!
 //! **Tie-breaking invariant:** every query through the incremental engine
 //! returns results *byte-identical* to the seed functions
@@ -34,14 +45,15 @@
 //! layouts, occupancy patterns and degenerate grid shapes.
 
 use crate::dijkstra::{find_path, CostModel, Occupancy, Path};
-use crate::space::{clear_cell_plan, moves_from_chain, space_search, SpacePlan};
+use crate::space::{clear_cell_plan, space_search, SpacePlan};
 use ftqc_arch::{Coord, Grid};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Largest bucket ring the Dial queue will allocate. Edge weights are
-/// `1 + penalty_weight`; beyond this bound the arena falls back to the
-/// seed binary-heap search (still byte-identical, just not bucketed).
+/// `1 + penalty_weight`, so penalty weights up to `MAX_BUCKET_RING - 2`
+/// are bucketed; beyond that the arena falls back to the seed binary-heap
+/// search (still byte-identical, just not bucketed).
 const MAX_BUCKET_RING: usize = 4096;
 
 /// A [`CellGrid`] cell holding no qubit.
@@ -180,6 +192,13 @@ impl RouteCounters {
 /// * Buffers are sized to the padded `(rows + 2) * (cols + 2)` cells of the
 ///   last grid seen; searching a different shape reallocates (and does not
 ///   count as a reuse).
+/// * The arena owns every scratch buffer a search needs: the Dial buckets
+///   and the level being drained (`batch`), the breadth-first `queue`, and
+///   the push chains (`chain`, and `best_chain` for the space search's
+///   current winner). They keep their capacity across searches, so a
+///   search allocates nothing once they have grown to the grid's needs;
+///   only the results a caller keeps ([`Path`] cells, clearing moves) are
+///   allocated, each at its exact length.
 /// * A query's extra-blocked cells are stamped before it starts: as settled
 ///   at distance 0 for the Dijkstra (no relaxation beats 0, so nothing
 ///   enters them, except `to`, which is left unstamped), and as visited for
@@ -188,12 +207,20 @@ impl RouteCounters {
 ///   relaxation.
 /// * The Dial bucket ring holds only distances in `[d, d + ring)` while
 ///   level `d` drains — guaranteed because every edge weight is in
-///   `1..=1 + penalty_weight` and `ring = penalty_weight + 2`.
+///   `1..=1 + penalty_weight` and `ring = penalty_weight + 2`. Every bucket
+///   is empty between searches.
 /// * Within one distance level, cells drain in ascending padded index
 ///   order. The padded index `(row + 1) * (cols + 2) + col + 1` grows with
 ///   `(row, col)` exactly as the row-major index does, so this is the
 ///   `(d, row, col)` order of the seed binary heap, which is what keeps
 ///   parent choices (and therefore paths) identical.
+/// * A push chain is stored free cell first: `chain[0]` is the free cell
+///   the search reached, the last entry its start, and every entry but the
+///   first holds a qubit (the search only walks through occupied cells).
+/// * The cost-only queries ([`SearchArena::path_cost`],
+///   [`SearchArena::space_search_cost`]) run exactly the searches of their
+///   full counterparts and skip only building the result, so they count
+///   the same reuses and report the same costs.
 #[derive(Debug, Default)]
 pub struct SearchArena {
     rows: u32,
@@ -203,9 +230,30 @@ pub struct SearchArena {
     dist: Vec<u64>,
     prev: Vec<u32>,
     buckets: Vec<Vec<u32>>,
-    last_ring: usize,
+    batch: Vec<u32>,
     queue: VecDeque<u32>,
+    chain: Vec<u32>,
+    best_chain: Vec<u32>,
     reuses: u64,
+}
+
+/// The Dial bucket ring for `cost`, or `None` when its penalty weight is
+/// too large for one (the seed search answers those).
+fn bucket_ring(cost: &CostModel) -> Option<usize> {
+    match usize::try_from(cost.penalty_weight) {
+        Ok(w) if w <= MAX_BUCKET_RING - 2 => Some(w + 2),
+        _ => None,
+    }
+}
+
+/// Clearing moves for a push chain stored free cell first: every occupant
+/// shifts one step toward the free cell, the one nearest it first, so each
+/// destination is free when its move runs.
+fn chain_moves(cells: &CellGrid, chain: &[u32]) -> Vec<(Coord, Coord)> {
+    chain
+        .windows(2)
+        .map(|w| (cells.coord(w[1] as usize), cells.coord(w[0] as usize)))
+        .collect()
 }
 
 impl SearchArena {
@@ -253,11 +301,8 @@ impl SearchArena {
         to: Coord,
         cost: &CostModel,
     ) -> Option<Path> {
-        let ring = match usize::try_from(cost.penalty_weight) {
-            Ok(w) if w + 2 <= MAX_BUCKET_RING => w + 2,
-            // Penalty weights outside the small integer domain: the bucket
-            // ring would be huge, so use the seed search (same result).
-            _ => return find_path(grid, &(cells, blocked), from, to, cost),
+        let Some(ring) = bucket_ring(cost) else {
+            return find_path(grid, &(cells, blocked), from, to, cost);
         };
         if !cells.in_bounds(from) || !cells.in_bounds(to) {
             return None;
@@ -270,15 +315,51 @@ impl SearchArena {
                 cost: 0,
             });
         }
+        self.dial(cells, blocked, from, to, cost.penalty_weight, ring)
+            .then(|| self.path(cells, from, to))
+    }
+
+    /// The cost of [`SearchArena::find_path`]'s path (the same search),
+    /// without building the path.
+    pub fn path_cost(
+        &mut self,
+        grid: &Grid,
+        cells: &CellGrid,
+        blocked: &[Coord],
+        from: Coord,
+        to: Coord,
+        cost: &CostModel,
+    ) -> Option<u64> {
+        let Some(ring) = bucket_ring(cost) else {
+            return find_path(grid, &(cells, blocked), from, to, cost).map(|p| p.cost);
+        };
+        if !cells.in_bounds(from) || !cells.in_bounds(to) {
+            return None;
+        }
+        if from == to {
+            return Some(0);
+        }
+        self.dial(cells, blocked, from, to, cost.penalty_weight, ring)
+            .then(|| self.dist[cells.index(to)])
+    }
+
+    /// Runs the bucket-queue search from `from` until `to` settles, over
+    /// distinct on-grid endpoints; returns whether `to` was reached. On
+    /// success the `prev` chain from `to` leads back to `from` and
+    /// `dist[to]` holds the path cost.
+    fn dial(
+        &mut self,
+        cells: &CellGrid,
+        blocked: &[Coord],
+        from: Coord,
+        to: Coord,
+        penalty: u64,
+        ring: usize,
+    ) -> bool {
         self.reset(cells);
         if self.buckets.len() < ring {
             self.buckets.resize_with(ring, Vec::new);
         }
-        let clear_to = self.last_ring.max(ring).min(self.buckets.len());
-        for b in &mut self.buckets[..clear_to] {
-            b.clear();
-        }
-        self.last_ring = ring;
 
         let generation = self.generation;
         let from_i = cells.index(from);
@@ -294,10 +375,9 @@ impl SearchArena {
         self.dist[from_i] = 0;
         self.buckets[0].push(from_i as u32);
         let offsets = cells.neighbour_offsets();
-        let penalty = cost.penalty_weight;
         let mut pending = 1usize;
         let mut d: u64 = 0;
-        let mut batch: Vec<u32> = Vec::new();
+        let mut batch = std::mem::take(&mut self.batch);
         let mut reached = false;
 
         'levels: while pending > 0 {
@@ -338,44 +418,53 @@ impl SearchArena {
             d += 1;
         }
         batch.clear();
+        self.batch = batch;
         // Leftover entries (early exit) must not leak into the next search.
         for b in &mut self.buckets[..ring] {
             b.clear();
         }
+        reached || self.stamp[to_i] == generation
+    }
 
-        if !reached && self.stamp[to_i] != generation {
-            return None;
-        }
-        let mut path = Vec::new();
+    /// The path `from ..= to` read back from the `prev` chain of the last
+    /// search, allocated at its exact length.
+    fn path(&self, cells: &CellGrid, from: Coord, to: Coord) -> Path {
+        let (from_i, to_i) = (cells.index(from), cells.index(to));
+        let mut length = 0usize;
         let mut occupied = 0u32;
         let mut cur = to_i;
         while cur != from_i {
-            path.push(cells.coord(cur));
+            length += 1;
             occupied += u32::from(cells.cells[cur] != FREE);
             cur = self.prev[cur] as usize;
         }
-        path.push(from);
-        path.reverse();
-        Some(Path {
-            length: (path.len() - 1) as u32,
+        let mut path = vec![from; length + 1];
+        let mut cur = to_i;
+        for slot in path[1..].iter_mut().rev() {
+            *slot = cells.coord(cur);
+            cur = self.prev[cur] as usize;
+        }
+        Path {
+            length: length as u32,
             occupied,
             cost: self.dist[to_i],
             cells: path,
-        })
+        }
     }
 
     /// Arena-backed BFS push-chain from the on-grid `start` to the nearest
     /// free cell (the core of [`clear_cell_plan`]/[`space_search`]),
-    /// byte-identical to the seed's `path_to_nearest_free`. The `blocked`
-    /// and `avoid` cells are stamped visited up front, so their order and
-    /// any repeats do not matter.
+    /// byte-identical to the seed's `path_to_nearest_free`. On success the
+    /// chain is left in `self.chain`, free cell first. The `blocked` and
+    /// `avoid` cells are stamped visited up front, so their order and any
+    /// repeats do not matter.
     fn chain_to_nearest_free(
         &mut self,
         cells: &CellGrid,
         start: Coord,
         blocked: &[Coord],
         avoid: &[Coord],
-    ) -> Option<Vec<Coord>> {
+    ) -> bool {
         self.reset(cells);
         let generation = self.generation;
         self.queue.clear();
@@ -397,20 +486,20 @@ impl SearchArena {
                 }
                 self.prev[vi] = ui;
                 if holder == FREE {
-                    let mut path = vec![cells.coord(vi)];
+                    self.chain.clear();
+                    self.chain.push(vi as u32);
                     let mut cur = vi;
                     while cur != start_i {
                         cur = self.prev[cur] as usize;
-                        path.push(cells.coord(cur));
+                        self.chain.push(cur as u32);
                     }
-                    path.reverse();
-                    return Some(path);
+                    return true;
                 }
                 self.stamp[vi] = generation;
                 self.queue.push_back(vi as u32);
             }
         }
-        None
+        false
     }
 
     /// Arena-backed [`clear_cell_plan`] (identical results): `avoid` is
@@ -423,38 +512,68 @@ impl SearchArena {
         avoid: &[Coord],
     ) -> Option<Vec<(Coord, Coord)>> {
         cells.occupant(cell)?;
-        let chain = self.chain_to_nearest_free(cells, cell, &[], avoid)?;
-        Some(moves_from_chain(&chain, &(cells, avoid)))
+        self.chain_to_nearest_free(cells, cell, &[], avoid)
+            .then(|| chain_moves(cells, &self.chain))
     }
 
     /// Arena-backed [`space_search`] over `(cells, blocked)` (identical
     /// results): one stamped frontier per neighbour probe instead of
-    /// freshly allocated scan state.
+    /// freshly allocated scan state, and clearing moves built for the
+    /// winning neighbour only.
     pub fn space_search(
         &mut self,
         cells: &CellGrid,
         blocked: &[Coord],
         target: Coord,
     ) -> Option<SpacePlan> {
+        let (ancilla, cost) = self.cheapest_ancilla(cells, blocked, target)?;
+        let clearing_moves = if cost == 0 {
+            Vec::new()
+        } else {
+            chain_moves(cells, &self.best_chain)
+        };
+        Some(SpacePlan {
+            ancilla,
+            clearing_moves,
+        })
+    }
+
+    /// The cost of [`SearchArena::space_search`]'s plan (the same
+    /// searches), without building its moves.
+    pub fn space_search_cost(
+        &mut self,
+        cells: &CellGrid,
+        blocked: &[Coord],
+        target: Coord,
+    ) -> Option<usize> {
+        self.cheapest_ancilla(cells, blocked, target)
+            .map(|(_, cost)| cost)
+    }
+
+    /// The space search's pick: the first neighbour of `target` that is
+    /// free, else the first whose push chain is shortest, with its clearing
+    /// cost (the chain's occupants). An occupied pick's chain is left in
+    /// `self.best_chain`.
+    fn cheapest_ancilla(
+        &mut self,
+        cells: &CellGrid,
+        blocked: &[Coord],
+        target: Coord,
+    ) -> Option<(Coord, usize)> {
         let occ = (cells, blocked);
-        let mut best: Option<SpacePlan> = None;
+        let mut best: Option<(Coord, usize)> = None;
         for n in target.neighbours() {
             if occ.is_blocked(n) {
                 continue;
             }
             if !occ.is_occupied(n) {
-                return Some(SpacePlan {
-                    ancilla: n,
-                    clearing_moves: Vec::new(),
-                });
+                return Some((n, 0));
             }
-            if let Some(chain) = self.chain_to_nearest_free(cells, n, blocked, &[target]) {
-                let plan = SpacePlan {
-                    ancilla: n,
-                    clearing_moves: moves_from_chain(&chain, &occ),
-                };
-                if best.as_ref().is_none_or(|b| plan.cost() < b.cost()) {
-                    best = Some(plan);
+            if self.chain_to_nearest_free(cells, n, blocked, &[target]) {
+                let cost = self.chain.len() - 1;
+                if best.is_none_or(|(_, b)| cost < b) {
+                    best = Some((n, cost));
+                    std::mem::swap(&mut self.chain, &mut self.best_chain);
                 }
             }
         }
@@ -524,6 +643,26 @@ impl Router {
         }
     }
 
+    /// The cost of [`Router::find_path`]'s path, found by the same search
+    /// without building the path.
+    pub fn path_cost(
+        &mut self,
+        grid: &Grid,
+        cells: &CellGrid,
+        blocked: &[Coord],
+        from: Coord,
+        to: Coord,
+    ) -> Option<u64> {
+        match self.mode {
+            RouterMode::Reference => {
+                find_path(grid, &(cells, blocked), from, to, &self.cost).map(|p| p.cost)
+            }
+            RouterMode::Incremental => self
+                .arena
+                .path_cost(grid, cells, blocked, from, to, &self.cost),
+        }
+    }
+
     /// Push-chain plan freeing `cell` (see [`clear_cell_plan`]), never
     /// entering the `avoid` cells.
     pub fn clear_cell_plan(
@@ -556,6 +695,23 @@ impl Router {
         match self.mode {
             RouterMode::Reference => space_search(grid, &(cells, blocked), target),
             RouterMode::Incremental => self.arena.space_search(cells, blocked, target),
+        }
+    }
+
+    /// The cost (clearing moves) of [`Router::space_search`]'s plan, found
+    /// by the same searches without building the moves.
+    pub fn space_search_cost(
+        &mut self,
+        grid: &Grid,
+        cells: &CellGrid,
+        blocked: &[Coord],
+        target: Coord,
+    ) -> Option<usize> {
+        match self.mode {
+            RouterMode::Reference => {
+                space_search(grid, &(cells, blocked), target).map(|p| p.cost())
+            }
+            RouterMode::Incremental => self.arena.space_search_cost(cells, blocked, target),
         }
     }
 
@@ -711,16 +867,29 @@ mod tests {
     #[test]
     fn huge_penalty_falls_back_to_seed_search() {
         let g = grid(5, 5);
+        let (from, to) = (Coord::new(0, 0), Coord::new(4, 4));
         let occ = occ_of(&[Coord::new(2, 2)], &[]);
         let cells = cells_of(&g, &[Coord::new(2, 2)]);
         let cost = CostModel {
             penalty_weight: u64::MAX / 4,
         };
         let mut arena = SearchArena::new();
+        let expected = find_path(&g, &occ, from, to, &cost);
+        assert_eq!(arena.find_path(&g, &cells, &[], from, to, &cost), expected);
         assert_eq!(
-            arena.find_path(&g, &cells, &[], Coord::new(0, 0), Coord::new(4, 4), &cost),
-            find_path(&g, &occ, Coord::new(0, 0), Coord::new(4, 4), &cost),
+            arena.path_cost(&g, &cells, &[], from, to, &cost),
+            expected.map(|p| p.cost)
         );
+        // The largest weight: the ring guard must not overflow. (Nothing is
+        // occupied, so the seed search's own sums stay in range.)
+        let empty = cells_of(&g, &[]);
+        let cost = CostModel {
+            penalty_weight: u64::MAX,
+        };
+        let expected = find_path(&g, &occ_of(&[], &[]), from, to, &cost);
+        assert_eq!(expected.as_ref().map(|p| p.cost), Some(8));
+        assert_eq!(arena.find_path(&g, &empty, &[], from, to, &cost), expected);
+        assert_eq!(arena.path_cost(&g, &empty, &[], from, to, &cost), Some(8));
     }
 
     #[test]

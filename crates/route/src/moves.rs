@@ -8,8 +8,13 @@
 //! other — and scores each by routed move cost plus ancilla-clearing cost,
 //! returning the cheapest. With look-ahead disabled (the ablation of
 //! DESIGN.md §7) the first feasible configuration is taken instead.
+//!
+//! The look-ahead only *scores* candidates: it asks the router for costs
+//! ([`Router::path_cost`], [`Router::space_search_cost`]) and builds no
+//! route or clearing plan. The engine plans the chosen move itself when it
+//! carries it out, against the occupancy at that time.
 
-use crate::dijkstra::{Occupancy, Path};
+use crate::dijkstra::Occupancy;
 use crate::incremental::{CellGrid, Router};
 use ftqc_arch::{cnot_ancilla, Coord, Grid};
 use serde::{Deserialize, Serialize};
@@ -25,8 +30,8 @@ pub enum Mover {
     Target,
 }
 
-/// A concrete CNOT placement plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A scored CNOT placement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CnotConfig {
     /// Final control position.
     pub control: Coord,
@@ -36,17 +41,26 @@ pub struct CnotConfig {
     pub ancilla: Coord,
     /// Which operand relocates.
     pub mover: Mover,
-    /// Route for the moving operand (source first), if any.
-    pub route: Option<Path>,
-    /// Clearing moves required to free the ancilla (from space search).
-    pub ancilla_clearing: Vec<(Coord, Coord)>,
+    /// Move-operation estimate: the moving operand's routed path cost plus
+    /// the moves that clear the ancilla cell.
+    pub cost: u64,
 }
 
-impl CnotConfig {
-    /// Total move-operation estimate: routed steps plus clearing moves.
-    pub fn move_cost(&self) -> u64 {
-        self.route.as_ref().map_or(0, |p| p.cost) + self.ancilla_clearing.len() as u64
+/// Moves that clear an occupied `ancilla`: the space search's clearing
+/// moves around it plus the push of its own occupant; zero when it is
+/// free, `None` when it cannot be cleared.
+fn ancilla_clearing_cost(
+    router: &mut Router,
+    grid: &Grid,
+    cells: &CellGrid,
+    ancilla: Coord,
+) -> Option<u64> {
+    if cells.occupant(ancilla).is_none() {
+        return Some(0);
     }
+    router
+        .space_search_cost(grid, cells, &[], ancilla)
+        .map(|moves| moves as u64 + 1)
 }
 
 /// Plans the cheapest legal CNOT configuration for qubits currently at
@@ -74,39 +88,19 @@ pub fn best_cnot_config_with(
     if control.is_diagonal(target) {
         let ancilla = cnot_ancilla(control, target).expect("diagonal pair has an ancilla");
         if grid.in_bounds(ancilla) && !occ.is_blocked(ancilla) {
-            let clearing = if occ.is_occupied(ancilla) {
-                router.space_search(grid, cells, &[], ancilla).map(|p| {
-                    // Clear the ancilla cell itself: push its occupant away.
-                    let mut moves = p.clearing_moves;
-                    moves.push((ancilla, p.ancilla));
-                    moves
-                })
-            } else {
-                Some(Vec::new())
-            };
-            if let Some(ancilla_clearing) = clearing {
+            if let Some(cost) = ancilla_clearing_cost(router, grid, cells, ancilla) {
                 return Some(CnotConfig {
                     control,
                     target,
                     ancilla,
                     mover: Mover::None,
-                    route: None,
-                    ancilla_clearing,
+                    cost,
                 });
             }
         }
     }
 
     let mut best: Option<CnotConfig> = None;
-    let consider = |cand: CnotConfig, best: &mut Option<CnotConfig>| {
-        if best
-            .as_ref()
-            .is_none_or(|b| cand.move_cost() < b.move_cost())
-        {
-            *best = Some(cand);
-        }
-    };
-
     // Candidates: move control to a diagonal of target, or target to a
     // diagonal of control.
     for (mover, anchor, moving_from) in [
@@ -136,34 +130,25 @@ pub fn best_cnot_config_with(
             if ancilla == c_pos || ancilla == t_pos {
                 continue;
             }
-            let route = match router.find_path(grid, cells, &[], moving_from, dest) {
-                Some(p) => p,
-                None => continue,
+            let Some(route) = router.path_cost(grid, cells, &[], moving_from, dest) else {
+                continue;
             };
-            let ancilla_clearing = if occ.is_occupied(ancilla) {
-                match router.space_search(grid, cells, &[], ancilla) {
-                    Some(plan) => {
-                        let mut moves = plan.clearing_moves;
-                        moves.push((ancilla, plan.ancilla));
-                        moves
-                    }
-                    None => continue,
-                }
-            } else {
-                Vec::new()
+            let Some(clearing) = ancilla_clearing_cost(router, grid, cells, ancilla) else {
+                continue;
             };
             let cand = CnotConfig {
                 control: c_pos,
                 target: t_pos,
                 ancilla,
                 mover,
-                route: Some(route),
-                ancilla_clearing,
+                cost: route + clearing,
             };
             if !lookahead {
                 return Some(cand);
             }
-            consider(cand, &mut best);
+            if best.is_none_or(|b| cand.cost < b.cost) {
+                best = Some(cand);
+            }
         }
     }
     best
@@ -214,7 +199,7 @@ mod tests {
         let t = Coord::new(3, 3);
         let cfg = plan(&[c, t], c, t, true).unwrap();
         assert_eq!(cfg.mover, Mover::None);
-        assert_eq!(cfg.move_cost(), 0);
+        assert_eq!(cfg.cost, 0);
         assert_eq!(cfg.ancilla, Coord::new(3, 2));
     }
 
@@ -225,9 +210,9 @@ mod tests {
         let blockers = Coord::new(3, 2);
         let cfg = plan(&[c, t, blockers], c, t, true).unwrap();
         assert_eq!(cfg.mover, Mover::None);
+        assert_eq!(cfg.ancilla, blockers);
         // One move clears the ancilla cell.
-        assert_eq!(cfg.ancilla_clearing.len(), 1);
-        assert_eq!(cfg.ancilla_clearing[0].0, blockers);
+        assert_eq!(cfg.cost, 1);
     }
 
     #[test]
@@ -239,10 +224,8 @@ mod tests {
         let cfg = plan(&[c, t], c, t, true).unwrap();
         assert_ne!(cfg.mover, Mover::None);
         assert!(cfg.control.is_diagonal(cfg.target));
-        // One diagonal step: cost 1 route, free ancilla.
-        assert_eq!(cfg.move_cost(), 1);
-        let route = cfg.route.as_ref().unwrap();
-        assert_eq!(route.length, 1);
+        // One diagonal step over free cells, free ancilla.
+        assert_eq!(cfg.cost, 1);
     }
 
     #[test]
@@ -251,9 +234,9 @@ mod tests {
         let t = Coord::new(5, 5);
         let cfg = plan(&[c, t], c, t, true).unwrap();
         assert!(cfg.control.is_diagonal(cfg.target));
-        let route = cfg.route.as_ref().unwrap();
-        // Moving diagonal-adjacent to a cell 10 steps away: 8 steps.
-        assert_eq!(route.length, 8);
+        // Moving diagonal-adjacent to a cell 10 steps away: 8 steps over
+        // free cells, free ancilla.
+        assert_eq!(cfg.cost, 8);
     }
 
     #[test]
@@ -270,7 +253,7 @@ mod tests {
         }
         let greedy = plan(&occupied, c, t, true).unwrap();
         let naive = plan(&occupied, c, t, false).unwrap();
-        assert!(greedy.move_cost() <= naive.move_cost());
+        assert!(greedy.cost <= naive.cost);
     }
 
     #[test]

@@ -59,9 +59,9 @@ pub fn nearest_free_cell(grid: &Grid, occ: &impl Occupancy, from: Coord) -> Opti
 
 /// Turns a BFS chain `start..=free_cell` into clearing moves, farthest
 /// occupant first, so every move's destination is free when it executes.
-/// Shared by the seed searches and the arena-backed incremental variants —
-/// a semantic change here applies to both engines at once.
-pub(crate) fn moves_from_chain(chain: &[Coord], occ: &impl Occupancy) -> Vec<(Coord, Coord)> {
+/// The arena-backed searches build the same moves from their own chains
+/// (`incremental::chain_moves`); the differential tests pin the two.
+fn moves_from_chain(chain: &[Coord], occ: &impl Occupancy) -> Vec<(Coord, Coord)> {
     let mut moves = Vec::with_capacity(chain.len().saturating_sub(1));
     for i in (0..chain.len().saturating_sub(1)).rev() {
         if occ.is_occupied(chain[i]) {

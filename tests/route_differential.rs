@@ -10,7 +10,8 @@
 //!    occupancy patterns, and penalty weights must produce identical
 //!    [`Path`]s from the reference, the arena, and the router, and the
 //!    arena's padded grid must agree with the seed functions on every
-//!    degenerate shape and border cell too;
+//!    degenerate shape and border cell too, and the cost-only queries
+//!    must return exactly the costs of the full queries' results;
 //! 2. map level — `route_circuit` in [`RouterMode::Reference`] (the seed
 //!    implementations, query for query) and [`RouterMode::Incremental`]
 //!    must emit identical routed-op sequences across random circuits and
@@ -266,6 +267,53 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The cost-only queries return exactly the cost of the full queries'
+    /// results, in both router modes: on the random states above and on
+    /// the degenerate 1×N, N×1, 1×1 and 2×2 shapes.
+    #[test]
+    fn cost_only_queries_match_full_queries(
+        shape in prop_oneof![
+            (3u32..10, 3u32..10),
+            (Just(1u32), 1u32..10),
+            (1u32..10, Just(1u32)),
+            Just((1u32, 1u32)),
+            Just((2u32, 2u32)),
+        ],
+        seed in 0u64..10_000,
+        penalty in 0u64..12,
+        fr in 0i32..10,
+        fc in 0i32..10,
+        tr in 0i32..10,
+        tc in 0i32..10,
+    ) {
+        let (rows, cols) = shape;
+        let grid = Grid::filled(rows, cols, CellKind::Bus);
+        let occ = random_state(&grid, seed);
+        let cost = CostModel { penalty_weight: penalty };
+        let from = Coord::new(fr % rows as i32, fc % cols as i32);
+        let to = Coord::new(tr % rows as i32, tc % cols as i32);
+        let (cells, blocked) = padded(&grid, &occ);
+        for mode in [RouterMode::Incremental, RouterMode::Reference] {
+            let mut router = Router::new(cost, mode);
+            let path = router.find_path(&grid, &cells, &blocked, from, to);
+            prop_assert_eq!(
+                router.path_cost(&grid, &cells, &blocked, from, to),
+                path.map(|p| p.cost),
+                "{:?} path_cost", mode
+            );
+            let plan = router.space_search(&grid, &cells, &blocked, to);
+            prop_assert_eq!(
+                router.space_search_cost(&grid, &cells, &blocked, to),
+                plan.map(|p| p.cost()),
+                "{:?} space_search_cost", mode
+            );
+        }
+    }
+}
+
 /// The arena-frontier space search (reused stamped buffers instead of
 /// per-call scan state) picks identical cells to the seed implementation
 /// on dense random states.
@@ -331,6 +379,15 @@ fn assert_queries_match_seed(
         );
     }
 
+    for router in &mut routers {
+        assert_eq!(
+            router.path_cost(grid, &cells, &blocked, from, to),
+            expected.as_ref().map(|p| p.cost),
+            "{:?} path_cost, {at}",
+            router.mode()
+        );
+    }
+
     let expected = ftqc::route::space_search(grid, occ, to);
     assert_eq!(
         arena.space_search(&cells, &blocked, to),
@@ -342,6 +399,12 @@ fn assert_queries_match_seed(
             router.space_search(grid, &cells, &blocked, to),
             expected,
             "{:?} space_search, {at}",
+            router.mode()
+        );
+        assert_eq!(
+            router.space_search_cost(grid, &cells, &blocked, to),
+            expected.as_ref().map(|p| p.cost()),
+            "{:?} space_search_cost, {at}",
             router.mode()
         );
     }
