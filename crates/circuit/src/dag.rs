@@ -4,24 +4,63 @@
 //! predecessors have all been scheduled) and uses successor information for
 //! the gate-dependent look-ahead moves of paper §V.A ("the data qubits
 //! consult the circuit's DAG to determine the subsequent move operations").
+//!
+//! A gate acts on at most two qubits, so it has at most two direct
+//! predecessors and two direct successors; each node stores both lists
+//! inline, and building the DAG allocates only the node list.
 
 use crate::circuit::Circuit;
-use crate::gate::{Gate, Qubit};
+use crate::gate::Gate;
 use serde::{Deserialize, Serialize};
 
 /// Identifier of a node (gate) in the DAG; equals the gate's index in the
 /// originating circuit.
 pub type NodeId = usize;
 
+/// Up to two node ids, stored inline.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+struct Edges {
+    ids: [NodeId; 2],
+    len: u8,
+}
+
+impl Edges {
+    fn as_slice(&self) -> &[NodeId] {
+        &self.ids[..self.len as usize]
+    }
+
+    /// Adds `id` unless present.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a third distinct id (a gate with more than two operands).
+    fn insert(&mut self, id: NodeId) {
+        if !self.as_slice().contains(&id) {
+            self.ids[self.len as usize] = id;
+            self.len += 1;
+        }
+    }
+}
+
 /// One node of the dependency DAG.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DagNode {
     /// The gate at this node.
     pub gate: Gate,
-    /// Direct predecessors (gates that must run first).
-    pub preds: Vec<NodeId>,
-    /// Direct successors.
-    pub succs: Vec<NodeId>,
+    preds: Edges,
+    succs: Edges,
+}
+
+impl DagNode {
+    /// Direct predecessors (gates that must run first), in operand order.
+    pub fn preds(&self) -> &[NodeId] {
+        self.preds.as_slice()
+    }
+
+    /// Direct successors, ascending.
+    pub fn succs(&self) -> &[NodeId] {
+        self.succs.as_slice()
+    }
 }
 
 /// A circuit's gate-dependency DAG.
@@ -38,8 +77,8 @@ pub struct DagNode {
 /// c.h(0).cnot(0, 1).h(1);
 /// let dag = c.dag();
 /// assert_eq!(dag.len(), 3);
-/// assert_eq!(dag.node(1).preds, vec![0]);
-/// assert_eq!(dag.node(1).succs, vec![2]);
+/// assert_eq!(dag.node(1).preds(), &[0]);
+/// assert_eq!(dag.node(1).succs(), &[2]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DagCircuit {
@@ -53,22 +92,19 @@ impl DagCircuit {
         let mut nodes: Vec<DagNode> = Vec::with_capacity(circuit.len());
         let mut last_on: Vec<Option<NodeId>> = vec![None; circuit.num_qubits() as usize];
         for (id, gate) in circuit.iter().enumerate() {
-            let mut preds = Vec::new();
+            let mut preds = Edges::default();
             for q in gate.qubits() {
-                if let Some(p) = last_on[q as usize] {
-                    if !preds.contains(&p) {
-                        preds.push(p);
-                    }
+                if let Some(p) = last_on[q as usize].replace(id) {
+                    preds.insert(p);
                 }
-                last_on[q as usize] = Some(id);
             }
-            for &p in &preds {
-                nodes[p].succs.push(id);
+            for &p in preds.as_slice() {
+                nodes[p].succs.insert(id);
             }
             nodes.push(DagNode {
                 gate: *gate,
                 preds,
-                succs: Vec::new(),
+                succs: Edges::default(),
             });
         }
         Self {
@@ -111,32 +147,8 @@ impl DagCircuit {
         self.nodes
             .iter()
             .enumerate()
-            .filter(|(_, n)| n.preds.is_empty())
+            .filter(|(_, n)| n.preds().is_empty())
             .map(|(i, _)| i)
-    }
-
-    /// ASAP layering: `layers()[k]` holds the ids of gates whose longest
-    /// dependency chain from an input has length `k`.
-    pub fn layers(&self) -> Vec<Vec<NodeId>> {
-        let mut level = vec![0usize; self.nodes.len()];
-        let mut max_level = 0;
-        for (id, node) in self.nodes.iter().enumerate() {
-            let lvl = node.preds.iter().map(|&p| level[p] + 1).max().unwrap_or(0);
-            level[id] = lvl;
-            max_level = max_level.max(lvl);
-        }
-        let mut layers = vec![
-            Vec::new();
-            if self.nodes.is_empty() {
-                0
-            } else {
-                max_level + 1
-            }
-        ];
-        for (id, &lvl) in level.iter().enumerate() {
-            layers[lvl].push(id);
-        }
-        layers
     }
 
     /// Length of the weighted critical path, where each gate contributes
@@ -148,26 +160,11 @@ impl DagCircuit {
         let mut finish = vec![0u64; self.nodes.len()];
         let mut best = 0;
         for (id, node) in self.nodes.iter().enumerate() {
-            let start = node.preds.iter().map(|&p| finish[p]).max().unwrap_or(0);
+            let start = node.preds().iter().map(|&p| finish[p]).max().unwrap_or(0);
             finish[id] = start + cost(&node.gate);
             best = best.max(finish[id]);
         }
         best
-    }
-
-    /// For each qubit, the id of the *next* gate at-or-after `from` that acts
-    /// on it, scanning successor chains. Returns `None` when the qubit is
-    /// idle for the rest of the program.
-    ///
-    /// This is the query behind gate-dependent moves: after finishing a gate,
-    /// the router looks up where each operand is needed next.
-    pub fn next_gate_on(&self, qubit: Qubit, after: NodeId) -> Option<NodeId> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .skip(after + 1)
-            .find(|(_, n)| n.gate.qubits().any(|q| q == qubit))
-            .map(|(i, _)| i)
     }
 
     /// Creates a scheduling tracker over this DAG.
@@ -176,42 +173,46 @@ impl DagCircuit {
     }
 }
 
+/// A [`FrontTracker`] slot for a gate that is not in the ready set.
+const NOT_READY: usize = usize::MAX;
+
 /// Incremental front-layer tracker used by the greedy scheduler.
 ///
-/// Call [`FrontTracker::complete`] as gates are scheduled; [`FrontTracker::ready`]
-/// always holds the current front layer in ascending id order (deterministic
-/// tie-breaking, which keeps compilation reproducible).
+/// Call [`FrontTracker::complete`] as gates are scheduled;
+/// [`FrontTracker::ready`] always holds the current front layer, in no
+/// particular order: a caller that needs an order (the engine's heap, the
+/// EDPC baseline's sort) imposes its own. Completing a gate is O(1) plus
+/// its (at most two) successors.
 #[derive(Debug, Clone)]
 pub struct FrontTracker<'a> {
     dag: &'a DagCircuit,
-    indeg: Vec<usize>,
+    /// Per gate: its predecessors not yet completed.
+    indeg: Vec<u8>,
+    /// Per gate: its index in `ready`, or [`NOT_READY`].
+    slot: Vec<usize>,
     ready: Vec<NodeId>,
-    /// The successors the last [`FrontTracker::complete`] released.
-    released: Vec<NodeId>,
     remaining: usize,
 }
 
 impl<'a> FrontTracker<'a> {
     /// Creates a tracker with the initial front layer ready.
     pub fn new(dag: &'a DagCircuit) -> Self {
-        let indeg: Vec<usize> = dag.nodes().iter().map(|n| n.preds.len()).collect();
-        let mut ready: Vec<NodeId> = indeg
-            .iter()
-            .enumerate()
-            .filter(|(_, &d)| d == 0)
-            .map(|(i, _)| i)
-            .collect();
-        ready.sort_unstable();
+        let indeg: Vec<u8> = dag.nodes().iter().map(|n| n.preds.len).collect();
+        let ready: Vec<NodeId> = dag.front_layer().collect();
+        let mut slot = vec![NOT_READY; dag.len()];
+        for (i, &id) in ready.iter().enumerate() {
+            slot[id] = i;
+        }
         Self {
             dag,
             indeg,
+            slot,
             ready,
-            released: Vec::new(),
             remaining: dag.len(),
         }
     }
 
-    /// Gates currently schedulable, ascending by id.
+    /// Gates currently schedulable, in no particular order.
     pub fn ready(&self) -> &[NodeId] {
         &self.ready
     }
@@ -235,22 +236,23 @@ impl<'a> FrontTracker<'a> {
     /// Panics if `id` is not currently in the ready set (completing a gate
     /// with outstanding dependencies would corrupt the schedule).
     pub fn complete(&mut self, id: NodeId) -> &[NodeId] {
-        let pos = self
-            .ready
-            .binary_search(&id)
-            .unwrap_or_else(|_| panic!("gate {id} completed while not ready"));
-        self.ready.remove(pos);
+        let at = self.slot[id];
+        assert!(at != NOT_READY, "gate {id} completed while not ready");
+        self.slot[id] = NOT_READY;
+        self.ready.swap_remove(at);
+        if let Some(&moved) = self.ready.get(at) {
+            self.slot[moved] = at;
+        }
         self.remaining -= 1;
-        self.released.clear();
-        for &s in &self.dag.node(id).succs {
+        let released = self.ready.len();
+        for &s in self.dag.node(id).succs() {
             self.indeg[s] -= 1;
             if self.indeg[s] == 0 {
-                self.released.push(s);
-                let ins = self.ready.partition_point(|&r| r < s);
-                self.ready.insert(ins, s);
+                self.slot[s] = self.ready.len();
+                self.ready.push(s);
             }
         }
-        &self.released
+        &self.ready[released..]
     }
 }
 
@@ -268,10 +270,10 @@ mod tests {
     #[test]
     fn edges_follow_qubit_order() {
         let dag = chain3().dag();
-        assert_eq!(dag.node(0).preds, Vec::<NodeId>::new());
-        assert_eq!(dag.node(0).succs, vec![1]);
-        assert_eq!(dag.node(1).preds, vec![0]);
-        assert_eq!(dag.node(2).preds, vec![1]);
+        assert_eq!(dag.node(0).preds(), &[] as &[NodeId]);
+        assert_eq!(dag.node(0).succs(), &[1]);
+        assert_eq!(dag.node(1).preds(), &[0]);
+        assert_eq!(dag.node(2).preds(), &[1]);
     }
 
     #[test]
@@ -281,8 +283,8 @@ mod tests {
         let mut c = Circuit::new(2);
         c.cnot(0, 1).cnot(1, 0);
         let dag = c.dag();
-        assert_eq!(dag.node(1).preds, vec![0]);
-        assert_eq!(dag.node(0).succs, vec![1]);
+        assert_eq!(dag.node(1).preds(), &[0]);
+        assert_eq!(dag.node(0).succs(), &[1]);
     }
 
     #[test]
@@ -292,16 +294,6 @@ mod tests {
         let dag = c.dag();
         let front: Vec<_> = dag.front_layer().collect();
         assert_eq!(front, vec![0, 1, 3]);
-    }
-
-    #[test]
-    fn layers_asap() {
-        let mut c = Circuit::new(3);
-        c.h(0).h(1).cnot(0, 1).h(2);
-        let layers = c.dag().layers();
-        assert_eq!(layers.len(), 2);
-        assert_eq!(layers[0], vec![0, 1, 3]);
-        assert_eq!(layers[1], vec![2]);
     }
 
     #[test]
@@ -324,16 +316,6 @@ mod tests {
     }
 
     #[test]
-    fn next_gate_on_scans_forward() {
-        let mut c = Circuit::new(2);
-        c.h(0).cnot(0, 1).h(1).h(0);
-        let dag = c.dag();
-        assert_eq!(dag.next_gate_on(0, 0), Some(1));
-        assert_eq!(dag.next_gate_on(0, 1), Some(3));
-        assert_eq!(dag.next_gate_on(1, 2), None);
-    }
-
-    #[test]
     fn tracker_full_run() {
         let dag = chain3().dag();
         let mut t = dag.tracker();
@@ -347,16 +329,40 @@ mod tests {
     }
 
     #[test]
-    fn tracker_keeps_ready_sorted() {
+    fn tracker_tracks_the_ready_set() {
         let mut c = Circuit::new(4);
-        c.cnot(0, 1).h(2).h(3).h(0);
+        c.cnot(0, 1).h(2).h(3).h(0).cnot(0, 2);
         let dag = c.dag();
         let mut t = dag.tracker();
-        assert_eq!(t.ready(), &[0, 1, 2]);
-        // gate 3 (h q0) becomes ready and must be inserted in order.
+        let sorted = |t: &FrontTracker| {
+            let mut ready = t.ready().to_vec();
+            ready.sort_unstable();
+            ready
+        };
+        assert_eq!(sorted(&t), [0, 1, 2]);
+        // Gate 3 (h q0) is released; the ready set has no order.
         assert_eq!(t.complete(0), &[3]);
-        assert_eq!(t.ready(), &[1, 2, 3]);
-        assert!(t.complete(1).is_empty());
+        assert_eq!(sorted(&t), [1, 2, 3]);
+        assert!(t.complete(2).is_empty());
+        assert_eq!(sorted(&t), [1, 3]);
+        // Gate 4 (cx q0, q2) waits for both gate 3 and gate 1.
+        assert!(t.complete(3).is_empty());
+        assert_eq!(t.complete(1), &[4]);
+        assert_eq!(t.ready(), &[4]);
+        assert!(t.complete(4).is_empty());
+        assert!(t.is_done());
+    }
+
+    #[test]
+    fn edges_are_inline_and_deduplicated() {
+        // Gate 2 depends on both earlier gates; gate 0's successors are
+        // gate 1 (via q1) and gate 2 (via q0), ascending.
+        let mut c = Circuit::new(3);
+        c.cnot(0, 1).cnot(1, 2).cnot(0, 2);
+        let dag = c.dag();
+        assert_eq!(dag.node(0).succs(), &[1, 2]);
+        assert_eq!(dag.node(2).preds(), &[0, 1]);
+        assert_eq!(dag.node(1).succs(), &[2]);
     }
 
     #[test]
@@ -372,7 +378,6 @@ mod tests {
         let c = Circuit::new(1);
         let dag = c.dag();
         assert!(dag.is_empty());
-        assert!(dag.layers().is_empty());
         assert!(dag.tracker().is_done());
     }
 }

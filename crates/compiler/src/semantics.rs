@@ -465,7 +465,7 @@ fn coverage_and_order(
     let mut order: Vec<usize> = Vec::with_capacity(lowered.len());
     for &(_, g) in &replayed.realizations {
         if times_realized[g] == 0 {
-            for &p in &dag.node(g).preds {
+            for &p in dag.node(g).preds() {
                 if times_realized[p] == 0 {
                     return Err(SemanticsError::OrderViolation {
                         gate: g,
