@@ -32,10 +32,18 @@ use ftqc_sim::ResourceTimeline;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// The router's cost model under `options`.
-fn router_cost(options: &CompilerOptions) -> CostModel {
+/// The router's cost model under `options` on `grid`.
+///
+/// The penalty weight is capped at twice the grid's cell count. A path
+/// enters fewer cells than the grid has, and clearing an ancilla moves
+/// fewer qubits than that, so every cost the router and the look-ahead
+/// compare is `w · occupied + steps` with `steps < 2 · cells`. For any
+/// `w ≥ 2 · cells` those costs order as `(occupied, steps)` pairs, so the
+/// cap changes no choice; it keeps the sums from overflowing and the
+/// weight small enough for the router's bucket queue.
+fn router_cost(options: &CompilerOptions, grid: &Grid) -> CostModel {
     CostModel {
-        penalty_weight: options.penalty_weight,
+        penalty_weight: options.penalty_weight.min(2 * u64::from(grid.num_cells())),
     }
 }
 
@@ -77,6 +85,8 @@ pub struct Engine<'a> {
     /// Cells displacement chains may pass *through* but never park a qubit
     /// in (the planned merge ancilla of the current gate, if any).
     no_park: Vec<Coord>,
+    /// Reused buffer for one router query's blocked or avoided cells.
+    scratch: Vec<Coord>,
     n_magic_states: u64,
 }
 
@@ -112,7 +122,7 @@ impl<'a> Engine<'a> {
             layout,
             options,
             bank,
-            router: Router::new(router_cost(options), mode),
+            router: Router::new(router_cost(options, grid), mode),
             qubit_ready: vec![Ticks::ZERO; pos.len()],
             pos,
             occ,
@@ -121,6 +131,7 @@ impl<'a> Engine<'a> {
             current_gate: 0,
             protected: Vec::new(),
             no_park: Vec::new(),
+            scratch: Vec::new(),
             n_magic_states: 0,
         }
     }
@@ -259,21 +270,24 @@ impl<'a> Engine<'a> {
         // the occupant in, allow parking there — the ancilla gets its own
         // clearing pass before the merge, so this is recoverable. The
         // relaxed set is a prefix of the strict one.
-        let mut strict: Vec<Coord> = avoid
-            .iter()
-            .chain(&self.protected)
-            .copied()
-            .filter(|&c| c != cell)
-            .collect();
+        let strict = &mut self.scratch;
+        strict.clear();
+        strict.extend(
+            avoid
+                .iter()
+                .chain(&self.protected)
+                .copied()
+                .filter(|&c| c != cell),
+        );
         let relaxed_len = strict.len();
         strict.extend(self.no_park.iter().copied().filter(|&c| c != cell));
         let grid = self.layout.grid();
         let plan = self
             .router
-            .clear_cell_plan(grid, &self.occ, cell, &strict)
+            .clear_cell_plan(grid, &self.occ, cell, &self.scratch)
             .or_else(|| {
                 self.router
-                    .clear_cell_plan(grid, &self.occ, cell, &strict[..relaxed_len])
+                    .clear_cell_plan(grid, &self.occ, cell, &self.scratch[..relaxed_len])
             });
         match plan {
             Some(moves) => {
@@ -297,10 +311,11 @@ impl<'a> Engine<'a> {
         let mut banned: Vec<Coord> = Vec::new();
         'replan: while self.pos[q as usize] != dest {
             let from = self.pos[q as usize];
-            let blocked: Vec<Coord> = self.protected.iter().chain(&banned).copied().collect();
+            self.scratch.clear();
+            self.scratch.extend(self.protected.iter().chain(&banned));
             let path = self
                 .router
-                .find_path(self.layout.grid(), &self.occ, &blocked, from, dest)
+                .find_path(self.layout.grid(), &self.occ, &self.scratch, from, dest)
                 .ok_or_else(|| self.fail(format!("no path from {from} to {dest}")))?;
             for i in 1..path.cells.len() {
                 steps += 1;
@@ -415,28 +430,21 @@ impl<'a> Engine<'a> {
             self.protect(&[tq]);
             // Delivery cell: vertical neighbour (M_ZZ constraint), preferring
             // a free one, then the cheaper to clear.
-            let candidates: Vec<Coord> = [
+            let dest = [
                 Coord::new(tq.row - 1, tq.col),
                 Coord::new(tq.row + 1, tq.col),
             ]
             .into_iter()
             .filter(|&c| self.grid().in_bounds(c))
-            .collect();
-            if candidates.is_empty() {
-                return Err(self.fail(format!("no vertical neighbour for magic at {tq}")));
-            }
-            let dest = candidates
-                .iter()
-                .copied()
-                .min_by_key(|&c| {
-                    let occupied = self.occ_has(c);
-                    let bus_bias = match self.grid().kind(c) {
-                        CellKind::Bus => 0,
-                        CellKind::Data => 1,
-                    };
-                    (occupied as u32, bus_bias, c.row, c.col)
-                })
-                .expect("candidates non-empty");
+            .min_by_key(|&c| {
+                let occupied = self.occ_has(c);
+                let bus_bias = match self.grid().kind(c) {
+                    CellKind::Bus => 0,
+                    CellKind::Data => 1,
+                };
+                (occupied as u32, bus_bias, c.row, c.col)
+            })
+            .ok_or_else(|| self.fail(format!("no vertical neighbour for magic at {tq}")))?;
             self.ensure_free(dest, &[tq])?;
 
             let grant = self.bank.acquire(self.qubit_ready[q as usize]);

@@ -141,3 +141,49 @@ fn ablation_flags_change_only_quality_not_correctness() {
         }
     }
 }
+
+/// Penalty weights at or past the layout's cell count order every path
+/// alike — fewest occupied cells crossed, then fewest steps — so they all
+/// route alike, and none may fail, panic or hang. (`u64::MAX` overflowed
+/// the router's bucket-ring guard, and `u64::MAX / 4` wrapped the seed
+/// search's cost sums until it stopped converging.) The compiles run on a
+/// thread so that a hang fails the test instead of stalling the suite.
+#[test]
+fn huge_penalty_weights_route_alike() {
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    // The paper-size Ising layout has 12x12 = 144 cells.
+    let weights = [
+        143,
+        144,
+        288,
+        4094,
+        1 << 53,
+        1 << 60,
+        u64::MAX / 4,
+        u64::MAX,
+    ];
+    let (tx, rx) = mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let circuit = ising_2d(10);
+        for w in weights {
+            let metrics = Compiler::new(CompilerOptions::default().penalty_weight(w))
+                .compile(&circuit)
+                .map(|p| *p.metrics());
+            if tx.send((w, metrics)).is_err() {
+                return;
+            }
+        }
+    });
+    let mut first: Option<Metrics> = None;
+    for _ in weights {
+        let (w, metrics) = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("each compile finishes within 60 s");
+        let metrics = metrics.unwrap_or_else(|e| panic!("penalty weight {w}: {e}"));
+        let first = *first.get_or_insert(metrics);
+        assert_eq!(metrics, first, "penalty weight {w}");
+    }
+    worker.join().expect("compile thread");
+}
