@@ -354,7 +354,7 @@ mod tests {
     }
 
     #[test]
-    fn edges_are_inline_and_deduplicated() {
+    fn nodes_hold_two_predecessors_and_two_successors() {
         // Gate 2 depends on both earlier gates; gate 0's successors are
         // gate 1 (via q1) and gate 2 (via q0), ascending.
         let mut c = Circuit::new(3);

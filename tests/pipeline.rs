@@ -142,18 +142,19 @@ fn ablation_flags_change_only_quality_not_correctness() {
     }
 }
 
-/// Penalty weights at or past the layout's cell count order every path
-/// alike — fewest occupied cells crossed, then fewest steps — so they all
-/// route alike, and none may fail, panic or hang. (`u64::MAX` overflowed
-/// the router's bucket-ring guard, and `u64::MAX / 4` wrapped the seed
-/// search's cost sums until it stopped converging.) The compiles run on a
-/// thread so that a hang fails the test instead of stalling the suite.
+/// Penalty weights past the layout's cell count order every path alike —
+/// fewest occupied cells crossed, then fewest steps — so they all route
+/// alike, and none may fail, panic or hang. (`u64::MAX` overflowed the
+/// router's bucket-ring guard, and `u64::MAX / 4` wrapped the seed search's
+/// cost sums until it stopped converging.) The compiles run on a thread so
+/// that a hang fails the test instead of stalling the suite.
 #[test]
 fn huge_penalty_weights_route_alike() {
     use std::sync::mpsc;
     use std::time::Duration;
 
-    // The paper-size Ising layout has 12x12 = 144 cells.
+    // The paper-size Ising layout has 12x12 = 144 cells, so the engine caps
+    // the weight at 288; 143 and 144 run uncapped.
     let weights = [
         143,
         144,
