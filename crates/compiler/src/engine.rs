@@ -270,24 +270,24 @@ impl<'a> Engine<'a> {
         // the occupant in, allow parking there — the ancilla gets its own
         // clearing pass before the merge, so this is recoverable. The
         // relaxed set is a prefix of the strict one.
-        let strict = &mut self.scratch;
-        strict.clear();
-        strict.extend(
+        self.scratch.clear();
+        self.scratch.extend(
             avoid
                 .iter()
                 .chain(&self.protected)
                 .copied()
                 .filter(|&c| c != cell),
         );
-        let relaxed_len = strict.len();
-        strict.extend(self.no_park.iter().copied().filter(|&c| c != cell));
-        let grid = self.layout.grid();
+        let relaxed_len = self.scratch.len();
+        self.scratch
+            .extend(self.no_park.iter().copied().filter(|&c| c != cell));
+        let (grid, strict) = (self.layout.grid(), &self.scratch);
         let plan = self
             .router
-            .clear_cell_plan(grid, &self.occ, cell, &self.scratch)
+            .clear_cell_plan(grid, &self.occ, cell, strict)
             .or_else(|| {
                 self.router
-                    .clear_cell_plan(grid, &self.occ, cell, &self.scratch[..relaxed_len])
+                    .clear_cell_plan(grid, &self.occ, cell, &strict[..relaxed_len])
             });
         match plan {
             Some(moves) => {

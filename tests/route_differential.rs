@@ -377,9 +377,6 @@ fn assert_queries_match_seed(
             "{:?} find_path, {at}",
             router.mode()
         );
-    }
-
-    for router in &mut routers {
         assert_eq!(
             router.path_cost(grid, &cells, &blocked, from, to),
             expected.as_ref().map(|p| p.cost),
