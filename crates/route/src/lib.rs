@@ -20,10 +20,11 @@
 //! engine's padded occupancy grid ([`CellGrid`]), a reusable
 //! generation-stamped [`SearchArena`] whose bucket-queue Dijkstra and
 //! breadth-first push chains walk that grid by index, and the [`Router`]
-//! facade the compiler engine drives. The gate-dependent moves query that
-//! router. Every answer is pinned byte-identical to the seed functions by
-//! a differential test harness, and [`RouterMode::Reference`] answers
-//! with the seed functions themselves.
+//! facade the compiler engine drives. The gate-dependent moves score their
+//! candidates with that router's cost-only queries. Every answer is pinned
+//! byte-identical to the seed functions by a differential test harness,
+//! and [`RouterMode::Reference`] answers with the seed functions
+//! themselves.
 
 pub mod dijkstra;
 pub mod incremental;
