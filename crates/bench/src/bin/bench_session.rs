@@ -9,8 +9,9 @@
 //!
 //! It also measures the routing-bound hot path itself: the map stage of a
 //! dense-CNOT workload (`--routing-circuit`, default the 255-qubit GHZ
-//! chain) timed cache-less under the seed (reference) router and the
-//! incremental engine, recording the speedup and the router counters.
+//! chain) timed cache-less under the seed router
+//! ([`ftqc_bench::reference::SeedRouter`]) and the shipping
+//! [`ftqc_route::Router`], recording the speedup and the router counters.
 //! `--check BASELINE.json` turns the run into a CI regression gate: the
 //! incremental map median must stay within 15% of the checked-in
 //! baseline (see `report::check_regression` for the noise vetoes).
@@ -24,9 +25,10 @@
 //! `--edits N` additionally runs the interactive-session hot path: N
 //! single-gate edit batches applied near the tail of the bench circuit
 //! through a live edit session, each timed edit-to-schedule, against the
-//! median cold compile — recorded under an `"edits"` key the regression
-//! gate likewise ignores. Every edit is a full compile plus the session's
-//! circuit and program copies, so the ratio sits just under 1.
+//! median of `--iters` cold compiles timed between the edits — recorded
+//! under an `"edits"` key the regression gate likewise ignores. Every edit
+//! is a full compile plus the session's circuit and program copies, so the
+//! ratio sits just under 1.
 //!
 //! ```text
 //! cargo run --release -p ftqc-bench --bin bench_session -- \
@@ -35,6 +37,7 @@
 //! ```
 
 use ftqc_arch::TargetRegistry;
+use ftqc_bench::reference::SeedRouter;
 use ftqc_bench::report::{
     check_regression, median_micros, summarise_stages, CapacityReport, CaseReport, EditReport,
     LatencyPercentiles, RoutingReport, SessionReport,
@@ -42,10 +45,10 @@ use ftqc_bench::report::{
 use ftqc_bench::Table;
 use ftqc_circuit::Gate;
 use ftqc_compiler::{
-    route_circuit, CompileSession, Compiler, CompilerOptions, RouterMode, StageCache, StageTrace,
-    TraceHook,
+    route_circuit, CompileSession, Compiler, CompilerOptions, StageCache, StageTrace, TraceHook,
 };
 use ftqc_editor::{CircuitEdit, EditSession, EditSet};
+use ftqc_route::{CostModel, RouteQueries, Router};
 use ftqc_server::{Server, ServerConfig};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -111,34 +114,24 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Times the map stage of `spec` cache-less under both router modes and
-/// reports medians, speedup, and the incremental counters. Aborts the
-/// process if the two modes ever emit different routed programs — the
-/// bench doubles as a last-line differential check.
+/// Times the map stage of `spec` cache-less under the seed router and the
+/// shipping one, and reports medians, speedup, and the router's counters.
+/// Fails if the two ever emit different routed programs — the bench
+/// doubles as a last-line differential check.
 fn bench_routing(spec: &str, iters: u64) -> Result<RoutingReport, String> {
     let options = CompilerOptions::default();
     let lowered = lower_spec(spec, &options)?;
     let reference =
-        route_circuit(&lowered, &options, RouterMode::Reference).map_err(|e| e.to_string())?;
-    let incremental =
-        route_circuit(&lowered, &options, RouterMode::Incremental).map_err(|e| e.to_string())?;
+        route_circuit(&lowered, &options, SeedRouter::new).map_err(|e| e.to_string())?;
+    let incremental = route_circuit(&lowered, &options, Router::new).map_err(|e| e.to_string())?;
     if reference.ops != incremental.ops {
         return Err(format!(
             "router differential failure on {spec}: reference and incremental ops diverge"
         ));
     }
 
-    let time_mode = |mode: RouterMode| -> Result<Vec<u64>, String> {
-        (0..iters)
-            .map(|_| {
-                let started = Instant::now();
-                route_circuit(&lowered, &options, mode).map_err(|e| e.to_string())?;
-                Ok(started.elapsed().as_micros() as u64)
-            })
-            .collect()
-    };
-    let reference_samples = time_mode(RouterMode::Reference)?;
-    let incremental_samples = time_mode(RouterMode::Incremental)?;
+    let reference_samples = time_map(&lowered, &options, iters, SeedRouter::new)?;
+    let incremental_samples = time_map(&lowered, &options, iters, Router::new)?;
     let incremental_min_micros = incremental_samples.iter().copied().min().unwrap_or(0);
 
     Ok(RoutingReport {
@@ -150,6 +143,23 @@ fn bench_routing(spec: &str, iters: u64) -> Result<RoutingReport, String> {
         incremental_percentiles: LatencyPercentiles::from_samples(incremental_samples),
         route: incremental.route,
     })
+}
+
+/// `iters` cache-less map-stage timings of `lowered`, in microseconds, with
+/// the routers `new_router` builds.
+fn time_map<R: RouteQueries>(
+    lowered: &ftqc_circuit::Circuit,
+    options: &CompilerOptions,
+    iters: u64,
+    new_router: fn(CostModel) -> R,
+) -> Result<Vec<u64>, String> {
+    (0..iters)
+        .map(|_| {
+            let started = Instant::now();
+            route_circuit(lowered, options, new_router).map_err(|e| e.to_string())?;
+            Ok(started.elapsed().as_micros() as u64)
+        })
+        .collect()
 }
 
 /// Resolves and lowers a circuit spec for the routing-family benches.
@@ -255,16 +265,27 @@ fn bench_capacity(ceiling: u64, iters: u64) -> Result<CapacityReport, String> {
 /// `edits` single-gate batches near the tail — the IDE keystroke pattern
 /// (append a T on the last qubit, retract it, repeat) — timing each batch
 /// edit-to-schedule through the live session. The baseline is the median
-/// of `iters` cold compiles of the same circuit; their ratio is what a
-/// session costs over a bare compile.
+/// of `iters` cold compiles of the same circuit, one timed after every
+/// `edits / iters` edits (any left over run after the last edit), so a
+/// shift in host speed moves both sides of the ratio alike. Their ratio is
+/// what a session costs over a bare compile.
 fn bench_edits(spec: &str, edits: u64, iters: u64) -> Result<EditReport, String> {
     let circuit = ftqc_service::resolve::load_circuit_spec(spec)?;
     let options = CompilerOptions::default();
     let qubit = circuit.num_qubits().saturating_sub(1);
     let (mut session, _) =
         EditSession::open("bench", circuit.clone(), options.clone()).map_err(|e| e.to_string())?;
+    let cold_compile = || -> Result<u64, String> {
+        let started = Instant::now();
+        Compiler::new(options.clone())
+            .compile(&circuit)
+            .map_err(|e| e.to_string())?;
+        Ok(started.elapsed().as_micros() as u64)
+    };
+    let edits_per_compile = (edits / iters).max(1);
 
     let mut samples = Vec::with_capacity(edits as usize);
+    let mut full_samples = Vec::with_capacity(iters as usize);
     for i in 0..edits {
         let len = session.circuit().len();
         let edit = if i % 2 == 0 {
@@ -279,17 +300,13 @@ fn bench_edits(spec: &str, edits: u64, iters: u64) -> Result<EditReport, String>
         let started = Instant::now();
         session.apply(&set).map_err(|e| e.to_string())?;
         samples.push(started.elapsed().as_micros() as u64);
+        if (i + 1) % edits_per_compile == 0 && (full_samples.len() as u64) < iters {
+            full_samples.push(cold_compile()?);
+        }
     }
-
-    let full_samples: Vec<u64> = (0..iters)
-        .map(|_| {
-            let started = Instant::now();
-            Compiler::new(options.clone())
-                .compile(&circuit)
-                .map_err(|e| e.to_string())?;
-            Ok(started.elapsed().as_micros() as u64)
-        })
-        .collect::<Result<_, String>>()?;
+    while (full_samples.len() as u64) < iters {
+        full_samples.push(cold_compile()?);
+    }
 
     Ok(EditReport {
         edits,
@@ -369,7 +386,8 @@ fn main() {
         });
     }
 
-    // The routing-bound hot path: reference vs incremental map stage.
+    // The routing-bound hot path: the map stage under the seed router and
+    // the shipping one.
     let routing = match bench_routing(&args.routing_circuit, args.iters) {
         Ok(r) => r,
         Err(e) => {

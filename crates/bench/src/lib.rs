@@ -18,7 +18,13 @@
 //!
 //! Criterion micro-benchmarks (`cargo bench`) cover the router and the
 //! end-to-end pipeline.
+//!
+//! The [`reference`](mod@reference) module keeps the seed router as
+//! dev-only code: the differential tests and `bench_session`'s routing
+//! gate run the compiler over it, and no shipped crate depends on this
+//! one.
 
+pub mod reference;
 pub mod report;
 
 use ftqc_circuit::Circuit;

@@ -1,0 +1,777 @@
+//! The seed router, kept as dev-only reference code.
+//!
+//! These are the paper's routing heuristics as they were first written:
+//! penalty-weighted Dijkstra (§V.B, Fig 5) over hash-map distances and a
+//! binary-heap priority queue, and the space search (§V.C, Fig 6) over
+//! hash-set breadth-first scans, both reading occupancy through the
+//! [`Occupancy`] trait. Production routes with [`ftqc_route::Router`],
+//! whose every answer is pinned byte-identical to these functions.
+//!
+//! Nothing that ships links this module: `tests/route_differential.rs`
+//! compares the router with it query for query and routed op for routed
+//! op, and `bench_session` times the map stage under both.
+//! [`SeedRouter`] answers the router's [`RouteQueries`] with these
+//! functions, so the compiler's engine runs over either router unchanged.
+
+use ftqc_arch::{CellKind, Coord, Grid};
+use ftqc_route::{CellGrid, CostModel, Path, RouteQueries, SpacePlan};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+
+/// A view of grid occupancy supplied by the scheduler.
+///
+/// `is_blocked` removes a cell from the search entirely (outside the grid,
+/// reserved by an in-flight operation); `is_occupied` marks cells holding
+/// data qubits, which may be crossed at a penalty.
+pub trait Occupancy {
+    /// Whether `c` can be entered at all.
+    fn is_blocked(&self, c: Coord) -> bool;
+    /// Whether `c` currently holds a data qubit (penalised crossing).
+    fn is_occupied(&self, c: Coord) -> bool;
+}
+
+/// Occupancy backed by closures — convenient for tests and ad-hoc callers.
+pub struct FnOccupancy<B, O>
+where
+    B: Fn(Coord) -> bool,
+    O: Fn(Coord) -> bool,
+{
+    blocked: B,
+    occupied: O,
+}
+
+impl<B, O> FnOccupancy<B, O>
+where
+    B: Fn(Coord) -> bool,
+    O: Fn(Coord) -> bool,
+{
+    /// Wraps two predicates as an [`Occupancy`].
+    pub fn new(blocked: B, occupied: O) -> Self {
+        Self { blocked, occupied }
+    }
+}
+
+impl<B, O> Occupancy for FnOccupancy<B, O>
+where
+    B: Fn(Coord) -> bool,
+    O: Fn(Coord) -> bool,
+{
+    fn is_blocked(&self, c: Coord) -> bool {
+        (self.blocked)(c)
+    }
+    fn is_occupied(&self, c: Coord) -> bool {
+        (self.occupied)(c)
+    }
+}
+
+/// The paper's multiplicative cost `d(a,b) · p` of `path` (with `p ≥ 1` so
+/// that undisturbed paths rank by length).
+pub fn paper_cost(path: &Path) -> u64 {
+    path.length as u64 * (1 + path.occupied as u64)
+}
+
+/// Finds a minimum-cost 4-connected path on `grid` from `from` to `to`.
+///
+/// The source cell is never charged; the destination is charged like any
+/// entered cell. Blocked cells are impassable (except `from`/`to`
+/// themselves, which only need to be in bounds — callers route *to* an
+/// occupied delivery site or *from* an occupied qubit cell routinely).
+/// Ties between equal-cost paths break deterministically (row-major
+/// neighbour order), keeping compilation reproducible.
+///
+/// Returns `None` when `to` is unreachable.
+///
+/// # Example
+///
+/// ```
+/// use ftqc_arch::{CellKind, Coord, Grid};
+/// use ftqc_bench::reference::{find_path, FnOccupancy};
+/// use ftqc_route::CostModel;
+///
+/// let grid = Grid::filled(3, 3, CellKind::Bus);
+/// let occ = FnOccupancy::new(|_| false, |_| false);
+/// let p = find_path(&grid, &occ, Coord::new(0, 0), Coord::new(2, 2), &CostModel::default())
+///     .expect("reachable");
+/// assert_eq!(p.length, 4);
+/// assert_eq!(p.occupied, 0);
+/// ```
+pub fn find_path(
+    grid: &Grid,
+    occ: &impl Occupancy,
+    from: Coord,
+    to: Coord,
+    cost: &CostModel,
+) -> Option<Path> {
+    if !grid.in_bounds(from) || !grid.in_bounds(to) {
+        return None;
+    }
+    if from == to {
+        return Some(Path {
+            cells: vec![from],
+            length: 0,
+            occupied: 0,
+            cost: 0,
+        });
+    }
+
+    let enter_cost = |occupied: bool| 1 + if occupied { cost.penalty_weight } else { 0 };
+    let mut dist: HashMap<Coord, u64> = HashMap::new();
+    let mut prev: HashMap<Coord, Coord> = HashMap::new();
+    let mut heap: BinaryHeap<Reverse<(u64, i32, i32)>> = BinaryHeap::new();
+    dist.insert(from, 0);
+    heap.push(Reverse((0, from.row, from.col)));
+
+    while let Some(Reverse((d, row, col))) = heap.pop() {
+        let u = Coord::new(row, col);
+        if u == to {
+            break;
+        }
+        if dist.get(&u).copied().unwrap_or(u64::MAX) < d {
+            continue; // stale heap entry
+        }
+        for v in u.neighbours() {
+            if !grid.in_bounds(v) {
+                continue;
+            }
+            if v != to && occ.is_blocked(v) {
+                continue;
+            }
+            let nd = d + enter_cost(occ.is_occupied(v));
+            if nd < dist.get(&v).copied().unwrap_or(u64::MAX) {
+                dist.insert(v, nd);
+                prev.insert(v, u);
+                heap.push(Reverse((nd, v.row, v.col)));
+            }
+        }
+    }
+
+    let total = *dist.get(&to)?;
+    let mut cells = vec![to];
+    let mut cur = to;
+    while cur != from {
+        cur = *prev.get(&cur)?;
+        cells.push(cur);
+    }
+    cells.reverse();
+    let occupied = cells[1..].iter().filter(|&&c| occ.is_occupied(c)).count() as u32;
+    Some(Path {
+        length: (cells.len() - 1) as u32,
+        occupied,
+        cost: total,
+        cells,
+    })
+}
+
+/// Breadth-first search for the nearest cell that is neither blocked nor
+/// occupied, starting from (and excluding) `from`. Exploration passes
+/// *through* occupied cells (they can be pushed aside) but not blocked ones.
+///
+/// Ties break deterministically via the fixed N/S/W/E expansion order.
+pub fn nearest_free_cell(grid: &Grid, occ: &impl Occupancy, from: Coord) -> Option<Coord> {
+    if !grid.in_bounds(from) {
+        return None;
+    }
+    let mut seen: HashSet<Coord> = HashSet::new();
+    let mut queue = VecDeque::new();
+    seen.insert(from);
+    queue.push_back(from);
+    while let Some(u) = queue.pop_front() {
+        for v in u.neighbours() {
+            if !grid.in_bounds(v) || seen.contains(&v) || occ.is_blocked(v) {
+                continue;
+            }
+            if !occ.is_occupied(v) {
+                return Some(v);
+            }
+            seen.insert(v);
+            queue.push_back(v);
+        }
+    }
+    None
+}
+
+/// Turns a BFS chain `start..=free_cell` into clearing moves, farthest
+/// occupant first, so every move's destination is free when it executes.
+/// The router builds the same moves from its own chains; the
+/// differential tests pin the two.
+fn moves_from_chain(chain: &[Coord], occ: &impl Occupancy) -> Vec<(Coord, Coord)> {
+    let mut moves = Vec::with_capacity(chain.len().saturating_sub(1));
+    for i in (0..chain.len().saturating_sub(1)).rev() {
+        if occ.is_occupied(chain[i]) {
+            moves.push((chain[i], chain[i + 1]));
+        }
+    }
+    moves
+}
+
+/// Shortest push-chain from `start` to the nearest free cell, avoiding
+/// `avoid` cells. Returns the BFS path `start..=free_cell`.
+fn path_to_nearest_free(
+    grid: &Grid,
+    occ: &impl Occupancy,
+    start: Coord,
+    avoid: &HashSet<Coord>,
+) -> Option<Vec<Coord>> {
+    let mut prev: HashMap<Coord, Coord> = HashMap::new();
+    let mut seen: HashSet<Coord> = avoid.clone();
+    seen.insert(start);
+    let mut queue = VecDeque::new();
+    queue.push_back(start);
+    while let Some(u) = queue.pop_front() {
+        for v in u.neighbours() {
+            if !grid.in_bounds(v) || seen.contains(&v) || occ.is_blocked(v) {
+                continue;
+            }
+            prev.insert(v, u);
+            if !occ.is_occupied(v) {
+                let mut path = vec![v];
+                let mut cur = v;
+                while cur != start {
+                    cur = prev[&cur];
+                    path.push(cur);
+                }
+                path.reverse();
+                return Some(path);
+            }
+            seen.insert(v);
+            queue.push_back(v);
+        }
+    }
+    None
+}
+
+/// Plans the push-chain that frees `cell` itself: its occupant (and any
+/// occupants in the way) shift one step toward the nearest free cell,
+/// farthest first. Cells in `avoid` are never entered or searched through.
+///
+/// Returns the relocations in execution order, `None` if `cell` is already
+/// free (no work), or `Some(vec![])` never — a non-empty plan or `None`.
+/// When no free cell is reachable the result is also `None`; callers must
+/// treat "already free" and "impossible" according to their own occupancy
+/// check.
+pub fn clear_cell_plan(
+    grid: &Grid,
+    occ: &impl Occupancy,
+    cell: Coord,
+    avoid: &HashSet<Coord>,
+) -> Option<Vec<(Coord, Coord)>> {
+    if !occ.is_occupied(cell) {
+        return None;
+    }
+    let chain = path_to_nearest_free(grid, occ, cell, avoid)?;
+    Some(moves_from_chain(&chain, occ))
+}
+
+/// Finds the cheapest way to obtain a free ancilla cell adjacent to
+/// `target` (paper Fig 6).
+///
+/// For each in-bounds, unblocked neighbour of `target`:
+/// * already free → zero-cost plan;
+/// * occupied → plan a push-chain toward the nearest free cell (each
+///   occupant shifts one step along the chain, farthest first).
+///
+/// The neighbour needing the fewest moves wins; `None` when the grid is so
+/// congested that no neighbour can be cleared.
+pub fn space_search(grid: &Grid, occ: &impl Occupancy, target: Coord) -> Option<SpacePlan> {
+    let mut best: Option<SpacePlan> = None;
+    let mut avoid = HashSet::new();
+    avoid.insert(target);
+    for n in target.neighbours() {
+        if !grid.in_bounds(n) || occ.is_blocked(n) {
+            continue;
+        }
+        if !occ.is_occupied(n) {
+            return Some(SpacePlan {
+                ancilla: n,
+                clearing_moves: Vec::new(),
+            });
+        }
+        if let Some(chain) = path_to_nearest_free(grid, occ, n, &avoid) {
+            let plan = SpacePlan {
+                ancilla: n,
+                clearing_moves: moves_from_chain(&chain, occ),
+            };
+            if best.as_ref().is_none_or(|b| plan.cost() < b.cost()) {
+                best = Some(plan);
+            }
+        }
+    }
+    best
+}
+
+/// The engine's grid paired with the extra cells a query may not enter:
+/// the view [`SeedRouter`] hands the seed functions. Off-grid cells are
+/// blocked and never occupied.
+impl Occupancy for (&CellGrid, &[Coord]) {
+    fn is_blocked(&self, c: Coord) -> bool {
+        !self.0.in_bounds(c) || self.1.contains(&c)
+    }
+    fn is_occupied(&self, c: Coord) -> bool {
+        self.0.occupant(c).is_some()
+    }
+}
+
+/// The seed functions behind the router's queries: the map-level
+/// reference `route_circuit` runs the engine over. Its cost-only queries
+/// are the trait's defaults (the full query's cost), and it counts no
+/// activity.
+#[derive(Debug)]
+pub struct SeedRouter {
+    cost: CostModel,
+    /// A bus grid of the last queried shape: the bounds the seed
+    /// functions check.
+    grid: Grid,
+}
+
+impl SeedRouter {
+    /// A seed router for searches under `cost`.
+    pub fn new(cost: CostModel) -> Self {
+        SeedRouter {
+            cost,
+            grid: Grid::filled(0, 0, CellKind::Bus),
+        }
+    }
+
+    /// The bounds of `cells`, as the seed functions read them.
+    fn grid(&mut self, cells: &CellGrid) -> &Grid {
+        if (self.grid.rows(), self.grid.cols()) != (cells.rows(), cells.cols()) {
+            self.grid = Grid::filled(cells.rows(), cells.cols(), CellKind::Bus);
+        }
+        &self.grid
+    }
+}
+
+impl RouteQueries for SeedRouter {
+    fn find_path(
+        &mut self,
+        cells: &CellGrid,
+        blocked: &[Coord],
+        from: Coord,
+        to: Coord,
+    ) -> Option<Path> {
+        let cost = self.cost;
+        find_path(self.grid(cells), &(cells, blocked), from, to, &cost)
+    }
+
+    fn clear_cell_plan(
+        &mut self,
+        cells: &CellGrid,
+        cell: Coord,
+        avoid: &[Coord],
+    ) -> Option<Vec<(Coord, Coord)>> {
+        let avoid = avoid.iter().copied().collect();
+        clear_cell_plan(self.grid(cells), &(cells, &[] as &[Coord]), cell, &avoid)
+    }
+
+    fn space_search(
+        &mut self,
+        cells: &CellGrid,
+        blocked: &[Coord],
+        target: Coord,
+    ) -> Option<SpacePlan> {
+        space_search(self.grid(cells), &(cells, blocked), target)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    struct SetOcc {
+        blocked: HashSet<Coord>,
+        occupied: HashSet<Coord>,
+    }
+
+    impl Occupancy for SetOcc {
+        fn is_blocked(&self, c: Coord) -> bool {
+            self.blocked.contains(&c)
+        }
+        fn is_occupied(&self, c: Coord) -> bool {
+            self.occupied.contains(&c)
+        }
+    }
+
+    fn empty_occ() -> SetOcc {
+        occ_of(&[])
+    }
+
+    fn occ_of(occupied: &[Coord]) -> SetOcc {
+        SetOcc {
+            blocked: HashSet::new(),
+            occupied: occupied.iter().copied().collect(),
+        }
+    }
+
+    fn grid5() -> Grid {
+        Grid::filled(5, 5, CellKind::Bus)
+    }
+
+    #[test]
+    fn straight_line_path() {
+        let p = find_path(
+            &grid5(),
+            &empty_occ(),
+            Coord::new(2, 0),
+            Coord::new(2, 4),
+            &CostModel::default(),
+        )
+        .unwrap();
+        assert_eq!(p.length, 4);
+        assert_eq!(p.cells.first(), Some(&Coord::new(2, 0)));
+        assert_eq!(p.cells.last(), Some(&Coord::new(2, 4)));
+        assert_eq!(p.cost, 4);
+        assert_eq!(paper_cost(&p), 4);
+    }
+
+    #[test]
+    fn trivial_path_same_cell() {
+        let p = find_path(
+            &grid5(),
+            &empty_occ(),
+            Coord::new(1, 1),
+            Coord::new(1, 1),
+            &CostModel::default(),
+        )
+        .unwrap();
+        assert_eq!(p.length, 0);
+        assert_eq!(p.cells, vec![Coord::new(1, 1)]);
+    }
+
+    #[test]
+    fn detours_around_occupied_cells() {
+        // Wall of occupied cells across row 2 except a gap at col 4. With a
+        // high penalty the detour (12 steps) must win over crossing
+        // (4 steps + penalty).
+        let mut occ = empty_occ();
+        for c in 0..4 {
+            occ.occupied.insert(Coord::new(2, c));
+        }
+        let p = find_path(
+            &grid5(),
+            &occ,
+            Coord::new(0, 0),
+            Coord::new(4, 0),
+            &CostModel { penalty_weight: 20 },
+        )
+        .unwrap();
+        assert_eq!(p.occupied, 0, "path should avoid all occupied cells");
+        assert!(p.length > 4, "detour is longer than the direct path");
+
+        // With the default weight (5), crossing one qubit (cost 9) beats the
+        // 12-step detour — the trade-off the paper's penalty factor encodes.
+        let p = find_path(
+            &grid5(),
+            &occ,
+            Coord::new(0, 0),
+            Coord::new(4, 0),
+            &CostModel::default(),
+        )
+        .unwrap();
+        assert_eq!(p.occupied, 1);
+        assert_eq!(p.length, 4);
+    }
+
+    #[test]
+    fn crosses_when_detour_too_expensive() {
+        // Full wall: crossing one occupied cell is the only option.
+        let mut occ = empty_occ();
+        for c in 0..5 {
+            occ.occupied.insert(Coord::new(2, c));
+        }
+        let p = find_path(
+            &grid5(),
+            &occ,
+            Coord::new(0, 2),
+            Coord::new(4, 2),
+            &CostModel::default(),
+        )
+        .unwrap();
+        assert_eq!(p.occupied, 1);
+        assert_eq!(p.length, 4);
+        assert_eq!(p.cost, 4 + 5);
+        assert_eq!(paper_cost(&p), 8);
+    }
+
+    #[test]
+    fn blocked_cells_are_impassable() {
+        let mut occ = empty_occ();
+        for c in 0..5 {
+            occ.blocked.insert(Coord::new(2, c));
+        }
+        assert!(find_path(
+            &grid5(),
+            &occ,
+            Coord::new(0, 2),
+            Coord::new(4, 2),
+            &CostModel::default(),
+        )
+        .is_none());
+    }
+
+    #[test]
+    fn destination_may_be_blocked() {
+        // Routing *to* a reserved delivery cell is allowed.
+        let mut occ = empty_occ();
+        occ.blocked.insert(Coord::new(0, 1));
+        let p = find_path(
+            &grid5(),
+            &occ,
+            Coord::new(0, 0),
+            Coord::new(0, 1),
+            &CostModel::default(),
+        )
+        .unwrap();
+        assert_eq!(p.length, 1);
+    }
+
+    #[test]
+    fn out_of_bounds_endpoints_rejected() {
+        assert!(find_path(
+            &grid5(),
+            &empty_occ(),
+            Coord::new(-1, 0),
+            Coord::new(0, 0),
+            &CostModel::default(),
+        )
+        .is_none());
+        assert!(find_path(
+            &grid5(),
+            &empty_occ(),
+            Coord::new(0, 0),
+            Coord::new(9, 9),
+            &CostModel::default(),
+        )
+        .is_none());
+    }
+
+    #[test]
+    fn penalty_weight_zero_ignores_occupancy() {
+        let mut occ = empty_occ();
+        for c in 0..4 {
+            occ.occupied.insert(Coord::new(2, c));
+        }
+        let p = find_path(
+            &grid5(),
+            &occ,
+            Coord::new(0, 0),
+            Coord::new(4, 0),
+            &CostModel { penalty_weight: 0 },
+        )
+        .unwrap();
+        // With no penalty the direct 4-step path through the wall wins.
+        assert_eq!(p.length, 4);
+        assert_eq!(p.occupied, 1);
+    }
+
+    #[test]
+    fn path_is_contiguous_and_deduplicated() {
+        let mut occ = empty_occ();
+        occ.occupied.insert(Coord::new(1, 1));
+        occ.occupied.insert(Coord::new(3, 3));
+        let p = find_path(
+            &grid5(),
+            &occ,
+            Coord::new(0, 0),
+            Coord::new(4, 4),
+            &CostModel::default(),
+        )
+        .unwrap();
+        for w in p.cells.windows(2) {
+            assert!(w[0].is_adjacent(w[1]), "path must be 4-connected");
+        }
+        let mut seen = HashSet::new();
+        for c in &p.cells {
+            assert!(seen.insert(*c), "no cell visited twice on a shortest path");
+        }
+    }
+
+    #[test]
+    fn deterministic_tie_breaking() {
+        // Two equal-cost L-paths: repeated runs must return the same one.
+        let a = find_path(
+            &grid5(),
+            &empty_occ(),
+            Coord::new(0, 0),
+            Coord::new(1, 1),
+            &CostModel::default(),
+        )
+        .unwrap();
+        for _ in 0..5 {
+            let b = find_path(
+                &grid5(),
+                &empty_occ(),
+                Coord::new(0, 0),
+                Coord::new(1, 1),
+                &CostModel::default(),
+            )
+            .unwrap();
+            assert_eq!(a, b);
+        }
+    }
+
+    #[test]
+    fn nearest_free_adjacent() {
+        let occ = occ_of(&[]);
+        let f = nearest_free_cell(&grid5(), &occ, Coord::new(2, 2)).unwrap();
+        assert!(f.is_adjacent(Coord::new(2, 2)));
+    }
+
+    #[test]
+    fn nearest_free_skips_occupied_ring() {
+        // Everything within distance 1 occupied: nearest free is at distance 2.
+        let c = Coord::new(2, 2);
+        let occ = occ_of(&c.neighbours());
+        let f = nearest_free_cell(&grid5(), &occ, c).unwrap();
+        assert_eq!(f.manhattan(c), 2);
+    }
+
+    #[test]
+    fn nearest_free_none_when_all_blocked() {
+        let mut occ = occ_of(&[]);
+        for n in Coord::new(2, 2).neighbours() {
+            occ.blocked.insert(n);
+        }
+        assert_eq!(nearest_free_cell(&grid5(), &occ, Coord::new(2, 2)), None);
+    }
+
+    #[test]
+    fn space_search_free_neighbour_costs_zero() {
+        let occ = occ_of(&[]);
+        let plan = space_search(&grid5(), &occ, Coord::new(2, 2)).unwrap();
+        assert_eq!(plan.cost(), 0);
+        assert!(plan.ancilla.is_adjacent(Coord::new(2, 2)));
+    }
+
+    #[test]
+    fn space_search_clears_single_occupant() {
+        // All four neighbours occupied, but each occupant has a free cell
+        // right behind it: one move suffices (Fig 6's "relocating the qubit
+        // labelled 2 is the most efficient option").
+        let c = Coord::new(2, 2);
+        let occ = occ_of(&c.neighbours());
+        let plan = space_search(&grid5(), &occ, c).unwrap();
+        assert_eq!(plan.cost(), 1);
+        let (from, to) = plan.clearing_moves[0];
+        assert_eq!(from, plan.ancilla);
+        assert!(from.is_adjacent(to));
+    }
+
+    #[test]
+    fn space_search_push_chain_order() {
+        // Column of occupants below the target: clearing the south
+        // neighbour pushes the chain downward, farthest occupant first.
+        let c = Coord::new(0, 2);
+        let occupied = [Coord::new(1, 2), Coord::new(2, 2), Coord::new(3, 2)];
+        let mut occ = occ_of(&occupied);
+        // Block east/west/north alternatives so the chain is the only option.
+        occ.blocked.insert(Coord::new(0, 1));
+        occ.blocked.insert(Coord::new(0, 3));
+        occ.blocked.insert(Coord::new(1, 1));
+        occ.blocked.insert(Coord::new(1, 3));
+        occ.blocked.insert(Coord::new(2, 1));
+        occ.blocked.insert(Coord::new(2, 3));
+        occ.blocked.insert(Coord::new(3, 1));
+        occ.blocked.insert(Coord::new(3, 3));
+        let plan = space_search(&grid5(), &occ, c).unwrap();
+        assert_eq!(plan.ancilla, Coord::new(1, 2));
+        assert_eq!(plan.cost(), 3);
+        // Farthest-first: (3,2)->(4,2), (2,2)->(3,2), (1,2)->(2,2).
+        assert_eq!(
+            plan.clearing_moves,
+            vec![
+                (Coord::new(3, 2), Coord::new(4, 2)),
+                (Coord::new(2, 2), Coord::new(3, 2)),
+                (Coord::new(1, 2), Coord::new(2, 2)),
+            ]
+        );
+    }
+
+    #[test]
+    fn space_search_prefers_cheapest_neighbour() {
+        // South neighbour needs a 3-push chain (side exits blocked);
+        // east neighbour clears with a single move.
+        let c = Coord::new(0, 0);
+        let mut occ = occ_of(&[
+            Coord::new(1, 0),
+            Coord::new(2, 0),
+            Coord::new(3, 0),
+            Coord::new(0, 1),
+        ]);
+        occ.blocked.insert(Coord::new(1, 1));
+        occ.blocked.insert(Coord::new(2, 1));
+        occ.blocked.insert(Coord::new(3, 1));
+        let plan = space_search(&grid5(), &occ, c).unwrap();
+        assert_eq!(plan.cost(), 1);
+        assert_eq!(plan.ancilla, Coord::new(0, 1));
+    }
+
+    #[test]
+    fn clear_cell_plan_frees_requested_cell() {
+        let cell = Coord::new(2, 2);
+        let occ = occ_of(&[cell]);
+        let avoid = HashSet::new();
+        let plan = clear_cell_plan(&grid5(), &occ, cell, &avoid).unwrap();
+        assert_eq!(plan.len(), 1);
+        assert_eq!(plan[0].0, cell);
+    }
+
+    #[test]
+    fn clear_cell_plan_none_when_already_free() {
+        let occ = occ_of(&[]);
+        let avoid = HashSet::new();
+        assert_eq!(
+            clear_cell_plan(&grid5(), &occ, Coord::new(2, 2), &avoid),
+            None
+        );
+    }
+
+    #[test]
+    fn clear_cell_plan_respects_avoid() {
+        // Occupant at (0,1); avoid (0,0) and (0,2) and (1,1) blocked:
+        // chain must not pass through avoided cells.
+        let cell = Coord::new(0, 1);
+        let mut occ = occ_of(&[cell]);
+        occ.blocked.insert(Coord::new(1, 1));
+        let avoid: HashSet<Coord> = [Coord::new(0, 0)].into_iter().collect();
+        let plan = clear_cell_plan(&grid5(), &occ, cell, &avoid).unwrap();
+        assert_eq!(plan[0], (cell, Coord::new(0, 2)));
+    }
+
+    #[test]
+    fn space_search_fails_when_sealed() {
+        // Target in a corner with both neighbours blocked.
+        let mut occ = occ_of(&[]);
+        occ.blocked.insert(Coord::new(0, 1));
+        occ.blocked.insert(Coord::new(1, 0));
+        assert_eq!(space_search(&grid5(), &occ, Coord::new(0, 0)), None);
+    }
+
+    const SIDE: i32 = 8;
+
+    fn arb_coord() -> impl Strategy<Value = Coord> {
+        (0..SIDE, 0..SIDE).prop_map(|(r, c)| Coord::new(r, c))
+    }
+
+    proptest! {
+        /// `nearest_free_cell` returns a genuinely free cell, and no free
+        /// cell is strictly closer (in BFS-through-anything distance this
+        /// is hard to check exactly, so verify the weaker guarantee: the
+        /// result is free).
+        #[test]
+        fn nearest_free_is_free(
+            from in arb_coord(),
+            occ in proptest::collection::hash_set(arb_coord(), 0..30),
+        ) {
+            let g = Grid::filled(SIDE as u32, SIDE as u32, CellKind::Bus);
+            let total_occupied = occ.len();
+            let view = SetOcc { blocked: HashSet::new(), occupied: occ };
+            if total_occupied < (SIDE * SIDE) as usize {
+                if let Some(f) = nearest_free_cell(&g, &view, from) {
+                    prop_assert!(!view.is_occupied(f));
+                    prop_assert_ne!(f, from);
+                }
+            }
+        }
+    }
+}

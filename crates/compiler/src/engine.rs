@@ -15,7 +15,11 @@
 //! The engine emits [`RoutedOp`]s in issue order together with provisional
 //! times; the authoritative timing happens in [`crate::timer`] after the
 //! redundant-move pass. Every path and space query goes through one
-//! [`Router`], which answers from its generation-stamped search arena.
+//! router: the pipeline's [`Router`], which answers from its
+//! generation-stamped search arena, or any other [`RouteQueries`]
+//! implementation handed to [`route_circuit`].
+//!
+//! [`Router`]: ftqc_route::Router
 
 use crate::error::CompileError;
 use crate::mapping::InitialMapping;
@@ -25,9 +29,9 @@ use ftqc_arch::{
     cnot_ancilla, CellKind, Coord, FactoryBank, Grid, Layout, SingleQubitKind, SurgeryOp, Ticks,
 };
 use ftqc_circuit::{Circuit, DagCircuit, Gate, NodeId};
-use ftqc_route::dijkstra::CostModel;
-use ftqc_route::incremental::{CellGrid, RouteCounters, Router, RouterMode};
+use ftqc_route::incremental::{CellGrid, RouteCounters, RouteQueries};
 use ftqc_route::moves::{best_cnot_config_with, Mover};
+use ftqc_route::CostModel;
 use ftqc_sim::ResourceTimeline;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -40,7 +44,13 @@ use std::collections::BinaryHeap;
 /// compare is `w · occupied + steps` with `steps < 2 · cells`. For any
 /// `w ≥ 2 · cells` those costs order as `(occupied, steps)` pairs, so the
 /// cap changes no choice; it keeps the sums from overflowing and the
-/// weight small enough for the router's bucket queue.
+/// weight small enough for the router's bucket queue. This cap is the one
+/// place production weights are bounded: [`Router::new`] refuses weights
+/// above [`MAX_PENALTY_WEIGHT`], twice the cells of the largest layout a
+/// compile can build.
+///
+/// [`Router::new`]: ftqc_route::Router::new
+/// [`MAX_PENALTY_WEIGHT`]: ftqc_route::MAX_PENALTY_WEIGHT
 fn router_cost(options: &CompilerOptions, grid: &Grid) -> CostModel {
     CostModel {
         penalty_weight: options.penalty_weight.min(2 * u64::from(grid.num_cells())),
@@ -61,12 +71,12 @@ fn ready_key(dag: &DagCircuit, qubit_ready: &[Ticks], id: NodeId) -> (Ticks, Nod
 
 /// The routing engine. Create with [`Engine::new`], run with
 /// [`Engine::run`], then take the emitted ops with [`Engine::into_ops`].
-pub struct Engine<'a> {
+pub struct Engine<'a, R> {
     layout: &'a Layout,
     options: &'a CompilerOptions,
     bank: FactoryBank,
-    /// The routing facade: cost model and reusable search arena.
-    router: Router,
+    /// The router every path and space query goes to.
+    router: R,
     /// qubit -> current cell
     pos: Vec<Coord>,
     /// Cell -> occupying qubit, padded with an off-grid border: the grid
@@ -90,27 +100,17 @@ pub struct Engine<'a> {
     n_magic_states: u64,
 }
 
-impl<'a> Engine<'a> {
+impl<'a, R: RouteQueries> Engine<'a, R> {
     /// Creates an engine over `layout` with qubits placed by `mapping`,
-    /// routing through the incremental engine.
+    /// routing through the router `new_router` builds for the engine's
+    /// cost model ([`Router::new`](ftqc_route::Router::new) in the
+    /// pipeline).
     pub fn new(
         layout: &'a Layout,
         mapping: &InitialMapping,
         bank: FactoryBank,
         options: &'a CompilerOptions,
-    ) -> Self {
-        Self::with_mode(layout, mapping, bank, options, RouterMode::Incremental)
-    }
-
-    /// [`Engine::new`] with an explicit [`RouterMode`] — the seam the
-    /// differential tests and the bench baseline use to run the exact same
-    /// engine over the seed (reference) routing implementations.
-    pub fn with_mode(
-        layout: &'a Layout,
-        mapping: &InitialMapping,
-        bank: FactoryBank,
-        options: &'a CompilerOptions,
-        mode: RouterMode,
+        new_router: impl FnOnce(CostModel) -> R,
     ) -> Self {
         let pos: Vec<Coord> = mapping.cells().to_vec();
         let grid = layout.grid();
@@ -122,7 +122,7 @@ impl<'a> Engine<'a> {
             layout,
             options,
             bank,
-            router: Router::new(router_cost(options, grid), mode),
+            router: new_router(router_cost(options, grid)),
             qubit_ready: vec![Ticks::ZERO; pos.len()],
             pos,
             occ,
@@ -189,7 +189,7 @@ impl<'a> Engine<'a> {
         (self.ops, self.n_magic_states)
     }
 
-    /// The incremental router's activity counters so far.
+    /// The router's activity counters so far.
     pub fn route_counters(&self) -> RouteCounters {
         self.router.counters()
     }
@@ -281,13 +281,13 @@ impl<'a> Engine<'a> {
         let relaxed_len = self.scratch.len();
         self.scratch
             .extend(self.no_park.iter().copied().filter(|&c| c != cell));
-        let (grid, strict) = (self.layout.grid(), &self.scratch);
+        let strict = &self.scratch;
         let plan = self
             .router
-            .clear_cell_plan(grid, &self.occ, cell, strict)
+            .clear_cell_plan(&self.occ, cell, strict)
             .or_else(|| {
                 self.router
-                    .clear_cell_plan(grid, &self.occ, cell, &strict[..relaxed_len])
+                    .clear_cell_plan(&self.occ, cell, &strict[..relaxed_len])
             });
         match plan {
             Some(moves) => {
@@ -315,7 +315,7 @@ impl<'a> Engine<'a> {
             self.scratch.extend(self.protected.iter().chain(&banned));
             let path = self
                 .router
-                .find_path(self.layout.grid(), &self.occ, &self.scratch, from, dest)
+                .find_path(&self.occ, &self.scratch, from, dest)
                 .ok_or_else(|| self.fail(format!("no path from {from} to {dest}")))?;
             for i in 1..path.cells.len() {
                 steps += 1;
@@ -345,9 +345,7 @@ impl<'a> Engine<'a> {
 
     /// Finds (clearing if necessary) a free ancilla adjacent to `cell`.
     fn acquire_ancilla(&mut self, cell: Coord) -> Result<Coord, CompileError> {
-        let plan = self
-            .router
-            .space_search(self.layout.grid(), &self.occ, &self.protected, cell);
+        let plan = self.router.space_search(&self.occ, &self.protected, cell);
         match plan {
             Some(p) => {
                 for (f, t) in p.clearing_moves {
@@ -450,13 +448,7 @@ impl<'a> Engine<'a> {
             let grant = self.bank.acquire(self.qubit_ready[q as usize]);
             let path = self
                 .router
-                .find_path(
-                    self.layout.grid(),
-                    &self.occ,
-                    &self.protected,
-                    grant.port,
-                    dest,
-                )
+                .find_path(&self.occ, &self.protected, grant.port, dest)
                 .ok_or_else(|| self.fail(format!("no delivery path {} -> {dest}", grant.port)))?;
             self.n_magic_states += 1;
             if path.cells.len() >= 2 {
@@ -515,7 +507,6 @@ impl<'a> Engine<'a> {
         // Preferred: the gate-dependent move heuristic over free cells.
         let cfg = best_cnot_config_with(
             &mut self.router,
-            self.layout.grid(),
             &self.occ,
             c_pos,
             t_pos,
@@ -628,19 +619,19 @@ pub struct RoutedProgram {
     pub ops: Vec<RoutedOp>,
     /// Magic states the routed program consumes.
     pub n_magic_states: u64,
-    /// The incremental router's counters for this compile.
+    /// The router's counters for this compile.
     pub route: RouteCounters,
 }
 
 /// Runs the map stage — target validation, layout construction, initial
 /// placement, factory docking, and greedy routing — over an already
-/// *lowered* circuit, with an explicit [`RouterMode`].
+/// *lowered* circuit, with the router `new_router` builds for the
+/// engine's cost model.
 ///
-/// [`RouterMode::Incremental`] is what the pipeline uses;
-/// [`RouterMode::Reference`] re-routes through the seed (allocation-heavy)
-/// implementations and is the baseline of `tests/route_differential.rs`
-/// and the `bench_session` speedup measurement. Both modes produce
-/// byte-identical routed programs.
+/// The pipeline passes [`Router::new`](ftqc_route::Router::new).
+/// `tests/route_differential.rs` and `bench_session`'s routing bench also
+/// pass the seed router (`ftqc_bench::reference::SeedRouter::new`), which
+/// emits a byte-identical routed program.
 ///
 /// # Errors
 ///
@@ -648,10 +639,10 @@ pub struct RoutedProgram {
 /// [`CompileError::RoutingFailed`] — exactly as the map stage reports
 /// them (untagged; [`CompileSession`](crate::CompileSession) adds the
 /// stage tag).
-pub fn route_circuit(
+pub fn route_circuit<R: RouteQueries>(
     lowered: &Circuit,
     options: &CompilerOptions,
-    mode: RouterMode,
+    new_router: impl FnOnce(CostModel) -> R,
 ) -> Result<RoutedProgram, CompileError> {
     let target = &options.target;
     target.validate(lowered.num_qubits(), lowered.t_count() as u64)?;
@@ -659,7 +650,7 @@ pub fn route_circuit(
     let mapping = InitialMapping::for_circuit(&layout, lowered, options.mapping);
     let bank = target.factory_bank(&layout);
     let factory_patches = bank.total_tiles();
-    let mut engine = Engine::with_mode(&layout, &mapping, bank, options, mode);
+    let mut engine = Engine::new(&layout, &mapping, bank, options, new_router);
     engine.run(lowered)?;
     let route = engine.route_counters();
     let (ops, n_magic_states) = engine.into_ops();
@@ -678,6 +669,7 @@ mod tests {
     use super::*;
     use crate::mapping::MappingStrategy;
     use ftqc_circuit::Circuit;
+    use ftqc_route::Router;
 
     fn run_engine(circuit: &Circuit, r: u32, factories: u32) -> (Vec<RoutedOp>, u64) {
         let options = CompilerOptions::default()
@@ -686,7 +678,7 @@ mod tests {
         let layout = Layout::with_routing_paths(circuit.num_qubits(), r);
         let mapping = InitialMapping::new(&layout, circuit.num_qubits(), MappingStrategy::Snake);
         let bank = FactoryBank::dock(&layout, factories, options.target.timing.magic_production);
-        let mut engine = Engine::new(&layout, &mapping, bank, &options);
+        let mut engine = Engine::new(&layout, &mapping, bank, &options, Router::new);
         engine.run(circuit).expect("engine routes the circuit");
         engine.into_ops()
     }
@@ -773,7 +765,7 @@ mod tests {
         let layout = Layout::with_routing_paths(4, 4);
         let mapping = InitialMapping::new(&layout, 4, MappingStrategy::Snake);
         let bank = FactoryBank::dock(&layout, 1, options.target.timing.magic_production);
-        let mut engine = Engine::new(&layout, &mapping, bank, &options);
+        let mut engine = Engine::new(&layout, &mapping, bank, &options, Router::new);
         engine.run(&c).unwrap();
         let (_, magic) = engine.into_ops();
         assert_eq!(magic, 3);

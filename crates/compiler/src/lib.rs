@@ -79,7 +79,7 @@ pub use explore::{
     DesignPoint, TargetSweep,
 };
 pub use export::{to_csv, utilization, UtilizationStats};
-pub use ftqc_route::{RouteCounters, RouterMode};
+pub use ftqc_route::RouteCounters;
 pub use mapping::{InitialMapping, MappingStrategy};
 pub use metrics::Metrics;
 pub use options::{CompilerOptions, TStatePolicy};

@@ -42,7 +42,7 @@ use crate::routed::RoutedOp;
 use crate::timer::time_schedule;
 use ftqc_arch::{Layout, Ticks};
 use ftqc_circuit::{Circuit, Gate};
-use ftqc_route::incremental::{RouteCounters, RouterMode};
+use ftqc_route::incremental::{RouteCounters, Router};
 use ftqc_service::json::{ToJson, Value};
 use ftqc_service::{fingerprint, CacheStats, SharedCache, StageOutcome};
 use ftqc_sim::Schedule;
@@ -746,7 +746,7 @@ impl Lowered {
 /// [`CompileError`]), builds the layout — routing-path family or explicit
 /// bus mask — and docks its own factory bank.
 fn compute_map(lowered: &Circuit, options: &CompilerOptions) -> Result<MappedArt, CompileError> {
-    let routed = route_circuit(lowered, options, RouterMode::Incremental)?;
+    let routed = route_circuit(lowered, options, Router::new)?;
     Ok(MappedArt {
         layout: routed.layout,
         mapping: routed.mapping,

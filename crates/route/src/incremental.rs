@@ -1,60 +1,65 @@
-//! The incremental routing engine: reusable search state for the compile
-//! hot path.
+//! The router: reusable search state for the compile hot path.
 //!
-//! The seed implementation re-ran a full [`find_path`] with freshly
-//! allocated `HashMap`/`BinaryHeap` state for every routed operation — the
-//! dominant cost of the map stage. This module rebuilds that hot path
-//! around three pieces:
+//! The map stage runs thousands of small searches per compile, so this
+//! module keeps their state across searches. It has three pieces:
 //!
 //! * [`CellGrid`] — the compiler engine's occupancy: one row-major `u32`
 //!   per cell (the qubit holding it, or a free sentinel) inside a one-cell
 //!   border of off-grid sentinels. A neighbour of any on-grid cell is one
 //!   index offset away and never out of the buffer, so the search kernels
 //!   relax a cell with one load: no `Coord`, no bounds check, no division.
-//!   Paired with a query's few extra-blocked cells, the grid is an
-//!   [`Occupancy`] for the seed functions.
-//! * [`SearchArena`] — distance/visited/parent buffers over the padded
+//! * `SearchArena` — distance/visited/parent buffers over the padded
 //!   cells, *generation-stamped* so resetting between searches is O(1)
 //!   instead of O(cells), plus a bucket-queue (Dial) specialisation of
 //!   Dijkstra for the small integer penalty domain. The same buffers back
-//!   the breadth-first push chains of the space-search helpers. The arena
-//!   owns every scratch buffer a search uses (buckets, the level being
-//!   drained, the BFS queue, the push chains as padded indices) and keeps
-//!   them across searches, so a warmed-up search allocates only the result
-//!   it returns, at its exact length.
-//! * [`Router`] — the facade the compiler engine drives. It owns the arena
-//!   and counts its own activity ([`RouteCounters`]). In
-//!   [`RouterMode::Reference`] every query is answered by the seed
-//!   implementations instead — the hook the differential test harness and
-//!   the bench baseline use.
+//!   the breadth-first push chains of the space searches. The arena owns
+//!   every scratch buffer a search uses (buckets, the level being drained,
+//!   the BFS queue, the push chains as padded indices) and keeps them
+//!   across searches, so a warmed-up search allocates only the result it
+//!   returns, at its exact length.
+//! * [`Router`] — the one router type. It owns the cost model and the
+//!   arena, answers every [`RouteQueries`] query, and counts its own
+//!   activity ([`RouteCounters`]).
 //!
-//! **Cost-only queries.** [`Router::path_cost`] and
-//! [`Router::space_search_cost`] run the same searches as
-//! [`Router::find_path`] and [`Router::space_search`] but return only the
-//! cost, allocating nothing. The CNOT look-ahead scores its candidates with
-//! them; because the searches are the same, the arena's reuse counter and
-//! every routed schedule are unchanged by which of the two a caller uses.
+//! **Bounded weights, no fallback.** The Dial ring has one bucket per
+//! distance in `[d, d + penalty_weight + 2)`, so it is sized from the
+//! weight the router is given. [`Router::new`] refuses weights above
+//! [`MAX_PENALTY_WEIGHT`]. The compiler engine caps every weight at twice
+//! its layout's cells (`router_cost` in `ftqc-compiler`'s engine), which
+//! is at most that bound, so every search runs on the bucket queue.
 //!
-//! **Tie-breaking invariant:** every query through the incremental engine
-//! returns results *byte-identical* to the seed functions
-//! ([`find_path`], [`clear_cell_plan`], [`space_search`]) on the same
-//! state. Padded indices sort exactly like row-major `(row, col)` pairs,
-//! and the neighbour offsets run in the seed's N/S/W/E order, so every
-//! queue drains in the seed's order. `tests/route_differential.rs`
-//! enforces this path-for-path (cost, cells, tie-breaks) across random
-//! layouts, occupancy patterns and degenerate grid shapes.
+//! **Cost-only queries.** [`RouteQueries::path_cost`] and
+//! [`RouteQueries::space_search_cost`] run the same searches as
+//! [`RouteQueries::find_path`] and [`RouteQueries::space_search`] but
+//! return only the cost, allocating nothing. The CNOT look-ahead scores
+//! its candidates with them; because the searches are the same, the
+//! arena's reuse counter and every routed schedule are unchanged by which
+//! of the two a caller uses.
+//!
+//! **Tie-breaking invariant:** every query returns results
+//! *byte-identical* to the seed router (`ftqc-bench`'s `reference`
+//! module) on the same state. Padded indices sort exactly like row-major
+//! `(row, col)` pairs, and the neighbour offsets run in the seed's
+//! N/S/W/E order, so every queue drains in the seed's order.
+//! `tests/route_differential.rs` enforces this path-for-path (cost,
+//! cells, tie-breaks) across random layouts, occupancy patterns and
+//! degenerate grid shapes.
 
-use crate::dijkstra::{find_path, CostModel, Occupancy, Path};
-use crate::space::{clear_cell_plan, space_search, SpacePlan};
-use ftqc_arch::{Coord, Grid};
+use crate::{CostModel, Path, SpacePlan};
+use ftqc_arch::{Coord, MAX_QUBITS};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-/// Largest bucket ring the Dial queue will allocate. Edge weights are
-/// `1 + penalty_weight`, so penalty weights up to `MAX_BUCKET_RING - 2`
-/// are bucketed; beyond that the arena falls back to the seed binary-heap
-/// search (still byte-identical, just not bucketed).
-const MAX_BUCKET_RING: usize = 4096;
+/// The largest penalty weight a [`Router`] accepts: twice the cells of the
+/// largest layout [`MAX_QUBITS`] admits. That layout is a 64 × 64 data
+/// block with a bus line beside every data line on both sides, 129 × 129
+/// cells. The compiler engine caps every weight at twice its layout's
+/// cells, so no compile reaches past this bound.
+pub const MAX_PENALTY_WEIGHT: u64 = {
+    let data_side = (MAX_QUBITS as u64 - 1).isqrt() + 1;
+    let side = 2 * data_side + 1;
+    2 * side * side
+};
 
 /// A [`CellGrid`] cell holding no qubit.
 const FREE: u32 = u32::MAX;
@@ -92,9 +97,19 @@ impl CellGrid {
         CellGrid { rows, cols, cells }
     }
 
+    /// Number of on-grid rows.
+    pub fn rows(&self) -> u32 {
+        self.rows
+    }
+
+    /// Number of on-grid columns.
+    pub fn cols(&self) -> u32 {
+        self.cols
+    }
+
     /// Whether `c` lies on the grid (not on the border or beyond).
     #[inline]
-    fn in_bounds(&self, c: Coord) -> bool {
+    pub fn in_bounds(&self, c: Coord) -> bool {
         c.row >= 0 && c.col >= 0 && (c.row as u32) < self.rows && (c.col as u32) < self.cols
     }
 
@@ -152,18 +167,6 @@ impl CellGrid {
     }
 }
 
-/// The grid paired with the extra cells a query may not enter: the view the
-/// seed functions route over. Off-grid cells are blocked and never
-/// occupied.
-impl Occupancy for (&CellGrid, &[Coord]) {
-    fn is_blocked(&self, c: Coord) -> bool {
-        !self.0.in_bounds(c) || self.1.contains(&c)
-    }
-    fn is_occupied(&self, c: Coord) -> bool {
-        self.0.occupant(c).is_some()
-    }
-}
-
 /// Per-router activity counters, surfaced through compiler `Metrics`, the
 /// CLI's `--explain` report, `/v1/cache/stats`, and `/metrics`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -179,6 +182,85 @@ impl RouteCounters {
         RouteCounters {
             arena_reuses: self.arena_reuses + other.arena_reuses,
         }
+    }
+}
+
+/// The queries the compiler engine and the CNOT look-ahead ask a router.
+///
+/// [`Router`] answers them in production. The seed router in
+/// `ftqc-bench`'s `reference` module answers them too, so the differential
+/// tests and the routing bench run the same engine over either. Every
+/// query reads the occupancy from the engine's [`CellGrid`]: off-grid
+/// cells are never entered, and occupied cells hold data qubits. Ties
+/// break deterministically (cells at equal distance settle in row-major
+/// order, neighbours expand N/S/W/E), keeping compilation reproducible.
+pub trait RouteQueries {
+    /// Minimum-cost 4-connected path from `from` to `to` under the
+    /// router's [`CostModel`], never entering `blocked` cells other than
+    /// `to` (routing *to* a reserved delivery cell is routine). The source
+    /// is never charged; the destination is charged like any entered
+    /// cell. `None` when `to` is unreachable or either endpoint is off the
+    /// grid.
+    fn find_path(
+        &mut self,
+        cells: &CellGrid,
+        blocked: &[Coord],
+        from: Coord,
+        to: Coord,
+    ) -> Option<Path>;
+
+    /// The cost of [`RouteQueries::find_path`]'s path, without the path.
+    fn path_cost(
+        &mut self,
+        cells: &CellGrid,
+        blocked: &[Coord],
+        from: Coord,
+        to: Coord,
+    ) -> Option<u64> {
+        self.find_path(cells, blocked, from, to).map(|p| p.cost)
+    }
+
+    /// Plans the push chain that frees `cell`: its occupant, and any
+    /// occupants in the way, shift one step along the shortest chain to
+    /// the nearest free cell, the one nearest that free cell first. The
+    /// `avoid` cells (a few, in any order, repeats allowed) are never
+    /// entered or searched through. `None` when `cell` is already free or
+    /// no free cell is reachable; otherwise a non-empty plan.
+    fn clear_cell_plan(
+        &mut self,
+        cells: &CellGrid,
+        cell: Coord,
+        avoid: &[Coord],
+    ) -> Option<Vec<(Coord, Coord)>>;
+
+    /// The cheapest free ancilla next to `target` (paper Fig 6), never
+    /// entering `blocked` cells. Each on-grid, unblocked neighbour is
+    /// tried in N/S/W/E order: a free one is a zero-cost plan, taken at
+    /// once; an occupied one is cleared by a push chain toward the nearest
+    /// free cell (never through `target`). The neighbour needing the
+    /// fewest moves wins, the first on ties; `None` when no neighbour can
+    /// be cleared.
+    fn space_search(
+        &mut self,
+        cells: &CellGrid,
+        blocked: &[Coord],
+        target: Coord,
+    ) -> Option<SpacePlan>;
+
+    /// The cost (clearing moves) of [`RouteQueries::space_search`]'s plan,
+    /// without the moves.
+    fn space_search_cost(
+        &mut self,
+        cells: &CellGrid,
+        blocked: &[Coord],
+        target: Coord,
+    ) -> Option<usize> {
+        self.space_search(cells, blocked, target).map(|p| p.cost())
+    }
+
+    /// The router's activity so far.
+    fn counters(&self) -> RouteCounters {
+        RouteCounters::default()
     }
 }
 
@@ -207,8 +289,10 @@ impl RouteCounters {
 ///   relaxation.
 /// * The Dial bucket ring holds only distances in `[d, d + ring)` while
 ///   level `d` drains — guaranteed because every edge weight is in
-///   `1..=1 + penalty_weight` and `ring = penalty_weight + 2`. Every bucket
-///   is empty between searches.
+///   `1..=1 + penalty_weight` and `ring = penalty_weight + 2`. The ring
+///   grows to the largest weight searched with, which [`Router::new`]
+///   bounds by [`MAX_PENALTY_WEIGHT`]; there is no other search. Every
+///   bucket is empty between searches.
 /// * Within one distance level, cells drain in ascending padded index
 ///   order. The padded index `(row + 1) * (cols + 2) + col + 1` grows with
 ///   `(row, col)` exactly as the row-major index does, so this is the
@@ -217,12 +301,11 @@ impl RouteCounters {
 /// * A push chain is stored free cell first: `chain[0]` is the free cell
 ///   the search reached, the last entry its start, and every entry but the
 ///   first holds a qubit (the search only walks through occupied cells).
-/// * The cost-only queries ([`SearchArena::path_cost`],
-///   [`SearchArena::space_search_cost`]) run exactly the searches of their
-///   full counterparts and skip only building the result, so they count
-///   the same reuses and report the same costs.
+/// * The cost-only queries run exactly the searches of their full
+///   counterparts and skip only building the result, so they count the
+///   same reuses and report the same costs.
 #[derive(Debug, Default)]
-pub struct SearchArena {
+struct SearchArena {
     rows: u32,
     cols: u32,
     generation: u32,
@@ -237,15 +320,6 @@ pub struct SearchArena {
     reuses: u64,
 }
 
-/// The Dial bucket ring for `cost`, or `None` when its penalty weight is
-/// too large for one (the seed search answers those).
-fn bucket_ring(cost: &CostModel) -> Option<usize> {
-    match usize::try_from(cost.penalty_weight) {
-        Ok(w) if w <= MAX_BUCKET_RING - 2 => Some(w + 2),
-        _ => None,
-    }
-}
-
 /// Clearing moves for a push chain stored free cell first: every occupant
 /// shifts one step toward the free cell, the one nearest it first, so each
 /// destination is free when its move runs.
@@ -257,16 +331,6 @@ fn chain_moves(cells: &CellGrid, chain: &[u32]) -> Vec<(Coord, Coord)> {
 }
 
 impl SearchArena {
-    /// An empty arena; buffers are sized on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Searches served by reusing the buffers (no reallocation).
-    pub fn reuses(&self) -> u64 {
-        self.reuses
-    }
-
     /// Prepares the arena for a search on `cells`: O(1) generation bump
     /// when the shape matches, reallocation otherwise.
     fn reset(&mut self, cells: &CellGrid) {
@@ -289,60 +353,6 @@ impl SearchArena {
         self.reuses += 1;
     }
 
-    /// Bucket-queue Dijkstra, byte-identical to [`find_path`] over
-    /// `(cells, blocked)`. `grid` is the layout grid `cells` mirrors; only
-    /// the fallback for huge penalty weights reads it.
-    pub fn find_path(
-        &mut self,
-        grid: &Grid,
-        cells: &CellGrid,
-        blocked: &[Coord],
-        from: Coord,
-        to: Coord,
-        cost: &CostModel,
-    ) -> Option<Path> {
-        let Some(ring) = bucket_ring(cost) else {
-            return find_path(grid, &(cells, blocked), from, to, cost);
-        };
-        if !cells.in_bounds(from) || !cells.in_bounds(to) {
-            return None;
-        }
-        if from == to {
-            return Some(Path {
-                cells: vec![from],
-                length: 0,
-                occupied: 0,
-                cost: 0,
-            });
-        }
-        self.dial(cells, blocked, from, to, cost.penalty_weight, ring)
-            .then(|| self.path(cells, from, to))
-    }
-
-    /// The cost of [`SearchArena::find_path`]'s path (the same search),
-    /// without building the path.
-    pub fn path_cost(
-        &mut self,
-        grid: &Grid,
-        cells: &CellGrid,
-        blocked: &[Coord],
-        from: Coord,
-        to: Coord,
-        cost: &CostModel,
-    ) -> Option<u64> {
-        let Some(ring) = bucket_ring(cost) else {
-            return find_path(grid, &(cells, blocked), from, to, cost).map(|p| p.cost);
-        };
-        if !cells.in_bounds(from) || !cells.in_bounds(to) {
-            return None;
-        }
-        if from == to {
-            return Some(0);
-        }
-        self.dial(cells, blocked, from, to, cost.penalty_weight, ring)
-            .then(|| self.dist[cells.index(to)])
-    }
-
     /// Runs the bucket-queue search from `from` until `to` settles, over
     /// distinct on-grid endpoints; returns whether `to` was reached. On
     /// success the `prev` chain from `to` leads back to `from` and
@@ -354,9 +364,9 @@ impl SearchArena {
         from: Coord,
         to: Coord,
         penalty: u64,
-        ring: usize,
     ) -> bool {
         self.reset(cells);
+        let ring = penalty as usize + 2;
         if self.buckets.len() < ring {
             self.buckets.resize_with(ring, Vec::new);
         }
@@ -452,12 +462,11 @@ impl SearchArena {
         }
     }
 
-    /// Arena-backed BFS push-chain from the on-grid `start` to the nearest
-    /// free cell (the core of [`clear_cell_plan`]/[`space_search`]),
-    /// byte-identical to the seed's `path_to_nearest_free`. On success the
-    /// chain is left in `self.chain`, free cell first. The `blocked` and
-    /// `avoid` cells are stamped visited up front, so their order and any
-    /// repeats do not matter.
+    /// Breadth-first push chain from the on-grid `start` to the nearest
+    /// free cell (the core of the clearing and space searches). On success
+    /// the chain is left in `self.chain`, free cell first. The `blocked`
+    /// and `avoid` cells are stamped visited up front, so their order and
+    /// any repeats do not matter.
     fn chain_to_nearest_free(
         &mut self,
         cells: &CellGrid,
@@ -502,54 +511,6 @@ impl SearchArena {
         false
     }
 
-    /// Arena-backed [`clear_cell_plan`] (identical results): `avoid` is
-    /// the seed's set as a slice of cells — a few cells in practice, in any
-    /// order, repeats allowed.
-    pub fn clear_cell_plan(
-        &mut self,
-        cells: &CellGrid,
-        cell: Coord,
-        avoid: &[Coord],
-    ) -> Option<Vec<(Coord, Coord)>> {
-        cells.occupant(cell)?;
-        self.chain_to_nearest_free(cells, cell, &[], avoid)
-            .then(|| chain_moves(cells, &self.chain))
-    }
-
-    /// Arena-backed [`space_search`] over `(cells, blocked)` (identical
-    /// results): one stamped frontier per neighbour probe instead of
-    /// freshly allocated scan state, and clearing moves built for the
-    /// winning neighbour only.
-    pub fn space_search(
-        &mut self,
-        cells: &CellGrid,
-        blocked: &[Coord],
-        target: Coord,
-    ) -> Option<SpacePlan> {
-        let (ancilla, cost) = self.cheapest_ancilla(cells, blocked, target)?;
-        let clearing_moves = if cost == 0 {
-            Vec::new()
-        } else {
-            chain_moves(cells, &self.best_chain)
-        };
-        Some(SpacePlan {
-            ancilla,
-            clearing_moves,
-        })
-    }
-
-    /// The cost of [`SearchArena::space_search`]'s plan (the same
-    /// searches), without building its moves.
-    pub fn space_search_cost(
-        &mut self,
-        cells: &CellGrid,
-        blocked: &[Coord],
-        target: Coord,
-    ) -> Option<usize> {
-        self.cheapest_ancilla(cells, blocked, target)
-            .map(|(_, cost)| cost)
-    }
-
     /// The space search's pick: the first neighbour of `target` that is
     /// free, else the first whose push chain is shortest, with its clearing
     /// cost (the chain's occupants). An occupied pick's chain is left in
@@ -560,13 +521,12 @@ impl SearchArena {
         blocked: &[Coord],
         target: Coord,
     ) -> Option<(Coord, usize)> {
-        let occ = (cells, blocked);
         let mut best: Option<(Coord, usize)> = None;
         for n in target.neighbours() {
-            if occ.is_blocked(n) {
+            if !cells.in_bounds(n) || blocked.contains(&n) {
                 continue;
             }
-            if !occ.is_occupied(n) {
+            if cells.occupant(n).is_none() {
                 return Some((n, 0));
             }
             if self.chain_to_nearest_free(cells, n, blocked, &[target]) {
@@ -581,144 +541,122 @@ impl SearchArena {
     }
 }
 
-/// Which implementation a [`Router`] answers with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RouterMode {
-    /// Arena + bucket queue (the production hot path).
-    Incremental,
-    /// The seed implementations, query for query — the baseline the
-    /// differential tests and benches compare against.
-    Reference,
-}
-
-/// The incremental routing facade the compiler engine drives.
-///
-/// The router owns the [`SearchArena`] and counts its own activity. All
-/// query methods take the layout `grid`, the engine's [`CellGrid`] over it
-/// and, where the seed function has one, the extra cells the query may not
-/// enter. They return results byte-identical to the corresponding seed
-/// functions; in [`RouterMode::Reference`] they *are* the seed functions.
+/// The router the compiler engine drives: the cost model and the search
+/// arena behind every [`RouteQueries`] query.
 #[derive(Debug)]
 pub struct Router {
-    mode: RouterMode,
     cost: CostModel,
     arena: SearchArena,
 }
 
 impl Router {
     /// A router for searches under `cost`, with a fresh arena.
-    pub fn new(cost: CostModel, mode: RouterMode) -> Self {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cost.penalty_weight` exceeds [`MAX_PENALTY_WEIGHT`]. The
+    /// compiler engine caps every weight at twice its layout's cells,
+    /// which the bound covers for every layout a compile can build.
+    pub fn new(cost: CostModel) -> Self {
+        assert!(
+            cost.penalty_weight <= MAX_PENALTY_WEIGHT,
+            "penalty weight {} exceeds MAX_PENALTY_WEIGHT ({MAX_PENALTY_WEIGHT}); the \
+             compiler engine caps weights at twice the layout's cells",
+            cost.penalty_weight
+        );
         Router {
-            mode,
             cost,
-            arena: SearchArena::new(),
+            arena: SearchArena::default(),
         }
     }
+}
 
-    /// The router's mode.
-    pub fn mode(&self) -> RouterMode {
-        self.mode
-    }
-
-    /// The cost model queries run under.
-    pub fn cost(&self) -> &CostModel {
-        &self.cost
-    }
-
-    /// Minimum-cost path from `from` to `to`, never entering `blocked`
-    /// cells other than `to` (see [`find_path`]).
-    pub fn find_path(
+impl RouteQueries for Router {
+    fn find_path(
         &mut self,
-        grid: &Grid,
         cells: &CellGrid,
         blocked: &[Coord],
         from: Coord,
         to: Coord,
     ) -> Option<Path> {
-        match self.mode {
-            RouterMode::Reference => find_path(grid, &(cells, blocked), from, to, &self.cost),
-            RouterMode::Incremental => self
-                .arena
-                .find_path(grid, cells, blocked, from, to, &self.cost),
+        if !cells.in_bounds(from) || !cells.in_bounds(to) {
+            return None;
         }
+        if from == to {
+            return Some(Path {
+                cells: vec![from],
+                length: 0,
+                occupied: 0,
+                cost: 0,
+            });
+        }
+        self.arena
+            .dial(cells, blocked, from, to, self.cost.penalty_weight)
+            .then(|| self.arena.path(cells, from, to))
     }
 
-    /// The cost of [`Router::find_path`]'s path, found by the same search
-    /// without building the path.
-    pub fn path_cost(
+    fn path_cost(
         &mut self,
-        grid: &Grid,
         cells: &CellGrid,
         blocked: &[Coord],
         from: Coord,
         to: Coord,
     ) -> Option<u64> {
-        match self.mode {
-            RouterMode::Reference => {
-                find_path(grid, &(cells, blocked), from, to, &self.cost).map(|p| p.cost)
-            }
-            RouterMode::Incremental => self
-                .arena
-                .path_cost(grid, cells, blocked, from, to, &self.cost),
+        if !cells.in_bounds(from) || !cells.in_bounds(to) {
+            return None;
         }
+        if from == to {
+            return Some(0);
+        }
+        self.arena
+            .dial(cells, blocked, from, to, self.cost.penalty_weight)
+            .then(|| self.arena.dist[cells.index(to)])
     }
 
-    /// Push-chain plan freeing `cell` (see [`clear_cell_plan`]), never
-    /// entering the `avoid` cells.
-    pub fn clear_cell_plan(
+    fn clear_cell_plan(
         &mut self,
-        grid: &Grid,
         cells: &CellGrid,
         cell: Coord,
         avoid: &[Coord],
     ) -> Option<Vec<(Coord, Coord)>> {
-        match self.mode {
-            RouterMode::Reference => clear_cell_plan(
-                grid,
-                &(cells, &[] as &[Coord]),
-                cell,
-                &avoid.iter().copied().collect(),
-            ),
-            RouterMode::Incremental => self.arena.clear_cell_plan(cells, cell, avoid),
-        }
+        cells.occupant(cell)?;
+        self.arena
+            .chain_to_nearest_free(cells, cell, &[], avoid)
+            .then(|| chain_moves(cells, &self.arena.chain))
     }
 
-    /// Cheapest free-ancilla plan around `target`, never entering
-    /// `blocked` cells (see [`space_search`]).
-    pub fn space_search(
+    fn space_search(
         &mut self,
-        grid: &Grid,
         cells: &CellGrid,
         blocked: &[Coord],
         target: Coord,
     ) -> Option<SpacePlan> {
-        match self.mode {
-            RouterMode::Reference => space_search(grid, &(cells, blocked), target),
-            RouterMode::Incremental => self.arena.space_search(cells, blocked, target),
-        }
+        let (ancilla, cost) = self.arena.cheapest_ancilla(cells, blocked, target)?;
+        let clearing_moves = if cost == 0 {
+            Vec::new()
+        } else {
+            chain_moves(cells, &self.arena.best_chain)
+        };
+        Some(SpacePlan {
+            ancilla,
+            clearing_moves,
+        })
     }
 
-    /// The cost (clearing moves) of [`Router::space_search`]'s plan, found
-    /// by the same searches without building the moves.
-    pub fn space_search_cost(
+    fn space_search_cost(
         &mut self,
-        grid: &Grid,
         cells: &CellGrid,
         blocked: &[Coord],
         target: Coord,
     ) -> Option<usize> {
-        match self.mode {
-            RouterMode::Reference => {
-                space_search(grid, &(cells, blocked), target).map(|p| p.cost())
-            }
-            RouterMode::Incremental => self.arena.space_search_cost(cells, blocked, target),
-        }
+        self.arena
+            .cheapest_ancilla(cells, blocked, target)
+            .map(|(_, cost)| cost)
     }
 
-    /// The router's activity so far.
-    pub fn counters(&self) -> RouteCounters {
+    fn counters(&self) -> RouteCounters {
         RouteCounters {
-            arena_reuses: self.arena.reuses(),
+            arena_reuses: self.arena.reuses,
         }
     }
 }
@@ -726,50 +664,7 @@ impl Router {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftqc_arch::CellKind;
-    use std::collections::HashSet;
-
-    struct SetOcc {
-        blocked: HashSet<Coord>,
-        occupied: HashSet<Coord>,
-    }
-
-    impl Occupancy for SetOcc {
-        fn is_blocked(&self, c: Coord) -> bool {
-            self.blocked.contains(&c)
-        }
-        fn is_occupied(&self, c: Coord) -> bool {
-            self.occupied.contains(&c)
-        }
-    }
-
-    fn occ_of(occupied: &[Coord], blocked: &[Coord]) -> SetOcc {
-        SetOcc {
-            blocked: blocked.iter().copied().collect(),
-            occupied: occupied.iter().copied().collect(),
-        }
-    }
-
-    /// The arena's view of the same state: `occupied` cells hold qubits.
-    fn cells_of(g: &Grid, occupied: &[Coord]) -> CellGrid {
-        let mut cells = CellGrid::new(g.rows(), g.cols());
-        for (q, &c) in occupied.iter().enumerate() {
-            cells.place(c, q as u32);
-        }
-        cells
-    }
-
-    fn grid(rows: u32, cols: u32) -> Grid {
-        Grid::filled(rows, cols, CellKind::Bus)
-    }
-
-    /// Deterministic pseudo-random state for the in-crate sweeps.
-    fn lcg(seed: &mut u64) -> u64 {
-        *seed = seed
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        *seed >> 33
-    }
+    use ftqc_arch::Layout;
 
     #[test]
     fn cell_grid_pads_with_off_grid_cells() {
@@ -786,131 +681,42 @@ mod tests {
             Coord::new(9, -9),
         ] {
             assert_eq!(cells.occupant(off), None);
-            assert!((&cells, &[] as &[Coord]).is_blocked(off));
+            assert!(!cells.in_bounds(off));
         }
         cells.vacate(Coord::new(1, 2));
         assert_eq!(cells, CellGrid::new(2, 3));
     }
 
     #[test]
-    fn arena_matches_seed_find_path_on_random_states() {
-        let mut seed = 0x5eed;
-        let mut arena = SearchArena::new();
-        for case in 0..200 {
-            let rows = 3 + (lcg(&mut seed) % 8) as u32;
-            let cols = 3 + (lcg(&mut seed) % 8) as u32;
-            let g = grid(rows, cols);
-            let mut occupied = Vec::new();
-            let mut blocked = Vec::new();
-            for c in g.coords() {
-                match lcg(&mut seed) % 10 {
-                    0..=2 => occupied.push(c),
-                    3 => blocked.push(c),
-                    _ => {}
-                }
-            }
-            let occ = occ_of(&occupied, &blocked);
-            let cells = cells_of(&g, &occupied);
-            let from = Coord::new(
-                (lcg(&mut seed) % rows as u64) as i32,
-                (lcg(&mut seed) % cols as u64) as i32,
-            );
-            let to = Coord::new(
-                (lcg(&mut seed) % rows as u64) as i32,
-                (lcg(&mut seed) % cols as u64) as i32,
-            );
-            let cost = CostModel {
-                penalty_weight: lcg(&mut seed) % 9,
-            };
-            let reference = find_path(&g, &occ, from, to, &cost);
-            let incremental = arena.find_path(&g, &cells, &blocked, from, to, &cost);
-            assert_eq!(reference, incremental, "case {case}: {from} -> {to}");
-        }
-        assert!(arena.reuses() > 0, "same-shape searches reuse the arena");
-    }
-
-    #[test]
-    fn arena_matches_seed_bfs_helpers() {
-        let mut seed = 0xbf5;
-        let mut arena = SearchArena::new();
-        for _ in 0..200 {
-            let g = grid(6, 6);
-            let mut occupied = Vec::new();
-            let mut blocked = Vec::new();
-            for c in g.coords() {
-                match lcg(&mut seed) % 5 {
-                    0..=1 => occupied.push(c),
-                    2 => blocked.push(c),
-                    _ => {}
-                }
-            }
-            let occ = occ_of(&occupied, &blocked);
-            let cells = cells_of(&g, &occupied);
-            let at = Coord::new((lcg(&mut seed) % 6) as i32, (lcg(&mut seed) % 6) as i32);
-            assert_eq!(
-                space_search(&g, &occ, at),
-                arena.space_search(&cells, &blocked, at)
-            );
-            // The seed's blocked cells and its avoid set both stay out of
-            // the chain, so the arena takes them as one avoid list.
-            let avoid: HashSet<Coord> = [at].into_iter().collect();
-            let mut avoid_all = blocked.clone();
-            avoid_all.push(at);
-            let cell = Coord::new((lcg(&mut seed) % 6) as i32, (lcg(&mut seed) % 6) as i32);
-            assert_eq!(
-                clear_cell_plan(&g, &occ, cell, &avoid),
-                arena.clear_cell_plan(&cells, cell, &avoid_all)
-            );
-        }
-    }
-
-    #[test]
-    fn huge_penalty_falls_back_to_seed_search() {
-        let g = grid(5, 5);
+    fn second_search_on_a_shape_reuses_the_arena() {
+        let mut cells = CellGrid::new(5, 5);
+        cells.place(Coord::new(1, 1), 0);
+        cells.place(Coord::new(2, 3), 1);
         let (from, to) = (Coord::new(0, 0), Coord::new(4, 4));
-        let occ = occ_of(&[Coord::new(2, 2)], &[]);
-        let cells = cells_of(&g, &[Coord::new(2, 2)]);
-        let cost = CostModel {
-            penalty_weight: u64::MAX / 4,
-        };
-        let mut arena = SearchArena::new();
-        let expected = find_path(&g, &occ, from, to, &cost);
-        assert_eq!(arena.find_path(&g, &cells, &[], from, to, &cost), expected);
-        assert_eq!(
-            arena.path_cost(&g, &cells, &[], from, to, &cost),
-            expected.map(|p| p.cost)
-        );
-        // The largest weight: the ring guard must not overflow. (Nothing is
-        // occupied, so the seed search's own sums stay in range.)
-        let empty = cells_of(&g, &[]);
-        let cost = CostModel {
-            penalty_weight: u64::MAX,
-        };
-        let expected = find_path(&g, &occ_of(&[], &[]), from, to, &cost);
-        assert_eq!(expected.as_ref().map(|p| p.cost), Some(8));
-        assert_eq!(arena.find_path(&g, &empty, &[], from, to, &cost), expected);
-        assert_eq!(arena.path_cost(&g, &empty, &[], from, to, &cost), Some(8));
+        let mut router = Router::new(CostModel::default());
+        let first = router.find_path(&cells, &[], from, to);
+        assert_eq!(router.counters(), RouteCounters::default());
+        assert_eq!(router.find_path(&cells, &[], from, to), first);
+        assert_eq!(router.counters().arena_reuses, 1, "second search reuses");
     }
 
     #[test]
-    fn router_modes_agree_and_only_incremental_counts() {
-        let g = grid(5, 5);
-        let cells = cells_of(&g, &[Coord::new(1, 1), Coord::new(2, 3)]);
-        let (from, to) = (Coord::new(0, 0), Coord::new(4, 4));
-        let mut incremental = Router::new(CostModel::default(), RouterMode::Incremental);
-        let mut reference = Router::new(CostModel::default(), RouterMode::Reference);
-        for _ in 0..2 {
-            assert_eq!(
-                incremental.find_path(&g, &cells, &[], from, to),
-                reference.find_path(&g, &cells, &[], from, to)
-            );
-        }
-        assert_eq!(
-            incremental.counters().arena_reuses,
-            1,
-            "second search reuses"
-        );
-        assert_eq!(reference.counters(), RouteCounters::default());
+    fn bound_covers_twice_the_largest_layout() {
+        let data_lines: Vec<i32> = (-1..64).collect();
+        let largest = [
+            Layout::try_with_routing_paths(MAX_QUBITS, Layout::max_routing_paths(MAX_QUBITS)),
+            Layout::try_with_bus_lines(MAX_QUBITS, &data_lines, &data_lines),
+        ]
+        .map(|layout| 2 * u64::from(layout.expect("builds").grid().num_cells()));
+        assert_eq!(largest, [MAX_PENALTY_WEIGHT; 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds MAX_PENALTY_WEIGHT")]
+    fn weight_above_the_bound_is_refused() {
+        Router::new(CostModel {
+            penalty_weight: MAX_PENALTY_WEIGHT + 1,
+        });
     }
 
     #[test]

@@ -10,13 +10,12 @@
 //! DESIGN.md §7) the first feasible configuration is taken instead.
 //!
 //! The look-ahead only *scores* candidates: it asks the router for costs
-//! ([`Router::path_cost`], [`Router::space_search_cost`]) and builds no
-//! route or clearing plan. The engine plans the chosen move itself when it
-//! carries it out, against the occupancy at that time.
+//! ([`RouteQueries::path_cost`], [`RouteQueries::space_search_cost`]) and
+//! builds no route or clearing plan. The engine plans the chosen move
+//! itself when it carries it out, against the occupancy at that time.
 
-use crate::dijkstra::Occupancy;
-use crate::incremental::{CellGrid, Router};
-use ftqc_arch::{cnot_ancilla, Coord, Grid};
+use crate::incremental::{CellGrid, RouteQueries};
+use ftqc_arch::{cnot_ancilla, Coord};
 use serde::{Deserialize, Serialize};
 
 /// Which operand relocates to reach the chosen configuration.
@@ -49,9 +48,8 @@ pub struct CnotConfig {
 /// Moves that clear an occupied `ancilla`: the space search's clearing
 /// moves around it plus the push of its own occupant; zero when it is
 /// free, `None` when it cannot be cleared.
-fn ancilla_clearing_cost(
-    router: &mut Router,
-    grid: &Grid,
+fn ancilla_clearing_cost<R: RouteQueries>(
+    router: &mut R,
     cells: &CellGrid,
     ancilla: Coord,
 ) -> Option<u64> {
@@ -59,7 +57,7 @@ fn ancilla_clearing_cost(
         return Some(0);
     }
     router
-        .space_search_cost(grid, cells, &[], ancilla)
+        .space_search_cost(cells, &[], ancilla)
         .map(|moves| moves as u64 + 1)
 }
 
@@ -75,20 +73,18 @@ fn ancilla_clearing_cost(
 /// Returns `None` when no configuration is reachable (e.g. the moving
 /// operand is walled in) — the caller then falls back to space search
 /// around the operands.
-pub fn best_cnot_config_with(
-    router: &mut Router,
-    grid: &Grid,
+pub fn best_cnot_config_with<R: RouteQueries>(
+    router: &mut R,
     cells: &CellGrid,
     control: Coord,
     target: Coord,
     lookahead: bool,
 ) -> Option<CnotConfig> {
-    let occ = (cells, &[] as &[Coord]);
     // Already diagonal: only the ancilla needs attention.
     if control.is_diagonal(target) {
         let ancilla = cnot_ancilla(control, target).expect("diagonal pair has an ancilla");
-        if grid.in_bounds(ancilla) && !occ.is_blocked(ancilla) {
-            if let Some(cost) = ancilla_clearing_cost(router, grid, cells, ancilla) {
+        if cells.in_bounds(ancilla) {
+            if let Some(cost) = ancilla_clearing_cost(router, cells, ancilla) {
                 return Some(CnotConfig {
                     control,
                     target,
@@ -108,7 +104,7 @@ pub fn best_cnot_config_with(
         (Mover::Target, control, target),
     ] {
         for dest in anchor.diagonals() {
-            if !grid.in_bounds(dest) || occ.is_blocked(dest) || occ.is_occupied(dest) {
+            if !cells.in_bounds(dest) || cells.occupant(dest).is_some() {
                 continue;
             }
             if dest == moving_from {
@@ -123,17 +119,17 @@ pub fn best_cnot_config_with(
                 Some(a) => a,
                 None => continue,
             };
-            if !grid.in_bounds(ancilla) || occ.is_blocked(ancilla) {
+            if !cells.in_bounds(ancilla) {
                 continue;
             }
             // The anchor operand must not itself be the ancilla cell.
             if ancilla == c_pos || ancilla == t_pos {
                 continue;
             }
-            let Some(route) = router.path_cost(grid, cells, &[], moving_from, dest) else {
+            let Some(route) = router.path_cost(cells, &[], moving_from, dest) else {
                 continue;
             };
-            let Some(clearing) = ancilla_clearing_cost(router, grid, cells, ancilla) else {
+            let Some(clearing) = ancilla_clearing_cost(router, cells, ancilla) else {
                 continue;
             };
             let cand = CnotConfig {
@@ -157,40 +153,29 @@ pub fn best_cnot_config_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dijkstra::CostModel;
-    use crate::incremental::RouterMode;
-    use ftqc_arch::CellKind;
+    use crate::incremental::Router;
+    use crate::CostModel;
 
-    fn grid7() -> Grid {
-        Grid::filled(7, 7, CellKind::Bus)
-    }
-
-    /// The look-ahead on `g` with `occupied` cells held by qubits, through
-    /// the seed functions (`RouterMode::Reference`); the arena must plan
-    /// the same configuration.
+    /// The look-ahead on a `rows × cols` grid with `occupied` cells held by
+    /// qubits.
     fn plan_on(
-        g: &Grid,
+        rows: u32,
+        cols: u32,
         occupied: &[Coord],
         c: Coord,
         t: Coord,
         lookahead: bool,
     ) -> Option<CnotConfig> {
-        let mut cells = CellGrid::new(g.rows(), g.cols());
+        let mut cells = CellGrid::new(rows, cols);
         for (q, &cell) in occupied.iter().enumerate() {
             cells.place(cell, q as u32);
         }
-        let mut seed = Router::new(CostModel::default(), RouterMode::Reference);
-        let mut arena = Router::new(CostModel::default(), RouterMode::Incremental);
-        let planned = best_cnot_config_with(&mut seed, g, &cells, c, t, lookahead);
-        assert_eq!(
-            planned,
-            best_cnot_config_with(&mut arena, g, &cells, c, t, lookahead)
-        );
-        planned
+        let mut router = Router::new(CostModel::default());
+        best_cnot_config_with(&mut router, &cells, c, t, lookahead)
     }
 
     fn plan(occupied: &[Coord], c: Coord, t: Coord, lookahead: bool) -> Option<CnotConfig> {
-        plan_on(&grid7(), occupied, c, t, lookahead)
+        plan_on(7, 7, occupied, c, t, lookahead)
     }
 
     #[test]
@@ -262,8 +247,7 @@ mod tests {
         // operand has a configuration to move to.
         let c = Coord::new(0, 0);
         let t = Coord::new(0, 2);
-        let row = Grid::filled(1, 5, CellKind::Bus);
-        assert!(plan_on(&row, &[c, t], c, t, true).is_none());
+        assert!(plan_on(1, 5, &[c, t], c, t, true).is_none());
     }
 
     #[test]

@@ -1,8 +1,7 @@
-//! Property-based tests for the routing heuristics on random grids.
+//! Property-based tests for the router on random grids.
 
-use ftqc_arch::{CellKind, Coord, Grid};
-use ftqc_route::dijkstra::Occupancy;
-use ftqc_route::{clear_cell_plan, find_path, nearest_free_cell, space_search, CostModel};
+use ftqc_arch::Coord;
+use ftqc_route::{CellGrid, CostModel, RouteQueries, Router};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -16,18 +15,28 @@ fn arb_occupied() -> impl Strategy<Value = HashSet<Coord>> {
     proptest::collection::hash_set(arb_coord(), 0..30)
 }
 
-fn grid() -> Grid {
-    Grid::filled(SIDE as u32, SIDE as u32, CellKind::Bus)
+/// The router's view of `occupied`: each occupied cell holds a qubit.
+fn cells_of(occupied: &HashSet<Coord>) -> CellGrid {
+    let mut cells = CellGrid::new(SIDE as u32, SIDE as u32);
+    for (q, &c) in occupied.iter().enumerate() {
+        cells.place(c, q as u32);
+    }
+    cells
 }
 
-struct SetOcc(HashSet<Coord>);
+fn router(penalty_weight: u64) -> Router {
+    Router::new(CostModel { penalty_weight })
+}
 
-impl Occupancy for SetOcc {
-    fn is_blocked(&self, _: Coord) -> bool {
-        false
-    }
-    fn is_occupied(&self, c: Coord) -> bool {
-        self.0.contains(&c)
+/// Replays `moves` on `state`, asserting that every move goes from an
+/// occupied cell to a free neighbour at the time it runs.
+fn replay(state: &mut HashSet<Coord>, moves: &[(Coord, Coord)]) {
+    for (from, to) in moves {
+        assert!(state.contains(from), "move source {from} must be occupied");
+        assert!(!state.contains(to), "move target {to} must be free");
+        assert!(from.is_adjacent(*to));
+        state.remove(from);
+        state.insert(*to);
     }
 }
 
@@ -37,9 +46,9 @@ proptest! {
     /// exist and are at least the Manhattan distance.
     #[test]
     fn path_well_formed(from in arb_coord(), to in arb_coord(), occ in arb_occupied()) {
-        let g = grid();
-        let view = SetOcc(occ);
-        let p = find_path(&g, &view, from, to, &CostModel::default())
+        let cells = cells_of(&occ);
+        let p = router(5)
+            .find_path(&cells, &[], from, to)
             .expect("no blocked cells: always reachable");
         prop_assert_eq!(*p.cells.first().unwrap(), from);
         prop_assert_eq!(*p.cells.last().unwrap(), to);
@@ -48,22 +57,16 @@ proptest! {
         for w in p.cells.windows(2) {
             prop_assert!(w[0].is_adjacent(w[1]));
         }
-        let occupied_entered = p.cells[1..]
-            .iter()
-            .filter(|c| view.is_occupied(**c))
-            .count() as u32;
+        let occupied_entered = p.cells[1..].iter().filter(|c| occ.contains(c)).count() as u32;
         prop_assert_eq!(p.occupied, occupied_entered);
     }
 
-    /// The returned path is optimal for the additive cost: no penalty-free
-    /// detour shorter than `cost` exists (checked against a plain BFS lower
-    /// bound: cost >= manhattan distance, and cost == manhattan when the
-    /// straight route is clear).
+    /// On an empty grid every path is a shortest one: its length and cost
+    /// are the Manhattan distance, and it crosses nothing.
     #[test]
     fn empty_grid_paths_are_manhattan(from in arb_coord(), to in arb_coord()) {
-        let g = grid();
-        let view = SetOcc(HashSet::new());
-        let p = find_path(&g, &view, from, to, &CostModel::default()).unwrap();
+        let cells = cells_of(&HashSet::new());
+        let p = router(5).find_path(&cells, &[], from, to).unwrap();
         prop_assert_eq!(p.length, from.manhattan(to));
         prop_assert_eq!(p.occupied, 0);
         prop_assert_eq!(p.cost, from.manhattan(to) as u64);
@@ -73,27 +76,10 @@ proptest! {
     /// occupied cells.
     #[test]
     fn penalty_monotone(from in arb_coord(), to in arb_coord(), occ in arb_occupied()) {
-        let g = grid();
-        let view = SetOcc(occ);
-        let low = find_path(&g, &view, from, to, &CostModel { penalty_weight: 1 }).unwrap();
-        let high = find_path(&g, &view, from, to, &CostModel { penalty_weight: 50 }).unwrap();
+        let cells = cells_of(&occ);
+        let low = router(1).find_path(&cells, &[], from, to).unwrap();
+        let high = router(50).find_path(&cells, &[], from, to).unwrap();
         prop_assert!(high.occupied <= low.occupied);
-    }
-
-    /// `nearest_free_cell` returns a genuinely free cell, and no free cell
-    /// is strictly closer (in BFS-through-anything distance this is hard to
-    /// check exactly, so verify the weaker guarantee: the result is free).
-    #[test]
-    fn nearest_free_is_free(from in arb_coord(), occ in arb_occupied()) {
-        let g = grid();
-        let total_occupied = occ.len();
-        let view = SetOcc(occ);
-        if total_occupied < (SIDE * SIDE) as usize {
-            if let Some(f) = nearest_free_cell(&g, &view, from) {
-                prop_assert!(!view.is_occupied(f));
-                prop_assert_ne!(f, from);
-            }
-        }
     }
 
     /// Space-search plans are executable: replaying the clearing moves on a
@@ -101,18 +87,11 @@ proptest! {
     /// goes from an occupied cell to a free one at execution time.
     #[test]
     fn space_plans_are_executable(target in arb_coord(), occ in arb_occupied()) {
-        let g = grid();
-        let view = SetOcc(occ.clone());
-        if let Some(plan) = space_search(&g, &view, target) {
+        let cells = cells_of(&occ);
+        if let Some(plan) = router(5).space_search(&cells, &[], target) {
             prop_assert!(plan.ancilla.is_adjacent(target));
             let mut state = occ.clone();
-            for (from, to) in &plan.clearing_moves {
-                prop_assert!(state.contains(from), "move source must be occupied");
-                prop_assert!(!state.contains(to), "move target must be free");
-                prop_assert!(from.is_adjacent(*to));
-                state.remove(from);
-                state.insert(*to);
-            }
+            replay(&mut state, &plan.clearing_moves);
             prop_assert!(!state.contains(&plan.ancilla), "ancilla must end free");
         }
     }
@@ -120,18 +99,11 @@ proptest! {
     /// Clear-cell plans are executable and actually free the cell.
     #[test]
     fn clear_plans_are_executable(cell in arb_coord(), occ in arb_occupied()) {
-        let g = grid();
-        let view = SetOcc(occ.clone());
-        let avoid = HashSet::new();
-        match clear_cell_plan(&g, &view, cell, &avoid) {
+        let cells = cells_of(&occ);
+        match router(5).clear_cell_plan(&cells, cell, &[]) {
             Some(moves) => {
                 let mut state = occ.clone();
-                for (from, to) in &moves {
-                    prop_assert!(state.contains(from));
-                    prop_assert!(!state.contains(to));
-                    state.remove(from);
-                    state.insert(*to);
-                }
+                replay(&mut state, &moves);
                 prop_assert!(!state.contains(&cell));
             }
             None => prop_assert!(!occ.contains(&cell), "None only when already free or impossible"),

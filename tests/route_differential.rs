@@ -1,19 +1,18 @@
-//! Differential test harness for the incremental routing engine.
+//! Differential test harness for the router.
 //!
-//! The incremental engine (the `SearchArena` bucket-queue Dijkstra behind
-//! `Router`) must be **byte-identical** to the seed router: same costs,
-//! same cells, same tie-breaks, op for op. This suite pins that at three
-//! levels:
+//! The router (`Router`, the bucket-queue Dijkstra and push chains over
+//! its generation-stamped search arena) must be **byte-identical** to the
+//! seed router that `ftqc_bench::reference` keeps as dev-only code: same
+//! costs, same cells, same tie-breaks, op for op. This suite pins that at
+//! three levels:
 //!
-//! 1. query level — the [`reference`] module keeps a verbatim copy of the
-//!    seed Dijkstra (hash-map state, binary-heap queue); random layouts,
-//!    occupancy patterns, and penalty weights must produce identical
-//!    [`Path`]s from the reference, the arena, and the router, and the
-//!    arena's padded grid must agree with the seed functions on every
-//!    degenerate shape and border cell too, and the cost-only queries
-//!    must return exactly the costs of the full queries' results;
-//! 2. map level — `route_circuit` in [`RouterMode::Reference`] (the seed
-//!    implementations, query for query) and [`RouterMode::Incremental`]
+//! 1. query level — random layouts, occupancy patterns and penalty weights
+//!    must produce identical [`Path`]s, clearing plans and space plans from
+//!    the seed functions and the router (and from [`SeedRouter`], the seed
+//!    functions behind the router's queries), on degenerate shapes and
+//!    border cells too, and the cost-only queries must return exactly the
+//!    costs of the full queries' results;
+//! 2. map level — `route_circuit` over [`SeedRouter`] and over [`Router`]
 //!    must emit identical routed-op sequences across random circuits and
 //!    all three built-in target presets;
 //! 3. schedule level — scheduling the reference ops through the public
@@ -23,91 +22,13 @@
 use ftqc::arch::{CellKind, Coord, Grid, TargetRegistry};
 use ftqc::benchmarks::random_clifford_t;
 use ftqc::compiler::timer::{time_ops, CostKind};
-use ftqc::compiler::{
-    eliminate_redundant_moves, route_circuit, CompileSession, CompilerOptions, RouterMode,
+use ftqc::compiler::{eliminate_redundant_moves, route_circuit, CompileSession, CompilerOptions};
+use ftqc::route::{
+    best_cnot_config_with, CellGrid, CostModel, Path, RouteQueries, Router, MAX_PENALTY_WEIGHT,
 };
-use ftqc::route::{CellGrid, CostModel, Occupancy, Path, Router, SearchArena};
+use ftqc_bench::reference::{self, Occupancy, SeedRouter};
 use proptest::prelude::*;
 use std::collections::HashSet;
-
-/// The seed penalty-weighted Dijkstra, kept verbatim as the differential
-/// reference (hash-map distances, binary-heap priority queue, `(d, row,
-/// col)` tie-breaking). Any future edit to the shipping implementations
-/// is judged against this.
-mod reference {
-    use ftqc::arch::{Coord, Grid};
-    use ftqc::route::{CostModel, Occupancy, Path};
-    use std::cmp::Reverse;
-    use std::collections::{BinaryHeap, HashMap};
-
-    pub fn find_path(
-        grid: &Grid,
-        occ: &impl Occupancy,
-        from: Coord,
-        to: Coord,
-        cost: &CostModel,
-    ) -> Option<Path> {
-        if !grid.in_bounds(from) || !grid.in_bounds(to) {
-            return None;
-        }
-        if from == to {
-            return Some(Path {
-                cells: vec![from],
-                length: 0,
-                occupied: 0,
-                cost: 0,
-            });
-        }
-        let enter_cost =
-            |occupied: bool| -> u64 { 1 + if occupied { cost.penalty_weight } else { 0 } };
-
-        let mut dist: HashMap<Coord, u64> = HashMap::new();
-        let mut prev: HashMap<Coord, Coord> = HashMap::new();
-        let mut heap: BinaryHeap<Reverse<(u64, i32, i32)>> = BinaryHeap::new();
-        dist.insert(from, 0);
-        heap.push(Reverse((0, from.row, from.col)));
-
-        while let Some(Reverse((d, row, col))) = heap.pop() {
-            let u = Coord::new(row, col);
-            if u == to {
-                break;
-            }
-            if dist.get(&u).copied().unwrap_or(u64::MAX) < d {
-                continue; // stale heap entry
-            }
-            for v in u.neighbours() {
-                if !grid.in_bounds(v) {
-                    continue;
-                }
-                if v != to && occ.is_blocked(v) {
-                    continue;
-                }
-                let nd = d + enter_cost(occ.is_occupied(v));
-                if nd < dist.get(&v).copied().unwrap_or(u64::MAX) {
-                    dist.insert(v, nd);
-                    prev.insert(v, u);
-                    heap.push(Reverse((nd, v.row, v.col)));
-                }
-            }
-        }
-
-        let total = *dist.get(&to)?;
-        let mut cells = vec![to];
-        let mut cur = to;
-        while cur != from {
-            cur = *prev.get(&cur)?;
-            cells.push(cur);
-        }
-        cells.reverse();
-        let occupied = cells[1..].iter().filter(|&&c| occ.is_occupied(c)).count() as u32;
-        Some(Path {
-            length: (cells.len() - 1) as u32,
-            occupied,
-            cost: total,
-            cells,
-        })
-    }
-}
 
 struct SetOcc {
     blocked: HashSet<Coord>,
@@ -123,7 +44,7 @@ impl Occupancy for SetOcc {
     }
 }
 
-/// The arena's input for `occ`: a padded grid whose occupied cells hold
+/// The router's input for `occ`: a padded grid whose occupied cells hold
 /// qubits, plus the blocked cells as the query's extra-blocked list (in
 /// row-major order).
 fn padded(grid: &Grid, occ: &SetOcc) -> (CellGrid, Vec<Coord>) {
@@ -163,10 +84,19 @@ fn random_state(grid: &Grid, seed: u64) -> SetOcc {
     occ
 }
 
+/// The shipping router and the seed router under `cost`, with the names
+/// assertion messages use.
+fn both_routers(cost: CostModel) -> [(&'static str, Box<dyn RouteQueries>); 2] {
+    [
+        ("router", Box::new(Router::new(cost))),
+        ("seed router", Box::new(SeedRouter::new(cost))),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Reference, arena, and router agree path-for-path (cost, cells,
+    /// The seed function and the router agree path-for-path (cost, cells,
     /// tie-breaks) on random grids and occupancy patterns.
     #[test]
     fn incremental_queries_match_reference(
@@ -188,15 +118,12 @@ proptest! {
         let expected = reference::find_path(&grid, &occ, from, to, &cost);
         let (cells, blocked) = padded(&grid, &occ);
 
-        let mut arena = SearchArena::new();
-        prop_assert_eq!(&arena.find_path(&grid, &cells, &blocked, from, to, &cost), &expected);
-
-        let mut router = Router::new(cost, RouterMode::Incremental);
-        prop_assert_eq!(&router.find_path(&grid, &cells, &blocked, from, to), &expected);
+        let mut router = Router::new(cost);
+        prop_assert_eq!(&router.find_path(&cells, &blocked, from, to), &expected);
     }
 
     /// The full map stage emits byte-identical routed programs under the
-    /// reference and incremental routers, across random circuits and all
+    /// seed router and the shipping one, across random circuits and all
     /// three built-in target presets — and the scheduled programs match
     /// byte-for-byte too.
     #[test]
@@ -216,9 +143,9 @@ proptest! {
                 .circuit()
                 .clone();
 
-            let incremental = route_circuit(&lowered, &options, RouterMode::Incremental)
+            let incremental = route_circuit(&lowered, &options, Router::new)
                 .expect("incremental map");
-            let seed_router = route_circuit(&lowered, &options, RouterMode::Reference)
+            let seed_router = route_circuit(&lowered, &options, SeedRouter::new)
                 .expect("reference map");
 
             prop_assert_eq!(
@@ -271,8 +198,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// The cost-only queries return exactly the cost of the full queries'
-    /// results, in both router modes: on the random states above and on
-    /// the degenerate 1×N, N×1, 1×1 and 2×2 shapes.
+    /// results, for the router and the seed router: on the random states
+    /// above and on the degenerate 1×N, N×1, 1×1 and 2×2 shapes.
     #[test]
     fn cost_only_queries_match_full_queries(
         shape in prop_oneof![
@@ -296,47 +223,184 @@ proptest! {
         let from = Coord::new(fr % rows as i32, fc % cols as i32);
         let to = Coord::new(tr % rows as i32, tc % cols as i32);
         let (cells, blocked) = padded(&grid, &occ);
-        for mode in [RouterMode::Incremental, RouterMode::Reference] {
-            let mut router = Router::new(cost, mode);
-            let path = router.find_path(&grid, &cells, &blocked, from, to);
+        for (name, mut router) in both_routers(cost) {
+            let path = router.find_path(&cells, &blocked, from, to);
             prop_assert_eq!(
-                router.path_cost(&grid, &cells, &blocked, from, to),
+                router.path_cost(&cells, &blocked, from, to),
                 path.map(|p| p.cost),
-                "{:?} path_cost", mode
+                "{} path_cost", name
             );
-            let plan = router.space_search(&grid, &cells, &blocked, to);
+            let plan = router.space_search(&cells, &blocked, to);
             prop_assert_eq!(
-                router.space_search_cost(&grid, &cells, &blocked, to),
+                router.space_search_cost(&cells, &blocked, to),
                 plan.map(|p| p.cost()),
-                "{:?} space_search_cost", mode
+                "{} space_search_cost", name
             );
         }
     }
 }
 
-/// The arena-frontier space search (reused stamped buffers instead of
-/// per-call scan state) picks identical cells to the seed implementation
-/// on dense random states.
+/// Deterministic pseudo-random state for the sweeps below.
+fn lcg(seed: &mut u64) -> u64 {
+    *seed = seed
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    *seed >> 33
+}
+
+/// 200 path queries on states of varying shape against the seed function,
+/// one router per drawn weight throughout: each arena reallocates on a
+/// shape change and reuses its stamped buffers otherwise, and no state
+/// leaks across queries.
+#[test]
+fn router_matches_seed_find_path_on_random_states() {
+    let mut seed = 0x5eed;
+    let mut routers: Vec<Router> = (0..9)
+        .map(|penalty_weight| Router::new(CostModel { penalty_weight }))
+        .collect();
+    for case in 0..200 {
+        let rows = 3 + (lcg(&mut seed) % 8) as u32;
+        let cols = 3 + (lcg(&mut seed) % 8) as u32;
+        let grid = Grid::filled(rows, cols, CellKind::Bus);
+        let mut occ = SetOcc {
+            blocked: HashSet::new(),
+            occupied: HashSet::new(),
+        };
+        for c in grid.coords() {
+            match lcg(&mut seed) % 10 {
+                0..=2 => {
+                    occ.occupied.insert(c);
+                }
+                3 => {
+                    occ.blocked.insert(c);
+                }
+                _ => {}
+            }
+        }
+        let (cells, blocked) = padded(&grid, &occ);
+        let from = Coord::new(
+            (lcg(&mut seed) % rows as u64) as i32,
+            (lcg(&mut seed) % cols as u64) as i32,
+        );
+        let to = Coord::new(
+            (lcg(&mut seed) % rows as u64) as i32,
+            (lcg(&mut seed) % cols as u64) as i32,
+        );
+        let penalty = lcg(&mut seed) % 9;
+        let cost = CostModel {
+            penalty_weight: penalty,
+        };
+        assert_eq!(
+            routers[penalty as usize].find_path(&cells, &blocked, from, to),
+            reference::find_path(&grid, &occ, from, to, &cost),
+            "case {case}: {from} -> {to}"
+        );
+    }
+    assert!(
+        routers.iter().any(|r| r.counters().arena_reuses > 0),
+        "same-shape searches reuse the arena"
+    );
+}
+
+/// The router's clearing and space searches against the seed functions on
+/// 200 dense 6×6 states, one router throughout.
+#[test]
+fn router_matches_seed_bfs_helpers() {
+    let mut seed = 0xbf5;
+    let mut router = Router::new(CostModel::default());
+    let grid = Grid::filled(6, 6, CellKind::Bus);
+    for _ in 0..200 {
+        let mut occ = SetOcc {
+            blocked: HashSet::new(),
+            occupied: HashSet::new(),
+        };
+        for c in grid.coords() {
+            match lcg(&mut seed) % 5 {
+                0..=1 => {
+                    occ.occupied.insert(c);
+                }
+                2 => {
+                    occ.blocked.insert(c);
+                }
+                _ => {}
+            }
+        }
+        let (cells, blocked) = padded(&grid, &occ);
+        let at = Coord::new((lcg(&mut seed) % 6) as i32, (lcg(&mut seed) % 6) as i32);
+        assert_eq!(
+            reference::space_search(&grid, &occ, at),
+            router.space_search(&cells, &blocked, at)
+        );
+        // The seed's blocked cells and its avoid set both stay out of the
+        // chain, so the router takes them as one avoid list.
+        let avoid: HashSet<Coord> = [at].into_iter().collect();
+        let mut avoid_all = blocked.clone();
+        avoid_all.push(at);
+        let cell = Coord::new((lcg(&mut seed) % 6) as i32, (lcg(&mut seed) % 6) as i32);
+        assert_eq!(
+            reference::clear_cell_plan(&grid, &occ, cell, &avoid),
+            router.clear_cell_plan(&cells, cell, &avoid_all)
+        );
+    }
+}
+
+/// The router's space search (reused stamped buffers instead of per-call
+/// scan state) picks identical cells to the seed implementation on dense
+/// random states.
 #[test]
 fn space_search_pins_identical_choices() {
-    let mut arena = SearchArena::new();
+    let mut router = Router::new(CostModel::default());
     for seed in 0..300u64 {
         let grid = Grid::filled(7, 7, CellKind::Bus);
         let occ = random_state(&grid, seed);
         let (cells, blocked) = padded(&grid, &occ);
         for c in grid.coords() {
             assert_eq!(
-                ftqc::route::space_search(&grid, &occ, c),
-                arena.space_search(&cells, &blocked, c),
+                reference::space_search(&grid, &occ, c),
+                router.space_search(&cells, &blocked, c),
                 "seed {seed}: space search diverges at {c}"
             );
         }
     }
-    assert!(arena.reuses() > 0, "the frontier buffers were reused");
+    assert!(
+        router.counters().arena_reuses > 0,
+        "the frontier buffers were reused"
+    );
 }
 
-/// Every query the arena answers on a padded grid, checked against the
-/// seed functions: the arena's own kernels, and the router in both modes.
+/// The CNOT look-ahead plans the same configuration over the router and
+/// the seed router, with look-ahead on and off, on random states of the
+/// 7×7 grid the look-ahead's own tests use and of a single row.
+#[test]
+fn cnot_lookahead_matches_reference() {
+    let mut router = Router::new(CostModel::default());
+    let mut seed_router = SeedRouter::new(CostModel::default());
+    for (rows, cols) in [(7, 7), (1, 5)] {
+        let grid = Grid::filled(rows, cols, CellKind::Bus);
+        for seed in 0..20u64 {
+            let (cells, _) = padded(&grid, &random_state(&grid, seed));
+            let held: Vec<Coord> = grid
+                .coords()
+                .filter(|&c| cells.occupant(c).is_some())
+                .take(8)
+                .collect();
+            for &c in &held {
+                for &t in held.iter().filter(|&&t| t != c) {
+                    for lookahead in [true, false] {
+                        assert_eq!(
+                            best_cnot_config_with(&mut router, &cells, c, t, lookahead),
+                            best_cnot_config_with(&mut seed_router, &cells, c, t, lookahead),
+                            "{rows}x{cols} seed {seed}: {c} -> {t}, look-ahead {lookahead}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Every query of the router and of the seed router on a padded grid,
+/// checked against the seed functions.
 fn assert_queries_match_seed(
     grid: &Grid,
     occ: &SetOcc,
@@ -349,79 +413,51 @@ fn assert_queries_match_seed(
     let cost = CostModel {
         penalty_weight: penalty,
     };
-    let expected = reference::find_path(grid, occ, from, to, &cost);
-    assert_eq!(
-        ftqc::route::find_path(grid, occ, from, to, &cost),
-        expected,
-        "seed find_path vs its verbatim copy"
-    );
-    let mut arena = SearchArena::new();
-    let mut routers = [
-        Router::new(cost, RouterMode::Incremental),
-        Router::new(cost, RouterMode::Reference),
-    ];
+    let mut routers = both_routers(cost);
     let at = format!(
         "{}x{} {from} -> {to}, penalty {penalty}",
         grid.rows(),
         grid.cols()
     );
-    assert_eq!(
-        arena.find_path(grid, &cells, &blocked, from, to, &cost),
-        expected,
-        "arena find_path, {at}"
-    );
-    for router in &mut routers {
+
+    let expected = reference::find_path(grid, occ, from, to, &cost);
+    for (name, router) in &mut routers {
         assert_eq!(
-            router.find_path(grid, &cells, &blocked, from, to),
+            router.find_path(&cells, &blocked, from, to),
             expected,
-            "{:?} find_path, {at}",
-            router.mode()
+            "{name} find_path, {at}"
         );
         assert_eq!(
-            router.path_cost(grid, &cells, &blocked, from, to),
+            router.path_cost(&cells, &blocked, from, to),
             expected.as_ref().map(|p| p.cost),
-            "{:?} path_cost, {at}",
-            router.mode()
+            "{name} path_cost, {at}"
         );
     }
 
-    let expected = ftqc::route::space_search(grid, occ, to);
-    assert_eq!(
-        arena.space_search(&cells, &blocked, to),
-        expected,
-        "arena space_search, {at}"
-    );
-    for router in &mut routers {
+    let expected = reference::space_search(grid, occ, to);
+    for (name, router) in &mut routers {
         assert_eq!(
-            router.space_search(grid, &cells, &blocked, to),
+            router.space_search(&cells, &blocked, to),
             expected,
-            "{:?} space_search, {at}",
-            router.mode()
+            "{name} space_search, {at}"
         );
         assert_eq!(
-            router.space_search_cost(grid, &cells, &blocked, to),
+            router.space_search_cost(&cells, &blocked, to),
             expected.as_ref().map(|p| p.cost()),
-            "{:?} space_search_cost, {at}",
-            router.mode()
+            "{name} space_search_cost, {at}"
         );
     }
 
     // The seed's blocked cells and its avoid set both stay out of a push
-    // chain, so the arena and the router take them as one avoid list.
+    // chain, so the routers take them as one avoid list.
     let avoid_set: HashSet<Coord> = avoid.iter().copied().collect();
-    let expected = ftqc::route::clear_cell_plan(grid, occ, from, &avoid_set);
+    let expected = reference::clear_cell_plan(grid, occ, from, &avoid_set);
     let all: Vec<Coord> = blocked.iter().chain(avoid).copied().collect();
-    assert_eq!(
-        arena.clear_cell_plan(&cells, from, &all),
-        expected,
-        "arena clear_cell_plan, {at}"
-    );
-    for router in &mut routers {
+    for (name, router) in &mut routers {
         assert_eq!(
-            router.clear_cell_plan(grid, &cells, from, &all),
+            router.clear_cell_plan(&cells, from, &all),
             expected,
-            "{:?} clear_cell_plan, {at}",
-            router.mode()
+            "{name} clear_cell_plan, {at}"
         );
     }
 }
@@ -430,8 +466,8 @@ fn assert_queries_match_seed(
 /// wrong: 1×1, 1×N, N×1 and 2×2 grids (the generators above draw 3–9 ×
 /// 3–9), every `from`/`to` pair (so every border cell is an endpoint and an
 /// avoided cell), `to` inside the extra-blocked list, and the penalty
-/// weights at the bucket ring's edge: 4094 is the largest ring (4096), 4095
-/// falls back to the seed search.
+/// weights 4094 and 4095, the edges of the old 4096-bucket ring (the ring
+/// is now sized from the weight, so neither is special any more).
 #[test]
 fn degenerate_shapes_and_border_cells_match_reference() {
     for (rows, cols) in [(1, 1), (1, 2), (1, 6), (2, 1), (6, 1), (2, 2), (2, 5)] {
@@ -455,6 +491,41 @@ fn degenerate_shapes_and_border_cells_match_reference() {
     }
 }
 
+/// The largest weight a router accepts routes like the seed router: on a
+/// 5×5 grid around one occupant, and on random 3–6-sided states where the
+/// weight makes every path avoid occupied cells whenever it can.
+#[test]
+fn weight_at_the_bound_routes_like_the_reference() {
+    let grid = Grid::filled(5, 5, CellKind::Bus);
+    let occ = SetOcc {
+        blocked: HashSet::new(),
+        occupied: [Coord::new(2, 2)].into_iter().collect(),
+    };
+    assert_queries_match_seed(
+        &grid,
+        &occ,
+        Coord::new(0, 0),
+        Coord::new(4, 4),
+        &[],
+        MAX_PENALTY_WEIGHT,
+    );
+    for (rows, cols) in [(3, 3), (4, 6), (6, 5)] {
+        let grid = Grid::filled(rows, cols, CellKind::Bus);
+        for seed in 0..4u64 {
+            let occ = random_state(&grid, seed);
+            let corner = Coord::new(rows as i32 - 1, cols as i32 - 1);
+            assert_queries_match_seed(
+                &grid,
+                &occ,
+                Coord::new(0, 0),
+                corner,
+                &[corner],
+                MAX_PENALTY_WEIGHT,
+            );
+        }
+    }
+}
+
 /// A blocked `to` is a legal destination for `find_path` (routing *to* a
 /// reserved delivery cell), but the breadth-first helpers never enter a
 /// blocked or avoided cell, even when it is the only free one.
@@ -468,42 +539,45 @@ fn blocked_destination_is_entered_only_by_find_path() {
     };
     let (cells, blocked) = padded(&grid, &occ);
     let cost = CostModel::default();
-    for mode in [RouterMode::Incremental, RouterMode::Reference] {
-        let mut router = Router::new(cost, mode);
-        let path = router.find_path(&grid, &cells, &blocked, q, free);
+    for (name, mut router) in both_routers(cost) {
+        let path = router.find_path(&cells, &blocked, q, free);
         assert_eq!(
             path.map(|p: Path| p.cells),
             Some(vec![q, free]),
-            "{mode:?}: the blocked destination is entered"
+            "{name}: the blocked destination is entered"
         );
-        assert_eq!(router.space_search(&grid, &cells, &blocked, q), None);
-        assert_eq!(router.clear_cell_plan(&grid, &cells, q, &blocked), None);
+        assert_eq!(router.space_search(&cells, &blocked, q), None);
+        assert_eq!(router.clear_cell_plan(&cells, q, &blocked), None);
     }
     assert_queries_match_seed(&grid, &occ, q, free, &[free], 5);
     // Unblocked, the same free cell takes the pushed qubit.
     occ.blocked.clear();
     let (cells, _) = padded(&grid, &occ);
-    let mut router = Router::new(cost, RouterMode::Incremental);
+    let mut router = Router::new(cost);
     assert_eq!(
-        router.clear_cell_plan(&grid, &cells, q, &[]),
+        router.clear_cell_plan(&cells, q, &[]),
         Some(vec![(q, free)])
     );
 }
 
-/// The incremental engine's counters move the way the design says: every
-/// search after a compile's first reuses the arena, and reference mode
-/// reports no incremental activity.
+/// The router's counters move the way the design says: every search after
+/// a compile's first reuses the arena, and the seed router reports no
+/// activity.
 #[test]
 fn route_counters_reflect_engine_activity() {
-    let map = |c: &ftqc::circuit::Circuit, options: &CompilerOptions, mode: RouterMode| {
+    fn map<R: RouteQueries>(
+        c: &ftqc::circuit::Circuit,
+        options: &CompilerOptions,
+        new_router: fn(CostModel) -> R,
+    ) -> ftqc::compiler::RoutedProgram {
         let lowered = CompileSession::new(options.clone())
             .prepare(c)
             .expect("prepare")
             .lower()
             .circuit()
             .clone();
-        route_circuit(&lowered, options, mode).expect("maps")
-    };
+        route_circuit(&lowered, options, new_router).expect("maps")
+    }
     let options = CompilerOptions::default().routing_paths(4);
 
     // Four T gates on one stationary qubit: one delivery search each (plus
@@ -512,7 +586,7 @@ fn route_counters_reflect_engine_activity() {
     for _ in 0..4 {
         t_heavy.t(2);
     }
-    let counters = map(&t_heavy, &options, RouterMode::Incremental).route;
+    let counters = map(&t_heavy, &options, Router::new).route;
     assert!(
         counters.arena_reuses >= 3,
         "repeated T deliveries: {counters:?}"
@@ -524,13 +598,12 @@ fn route_counters_reflect_engine_activity() {
     for (a, b) in [(0u32, 4u32), (4, 8), (1, 3), (5, 7), (2, 6), (0, 8)] {
         dense.cnot(a, b);
     }
-    let routed = map(&dense, &options, RouterMode::Incremental);
+    let routed = map(&dense, &options, Router::new);
     let counters = routed.route;
     assert!(counters.arena_reuses > 0, "got {counters:?}");
 
-    // Reference mode routes identically but reports no incremental
-    // activity at all.
-    let reference = map(&dense, &options, RouterMode::Reference);
+    // The seed router routes identically but reports no activity at all.
+    let reference = map(&dense, &options, SeedRouter::new);
     assert_eq!(reference.ops, routed.ops);
     assert_eq!(reference.route, ftqc::compiler::RouteCounters::default());
 }
