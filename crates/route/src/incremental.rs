@@ -1,7 +1,8 @@
 //! The router: reusable search state for the compile hot path.
 //!
-//! The map stage runs thousands of small searches per compile, so this
-//! module keeps their state across searches. It has three pieces:
+//! The map stage runs a small search for nearly every routed operation,
+//! so this module keeps the search state across searches. It has three
+//! pieces:
 //!
 //! * [`CellGrid`] — the compiler engine's occupancy: one row-major `u32`
 //!   per cell (the qubit holding it, or a free sentinel) inside a one-cell
