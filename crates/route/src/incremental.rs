@@ -1,8 +1,7 @@
 //! The router: reusable search state for the compile hot path.
 //!
 //! The map stage runs a small search for nearly every routed operation,
-//! so this module keeps the search state across searches. It has three
-//! pieces:
+//! so this module keeps search state across searches. It has three pieces:
 //!
 //! * [`CellGrid`] — the compiler engine's occupancy: one row-major `u32`
 //!   per cell (the qubit holding it, or a free sentinel) inside a one-cell
