@@ -5,7 +5,7 @@
 //! circuit. The monolithic path re-runs prepare/lower/map (routing is the
 //! dominant cost) for every point; the session path routes once and
 //! re-schedules the cached routed ops, so the per-point cost collapses to
-//! move elimination + the two timing replays.
+//! move elimination + the paired timing replay.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ftqc_arch::{Ticks, TimingModel};

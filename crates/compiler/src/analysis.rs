@@ -125,7 +125,7 @@ pub fn diagnose(program: &CompiledProgram) -> BottleneckReport {
     let mut total_busy = 0.0f64;
     let n = program.lowered_circuit().num_qubits() as usize;
     let mut per_qubit_busy = vec![0.0f64; n];
-    for item in program.schedule().items() {
+    for item in program.schedule() {
         let dur = item.duration.as_d();
         total_busy += dur;
         if matches!(

@@ -24,7 +24,7 @@
 use crate::error::CompileError;
 use crate::mapping::InitialMapping;
 use crate::options::CompilerOptions;
-use crate::routed::RoutedOp;
+use crate::routed::{Patches, RoutedOp};
 use ftqc_arch::{
     cnot_ancilla, CellKind, Coord, FactoryBank, Grid, Layout, SingleQubitKind, SurgeryOp, Ticks,
 };
@@ -88,7 +88,9 @@ pub struct Engine<'a, R> {
     timeline: ResourceTimeline,
     qubit_ready: Vec<Ticks>,
     ops: Vec<RoutedOp>,
-    current_gate: usize,
+    /// The gate being routed; [`Engine::run`] checks every gate index of
+    /// the circuit fits a `u32`.
+    current_gate: u32,
     /// Cells no operation may enter while the current gate executes
     /// (operand positions: one or two cells).
     protected: Vec<Coord>,
@@ -143,6 +145,12 @@ impl<'a, R: RouteQueries> Engine<'a, R> {
     ///
     /// Returns [`CompileError::RoutingFailed`] if a gate cannot be realised.
     pub fn run(&mut self, circuit: &Circuit) -> Result<(), CompileError> {
+        if u32::try_from(circuit.len()).is_err() {
+            return Err(CompileError::RoutingFailed {
+                gate_index: circuit.len(),
+                reason: "gate indices past u32::MAX".into(),
+            });
+        }
         let dag = circuit.dag();
         let mut tracker = dag.tracker();
         // The ready gates in a min-heap on `ready_key`, each entry keyed
@@ -175,7 +183,7 @@ impl<'a, R: RouteQueries> Engine<'a, R> {
                 Some(ready_key(&dag, &self.qubit_ready, gate_id)),
                 "the heap's pick is the ready set's earliest gate"
             );
-            self.current_gate = gate_id;
+            self.current_gate = gate_id as u32;
             self.schedule_gate(&dag.node(gate_id).gate)?;
             for &next in tracker.complete(gate_id) {
                 heap.push(Reverse(ready_key(&dag, &self.qubit_ready, next)));
@@ -205,7 +213,7 @@ impl<'a, R: RouteQueries> Engine<'a, R> {
 
     fn fail(&self, reason: impl Into<String>) -> CompileError {
         CompileError::RoutingFailed {
-            gate_index: self.current_gate,
+            gate_index: self.current_gate as usize,
             reason: reason.into(),
         }
     }
@@ -221,8 +229,8 @@ impl<'a, R: RouteQueries> Engine<'a, R> {
     fn emit(
         &mut self,
         op: SurgeryOp,
-        patches: Vec<u32>,
-        factory: Option<usize>,
+        patches: Patches,
+        factory: Option<u32>,
         extra_dep: Ticks,
     ) -> Ticks {
         debug_assert!(op.validate().is_ok(), "emitting invalid op {op}");
@@ -231,9 +239,8 @@ impl<'a, R: RouteQueries> Engine<'a, R> {
             .map(|&q| self.qubit_ready[q as usize])
             .fold(extra_dep, Ticks::max);
         let start = self.timeline.earliest_start(&op, dep);
-        let duration = op.duration(&self.options.target.timing);
-        self.timeline.reserve(&op, start, duration);
-        let end = start + duration;
+        let end = start + op.duration(&self.options.target.timing);
+        self.timeline.reserve(&op, end);
         for &q in &patches {
             self.qubit_ready[q as usize] = end;
         }
@@ -246,6 +253,12 @@ impl<'a, R: RouteQueries> Engine<'a, R> {
         end
     }
 
+    /// Emits an op on qubit `q` alone, with no factory grant and no extra
+    /// dependency.
+    fn emit_on(&mut self, op: SurgeryOp, q: u32) -> Ticks {
+        self.emit(op, Patches::one(q), None, Ticks::ZERO)
+    }
+
     /// Moves the qubit occupying `from` one step to `to` (must be free).
     fn raw_move(&mut self, from: Coord, to: Coord) {
         let q = self
@@ -253,7 +266,7 @@ impl<'a, R: RouteQueries> Engine<'a, R> {
             .occupant(from)
             .unwrap_or_else(|| panic!("raw move from empty cell {from}"));
         debug_assert!(!self.occ_has(to), "raw move into occupied {to}");
-        self.emit(SurgeryOp::Move { from, to }, vec![q], None, Ticks::ZERO);
+        self.emit_on(SurgeryOp::Move { from, to }, q);
         self.occ.vacate(from);
         self.occ.place(to, q);
         self.pos[q as usize] = to;
@@ -361,7 +374,7 @@ impl<'a, R: RouteQueries> Engine<'a, R> {
         match *gate {
             Gate::X(q) | Gate::Y(q) | Gate::Z(q) => {
                 let cell = self.pos[q as usize];
-                self.emit(SurgeryOp::PauliFrame { cell }, vec![q], None, Ticks::ZERO);
+                self.emit_on(SurgeryOp::PauliFrame { cell }, q);
                 Ok(())
             }
             Gate::H(q) => self.exec_single(q, SingleQubitKind::H),
@@ -375,7 +388,7 @@ impl<'a, R: RouteQueries> Engine<'a, R> {
                 match halves.rem_euclid(4) {
                     0 | 2 => {
                         let cell = self.pos[q as usize];
-                        self.emit(SurgeryOp::PauliFrame { cell }, vec![q], None, Ticks::ZERO);
+                        self.emit_on(SurgeryOp::PauliFrame { cell }, q);
                         Ok(())
                     }
                     1 => self.exec_single(q, SingleQubitKind::S),
@@ -393,7 +406,7 @@ impl<'a, R: RouteQueries> Engine<'a, R> {
             Gate::Cnot { control, target } => self.exec_cnot(control, target),
             Gate::Measure(q) => {
                 let cell = self.pos[q as usize];
-                self.emit(SurgeryOp::MeasureZ { cell }, vec![q], None, Ticks::ZERO);
+                self.emit_on(SurgeryOp::MeasureZ { cell }, q);
                 Ok(())
             }
             Gate::Cz(_, _) | Gate::Swap(_, _) => {
@@ -407,15 +420,13 @@ impl<'a, R: RouteQueries> Engine<'a, R> {
         let cell = self.pos[q as usize];
         self.protect(&[cell]);
         let ancilla = self.acquire_ancilla(cell)?;
-        self.emit(
+        self.emit_on(
             SurgeryOp::Single {
                 kind,
                 cell,
                 ancilla,
             },
-            vec![q],
-            None,
-            Ticks::ZERO,
+            q,
         );
         self.protected.clear();
         self.no_park.clear();
@@ -446,6 +457,8 @@ impl<'a, R: RouteQueries> Engine<'a, R> {
             self.ensure_free(dest, &[tq])?;
 
             let grant = self.bank.acquire(self.qubit_ready[q as usize]);
+            // A bank docks at most `u32::MAX` factories (its count is a u32).
+            let factory = grant.factory as u32;
             let path = self
                 .router
                 .find_path(&self.occ, &self.protected, grant.port, dest)
@@ -454,18 +467,16 @@ impl<'a, R: RouteQueries> Engine<'a, R> {
             if path.cells.len() >= 2 {
                 self.emit(
                     SurgeryOp::DeliverMagic { path: path.cells },
-                    vec![],
-                    Some(grant.factory),
+                    Patches::default(),
+                    Some(factory),
                     grant.available,
                 );
-                self.emit(
+                self.emit_on(
                     SurgeryOp::ConsumeMagic {
                         target: tq,
                         magic: dest,
                     },
-                    vec![q],
-                    None,
-                    Ticks::ZERO,
+                    q,
                 );
             } else {
                 // The factory port *is* the delivery cell: the state appears
@@ -475,8 +486,8 @@ impl<'a, R: RouteQueries> Engine<'a, R> {
                         target: tq,
                         magic: dest,
                     },
-                    vec![q],
-                    Some(grant.factory),
+                    Patches::one(q),
+                    Some(factory),
                     grant.available,
                 );
             }
@@ -594,7 +605,7 @@ impl<'a, R: RouteQueries> Engine<'a, R> {
                 target: tp,
                 ancilla,
             },
-            vec![control, target],
+            Patches::two(control, target),
             None,
             Ticks::ZERO,
         );
@@ -727,7 +738,7 @@ mod tests {
             .iter()
             .find(|o| matches!(o.op, SurgeryOp::ConsumeMagic { .. }))
             .expect("consumption emitted");
-        assert_eq!(consume.patches, vec![0]);
+        assert_eq!(*consume.patches, [0]);
         // Delivery ends at the consume's magic cell.
         if let (SurgeryOp::DeliverMagic { path }, SurgeryOp::ConsumeMagic { magic, .. }) =
             (&deliver.op, &consume.op)
@@ -842,7 +853,7 @@ mod tests {
             c.t(q);
         }
         let (ops, _) = run_engine(&c, 4, 2);
-        let mut used: Vec<usize> = ops.iter().filter_map(|o| o.factory).collect();
+        let mut used: Vec<u32> = ops.iter().filter_map(|o| o.factory).collect();
         used.sort_unstable();
         used.dedup();
         assert_eq!(used, vec![0, 1], "both factories used");

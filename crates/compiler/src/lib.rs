@@ -85,14 +85,14 @@ pub use metrics::Metrics;
 pub use options::{CompilerOptions, TStatePolicy};
 pub use pipeline::{lower, prepare, CompiledProgram, Compiler};
 pub use redundant::eliminate_redundant_moves;
-pub use routed::RoutedOp;
+pub use routed::{Patches, RoutedOp};
 pub use semantics::{check_semantics, EquivalenceMethod, SemanticsError, SemanticsReport};
 pub use session::{
     stage_outcome, CompileSession, Lowered, Mapped, Prepared, Stage, StageCache, StageCacheStats,
     StageEvent, StageRun, StageTrace, TraceHook, DEFAULT_STAGE_CACHE_CAPACITY,
 };
 pub use targets::{apply_job_target, resolve_target_ref};
-pub use timer::{time_ops, CostKind, Timer};
+pub use timer::{time_ops, CostKind};
 pub use trace::{activity_strip, kind_breakdown, Activity, KindBreakdown};
 pub use verify::{verify, VerifyError};
 pub use witness::{extract_witness, verify_witness, Witness, WitnessError, WITNESS_VERSION};

@@ -101,6 +101,7 @@ fn move_parts(op: &RoutedOp) -> Option<(u32, ftqc_arch::Coord, ftqc_arch::Coord)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::routed::Patches;
     use ftqc_arch::Coord;
 
     fn mv(q: u32, from: (i32, i32), to: (i32, i32)) -> RoutedOp {
@@ -119,7 +120,7 @@ mod tests {
             SurgeryOp::MeasureZ {
                 cell: Coord::new(cell.0, cell.1),
             },
-            vec![q],
+            Patches::one(q),
             0,
         )
     }
@@ -195,7 +196,7 @@ mod tests {
             op: SurgeryOp::DeliverMagic {
                 path: vec![Coord::new(0, 1), Coord::new(1, 1)],
             },
-            patches: vec![],
+            patches: Patches::default(),
             factory: Some(0),
             gate: None,
         };

@@ -302,11 +302,11 @@ fn replay(program: &CompiledProgram) -> Result<Replayed, SemanticsError> {
     let mut moves = 0usize;
     let mut magic = 0usize;
 
-    for (index, item) in program.schedule().items().iter().enumerate() {
-        let routed = &item.op;
-        let gate_idx = routed.gate;
+    for (index, routed) in program.schedule().ops().iter().enumerate() {
         let require_gate = || {
-            gate_idx
+            routed
+                .gate
+                .map(|g| g as usize)
                 .filter(|&g| g < lowered.len())
                 .ok_or(SemanticsError::Untagged { index })
         };

@@ -795,8 +795,8 @@ impl Mapped {
         stage_key(Stage::Schedule, self.key, self.session.sched_opts_fp)
     }
 
-    /// Runs the schedule stage: redundant-move elimination, the two timing
-    /// replays, and metrics assembly.
+    /// Runs the schedule stage: redundant-move elimination, the paired
+    /// realistic and unit-cost timing replay, and metrics assembly.
     ///
     /// # Errors
     ///
@@ -917,7 +917,8 @@ impl Mapped {
 
 /// The schedule stage's computation, a pure function of the routed ops
 /// (`ops`, `mapped`'s own or a copy of them) and the schedule-stage option
-/// subset.
+/// subset. `ops` becomes the schedule's op array as it is, after
+/// redundant-move elimination.
 fn compute_schedule(
     mut ops: Vec<RoutedOp>,
     mapped: &MappedArt,

@@ -100,7 +100,7 @@ pub fn to_svg(program: &CompiledProgram) -> String {
     }
 
     // Bars.
-    for item in program.schedule().items() {
+    for item in program.schedule() {
         let start = item.start.as_d();
         let dur = item.duration.as_d();
         let w = (CHART_WIDTH * dur / makespan_d).max(1.0);
@@ -115,8 +115,8 @@ pub fn to_svg(program: &CompiledProgram) -> String {
             );
         };
         if let (SurgeryOp::DeliverMagic { .. }, Some(f)) = (&item.op.op, item.op.factory) {
-            if f < n_factories {
-                draw(n + f);
+            if (f as usize) < n_factories {
+                draw(n + f as usize);
             }
             continue;
         }

@@ -4,16 +4,21 @@
 //!
 //! A compilation times its ops under two duration tables: realistic
 //! latencies (Fig 7) for the *execution time*, and 1d per operation for
-//! the paper's *unit cost execution time* (Fig 8). [`time_schedule`] runs
-//! both replays in one pass over the ops; only the realistic one is kept
-//! as a schedule, the unit-cost one is read for its makespan. Magic
-//! production keeps its real latency in both — the unit-cost metric
-//! isolates operation-latency effects while the distillation bottleneck
-//! stays, which is exactly what makes it comparable to the lower bound.
+//! the paper's *unit cost execution time* (Fig 8). One replay advances
+//! both clocks together: every cell, qubit and factory keeps a
+//! `[realistic, unit-cost]` pair of instants, so the replay walks an op's
+//! cells once to find both starts and once to reserve both ends. The cell
+//! clocks live in the same [`ResourceTimeline`] the routing engine uses,
+//! with a paired per-cell clock. [`time_schedule`] keeps the realistic
+//! half as the schedule and the unit-cost half's makespan; [`time_ops`]
+//! returns either half as a schedule. Magic production keeps its real
+//! latency on both clocks — the unit-cost metric isolates operation-latency
+//! effects while the distillation bottleneck stays, which is exactly what
+//! makes it comparable to the lower bound.
 
 use crate::routed::RoutedOp;
 use ftqc_arch::{Grid, Ticks, TimingModel};
-use ftqc_sim::{ResourceTimeline, Schedule};
+use ftqc_sim::{Clock, ResourceTimeline, Schedule};
 use serde::{Deserialize, Serialize};
 
 /// Which duration table a replay uses.
@@ -25,152 +30,119 @@ pub enum CostKind {
     UnitCost,
 }
 
-/// The timing replay's complete mutable state, one op at a time.
-///
-/// [`time_schedule`] and [`time_ops`] drive it front to back.
-#[derive(Debug, Clone)]
-pub struct Timer {
-    timing: TimingModel,
-    cost: CostKind,
-    unbounded_magic: bool,
-    timeline: ResourceTimeline,
-    qubit_ready: Vec<Ticks>,
-    factory_ready: Vec<Ticks>,
-}
-
-impl Timer {
-    /// A fresh replay state for ops on `grid` (the layout's grid, which
-    /// sizes the per-cell timeline slab): every cell free, every qubit
-    /// ready at 0, the first state of every factory completing at
-    /// `magic_production`.
-    pub fn new(
-        grid: &Grid,
-        num_qubits: u32,
-        num_factories: usize,
-        timing: &TimingModel,
-        cost: CostKind,
-        unbounded_magic: bool,
-    ) -> Self {
-        let timeline = ResourceTimeline::new(grid.rows(), grid.cols());
-        Self::with_timeline(
-            timeline,
-            num_qubits,
-            num_factories,
-            timing,
-            cost,
-            unbounded_magic,
-        )
-    }
-
-    fn with_timeline(
-        timeline: ResourceTimeline,
-        num_qubits: u32,
-        num_factories: usize,
-        timing: &TimingModel,
-        cost: CostKind,
-        unbounded_magic: bool,
-    ) -> Self {
-        Timer {
-            timing: *timing,
-            cost,
-            unbounded_magic,
-            timeline,
-            qubit_ready: vec![Ticks::ZERO; num_qubits as usize],
-            factory_ready: vec![timing.magic_production; num_factories.max(1)],
+impl CostKind {
+    /// This table's half of a paired `[realistic, unit-cost]` clock.
+    fn half(self) -> usize {
+        match self {
+            CostKind::Realistic => 0,
+            CostKind::UnitCost => 1,
         }
     }
+}
 
-    /// Times the next op, advancing the replay state; returns its assigned
-    /// `(start, duration)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the op names a patch at or past the timer's qubit count
-    /// (the witness checker rejects such ops before re-timing).
-    pub fn push(&mut self, routed: &RoutedOp) -> (Ticks, Ticks) {
-        let dep_ready = routed
-            .patches
-            .iter()
-            .map(|&q| self.qubit_ready[q as usize])
-            .fold(Ticks::ZERO, Ticks::max);
-        let mut start = self.timeline.earliest_start(&routed.op, dep_ready);
+/// Replays `ops` in order under both duration tables at once, on
+/// `timeline`'s paired cell clocks, and calls `timed` with each op's
+/// `[realistic, unit-cost]` start and duration.
+///
+/// Each op starts at the earliest instant at which (a) every grid cell it
+/// touches is free, (b) every program qubit it involves is ready, and
+/// (c) — for an op carrying a factory grant — its factory has a state
+/// available. The first state of every factory completes at
+/// `magic_production`, and each grant restarts that factory's production
+/// at the grant instant; a factory index past the last one times as the
+/// last. `unbounded_magic` makes states always available (the DASCOT
+/// supply assumption).
+///
+/// # Panics
+///
+/// Panics if an op names a patch at or past `num_qubits` (the witness
+/// checker rejects such ops before re-timing).
+fn replay(
+    ops: &[RoutedOp],
+    mut timeline: ResourceTimeline<[Ticks; 2]>,
+    num_qubits: u32,
+    num_factories: usize,
+    timing: &TimingModel,
+    unbounded_magic: bool,
+    mut timed: impl FnMut([Ticks; 2], [Ticks; 2]),
+) {
+    let mut qubit_ready = vec![[Ticks::ZERO; 2]; num_qubits as usize];
+    let mut factory_ready = vec![[timing.magic_production; 2]; num_factories.max(1)];
+    let last_factory = factory_ready.len() - 1;
+    for routed in ops {
+        let dep_ready = routed.patches.iter().fold([Ticks::ZERO; 2], |ready, &q| {
+            ready.later(qubit_ready[q as usize])
+        });
+        let mut start = timeline.earliest_start(&routed.op, dep_ready);
 
         // Any op carrying a factory grant (normally the delivery; the
         // consumption directly when the port is adjacent to the consumer)
-        // waits for that factory's next state.
-        if let Some(f) = routed.factory {
-            let f = f.min(self.factory_ready.len() - 1);
-            if !self.unbounded_magic {
-                let available = self.factory_ready[f].max(start);
-                self.factory_ready[f] = available + self.timing.magic_production;
-                start = available;
+        // waits, on each clock, for that factory's next state.
+        if let Some(f) = routed.factory.filter(|_| !unbounded_magic) {
+            let ready = &mut factory_ready[(f as usize).min(last_factory)];
+            for (ready, start) in ready.iter_mut().zip(&mut start) {
+                *start = (*ready).max(*start);
+                *ready = *start + timing.magic_production;
             }
         }
 
-        let duration = match self.cost {
-            CostKind::Realistic => routed.op.duration(&self.timing),
-            CostKind::UnitCost => routed.op.unit_duration(&self.timing),
-        };
-        self.timeline.reserve(&routed.op, start, duration);
+        let duration = [routed.op.duration(timing), routed.op.unit_duration(timing)];
+        let end = [start[0] + duration[0], start[1] + duration[1]];
+        timeline.reserve(&routed.op, end);
         for &q in &routed.patches {
-            self.qubit_ready[q as usize] = start + duration;
+            qubit_ready[q as usize] = end;
         }
-        (start, duration)
+        timed(start, duration);
     }
 }
 
 /// The schedule stage's replay: times `ops` on `grid` with realistic
-/// latencies and, in the same pass, with unit costs. Each op moves into
-/// the returned realistic [`Schedule`] (its makespan is the execution
-/// time); the unit-cost replay keeps only its makespan, the second value.
+/// latencies and unit costs in one pass. The ops move, uncopied, into the
+/// returned realistic [`Schedule`] (its makespan is the execution time),
+/// next to one pre-sized `(start, duration)` array; the unit-cost replay
+/// keeps only its makespan, the second value.
 ///
-/// Both replays follow [`time_ops`]'s rules, so the pair equals a
-/// [`CostKind::Realistic`] and a [`CostKind::UnitCost`] `time_ops` over
-/// the same ops.
+/// The pair equals a [`CostKind::Realistic`] and a [`CostKind::UnitCost`]
+/// [`time_ops`] over the same ops.
+///
+/// # Panics
+///
+/// Panics if an op names a patch at or past `num_qubits`.
 pub fn time_schedule(
-    ops: impl IntoIterator<Item = RoutedOp>,
+    ops: Vec<RoutedOp>,
     grid: &Grid,
     num_qubits: u32,
     num_factories: usize,
     timing: &TimingModel,
     unbounded_magic: bool,
 ) -> (Schedule<RoutedOp>, Ticks) {
-    let timer = |cost| {
-        Timer::new(
-            grid,
-            num_qubits,
-            num_factories,
-            timing,
-            cost,
-            unbounded_magic,
-        )
-    };
-    let (mut realistic, mut unit) = (timer(CostKind::Realistic), timer(CostKind::UnitCost));
-    let mut schedule = Schedule::new();
+    let mut times = Vec::with_capacity(ops.len());
     let mut unit_makespan = Ticks::ZERO;
-    for routed in ops {
-        let (start, duration) = unit.push(&routed);
-        unit_makespan = unit_makespan.max(start + duration);
-        let (start, duration) = realistic.push(&routed);
-        schedule.push(routed, start, duration);
-    }
-    (schedule, unit_makespan)
+    replay(
+        &ops,
+        ResourceTimeline::new(grid.rows(), grid.cols()),
+        num_qubits,
+        num_factories,
+        timing,
+        unbounded_magic,
+        |[real, unit], [real_duration, unit_duration]| {
+            times.push((real, real_duration));
+            unit_makespan = unit_makespan.max(unit + unit_duration);
+        },
+    );
+    (Schedule::from_parts(ops, times), unit_makespan)
 }
 
-/// Replays `ops` in order, assigning each operation the earliest start at
-/// which (a) every grid cell it touches is free, (b) every program qubit it
-/// involves is ready, and (c) — for magic deliveries — its factory has a
-/// state available.
+/// Times a copy of `ops` under one duration table: the replay of
+/// [`time_schedule`], returning the `cost` half as a schedule (its
+/// makespan is the execution time under that table).
 ///
-/// Factory production is modelled per factory index recorded in the ops:
-/// the first state of a factory completes at `production`, and each grant
-/// restarts production at the grant instant. `unbounded_magic` makes states
-/// always available (the DASCOT supply assumption).
+/// This entry point has no grid, so every cell times through the
+/// timeline's overflow map.
 ///
-/// Returns the timed schedule; its makespan is the execution time. The
-/// compiler's schedule stage uses [`time_schedule`], which sizes its
-/// timeline slab from the layout's grid; this entry point has no grid, so
-/// every cell times through the timeline's overflow map.
+/// # Panics
+///
+/// Panics if an op names a patch at or past `num_qubits`.
 pub fn time_ops(
     ops: &[RoutedOp],
     num_qubits: u32,
@@ -179,26 +151,27 @@ pub fn time_ops(
     cost: CostKind,
     unbounded_magic: bool,
 ) -> Schedule<RoutedOp> {
-    let mut timer = Timer::with_timeline(
+    let half = cost.half();
+    let mut times = Vec::with_capacity(ops.len());
+    replay(
+        ops,
         ResourceTimeline::new(0, 0),
         num_qubits,
         num_factories,
         timing,
-        cost,
         unbounded_magic,
+        |start, duration| times.push((start[half], duration[half])),
     );
-    let mut schedule = Schedule::new();
-    for routed in ops {
-        let (start, duration) = timer.push(routed);
-        schedule.push(routed.clone(), start, duration);
-    }
-    schedule
+    Schedule::from_parts(ops.to_vec(), times)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftqc_arch::{CellKind, Coord, SurgeryOp};
+    use crate::routed::Patches;
+    use ftqc_arch::{CellKind, Coord, SingleQubitKind, SurgeryOp};
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn mv(from: (i32, i32), to: (i32, i32), q: u32) -> RoutedOp {
         RoutedOp::movement(
@@ -211,49 +184,47 @@ mod tests {
         )
     }
 
+    fn starts(s: &Schedule<RoutedOp>) -> Vec<Ticks> {
+        s.iter().map(|item| item.start).collect()
+    }
+
+    fn realistic(
+        ops: &[RoutedOp],
+        qubits: u32,
+        factories: usize,
+        unbounded: bool,
+    ) -> Schedule<RoutedOp> {
+        time_ops(
+            ops,
+            qubits,
+            factories,
+            &TimingModel::paper(),
+            CostKind::Realistic,
+            unbounded,
+        )
+    }
+
     #[test]
     fn disjoint_ops_run_in_parallel() {
         let ops = vec![mv((0, 0), (0, 1), 0), mv((5, 5), (5, 6), 1)];
-        let s = time_ops(
-            &ops,
-            2,
-            1,
-            &TimingModel::paper(),
-            CostKind::Realistic,
-            false,
-        );
-        assert_eq!(s.items()[0].start, Ticks::ZERO);
-        assert_eq!(s.items()[1].start, Ticks::ZERO);
+        let s = realistic(&ops, 2, 1, false);
+        assert_eq!(starts(&s), [Ticks::ZERO, Ticks::ZERO]);
         assert_eq!(s.makespan(), Ticks::from_d(1.0));
     }
 
     #[test]
     fn shared_cell_serialises() {
         let ops = vec![mv((0, 0), (0, 1), 0), mv((0, 1), (0, 2), 1)];
-        let s = time_ops(
-            &ops,
-            2,
-            1,
-            &TimingModel::paper(),
-            CostKind::Realistic,
-            false,
-        );
-        assert_eq!(s.items()[1].start, Ticks::from_d(1.0));
+        let s = realistic(&ops, 2, 1, false);
+        assert_eq!(starts(&s)[1], Ticks::from_d(1.0));
     }
 
     #[test]
     fn qubit_dependency_serialises() {
         // Same qubit moving twice through disjoint cells still serialises.
         let ops = vec![mv((0, 0), (0, 1), 0), mv((5, 5), (5, 6), 0)];
-        let s = time_ops(
-            &ops,
-            1,
-            1,
-            &TimingModel::paper(),
-            CostKind::Realistic,
-            false,
-        );
-        assert_eq!(s.items()[1].start, Ticks::from_d(1.0));
+        let s = realistic(&ops, 1, 1, false);
+        assert_eq!(starts(&s)[1], Ticks::from_d(1.0));
     }
 
     #[test]
@@ -262,53 +233,32 @@ mod tests {
             op: SurgeryOp::DeliverMagic {
                 path: vec![Coord::new(0, 0), Coord::new(0, 1)],
             },
-            patches: vec![],
+            patches: Patches::default(),
             factory: Some(0),
             gate: Some(0),
         };
-        let s = time_ops(
-            std::slice::from_ref(&deliver),
-            1,
-            1,
-            &TimingModel::paper(),
-            CostKind::Realistic,
-            false,
-        );
-        assert_eq!(s.items()[0].start, Ticks::from_d(11.0));
+        let s = realistic(std::slice::from_ref(&deliver), 1, 1, false);
+        assert_eq!(starts(&s), [Ticks::from_d(11.0)]);
 
         // Unbounded supply starts immediately.
-        let s = time_ops(
-            std::slice::from_ref(&deliver),
-            1,
-            1,
-            &TimingModel::paper(),
-            CostKind::Realistic,
-            true,
-        );
-        assert_eq!(s.items()[0].start, Ticks::ZERO);
+        let s = realistic(std::slice::from_ref(&deliver), 1, 1, true);
+        assert_eq!(starts(&s), [Ticks::ZERO]);
     }
 
     #[test]
     fn per_factory_production_pipelines() {
-        let d = |f: usize, col: i32| RoutedOp {
+        let d = |f: u32, col: i32| RoutedOp {
             op: SurgeryOp::DeliverMagic {
                 path: vec![Coord::new(0, col), Coord::new(1, col)],
             },
-            patches: vec![],
+            patches: Patches::default(),
             factory: Some(f),
             gate: None,
         };
         // Two factories, four deliveries on disjoint paths.
         let ops = vec![d(0, 0), d(1, 2), d(0, 4), d(1, 6)];
-        let s = time_ops(
-            &ops,
-            1,
-            2,
-            &TimingModel::paper(),
-            CostKind::Realistic,
-            false,
-        );
-        let starts: Vec<f64> = s.items().iter().map(|x| x.start.as_d()).collect();
+        let s = realistic(&ops, 1, 2, false);
+        let starts: Vec<f64> = starts(&s).iter().map(|t| t.as_d()).collect();
         assert_eq!(starts, vec![11.0, 11.0, 22.0, 22.0]);
     }
 
@@ -321,18 +271,18 @@ mod tests {
                 op: SurgeryOp::DeliverMagic {
                     path: vec![Coord::new(0, 0), Coord::new(0, 1)],
                 },
-                patches: vec![],
+                patches: Patches::default(),
                 factory: Some(0),
                 gate: Some(0),
             },
             mv((0, 1), (0, 2), 0),
             RoutedOp::gate_op(
                 SurgeryOp::Single {
-                    kind: ftqc_arch::SingleQubitKind::H,
+                    kind: SingleQubitKind::H,
                     cell: Coord::new(0, 2),
                     ancilla: Coord::new(1, 2),
                 },
-                vec![0],
+                Patches::one(0),
                 1,
             ),
             mv((3, 3), (3, 4), 1),
@@ -346,6 +296,17 @@ mod tests {
                 time_schedule(ops.clone(), &grid, 2, 1, &timing, unbounded);
             assert_eq!(schedule, real);
             assert_eq!(unit_makespan, unit.makespan());
+            for cost in [CostKind::Realistic, CostKind::UnitCost] {
+                let timed = if cost == CostKind::Realistic {
+                    &real
+                } else {
+                    &unit
+                };
+                assert_eq!(
+                    times(timed),
+                    naive_replay(&ops, 2, 1, &timing, cost, unbounded)
+                );
+            }
         }
     }
 
@@ -353,23 +314,182 @@ mod tests {
     fn unit_cost_flattens_latencies() {
         let h = RoutedOp::gate_op(
             SurgeryOp::Single {
-                kind: ftqc_arch::SingleQubitKind::H,
+                kind: SingleQubitKind::H,
                 cell: Coord::new(0, 0),
                 ancilla: Coord::new(0, 1),
             },
-            vec![0],
+            Patches::one(0),
             0,
         );
-        let real = time_ops(
-            std::slice::from_ref(&h),
-            1,
-            1,
-            &TimingModel::paper(),
-            CostKind::Realistic,
-            false,
-        );
+        let real = realistic(std::slice::from_ref(&h), 1, 1, false);
         let unit = time_ops(&[h], 1, 1, &TimingModel::paper(), CostKind::UnitCost, false);
         assert_eq!(real.makespan(), Ticks::from_d(3.0));
         assert_eq!(unit.makespan(), Ticks::from_d(1.0));
+    }
+
+    /// Every `(start, duration)` of a schedule, in order.
+    fn times(s: &Schedule<RoutedOp>) -> Vec<(Ticks, Ticks)> {
+        s.iter().map(|item| (item.start, item.duration)).collect()
+    }
+
+    /// The replay's rules restated as plainly as possible, one cost table
+    /// at a time, with every cell's busy-until instant in a `HashMap`: the
+    /// reference `replay` is checked against.
+    fn naive_replay(
+        ops: &[RoutedOp],
+        num_qubits: u32,
+        num_factories: usize,
+        timing: &TimingModel,
+        cost: CostKind,
+        unbounded_magic: bool,
+    ) -> Vec<(Ticks, Ticks)> {
+        let mut cell_free: HashMap<Coord, Ticks> = HashMap::new();
+        let mut qubit_ready = vec![Ticks::ZERO; num_qubits as usize];
+        let mut factory_ready = vec![timing.magic_production; num_factories.max(1)];
+        let mut out = Vec::new();
+        for routed in ops {
+            let cells = routed.op.cells();
+            let mut start = Ticks::ZERO;
+            for q in routed.patches.iter() {
+                start = start.max(qubit_ready[*q as usize]);
+            }
+            for c in &cells {
+                start = start.max(cell_free.get(c).copied().unwrap_or(Ticks::ZERO));
+            }
+            if let (Some(f), false) = (routed.factory, unbounded_magic) {
+                let f = (f as usize).min(factory_ready.len() - 1);
+                start = start.max(factory_ready[f]);
+                factory_ready[f] = start + timing.magic_production;
+            }
+            let duration = match cost {
+                CostKind::Realistic => routed.op.duration(timing),
+                CostKind::UnitCost => routed.op.unit_duration(timing),
+            };
+            let end = start + duration;
+            for c in cells {
+                let free = cell_free.entry(c).or_insert(Ticks::ZERO);
+                *free = (*free).max(end);
+            }
+            for q in routed.patches.iter() {
+                qubit_ready[*q as usize] = end;
+            }
+            out.push((start, duration));
+        }
+        out
+    }
+
+    /// Qubits of the random op sequences.
+    const QUBITS: u32 = 4;
+
+    /// One random op from `(kind, row, col, qubit, other qubit, factory)`.
+    /// Cells fall on a 6 × 6 window from (-2, -2), so ops share cells, and
+    /// some lie off the 3 × 3 grid or at negative coordinates. Factory
+    /// indices reach past every bank the test docks, so some clamp.
+    fn random_op((kind, row, col, q, other, factory): (u8, i32, i32, u32, u32, u32)) -> RoutedOp {
+        let at = |dr: i32, dc: i32| Coord::new(row + dr, col + dc);
+        let (op, patches, factory) = match kind {
+            0 => (
+                SurgeryOp::Move {
+                    from: at(0, 0),
+                    to: at(0, 1),
+                },
+                Patches::one(q),
+                None,
+            ),
+            1 => (
+                SurgeryOp::DeliverMagic {
+                    path: vec![at(0, 0), at(1, 0), at(1, 1)],
+                },
+                Patches::default(),
+                Some(factory),
+            ),
+            2 => (
+                SurgeryOp::Cnot {
+                    control: at(0, 0),
+                    target: at(1, 1),
+                    ancilla: at(0, 1),
+                },
+                Patches::two(q, (q + 1 + other % (QUBITS - 1)) % QUBITS),
+                None,
+            ),
+            3 => (
+                SurgeryOp::Single {
+                    kind: if other % 2 == 0 {
+                        SingleQubitKind::H
+                    } else {
+                        SingleQubitKind::S
+                    },
+                    cell: at(0, 0),
+                    ancilla: at(1, 0),
+                },
+                Patches::one(q),
+                None,
+            ),
+            4 => (
+                SurgeryOp::ConsumeMagic {
+                    target: at(0, 0),
+                    magic: at(1, 0),
+                },
+                Patches::one(q),
+                (other % 2 == 0).then_some(factory),
+            ),
+            5 => (
+                SurgeryOp::PauliFrame { cell: at(0, 0) },
+                Patches::one(q),
+                None,
+            ),
+            _ => (
+                SurgeryOp::MeasureZ { cell: at(0, 0) },
+                Patches::one(q),
+                None,
+            ),
+        };
+        RoutedOp {
+            op,
+            patches,
+            factory,
+            gate: None,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `time_ops` under each cost table, and `time_schedule`'s pair,
+        /// equal the naive one-table replay on random op sequences.
+        #[test]
+        fn replays_match_a_naive_reference(
+            specs in prop::collection::vec(
+                (0u8..7, -2i32..4, -2i32..4, 0u32..QUBITS, 0u32..8, 0u32..4),
+                0usize..48,
+            ),
+            factories in 0usize..3,
+            unbounded in any::<bool>(),
+        ) {
+            let ops: Vec<RoutedOp> = specs.into_iter().map(random_op).collect();
+            let timing = TimingModel::paper();
+            let grid = Grid::filled(3, 3, CellKind::Bus);
+            let (schedule, unit_makespan) =
+                time_schedule(ops.clone(), &grid, QUBITS, factories, &timing, unbounded);
+            prop_assert_eq!(schedule.ops(), &ops[..]);
+            for cost in [CostKind::Realistic, CostKind::UnitCost] {
+                let expected = naive_replay(&ops, QUBITS, factories, &timing, cost, unbounded);
+                let makespan = expected
+                    .iter()
+                    .map(|&(start, duration)| start + duration)
+                    .fold(Ticks::ZERO, Ticks::max);
+                let timed = time_ops(&ops, QUBITS, factories, &timing, cost, unbounded);
+                prop_assert_eq!(timed.ops(), &ops[..]);
+                prop_assert_eq!(times(&timed), expected.clone(), "time_ops {:?}", cost);
+                prop_assert_eq!(timed.makespan(), makespan);
+                match cost {
+                    CostKind::Realistic => {
+                        prop_assert_eq!(times(&schedule), expected, "time_schedule");
+                        prop_assert_eq!(schedule.makespan(), makespan);
+                    }
+                    CostKind::UnitCost => prop_assert_eq!(unit_makespan, makespan),
+                }
+            }
+        }
     }
 }

@@ -20,7 +20,7 @@
 use crate::pipeline::CompiledProgram;
 use crate::routed::RoutedOp;
 use ftqc_arch::{Coord, Ticks, TimingModel};
-use ftqc_sim::ScheduledOp;
+use ftqc_sim::Schedule;
 use std::error::Error;
 use std::fmt;
 
@@ -126,18 +126,19 @@ impl Error for VerifyError {}
 ///
 /// Returns the first violated invariant.
 pub fn verify(program: &CompiledProgram, timing: &TimingModel) -> Result<(), VerifyError> {
-    let items = program.schedule().items();
-    verify_items(items, timing, |c| program.layout().grid().in_bounds(c))
+    verify_items(program.schedule(), timing, |c| {
+        program.layout().grid().in_bounds(c)
+    })
 }
 
-/// Core verification over raw scheduled items (exposed for tests of custom
-/// schedules).
+/// Core verification over a raw schedule (exposed for tests of custom
+/// schedules, and for the witness checker's re-timed schedule).
 ///
 /// # Errors
 ///
 /// Returns the first violated invariant.
 pub fn verify_items(
-    items: &[ScheduledOp<RoutedOp>],
+    schedule: &Schedule<RoutedOp>,
     timing: &TimingModel,
     in_bounds: impl Fn(Coord) -> bool,
 ) -> Result<(), VerifyError> {
@@ -148,7 +149,7 @@ pub fn verify_items(
     let mut cell_intervals: Vec<(Coord, u64, u64, usize)> = Vec::new();
     let mut qubit_intervals: Vec<(usize, u64, u64, usize)> = Vec::new();
     let (mut max_row, mut max_col, mut max_qubit) = (0usize, 0usize, 0usize);
-    for (i, item) in items.iter().enumerate() {
+    for (i, item) in schedule.iter().enumerate() {
         if let Err(reason) = item.op.op.validate() {
             return Err(VerifyError::InvalidPlacement { index: i, reason });
         }
@@ -207,7 +208,7 @@ pub fn verify_items(
     // own factory grant takes one from its magic cell. Distinct magic cells
     // are few (one per factory outlet), so a linear scan beats hashing.
     let mut available: Vec<(Coord, u64)> = Vec::new();
-    for (i, item) in items.iter().enumerate() {
+    for (i, item) in schedule.iter().enumerate() {
         match &item.op.op {
             ftqc_arch::SurgeryOp::DeliverMagic { path } => {
                 if let Some(&end) = path.last() {
@@ -234,9 +235,9 @@ pub fn verify_items(
 
     // 4: factory production spacing.
     let mut grants: Vec<(usize, u64)> = Vec::new();
-    for item in items {
+    for item in schedule {
         if let Some(f) = item.op.factory {
-            grants.push((f, item.start.raw()));
+            grants.push((f as usize, item.start.raw()));
         }
     }
     grants.sort_unstable();
@@ -289,22 +290,28 @@ fn bucket_overlap(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::routed::Patches;
     use crate::{Compiler, CompilerOptions};
     use ftqc_arch::SurgeryOp;
     use ftqc_circuit::Circuit;
-    use ftqc_sim::ScheduledOp;
 
-    fn scheduled(op: SurgeryOp, patches: Vec<u32>, start: f64, dur: f64) -> ScheduledOp<RoutedOp> {
-        ScheduledOp {
-            op: RoutedOp {
-                op,
-                patches,
-                factory: None,
-                gate: None,
-            },
-            start: Ticks::from_d(start),
-            duration: Ticks::from_d(dur),
+    /// `(op, start, duration)` rows as a schedule.
+    fn schedule(rows: Vec<(RoutedOp, f64, f64)>) -> Schedule<RoutedOp> {
+        let mut s = Schedule::new();
+        for (op, start, dur) in rows {
+            s.push(op, Ticks::from_d(start), Ticks::from_d(dur));
         }
+        s
+    }
+
+    fn scheduled(op: SurgeryOp, qubit: u32, start: f64, dur: f64) -> (RoutedOp, f64, f64) {
+        let op = RoutedOp {
+            op,
+            patches: Patches::one(qubit),
+            factory: None,
+            gate: None,
+        };
+        (op, start, dur)
     }
 
     #[test]
@@ -322,13 +329,13 @@ mod tests {
 
     #[test]
     fn detects_resource_conflict() {
-        let items = vec![
+        let items = schedule(vec![
             scheduled(
                 SurgeryOp::Move {
                     from: Coord::new(0, 0),
                     to: Coord::new(0, 1),
                 },
-                vec![0],
+                0,
                 0.0,
                 1.0,
             ),
@@ -337,23 +344,23 @@ mod tests {
                     from: Coord::new(0, 1),
                     to: Coord::new(0, 2),
                 },
-                vec![1],
+                1,
                 0.5,
                 1.0,
             ),
-        ];
+        ]);
         let err = verify_items(&items, &TimingModel::paper(), |_| true).unwrap_err();
         assert!(matches!(err, VerifyError::ResourceConflict { .. }));
     }
 
     #[test]
     fn detects_qubit_overlap() {
-        let items = vec![
+        let items = schedule(vec![
             scheduled(
                 SurgeryOp::MeasureZ {
                     cell: Coord::new(0, 0),
                 },
-                vec![7],
+                7,
                 0.0,
                 1.0,
             ),
@@ -361,45 +368,44 @@ mod tests {
                 SurgeryOp::MeasureZ {
                     cell: Coord::new(5, 5),
                 },
-                vec![7],
+                7,
                 0.5,
                 1.0,
             ),
-        ];
+        ]);
         let err = verify_items(&items, &TimingModel::paper(), |_| true).unwrap_err();
         assert!(matches!(err, VerifyError::QubitOverlap { qubit: 7, .. }));
     }
 
     #[test]
     fn detects_invalid_placement() {
-        let items = vec![scheduled(
+        let items = schedule(vec![scheduled(
             SurgeryOp::MergeZz {
                 a: Coord::new(0, 0),
                 b: Coord::new(0, 1), // horizontal: illegal for M_ZZ
             },
-            vec![0],
+            0,
             0.0,
             1.0,
-        )];
+        )]);
         let err = verify_items(&items, &TimingModel::paper(), |_| true).unwrap_err();
         assert!(matches!(err, VerifyError::InvalidPlacement { .. }));
     }
 
     #[test]
     fn detects_factory_overrun() {
-        let mk = |start: f64, col: i32| ScheduledOp {
-            op: RoutedOp {
+        let mk = |start: f64, col: i32| {
+            let op = RoutedOp {
                 op: SurgeryOp::DeliverMagic {
                     path: vec![Coord::new(0, col), Coord::new(1, col)],
                 },
-                patches: vec![],
+                patches: Patches::default(),
                 factory: Some(0),
                 gate: None,
-            },
-            start: Ticks::from_d(start),
-            duration: Ticks::from_d(1.0),
+            };
+            (op, start, 1.0)
         };
-        let items = vec![mk(0.0, 0), mk(5.0, 3)]; // 5d apart < 11d
+        let items = schedule(vec![mk(0.0, 0), mk(5.0, 3)]); // 5d apart < 11d
         let err = verify_items(&items, &TimingModel::paper(), |_| true).unwrap_err();
         assert!(matches!(
             err,
@@ -409,14 +415,14 @@ mod tests {
 
     #[test]
     fn detects_off_grid() {
-        let items = vec![scheduled(
+        let items = schedule(vec![scheduled(
             SurgeryOp::MeasureZ {
                 cell: Coord::new(99, 99),
             },
-            vec![0],
+            0,
             0.0,
             1.0,
-        )];
+        )]);
         let err =
             verify_items(&items, &TimingModel::paper(), |c| c.row < 10 && c.col < 10).unwrap_err();
         assert!(matches!(err, VerifyError::OffGrid { .. }));

@@ -31,7 +31,7 @@ use crate::error::CompileError;
 use crate::metrics::{lower_bound, Metrics};
 use crate::options::CompilerOptions;
 use crate::pipeline::CompiledProgram;
-use crate::routed::RoutedOp;
+use crate::routed::{Patches, RoutedOp};
 use crate::session::{CompileSession, StageCache};
 use crate::timer::time_schedule;
 use crate::verify::{verify_items, VerifyError};
@@ -176,12 +176,7 @@ pub fn extract_witness(
     Ok(Witness {
         stage_keys: session.stage_keys(circuit)?,
         target_digest: target_digest(&session.options().target),
-        ops: program
-            .schedule()
-            .items()
-            .iter()
-            .map(|item| item.op.clone())
-            .collect(),
+        ops: program.schedule().ops().to_vec(),
     })
 }
 
@@ -259,10 +254,10 @@ fn check_hardware(
                 cell,
             }));
         }
-        if let Some(factory) = routed.factory.filter(|&f| f >= factories) {
+        if let Some(factory) = routed.factory.filter(|&f| f as usize >= factories) {
             return Err(WitnessError::UnknownFactory {
                 index,
-                factory,
+                factory: factory as usize,
                 factories,
             });
         }
@@ -346,14 +341,14 @@ pub fn verify_witness(
     // makespans are reproduced bit-for-bit.
     let timing = options.effective_schedule_timing();
     let (schedule, unit_makespan) = time_schedule(
-        witness.ops.iter().cloned(),
+        witness.ops.clone(),
         layout.grid(),
         num_qubits,
         options.target.factories as usize,
         timing,
         options.target.unbounded_magic,
     );
-    verify_items(schedule.items(), timing, |c| layout.grid().in_bounds(c))
+    verify_items(&schedule, timing, |c| layout.grid().in_bounds(c))
         .map_err(WitnessError::Invariant)?;
 
     // 5. Metrics re-assembly — the schedule stage's recipe, with the two
@@ -396,7 +391,9 @@ pub fn verify_witness(
 //
 // Compact encoding: coordinates as two-element arrays, op fields flattened
 // next to a "k" kind tag (the names `to_csv` uses), routed-op extras under
-// short keys ("q" patches, "f" factory, "g" gate) omitted when empty.
+// short keys ("q" patches, "f" factory, "g" gate) omitted when empty. The
+// decoder refuses what a `RoutedOp` cannot hold: more than two patches, or
+// a patch, factory or gate index past `u32::MAX`.
 // Fingerprints travel as hex strings — a u64 does not survive an f64.
 
 fn num(v: u64) -> Value {
@@ -569,10 +566,10 @@ impl ToJson for RoutedOp {
             ));
         }
         if let Some(f) = self.factory {
-            fields.push(("f".into(), num(f as u64)));
+            fields.push(("f".into(), num(u64::from(f))));
         }
         if let Some(g) = self.gate {
-            fields.push(("g".into(), num(g as u64)));
+            fields.push(("g".into(), num(u64::from(g))));
         }
         Value::Obj(fields)
     }
@@ -580,26 +577,35 @@ impl ToJson for RoutedOp {
 
 impl FromJson for RoutedOp {
     fn from_json(value: &Value) -> Result<Self, JsonError> {
-        let patches = match value.get("q") {
-            None => Vec::new(),
-            Some(q) => q
-                .as_arr()
-                .ok_or_else(|| JsonError::schema("\"q\" must be an array"))?
-                .iter()
-                .map(|v| {
-                    v.as_u64()
-                        .and_then(|n| u32::try_from(n).ok())
-                        .ok_or_else(|| JsonError::schema("\"q\" entries must be u32 qubits"))
-                })
-                .collect::<Result<_, _>>()?,
+        let qubit = |v: &Value| {
+            v.as_u64()
+                .and_then(|n| u32::try_from(n).ok())
+                .ok_or_else(|| JsonError::schema("\"q\" entries must be u32 qubits"))
         };
-        let index_of = |key: &str| -> Result<Option<usize>, JsonError> {
+        let patches = match value.get("q").map(Value::as_arr) {
+            None => Patches::default(),
+            Some(None) => return Err(JsonError::schema("\"q\" must be an array")),
+            // The length is checked before any entry is read.
+            Some(Some(entries)) => match entries {
+                [] => Patches::default(),
+                [q] => Patches::one(qubit(q)?),
+                [a, b] => Patches::two(qubit(a)?, qubit(b)?),
+                _ => {
+                    return Err(JsonError::schema(format!(
+                        "\"q\" names {} qubits; a routed op has at most 2",
+                        entries.len()
+                    )))
+                }
+            },
+        };
+        let index_of = |key: &str| -> Result<Option<u32>, JsonError> {
             match value.get(key) {
                 None => Ok(None),
                 Some(v) => v
                     .as_u64()
-                    .map(|n| Some(n as usize))
-                    .ok_or_else(|| JsonError::schema(format!("{key:?} must be an index"))),
+                    .and_then(|n| u32::try_from(n).ok())
+                    .map(Some)
+                    .ok_or_else(|| JsonError::schema(format!("{key:?} must be a u32 index"))),
             }
         };
         Ok(RoutedOp {
@@ -773,7 +779,7 @@ mod tests {
         // Caught before re-timing indexes the per-qubit clocks with it.
         let (circuit, options) = testbed();
         let (mut witness, claimed) = compile_witnessed(&circuit, &options);
-        witness.ops[0].patches = vec![4_000_000];
+        witness.ops[0].patches = Patches::one(4_000_000);
         let err = verify_witness(&circuit, &options, &witness, &claimed, None).unwrap_err();
         assert_eq!(
             err,
@@ -919,6 +925,76 @@ mod tests {
         ] {
             let v = Value::parse(text).unwrap();
             assert!(Witness::from_json(&v).is_err(), "accepted {text}");
+        }
+    }
+
+    /// Decodes one op from its JSON text.
+    fn decode_op(text: &str) -> Result<RoutedOp, JsonError> {
+        RoutedOp::from_json(&Value::parse(text).expect("well-formed JSON"))
+    }
+
+    #[test]
+    fn three_qubit_patch_list_refused() {
+        let err = decode_op(r#"{"k":"measure","cell":[0,0],"q":[0,1,2]}"#).unwrap_err();
+        assert!(err.message.contains("at most 2"), "{err}");
+        // Refused by its length, before any entry is read.
+        assert!(decode_op(r#"{"k":"measure","cell":[0,0],"q":[0,1,"x"]}"#)
+            .unwrap_err()
+            .message
+            .contains("at most 2"));
+    }
+
+    #[test]
+    fn factory_index_past_u32_refused() {
+        let err = decode_op(r#"{"k":"deliver","path":[[0,0],[0,1]],"f":4294967296}"#).unwrap_err();
+        assert_eq!(err.message, "\"f\" must be a u32 index");
+        let max = decode_op(r#"{"k":"deliver","path":[[0,0],[0,1]],"f":4294967295}"#);
+        assert_eq!(max.expect("u32::MAX decodes").factory, Some(u32::MAX));
+    }
+
+    #[test]
+    fn gate_index_past_u32_refused() {
+        let err = decode_op(r#"{"k":"measure","cell":[0,0],"g":4294967296}"#).unwrap_err();
+        assert_eq!(err.message, "\"g\" must be a u32 index");
+        let max = decode_op(r#"{"k":"measure","cell":[0,0],"g":4294967295}"#);
+        assert_eq!(max.expect("u32::MAX decodes").gate, Some(u32::MAX));
+    }
+
+    #[test]
+    fn ops_with_zero_one_and_two_patches_roundtrip() {
+        let cell = |row, col| Coord::new(row, col);
+        let ops = [
+            RoutedOp {
+                op: SurgeryOp::DeliverMagic {
+                    path: vec![cell(0, 0), cell(0, 1)],
+                },
+                patches: Patches::default(),
+                factory: Some(3),
+                gate: Some(7),
+            },
+            RoutedOp::movement(
+                SurgeryOp::Move {
+                    from: cell(1, 1),
+                    to: cell(1, 2),
+                },
+                Some(u32::MAX),
+                0,
+            ),
+            RoutedOp::gate_op(
+                SurgeryOp::Cnot {
+                    control: cell(0, 0),
+                    target: cell(1, 1),
+                    ancilla: cell(0, 1),
+                },
+                Patches::two(4, 2),
+                9,
+            ),
+        ];
+        for op in ops {
+            let text = op.to_json().render();
+            let back = decode_op(&text).expect("decodes");
+            assert_eq!(back, op, "{text}");
+            assert_eq!(back.to_json().render(), text);
         }
     }
 }

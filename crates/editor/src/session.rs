@@ -281,7 +281,7 @@ mod tests {
         assert_eq!(session.full_recompiles(), 2);
         let cold = Compiler::new(options()).compile(session.circuit()).unwrap();
         assert_eq!(program.metrics(), cold.metrics());
-        assert_eq!(program.schedule().items(), cold.schedule().items());
+        assert_eq!(program.schedule(), cold.schedule());
     }
 
     #[test]

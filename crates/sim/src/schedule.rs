@@ -3,7 +3,9 @@
 use ftqc_arch::Ticks;
 use serde::{Deserialize, Serialize};
 
-/// One operation with its assigned start time and duration.
+/// One operation with its assigned start time and duration. A
+/// [`Schedule`] stores its operations and times apart and yields
+/// `ScheduledOp<&T>` views of them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScheduledOp<T> {
     /// The operation.
@@ -21,7 +23,8 @@ impl<T> ScheduledOp<T> {
     }
 }
 
-/// An ordered collection of scheduled operations.
+/// An ordered collection of scheduled operations: the operations in issue
+/// order, and a parallel array of their `(start, duration)` pairs.
 ///
 /// # Example
 ///
@@ -33,17 +36,21 @@ impl<T> ScheduledOp<T> {
 /// s.push("h q0", Ticks::ZERO, Ticks::from_d(3.0));
 /// s.push("cnot q0 q1", Ticks::from_d(3.0), Ticks::from_d(2.0));
 /// assert_eq!(s.makespan(), Ticks::from_d(5.0));
+/// assert_eq!(s.iter().nth(1).map(|item| item.start), Some(Ticks::from_d(3.0)));
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Schedule<T> {
-    items: Vec<ScheduledOp<T>>,
+    ops: Vec<T>,
+    /// `(start, duration)` of `ops[i]` at index `i`.
+    times: Vec<(Ticks, Ticks)>,
     makespan: Ticks,
 }
 
 impl<T> Default for Schedule<T> {
     fn default() -> Self {
         Self {
-            items: Vec::new(),
+            ops: Vec::new(),
+            times: Vec::new(),
             makespan: Ticks::ZERO,
         }
     }
@@ -55,39 +62,44 @@ impl<T> Schedule<T> {
         Self::default()
     }
 
+    /// The schedule of `ops` at `times`, taking both vectors as they are.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two lengths differ.
+    pub fn from_parts(ops: Vec<T>, times: Vec<(Ticks, Ticks)>) -> Self {
+        assert_eq!(ops.len(), times.len(), "one (start, duration) per op");
+        let makespan = times
+            .iter()
+            .map(|&(start, duration)| start + duration)
+            .fold(Ticks::ZERO, Ticks::max);
+        Self {
+            ops,
+            times,
+            makespan,
+        }
+    }
+
     /// Appends an operation.
     pub fn push(&mut self, op: T, start: Ticks, duration: Ticks) {
         self.makespan = self.makespan.max(start + duration);
-        self.items.push(ScheduledOp {
-            op,
-            start,
-            duration,
-        });
+        self.ops.push(op);
+        self.times.push((start, duration));
     }
 
-    /// The scheduled operations, in issue order.
-    pub fn items(&self) -> &[ScheduledOp<T>] {
-        &self.items
+    /// The operations, in issue order, without their times.
+    pub fn ops(&self) -> &[T] {
+        &self.ops
     }
 
     /// Number of scheduled operations.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.ops.len()
     }
 
     /// Whether the schedule is empty.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Keeps the first `len` operations and drops the rest.
-    pub fn truncate(&mut self, len: usize) {
-        self.items.truncate(len);
-        self.makespan = self
-            .items
-            .iter()
-            .map(ScheduledOp::end)
-            .fold(Ticks::ZERO, Ticks::max);
+        self.ops.is_empty()
     }
 
     /// Completion time of the last-finishing operation.
@@ -95,26 +107,48 @@ impl<T> Schedule<T> {
         self.makespan
     }
 
-    /// Total busy time summed over operations (spacetime numerator when
-    /// multiplied by cells, or a utilisation diagnostic).
-    pub fn total_busy(&self) -> Ticks {
-        self.items.iter().map(|s| s.duration).sum()
-    }
-
-    /// Iterates over the scheduled operations.
-    pub fn iter(&self) -> std::slice::Iter<'_, ScheduledOp<T>> {
-        self.items.iter()
+    /// Iterates over the scheduled operations in issue order.
+    pub fn iter(&self) -> Iter<'_, T> {
+        Iter {
+            inner: self.ops.iter().zip(self.times.iter()),
+        }
     }
 }
 
 impl<'a, T> IntoIterator for &'a Schedule<T> {
-    type Item = &'a ScheduledOp<T>;
-    type IntoIter = std::slice::Iter<'a, ScheduledOp<T>>;
+    type Item = ScheduledOp<&'a T>;
+    type IntoIter = Iter<'a, T>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.items.iter()
+        self.iter()
     }
 }
+
+/// The iterator of [`Schedule::iter`].
+#[derive(Debug, Clone)]
+pub struct Iter<'a, T> {
+    inner: std::iter::Zip<std::slice::Iter<'a, T>, std::slice::Iter<'a, (Ticks, Ticks)>>,
+}
+
+impl<'a, T> Iterator for Iter<'a, T> {
+    type Item = ScheduledOp<&'a T>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        let (op, &(start, duration)) = self.inner.next()?;
+        Some(ScheduledOp {
+            op,
+            start,
+            duration,
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.inner.size_hint()
+    }
+}
+
+impl<T> ExactSizeIterator for Iter<'_, T> {}
 
 #[cfg(test)]
 mod tests {
@@ -129,7 +163,6 @@ mod tests {
         s.push(3, Ticks::from_d(5.0), Ticks::from_d(1.0));
         assert_eq!(s.makespan(), Ticks::from_d(6.0));
         assert_eq!(s.len(), 3);
-        assert_eq!(s.total_busy(), Ticks::from_d(3.5));
     }
 
     #[test]
@@ -147,8 +180,38 @@ mod tests {
         let mut s: Schedule<&str> = Schedule::new();
         s.push("a", Ticks::ZERO, Ticks::from_d(1.0));
         s.push("b", Ticks::from_d(1.0), Ticks::from_d(1.0));
-        let names: Vec<_> = s.iter().map(|x| x.op).collect();
+        let names: Vec<_> = s.iter().map(|x| *x.op).collect();
         assert_eq!(names, vec!["a", "b"]);
+        assert_eq!(s.ops(), ["a", "b"]);
+        assert_eq!(s.iter().len(), 2);
+        let last = s.iter().last().expect("two ops");
+        assert_eq!(
+            (*last.op, last.start, last.end()),
+            ("b", Ticks::from_d(1.0), Ticks::from_d(2.0))
+        );
         assert!(!s.is_empty());
+    }
+
+    #[test]
+    fn from_parts_equals_pushes() {
+        let times = vec![
+            (Ticks::ZERO, Ticks::from_d(2.0)),
+            (Ticks::from_d(1.0), Ticks::from_d(0.5)),
+        ];
+        let mut pushed = Schedule::new();
+        for (op, &(start, duration)) in [7u32, 8].into_iter().zip(&times) {
+            pushed.push(op, start, duration);
+        }
+        assert_eq!(Schedule::from_parts(vec![7, 8], times), pushed);
+        assert_eq!(
+            Schedule::<u32>::from_parts(Vec::new(), Vec::new()),
+            Schedule::new()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "one (start, duration) per op")]
+    fn from_parts_refuses_unpaired_times() {
+        let _ = Schedule::from_parts(vec![1u32, 2], vec![(Ticks::ZERO, Ticks::ZERO)]);
     }
 }

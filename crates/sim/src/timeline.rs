@@ -4,13 +4,37 @@ use ftqc_arch::{Coord, SurgeryOp, Ticks};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// Tracks, for every cell, the instant it becomes free.
+/// What a [`ResourceTimeline`] keeps per cell: one instant, or a fixed
+/// set of instants advanced together. The routing engine keeps one
+/// [`Ticks`]; the compiler's schedule stage keeps a `[Ticks; 2]` pair, one
+/// instant per duration table, so one walk over an op's cells serves both.
+pub trait Clock: Copy + Default {
+    /// The later of `self` and `other`, instant by instant.
+    fn later(self, other: Self) -> Self;
+}
+
+impl Clock for Ticks {
+    #[inline]
+    fn later(self, other: Self) -> Self {
+        self.max(other)
+    }
+}
+
+impl Clock for [Ticks; 2] {
+    #[inline]
+    fn later(self, other: Self) -> Self {
+        [self[0].max(other[0]), self[1].max(other[1])]
+    }
+}
+
+/// Tracks, for every cell, the instant it becomes free (a [`Clock`];
+/// [`Ticks`] unless stated).
 ///
 /// Cells never touched are free from time zero. The timeline is the
 /// contention model of the scheduler: two operations sharing any cell are
 /// serialised, operations on disjoint cells overlap freely.
 ///
-/// Storage is a row-major slab of busy-until instants for a `rows × cols`
+/// Storage is a row-major slab of busy-until clocks for a `rows × cols`
 /// grid anchored at the origin, so the schedulers' per-cell probes are one
 /// index each. Any other coordinate (negative, or past the grid) lives in
 /// an overflow map: it times exactly like an on-grid cell and never
@@ -28,27 +52,27 @@ use std::collections::HashMap;
 ///     to: Coord::new(0, 1),
 /// };
 /// let start = tl.earliest_start(&mv, Ticks::ZERO);
-/// tl.reserve(&mv, start, Ticks::from_d(2.0));
+/// tl.reserve(&mv, start + Ticks::from_d(2.0));
 /// assert_eq!(tl.busy_until(Coord::new(0, 0)), Ticks::from_d(2.0));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ResourceTimeline {
+pub struct ResourceTimeline<C = Ticks> {
     rows: u32,
     cols: u32,
     /// Busy-until of the on-grid cells, row-major.
-    slab: Vec<Ticks>,
+    slab: Vec<C>,
     /// Busy-until of the cells outside the slab's grid.
-    overflow: HashMap<Coord, Ticks>,
+    overflow: HashMap<Coord, C>,
 }
 
-impl ResourceTimeline {
+impl<C: Clock> ResourceTimeline<C> {
     /// An empty timeline (everything free at time zero) whose slab covers
     /// the `rows × cols` grid anchored at the origin.
     pub fn new(rows: u32, cols: u32) -> Self {
         ResourceTimeline {
             rows,
             cols,
-            slab: vec![Ticks::ZERO; rows as usize * cols as usize],
+            slab: vec![C::default(); rows as usize * cols as usize],
             overflow: HashMap::new(),
         }
     }
@@ -64,35 +88,33 @@ impl ResourceTimeline {
 
     /// When `cell` becomes free.
     #[inline]
-    pub fn busy_until(&self, cell: Coord) -> Ticks {
+    pub fn busy_until(&self, cell: Coord) -> C {
         match self.slot(cell) {
             Some(i) => self.slab[i],
-            None => self.overflow.get(&cell).copied().unwrap_or(Ticks::ZERO),
+            None => self.overflow.get(&cell).copied().unwrap_or_default(),
         }
     }
 
     /// Earliest instant ≥ `not_before` at which every cell `op` occupies
     /// is free.
-    pub fn earliest_start(&self, op: &SurgeryOp, not_before: Ticks) -> Ticks {
+    pub fn earliest_start(&self, op: &SurgeryOp, not_before: C) -> C {
         let mut start = not_before;
-        op.for_each_cell(|c| start = start.max(self.busy_until(c)));
+        op.for_each_cell(|c| start = start.later(self.busy_until(c)));
         start
     }
 
-    /// Marks every cell `op` occupies busy during `[start, start +
-    /// duration)`.
+    /// Marks every cell `op` occupies busy until `end`.
     ///
     /// Reservations are expected to be issued in non-decreasing start order
     /// per cell (the scheduler's discipline); a reservation never shortens
     /// an existing one.
-    pub fn reserve(&mut self, op: &SurgeryOp, start: Ticks, duration: Ticks) {
-        let end = start + duration;
+    pub fn reserve(&mut self, op: &SurgeryOp, end: C) {
         op.for_each_cell(|c| {
             let busy = match self.slot(c) {
                 Some(i) => &mut self.slab[i],
-                None => self.overflow.entry(c).or_insert(Ticks::ZERO),
+                None => self.overflow.entry(c).or_default(),
             };
-            *busy = (*busy).max(end);
+            *busy = busy.later(end);
         });
     }
 }
@@ -110,7 +132,7 @@ mod tests {
 
     #[test]
     fn untouched_cells_are_free() {
-        let tl = ResourceTimeline::new(3, 3);
+        let tl: ResourceTimeline = ResourceTimeline::new(3, 3);
         assert_eq!(tl.busy_until(Coord::new(1, 1)), Ticks::ZERO);
         assert_eq!(tl.busy_until(Coord::new(5, 5)), Ticks::ZERO);
     }
@@ -125,7 +147,7 @@ mod tests {
     #[test]
     fn reserve_serialises_overlapping_ops() {
         let mut tl = ResourceTimeline::new(6, 7);
-        tl.reserve(&mv((0, 0), (0, 1)), Ticks::ZERO, Ticks::from_d(2.0));
+        tl.reserve(&mv((0, 0), (0, 1)), Ticks::from_d(2.0));
         let start_b = tl.earliest_start(&mv((0, 1), (0, 2)), Ticks::ZERO);
         assert_eq!(start_b, Ticks::from_d(2.0), "shared cell (0,1) serialises");
         // Disjoint cells overlap.
@@ -141,8 +163,8 @@ mod tests {
         let op = SurgeryOp::MeasureZ {
             cell: Coord::new(1, 1),
         };
-        tl.reserve(&op, Ticks::ZERO, Ticks::from_d(5.0));
-        tl.reserve(&op, Ticks::from_d(1.0), Ticks::from_d(1.0));
+        tl.reserve(&op, Ticks::from_d(5.0));
+        tl.reserve(&op, Ticks::from_d(2.0));
         assert_eq!(tl.busy_until(Coord::new(1, 1)), Ticks::from_d(5.0));
     }
 
@@ -163,13 +185,44 @@ mod tests {
             let not_before = Ticks::from_d(i as f64);
             let start = slab.earliest_start(op, not_before);
             assert_eq!(overflow.earliest_start(op, not_before), start, "op {i}");
-            slab.reserve(op, start, Ticks::from_d(1.5));
-            overflow.reserve(op, start, Ticks::from_d(1.5));
+            slab.reserve(op, start + Ticks::from_d(1.5));
+            overflow.reserve(op, start + Ticks::from_d(1.5));
         }
         for op in &ops {
             op.for_each_cell(|c| assert_eq!(slab.busy_until(c), overflow.busy_until(c), "{c}"));
         }
         assert_eq!(slab.busy_until(Coord::new(9, 9)), Ticks::from_d(3.5));
         assert_eq!(slab.busy_until(Coord::new(-1, 0)), Ticks::from_d(4.5));
+    }
+
+    #[test]
+    fn paired_clocks_time_like_two_timelines() {
+        // Each half of a `[Ticks; 2]` timeline follows its own reservations
+        // exactly as a separate single-clock timeline would.
+        let ops = [
+            mv((0, 0), (0, 1)),
+            mv((0, 1), (1, 1)),
+            mv((-1, 0), (0, 0)),
+            mv((2, 2), (2, 3)),
+        ];
+        let durations = [(2.0, 1.0), (0.5, 1.0), (3.0, 1.0), (1.0, 0.0)];
+        let mut pair: ResourceTimeline<[Ticks; 2]> = ResourceTimeline::new(3, 3);
+        let mut single = [ResourceTimeline::new(3, 3), ResourceTimeline::new(3, 3)];
+        for (op, (a, b)) in ops.iter().zip(durations) {
+            let durations = [Ticks::from_d(a), Ticks::from_d(b)];
+            let start = pair.earliest_start(op, [Ticks::ZERO, Ticks::from_d(0.5)]);
+            for k in 0..2 {
+                let not_before = [Ticks::ZERO, Ticks::from_d(0.5)][k];
+                assert_eq!(single[k].earliest_start(op, not_before), start[k]);
+                single[k].reserve(op, start[k] + durations[k]);
+            }
+            pair.reserve(op, [start[0] + durations[0], start[1] + durations[1]]);
+        }
+        for op in &ops {
+            op.for_each_cell(|c| {
+                let [a, b] = pair.busy_until(c);
+                assert_eq!((a, b), (single[0].busy_until(c), single[1].busy_until(c)));
+            });
+        }
     }
 }

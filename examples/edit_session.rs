@@ -86,10 +86,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cold_start = Instant::now();
     let cold = Compiler::new(options).compile(session.circuit())?;
     let cold_micros = cold_start.elapsed().as_micros();
-    assert_eq!(
-        session.program().schedule().items(),
-        cold.schedule().items()
-    );
+    assert_eq!(session.program().schedule(), cold.schedule());
     assert_eq!(session.program().metrics(), cold.metrics());
     println!("contract : schedule and metrics byte-identical to a cold compile ({cold_micros}µs)");
     println!(

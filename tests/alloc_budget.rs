@@ -1,19 +1,27 @@
-//! Allocation budget of the map stage.
+//! Allocation budgets of the map and schedule stages.
 //!
-//! The map stage should allocate only what it emits: one patch list per
-//! routed op, one cell list per magic-state delivery, and the growth of the
-//! op list itself. A counting global allocator (per-thread, so tests on
-//! other threads do not add to it) counts the heap allocations made inside
-//! `Lowered::map()` for each Table I circuit at paper size, and the count
-//! per routed op must stay within the budget.
+//! The map stage should allocate only what it emits: one cell list per
+//! magic-state delivery and the growth of the op list itself (a routed op
+//! holds its qubits inline). The schedule stage should keep the routed ops
+//! where the map stage put them: it moves the op list into the schedule as
+//! it is and allocates one pre-sized `(start, duration)` array beside it,
+//! so it reallocates nothing. A counting global allocator (per-thread, so
+//! tests on other threads do not add to it) counts the heap allocations,
+//! reallocations and requested bytes made inside `Lowered::map()` and
+//! `Mapped::schedule()` for each Table I circuit at paper size, and each
+//! figure per routed op must stay within its budget.
 
 use ftqc::benchmarks::Benchmark;
-use ftqc::compiler::{CompileSession, CompilerOptions};
+use ftqc::compiler::{CompileSession, CompilerOptions, Lowered};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// Heap allocations (not reallocations) allowed per routed op.
-const ALLOCATIONS_PER_OP: f64 = 2.0;
+/// Map-stage heap allocations (not reallocations) allowed per routed op.
+const ALLOCATIONS_PER_OP: f64 = 1.0;
+
+/// Schedule-stage bytes requested (allocations plus reallocations' new
+/// sizes) allowed per routed op.
+const SCHEDULE_BYTES_PER_OP: f64 = 64.0;
 
 struct Counting;
 
@@ -21,12 +29,15 @@ thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     static REALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn bump(counter: &'static std::thread::LocalKey<Cell<u64>>) {
+/// Counts one `counter` event requesting `bytes`.
+fn bump(counter: &'static std::thread::LocalKey<Cell<u64>>, bytes: usize) {
     // `try_with`: the allocator also runs while thread-locals are torn down.
     if COUNTING.try_with(Cell::get).unwrap_or(false) {
         let _ = counter.try_with(|c| c.set(c.get() + 1));
+        let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
     }
 }
 
@@ -35,12 +46,12 @@ fn bump(counter: &'static std::thread::LocalKey<Cell<u64>>) {
 // which never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump(&ALLOCATIONS);
+        bump(&ALLOCATIONS, layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump(&ALLOCATIONS);
+        bump(&ALLOCATIONS, layout.size());
         System.alloc_zeroed(layout)
     }
 
@@ -49,7 +60,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump(&REALLOCATIONS);
+        bump(&REALLOCATIONS, new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -57,30 +68,49 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Runs `f` with this thread's counters on; returns its result and the
-/// allocations and reallocations it made.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
-    ALLOCATIONS.with(|c| c.set(0));
-    REALLOCATIONS.with(|c| c.set(0));
+/// What one counted call made.
+struct Counts {
+    allocations: u64,
+    reallocations: u64,
+    bytes: u64,
+}
+
+/// Runs `f` with this thread's counters on; returns its result and what
+/// it allocated.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, Counts) {
+    for counter in [&ALLOCATIONS, &REALLOCATIONS, &BYTES] {
+        counter.with(|c| c.set(0));
+    }
     COUNTING.with(|c| c.set(true));
     let out = f();
     COUNTING.with(|c| c.set(false));
-    (
-        out,
-        ALLOCATIONS.with(Cell::get),
-        REALLOCATIONS.with(Cell::get),
-    )
+    let counts = Counts {
+        allocations: ALLOCATIONS.with(Cell::get),
+        reallocations: REALLOCATIONS.with(Cell::get),
+        bytes: BYTES.with(Cell::get),
+    };
+    (out, counts)
+}
+
+/// The lowered stage of `benchmark` at paper size under default options.
+fn lowered(benchmark: Benchmark) -> Lowered {
+    CompileSession::new(CompilerOptions::default())
+        .prepare(&benchmark.circuit())
+        .expect("prepares")
+        .lower()
 }
 
 #[test]
-fn map_stage_allocates_at_most_two_per_routed_op() {
+fn map_stage_allocates_at_most_one_per_routed_op() {
     let mut over = Vec::new();
     for benchmark in Benchmark::all() {
-        let lowered = CompileSession::new(CompilerOptions::default())
-            .prepare(&benchmark.circuit())
-            .expect("prepares")
-            .lower();
-        let (mapped, allocations, reallocations) = counted(|| lowered.map());
+        let lowered = lowered(benchmark);
+        let (mapped, counts) = counted(|| lowered.map());
+        let Counts {
+            allocations,
+            reallocations,
+            ..
+        } = counts;
         let ops = mapped.expect("maps").ops().len();
         let per_op = allocations as f64 / ops as f64;
         println!(
@@ -94,5 +124,35 @@ fn map_stage_allocates_at_most_two_per_routed_op() {
     assert!(
         over.is_empty(),
         "map stage over {ALLOCATIONS_PER_OP} allocations per routed op: {over:?}"
+    );
+}
+
+#[test]
+fn schedule_stage_moves_the_routed_ops_without_reallocating() {
+    let mut over = Vec::new();
+    for benchmark in Benchmark::all() {
+        let mapped = lowered(benchmark).map().expect("maps");
+        let ops = mapped.ops().len();
+        let (program, counts) = counted(|| mapped.schedule());
+        program.expect("schedules");
+        let per_op = counts.bytes as f64 / ops as f64;
+        println!(
+            "{}: schedule stage {} allocations, {} reallocations, {} bytes, {ops} routed ops ({per_op:.1} B/op)",
+            benchmark.name(),
+            counts.allocations,
+            counts.reallocations,
+            counts.bytes
+        );
+        if counts.reallocations > 0 || per_op > SCHEDULE_BYTES_PER_OP {
+            over.push(format!(
+                "{} {} reallocations, {per_op:.1} B/op",
+                benchmark.name(),
+                counts.reallocations
+            ));
+        }
+    }
+    assert!(
+        over.is_empty(),
+        "schedule stage reallocated or requested over {SCHEDULE_BYTES_PER_OP} bytes per routed op: {over:?}"
     );
 }

@@ -136,8 +136,8 @@ proptest! {
                     .expect("cold compile of the edited circuit");
 
                 prop_assert_eq!(
-                    program.schedule().items(),
-                    cold.schedule().items(),
+                    program.schedule(),
+                    cold.schedule(),
                     "schedule diverged on {} (delta: {:?})",
                     entry.name.clone(),
                     delta

@@ -21,7 +21,7 @@
 
 use ftqc::arch::{CellKind, Coord, Grid, TargetRegistry};
 use ftqc::benchmarks::random_clifford_t;
-use ftqc::compiler::timer::{time_ops, CostKind};
+use ftqc::compiler::timer::time_schedule;
 use ftqc::compiler::{eliminate_redundant_moves, route_circuit, CompileSession, CompilerOptions};
 use ftqc::route::{
     best_cnot_config_with, CellGrid, CostModel, Path, RouteQueries, Router, MAX_PENALTY_WEIGHT,
@@ -168,12 +168,12 @@ proptest! {
             if options.eliminate_redundant_moves {
                 eliminate_redundant_moves(&mut ops);
             }
-            let schedule = time_ops(
-                &ops,
+            let (schedule, unit_makespan) = time_schedule(
+                ops,
+                seed_router.layout.grid(),
                 lowered.num_qubits(),
                 options.target.factories as usize,
                 options.effective_schedule_timing(),
-                CostKind::Realistic,
                 options.target.unbounded_magic,
             );
             prop_assert_eq!(
@@ -190,6 +190,7 @@ proptest! {
                 prop_assert_eq!(a, b, "{}: scheduled op {} diverges", entry.name, i);
             }
             prop_assert_eq!(program.schedule().makespan(), schedule.makespan());
+            prop_assert_eq!(program.metrics().unit_cost_time, unit_makespan);
         }
     }
 }

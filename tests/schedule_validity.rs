@@ -17,10 +17,10 @@ fn compile(c: &Circuit, r: u32, f: u32) -> CompiledProgram {
 }
 
 fn assert_schedule_sound(p: &CompiledProgram, production_d: f64) {
-    let items = p.schedule().items();
+    let items: Vec<_> = p.schedule().iter().collect();
 
     // 1. Placement constraints.
-    for item in items {
+    for item in &items {
         item.op
             .op
             .validate()
@@ -51,7 +51,7 @@ fn assert_schedule_sound(p: &CompiledProgram, production_d: f64) {
 
     // 3. Per-qubit program order: operations touching a qubit never overlap.
     let mut by_qubit: HashMap<u32, Vec<(u64, u64)>> = HashMap::new();
-    for item in items {
+    for item in &items {
         for &q in &item.op.patches {
             by_qubit
                 .entry(q)
@@ -73,8 +73,8 @@ fn assert_schedule_sound(p: &CompiledProgram, production_d: f64) {
     }
 
     // 4. Magic grants per factory are spaced by the production latency.
-    let mut per_factory: HashMap<usize, Vec<u64>> = HashMap::new();
-    for item in items {
+    let mut per_factory: HashMap<u32, Vec<u64>> = HashMap::new();
+    for item in &items {
         if let Some(f) = item.op.factory {
             per_factory.entry(f).or_default().push(item.start.raw());
         }
@@ -124,7 +124,7 @@ fn random_circuit_schedules_are_sound() {
 #[test]
 fn consume_follows_its_delivery() {
     let p = compile(&fermi_hubbard_2d(2), 4, 1);
-    let items = p.schedule().items();
+    let items: Vec<_> = p.schedule().iter().collect();
     for (i, item) in items.iter().enumerate() {
         if let SurgeryOp::ConsumeMagic { magic, .. } = &item.op.op {
             // Find the nearest preceding delivery ending at this magic cell,

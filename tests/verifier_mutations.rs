@@ -8,7 +8,8 @@
 use ftqc::arch::{Coord, SurgeryOp, TimingModel};
 use ftqc::circuit::Circuit;
 use ftqc::compiler::{
-    check_semantics, verify, CompiledProgram, Compiler, CompilerOptions, RoutedOp, SemanticsError,
+    check_semantics, verify, CompiledProgram, Compiler, CompilerOptions, Patches, RoutedOp,
+    SemanticsError,
 };
 use ftqc::sim::{Schedule, ScheduledOp};
 
@@ -24,10 +25,22 @@ fn testbed() -> (Circuit, CompiledProgram) {
     (c, p)
 }
 
+/// A copy of the program's scheduled items, in issue order.
+fn items(p: &CompiledProgram) -> Vec<ScheduledOp<RoutedOp>> {
+    p.schedule()
+        .iter()
+        .map(|it| ScheduledOp {
+            op: it.op.clone(),
+            start: it.start,
+            duration: it.duration,
+        })
+        .collect()
+}
+
 /// Rebuilds the schedule through `f`, which may edit, drop, or reorder the
 /// item list.
 fn mutate(p: &CompiledProgram, f: impl FnOnce(&mut Vec<ScheduledOp<RoutedOp>>)) -> CompiledProgram {
-    let mut items: Vec<ScheduledOp<RoutedOp>> = p.schedule().items().to_vec();
+    let mut items: Vec<ScheduledOp<RoutedOp>> = items(p);
     f(&mut items);
     let mut s = Schedule::new();
     for it in items {
@@ -38,8 +51,7 @@ fn mutate(p: &CompiledProgram, f: impl FnOnce(&mut Vec<ScheduledOp<RoutedOp>>)) 
 
 /// Index of the first op matching `pred`.
 fn find(p: &CompiledProgram, pred: impl Fn(&SurgeryOp) -> bool) -> usize {
-    p.schedule()
-        .items()
+    items(p)
         .iter()
         .position(|it| pred(&it.op.op))
         .expect("testbed contains the op kind")
@@ -131,7 +143,7 @@ fn retagging_an_op_is_caught() {
     let bad = mutate(&p, |items| {
         // Claim the H/S op realises the measurement instead.
         let measure_gate = c.len() - 1;
-        items[i].op.gate = Some(measure_gate);
+        items[i].op.gate = Some(measure_gate as u32);
     });
     let err = check_semantics(&c, &bad).unwrap_err();
     assert!(
@@ -177,7 +189,7 @@ fn swapping_cnot_direction_is_caught() {
 fn overlapping_ops_on_one_cell_are_caught() {
     let (_, p) = testbed();
     // Force the second op to start while the first still holds its cells.
-    let items = p.schedule().items().to_vec();
+    let items = items(&p);
     let busy = items
         .iter()
         .position(|it| it.duration.raw() > 0)
@@ -188,7 +200,7 @@ fn overlapping_ops_on_one_cell_are_caught() {
         items.push(ScheduledOp {
             op: RoutedOp {
                 op: SurgeryOp::MeasureZ { cell },
-                patches: vec![],
+                patches: Patches::default(),
                 factory: None,
                 gate: None,
             },
@@ -232,8 +244,7 @@ fn magic_testbed() -> CompiledProgram {
 
 /// Indices of every DeliverMagic in the schedule.
 fn deliveries(p: &CompiledProgram) -> Vec<usize> {
-    p.schedule()
-        .items()
+    items(p)
         .iter()
         .enumerate()
         .filter(|(_, it)| matches!(it.op.op, SurgeryOp::DeliverMagic { .. }))
@@ -250,7 +261,7 @@ fn delivery_ending_off_its_consumer_is_caught() {
     let ds = deliveries(&p);
     assert!(ds.len() >= 2, "testbed has two deliveries");
     let (a, b) = (ds[0], ds[1]);
-    let path_of = |i: usize| match &p.schedule().items()[i].op.op {
+    let path_of = |i: usize| match &items(&p)[i].op.op {
         SurgeryOp::DeliverMagic { path } => path.clone(),
         _ => unreachable!(),
     };
@@ -285,12 +296,12 @@ fn skipped_invalidation_reroute_is_caught() {
     // A busy multi-cell op to collide with: the magic consumption itself
     // (it holds the target and magic cells while it runs).
     let consume = find(&p, |op| matches!(op, SurgeryOp::ConsumeMagic { .. }));
-    let (target, magic) = match &p.schedule().items()[consume].op.op {
+    let (target, magic) = match &items(&p)[consume].op.op {
         SurgeryOp::ConsumeMagic { target, magic } => (*target, *magic),
         _ => unreachable!(),
     };
     assert!(target.is_adjacent(magic), "consume cells are adjacent");
-    let start = p.schedule().items()[consume].start;
+    let start = items(&p)[consume].start;
     let bad = mutate(&p, |items| {
         items[d].op.op = SurgeryOp::DeliverMagic {
             path: vec![magic, target],
