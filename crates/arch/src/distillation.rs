@@ -26,12 +26,11 @@
 
 use crate::qec::PhysicalAssumptions;
 use crate::timing::Ticks;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One distillation unit: consumes `inputs` noisy states, produces
 /// `outputs` better ones with error `prefactor · p_in^order`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DistillationProtocol {
     /// Human-readable name, e.g. `"15-to-1"` or `"(15-to-1)²"`.
     pub name: String,

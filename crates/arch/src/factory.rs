@@ -11,14 +11,13 @@
 use crate::grid::Coord;
 use crate::layout::Layout;
 use crate::timing::Ticks;
-use serde::{Deserialize, Serialize};
 
 /// Logical patches occupied by one 15-to-1 distillation factory block
 /// (Litinski's distillation block footprint \[28\]).
 pub const FACTORY_TILES: u32 = 11;
 
 /// A grant for one magic state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MagicGrant {
     /// Index of the granting factory.
     pub factory: usize,
@@ -47,7 +46,7 @@ pub struct MagicGrant {
 /// assert_eq!(g.available, Ticks::from_d(11.0)); // first state after 11d
 /// ```
 /// Where factory output ports sit on the layout boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PortPlacement {
     /// Ports spread evenly around the perimeter (the paper's assumption).
     #[default]
@@ -57,7 +56,7 @@ pub enum PortPlacement {
     Clustered,
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FactoryBank {
     ports: Vec<Coord>,
     ready_at: Vec<Ticks>,

@@ -1,13 +1,12 @@
 //! The 2D grid of logical surface-code patches.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A cell coordinate on the logical grid (row-major; `row` grows downward).
 ///
 /// Coordinates are signed so that neighbour arithmetic at the boundary never
 /// wraps; [`Grid::in_bounds`] rejects negatives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Coord {
     /// Row index (grows downward).
     pub row: i32,
@@ -76,7 +75,7 @@ impl fmt::Display for Coord {
 }
 
 /// Role of a grid cell in the layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CellKind {
     /// Holds a program data qubit in the initial mapping.
     Data,
@@ -85,7 +84,7 @@ pub enum CellKind {
 }
 
 /// A rectangular grid of logical patches with per-cell kinds.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Grid {
     rows: u32,
     cols: u32,

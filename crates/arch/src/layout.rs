@@ -10,7 +10,6 @@
 //! 121 cells, `r=4` → 12×12 = 144, `r=6` → 13×13 = 169, `r=22` → 21×21.
 
 use crate::grid::{CellKind, Coord, Grid};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
@@ -94,7 +93,7 @@ type Gap = i32;
 /// assert_eq!(layout.grid().cols(), 6);
 /// assert_eq!(layout.grid().count_kind(CellKind::Data), 16);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Layout {
     grid: Grid,
     data_cells: Vec<Coord>,

@@ -12,10 +12,9 @@
 //! `A = 0.1` and threshold `p_th = 0.01` (Fowler et al. \[16\]).
 
 use crate::timing::Ticks;
-use serde::{Deserialize, Serialize};
 
 /// Physical machine assumptions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhysicalAssumptions {
     /// Physical gate error rate `p` (e.g. `1e-3`).
     pub physical_error_rate: f64,
@@ -74,7 +73,7 @@ pub fn physical_qubits_per_patch(d: u32) -> u64 {
 }
 
 /// A complete physical resource estimate for a compiled program.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhysicalEstimate {
     /// Chosen code distance.
     pub code_distance: u32,

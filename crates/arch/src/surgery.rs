@@ -13,11 +13,10 @@
 
 use crate::grid::Coord;
 use crate::timing::{Ticks, TimingModel};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Single-patch gates that borrow one neighbouring ancilla cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SingleQubitKind {
     /// Hadamard — 3d.
     H,
@@ -56,7 +55,7 @@ impl SingleQubitKind {
 ///
 /// `cells()` lists every grid cell the operation occupies for its duration;
 /// the scheduler serialises operations that share cells.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SurgeryOp {
     /// Move a patch one cell (1d). `from` and `to` must be edge-adjacent.
     Move {

@@ -40,12 +40,11 @@
 use crate::factory::{FactoryBank, PortPlacement};
 use crate::layout::{Layout, LayoutError};
 use crate::timing::TimingModel;
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
 /// How a target provisions its bus (routing/ancilla) lines.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BusSpec {
     /// The paper's Fig 3 family: `r` bus lines inserted edges-first, then
     /// interior lines middle-out. Sweepable — the design-space explorer
@@ -100,7 +99,7 @@ fn canonical_gaps(gaps: &[i32]) -> Vec<i32> {
 }
 
 /// What a target can and cannot do, beyond its geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Capabilities {
     /// Hard cap on data qubits (`None` = any register the layout fits).
     pub max_qubits: Option<u32>,
@@ -237,7 +236,7 @@ impl Error for TargetError {}
 /// behavioural baggage. Behaviour lives in the inherent methods
 /// ([`TargetSpec::build_layout`], [`TargetSpec::factory_bank`],
 /// [`TargetSpec::validate`]) and the [`Target`] trait built on them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TargetSpec {
     /// Bus provisioning.
     pub bus: BusSpec,

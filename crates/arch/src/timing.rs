@@ -5,7 +5,6 @@
 //! internal unit is a *tick* of `0.5d`: every paper latency is an integer
 //! number of ticks and all arithmetic is exact.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul, Sub};
@@ -26,9 +25,7 @@ pub const TICKS_PER_D: u64 = 2;
 /// assert_eq!(t + Ticks::from_d(1.0), Ticks::from_d(3.5));
 /// assert_eq!(t.to_string(), "2.5d");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Ticks(pub u64);
 
 impl Ticks {
@@ -127,7 +124,7 @@ impl fmt::Display for Ticks {
 /// All fields are public so experiments can sweep them (e.g. the
 /// magic-state-processing-time study of Fig 14(d)); [`TimingModel::paper`]
 /// gives the defaults used throughout the evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimingModel {
     /// Move of a patch to an adjacent free cell: 1d.
     pub move_op: Ticks,

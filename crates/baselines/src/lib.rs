@@ -30,11 +30,10 @@ pub use litinski::{decompose_ppr, BlockLayout, GameOfSurfaceCodes, PprPlan};
 pub use lsqca::LineSam;
 
 use ftqc_arch::Ticks;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Result of evaluating a baseline model on a circuit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BaselineResult {
     /// Model name (for report rows).
     pub name: String,

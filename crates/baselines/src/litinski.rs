@@ -18,10 +18,9 @@
 use crate::BaselineResult;
 use ftqc_arch::{Ticks, TimingModel, FACTORY_TILES};
 use ftqc_circuit::{Circuit, PprProgram};
-use serde::{Deserialize, Serialize};
 
 /// The three block layouts of \[28\].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BlockLayout {
     /// Compact block: smallest footprint, one PPR at a time, 4d per PPR
     /// after the \[30\] modification.
@@ -83,7 +82,7 @@ impl BlockLayout {
 /// rotation per \[30\] (paper Fig 10): each non-trivial tensor factor pairs
 /// with two ancillary qubits through nearest-neighbour `XX` and `ZZ`
 /// two-body measurements, all rounds running in constant depth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PprPlan {
     /// Rotation weight `w` (non-identity tensor factors).
     pub weight: u32,
@@ -114,7 +113,7 @@ pub fn decompose_ppr(weight: u32, layout: BlockLayout, timing: &TimingModel) -> 
 }
 
 /// The Game-of-Surface-Codes baseline estimator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GameOfSurfaceCodes {
     /// Which block layout.
     pub layout: BlockLayout,

@@ -19,10 +19,9 @@
 use crate::BaselineResult;
 use ftqc_arch::{Ticks, TimingModel, FACTORY_TILES};
 use ftqc_circuit::{Circuit, Gate};
-use serde::{Deserialize, Serialize};
 
 /// The Line-SAM baseline estimator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LineSam {
     /// Distillation factories.
     pub factories: u32,

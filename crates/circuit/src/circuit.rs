@@ -2,7 +2,6 @@
 
 use crate::dag::DagCircuit;
 use crate::gate::{Angle, Gate, Qubit};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An ordered list of gates over a register of `num_qubits` qubits.
@@ -22,7 +21,7 @@ use std::fmt;
 /// assert_eq!(c.counts().cnot, 2);
 /// assert_eq!(c.t_count(), 1);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Circuit {
     num_qubits: u32,
     gates: Vec<Gate>,
@@ -434,7 +433,7 @@ impl<'a> IntoIterator for &'a Circuit {
 }
 
 /// Gate counts by mnemonic, mirroring the paper's Table I rows.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GateCounts {
     /// Hadamard count.
     pub h: usize,

@@ -11,14 +11,13 @@
 
 use crate::circuit::Circuit;
 use crate::gate::Gate;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a node (gate) in the DAG; equals the gate's index in the
 /// originating circuit.
 pub type NodeId = usize;
 
 /// Up to two node ids, stored inline.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Edges {
     ids: [NodeId; 2],
     len: u8,
@@ -43,7 +42,7 @@ impl Edges {
 }
 
 /// One node of the dependency DAG.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DagNode {
     /// The gate at this node.
     pub gate: Gate,
@@ -80,7 +79,7 @@ impl DagNode {
 /// assert_eq!(dag.node(1).preds(), &[0]);
 /// assert_eq!(dag.node(1).succs(), &[2]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DagCircuit {
     nodes: Vec<DagNode>,
     num_qubits: u32,

@@ -7,7 +7,6 @@
 //! paper's accounting (each condensed-matter `Rz` consumes one distilled
 //! state).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Index of a program (circuit) qubit.
@@ -21,7 +20,7 @@ pub type Qubit = u32;
 /// Storing the angle in units of π keeps the Clifford/non-Clifford predicate
 /// exact for the angles that occur in Trotter circuits and QASM files written
 /// as fractions of `pi`.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Angle {
     turns_of_pi: f64,
 }
@@ -84,7 +83,7 @@ impl fmt::Display for Angle {
 /// Durations and placement constraints for the lattice-surgery implementation
 /// of each gate live in `ftqc-arch` (`TimingModel`); this type is purely the
 /// program-level view.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Gate {
     /// Hadamard.
     H(Qubit),

@@ -8,11 +8,10 @@
 //! and the Pauli-product-rotation transpiler used by the Litinski baseline.
 
 use crate::gate::{Gate, Qubit};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A single-qubit Pauli operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Pauli {
     /// Identity.
     I,
@@ -64,7 +63,7 @@ impl fmt::Display for Pauli {
 }
 
 /// Global phase of a Pauli string: `i^k` with `k` mod 4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Phase(u8);
 
 impl Phase {
@@ -137,7 +136,7 @@ impl fmt::Display for Phase {
 /// assert_eq!(p.weight(), 2);
 /// assert_eq!(p.to_string(), "+XIZ");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PauliString {
     xs: Vec<bool>,
     zs: Vec<bool>,

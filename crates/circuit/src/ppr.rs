@@ -15,11 +15,10 @@ use crate::circuit::Circuit;
 use crate::gate::{Angle, Gate};
 use crate::pauli::PauliString;
 use crate::tableau::CliffordTableau;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Classification of an emitted rotation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RotationKind {
     /// π/8 rotation (angle ±π/4 in `Rz` convention) — a T-like rotation
     /// consuming one magic state.
@@ -30,7 +29,7 @@ pub enum RotationKind {
 }
 
 /// A Pauli-product rotation `exp(-i θ/2 · P)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PauliRotation {
     /// The rotation axis (phase normalised to `+1`; signs are folded into
     /// the angle).
@@ -56,7 +55,7 @@ impl fmt::Display for PauliRotation {
 
 /// A circuit in Pauli-product-rotation form: rotations in time order, then
 /// Pauli-product measurements, with the residual Clifford absorbed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PprProgram {
     num_qubits: u32,
     rotations: Vec<PauliRotation>,

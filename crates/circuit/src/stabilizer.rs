@@ -12,10 +12,9 @@
 
 use crate::gate::Gate;
 use crate::pauli::{Pauli, PauliString, Phase};
-use serde::{Deserialize, Serialize};
 
 /// Outcome of a Z-basis measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Outcome {
     /// The measurement was determined by the state.
     Deterministic(bool),
@@ -53,7 +52,7 @@ impl Outcome {
 /// let b = s.measure_z(1, false).bit();
 /// assert_eq!(a, b);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StabilizerState {
     /// Stabilizer generators: rows stabilising the state.
     stabs: Vec<PauliString>,

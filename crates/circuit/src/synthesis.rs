@@ -27,11 +27,10 @@
 //! only in the exact π/4 cases, which is all the schedule replayer needs.
 
 use crate::gate::{Angle, Gate, Qubit};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How to convert a non-Clifford rotation into a magic-state budget.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SynthesisModel {
     /// A flat number of magic states per non-Clifford rotation. The paper
     /// evaluates with `PerRotation(1)`.
@@ -134,7 +133,7 @@ fn is_odd_quarter(angle: Angle) -> bool {
 }
 
 /// The result of synthesising one rotation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SynthesizedRotation {
     /// Magic states consumed.
     pub t_count: u32,

@@ -10,7 +10,6 @@
 
 use crate::gate::Gate;
 use crate::pauli::{Pauli, PauliString};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Images of the single-qubit Paulis under conjugation by an accumulated
@@ -27,7 +26,7 @@ use std::fmt;
 /// // H then CNOT maps Z_0 -> X_0 X_1 (the GHZ stabilizer generator).
 /// assert_eq!(t.image_z(0).to_string(), "+XX");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CliffordTableau {
     xs: Vec<PauliString>,
     zs: Vec<PauliString>,

@@ -468,17 +468,13 @@ fn cmd_compile(p: &ParsedArgs) -> Result<CmdOutput, CliError> {
         .then(|| ActiveTrace::begin(TraceId::mint(), "compile"));
     let (program, explain) = if want_table || span_trace.is_some() {
         let trace = StageTrace::new();
-        let hook: std::sync::Arc<dyn ftqc_compiler::TraceHook> = match &span_trace {
-            None => trace.clone(),
-            Some(active) => std::sync::Arc::new(FanoutHook(vec![
-                trace.clone(),
-                std::sync::Arc::new(
-                    StageSpanHook::new(std::sync::Arc::clone(active)).with_attr("job", &spec),
-                ),
-            ])),
-        };
-        let program = CompileSession::new(options)
-            .with_hook(hook)
+        let mut session = CompileSession::new(options).with_hook(trace.clone());
+        if let Some(active) = &span_trace {
+            session = session.with_hook(std::sync::Arc::new(
+                StageSpanHook::new(std::sync::Arc::clone(active)).with_attr("job", &spec),
+            ));
+        }
+        let program = session
             .compile(&circuit)
             .map_err(|e| CliError::Pipeline(e.to_string()))?;
         (
@@ -563,18 +559,6 @@ fn cmd_compile(p: &ParsedArgs) -> Result<CmdOutput, CliError> {
         let _ = write!(out, "\nschedule svg    : {path}");
     }
     Ok(out.into())
-}
-
-/// Fans one stage-event stream out to several hooks (`--explain --trace`
-/// needs both the table collector and the span recorder on one session).
-struct FanoutHook(Vec<std::sync::Arc<dyn ftqc_compiler::TraceHook>>);
-
-impl ftqc_compiler::TraceHook for FanoutHook {
-    fn on_stage(&self, event: &StageEvent) {
-        for hook in &self.0 {
-            hook.on_stage(event);
-        }
-    }
 }
 
 /// The per-stage table behind `compile --explain` and `--stop-after`.

@@ -20,10 +20,9 @@ use crate::session::{CompileSession, StageCache, DEFAULT_STAGE_CACHE_CAPACITY};
 use ftqc_arch::TargetSpec;
 use ftqc_circuit::Circuit;
 use ftqc_service::{fingerprint, SharedCache, WorkerPool, DEFAULT_CACHE_CAPACITY};
-use serde::{Deserialize, Serialize};
 
 /// One evaluated machine configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignPoint {
     /// Routing paths of the layout.
     pub routing_paths: u32,

@@ -11,7 +11,6 @@ use crate::pipeline::CompiledProgram;
 use crate::routed::RoutedOp;
 use ftqc_arch::{SurgeryOp, Ticks};
 use ftqc_sim::Schedule;
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// Serialises the schedule as CSV: `start_d,duration_d,kind,cells,qubits,factory,gate`.
@@ -63,7 +62,7 @@ fn kind_name(op: &SurgeryOp) -> &'static str {
 }
 
 /// Machine utilisation summary for a compiled program.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UtilizationStats {
     /// Mean fraction of grid cells busy over the makespan, in `[0, 1]`.
     pub cell_utilization: f64,

@@ -10,10 +10,9 @@
 
 use ftqc_arch::{Coord, Layout};
 use ftqc_circuit::Circuit;
-use serde::{Deserialize, Serialize};
 
 /// How program qubit indices map onto the data block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MappingStrategy {
     /// Row-major: qubit `i` at block position `(i / L, i % L)`.
     RowMajor,
@@ -32,7 +31,7 @@ pub enum MappingStrategy {
 }
 
 /// The assignment of program qubits to home cells.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InitialMapping {
     cells: Vec<Coord>,
 }

@@ -4,11 +4,10 @@
 
 use ftqc_arch::Ticks;
 use ftqc_route::RouteCounters;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Metrics of one compiled program.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Metrics {
     /// Makespan under realistic latencies (Fig 7).
     pub execution_time: Ticks,

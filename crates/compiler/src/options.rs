@@ -10,14 +10,13 @@
 
 use crate::mapping::MappingStrategy;
 use ftqc_arch::{BusSpec, PortPlacement, Target, TargetSpec, Ticks, TimingModel};
-use serde::{Deserialize, Serialize};
 
 /// How many magic states a non-Clifford rotation consumes.
 ///
 /// The paper (and its Table I accounting) charges one state per `T`, `T†`
 /// or non-Clifford `Rz`; a synthesis-aware policy can charge more states per
 /// arbitrary-angle rotation for sensitivity studies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TStatePolicy {
     /// States consumed by a T/T† gate (always ≥ 1).
     pub states_per_t: u32,
@@ -73,7 +72,7 @@ impl Default for TStatePolicy {
 /// Builder-style setters return `self` so configurations read as one
 /// expression; every knob corresponds to a paper parameter or a DESIGN.md
 /// ablation. Machine knobs forward into [`CompilerOptions::target`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompilerOptions {
     /// The hardware target: layout family or bus mask, factory bank,
     /// timing model, and capability flags. Defaults to the paper machine

@@ -6,14 +6,13 @@
 //! are `u32`s.
 
 use ftqc_arch::SurgeryOp;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Deref;
 
 /// A lattice-surgery operation with the scheduling metadata the timing
 /// stage needs: which program qubits it orders against, which factory
 /// produced its magic state, and which circuit gate it realises.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoutedOp {
     /// The surgery operation.
     pub op: SurgeryOp,

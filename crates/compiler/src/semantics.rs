@@ -3,30 +3,34 @@
 //!
 //! [`crate::verify()`](crate::verify::verify) establishes that a schedule is *physically executable*
 //! (placement constraints, cell exclusivity, factory spacing). This module
-//! establishes that it *computes the right unitary*:
+//! establishes that it *computes the right unitary*. Steps 1–3 run in one
+//! walk over the schedule in issue order, on flat arrays:
 //!
-//! 1. **Replay** — walk the schedule in issue order, tracking every data
-//!    patch through its moves, and check that each logical operation's grid
-//!    cells are exactly where its program qubits currently sit (a CNOT
-//!    whose control cell holds the wrong qubit is a miscompile that the
-//!    physical verifier cannot see).
+//! 1. **Replay** — track every data patch through its moves (each qubit's
+//!    cell, and each layout cell's qubit), and check that each logical
+//!    operation's grid cells are exactly where its program qubits currently
+//!    sit (a CNOT whose control cell holds the wrong qubit is a miscompile
+//!    that the physical verifier cannot see). A move that leaves the grid
+//!    is rejected.
 //! 2. **Coverage** — every lowered gate is realised exactly once (magic
-//!    gates exactly `TStatePolicy` times), in an order consistent with the
-//!    circuit's dependency DAG.
-//! 3. **Trace equivalence** — the realised gate sequence, projected onto
-//!    each qubit, equals the lowered circuit's projection. Gates on
-//!    disjoint qubits commute, so equal per-qubit projections imply the two
-//!    words are equal in the trace monoid and hence as unitaries.
+//!    gates exactly `TStatePolicy` times); the counts are compared after
+//!    the walk.
+//! 3. **Order** — one cursor per qubit runs over that qubit's gates in
+//!    input order. At a gate's first realisation, the cursor of each of its
+//!    qubits must point at it, and then moves past it. With exact coverage
+//!    this is the circuit's dependency order plus equal per-qubit
+//!    projections: the realised sequence differs from the input only by
+//!    exchanging gates on disjoint qubits, which commute, so the two words
+//!    are equal in the trace monoid and hence as unitaries. The cursors
+//!    read the gate list itself, not the dependency DAG built from it.
 //! 4. **Unitary equivalence (defence in depth)** — for small registers the
 //!    reconstructed circuit is checked amplitude-for-amplitude on the dense
 //!    simulator; Clifford-only circuits are checked at any width by
-//!    tableau comparison. These would catch a bug in the DAG construction
-//!    itself, which the trace check trusts.
+//!    tableau comparison.
 
 use crate::pipeline::{lower, prepare, CompiledProgram};
 use ftqc_arch::{Coord, SingleQubitKind, SurgeryOp};
 use ftqc_circuit::{circuits_equivalent, Circuit, CliffordTableau, Gate};
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -92,11 +96,11 @@ pub enum SemanticsError {
         /// Index in the schedule.
         index: usize,
     },
-    /// A gate was realised before one of its DAG predecessors.
+    /// A gate was realised before an earlier gate on one of its qubits.
     OrderViolation {
         /// The gate realised too early.
         gate: usize,
-        /// The unrealised predecessor.
+        /// The earliest unrealised gate on that qubit.
         missing_pred: usize,
     },
     /// A non-magic gate appeared as more than one realising operation.
@@ -109,12 +113,6 @@ pub enum SemanticsError {
     Coverage {
         /// Description of the gap.
         reason: String,
-    },
-    /// Per-qubit projections differ: the realised order is not a valid
-    /// commutation-only reordering of the input.
-    TraceMismatch {
-        /// The qubit whose gate sequence differs.
-        qubit: u32,
     },
     /// The reconstructed circuit failed a unitary-equivalence check.
     NotEquivalent {
@@ -160,12 +158,6 @@ impl fmt::Display for SemanticsError {
                 write!(f, "gate {gate} realised more than once")
             }
             SemanticsError::Coverage { reason } => write!(f, "coverage: {reason}"),
-            SemanticsError::TraceMismatch { qubit } => {
-                write!(
-                    f,
-                    "realised gate order on qubit {qubit} differs from the input"
-                )
-            }
             SemanticsError::NotEquivalent { method } => {
                 write!(f, "reconstructed circuit rejected by the {method} oracle")
             }
@@ -234,38 +226,39 @@ pub fn check_semantics(
         return Err(SemanticsError::WrongCircuit);
     }
     let replayed = replay(program)?;
-    let reconstructed = coverage_and_order(program, &replayed)?;
-    let mut methods = vec![check_trace(lowered, &reconstructed)?];
+    let mut methods = vec![EquivalenceMethod::Trace];
 
-    // Defence in depth: unitary oracles where tractable.
-    let measured_stripped = |c: &Circuit| {
-        let mut out = Circuit::new(c.num_qubits());
-        out.append(c.iter().filter(|g| !g.is_measurement()).copied());
-        out
-    };
-    let a = measured_stripped(lowered);
-    let b = measured_stripped(&reconstructed);
-    if a.iter().all(Gate::is_clifford) {
-        let tab = |c: &Circuit| {
-            let mut t = CliffordTableau::identity(c.num_qubits() as usize);
-            for g in c.iter() {
-                t.apply(g);
+    // 4. Defence in depth: unitary oracles where tractable, on both
+    // circuits without their measurements.
+    let clifford = lowered
+        .iter()
+        .all(|g| g.is_measurement() || g.is_clifford());
+    if clifford || lowered.num_qubits() <= STATEVECTOR_LIMIT {
+        let n = lowered.num_qubits();
+        let a = unitary_part(n, lowered.iter().copied());
+        let b = unitary_part(n, replayed.order.iter().map(|&g| lowered.gates()[g]));
+        if clifford {
+            let tab = |c: &Circuit| {
+                let mut t = CliffordTableau::identity(c.num_qubits() as usize);
+                for g in c.iter() {
+                    t.apply(g);
+                }
+                t
+            };
+            if tab(&a) != tab(&b) {
+                return Err(SemanticsError::NotEquivalent {
+                    method: EquivalenceMethod::Tableau,
+                });
             }
-            t
-        };
-        if tab(&a) != tab(&b) {
-            return Err(SemanticsError::NotEquivalent {
-                method: EquivalenceMethod::Tableau,
-            });
+            methods.push(EquivalenceMethod::Tableau);
+        } else {
+            if !circuits_equivalent(&a, &b, 1e-9) {
+                return Err(SemanticsError::NotEquivalent {
+                    method: EquivalenceMethod::StateVector,
+                });
+            }
+            methods.push(EquivalenceMethod::StateVector);
         }
-        methods.push(EquivalenceMethod::Tableau);
-    } else if lowered.num_qubits() <= STATEVECTOR_LIMIT {
-        if !circuits_equivalent(&a, &b, 1e-9) {
-            return Err(SemanticsError::NotEquivalent {
-                method: EquivalenceMethod::StateVector,
-            });
-        }
-        methods.push(EquivalenceMethod::StateVector);
     }
 
     Ok(SemanticsReport {
@@ -276,162 +269,95 @@ pub fn check_semantics(
     })
 }
 
-/// The outcome of the position-tracking pass.
+/// What the walk over the schedule established.
 struct Replayed {
-    /// `(schedule index, gate index)` of every realising (non-movement)
-    /// operation, in issue order.
-    realizations: Vec<(usize, usize)>,
+    /// Every lowered gate, by index, in first-realisation order.
+    order: Vec<usize>,
     moves: usize,
     magic: usize,
 }
 
-/// Pass 1: track patch positions and check geometric operands.
+/// A layout cell no data qubit occupies.
+const EMPTY: u32 = u32::MAX;
+
+/// No gate: past the last gate on a qubit.
+const NONE: usize = usize::MAX;
+
+/// Steps 1–3 in one walk: track patch positions and check each logical
+/// operation's operands, check each first realisation against the
+/// per-qubit cursors, and count realisations, compared after the walk.
 fn replay(program: &CompiledProgram) -> Result<Replayed, SemanticsError> {
     let lowered = program.lowered_circuit();
+    let gates = lowered.gates();
     let n = lowered.num_qubits() as usize;
+    let grid = program.layout().grid();
+    let cols = grid.cols() as usize;
+    let slot = |c: Coord| {
+        grid.in_bounds(c)
+            .then(|| c.row as usize * cols + c.col as usize)
+    };
+
+    // Step 1: each qubit's cell, and each layout cell's qubit.
     let mut pos: Vec<Coord> = (0..n as u32)
         .map(|q| program.initial_mapping().cell_of(q))
         .collect();
-    let mut occ: HashMap<Coord, u32> = pos
-        .iter()
-        .enumerate()
-        .map(|(q, &c)| (c, q as u32))
-        .collect();
+    let mut occ = vec![EMPTY; grid.num_cells() as usize];
+    for (q, &c) in pos.iter().enumerate() {
+        if let Some(s) = slot(c) {
+            occ[s] = q as u32;
+        }
+    }
 
-    let mut realizations = Vec::new();
+    // Step 3: `cursor[q]` is the first unrealised gate on qubit `q` in
+    // input order, and `after[g][k]` the gate after `g` on its `k`-th
+    // qubit (`NONE` past the last).
+    let mut cursor = vec![NONE; n];
+    let mut after = vec![[NONE; 2]; gates.len()];
+    for (g, gate) in gates.iter().enumerate().rev() {
+        for (k, q) in gate.qubits().enumerate() {
+            after[g][k] = cursor[q as usize];
+            cursor[q as usize] = g;
+        }
+    }
+
+    let mut order = Vec::with_capacity(gates.len());
+    let mut times_realized = vec![0u32; gates.len()];
     let mut moves = 0usize;
     let mut magic = 0usize;
 
     for (index, routed) in program.schedule().ops().iter().enumerate() {
-        let require_gate = || {
-            routed
-                .gate
-                .map(|g| g as usize)
-                .filter(|&g| g < lowered.len())
-                .ok_or(SemanticsError::Untagged { index })
-        };
-
-        // Position check helper: qubit q must sit at `used`.
-        let check_at = |q: u32, used: Coord, pos: &[Coord]| {
-            let tracked = pos[q as usize];
-            if tracked == used {
-                Ok(())
-            } else {
-                Err(SemanticsError::OperandMismatch {
-                    index,
-                    qubit: q,
-                    tracked,
-                    used,
-                })
-            }
-        };
-
+        // A move relocates its qubit; a delivery stages a resource and
+        // touches no data patch.
         match &routed.op {
             SurgeryOp::Move { from, to } => {
                 moves += 1;
+                let bad_move = |reason: String| SemanticsError::BadMove { index, reason };
                 let q = *routed
                     .patches
                     .first()
-                    .ok_or_else(|| SemanticsError::BadMove {
-                        index,
-                        reason: "move carries no qubit".into(),
+                    .ok_or_else(|| bad_move("move carries no qubit".into()))?;
+                // An empty cell holds `EMPTY`, which names no qubit.
+                let departs = slot(*from)
+                    .filter(|&s| q != EMPTY && occ[s] == q)
+                    .ok_or_else(|| {
+                        bad_move(format!(
+                            "move of q{q} departs {from}, which it does not occupy"
+                        ))
                     })?;
-                if occ.get(from) != Some(&q) {
-                    return Err(SemanticsError::BadMove {
-                        index,
-                        reason: format!("move of q{q} departs {from}, which it does not occupy"),
-                    });
+                let lands = slot(*to)
+                    .ok_or_else(|| bad_move(format!("move of q{q} lands on {to}, off the grid")))?;
+                if occ[lands] != EMPTY {
+                    let other = occ[lands];
+                    return Err(bad_move(format!(
+                        "move of q{q} lands on {to}, occupied by q{other}"
+                    )));
                 }
-                if let Some(&other) = occ.get(to) {
-                    return Err(SemanticsError::BadMove {
-                        index,
-                        reason: format!("move of q{q} lands on {to}, occupied by q{other}"),
-                    });
-                }
-                occ.remove(from);
-                occ.insert(*to, q);
+                occ[departs] = EMPTY;
+                occ[lands] = q;
                 pos[q as usize] = *to;
+                continue;
             }
-            SurgeryOp::DeliverMagic { .. } => {
-                // Deliveries stage a resource; they touch no data patch.
-            }
-            SurgeryOp::ConsumeMagic { target, .. } => {
-                magic += 1;
-                let g = require_gate()?;
-                let gate = &lowered.gates()[g];
-                if !gate.is_magic() {
-                    return Err(SemanticsError::GateMismatch {
-                        index,
-                        expected: gate.to_string(),
-                        found: "magic-state consumption".into(),
-                    });
-                }
-                let q = gate.qubits().next().expect("magic gates are single-qubit");
-                check_at(q, *target, &pos)?;
-                realizations.push((index, g));
-            }
-            SurgeryOp::Cnot {
-                control, target, ..
-            } => {
-                let g = require_gate()?;
-                let gate = &lowered.gates()[g];
-                let Gate::Cnot {
-                    control: gc,
-                    target: gt,
-                } = *gate
-                else {
-                    return Err(SemanticsError::GateMismatch {
-                        index,
-                        expected: gate.to_string(),
-                        found: "cnot".into(),
-                    });
-                };
-                check_at(gc, *control, &pos)?;
-                check_at(gt, *target, &pos)?;
-                realizations.push((index, g));
-            }
-            SurgeryOp::Single { kind, cell, .. } => {
-                let g = require_gate()?;
-                let gate = &lowered.gates()[g];
-                let expected = single_kind_of(gate);
-                if expected != Some(*kind) {
-                    return Err(SemanticsError::GateMismatch {
-                        index,
-                        expected: gate.to_string(),
-                        found: format!("single-qubit {}", kind.name()),
-                    });
-                }
-                let q = gate.qubits().next().expect("single-qubit gate");
-                check_at(q, *cell, &pos)?;
-                realizations.push((index, g));
-            }
-            SurgeryOp::PauliFrame { cell } => {
-                let g = require_gate()?;
-                let gate = &lowered.gates()[g];
-                if !is_frame_update(gate) {
-                    return Err(SemanticsError::GateMismatch {
-                        index,
-                        expected: gate.to_string(),
-                        found: "pauli-frame update".into(),
-                    });
-                }
-                let q = gate.qubits().next().expect("frame gates are single-qubit");
-                check_at(q, *cell, &pos)?;
-                realizations.push((index, g));
-            }
-            SurgeryOp::MeasureZ { cell } => {
-                let g = require_gate()?;
-                let gate = &lowered.gates()[g];
-                let Gate::Measure(q) = *gate else {
-                    return Err(SemanticsError::GateMismatch {
-                        index,
-                        expected: gate.to_string(),
-                        found: "measure".into(),
-                    });
-                };
-                check_at(q, *cell, &pos)?;
-                realizations.push((index, g));
-            }
+            SurgeryOp::DeliverMagic { .. } => continue,
             SurgeryOp::MergeZz { .. } | SurgeryOp::MergeXx { .. } => {
                 // The greedy engine never emits bare merges; a schedule that
                 // contains one was not produced by this compiler.
@@ -441,46 +367,90 @@ fn replay(program: &CompiledProgram) -> Result<Replayed, SemanticsError> {
                     found: "merge".into(),
                 });
             }
+            SurgeryOp::ConsumeMagic { .. } => magic += 1,
+            _ => {}
         }
-    }
 
-    Ok(Replayed {
-        realizations,
-        moves,
-        magic,
-    })
-}
+        // Every other op realises the gate it is tagged with: its kind
+        // must fit the gate, and it must run where the gate's operands sit
+        // (a CNOT's control and target, any other gate's one qubit).
+        let g = routed
+            .gate
+            .map(|g| g as usize)
+            .filter(|&g| g < gates.len())
+            .ok_or(SemanticsError::Untagged { index })?;
+        let gate = &gates[g];
+        let (fits, cells, found) = match &routed.op {
+            SurgeryOp::ConsumeMagic { target, .. } => {
+                (gate.is_magic(), [*target; 2], "magic-state consumption")
+            }
+            SurgeryOp::Cnot {
+                control, target, ..
+            } => (
+                matches!(gate, Gate::Cnot { .. }),
+                [*control, *target],
+                "cnot",
+            ),
+            SurgeryOp::Single { kind, cell, .. } => (
+                single_kind_of(gate) == Some(*kind),
+                [*cell; 2],
+                "single-qubit",
+            ),
+            SurgeryOp::PauliFrame { cell } => {
+                (is_frame_update(gate), [*cell; 2], "pauli-frame update")
+            }
+            SurgeryOp::MeasureZ { cell } => {
+                (matches!(gate, Gate::Measure(_)), [*cell; 2], "measure")
+            }
+            _ => unreachable!("movement and merges are handled above"),
+        };
+        if !fits {
+            let found = match &routed.op {
+                SurgeryOp::Single { kind, .. } => format!("{found} {}", kind.name()),
+                _ => found.into(),
+            };
+            return Err(SemanticsError::GateMismatch {
+                index,
+                expected: gate.to_string(),
+                found,
+            });
+        }
+        for (qubit, used) in gate.qubits().zip(cells) {
+            let tracked = pos[qubit as usize];
+            if tracked != used {
+                return Err(SemanticsError::OperandMismatch {
+                    index,
+                    qubit,
+                    tracked,
+                    used,
+                });
+            }
+        }
 
-/// Pass 2: every gate realised the right number of times, in DAG order;
-/// returns the reconstructed logical circuit (first-realisation order).
-fn coverage_and_order(
-    program: &CompiledProgram,
-    replayed: &Replayed,
-) -> Result<Circuit, SemanticsError> {
-    let lowered = program.lowered_circuit();
-    let dag = lowered.dag();
-    let policy = program.compile_options().t_state_policy;
-
-    let mut times_realized = vec![0u32; lowered.len()];
-    let mut order: Vec<usize> = Vec::with_capacity(lowered.len());
-    for &(_, g) in &replayed.realizations {
         if times_realized[g] == 0 {
-            for &p in dag.node(g).preds() {
-                if times_realized[p] == 0 {
+            // Every gate before the cursor is realised, so the cursor
+            // points at `g` or at an earlier gate on that qubit.
+            for (k, q) in gate.qubits().enumerate() {
+                let next = cursor[q as usize];
+                if next != g {
                     return Err(SemanticsError::OrderViolation {
                         gate: g,
-                        missing_pred: p,
+                        missing_pred: next,
                     });
                 }
+                cursor[q as usize] = after[g][k];
             }
             order.push(g);
-        } else if !lowered.gates()[g].is_magic() {
+        } else if !gate.is_magic() {
             return Err(SemanticsError::DoubleRealization { gate: g });
         }
         times_realized[g] += 1;
     }
 
-    for (g, gate) in lowered.gates().iter().enumerate() {
+    // Step 2: every gate realised the number of times the program's
+    // `TStatePolicy` asks for.
+    let policy = program.compile_options().t_state_policy;
+    for (g, gate) in gates.iter().enumerate() {
         let expected = match gate {
             Gate::T(_) | Gate::Tdg(_) => policy.states_per_t.max(1),
             Gate::Rz(_, a) if !a.is_clifford() => policy.states_per_rz.max(1),
@@ -495,29 +465,18 @@ fn coverage_and_order(
             });
         }
     }
-
-    let mut reconstructed = Circuit::new(lowered.num_qubits());
-    reconstructed.append(order.iter().map(|&g| lowered.gates()[g]));
-    Ok(reconstructed)
+    Ok(Replayed {
+        order,
+        moves,
+        magic,
+    })
 }
 
-/// Pass 3: per-qubit projections agree (trace-monoid equality).
-fn check_trace(
-    lowered: &Circuit,
-    reconstructed: &Circuit,
-) -> Result<EquivalenceMethod, SemanticsError> {
-    for q in 0..lowered.num_qubits() {
-        let proj = |c: &Circuit| -> Vec<Gate> {
-            c.iter()
-                .filter(|g| g.qubits().any(|x| x == q))
-                .copied()
-                .collect()
-        };
-        if proj(lowered) != proj(reconstructed) {
-            return Err(SemanticsError::TraceMismatch { qubit: q });
-        }
-    }
-    Ok(EquivalenceMethod::Trace)
+/// The circuit of `gates` on `n` qubits without their measurements.
+fn unitary_part(n: u32, gates: impl Iterator<Item = Gate>) -> Circuit {
+    let mut out = Circuit::new(n);
+    out.append(gates.filter(|g| !g.is_measurement()));
+    out
 }
 
 /// The `SingleQubitKind` a gate lowers to, if it lowers to a `Single` op.
@@ -680,7 +639,6 @@ mod tests {
             SemanticsError::Coverage {
                 reason: "gap".into(),
             },
-            SemanticsError::TraceMismatch { qubit: 7 },
             SemanticsError::NotEquivalent {
                 method: EquivalenceMethod::Tableau,
             },

@@ -46,7 +46,6 @@ use ftqc_route::incremental::{RouteCounters, Router};
 use ftqc_service::json::{ToJson, Value};
 use ftqc_service::{fingerprint, CacheStats, SharedCache, StageOutcome};
 use ftqc_sim::Schedule;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -57,7 +56,7 @@ use std::time::Instant;
 pub const DEFAULT_STAGE_CACHE_CAPACITY: usize = 256;
 
 /// The four pipeline stages, in execution order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Stage {
     /// Front-end preparation (the peephole optimisation pre-pass).
     Prepare,
@@ -567,13 +566,7 @@ impl CompileSession {
         // Hook-less clone: a probe must not show up in --explain traces.
         let mut probe = self.clone();
         probe.hooks.clear();
-        let prepared = probe.prepare(circuit)?;
-        let prepare_key = prepared.key;
-        let lowered = prepared.lower();
-        let lower_key = lowered.key;
-        let map_key = stage_key(Stage::Map, lowered.art.content_fp, self.map_opts_fp);
-        let schedule_key = stage_key(Stage::Schedule, map_key, self.sched_opts_fp);
-        Ok([prepare_key, lower_key, map_key, schedule_key])
+        Ok(probe.prepare(circuit)?.lower().stage_keys())
     }
 
     /// Whether the artifact for `stage` is already present in this
@@ -674,6 +667,7 @@ impl Prepared {
             session: self.session,
             art,
             key,
+            prepare_key: self.key,
             input_gates: self.input_gates,
         }
     }
@@ -685,6 +679,8 @@ pub struct Lowered {
     session: CompileSession,
     art: Arc<LoweredArt>,
     key: u64,
+    /// The key of the prepare stage this artifact was lowered from.
+    prepare_key: u64,
     input_gates: usize,
 }
 
@@ -699,6 +695,21 @@ impl Lowered {
         &self.art.circuit
     }
 
+    /// The map-stage key: the lowered content under the map option subset.
+    fn map_key(&self) -> u64 {
+        stage_key(Stage::Map, self.art.content_fp, self.session.map_opts_fp)
+    }
+
+    /// All four stage keys of this compile: the prepare and lower keys it
+    /// ran under, and the map and schedule keys it would finish under.
+    /// Neither later stage runs; each key is a digest of its upstream key
+    /// or content and an option subset.
+    pub(crate) fn stage_keys(&self) -> [u64; 4] {
+        let map_key = self.map_key();
+        let schedule_key = stage_key(Stage::Schedule, map_key, self.session.sched_opts_fp);
+        [self.prepare_key, self.key, map_key, schedule_key]
+    }
+
     /// Runs the map stage: layout construction, initial placement, factory
     /// docking, and greedy routing.
     ///
@@ -709,7 +720,7 @@ impl Lowered {
     pub fn map(self) -> Result<Mapped, CompileError> {
         let started = Instant::now();
         let options = &self.session.options;
-        let key = stage_key(Stage::Map, self.art.content_fp, self.session.map_opts_fp);
+        let key = self.map_key();
         let (art, cached) = match self.session.cache.as_ref().and_then(|c| c.map.get(key)) {
             Some(hit) => (hit.value, true),
             None => {

@@ -19,10 +19,10 @@
 use crate::routed::RoutedOp;
 use ftqc_arch::{Grid, Ticks, TimingModel};
 use ftqc_sim::{Clock, ResourceTimeline, Schedule};
-use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 
 /// Which duration table a replay uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CostKind {
     /// Realistic per-op latencies (Fig 7).
     Realistic,
@@ -57,8 +57,8 @@ impl CostKind {
 ///
 /// Panics if an op names a patch at or past `num_qubits` (the witness
 /// checker rejects such ops before re-timing).
-fn replay(
-    ops: &[RoutedOp],
+fn replay<'a>(
+    ops: impl IntoIterator<Item = &'a RoutedOp>,
     mut timeline: ResourceTimeline<[Ticks; 2]>,
     num_qubits: u32,
     num_factories: usize,
@@ -100,7 +100,9 @@ fn replay(
 /// latencies and unit costs in one pass. The ops move, uncopied, into the
 /// returned realistic [`Schedule`] (its makespan is the execution time),
 /// next to one pre-sized `(start, duration)` array; the unit-cost replay
-/// keeps only its makespan, the second value.
+/// keeps only its makespan, the second value. `ops` may hold the routed
+/// ops or borrow them (the witness check re-times a witness's ops where
+/// they lie).
 ///
 /// The pair equals a [`CostKind::Realistic`] and a [`CostKind::UnitCost`]
 /// [`time_ops`] over the same ops.
@@ -108,18 +110,18 @@ fn replay(
 /// # Panics
 ///
 /// Panics if an op names a patch at or past `num_qubits`.
-pub fn time_schedule(
-    ops: Vec<RoutedOp>,
+pub fn time_schedule<T: Borrow<RoutedOp>>(
+    ops: Vec<T>,
     grid: &Grid,
     num_qubits: u32,
     num_factories: usize,
     timing: &TimingModel,
     unbounded_magic: bool,
-) -> (Schedule<RoutedOp>, Ticks) {
+) -> (Schedule<T>, Ticks) {
     let mut times = Vec::with_capacity(ops.len());
     let mut unit_makespan = Ticks::ZERO;
     replay(
-        &ops,
+        ops.iter().map(Borrow::borrow),
         ResourceTimeline::new(grid.rows(), grid.cols()),
         num_qubits,
         num_factories,

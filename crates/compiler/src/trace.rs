@@ -9,10 +9,9 @@
 
 use crate::pipeline::CompiledProgram;
 use ftqc_arch::{SurgeryOp, TICKS_PER_D};
-use serde::{Deserialize, Serialize};
 
 /// Activity classes shown in the strip, in display-priority order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Activity {
     /// A magic state is being consumed (`C`).
     Consume,
@@ -90,7 +89,7 @@ fn priority(a: Activity) -> u8 {
 }
 
 /// Busy cell-time per operation kind, in qubit·d.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct KindBreakdown {
     /// Moves.
     pub moves: f64,

@@ -13,14 +13,36 @@
 //!    magic cell (or the consumption carries the factory grant itself) —
 //!    the invariant a stale or mis-invalidated cached delivery path breaks.
 //!
+//! [`verify_items`] checks all six in one sweep over the ops in issue order
+//! (the order they appear in the schedule). Every grid cell (a flat
+//! `rows × cols` array) and every program qubit keeps the end of the last
+//! op with a nonzero duration issued on it, and that op's index; every
+//! factory keeps the start of its last grant. An op that starts before the
+//! end of the last op on one of its cells or qubits, or before its
+//! factory's last grant plus the production latency, is a conflict. The
+//! first violation in issue order is returned.
+//!
+//! The sweep therefore asks for one thing more than disjoint intervals:
+//! the ops on each cell, qubit and factory must be listed in start order.
+//! The timer starts every op no earlier than the end of the last op on
+//! each cell, qubit and factory it uses, so every schedule it emits
+//! passes. (Under unbounded magic supply the timer does not wait for
+//! factories, and invariant 4 holds only for a zero production latency.)
+//! Every overlap fails: ops listed in start order, each starting after its
+//! predecessor ends, are pairwise disjoint. Only a hand-built schedule that
+//! lists two ops on one resource out of start order fails without
+//! overlapping. The sweep keeps its own arrays and shares no code with the
+//! timer or its `ResourceTimeline`, so a timing bug cannot certify itself.
+//!
 //! The compiler's own tests run this on every schedule they produce; it is
 //! public so downstream users can validate programs before exporting them
 //! to a control system.
 
 use crate::pipeline::CompiledProgram;
 use crate::routed::RoutedOp;
-use ftqc_arch::{Coord, Ticks, TimingModel};
+use ftqc_arch::{Coord, Grid, SurgeryOp, Ticks, TimingModel};
 use ftqc_sim::Schedule;
+use std::borrow::Borrow;
 use std::error::Error;
 use std::fmt;
 
@@ -126,104 +148,121 @@ impl Error for VerifyError {}
 ///
 /// Returns the first violated invariant.
 pub fn verify(program: &CompiledProgram, timing: &TimingModel) -> Result<(), VerifyError> {
-    verify_items(program.schedule(), timing, |c| {
-        program.layout().grid().in_bounds(c)
-    })
+    verify_items(program.schedule(), timing, program.layout().grid())
 }
 
-/// Core verification over a raw schedule (exposed for tests of custom
-/// schedules, and for the witness checker's re-timed schedule).
+/// Core verification over a raw schedule on `grid` (exposed for tests of
+/// custom schedules, and for the witness checker's re-timed schedule,
+/// whose ops it borrows).
 ///
 /// # Errors
 ///
-/// Returns the first violated invariant.
-pub fn verify_items(
-    schedule: &Schedule<RoutedOp>,
+/// Returns the first violated invariant in issue order.
+pub fn verify_items<T: Borrow<RoutedOp>>(
+    schedule: &Schedule<T>,
     timing: &TimingModel,
-    in_bounds: impl Fn(Coord) -> bool,
+    grid: &Grid,
 ) -> Result<(), VerifyError> {
-    // One pass handles invariants 1 & 5 and collects the interval lists
-    // for 2 & 3. Intervals are bucketed by counting sort over the (dense,
-    // bounded) cell and qubit key spaces rather than hashed or
-    // comparison-sorted, both of which measurably dominated the check.
-    let mut cell_intervals: Vec<(Coord, u64, u64, usize)> = Vec::new();
-    let mut qubit_intervals: Vec<(usize, u64, u64, usize)> = Vec::new();
-    let (mut max_row, mut max_col, mut max_qubit) = (0usize, 0usize, 0usize);
-    for (i, item) in schedule.iter().enumerate() {
-        if let Err(reason) = item.op.op.validate() {
-            return Err(VerifyError::InvalidPlacement { index: i, reason });
-        }
-        let mut off_grid = None;
-        item.op.op.for_each_cell(|c| {
-            if off_grid.is_none() && !in_bounds(c) {
-                off_grid = Some(c);
-            }
-        });
-        if let Some(cell) = off_grid {
-            return Err(VerifyError::OffGrid { index: i, cell });
-        }
-        if item.duration == Ticks::ZERO {
-            continue;
+    let cols = grid.cols() as usize;
+    // Per cell and per qubit: the end and index of the last op with a
+    // duration issued on it. The zero entry is never a conflict.
+    let mut cells = vec![(0u64, 0usize); grid.num_cells() as usize];
+    let mut qubits: Vec<(u64, usize)> = Vec::new();
+    // Per factory, the start of its last grant; per magic cell, the states
+    // delivered there and not yet consumed. Both are few (one per factory
+    // or outlet), so a linear scan beats indexing by a hand-built number.
+    let mut grants: Vec<(u32, u64)> = Vec::new();
+    let mut available: Vec<(Coord, u64)> = Vec::new();
+    let production = timing.magic_production.raw();
+    for (index, item) in schedule.iter().enumerate() {
+        let routed: &RoutedOp = item.op.borrow();
+        if let Err(reason) = routed.op.validate() {
+            return Err(VerifyError::InvalidPlacement { index, reason });
         }
         let (start, end) = (item.start.raw(), item.end().raw());
-        // In-bounds cells have non-negative coordinates (invariant 5 just
-        // checked them), so they flatten onto row-major counting-sort keys
-        // once the grid extent is known.
-        item.op.op.for_each_cell(|c| {
-            max_row = max_row.max(c.row as usize);
-            max_col = max_col.max(c.col as usize);
-            cell_intervals.push((c, start, end, i));
+        let busy = item.duration != Ticks::ZERO;
+
+        // 5 and 2: on the grid, and free since the last op on the cell.
+        let mut fault = None;
+        routed.op.for_each_cell(|cell| {
+            if fault.is_some() {
+                return;
+            }
+            if !grid.in_bounds(cell) {
+                fault = Some(VerifyError::OffGrid { index, cell });
+            } else if busy {
+                let last = &mut cells[cell.row as usize * cols + cell.col as usize];
+                if start < last.0 {
+                    fault = Some(VerifyError::ResourceConflict {
+                        first: last.1,
+                        second: index,
+                        cell,
+                    });
+                } else {
+                    *last = (end, index);
+                }
+            }
         });
-        for &q in &item.op.patches {
-            max_qubit = max_qubit.max(q as usize);
-            qubit_intervals.push((q as usize, start, end, i));
+        if let Some(fault) = fault {
+            return Err(fault);
         }
-    }
 
-    // 2: resource conflicts — per-cell buckets swept in start order.
-    let width = max_col + 1;
-    let keyed: Vec<(usize, u64, u64, usize)> = cell_intervals
-        .iter()
-        .map(|&(c, s, e, i)| (c.row as usize * width + c.col as usize, s, e, i))
-        .collect();
-    if let Some((key, first, second)) = bucket_overlap(&keyed, (max_row + 1) * width) {
-        return Err(VerifyError::ResourceConflict {
-            first,
-            second,
-            cell: Coord::new((key / width) as i32, (key % width) as i32),
-        });
-    }
+        // 3: free since the last op on each qubit.
+        if busy {
+            for &qubit in &routed.patches {
+                let q = qubit as usize;
+                if q >= qubits.len() {
+                    qubits.resize(q + 1, (0, 0));
+                }
+                if start < qubits[q].0 {
+                    return Err(VerifyError::QubitOverlap {
+                        qubit,
+                        first: qubits[q].1,
+                        second: index,
+                    });
+                }
+                qubits[q] = (end, index);
+            }
+        }
 
-    // 3: per-qubit ordering.
-    if let Some((qubit, first, second)) = bucket_overlap(&qubit_intervals, max_qubit + 1) {
-        return Err(VerifyError::QubitOverlap {
-            qubit: qubit as u32,
-            first,
-            second,
-        });
-    }
+        // 4: a grant no sooner than the production latency after the
+        // factory's last one; a ready instant past u64::MAX never comes.
+        if let Some(factory) = routed.factory {
+            match grants.iter_mut().find(|(f, _)| *f == factory) {
+                Some((_, last)) => {
+                    if last
+                        .checked_add(production)
+                        .is_none_or(|ready| start < ready)
+                    {
+                        return Err(VerifyError::FactoryOverrun {
+                            factory: factory as usize,
+                            starts: (*last, start),
+                        });
+                    }
+                    *last = start;
+                }
+                None => grants.push((factory, start)),
+            }
+        }
 
-    // 6: magic delivery discipline, in issue order. Each delivery makes one
-    // state available at its terminal cell; each consumption without its
-    // own factory grant takes one from its magic cell. Distinct magic cells
-    // are few (one per factory outlet), so a linear scan beats hashing.
-    let mut available: Vec<(Coord, u64)> = Vec::new();
-    for (i, item) in schedule.iter().enumerate() {
-        match &item.op.op {
-            ftqc_arch::SurgeryOp::DeliverMagic { path } => {
-                if let Some(&end) = path.last() {
-                    match available.iter_mut().find(|(c, _)| *c == end) {
+        // 6: each delivery makes one state available at its terminal
+        // cell; each consumption without its own grant takes one from its
+        // magic cell.
+        match &routed.op {
+            SurgeryOp::DeliverMagic { path } => {
+                if let Some(&outlet) = path.last() {
+                    match available.iter_mut().find(|(c, _)| *c == outlet) {
                         Some(slot) => slot.1 += 1,
-                        None => available.push((end, 1)),
+                        None => available.push((outlet, 1)),
                     }
                 }
             }
-            ftqc_arch::SurgeryOp::ConsumeMagic { magic, .. } if item.op.factory.is_none() => {
+            SurgeryOp::ConsumeMagic { magic, .. } if routed.factory.is_none() => {
                 match available.iter_mut().find(|(c, _)| c == magic) {
                     Some(slot) if slot.1 > 0 => slot.1 -= 1,
                     _ => {
                         return Err(VerifyError::UnfedMagic {
-                            index: i,
+                            index,
                             cell: *magic,
                         })
                     }
@@ -232,68 +271,19 @@ pub fn verify_items(
             _ => {}
         }
     }
-
-    // 4: factory production spacing.
-    let mut grants: Vec<(usize, u64)> = Vec::new();
-    for item in schedule {
-        if let Some(f) = item.op.factory {
-            grants.push((f as usize, item.start.raw()));
-        }
-    }
-    grants.sort_unstable();
-    for w in grants.windows(2) {
-        if w[0].0 == w[1].0 && w[1].1 - w[0].1 < timing.magic_production.raw() {
-            return Err(VerifyError::FactoryOverrun {
-                factory: w[0].0,
-                starts: (w[0].1, w[1].1),
-            });
-        }
-    }
-
     Ok(())
-}
-
-/// Buckets `(key, start, end, op-index)` intervals by key with a counting
-/// sort over `0..n_keys`, orders each bucket by start (near-sorted already
-/// — schedules are emitted in time order — so the per-bucket sorts are
-/// effectively linear), and returns the first time-overlapping pair found
-/// as `(key, first-op, second-op)`.
-fn bucket_overlap(
-    intervals: &[(usize, u64, u64, usize)],
-    n_keys: usize,
-) -> Option<(usize, usize, usize)> {
-    let mut heads = vec![0usize; n_keys + 1];
-    for &(k, ..) in intervals {
-        heads[k + 1] += 1;
-    }
-    for k in 0..n_keys {
-        heads[k + 1] += heads[k];
-    }
-    let mut slots = vec![(0u64, 0u64, 0usize); intervals.len()];
-    let mut next = heads.clone();
-    for &(k, s, e, i) in intervals {
-        slots[next[k]] = (s, e, i);
-        next[k] += 1;
-    }
-    for k in 0..n_keys {
-        let bucket = &mut slots[heads[k]..heads[k + 1]];
-        bucket.sort_unstable();
-        for w in bucket.windows(2) {
-            if w[1].0 < w[0].1 {
-                return Some((k, w[0].2, w[1].2));
-            }
-        }
-    }
-    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::routed::Patches;
-    use crate::{Compiler, CompilerOptions};
-    use ftqc_arch::SurgeryOp;
-    use ftqc_circuit::Circuit;
+    use ftqc_arch::CellKind;
+
+    /// The grid the hand-built schedules below run on.
+    fn open_grid() -> Grid {
+        Grid::filled(8, 8, CellKind::Bus)
+    }
 
     /// `(op, start, duration)` rows as a schedule.
     fn schedule(rows: Vec<(RoutedOp, f64, f64)>) -> Schedule<RoutedOp> {
@@ -312,19 +302,6 @@ mod tests {
             gate: None,
         };
         (op, start, dur)
-    }
-
-    #[test]
-    fn compiled_programs_verify() {
-        let mut c = Circuit::new(9);
-        for q in 0..9 {
-            c.h(q);
-        }
-        c.cnot(0, 4).t(4).cnot(4, 8).measure(8);
-        let p = Compiler::new(CompilerOptions::default().routing_paths(4).factories(2))
-            .compile(&c)
-            .expect("compiles");
-        verify(&p, &TimingModel::paper()).expect("compiled schedule verifies");
     }
 
     #[test]
@@ -349,7 +326,7 @@ mod tests {
                 1.0,
             ),
         ]);
-        let err = verify_items(&items, &TimingModel::paper(), |_| true).unwrap_err();
+        let err = verify_items(&items, &TimingModel::paper(), &open_grid()).unwrap_err();
         assert!(matches!(err, VerifyError::ResourceConflict { .. }));
     }
 
@@ -373,7 +350,7 @@ mod tests {
                 1.0,
             ),
         ]);
-        let err = verify_items(&items, &TimingModel::paper(), |_| true).unwrap_err();
+        let err = verify_items(&items, &TimingModel::paper(), &open_grid()).unwrap_err();
         assert!(matches!(err, VerifyError::QubitOverlap { qubit: 7, .. }));
     }
 
@@ -388,7 +365,7 @@ mod tests {
             0.0,
             1.0,
         )]);
-        let err = verify_items(&items, &TimingModel::paper(), |_| true).unwrap_err();
+        let err = verify_items(&items, &TimingModel::paper(), &open_grid()).unwrap_err();
         assert!(matches!(err, VerifyError::InvalidPlacement { .. }));
     }
 
@@ -406,7 +383,7 @@ mod tests {
             (op, start, 1.0)
         };
         let items = schedule(vec![mk(0.0, 0), mk(5.0, 3)]); // 5d apart < 11d
-        let err = verify_items(&items, &TimingModel::paper(), |_| true).unwrap_err();
+        let err = verify_items(&items, &TimingModel::paper(), &open_grid()).unwrap_err();
         assert!(matches!(
             err,
             VerifyError::FactoryOverrun { factory: 0, .. }
@@ -423,8 +400,7 @@ mod tests {
             0.0,
             1.0,
         )]);
-        let err =
-            verify_items(&items, &TimingModel::paper(), |c| c.row < 10 && c.col < 10).unwrap_err();
+        let err = verify_items(&items, &TimingModel::paper(), &open_grid()).unwrap_err();
         assert!(matches!(err, VerifyError::OffGrid { .. }));
     }
 

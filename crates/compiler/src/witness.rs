@@ -6,16 +6,16 @@
 //! start times), the four per-stage cache keys, and the target digest.
 //! That is enough for [`verify_witness`] to
 //!
-//! 1. re-derive the stage keys from the circuit + options (cheap: only the
-//!    prepare/lower front end runs, cache-assisted),
+//! 1. run the prepare/lower front end once (cache-assisted) and take both
+//!    the four stage keys and the lowered program from that one run,
 //! 2. rebuild the layout and factory bank from the target, and check that
-//!    every op names only that machine's hardware: qubits of the lowered
-//!    program, cells on the layout grid, docked factories,
-//! 3. deterministically re-time the op sequence with [`time_schedule`]
-//!    (greedy replay — the same function the schedule stage uses, so a
-//!    faithful schedule's makespans are reproduced exactly),
-//! 4. run the six-invariant physical checker [`verify_items`] over the
-//!    re-timed schedule, and
+//!    every op names only qubits of the lowered program and docked
+//!    factories,
+//! 3. re-time the witness's ops where they lie with [`time_schedule`] (the
+//!    schedule stage's own replay, so a faithful schedule's makespans are
+//!    reproduced exactly),
+//! 4. sweep the re-timed schedule with the six-invariant physical checker
+//!    [`verify_items`], which also rejects cells off the layout grid, and
 //! 5. re-derive the full [`Metrics`] document and require equality with
 //!    the claimed one.
 //!
@@ -35,7 +35,7 @@ use crate::routed::{Patches, RoutedOp};
 use crate::session::{CompileSession, StageCache};
 use crate::timer::time_schedule;
 use crate::verify::{verify_items, VerifyError};
-use ftqc_arch::{Coord, Grid, SingleQubitKind, SurgeryOp, Ticks};
+use ftqc_arch::{Coord, SingleQubitKind, SurgeryOp, Ticks};
 use ftqc_circuit::Circuit;
 use ftqc_service::fingerprint;
 use ftqc_service::json::{FromJson, JsonError, ToJson, Value};
@@ -183,57 +183,33 @@ pub fn extract_witness(
 /// First differing field of two metrics documents, for the rejection
 /// message. `None` when equal.
 fn first_metrics_diff(a: &Metrics, b: &Metrics) -> Option<&'static str> {
-    if a.execution_time != b.execution_time {
-        return Some("execution_time");
-    }
-    if a.unit_cost_time != b.unit_cost_time {
-        return Some("unit_cost_time");
-    }
-    if a.lower_bound != b.lower_bound {
-        return Some("lower_bound");
-    }
-    if a.grid_patches != b.grid_patches {
-        return Some("grid_patches");
-    }
-    if a.factory_patches != b.factory_patches {
-        return Some("factory_patches");
-    }
-    if a.routing_paths != b.routing_paths {
-        return Some("routing_paths");
-    }
-    if a.factories != b.factories {
-        return Some("factories");
-    }
-    if a.n_gates != b.n_gates {
-        return Some("n_gates");
-    }
-    if a.n_surgery_ops != b.n_surgery_ops {
-        return Some("n_surgery_ops");
-    }
-    if a.n_moves != b.n_moves {
-        return Some("n_moves");
-    }
-    if a.n_moves_eliminated != b.n_moves_eliminated {
-        return Some("n_moves_eliminated");
-    }
-    if a.n_magic_states != b.n_magic_states {
-        return Some("n_magic_states");
-    }
-    if a.route != b.route {
-        return Some("route");
-    }
-    None
+    [
+        ("execution_time", a.execution_time == b.execution_time),
+        ("unit_cost_time", a.unit_cost_time == b.unit_cost_time),
+        ("lower_bound", a.lower_bound == b.lower_bound),
+        ("grid_patches", a.grid_patches == b.grid_patches),
+        ("factory_patches", a.factory_patches == b.factory_patches),
+        ("routing_paths", a.routing_paths == b.routing_paths),
+        ("factories", a.factories == b.factories),
+        ("n_gates", a.n_gates == b.n_gates),
+        ("n_surgery_ops", a.n_surgery_ops == b.n_surgery_ops),
+        ("n_moves", a.n_moves == b.n_moves),
+        (
+            "n_moves_eliminated",
+            a.n_moves_eliminated == b.n_moves_eliminated,
+        ),
+        ("n_magic_states", a.n_magic_states == b.n_magic_states),
+        ("route", a.route == b.route),
+    ]
+    .into_iter()
+    .find(|&(_, equal)| !equal)
+    .map(|(field, _)| field)
 }
 
 /// Checks that every op names only hardware the verifier's machine has:
-/// patches below the lowered qubit count, cells on the layout grid, and
-/// factories below the docked bank's size.
-fn check_hardware(
-    ops: &[RoutedOp],
-    qubits: u32,
-    grid: &Grid,
-    factories: usize,
-) -> Result<(), WitnessError> {
+/// patches below the lowered qubit count, and factories below the docked
+/// bank's size.
+fn check_hardware(ops: &[RoutedOp], qubits: u32, factories: usize) -> Result<(), WitnessError> {
     for (index, routed) in ops.iter().enumerate() {
         if let Some(&qubit) = routed.patches.iter().find(|&&q| q >= qubits) {
             return Err(WitnessError::UnknownQubit {
@@ -241,18 +217,6 @@ fn check_hardware(
                 qubit,
                 qubits,
             });
-        }
-        let mut off_grid = None;
-        routed.op.for_each_cell(|c| {
-            if off_grid.is_none() && !grid.in_bounds(c) {
-                off_grid = Some(c);
-            }
-        });
-        if let Some(cell) = off_grid {
-            return Err(WitnessError::Invariant(VerifyError::OffGrid {
-                index,
-                cell,
-            }));
         }
         if let Some(factory) = routed.factory.filter(|&f| f as usize >= factories) {
             return Err(WitnessError::UnknownFactory {
@@ -272,9 +236,9 @@ fn check_hardware(
 /// invariants are checked, and the metrics are re-assembled from the
 /// replay and compared member-wise with the claim.
 ///
-/// `stages` (when given) lets the cheap prepare/lower re-runs read from
-/// and warm a caller's stage cache; `None` runs them uncached. On success
-/// the *derived* metrics document is returned; it is equal to `claimed`.
+/// `stages` (when given) lets the one prepare/lower run read from and warm
+/// a caller's stage cache; `None` runs it uncached. On success the
+/// *derived* metrics document is returned; it is equal to `claimed`.
 ///
 /// # Errors
 ///
@@ -291,11 +255,14 @@ pub fn verify_witness(
         session = session.with_cache(cache.clone());
     }
 
-    // 1. Stage keys: pins (circuit, options) — a witness replayed from a
-    // different job or option set fails here before any replay work.
-    let keys = session
-        .stage_keys(circuit)
-        .map_err(|e| WitnessError::Compile(e.to_string()))?;
+    // 1. One front-end run yields the stage keys, which pin (circuit,
+    // options): a witness replayed from a different job or option set
+    // fails here before any replay work.
+    let lowered = session
+        .prepare(circuit)
+        .map_err(|e| WitnessError::Compile(e.to_string()))?
+        .lower();
+    let keys = lowered.stage_keys();
     for (index, (expected, got)) in keys.iter().zip(witness.stage_keys.iter()).enumerate() {
         if expected != got {
             return Err(WitnessError::StageKeyMismatch {
@@ -315,11 +282,7 @@ pub fn verify_witness(
 
     // 2. The machine: shape validation, layout, factory bank — all from
     // the target, none from the witness.
-    let prepared = session
-        .prepare(circuit)
-        .map_err(|e| WitnessError::Compile(e.to_string()))?;
     let input_gates = circuit.len();
-    let lowered = prepared.lower();
     let num_qubits = lowered.circuit().num_qubits();
     let t_count = lowered.circuit().t_count() as u64;
     options
@@ -332,24 +295,25 @@ pub fn verify_witness(
         .map_err(|e| WitnessError::Target(e.to_string()))?;
     let bank = options.target.factory_bank(&layout);
 
-    // Every op must name hardware this machine has before anything indexes
-    // per-qubit, per-cell or per-factory state with it.
-    check_hardware(&witness.ops, num_qubits, layout.grid(), bank.len())?;
+    // Every op must name qubits and factories this machine has before
+    // re-timing indexes per-qubit state with them (or folds an unknown
+    // factory onto the last one). Cells are the sweep's to check.
+    check_hardware(&witness.ops, num_qubits, bank.len())?;
 
-    // 3 + 4. Deterministic re-timing and the physical invariants. The
-    // same greedy replay the schedule stage runs, so a faithful schedule's
-    // makespans are reproduced bit-for-bit.
+    // 3 + 4. Deterministic re-timing of the ops where they lie, and the
+    // physical invariants. The same greedy replay the schedule stage runs,
+    // so a faithful schedule's makespans are reproduced bit-for-bit.
     let timing = options.effective_schedule_timing();
+    let ops: Vec<&RoutedOp> = witness.ops.iter().collect();
     let (schedule, unit_makespan) = time_schedule(
-        witness.ops.clone(),
+        ops,
         layout.grid(),
         num_qubits,
         options.target.factories as usize,
         timing,
         options.target.unbounded_magic,
     );
-    verify_items(&schedule, timing, |c| layout.grid().in_bounds(c))
-        .map_err(WitnessError::Invariant)?;
+    verify_items(&schedule, timing, layout.grid()).map_err(WitnessError::Invariant)?;
 
     // 5. Metrics re-assembly — the schedule stage's recipe, with the two
     // non-derivable informational counters passed through from the claim.

@@ -47,7 +47,6 @@
 
 use crate::{CostModel, Path, SpacePlan};
 use ftqc_arch::{Coord, MAX_QUBITS};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// The largest penalty weight a [`Router`] accepts: twice the cells of the
@@ -169,7 +168,7 @@ impl CellGrid {
 
 /// Per-router activity counters, surfaced through compiler `Metrics`, the
 /// CLI's `--explain` report, `/v1/cache/stats`, and `/metrics`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RouteCounters {
     /// Searches that reused the arena's buffers via a generation bump
     /// (everything after the first search on a given grid shape).

@@ -34,7 +34,6 @@ pub use incremental::{CellGrid, RouteCounters, RouteQueries, Router, MAX_PENALTY
 pub use moves::{best_cnot_config_with, CnotConfig};
 
 use ftqc_arch::Coord;
-use serde::{Deserialize, Serialize};
 
 /// Pathfinding cost parameters.
 ///
@@ -48,7 +47,7 @@ use serde::{Deserialize, Serialize};
 /// data qubit cost as much as a `w`-cell detour. A [`Path`] exposes both
 /// components (`length`, `occupied`), so the paper's multiplicative
 /// product is available too.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Additive cost of entering an occupied cell, in units of one step.
     /// The paper's default makes one crossed data qubit as expensive as a
@@ -64,7 +63,7 @@ impl Default for CostModel {
 
 /// A path found by [`RouteQueries::find_path`], from `from` (inclusive) to
 /// `to` (inclusive).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Path {
     /// The cells along the path, starting at the source.
     pub cells: Vec<Coord>,
@@ -79,7 +78,7 @@ pub struct Path {
 /// A plan produced by [`RouteQueries::space_search`]: which neighbouring
 /// cell to use as the ancilla and the clearing moves (in execution order)
 /// that free it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpacePlan {
     /// The cell that will serve as the ancilla once cleared.
     pub ancilla: Coord,

@@ -16,10 +16,9 @@
 
 use crate::incremental::{CellGrid, RouteQueries};
 use ftqc_arch::{cnot_ancilla, Coord};
-use serde::{Deserialize, Serialize};
 
 /// Which operand relocates to reach the chosen configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mover {
     /// Neither moves — the pair is already in a legal configuration.
     None,
@@ -30,7 +29,7 @@ pub enum Mover {
 }
 
 /// A scored CNOT placement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CnotConfig {
     /// Final control position.
     pub control: Coord,

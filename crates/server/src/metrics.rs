@@ -9,7 +9,7 @@
 //! render time, so the numbers can never drift from what the cache itself
 //! reports.
 
-use ftqc_compiler::{RouteCounters, Stage, StageCacheStats};
+use ftqc_compiler::{RouteCounters, Stage, StageCacheStats, StageEvent, TraceHook};
 use ftqc_service::CacheStats;
 use ftqc_telemetry::{duration_micros_saturating, Histogram, HistogramSnapshot};
 use std::fmt::Write as _;
@@ -456,6 +456,14 @@ impl ServerMetrics {
         );
         let _ = writeln!(out, "ftqc_route_arena_reuses_total {}", route.arena_reuses);
         out
+    }
+}
+
+/// Attached to every served compile session: each finished stage is one
+/// sample of its per-stage latency histogram.
+impl TraceHook for ServerMetrics {
+    fn on_stage(&self, event: &StageEvent) {
+        self.record_stage(event.stage, event.micros);
     }
 }
 

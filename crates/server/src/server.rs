@@ -39,7 +39,6 @@ use ftqc_arch::TargetRegistry;
 use ftqc_compiler::{
     apply_job_target, explore_session, explore_targets, pareto_front, resolve_target_ref,
     stage_outcome, CompileSession, CompilerOptions, Metrics, Stage, StageCache, StageCacheStats,
-    StageEvent, TraceHook,
 };
 use ftqc_reactor::{ReactorConfig, ReactorService, Refusal};
 use ftqc_service::json::{JsonError, ToJson, Value};
@@ -696,21 +695,6 @@ fn handle_request_core(
     }
 }
 
-/// Feeds each finished stage into both consumers at once: the request
-/// trace (a child span per stage, tagged with the job id) and the
-/// process-wide per-stage latency histograms.
-struct ServerStageHook {
-    spans: StageSpanHook,
-    metrics: Arc<ServerMetrics>,
-}
-
-impl TraceHook for ServerStageHook {
-    fn on_stage(&self, event: &StageEvent) {
-        self.metrics.record_stage(event.stage, event.micros);
-        self.spans.on_stage(event);
-    }
-}
-
 /// The compile closure every job endpoint shares: a staged session over
 /// the process-wide stage cache, honouring each job's `stop_after` /
 /// `resume_from` stage fields. Failures carry the failing stage in their
@@ -721,13 +705,15 @@ fn compile_staged(
     circuit: &ftqc_circuit::Circuit,
     job: &CompileJob<CompilerOptions>,
 ) -> Result<StageOutcome<Metrics>, String> {
-    let hook = Arc::new(ServerStageHook {
-        spans: StageSpanHook::new(Arc::clone(trace)).with_attr("job", &job.id),
-        metrics: Arc::clone(&state.metrics),
-    });
+    // Each finished stage feeds the process-wide per-stage latency
+    // histograms and the request trace (a child span per stage, tagged
+    // with the job id).
     let session = CompileSession::new(job.options.clone())
         .with_cache(state.stages.clone())
-        .with_hook(hook);
+        .with_hook(Arc::<ServerMetrics>::clone(&state.metrics))
+        .with_hook(Arc::new(
+            StageSpanHook::new(Arc::clone(trace)).with_attr("job", &job.id),
+        ));
     stage_outcome(
         &session,
         circuit,

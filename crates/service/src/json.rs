@@ -1,13 +1,12 @@
 //! A small canonical-JSON value model with a writer and parser.
 //!
-//! The batch service needs real serialization for its JSON-lines job format
-//! and the file-backed compile-cache tier, but the build environment has no
-//! registry access (the workspace's `serde` is a no-op stand-in — see
-//! `vendor/serde`). This module is the honest replacement: a compact
-//! [`Value`] tree, a deterministic writer (object fields keep insertion
-//! order, so equal values render byte-identically — which the
-//! content-addressed fingerprints rely on), and a strict recursive-descent
-//! parser for the subset of JSON the service emits.
+//! Every wire format of the workspace (the JSON-lines job format, the
+//! file-backed compile-cache tier, the server's documents, witnesses) is
+//! written and read through this module; no serialization crate is used.
+//! It holds a compact [`Value`] tree, a deterministic writer (object
+//! fields keep insertion order, so equal values render byte-identically —
+//! which the content-addressed fingerprints rely on), and a strict
+//! recursive-descent parser for the subset of JSON the service emits.
 
 use std::fmt;
 

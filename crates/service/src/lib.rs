@@ -22,11 +22,10 @@
 //! cache without a dependency cycle; the compiler and CLI instantiate the
 //! generics with `CompilerOptions` / `Metrics`.
 //!
-//! Serialization note: the crates.io `serde`/`serde_json` stack is not
-//! available offline (the workspace `serde` is a no-op marker stub), so
-//! the wire format is implemented honestly in [`json`] — a small
-//! canonical-JSON value model whose deterministic rendering doubles as the
-//! fingerprint pre-image.
+//! Serialization note: the wire format is hand-written in [`json`] — a
+//! small canonical-JSON value model whose deterministic rendering doubles
+//! as the fingerprint pre-image. The workspace uses no serialization
+//! crate.
 //!
 //! # Example
 //!

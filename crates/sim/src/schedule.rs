@@ -1,12 +1,11 @@
 //! Timed operation records.
 
 use ftqc_arch::Ticks;
-use serde::{Deserialize, Serialize};
 
 /// One operation with its assigned start time and duration. A
 /// [`Schedule`] stores its operations and times apart and yields
 /// `ScheduledOp<&T>` views of them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScheduledOp<T> {
     /// The operation.
     pub op: T,
@@ -38,7 +37,7 @@ impl<T> ScheduledOp<T> {
 /// assert_eq!(s.makespan(), Ticks::from_d(5.0));
 /// assert_eq!(s.iter().nth(1).map(|item| item.start), Some(Ticks::from_d(3.0)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Schedule<T> {
     ops: Vec<T>,
     /// `(start, duration)` of `ops[i]` at index `i`.

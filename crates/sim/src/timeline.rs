@@ -1,7 +1,6 @@
 //! Per-cell busy-until tracking.
 
 use ftqc_arch::{Coord, SurgeryOp, Ticks};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// What a [`ResourceTimeline`] keeps per cell: one instant, or a fixed
@@ -55,7 +54,7 @@ impl Clock for [Ticks; 2] {
 /// tl.reserve(&mv, start + Ticks::from_d(2.0));
 /// assert_eq!(tl.busy_until(Coord::new(0, 0)), Ticks::from_d(2.0));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResourceTimeline<C = Ticks> {
     rows: u32,
     cols: u32,
