@@ -47,7 +47,8 @@ pub fn to_csv(program: &CompiledProgram) -> String {
     out
 }
 
-fn kind_name(op: &SurgeryOp) -> &'static str {
+/// The op's kind tag: the CSV `kind` column and the witness codec's `"k"`.
+pub(crate) fn kind_name(op: &SurgeryOp) -> &'static str {
     match op {
         SurgeryOp::Move { .. } => "move",
         SurgeryOp::DeliverMagic { .. } => "deliver",

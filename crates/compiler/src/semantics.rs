@@ -327,8 +327,13 @@ fn replay(program: &CompiledProgram) -> Result<Replayed, SemanticsError> {
 
     for (index, routed) in program.schedule().ops().iter().enumerate() {
         // A move relocates its qubit; a delivery stages a resource and
-        // touches no data patch.
-        match &routed.op {
+        // touches no data patch. Every other op realises the gate it is
+        // tagged with: its kind must fit the gate, and it must run where
+        // the gate's operands sit (a CNOT's control and target, any other
+        // gate's one qubit).
+        let tagged = routed.gate.map(|g| g as usize).filter(|&g| g < gates.len());
+        let gate = tagged.map(|g| &gates[g]);
+        let (fits, cells, found) = match &routed.op {
             SurgeryOp::Move { from, to } => {
                 moves += 1;
                 let bad_move = |reason: String| SemanticsError::BadMove { index, reason };
@@ -367,43 +372,39 @@ fn replay(program: &CompiledProgram) -> Result<Replayed, SemanticsError> {
                     found: "merge".into(),
                 });
             }
-            SurgeryOp::ConsumeMagic { .. } => magic += 1,
-            _ => {}
-        }
-
-        // Every other op realises the gate it is tagged with: its kind
-        // must fit the gate, and it must run where the gate's operands sit
-        // (a CNOT's control and target, any other gate's one qubit).
-        let g = routed
-            .gate
-            .map(|g| g as usize)
-            .filter(|&g| g < gates.len())
-            .ok_or(SemanticsError::Untagged { index })?;
-        let gate = &gates[g];
-        let (fits, cells, found) = match &routed.op {
             SurgeryOp::ConsumeMagic { target, .. } => {
-                (gate.is_magic(), [*target; 2], "magic-state consumption")
+                magic += 1;
+                (
+                    gate.is_some_and(Gate::is_magic),
+                    [*target; 2],
+                    "magic-state consumption",
+                )
             }
             SurgeryOp::Cnot {
                 control, target, ..
             } => (
-                matches!(gate, Gate::Cnot { .. }),
+                matches!(gate, Some(Gate::Cnot { .. })),
                 [*control, *target],
                 "cnot",
             ),
             SurgeryOp::Single { kind, cell, .. } => (
-                single_kind_of(gate) == Some(*kind),
+                gate.and_then(single_kind_of) == Some(*kind),
                 [*cell; 2],
                 "single-qubit",
             ),
-            SurgeryOp::PauliFrame { cell } => {
-                (is_frame_update(gate), [*cell; 2], "pauli-frame update")
-            }
-            SurgeryOp::MeasureZ { cell } => {
-                (matches!(gate, Gate::Measure(_)), [*cell; 2], "measure")
-            }
-            _ => unreachable!("movement and merges are handled above"),
+            SurgeryOp::PauliFrame { cell } => (
+                gate.is_some_and(is_frame_update),
+                [*cell; 2],
+                "pauli-frame update",
+            ),
+            SurgeryOp::MeasureZ { cell } => (
+                matches!(gate, Some(Gate::Measure(_))),
+                [*cell; 2],
+                "measure",
+            ),
         };
+        let g = tagged.ok_or(SemanticsError::Untagged { index })?;
+        let gate = &gates[g];
         if !fits {
             let found = match &routed.op {
                 SurgeryOp::Single { kind, .. } => format!("{found} {}", kind.name()),

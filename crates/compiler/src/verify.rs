@@ -278,7 +278,9 @@ pub fn verify_items<T: Borrow<RoutedOp>>(
 mod tests {
     use super::*;
     use crate::routed::Patches;
+    use crate::{Compiler, CompilerOptions};
     use ftqc_arch::CellKind;
+    use ftqc_circuit::Circuit;
 
     /// The grid the hand-built schedules below run on.
     fn open_grid() -> Grid {
@@ -302,6 +304,19 @@ mod tests {
             gate: None,
         };
         (op, start, dur)
+    }
+
+    #[test]
+    fn compiled_programs_verify() {
+        let mut c = Circuit::new(9);
+        for q in 0..9 {
+            c.h(q);
+        }
+        c.cnot(0, 4).t(4).cnot(4, 8).measure(8);
+        let p = Compiler::new(CompilerOptions::default().routing_paths(4).factories(2))
+            .compile(&c)
+            .expect("compiles");
+        verify(&p, &TimingModel::paper()).expect("compiled schedule verifies");
     }
 
     #[test]

@@ -28,6 +28,7 @@
 
 use crate::codec::target_digest;
 use crate::error::CompileError;
+use crate::export::kind_name;
 use crate::metrics::{lower_bound, Metrics};
 use crate::options::CompilerOptions;
 use crate::pipeline::CompiledProgram;
@@ -364,7 +365,7 @@ fn num(v: u64) -> Value {
     Value::Num(v as f64)
 }
 
-fn coord_to_json(c: Coord) -> Value {
+fn coord_to_json(c: &Coord) -> Value {
     Value::Arr(vec![
         Value::Num(f64::from(c.row)),
         Value::Num(f64::from(c.col)),
@@ -399,63 +400,48 @@ fn kind_from_name(name: &str) -> Result<SingleQubitKind, JsonError> {
 }
 
 fn op_fields(op: &SurgeryOp) -> Vec<(String, Value)> {
+    let mut fields = Vec::with_capacity(4);
+    let mut put = |key: &str, v: Value| fields.push((key.to_string(), v));
+    put("k", Value::Str(kind_name(op).into()));
     match op {
-        SurgeryOp::Move { from, to } => vec![
-            ("k".into(), Value::Str("move".into())),
-            ("from".into(), coord_to_json(*from)),
-            ("to".into(), coord_to_json(*to)),
-        ],
-        SurgeryOp::DeliverMagic { path } => vec![
-            ("k".into(), Value::Str("deliver".into())),
-            (
-                "path".into(),
-                Value::Arr(path.iter().map(|c| coord_to_json(*c)).collect()),
-            ),
-        ],
-        SurgeryOp::MergeZz { a, b } => vec![
-            ("k".into(), Value::Str("mzz".into())),
-            ("a".into(), coord_to_json(*a)),
-            ("b".into(), coord_to_json(*b)),
-        ],
-        SurgeryOp::MergeXx { a, b } => vec![
-            ("k".into(), Value::Str("mxx".into())),
-            ("a".into(), coord_to_json(*a)),
-            ("b".into(), coord_to_json(*b)),
-        ],
+        SurgeryOp::Move { from, to } => {
+            put("from", coord_to_json(from));
+            put("to", coord_to_json(to));
+        }
+        SurgeryOp::DeliverMagic { path } => {
+            put("path", Value::Arr(path.iter().map(coord_to_json).collect()));
+        }
+        SurgeryOp::MergeZz { a, b } | SurgeryOp::MergeXx { a, b } => {
+            put("a", coord_to_json(a));
+            put("b", coord_to_json(b));
+        }
         SurgeryOp::Cnot {
             control,
             target,
             ancilla,
-        } => vec![
-            ("k".into(), Value::Str("cnot".into())),
-            ("control".into(), coord_to_json(*control)),
-            ("target".into(), coord_to_json(*target)),
-            ("ancilla".into(), coord_to_json(*ancilla)),
-        ],
+        } => {
+            put("control", coord_to_json(control));
+            put("target", coord_to_json(target));
+            put("ancilla", coord_to_json(ancilla));
+        }
         SurgeryOp::Single {
             kind,
             cell,
             ancilla,
-        } => vec![
-            ("k".into(), Value::Str("single".into())),
-            ("kind".into(), Value::Str(kind.name().into())),
-            ("cell".into(), coord_to_json(*cell)),
-            ("ancilla".into(), coord_to_json(*ancilla)),
-        ],
-        SurgeryOp::ConsumeMagic { target, magic } => vec![
-            ("k".into(), Value::Str("consume".into())),
-            ("target".into(), coord_to_json(*target)),
-            ("magic".into(), coord_to_json(*magic)),
-        ],
-        SurgeryOp::MeasureZ { cell } => vec![
-            ("k".into(), Value::Str("measure".into())),
-            ("cell".into(), coord_to_json(*cell)),
-        ],
-        SurgeryOp::PauliFrame { cell } => vec![
-            ("k".into(), Value::Str("frame".into())),
-            ("cell".into(), coord_to_json(*cell)),
-        ],
+        } => {
+            put("kind", Value::Str(kind.name().into()));
+            put("cell", coord_to_json(cell));
+            put("ancilla", coord_to_json(ancilla));
+        }
+        SurgeryOp::ConsumeMagic { target, magic } => {
+            put("target", coord_to_json(target));
+            put("magic", coord_to_json(magic));
+        }
+        SurgeryOp::MeasureZ { cell } | SurgeryOp::PauliFrame { cell } => {
+            put("cell", coord_to_json(cell));
+        }
     }
+    fields
 }
 
 fn coord_field(v: &Value, key: &str) -> Result<Coord, JsonError> {
