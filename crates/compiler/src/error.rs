@@ -30,6 +30,12 @@ pub enum CompileError {
         /// The stage whose upstream options diverged.
         stage: Stage,
     },
+    /// A compiled program was paired with a circuit or options it was not
+    /// routed from: its key for `stage` differs from theirs.
+    ProgramMismatch {
+        /// The first stage whose key differs.
+        stage: Stage,
+    },
     /// A pipeline stage failed. Attached by [`CompileSession`] so batch
     /// error lines say *where* a job died; [`Compiler::compile`] strips the
     /// wrapper for backwards compatibility.
@@ -90,6 +96,12 @@ impl fmt::Display for CompileError {
                 f,
                 "cannot resume at the {} stage: options diverge from the cached \
                  artifact's upstream option subsets",
+                stage.name()
+            ),
+            CompileError::ProgramMismatch { stage } => write!(
+                f,
+                "the program was not routed from this circuit and options: \
+                 its {} key differs",
                 stage.name()
             ),
             CompileError::Stage {

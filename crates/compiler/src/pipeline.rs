@@ -1,19 +1,22 @@
 //! The compiler façade: lowering → mapping → routing → scheduling.
 //!
 //! [`Compiler::compile`] is a thin compatibility wrapper over the staged
-//! [`CompileSession`] pipeline; use the
-//! session directly for stage-level caching, partial runs, and per-stage
-//! trace hooks.
+//! [`CompileSession`] pipeline; use the session directly for stage-level
+//! caching, partial runs, and per-stage trace hooks. Either way the result
+//! is a [`CompiledProgram`]: a view over the stage artifacts, shared
+//! behind `Arc`s, with the metrics and the stage keys of its compile.
 
+use crate::engine::RoutedProgram;
 use crate::error::CompileError;
 use crate::mapping::InitialMapping;
 use crate::metrics::Metrics;
 use crate::options::CompilerOptions;
 use crate::routed::RoutedOp;
-use crate::session::CompileSession;
+use crate::session::{CompileSession, LoweredArt, ScheduledArt};
 use ftqc_arch::Layout;
 use ftqc_circuit::{Circuit, Gate};
 use ftqc_sim::Schedule;
+use std::sync::Arc;
 
 /// The compiler. Construct with options, then call
 /// [`Compiler::compile`] for each circuit.
@@ -111,47 +114,33 @@ pub fn lower(circuit: &Circuit) -> Circuit {
     out
 }
 
-/// A compiled program: the layout it runs on, the timed schedule, and the
-/// evaluation metrics.
+/// A compiled program: a view over what the stages produced. It shares
+/// the lowered circuit, the map artifact (layout and placement) and the
+/// timed schedule with the session that compiled it (and with its stage
+/// cache, if any), and keeps the metrics, the options and the four stage
+/// keys it was compiled under. A clone bumps three reference counts and
+/// copies the metrics, options and keys.
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
-    layout: Layout,
-    schedule: Schedule<RoutedOp>,
-    metrics: Metrics,
-    lowered: Circuit,
-    initial: InitialMapping,
-    options: CompilerOptions,
+    pub(crate) lowered: Arc<LoweredArt>,
+    /// The map artifact; when nothing else held it, its routed ops have
+    /// moved into the schedule.
+    pub(crate) mapped: Arc<RoutedProgram>,
+    pub(crate) scheduled: Arc<ScheduledArt>,
+    pub(crate) metrics: Metrics,
+    pub(crate) options: CompilerOptions,
+    pub(crate) keys: [u64; 4],
 }
 
 impl CompiledProgram {
-    /// Assembles a program from the schedule stage's pieces (the session's
-    /// materialisation step).
-    pub(crate) fn assemble(
-        layout: Layout,
-        schedule: Schedule<RoutedOp>,
-        metrics: Metrics,
-        lowered: Circuit,
-        initial: InitialMapping,
-        options: CompilerOptions,
-    ) -> Self {
-        CompiledProgram {
-            layout,
-            schedule,
-            metrics,
-            lowered,
-            initial,
-            options,
-        }
-    }
-
     /// The layout the program was compiled for.
     pub fn layout(&self) -> &Layout {
-        &self.layout
+        &self.mapped.layout
     }
 
     /// The timed schedule (realistic latencies).
     pub fn schedule(&self) -> &Schedule<RoutedOp> {
-        &self.schedule
+        &self.scheduled.schedule
     }
 
     /// The evaluation metrics.
@@ -162,27 +151,39 @@ impl CompiledProgram {
     /// The lowered circuit the schedule realises; [`RoutedOp::gate`] indices
     /// refer to gates of this circuit (in DAG node order = gate order).
     pub fn lowered_circuit(&self) -> &Circuit {
-        &self.lowered
+        &self.lowered.circuit
     }
 
     /// The initial placement of each program qubit on the grid.
     pub fn initial_mapping(&self) -> &InitialMapping {
-        &self.initial
+        &self.mapped.mapping
     }
 
-    /// The options the program was compiled with.
+    /// The options the program was compiled with (for a program re-timed
+    /// by [`Mapped::reschedule`](crate::Mapped::reschedule), the options
+    /// it was re-timed with).
     pub fn compile_options(&self) -> &CompilerOptions {
         &self.options
     }
 
-    /// Replaces the schedule, keeping layout, metrics and provenance.
+    /// The prepare, lower, map and schedule keys the program was compiled
+    /// under: [`CompileSession::stage_keys`] of its circuit and options.
+    pub fn stage_keys(&self) -> [u64; 4] {
+        self.keys
+    }
+
+    /// Replaces the schedule, keeping layout, metrics and provenance. The
+    /// new schedule is the program's own; a cached one is left as it is.
     ///
     /// For downstream custom passes (and the verifier-mutation tests): the
     /// returned program should be re-validated with
     /// [`crate::verify()`](crate::verify::verify) and [`crate::check_semantics`] — nothing
     /// re-derives the metrics from the new schedule.
     pub fn with_schedule(mut self, schedule: Schedule<RoutedOp>) -> Self {
-        self.schedule = schedule;
+        self.scheduled = Arc::new(ScheduledArt {
+            schedule,
+            ..*self.scheduled
+        });
         self
     }
 }

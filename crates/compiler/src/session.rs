@@ -27,20 +27,27 @@
 //! on a circuit the peephole pass cannot improve shares artifacts with
 //! `optimize = false`.
 //!
+//! The schedule stage builds its program one way, cache or no cache: the
+//! [`CompiledProgram`] holds the lowered, map and schedule artifacts
+//! behind `Arc`s (the cached ones, when there is a cache) and the four
+//! stage keys. Only the routed ops are copied, and only when a cache shares
+//! the map artifact: the cache keeps them as routed, while the schedule
+//! stage eliminates redundant moves in place. A map artifact with one
+//! owner moves its ops into the schedule.
+//!
 //! [`TraceHook`] observers see one [`StageEvent`] per stage (fingerprint,
 //! cache provenance, wall-clock micros); the CLI's `--explain` report and
 //! the service's stage accounting are built on them.
 
-use crate::engine::route_circuit;
+use crate::engine::{route_circuit, RoutedProgram};
 use crate::error::CompileError;
-use crate::mapping::InitialMapping;
 use crate::metrics::{lower_bound, Metrics};
 use crate::options::CompilerOptions;
 use crate::pipeline::{lower, prepare, CompiledProgram};
 use crate::redundant::eliminate_redundant_moves;
 use crate::routed::RoutedOp;
 use crate::timer::time_schedule;
-use ftqc_arch::{Layout, Ticks};
+use ftqc_arch::Ticks;
 use ftqc_circuit::{Circuit, Gate};
 use ftqc_route::incremental::{RouteCounters, Router};
 use ftqc_service::json::{ToJson, Value};
@@ -168,31 +175,18 @@ pub struct PreparedArt {
 /// The lower stage's artifact: the surgery-gate-set circuit.
 #[derive(Debug)]
 pub struct LoweredArt {
-    circuit: Circuit,
+    pub(crate) circuit: Circuit,
     /// Canonical content digest of `circuit` — half of the map stage's key.
     content_fp: u64,
 }
 
-/// The map stage's artifact: layout, placement, the routed op sequence,
-/// and the incremental router's activity counters for that routing run.
-#[derive(Debug)]
-pub struct MappedArt {
-    layout: Layout,
-    mapping: InitialMapping,
-    factory_patches: u32,
-    ops: Vec<RoutedOp>,
-    n_magic_states: u64,
-    route: RouteCounters,
-}
-
 /// The schedule stage's artifact: the timed schedules and op accounting.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ScheduledArt {
-    schedule: Schedule<RoutedOp>,
-    unit_makespan: Ticks,
-    n_surgery_ops: usize,
-    n_moves: usize,
-    n_moves_eliminated: usize,
+    pub(crate) schedule: Schedule<RoutedOp>,
+    pub(crate) unit_makespan: Ticks,
+    pub(crate) n_moves: usize,
+    pub(crate) n_moves_eliminated: usize,
 }
 
 /// Per-stage hit/miss/insertion counters of a [`StageCache`].
@@ -241,7 +235,7 @@ impl StageCacheStats {
 pub struct StageCache {
     prepare: SharedCache<Arc<PreparedArt>>,
     lower: SharedCache<Arc<LoweredArt>>,
-    map: SharedCache<Arc<MappedArt>>,
+    map: SharedCache<Arc<RoutedProgram>>,
     schedule: SharedCache<Arc<ScheduledArt>>,
     /// Cumulative incremental-router counters across every map stage that
     /// actually routed through this cache (misses only — a map-tier hit
@@ -547,9 +541,9 @@ impl CompileSession {
             let fp = mapped.fingerprint();
             return Ok(done(fp, Stage::Map, None));
         }
-        let schedule_key = mapped.schedule_key();
         let program = mapped.schedule()?;
-        Ok(done(schedule_key, Stage::Schedule, Some(program)))
+        let fp = program.stage_keys()[3];
+        Ok(done(fp, Stage::Schedule, Some(program)))
     }
 
     /// Computes all four stage keys by running only the cheap front-end
@@ -569,6 +563,28 @@ impl CompileSession {
         Ok(probe.prepare(circuit)?.lower().stage_keys())
     }
 
+    /// Checks that `program` was routed from `circuit` under this
+    /// session's prepare and map options, at the cost of one circuit
+    /// fingerprint: the program's prepare and map keys must be the ones
+    /// they give. Schedule knobs may differ, as after
+    /// [`Mapped::reschedule`].
+    pub(crate) fn check_routed(
+        &self,
+        circuit: &Circuit,
+        program: &CompiledProgram,
+    ) -> Result<(), CompileError> {
+        let [prepare, _, map, _] = program.stage_keys();
+        let input_fp = fingerprint::fingerprint_circuit(circuit);
+        let stage = if prepare != stage_key(Stage::Prepare, input_fp, self.prepare_opts_fp) {
+            Stage::Prepare
+        } else if map != stage_key(Stage::Map, program.lowered.content_fp, self.map_opts_fp) {
+            Stage::Map
+        } else {
+            return Ok(());
+        };
+        Err(CompileError::ProgramMismatch { stage })
+    }
+
     /// Whether the artifact for `stage` is already present in this
     /// session's stage cache, without computing anything past the cheap
     /// front end. Deriving the keys runs (cache-assisted, counted-as-usual)
@@ -584,8 +600,7 @@ impl CompileSession {
             return Ok(false);
         };
         let keys = self.stage_keys(circuit)?;
-        let index = Stage::ALL.iter().position(|s| *s == stage).expect("listed");
-        Ok(cache.contains(stage, keys[index]))
+        Ok(cache.contains(stage, keys[stage as usize]))
     }
 }
 
@@ -724,7 +739,7 @@ impl Lowered {
         let (art, cached) = match self.session.cache.as_ref().and_then(|c| c.map.get(key)) {
             Some(hit) => (hit.value, true),
             None => {
-                let art = compute_map(&self.art.circuit, options)
+                let art = route_circuit(&self.art.circuit, options, Router::new)
                     .map_err(|e| e.at_stage(Stage::Map, started.elapsed().as_micros() as u64))?;
                 let art = Arc::new(art);
                 if let Some(c) = &self.session.cache {
@@ -744,28 +759,12 @@ impl Lowered {
             session: self.session,
             lowered: self.art,
             art,
+            prepare_key: self.prepare_key,
+            lower_key: self.key,
             key,
             input_gates: self.input_gates,
         })
     }
-}
-
-/// The map stage's computation, a pure function of the lowered circuit and
-/// the map-stage option subset. The target is the seam here: it validates
-/// the program shape against its capabilities (what used to panic deep in
-/// the factory-bank constructor now surfaces as a stage-tagged
-/// [`CompileError`]), builds the layout — routing-path family or explicit
-/// bus mask — and docks its own factory bank.
-fn compute_map(lowered: &Circuit, options: &CompilerOptions) -> Result<MappedArt, CompileError> {
-    let routed = route_circuit(lowered, options, Router::new)?;
-    Ok(MappedArt {
-        layout: routed.layout,
-        mapping: routed.mapping,
-        factory_patches: routed.factory_patches,
-        ops: routed.ops,
-        n_magic_states: routed.n_magic_states,
-        route: routed.route,
-    })
 }
 
 /// Output of the map stage; finish with [`Mapped::schedule`] or re-time
@@ -774,7 +773,10 @@ fn compute_map(lowered: &Circuit, options: &CompilerOptions) -> Result<MappedArt
 pub struct Mapped {
     session: CompileSession,
     lowered: Arc<LoweredArt>,
-    art: Arc<MappedArt>,
+    art: Arc<RoutedProgram>,
+    /// The keys of the prepare and lower stages this artifact came from.
+    prepare_key: u64,
+    lower_key: u64,
     key: u64,
     input_gates: usize,
 }
@@ -801,11 +803,6 @@ impl Mapped {
         self.art.route
     }
 
-    /// The schedule-stage cache key this artifact would be finished under.
-    fn schedule_key(&self) -> u64 {
-        stage_key(Stage::Schedule, self.key, self.session.sched_opts_fp)
-    }
-
     /// Runs the schedule stage: redundant-move elimination, the paired
     /// realistic and unit-cost timing replay, and metrics assembly.
     ///
@@ -814,13 +811,11 @@ impl Mapped {
     /// Currently infallible in practice; kept fallible for parity with the
     /// other stages and future scheduling passes.
     pub fn schedule(mut self) -> Result<CompiledProgram, CompileError> {
-        let options = self.session.options.clone();
-        let sched_fp = self.session.sched_opts_fp;
         // When nothing else holds the map artifact (no stage cache kept it,
         // no clone of this stage shares it), its routed ops move into the
         // schedule stage uncloned.
         let owned = Arc::get_mut(&mut self.art).map(|art| std::mem::take(&mut art.ops));
-        self.finish(&options, sched_fp, owned)
+        self.finish(&self.session.options, self.session.sched_opts_fp, owned)
     }
 
     /// Re-times this routed program under `options`, which may differ from
@@ -845,9 +840,11 @@ impl Mapped {
         self.finish(options, schedule_subset_fp(options), None)
     }
 
-    /// The schedule stage under `options`. `owned` holds the routed ops
-    /// when the caller could take them out of a sole-owned artifact;
-    /// otherwise a cache miss clones them.
+    /// The schedule stage under `options`, and the program as a view over
+    /// the stage artifacts. `owned` holds the routed ops when the caller
+    /// could take them out of a sole-owned map artifact; otherwise a cache
+    /// miss copies them, since the shared artifact keeps them as routed
+    /// (before redundant-move elimination).
     fn finish(
         &self,
         options: &CompilerOptions,
@@ -884,13 +881,6 @@ impl Mapped {
             started.elapsed().as_micros() as u64,
         );
 
-        // Without a cache the Arc is sole-owned, so the schedule moves into
-        // the program instead of being cloned (the monolithic path's cost).
-        let art = if self.session.cache.is_none() {
-            Arc::try_unwrap(art).unwrap_or_else(|shared| (*shared).clone())
-        } else {
-            (*art).clone()
-        };
         let timing = options.effective_schedule_timing();
         let metrics = Metrics {
             execution_time: art.schedule.makespan(),
@@ -909,20 +899,20 @@ impl Mapped {
             routing_paths: options.target.routing_paths(),
             factories: options.target.factories,
             n_gates: self.input_gates,
-            n_surgery_ops: art.n_surgery_ops,
+            n_surgery_ops: art.schedule.len(),
             n_moves: art.n_moves,
             n_moves_eliminated: art.n_moves_eliminated,
             n_magic_states: self.art.n_magic_states,
             route: self.art.route,
         };
-        Ok(CompiledProgram::assemble(
-            self.art.layout.clone(),
-            art.schedule,
+        Ok(CompiledProgram {
+            lowered: Arc::clone(&self.lowered),
+            mapped: Arc::clone(&self.art),
+            scheduled: art,
             metrics,
-            self.lowered.circuit.clone(),
-            self.art.mapping.clone(),
-            options.clone(),
-        ))
+            options: options.clone(),
+            keys: [self.prepare_key, self.lower_key, self.key, key],
+        })
     }
 }
 
@@ -932,7 +922,7 @@ impl Mapped {
 /// redundant-move elimination.
 fn compute_schedule(
     mut ops: Vec<RoutedOp>,
-    mapped: &MappedArt,
+    mapped: &RoutedProgram,
     num_qubits: u32,
     options: &CompilerOptions,
 ) -> ScheduledArt {
@@ -941,7 +931,6 @@ fn compute_schedule(
     } else {
         0
     };
-    let n_surgery_ops = ops.len();
     let n_moves = ops.iter().filter(|o| o.is_movement()).count();
     let (schedule, unit_makespan) = time_schedule(
         ops,
@@ -953,7 +942,6 @@ fn compute_schedule(
     );
     ScheduledArt {
         unit_makespan,
-        n_surgery_ops,
         n_moves,
         n_moves_eliminated,
         schedule,
@@ -1174,6 +1162,24 @@ mod tests {
         assert_eq!(stats.lower.misses, 1, "identical content shares lowering");
         assert_eq!(stats.lower.hits, 1);
         assert_eq!(stats.map.hits, 1);
+    }
+
+    #[test]
+    fn with_schedule_leaves_the_cached_schedule_alone() {
+        let cache = StageCache::new(8);
+        let session = CompileSession::new(CompilerOptions::default()).with_cache(cache.clone());
+        let c = circuit();
+        let first = session.compile(&c).expect("compiles");
+        let compiled = first.schedule().clone();
+        let edited = first.with_schedule(Schedule::new());
+        assert!(edited.schedule().is_empty());
+        let again = session.compile(&c).expect("compiles");
+        assert_eq!(
+            cache.stats().schedule.hits,
+            1,
+            "the schedule came from the cache"
+        );
+        assert_eq!(again.schedule(), &compiled);
     }
 
     #[test]

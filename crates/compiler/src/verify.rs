@@ -7,7 +7,7 @@
 //! 2. no two time-overlapping operations share a grid cell;
 //! 3. operations on the same program qubit never overlap in time;
 //! 4. consecutive magic grants from one factory are spaced by at least the
-//!    production latency;
+//!    production latency (under unbounded supply, listed in start order);
 //! 5. every cell used lies on the layout grid;
 //! 6. every magic-state consumption is fed: an earlier delivery ends at its
 //!    magic cell (or the consumption carries the factory grant itself) —
@@ -26,13 +26,15 @@
 //! the ops on each cell, qubit and factory must be listed in start order.
 //! The timer starts every op no earlier than the end of the last op on
 //! each cell, qubit and factory it uses, so every schedule it emits
-//! passes. (Under unbounded magic supply the timer does not wait for
-//! factories, and invariant 4 holds only for a zero production latency.)
-//! Every overlap fails: ops listed in start order, each starting after its
-//! predecessor ends, are pairwise disjoint. Only a hand-built schedule that
-//! lists two ops on one resource out of start order fails without
-//! overlapping. The sweep keeps its own arrays and shares no code with the
-//! timer or its `ResourceTimeline`, so a timing bug cannot certify itself.
+//! passes. (Under unbounded magic supply the timer never waits for a
+//! factory, so [`verify`] and the witness checker both check such a
+//! schedule with a zero production latency: a factory's grants need only
+//! be listed in start order.) Every overlap fails: ops listed in start
+//! order, each starting after its predecessor ends, are pairwise disjoint.
+//! Only a hand-built schedule that lists two ops on one resource out of
+//! start order fails without overlapping. The sweep keeps its own arrays
+//! and shares no code with the timer or its `ResourceTimeline`, so a
+//! timing bug cannot certify itself.
 //!
 //! The compiler's own tests run this on every schedule they produce; it is
 //! public so downstream users can validate programs before exporting them
@@ -142,13 +144,28 @@ impl fmt::Display for VerifyError {
 
 impl Error for VerifyError {}
 
-/// Verifies a compiled program against the given timing model.
+/// Verifies a compiled program against the given timing model, under the
+/// magic-state supply it was compiled for.
 ///
 /// # Errors
 ///
 /// Returns the first violated invariant.
 pub fn verify(program: &CompiledProgram, timing: &TimingModel) -> Result<(), VerifyError> {
-    verify_items(program.schedule(), timing, program.layout().grid())
+    let supply = supply_timing(timing, program.compile_options().target.unbounded_magic);
+    verify_items(program.schedule(), &supply, program.layout().grid())
+}
+
+/// The timing model a schedule is checked under for its magic-state
+/// supply: `timing` as it is, or, under unbounded supply, with no
+/// production latency. The timer never waits for a factory then, so
+/// invariant 4 asks only that each factory's grants be listed in start
+/// order.
+pub(crate) fn supply_timing(timing: &TimingModel, unbounded_magic: bool) -> TimingModel {
+    let mut supply = *timing;
+    if unbounded_magic {
+        supply.magic_production = Ticks::ZERO;
+    }
+    supply
 }
 
 /// Core verification over a raw schedule on `grid` (exposed for tests of

@@ -4,7 +4,9 @@
 //!
 //! A [`Witness`] carries the post-elimination routed-op *sequence* (no
 //! start times), the four per-stage cache keys, and the target digest.
-//! That is enough for [`verify_witness`] to
+//! [`extract_witness`] reads all three off the compiled program, which
+//! keeps its stage keys, and runs no stage. That is enough for
+//! [`verify_witness`] to
 //!
 //! 1. run the prepare/lower front end once (cache-assisted) and take both
 //!    the four stage keys and the lowered program from that one run,
@@ -35,7 +37,7 @@ use crate::pipeline::CompiledProgram;
 use crate::routed::{Patches, RoutedOp};
 use crate::session::{CompileSession, StageCache};
 use crate::timer::time_schedule;
-use crate::verify::{verify_items, VerifyError};
+use crate::verify::{supply_timing, verify_items, VerifyError};
 use ftqc_arch::{Coord, SingleQubitKind, SurgeryOp, Ticks};
 use ftqc_circuit::Circuit;
 use ftqc_service::fingerprint;
@@ -162,21 +164,26 @@ impl std::fmt::Display for WitnessError {
 
 impl std::error::Error for WitnessError {}
 
-/// Extracts the witness for a compiled program: the session's stage keys,
-/// the target digest, and the scheduled op sequence in order.
+/// Extracts the witness for a compiled program: its stage keys, its
+/// target's digest, and its scheduled op sequence in order. No stage
+/// runs; `session` and `circuit` only confirm, at the cost of one circuit
+/// fingerprint, that the program was routed from `circuit` under
+/// `session`'s options (schedule knobs may differ, as after
+/// [`Mapped::reschedule`](crate::Mapped::reschedule)).
 ///
 /// # Errors
 ///
-/// Any [`CompileError`] from the cheap stage-key derivation (prepare/lower
-/// re-run, cache-assisted).
+/// [`CompileError::ProgramMismatch`] when the program was routed from
+/// another circuit or under other prepare or map options.
 pub fn extract_witness(
     session: &CompileSession,
     circuit: &Circuit,
     program: &CompiledProgram,
 ) -> Result<Witness, CompileError> {
+    session.check_routed(circuit, program)?;
     Ok(Witness {
-        stage_keys: session.stage_keys(circuit)?,
-        target_digest: target_digest(&session.options().target),
+        stage_keys: program.stage_keys(),
+        target_digest: target_digest(&program.compile_options().target),
         ops: program.schedule().ops().to_vec(),
     })
 }
@@ -314,7 +321,8 @@ pub fn verify_witness(
         timing,
         options.target.unbounded_magic,
     );
-    verify_items(&schedule, timing, layout.grid()).map_err(WitnessError::Invariant)?;
+    let supply = supply_timing(timing, options.target.unbounded_magic);
+    verify_items(&schedule, &supply, layout.grid()).map_err(WitnessError::Invariant)?;
 
     // 5. Metrics re-assembly — the schedule stage's recipe, with the two
     // non-derivable informational counters passed through from the claim.
@@ -637,7 +645,8 @@ impl FromJson for Witness {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::CompileSession;
+    use crate::session::Stage;
+    use ftqc_arch::TimingModel;
 
     fn testbed() -> (Circuit, CompilerOptions) {
         let mut c = Circuit::new(4);
@@ -681,6 +690,56 @@ mod tests {
         assert!(
             matches!(err, WitnessError::StageKeyMismatch { .. }),
             "got {err:?}"
+        );
+    }
+
+    #[test]
+    fn rescheduled_witness_verifies_under_the_retimed_options() {
+        let (circuit, options) = testbed();
+        let session = CompileSession::new(options.clone());
+        let slow = options.clone().schedule_timing(TimingModel {
+            cnot: Ticks::from_d(6.0),
+            ..TimingModel::paper()
+        });
+        let program = session
+            .prepare(&circuit)
+            .expect("prepares")
+            .lower()
+            .map()
+            .expect("maps")
+            .reschedule(&slow)
+            .expect("re-times");
+        let witness = extract_witness(&session, &circuit, &program).expect("extracts");
+        let derived = verify_witness(&circuit, &slow, &witness, program.metrics(), None)
+            .expect("verifies under the options it was re-timed with");
+        assert_eq!(&derived, program.metrics());
+        // The schedule key pins the re-timing: the session's own options
+        // no longer describe the program.
+        let err = verify_witness(&circuit, &options, &witness, program.metrics(), None)
+            .expect_err("not the session's schedule");
+        assert!(
+            matches!(err, WitnessError::StageKeyMismatch { index: 3, .. }),
+            "got {err:?}"
+        );
+    }
+
+    #[test]
+    fn extract_rejects_another_circuit_or_routing() {
+        let (circuit, options) = testbed();
+        let session = CompileSession::new(options.clone());
+        let program = session.compile(&circuit).expect("compiles");
+        let mut other = circuit.clone();
+        other.t(0);
+        assert_eq!(
+            extract_witness(&session, &other, &program).unwrap_err(),
+            CompileError::ProgramMismatch {
+                stage: Stage::Prepare
+            }
+        );
+        let rerouted = CompileSession::new(options.routing_paths(6));
+        assert_eq!(
+            extract_witness(&rerouted, &circuit, &program).unwrap_err(),
+            CompileError::ProgramMismatch { stage: Stage::Map }
         );
     }
 

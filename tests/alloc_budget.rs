@@ -5,14 +5,17 @@
 //! holds its qubits inline). The schedule stage should keep the routed ops
 //! where the map stage put them: it moves the op list into the schedule as
 //! it is and allocates one pre-sized `(start, duration)` array beside it,
-//! so it reallocates nothing. A counting global allocator (per-thread, so
-//! tests on other threads do not add to it) counts the heap allocations,
-//! reallocations and requested bytes made inside `Lowered::map()` and
-//! `Mapped::schedule()` for each Table I circuit at paper size, and each
-//! figure per routed op must stay within its budget.
+//! so it reallocates nothing. When a stage cache shares the map artifact,
+//! which keeps its ops as routed, the stage copies the ops once and the
+//! program shares the cached schedule rather than copying it. A counting
+//! global allocator (per-thread, so tests on other threads do not add to
+//! it) counts the heap allocations, reallocations and requested bytes made
+//! inside `Lowered::map()` and `Mapped::schedule()` for each Table I
+//! circuit at paper size, and each figure per routed op must stay within
+//! its budget.
 
 use ftqc::benchmarks::Benchmark;
-use ftqc::compiler::{CompileSession, CompilerOptions, Lowered};
+use ftqc::compiler::{CompileSession, CompilerOptions, Lowered, StageCache};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -22,6 +25,10 @@ const ALLOCATIONS_PER_OP: f64 = 1.0;
 /// Schedule-stage bytes requested (allocations plus reallocations' new
 /// sizes) allowed per routed op.
 const SCHEDULE_BYTES_PER_OP: f64 = 64.0;
+
+/// The same with a stage cache: one 64-byte copy of each routed op and its
+/// 16-byte time entry fit, a second copy does not.
+const CACHED_SCHEDULE_BYTES_PER_OP: f64 = 128.0;
 
 struct Counting;
 
@@ -92,9 +99,9 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, Counts) {
     (out, counts)
 }
 
-/// The lowered stage of `benchmark` at paper size under default options.
-fn lowered(benchmark: Benchmark) -> Lowered {
-    CompileSession::new(CompilerOptions::default())
+/// The lowered stage of `benchmark` at paper size, through `session`.
+fn lowered(session: &CompileSession, benchmark: Benchmark) -> Lowered {
+    session
         .prepare(&benchmark.circuit())
         .expect("prepares")
         .lower()
@@ -102,9 +109,10 @@ fn lowered(benchmark: Benchmark) -> Lowered {
 
 #[test]
 fn map_stage_allocates_at_most_one_per_routed_op() {
+    let session = CompileSession::new(CompilerOptions::default());
     let mut over = Vec::new();
     for benchmark in Benchmark::all() {
-        let lowered = lowered(benchmark);
+        let lowered = lowered(&session, benchmark);
         let (mapped, counts) = counted(|| lowered.map());
         let Counts {
             allocations,
@@ -127,23 +135,26 @@ fn map_stage_allocates_at_most_one_per_routed_op() {
     );
 }
 
-#[test]
-fn schedule_stage_moves_the_routed_ops_without_reallocating() {
+/// Counts `Mapped::schedule()` on each Table I circuit mapped through
+/// `session`, prints the readings under `label`, and returns the circuits
+/// whose stage reallocated or requested over `bytes_per_op` bytes per
+/// routed op.
+fn schedule_stage_over(session: &CompileSession, label: &str, bytes_per_op: f64) -> Vec<String> {
     let mut over = Vec::new();
     for benchmark in Benchmark::all() {
-        let mapped = lowered(benchmark).map().expect("maps");
+        let mapped = lowered(session, benchmark).map().expect("maps");
         let ops = mapped.ops().len();
         let (program, counts) = counted(|| mapped.schedule());
         program.expect("schedules");
         let per_op = counts.bytes as f64 / ops as f64;
         println!(
-            "{}: schedule stage {} allocations, {} reallocations, {} bytes, {ops} routed ops ({per_op:.1} B/op)",
+            "{}: {label} {} allocations, {} reallocations, {} bytes, {ops} routed ops ({per_op:.1} B/op)",
             benchmark.name(),
             counts.allocations,
             counts.reallocations,
             counts.bytes
         );
-        if counts.reallocations > 0 || per_op > SCHEDULE_BYTES_PER_OP {
+        if counts.reallocations > 0 || per_op > bytes_per_op {
             over.push(format!(
                 "{} {} reallocations, {per_op:.1} B/op",
                 benchmark.name(),
@@ -151,8 +162,29 @@ fn schedule_stage_moves_the_routed_ops_without_reallocating() {
             ));
         }
     }
+    over
+}
+
+#[test]
+fn schedule_stage_moves_the_routed_ops_without_reallocating() {
+    let session = CompileSession::new(CompilerOptions::default());
+    let over = schedule_stage_over(&session, "schedule stage", SCHEDULE_BYTES_PER_OP);
     assert!(
         over.is_empty(),
         "schedule stage reallocated or requested over {SCHEDULE_BYTES_PER_OP} bytes per routed op: {over:?}"
+    );
+}
+
+#[test]
+fn cached_schedule_stage_copies_the_routed_ops_once() {
+    let session = CompileSession::new(CompilerOptions::default()).with_cache(StageCache::default());
+    let over = schedule_stage_over(
+        &session,
+        "cached schedule stage",
+        CACHED_SCHEDULE_BYTES_PER_OP,
+    );
+    assert!(
+        over.is_empty(),
+        "cached schedule stage reallocated or requested over {CACHED_SCHEDULE_BYTES_PER_OP} bytes per routed op: {over:?}"
     );
 }

@@ -52,6 +52,8 @@ proptest! {
         }
         prop_assert_eq!(mono.lowered_circuit(), staged.lowered_circuit());
         prop_assert_eq!(mono.initial_mapping(), staged.initial_mapping());
+        let keys = CompileSession::new(options.clone()).stage_keys(&c).expect("keys");
+        prop_assert_eq!(staged.stage_keys(), keys);
 
         // A cache-served second run reproduces the same program exactly.
         let stages = StageCache::new(32);
@@ -65,5 +67,6 @@ proptest! {
         );
         prop_assert_eq!(second.schedule().len(), mono.schedule().len());
         prop_assert_eq!(stages.stats().hits(), 4, "second run hit all four stages");
+        prop_assert_eq!([first.stage_keys(), second.stage_keys()], [keys; 2]);
     }
 }
