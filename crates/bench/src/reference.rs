@@ -12,9 +12,13 @@
 //! op, and `bench_session` times the map stage under both.
 //! [`SeedRouter`] answers the router's [`RouteQueries`] with these
 //! functions, so the compiler's engine runs over either router unchanged.
+//! [`best_cnot_config_with`] is the CNOT look-ahead as first written: it
+//! scores every candidate placement to the end, where the production
+//! look-ahead skips the candidates that cannot win.
 
-use ftqc_arch::{CellKind, Coord, Grid};
-use ftqc_route::{CellGrid, CostModel, Path, RouteQueries, SpacePlan};
+use ftqc_arch::{cnot_ancilla, CellKind, Coord, Grid};
+use ftqc_route::moves::Mover;
+use ftqc_route::{CellGrid, CnotConfig, CostModel, Path, RouteQueries, SpacePlan};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 
@@ -371,6 +375,104 @@ impl RouteQueries for SeedRouter {
     ) -> Option<SpacePlan> {
         space_search(self.grid(cells), &(cells, blocked), target)
     }
+}
+
+/// Moves that clear an occupied `ancilla`: the space search's clearing
+/// moves around it plus the push of its own occupant; zero when it is
+/// free, `None` when it cannot be cleared.
+fn ancilla_clearing_cost<R: RouteQueries>(
+    router: &mut R,
+    cells: &CellGrid,
+    ancilla: Coord,
+) -> Option<u64> {
+    if cells.occupant(ancilla).is_none() {
+        return Some(0);
+    }
+    router
+        .space_search_cost(cells, &[], ancilla)
+        .map(|moves| moves as u64 + 1)
+}
+
+/// The exhaustive CNOT look-ahead: the placement
+/// [`ftqc_route::best_cnot_config_with`] must pick for qubits at `control`
+/// and `target`, found by scoring all eight candidate configurations in
+/// scan order and keeping the first cheapest (with `lookahead`), or the
+/// first feasible one (without). Every path search runs unbounded.
+pub fn best_cnot_config_with<R: RouteQueries>(
+    router: &mut R,
+    cells: &CellGrid,
+    control: Coord,
+    target: Coord,
+    lookahead: bool,
+) -> Option<CnotConfig> {
+    // Already diagonal: only the ancilla needs attention.
+    if control.is_diagonal(target) {
+        let ancilla = cnot_ancilla(control, target).expect("diagonal pair has an ancilla");
+        if cells.in_bounds(ancilla) {
+            if let Some(cost) = ancilla_clearing_cost(router, cells, ancilla) {
+                return Some(CnotConfig {
+                    control,
+                    target,
+                    ancilla,
+                    mover: Mover::None,
+                    cost,
+                });
+            }
+        }
+    }
+
+    let mut best: Option<CnotConfig> = None;
+    // Candidates: move control to a diagonal of target, or target to a
+    // diagonal of control.
+    for (mover, anchor, moving_from) in [
+        (Mover::Control, target, control),
+        (Mover::Target, control, target),
+    ] {
+        for dest in anchor.diagonals() {
+            if !cells.in_bounds(dest) || cells.occupant(dest).is_some() {
+                continue;
+            }
+            if dest == moving_from {
+                continue;
+            }
+            let (c_pos, t_pos) = match mover {
+                Mover::Control => (dest, target),
+                Mover::Target => (control, dest),
+                Mover::None => unreachable!(),
+            };
+            let ancilla = match cnot_ancilla(c_pos, t_pos) {
+                Some(a) => a,
+                None => continue,
+            };
+            if !cells.in_bounds(ancilla) {
+                continue;
+            }
+            // The anchor operand must not itself be the ancilla cell.
+            if ancilla == c_pos || ancilla == t_pos {
+                continue;
+            }
+            let Some(route) = router.path_cost(cells, &[], moving_from, dest, u64::MAX) else {
+                continue;
+            };
+            let Some(clearing) = ancilla_clearing_cost(router, cells, ancilla) else {
+                continue;
+            };
+            let cand = CnotConfig {
+                control: c_pos,
+                target: t_pos,
+                ancilla,
+                mover,
+                cost: route + clearing,
+            };
+            if !lookahead {
+                return Some(cand);
+            }
+            if best.is_none_or(|b| cand.cost < b.cost) {
+                best = Some(cand);
+            }
+        }
+    }
+    best
 }
 
 #[cfg(test)]

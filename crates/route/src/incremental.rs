@@ -28,13 +28,18 @@
 //! its layout's cells (`router_cost` in `ftqc-compiler`'s engine), which
 //! is at most that bound, so every search runs on the bucket queue.
 //!
-//! **Cost-only queries.** [`RouteQueries::path_cost`] and
-//! [`RouteQueries::space_search_cost`] run the same searches as
-//! [`RouteQueries::find_path`] and [`RouteQueries::space_search`] but
-//! return only the cost, allocating nothing. The CNOT look-ahead scores
-//! its candidates with them; because the searches are the same, the
-//! arena's reuse counter and every routed schedule are unchanged by which
-//! of the two a caller uses.
+//! **Cost-only queries, bounded.** [`RouteQueries::path_cost`] and
+//! [`RouteQueries::space_search_cost`] return only the cost of
+//! [`RouteQueries::find_path`]'s and [`RouteQueries::space_search`]'s
+//! answers, allocating nothing. `path_cost` takes a `below` bound: its
+//! bucket queue stops at that level, so a path that cannot beat a known
+//! cost is never searched to the end. The CNOT look-ahead scores its
+//! candidates with them, best bound first, and runs no search a candidate
+//! cannot win with. The space search stops early too: a free neighbour is
+//! taken before any push chain is searched, and each later chain search
+//! stops at the length of the shortest chain found so far. Every answer
+//! is unchanged by the bounds; only the number of searches, and with it
+//! the arena's reuse counter, falls.
 //!
 //! **Tie-breaking invariant:** every query returns results
 //! *byte-identical* to the seed router (`ftqc-bench`'s `reference`
@@ -208,15 +213,22 @@ pub trait RouteQueries {
         to: Coord,
     ) -> Option<Path>;
 
-    /// The cost of [`RouteQueries::find_path`]'s path, without the path.
+    /// The cost of [`RouteQueries::find_path`]'s path, without the path,
+    /// if it is below `below`; `None` when there is no path or it costs
+    /// `below` or more. A caller that only needs paths beating a known cost
+    /// passes that cost, and the search stops there; `u64::MAX` asks for
+    /// any path.
     fn path_cost(
         &mut self,
         cells: &CellGrid,
         blocked: &[Coord],
         from: Coord,
         to: Coord,
+        below: u64,
     ) -> Option<u64> {
-        self.find_path(cells, blocked, from, to).map(|p| p.cost)
+        self.find_path(cells, blocked, from, to)
+            .map(|p| p.cost)
+            .filter(|&cost| cost < below)
     }
 
     /// Plans the push chain that frees `cell`: its occupant, and any
@@ -300,9 +312,11 @@ pub trait RouteQueries {
 /// * A push chain is stored free cell first: `chain[0]` is the free cell
 ///   the search reached, the last entry its start, and every entry but the
 ///   first holds a qubit (the search only walks through occupied cells).
-/// * The cost-only queries run exactly the searches of their full
-///   counterparts and skip only building the result, so they count the
-///   same reuses and report the same costs.
+/// * The cost-only queries run the searches of their full counterparts
+///   and skip only building the result, except where a bound stops a
+///   search early: a Dial search stops at its `below` level, a push chain
+///   search at its `below` length. A stopped search reports nothing, so
+///   every answer it does give is the unbounded search's.
 #[derive(Debug, Default)]
 struct SearchArena {
     rows: u32,
@@ -352,10 +366,11 @@ impl SearchArena {
         self.reuses += 1;
     }
 
-    /// Runs the bucket-queue search from `from` until `to` settles, over
-    /// distinct on-grid endpoints; returns whether `to` was reached. On
-    /// success the `prev` chain from `to` leads back to `from` and
-    /// `dist[to]` holds the path cost.
+    /// Runs the bucket-queue search from `from` until `to` settles or the
+    /// level `below` would drain, over distinct on-grid endpoints; returns
+    /// whether `to` settled. On success the `prev` chain from `to` leads
+    /// back to `from` and `dist[to]`, which is under `below`, holds the
+    /// path cost.
     fn dial(
         &mut self,
         cells: &CellGrid,
@@ -363,6 +378,7 @@ impl SearchArena {
         from: Coord,
         to: Coord,
         penalty: u64,
+        below: u64,
     ) -> bool {
         self.reset(cells);
         let ring = penalty as usize + 2;
@@ -389,7 +405,7 @@ impl SearchArena {
         let mut batch = std::mem::take(&mut self.batch);
         let mut reached = false;
 
-        'levels: while pending > 0 {
+        'levels: while pending > 0 && d < below {
             let slot = (d % ring as u64) as usize;
             if !self.buckets[slot].is_empty() {
                 std::mem::swap(&mut batch, &mut self.buckets[slot]);
@@ -432,7 +448,7 @@ impl SearchArena {
         for b in &mut self.buckets[..ring] {
             b.clear();
         }
-        reached || self.stamp[to_i] == generation
+        reached
     }
 
     /// The path `from ..= to` read back from the `prev` chain of the last
@@ -462,16 +478,18 @@ impl SearchArena {
     }
 
     /// Breadth-first push chain from the on-grid `start` to the nearest
-    /// free cell (the core of the clearing and space searches). On success
-    /// the chain is left in `self.chain`, free cell first. The `blocked`
-    /// and `avoid` cells are stamped visited up front, so their order and
-    /// any repeats do not matter.
+    /// free cell (the core of the clearing and space searches), if that
+    /// cell lies fewer than `below` steps away: a chain of `k` steps costs
+    /// `k` clearing moves. On success the chain is left in `self.chain`,
+    /// free cell first. The `blocked` and `avoid` cells are stamped visited
+    /// up front, so their order and any repeats do not matter.
     fn chain_to_nearest_free(
         &mut self,
         cells: &CellGrid,
         start: Coord,
         blocked: &[Coord],
         avoid: &[Coord],
+        below: u64,
     ) -> bool {
         self.reset(cells);
         let generation = self.generation;
@@ -483,9 +501,16 @@ impl SearchArena {
         }
         let start_i = cells.index(start);
         self.stamp[start_i] = generation;
+        self.dist[start_i] = 0;
         self.queue.push_back(start_i as u32);
         let offsets = cells.neighbour_offsets();
         while let Some(ui) = self.queue.pop_front() {
+            // Steps to a neighbour of `ui`; the queue runs in step order, so
+            // once they reach `below` no later entry finds a shorter chain.
+            let steps = self.dist[ui as usize] + 1;
+            if steps >= below {
+                break;
+            }
             for off in offsets {
                 let vi = (ui as usize).wrapping_add(off);
                 let holder = cells.cells[vi];
@@ -504,6 +529,7 @@ impl SearchArena {
                     return true;
                 }
                 self.stamp[vi] = generation;
+                self.dist[vi] = steps;
                 self.queue.push_back(vi as u32);
             }
         }
@@ -514,26 +540,34 @@ impl SearchArena {
     /// free, else the first whose push chain is shortest, with its clearing
     /// cost (the chain's occupants). An occupied pick's chain is left in
     /// `self.best_chain`.
+    ///
+    /// A free neighbour costs nothing, so it is looked for before any chain
+    /// is searched. Each later chain search stops at the best length so far
+    /// (a tie goes to the earlier neighbour), and none runs once a one-move
+    /// chain, the shortest there is, has been found.
     fn cheapest_ancilla(
         &mut self,
         cells: &CellGrid,
         blocked: &[Coord],
         target: Coord,
     ) -> Option<(Coord, usize)> {
+        let usable = |n: &Coord| cells.in_bounds(*n) && !blocked.contains(n);
+        let neighbours = target.neighbours();
+        if let Some(&free) = neighbours
+            .iter()
+            .find(|&n| usable(n) && cells.occupant(*n).is_none())
+        {
+            return Some((free, 0));
+        }
         let mut best: Option<(Coord, usize)> = None;
-        for n in target.neighbours() {
-            if !cells.in_bounds(n) || blocked.contains(&n) {
-                continue;
+        for n in neighbours.into_iter().filter(usable) {
+            let below = best.map_or(u64::MAX, |(_, moves)| moves as u64);
+            if below <= 1 {
+                break;
             }
-            if cells.occupant(n).is_none() {
-                return Some((n, 0));
-            }
-            if self.chain_to_nearest_free(cells, n, blocked, &[target]) {
-                let cost = self.chain.len() - 1;
-                if best.is_none_or(|(_, b)| cost < b) {
-                    best = Some((n, cost));
-                    std::mem::swap(&mut self.chain, &mut self.best_chain);
-                }
+            if self.chain_to_nearest_free(cells, n, blocked, &[target], below) {
+                best = Some((n, self.chain.len() - 1));
+                std::mem::swap(&mut self.chain, &mut self.best_chain);
             }
         }
         best
@@ -590,7 +624,7 @@ impl RouteQueries for Router {
             });
         }
         self.arena
-            .dial(cells, blocked, from, to, self.cost.penalty_weight)
+            .dial(cells, blocked, from, to, self.cost.penalty_weight, u64::MAX)
             .then(|| self.arena.path(cells, from, to))
     }
 
@@ -600,15 +634,16 @@ impl RouteQueries for Router {
         blocked: &[Coord],
         from: Coord,
         to: Coord,
+        below: u64,
     ) -> Option<u64> {
         if !cells.in_bounds(from) || !cells.in_bounds(to) {
             return None;
         }
         if from == to {
-            return Some(0);
+            return (0 < below).then_some(0);
         }
         self.arena
-            .dial(cells, blocked, from, to, self.cost.penalty_weight)
+            .dial(cells, blocked, from, to, self.cost.penalty_weight, below)
             .then(|| self.arena.dist[cells.index(to)])
     }
 
@@ -620,7 +655,7 @@ impl RouteQueries for Router {
     ) -> Option<Vec<(Coord, Coord)>> {
         cells.occupant(cell)?;
         self.arena
-            .chain_to_nearest_free(cells, cell, &[], avoid)
+            .chain_to_nearest_free(cells, cell, &[], avoid, u64::MAX)
             .then(|| chain_moves(cells, &self.arena.chain))
     }
 
@@ -697,6 +732,55 @@ mod tests {
         assert_eq!(router.counters(), RouteCounters::default());
         assert_eq!(router.find_path(&cells, &[], from, to), first);
         assert_eq!(router.counters().arena_reuses, 1, "second search reuses");
+    }
+
+    #[test]
+    fn space_search_runs_no_chain_search_that_cannot_win() {
+        // Every neighbour of the target is held. The north one's nearest
+        // free cell is two pushes away, the south one's one push (the
+        // shortest any chain can be), so the west and east neighbours are
+        // never searched.
+        let target = Coord::new(2, 2);
+        let (north, south) = (Coord::new(1, 2), Coord::new(3, 2));
+        let mut cells = CellGrid::new(5, 5);
+        let held = [
+            (2, 2),
+            (1, 2),
+            (3, 2),
+            (2, 1),
+            (2, 3),
+            (0, 2),
+            (1, 1),
+            (1, 3),
+        ];
+        for (q, (row, col)) in held.into_iter().enumerate() {
+            cells.place(Coord::new(row, col), q as u32);
+        }
+        let mut router = Router::new(CostModel::default());
+        router.find_path(&cells, &[], Coord::new(4, 0), Coord::new(4, 4));
+        let searches = |router: &Router| router.counters().arena_reuses;
+        let before = searches(&router);
+        assert_eq!(
+            router.space_search(&cells, &[], target),
+            Some(SpacePlan {
+                ancilla: south,
+                clearing_moves: vec![(south, Coord::new(4, 2))],
+            })
+        );
+        assert_eq!(searches(&router) - before, 2, "north and south only");
+
+        // A free neighbour is taken without searching the held one before it.
+        cells.vacate(south);
+        let before = searches(&router);
+        assert_eq!(router.space_search_cost(&cells, &[], target), Some(0));
+        assert_eq!(
+            router.space_search(&cells, &[north], target),
+            Some(SpacePlan {
+                ancilla: south,
+                clearing_moves: Vec::new(),
+            })
+        );
+        assert_eq!(searches(&router), before, "no chain searched");
     }
 
     #[test]

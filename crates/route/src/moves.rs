@@ -6,13 +6,25 @@
 //! the target). Given current positions, this module enumerates the
 //! reachable diagonal configurations — moving either operand next to the
 //! other — and scores each by routed move cost plus ancilla-clearing cost,
-//! returning the cheapest. With look-ahead disabled (the ablation of
-//! DESIGN.md §7) the first feasible configuration is taken instead.
+//! returning the cheapest, the earliest in scan order on ties. With
+//! look-ahead disabled (the ablation of DESIGN.md §7) the first feasible
+//! configuration is taken instead.
 //!
 //! The look-ahead only *scores* candidates: it asks the router for costs
 //! ([`RouteQueries::path_cost`], [`RouteQueries::space_search_cost`]) and
 //! builds no route or clearing plan. The engine plans the chosen move
 //! itself when it carries it out, against the occupancy at that time.
+//!
+//! **Branch and bound.** A candidate's cost is at least the Manhattan
+//! distance its operand moves, since every step of a path costs at least
+//! one and clearing costs nothing for a free ancilla. The look-ahead scores
+//! candidates in `(bound, scan index)` order and stops at the first whose
+//! bound cannot beat the best `(cost, scan index)` so far; every later one
+//! is bounded as badly. Each path search is told the cost it must come in
+//! under, so it stops there too. The pick is the exhaustive scan's: the
+//! dev-only reference (`ftqc-bench`'s `reference::best_cnot_config_with`)
+//! scores every candidate, and `tests/route_differential.rs` pins the two
+//! equal.
 
 use crate::incremental::{CellGrid, RouteQueries};
 use ftqc_arch::{cnot_ancilla, Coord};
@@ -60,14 +72,108 @@ fn ancilla_clearing_cost<R: RouteQueries>(
         .map(|moves| moves as u64 + 1)
 }
 
+/// A placement that passes every check short of a search: the moving
+/// operand's path from `from` and the ancilla's clearing are still to be
+/// scored.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    /// The Manhattan distance from `from` to the moving operand's
+    /// destination: a lower bound on the candidate's cost.
+    bound: u32,
+    /// Position in scan order; the earlier candidate wins a cost tie.
+    scan: u8,
+    /// Where the moving operand starts.
+    from: Coord,
+    /// Where it moves to.
+    to: Coord,
+    /// The placement, its `cost` not yet scored.
+    config: CnotConfig,
+}
+
+/// The up to eight placements that move one operand to a free diagonal of
+/// the other, in scan order (the control's moves first, each anchor's
+/// diagonals in order), held on the stack: the array and how many of its
+/// slots are filled.
+fn candidates(cells: &CellGrid, control: Coord, target: Coord) -> ([Candidate; 8], usize) {
+    let unset = Candidate {
+        bound: 0,
+        scan: 0,
+        from: control,
+        to: control,
+        config: CnotConfig {
+            control,
+            target,
+            ancilla: control,
+            mover: Mover::None,
+            cost: 0,
+        },
+    };
+    let mut out = [unset; 8];
+    let mut len = 0;
+    for (mover, anchor, from) in [
+        (Mover::Control, target, control),
+        (Mover::Target, control, target),
+    ] {
+        for dest in anchor.diagonals() {
+            if !cells.in_bounds(dest) || cells.occupant(dest).is_some() || dest == from {
+                continue;
+            }
+            let (c_pos, t_pos) = match mover {
+                Mover::Control => (dest, target),
+                _ => (control, dest),
+            };
+            let Some(ancilla) = cnot_ancilla(c_pos, t_pos) else {
+                continue;
+            };
+            // The anchor operand must not itself be the ancilla cell.
+            if !cells.in_bounds(ancilla) || ancilla == c_pos || ancilla == t_pos {
+                continue;
+            }
+            out[len] = Candidate {
+                bound: from.manhattan(dest),
+                scan: len as u8,
+                from,
+                to: dest,
+                config: CnotConfig {
+                    control: c_pos,
+                    target: t_pos,
+                    ancilla,
+                    mover,
+                    cost: 0,
+                },
+            };
+            len += 1;
+        }
+    }
+    (out, len)
+}
+
+/// `candidate` scored, if its path costs under `below` and its ancilla can
+/// be cleared.
+fn score<R: RouteQueries>(
+    router: &mut R,
+    cells: &CellGrid,
+    candidate: &Candidate,
+    below: u64,
+) -> Option<CnotConfig> {
+    let route = router.path_cost(cells, &[], candidate.from, candidate.to, below)?;
+    let clearing = ancilla_clearing_cost(router, cells, candidate.config.ancilla)?;
+    Some(CnotConfig {
+        cost: route + clearing,
+        ..candidate.config
+    })
+}
+
 /// Plans the cheapest legal CNOT configuration for qubits currently at
 /// `control` and `target`, with every path and space query answered by
 /// `router` over the engine's `cells`.
 ///
-/// When `lookahead` is true all eight candidate configurations (four
-/// diagonals around each operand) are scored and the cheapest wins (the
-/// paper's gate-dependent move heuristic); when false, the first feasible
-/// candidate in scan order is returned (the naive baseline for ablations).
+/// When `lookahead` is true the cheapest of the eight candidate
+/// configurations (four diagonals around each operand) wins, the earliest
+/// in scan order on ties (the paper's gate-dependent move heuristic); it
+/// is found branch and bound, best lower bound first, without scoring the
+/// candidates that cannot win. When false, the first feasible candidate in
+/// scan order is returned (the naive baseline for ablations).
 ///
 /// Returns `None` when no configuration is reachable (e.g. the moving
 /// operand is walled in) — the caller then falls back to space search
@@ -95,58 +201,31 @@ pub fn best_cnot_config_with<R: RouteQueries>(
         }
     }
 
-    let mut best: Option<CnotConfig> = None;
-    // Candidates: move control to a diagonal of target, or target to a
-    // diagonal of control.
-    for (mover, anchor, moving_from) in [
-        (Mover::Control, target, control),
-        (Mover::Target, control, target),
-    ] {
-        for dest in anchor.diagonals() {
-            if !cells.in_bounds(dest) || cells.occupant(dest).is_some() {
-                continue;
-            }
-            if dest == moving_from {
-                continue;
-            }
-            let (c_pos, t_pos) = match mover {
-                Mover::Control => (dest, target),
-                Mover::Target => (control, dest),
-                Mover::None => unreachable!(),
-            };
-            let ancilla = match cnot_ancilla(c_pos, t_pos) {
-                Some(a) => a,
-                None => continue,
-            };
-            if !cells.in_bounds(ancilla) {
-                continue;
-            }
-            // The anchor operand must not itself be the ancilla cell.
-            if ancilla == c_pos || ancilla == t_pos {
-                continue;
-            }
-            let Some(route) = router.path_cost(cells, &[], moving_from, dest) else {
-                continue;
-            };
-            let Some(clearing) = ancilla_clearing_cost(router, cells, ancilla) else {
-                continue;
-            };
-            let cand = CnotConfig {
-                control: c_pos,
-                target: t_pos,
-                ancilla,
-                mover,
-                cost: route + clearing,
-            };
-            if !lookahead {
-                return Some(cand);
-            }
-            if best.is_none_or(|b| cand.cost < b.cost) {
-                best = Some(cand);
+    let (mut candidates, len) = candidates(cells, control, target);
+    let candidates = &mut candidates[..len];
+    if !lookahead {
+        return candidates
+            .iter()
+            .find_map(|candidate| score(router, cells, candidate, u64::MAX));
+    }
+    candidates.sort_unstable_by_key(|candidate| (candidate.bound, candidate.scan));
+    let mut best: Option<(CnotConfig, u8)> = None;
+    for candidate in candidates.iter() {
+        // A candidate wins with a lower cost, or an equal one from earlier
+        // in scan order: with a cost under `below`.
+        let below = best.map_or(u64::MAX, |(config, scan)| {
+            config.cost + u64::from(candidate.scan < scan)
+        });
+        if u64::from(candidate.bound) >= below {
+            break;
+        }
+        if let Some(config) = score(router, cells, candidate, below) {
+            if config.cost < below {
+                best = Some((config, candidate.scan));
             }
         }
     }
-    best
+    best.map(|(config, _)| config)
 }
 
 #[cfg(test)]
@@ -247,6 +326,61 @@ mod tests {
         let c = Coord::new(0, 0);
         let t = Coord::new(0, 2);
         assert!(plan_on(1, 5, &[c, t], c, t, true).is_none());
+    }
+
+    /// The searches `plan` runs on a router whose arena is already sized
+    /// to `cells` (a warmed-up arena counts every search as a reuse), with
+    /// the placement it returns.
+    fn searches(
+        cells: &CellGrid,
+        plan: impl FnOnce(&mut Router) -> Option<CnotConfig>,
+    ) -> (Option<CnotConfig>, u64) {
+        let mut router = Router::new(CostModel::default());
+        let corner = Coord::new(0, 0);
+        router.path_cost(cells, &[], corner, Coord::new(0, 1), u64::MAX);
+        let before = router.counters().arena_reuses;
+        let config = plan(&mut router);
+        (config, router.counters().arena_reuses - before)
+    }
+
+    #[test]
+    fn lookahead_skips_candidates_that_cannot_win() {
+        // A horizontal pair on a free grid: moving the target one step
+        // north-east (scan index 5) costs 1; the two one-step control moves
+        // before it in scan order cost 2 (their ancilla is the control's
+        // own cell), and five candidates lie three steps away.
+        let (c, t) = (Coord::new(2, 2), Coord::new(2, 3));
+        let mut cells = CellGrid::new(7, 7);
+        cells.place(c, 0);
+        cells.place(t, 1);
+        let (bounded, bounded_searches) = searches(&cells, |router| {
+            best_cnot_config_with(router, &cells, c, t, true)
+        });
+        // The exhaustive scan: every candidate scored to the end, the first
+        // cheapest kept.
+        let (exhaustive, exhaustive_searches) = searches(&cells, |router| {
+            let (all, len) = candidates(&cells, c, t);
+            all[..len]
+                .iter()
+                .filter_map(|candidate| score(router, &cells, candidate, u64::MAX))
+                .reduce(|best, config| {
+                    if config.cost < best.cost {
+                        config
+                    } else {
+                        best
+                    }
+                })
+        });
+        assert_eq!(bounded, exhaustive);
+        let config = bounded.expect("a placement");
+        assert_eq!(
+            (config.mover, config.target, config.cost),
+            (Mover::Target, Coord::new(1, 3), 1)
+        );
+        // Eight path searches exhaustively; bounded, the three one-step
+        // candidates up to the winner, and the fourth one-step candidate
+        // (scan index 7) loses its tie unsearched.
+        assert_eq!((bounded_searches, exhaustive_searches), (3, 8));
     }
 
     #[test]

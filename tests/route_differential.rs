@@ -10,8 +10,10 @@
 //!    must produce identical [`Path`]s, clearing plans and space plans from
 //!    the seed functions and the router (and from [`SeedRouter`], the seed
 //!    functions behind the router's queries), on degenerate shapes and
-//!    border cells too, and the cost-only queries must return exactly the
-//!    costs of the full queries' results;
+//!    border cells too; the cost-only queries must return exactly the
+//!    costs of the full queries' results (a bounded `path_cost` the cost
+//!    under its bound, else nothing), and the branch-and-bound CNOT
+//!    look-ahead the placement of the seed's exhaustive one;
 //! 2. map level — `route_circuit` over [`SeedRouter`] and over [`Router`]
 //!    must emit identical routed-op sequences across random circuits and
 //!    all three built-in target presets;
@@ -19,7 +21,7 @@
 //!    pipeline pieces reproduces the compiled program's schedule
 //!    byte-for-byte.
 
-use ftqc::arch::{CellKind, Coord, Grid, TargetRegistry};
+use ftqc::arch::{CellKind, Coord, Grid, Layout, TargetRegistry};
 use ftqc::benchmarks::random_clifford_t;
 use ftqc::compiler::timer::time_schedule;
 use ftqc::compiler::{eliminate_redundant_moves, route_circuit, CompileSession, CompilerOptions};
@@ -200,7 +202,8 @@ proptest! {
 
     /// The cost-only queries return exactly the cost of the full queries'
     /// results, for the router and the seed router: on the random states
-    /// above and on the degenerate 1×N, N×1, 1×1 and 2×2 shapes.
+    /// above and on the degenerate 1×N, N×1, 1×1 and 2×2 shapes. A bounded
+    /// `path_cost` returns the cost if it is under the bound, else `None`.
     #[test]
     fn cost_only_queries_match_full_queries(
         shape in prop_oneof![
@@ -216,6 +219,7 @@ proptest! {
         fc in 0i32..10,
         tr in 0i32..10,
         tc in 0i32..10,
+        below in 0u64..40,
     ) {
         let (rows, cols) = shape;
         let grid = Grid::filled(rows, cols, CellKind::Bus);
@@ -225,11 +229,16 @@ proptest! {
         let to = Coord::new(tr % rows as i32, tc % cols as i32);
         let (cells, blocked) = padded(&grid, &occ);
         for (name, mut router) in both_routers(cost) {
-            let path = router.find_path(&cells, &blocked, from, to);
+            let cost = router.find_path(&cells, &blocked, from, to).map(|p| p.cost);
             prop_assert_eq!(
-                router.path_cost(&cells, &blocked, from, to),
-                path.map(|p| p.cost),
+                router.path_cost(&cells, &blocked, from, to, u64::MAX),
+                cost,
                 "{} path_cost", name
+            );
+            prop_assert_eq!(
+                router.path_cost(&cells, &blocked, from, to, below),
+                cost.filter(|&c| c < below),
+                "{} path_cost below {}", name, below
             );
             let plan = router.space_search(&cells, &blocked, to);
             prop_assert_eq!(
@@ -369,34 +378,86 @@ fn space_search_pins_identical_choices() {
     );
 }
 
-/// The CNOT look-ahead plans the same configuration over the router and
-/// the seed router, with look-ahead on and off, on random states of the
-/// 7×7 grid the look-ahead's own tests use and of a single row.
+/// The branch-and-bound CNOT look-ahead over the router plans the same
+/// configuration as the seed's exhaustive look-ahead over the seed router,
+/// with look-ahead on and off, at penalty weights 0, 1, 5 and 8: on random
+/// states of the 7×7 grid the look-ahead's own tests use, of a single row,
+/// and of the paper-size 100-qubit layout with four routing paths, its
+/// data cells mostly held and a few qubits out in the bus lanes.
 #[test]
 fn cnot_lookahead_matches_reference() {
-    let mut router = Router::new(CostModel::default());
-    let mut seed_router = SeedRouter::new(CostModel::default());
+    /// The cells of `cells` that hold a qubit, in row-major order.
+    fn held(cells: &CellGrid) -> Vec<Coord> {
+        let (rows, cols) = (cells.rows() as i32, cells.cols() as i32);
+        (0..rows)
+            .flat_map(|r| (0..cols).map(move |c| Coord::new(r, c)))
+            .filter(|&c| cells.occupant(c).is_some())
+            .collect()
+    }
+
+    // Each state with its operand pairs: every ordered pair of the first
+    // eight held cells on the small grids, 60 drawn pairs on the layout.
+    let mut states = Vec::new();
     for (rows, cols) in [(7, 7), (1, 5)] {
         let grid = Grid::filled(rows, cols, CellKind::Bus);
         for seed in 0..20u64 {
             let (cells, _) = padded(&grid, &random_state(&grid, seed));
-            let held: Vec<Coord> = grid
-                .coords()
-                .filter(|&c| cells.occupant(c).is_some())
-                .take(8)
+            let mut few = held(&cells);
+            few.truncate(8);
+            let pairs = few
+                .iter()
+                .flat_map(|&c| few.iter().filter(move |&&t| t != c).map(move |&t| (c, t)))
                 .collect();
-            for &c in &held {
-                for &t in held.iter().filter(|&&t| t != c) {
-                    for lookahead in [true, false] {
-                        assert_eq!(
-                            best_cnot_config_with(&mut router, &cells, c, t, lookahead),
-                            best_cnot_config_with(&mut seed_router, &cells, c, t, lookahead),
-                            "{rows}x{cols} seed {seed}: {c} -> {t}, look-ahead {lookahead}"
-                        );
-                    }
+            states.push((format!("{rows}x{cols} seed {seed}"), cells, pairs));
+        }
+    }
+    let layout = Layout::with_routing_paths(100, 4);
+    let grid = layout.grid();
+    for seed in 0..3u64 {
+        let mut draw = seed + 1;
+        let mut cells = CellGrid::new(grid.rows(), grid.cols());
+        for (q, c) in grid.coords().enumerate() {
+            let tenths = if grid.kind(c) == CellKind::Data { 9 } else { 1 };
+            if lcg(&mut draw) % 10 < tenths {
+                cells.place(c, q as u32);
+            }
+        }
+        let all = held(&cells);
+        let mut pairs = Vec::new();
+        while pairs.len() < 60 {
+            let c = all[lcg(&mut draw) as usize % all.len()];
+            let t = all[lcg(&mut draw) as usize % all.len()];
+            if c != t {
+                pairs.push((c, t));
+            }
+        }
+        states.push((format!("paper layout seed {seed}"), cells, pairs));
+    }
+
+    for penalty_weight in [0, 1, 5, 8] {
+        let cost = CostModel { penalty_weight };
+        let mut router = Router::new(cost);
+        let mut seed_router = SeedRouter::new(cost);
+        let (mut planned, mut asked) = (0, 0);
+        for (name, cells, pairs) in &states {
+            for &(c, t) in pairs {
+                for lookahead in [true, false] {
+                    let config = best_cnot_config_with(&mut router, cells, c, t, lookahead);
+                    assert_eq!(
+                        config,
+                        reference::best_cnot_config_with(&mut seed_router, cells, c, t, lookahead),
+                        "{name}, penalty {penalty_weight}: {c} -> {t}, look-ahead {lookahead}"
+                    );
+                    planned += usize::from(config.is_some());
+                    asked += 1;
                 }
             }
         }
+        // A single row has no diagonal; the other states mostly do.
+        assert!(
+            2 * planned > asked,
+            "penalty {penalty_weight}: {planned} of {asked} planned"
+        );
     }
 }
 
@@ -422,17 +483,30 @@ fn assert_queries_match_seed(
     );
 
     let expected = reference::find_path(grid, occ, from, to, &cost);
+    let cost = expected.as_ref().map(|p| p.cost);
+    // Bounds at and around the cost, and one drawn from the query.
+    let mut draw = (u64::from(grid.rows()) << 48)
+        ^ (u64::from(grid.cols()) << 40)
+        ^ ((from.row as u64) << 32)
+        ^ ((from.col as u64) << 24)
+        ^ ((to.row as u64) << 16)
+        ^ ((to.col as u64) << 8)
+        ^ penalty;
+    let c = cost.unwrap_or(0);
+    let random = lcg(&mut draw) % (c.min(1 << 20) + 3);
     for (name, router) in &mut routers {
         assert_eq!(
             router.find_path(&cells, &blocked, from, to),
             expected,
             "{name} find_path, {at}"
         );
-        assert_eq!(
-            router.path_cost(&cells, &blocked, from, to),
-            expected.as_ref().map(|p| p.cost),
-            "{name} path_cost, {at}"
-        );
+        for below in [u64::MAX, 0, 1, c, c + 1, random] {
+            assert_eq!(
+                router.path_cost(&cells, &blocked, from, to, below),
+                cost.filter(|&c| c < below),
+                "{name} path_cost below {below}, {at}"
+            );
+        }
     }
 
     let expected = reference::space_search(grid, occ, to);
