@@ -8,8 +8,8 @@
 //! circuit under two names gets the same key.
 
 use crate::json::{ToJson, Value};
-use ftqc_circuit::Circuit;
-use std::fmt::{self, Write as _};
+use ftqc_circuit::{Angle, Circuit, Gate};
+use std::fmt::{self, Write};
 
 /// Incremental 64-bit FNV-1a hasher.
 #[derive(Debug, Clone)]
@@ -82,17 +82,102 @@ pub fn fingerprint_value(value: &Value) -> u64 {
 /// Digest of a circuit's canonical form: register width plus the exact gate
 /// sequence (angles included). The circuit name does not participate.
 ///
-/// Each gate contributes its `Debug` text and a `;`. The text is written
-/// straight into the hasher, so no `String` is allocated per gate; the
-/// bytes, and therefore every persisted key, are the same as rendering
-/// each gate first.
+/// Each gate contributes its `Debug` text and a `;`, the bytes of
+/// `format!("{gate:?};")`, on which every persisted key depends. The text
+/// is written into the hasher by [`GateText`] without the formatter.
 pub fn fingerprint_circuit(circuit: &Circuit) -> u64 {
     let mut h = Fnv64::new();
     h.write_u64(u64::from(circuit.num_qubits()));
+    let mut text = GateText::default();
     for gate in circuit.gates() {
-        write!(h, "{gate:?};").expect("hashing never fails");
+        text.write(gate, &mut h).expect("hashing never fails");
     }
     h.finish()
+}
+
+/// Writes gates as `format!("{gate:?};")` renders them: the variant name,
+/// decimal qubits and fixed punctuation written directly, and only an `Rz`
+/// angle rendered by the formatter. The last angle's text is kept, so a
+/// run of equal angles (a Trotter step's) renders one.
+#[derive(Debug, Default)]
+struct GateText {
+    /// The bits of the last angle rendered.
+    angle_bits: Option<u64>,
+    /// Its `Debug` text.
+    angle: String,
+}
+
+impl GateText {
+    /// Writes `gate`'s `Debug` text and a `;` to `out`.
+    fn write<W: Write>(&mut self, gate: &Gate, out: &mut W) -> fmt::Result {
+        let one = |out: &mut W, name: &str, q: u32| {
+            out.write_str(name)?;
+            decimal(out, q)?;
+            out.write_str(");")
+        };
+        let two = |out: &mut W, name: &str, a: u32, b: u32| {
+            out.write_str(name)?;
+            decimal(out, a)?;
+            out.write_str(", ")?;
+            decimal(out, b)?;
+            out.write_str(");")
+        };
+        match *gate {
+            Gate::H(q) => one(out, "H(", q),
+            Gate::S(q) => one(out, "S(", q),
+            Gate::Sdg(q) => one(out, "Sdg(", q),
+            Gate::Sx(q) => one(out, "Sx(", q),
+            Gate::Sxdg(q) => one(out, "Sxdg(", q),
+            Gate::X(q) => one(out, "X(", q),
+            Gate::Y(q) => one(out, "Y(", q),
+            Gate::Z(q) => one(out, "Z(", q),
+            Gate::T(q) => one(out, "T(", q),
+            Gate::Tdg(q) => one(out, "Tdg(", q),
+            Gate::Measure(q) => one(out, "Measure(", q),
+            Gate::Cz(a, b) => two(out, "Cz(", a, b),
+            Gate::Swap(a, b) => two(out, "Swap(", a, b),
+            Gate::Cnot { control, target } => {
+                out.write_str("Cnot { control: ")?;
+                decimal(out, control)?;
+                out.write_str(", target: ")?;
+                decimal(out, target)?;
+                out.write_str(" };")
+            }
+            Gate::Rz(q, angle) => {
+                out.write_str("Rz(")?;
+                decimal(out, q)?;
+                out.write_str(", Angle { turns_of_pi: ")?;
+                out.write_str(self.angle_text(angle))?;
+                out.write_str(" });")
+            }
+        }
+    }
+
+    /// The `Debug` text of `angle`'s value in units of π.
+    fn angle_text(&mut self, angle: Angle) -> &str {
+        let turns = angle.turns_of_pi();
+        if self.angle_bits != Some(turns.to_bits()) {
+            self.angle.clear();
+            write!(self.angle, "{turns:?}").expect("writing to a String never fails");
+            self.angle_bits = Some(turns.to_bits());
+        }
+        &self.angle
+    }
+}
+
+/// Writes `n` in decimal.
+fn decimal<W: Write>(out: &mut W, mut n: u32) -> fmt::Result {
+    let mut digits = [0u8; 10];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.write_str(std::str::from_utf8(&digits[start..]).expect("decimal digits are ASCII"))
 }
 
 /// Order-sensitive combination of two digests (circuit half + options
@@ -126,6 +211,101 @@ pub fn from_hex(s: &str) -> Option<u64> {
 mod tests {
     use super::*;
     use crate::json::Value;
+    use proptest::prelude::*;
+
+    /// Angles whose `Debug` text takes each of its forms: signed zeros,
+    /// the switches to exponent notation (below 1e-4, from 1e16), the
+    /// extremes and the non-finite values.
+    const EDGE_ANGLES: [f64; 16] = [
+        0.0,
+        -0.0,
+        0.25,
+        0.1,
+        -0.5,
+        1e-7,
+        1e16,
+        1e17,
+        -1e17,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MIN_POSITIVE,
+        5e-324,
+        f64::MAX,
+        1.0 / 3.0,
+    ];
+
+    fn arb_qubit() -> impl Strategy<Value = u32> {
+        prop_oneof![0u32..16, any::<u32>(), Just(u32::MAX), Just(u32::MAX - 1)]
+    }
+
+    /// Turns of π: an edge angle (a run of gates often repeats one) or any
+    /// bit pattern.
+    fn arb_turns() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            (0..EDGE_ANGLES.len()).prop_map(|i| EDGE_ANGLES[i]),
+            any::<u64>().prop_map(f64::from_bits),
+            any::<f64>(),
+        ]
+    }
+
+    /// A gate of any of the fifteen variants.
+    fn arb_gate() -> impl Strategy<Value = Gate> {
+        (0u8..15, arb_qubit(), arb_qubit(), arb_turns()).prop_map(|(variant, a, b, turns)| {
+            match variant {
+                0 => Gate::H(a),
+                1 => Gate::S(a),
+                2 => Gate::Sdg(a),
+                3 => Gate::Sx(a),
+                4 => Gate::Sxdg(a),
+                5 => Gate::X(a),
+                6 => Gate::Y(a),
+                7 => Gate::Z(a),
+                8 => Gate::T(a),
+                9 => Gate::Tdg(a),
+                10 => Gate::Rz(a, Angle::new(turns)),
+                11 => Gate::Cnot {
+                    control: a,
+                    target: b,
+                },
+                12 => Gate::Cz(a, b),
+                13 => Gate::Swap(a, b),
+                _ => Gate::Measure(a),
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The hand-written text of a gate sequence is `format!("{gate:?};")`
+        /// of each gate, byte for byte, and a circuit's fingerprint hashes
+        /// exactly those bytes.
+        #[test]
+        fn gate_text_matches_the_debug_format(
+            gates in prop::collection::vec(arb_gate(), 1..24),
+        ) {
+            let mut text = GateText::default();
+            let mut written = String::new();
+            let mut formatted = String::new();
+            for gate in &gates {
+                text.write(gate, &mut written).expect("writing to a String never fails");
+                formatted.push_str(&format!("{gate:?};"));
+            }
+            prop_assert_eq!(&written, &formatted);
+
+            let mut circuit = Circuit::new(u32::MAX);
+            let mut expected = Fnv64::new();
+            expected.write_u64(u64::from(u32::MAX));
+            for gate in &gates {
+                if circuit.check_gate(gate).is_ok() {
+                    circuit.push(*gate);
+                    expected.write_str(&format!("{gate:?};"));
+                }
+            }
+            prop_assert_eq!(fingerprint_circuit(&circuit), expected.finish());
+        }
+    }
 
     #[test]
     fn known_fnv_vector() {
