@@ -16,8 +16,8 @@
 //! itself when it carries it out, against the occupancy at that time.
 //!
 //! **Branch and bound.** A candidate's cost is at least the Manhattan
-//! distance its operand moves, since every step of a path costs at least
-//! one and clearing costs nothing for a free ancilla. The look-ahead scores
+//! distance its operand moves: every step of a path costs at least one,
+//! and clearing the ancilla at least nothing. The look-ahead scores
 //! candidates in `(bound, scan index)` order and stops at the first whose
 //! bound cannot beat the best `(cost, scan index)` so far; every later one
 //! is bounded as badly. Each path search is told the cost it must come in
@@ -336,8 +336,7 @@ mod tests {
         plan: impl FnOnce(&mut Router) -> Option<CnotConfig>,
     ) -> (Option<CnotConfig>, u64) {
         let mut router = Router::new(CostModel::default());
-        let corner = Coord::new(0, 0);
-        router.path_cost(cells, &[], corner, Coord::new(0, 1), u64::MAX);
+        router.path_cost(cells, &[], Coord::new(0, 0), Coord::new(0, 1), u64::MAX);
         let before = router.counters().arena_reuses;
         let config = plan(&mut router);
         (config, router.counters().arena_reuses - before)
@@ -346,9 +345,10 @@ mod tests {
     #[test]
     fn lookahead_skips_candidates_that_cannot_win() {
         // A horizontal pair on a free grid: moving the target one step
-        // north-east (scan index 5) costs 1; the two one-step control moves
+        // north (scan index 5) costs 1; the two one-step control moves
         // before it in scan order cost 2 (their ancilla is the control's
-        // own cell), and five candidates lie three steps away.
+        // own cell), one more one-step target move comes after it, and
+        // four candidates lie three steps away.
         let (c, t) = (Coord::new(2, 2), Coord::new(2, 3));
         let mut cells = CellGrid::new(7, 7);
         cells.place(c, 0);

@@ -84,7 +84,8 @@ pub fn fingerprint_value(value: &Value) -> u64 {
 ///
 /// Each gate contributes its `Debug` text and a `;`, the bytes of
 /// `format!("{gate:?};")`, on which every persisted key depends. The text
-/// is written into the hasher by [`GateText`] without the formatter.
+/// is written into the hasher by hand, with only an `Rz` angle rendered
+/// by the formatter, so hashing a gate costs no formatting machinery.
 pub fn fingerprint_circuit(circuit: &Circuit) -> u64 {
     let mut h = Fnv64::new();
     h.write_u64(u64::from(circuit.num_qubits()));
@@ -97,8 +98,8 @@ pub fn fingerprint_circuit(circuit: &Circuit) -> u64 {
 
 /// Writes gates as `format!("{gate:?};")` renders them: the variant name,
 /// decimal qubits and fixed punctuation written directly, and only an `Rz`
-/// angle rendered by the formatter. The last angle's text is kept, so a
-/// run of equal angles (a Trotter step's) renders one.
+/// angle rendered by the formatter. The last angle's text is kept, so an
+/// angle is rendered again only when it differs from the one before.
 #[derive(Debug, Default)]
 struct GateText {
     /// The bits of the last angle rendered.
