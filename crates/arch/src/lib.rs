@@ -46,8 +46,8 @@ pub use grid::{CellKind, Coord, Grid};
 pub use layout::{Layout, LayoutError};
 pub use surgery::{cnot_ancilla, SingleQubitKind, SurgeryOp};
 pub use target::{
-    BusSpec, Capabilities, FastD, PaperGrid, ProgramShape, SparseBus, Target, TargetEntry,
-    TargetError, TargetRegistry, TargetSpec, MAX_FACTORIES, MAX_QUBITS,
+    BusSpec, Capabilities, TargetEntry, TargetError, TargetRegistry, TargetSpec, MAX_FACTORIES,
+    MAX_QUBITS,
 };
 pub use timing::{Ticks, TimingModel, TICKS_PER_D};
 pub use viz::{render_layout, render_with};

@@ -11,12 +11,12 @@
 //! chain, so "which machine was this compiled for" is part of every cache
 //! key and wire artifact.
 //!
-//! [`Target`] is the behavioural seam: anything that can name itself,
-//! produce a spec, build a layout, and validate a program shape. The
-//! built-in implementations cover the paper's machine ([`PaperGrid`]), a
-//! bus-starved variant ([`SparseBus`]), and a timing-scaled machine
-//! ([`FastD`]); future backends (multi-chip, heavy-hex-style bus masks,
-//! heterogeneous factories) plug in behind the same trait.
+//! A spec builds its own layout ([`TargetSpec::build_layout`]), docks its
+//! factory bank ([`TargetSpec::factory_bank`]) and checks a program
+//! against its capabilities ([`TargetSpec::validate`]). The three presets
+//! are constructors: the paper's machine ([`TargetSpec::paper`]), a
+//! bus-starved variant ([`TargetSpec::sparse`]) and a timing-scaled
+//! machine ([`TargetSpec::fast_d`]).
 //!
 //! [`TargetRegistry`] maps preset names (`"paper"`, `"sparse"`,
 //! `"fast-d"`) and user-registered specs to descriptors — the lookup the
@@ -26,11 +26,11 @@
 //! # Example
 //!
 //! ```
-//! use ftqc_arch::{Target, TargetRegistry, PaperGrid};
+//! use ftqc_arch::{TargetRegistry, TargetSpec};
 //!
 //! let registry = TargetRegistry::builtin();
 //! let spec = registry.get("paper").unwrap().clone();
-//! assert_eq!(spec, PaperGrid.spec());
+//! assert_eq!(spec, TargetSpec::paper());
 //! let layout = spec.build_layout(100)?;
 //! assert_eq!(layout.total_patches(), 144); // the §VII.C reference machine
 //! spec.validate(100, 1_000)?; // fits, and the target distils T states
@@ -131,16 +131,6 @@ impl Capabilities {
     }
 }
 
-/// A program's shape as a target sees it: just enough to validate a fit
-/// without depending on any circuit representation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProgramShape {
-    /// Logical data qubits the program needs.
-    pub qubits: u32,
-    /// Magic states the program consumes (T/T†/non-Clifford rotations).
-    pub t_count: u64,
-}
-
 /// The most distillation factories a target may declare. Every factory
 /// docks one output port on the boundary (under unbounded magic too), so
 /// the cap bounds the factory bank's allocation; the paper's figures use
@@ -235,7 +225,7 @@ impl Error for TargetError {}
 /// options, job documents, wire payloads, and cache keys without any
 /// behavioural baggage. Behaviour lives in the inherent methods
 /// ([`TargetSpec::build_layout`], [`TargetSpec::factory_bank`],
-/// [`TargetSpec::validate`]) and the [`Target`] trait built on them.
+/// [`TargetSpec::validate`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TargetSpec {
     /// Bus provisioning.
@@ -368,121 +358,11 @@ impl TargetSpec {
         }
         Ok(())
     }
-
-    /// [`TargetSpec::validate`] over a [`ProgramShape`].
-    ///
-    /// # Errors
-    ///
-    /// As [`TargetSpec::validate`].
-    pub fn validate_shape(&self, shape: ProgramShape) -> Result<(), TargetError> {
-        self.validate(shape.qubits, shape.t_count)
-    }
 }
 
 impl Default for TargetSpec {
     fn default() -> Self {
         TargetSpec::paper()
-    }
-}
-
-/// A pluggable hardware target: everything the compiler needs from a
-/// machine, behind one seam.
-///
-/// The default methods all derive from [`Target::spec`]; a backend only
-/// overrides them when its behaviour cannot be expressed as a spec (e.g.
-/// a generated layout family).
-pub trait Target {
-    /// The target's name (registry key / display label).
-    fn name(&self) -> &str;
-
-    /// A one-line description for listings.
-    fn description(&self) -> &str {
-        ""
-    }
-
-    /// The machine descriptor.
-    fn spec(&self) -> TargetSpec;
-
-    /// Builds the layout for `n_data` data qubits.
-    ///
-    /// # Errors
-    ///
-    /// [`LayoutError`] when the provisioning is invalid for this register.
-    fn build_layout(&self, n_data: u32) -> Result<Layout, LayoutError> {
-        self.spec().build_layout(n_data)
-    }
-
-    /// The target's latency table.
-    fn timing(&self) -> TimingModel {
-        self.spec().timing
-    }
-
-    /// Docks the target's factory bank on `layout`.
-    fn factories(&self, layout: &Layout) -> FactoryBank {
-        self.spec().factory_bank(layout)
-    }
-
-    /// Checks a program shape against the target.
-    ///
-    /// # Errors
-    ///
-    /// The first violated [`TargetError`].
-    fn validate(&self, shape: ProgramShape) -> Result<(), TargetError> {
-        self.spec().validate_shape(shape)
-    }
-}
-
-/// The paper's evaluation machine (preset `"paper"`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PaperGrid;
-
-impl Target for PaperGrid {
-    fn name(&self) -> &str {
-        "paper"
-    }
-
-    fn description(&self) -> &str {
-        "the paper's machine: r=4 layout family, one 15-to-1 factory (11d), spread ports"
-    }
-
-    fn spec(&self) -> TargetSpec {
-        TargetSpec::paper()
-    }
-}
-
-/// The bus-starved machine (preset `"sparse"`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SparseBus;
-
-impl Target for SparseBus {
-    fn name(&self) -> &str {
-        "sparse"
-    }
-
-    fn description(&self) -> &str {
-        "bus-starved machine: minimum r=2 pinned, factory ports clustered on one edge"
-    }
-
-    fn spec(&self) -> TargetSpec {
-        TargetSpec::sparse()
-    }
-}
-
-/// The timing-scaled machine (preset `"fast-d"`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FastD;
-
-impl Target for FastD {
-    fn name(&self) -> &str {
-        "fast-d"
-    }
-
-    fn description(&self) -> &str {
-        "paper machine with every latency halved (effective code distance d/2)"
-    }
-
-    fn spec(&self) -> TargetSpec {
-        TargetSpec::fast_d()
     }
 }
 
@@ -514,9 +394,21 @@ impl TargetRegistry {
     /// The built-in presets: `"paper"`, `"sparse"`, `"fast-d"`.
     pub fn builtin() -> Self {
         let mut registry = TargetRegistry::empty();
-        registry.register_target(&PaperGrid);
-        registry.register_target(&SparseBus);
-        registry.register_target(&FastD);
+        registry.register(
+            "paper",
+            "the paper's machine: r=4 layout family, one 15-to-1 factory (11d), spread ports",
+            TargetSpec::paper(),
+        );
+        registry.register(
+            "sparse",
+            "bus-starved machine: minimum r=2 pinned, factory ports clustered on one edge",
+            TargetSpec::sparse(),
+        );
+        registry.register(
+            "fast-d",
+            "paper machine with every latency halved (effective code distance d/2)",
+            TargetSpec::fast_d(),
+        );
         registry
     }
 
@@ -540,11 +432,6 @@ impl TargetRegistry {
                 spec,
             }),
         }
-    }
-
-    /// Registers a [`Target`] implementation under its own name.
-    pub fn register_target(&mut self, target: &dyn Target) {
-        self.register(target.name(), target.description(), target.spec());
     }
 
     /// The spec registered under `name`.
@@ -699,13 +586,6 @@ mod tests {
             clifford_only.validate(4, 7),
             Err(TargetError::MagicStatesUnsupported { t_count: 7 })
         );
-        assert_eq!(
-            clifford_only.validate_shape(ProgramShape {
-                qubits: 4,
-                t_count: 7
-            }),
-            Err(TargetError::MagicStatesUnsupported { t_count: 7 })
-        );
     }
 
     /// A factory count past the cap is refused before any bank docks,
@@ -779,22 +659,6 @@ mod tests {
         assert!(e
             .to_string()
             .contains("4000000000 data qubits but at most 4096 are supported"));
-    }
-
-    #[test]
-    fn trait_defaults_follow_the_spec() {
-        let layout = PaperGrid.build_layout(16).unwrap();
-        assert_eq!(layout.routing_paths(), 4);
-        assert_eq!(PaperGrid.timing(), TimingModel::paper());
-        assert_eq!(PaperGrid.factories(&layout).len(), 1);
-        assert!(PaperGrid
-            .validate(ProgramShape {
-                qubits: 16,
-                t_count: 4
-            })
-            .is_ok());
-        assert_eq!(SparseBus.spec(), TargetSpec::sparse());
-        assert_eq!(FastD.spec(), TargetSpec::fast_d());
     }
 
     #[test]

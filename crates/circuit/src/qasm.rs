@@ -12,6 +12,7 @@
 
 use crate::circuit::Circuit;
 use crate::gate::{Angle, Gate, Qubit};
+use ftqc_arch::{TargetError, MAX_QUBITS};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -52,7 +53,7 @@ impl Error for QasmError {}
 /// Parses an OpenQASM 2 source string into a [`Circuit`].
 ///
 /// Multiple `qreg` declarations are flattened into one register in
-/// declaration order. Classical registers and the classical targets of
+/// declaration order, of at most [`MAX_QUBITS`] qubits. Classical registers and the classical targets of
 /// `measure` are accepted and discarded (the compiler models measurement as
 /// a qubit-level operation).
 ///
@@ -142,6 +143,14 @@ fn parse_statement(
         if reg_offset.contains_key(&name) {
             return Err(QasmError::new(lineno, format!("duplicate qreg '{name}'")));
         }
+        let total = u64::from(*total_qubits) + u64::from(size);
+        if total > u64::from(MAX_QUBITS) {
+            let cap = TargetError::QubitCapExceeded {
+                qubits: total,
+                max: MAX_QUBITS,
+            };
+            return Err(QasmError::new(lineno, cap.to_string()));
+        }
         reg_offset.insert(name.clone(), *total_qubits);
         regs.push((name, size));
         *total_qubits += size;
@@ -198,6 +207,18 @@ fn parse_statement(
             ))
         }
     };
+    // `Circuit::push` panics on a two-qubit gate that names one qubit
+    // twice, so refuse it here.
+    let pair = || -> Result<(Qubit, Qubit), QasmError> {
+        require(2)?;
+        if operands[0] == operands[1] {
+            return Err(QasmError::new(
+                lineno,
+                format!("gate '{name}' names one qubit twice in '{operand_str}'"),
+            ));
+        }
+        Ok((operands[0], operands[1]))
+    };
 
     match name.as_str() {
         "h" | "s" | "sdg" | "sx" | "sxdg" | "x" | "y" | "z" | "t" | "tdg" | "id" => {
@@ -230,19 +251,16 @@ fn parse_statement(
             gates.push(Gate::Rz(operands[0], angle));
         }
         "cx" | "cnot" => {
-            require(2)?;
-            gates.push(Gate::Cnot {
-                control: operands[0],
-                target: operands[1],
-            });
+            let (control, target) = pair()?;
+            gates.push(Gate::Cnot { control, target });
         }
         "cz" => {
-            require(2)?;
-            gates.push(Gate::Cz(operands[0], operands[1]));
+            let (a, b) = pair()?;
+            gates.push(Gate::Cz(a, b));
         }
         "swap" => {
-            require(2)?;
-            gates.push(Gate::Swap(operands[0], operands[1]));
+            let (a, b) = pair()?;
+            gates.push(Gate::Swap(a, b));
         }
         other => {
             return Err(QasmError::new(
@@ -495,6 +513,33 @@ mod tests {
         let back = parse_qasm(&text).expect("writer output parses");
         assert_eq!(back.num_qubits(), c.num_qubits());
         assert_eq!(back.counts(), c.counts());
+    }
+
+    /// Hostile input is a typed error: a two-qubit gate naming one qubit
+    /// twice (which `Circuit::push` panics on), and a register total past
+    /// the qubit cap, even one that wraps `u32`, before a broadcast can
+    /// allocate for it.
+    #[test]
+    fn hostile_registers_and_operands_are_refused() {
+        for src in [
+            "qreg q[2]; cx q[0], q[0];",
+            "qreg q[2]; cz q[1], q[1];",
+            "qreg q[1]; swap q, q;",
+        ] {
+            let err = parse_qasm(src).unwrap_err();
+            assert!(err.to_string().contains("names one qubit twice"), "{err}");
+        }
+        for src in [
+            "qreg a[4294967295]; qreg b[2]; h b[1];",
+            "qreg a[4000]; qreg b[97];",
+            "qreg q[4000000000]; h q;",
+        ] {
+            let err = parse_qasm(src).unwrap_err();
+            let cap = format!("but at most {MAX_QUBITS} are supported");
+            assert!(err.to_string().contains(&cap), "{err}");
+        }
+        let full = parse_qasm("qreg a[4000]; qreg b[96]; cx a[0], b[95];").unwrap();
+        assert_eq!(full.num_qubits(), MAX_QUBITS);
     }
 
     #[test]

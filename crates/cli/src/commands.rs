@@ -20,7 +20,7 @@ use ftqc_compiler::{
     StageEvent, StageTrace,
 };
 use ftqc_editor::{
-    delta_to_json, edit_failed_json, edit_result_json, EditSession, EditSet, SessionExtension,
+    apply_edit_line, delta_to_json, edit_failed_json, EditLineOutcome, EditSession,
     DEFAULT_SESSION_CAPACITY, DEFAULT_SESSION_TTL,
 };
 use ftqc_server::{Client, MultiSweepResponse, RetryPolicy, Server, ServerConfig, SweepResponse};
@@ -34,7 +34,6 @@ use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A CLI failure: argument, I/O, parse, or pipeline error.
@@ -947,22 +946,20 @@ fn cmd_serve(p: &ParsedArgs) -> Result<String, CliError> {
         shards: p.get_or("shards", 0usize)?,
         queue_cap: p.get_or("queue-cap", 256usize)?.max(1),
         queue_timeout: Duration::from_secs(p.get_or("queue-timeout-s", 30u64)?.max(1)),
+        session_capacity: p
+            .get_or("session-capacity", DEFAULT_SESSION_CAPACITY)?
+            .max(1),
+        session_ttl: Duration::from_secs(
+            p.get_or("session-ttl-s", DEFAULT_SESSION_TTL.as_secs())?
+                .max(1),
+        ),
         ..ServerConfig::default()
     };
     let cache_note = match &config.cache_file {
         Some(f) => format!(", cache file {}", f.display()),
         None => String::new(),
     };
-    let session_capacity = p
-        .get_or("session-capacity", DEFAULT_SESSION_CAPACITY)?
-        .max(1);
-    let session_ttl = Duration::from_secs(
-        p.get_or("session-ttl-s", DEFAULT_SESSION_TTL.as_secs())?
-            .max(1),
-    );
-    let sessions = Arc::new(SessionExtension::new(session_capacity, session_ttl));
-    let server =
-        Server::bind_with(config, Some(sessions)).map_err(|e| CliError::Pipeline(e.to_string()))?;
+    let server = Server::bind(config).map_err(|e| CliError::Pipeline(e.to_string()))?;
     let addr = server
         .local_addr()
         .map_err(|e| CliError::Pipeline(e.to_string()))?;
@@ -1010,10 +1007,11 @@ fn edit_seed(p: &ParsedArgs) -> Result<(String, Circuit), CliError> {
 /// `ftqc edit`: an interactive edit loop. Reads one edit (or edit-set)
 /// JSON document per stdin line, applies it to the live session, compiles
 /// the edited circuit in full, and prints one delta-annotated result line
-/// per batch — the same wire shape `POST /v1/session/<id>/edit` answers.
-/// The trailer counts the full compiles, the seed compile included. With
-/// `--server ADDR` the session lives on a remote server instead and
-/// every batch round-trips through `/v1/session/<id>/edit`.
+/// per batch, through the same `apply_edit_line` that answers
+/// `POST /v1/session/<id>/edit`. The trailer counts the full compiles,
+/// the seed compile included. With `--server ADDR` the session lives on a
+/// remote server instead and every batch round-trips through
+/// `/v1/session/<id>/edit`.
 fn cmd_edit(p: &ParsedArgs) -> Result<CmdOutput, CliError> {
     use std::io::BufRead as _;
     if let Some(addr) = p.get("server") {
@@ -1060,34 +1058,10 @@ fn cmd_edit(p: &ParsedArgs) -> Result<CmdOutput, CliError> {
             break;
         }
         batches += 1;
-        let started = Instant::now();
-        let doc = match EditSet::parse_line(line) {
-            Err(e) => {
-                rejected += 1;
-                edit_failed_json("local", session.version(), &format!("bad edit line: {e}"))
-            }
-            Ok(set) => {
-                let digest = set.digest();
-                match session.apply(&set) {
-                    Ok((program, delta)) => {
-                        let micros =
-                            u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-                        edit_result_json(
-                            "local",
-                            session.version(),
-                            digest,
-                            program.metrics(),
-                            &delta,
-                            micros,
-                        )
-                    }
-                    Err(e) => {
-                        rejected += 1;
-                        edit_failed_json("local", session.version(), &e.to_string())
-                    }
-                }
-            }
-        };
+        let (doc, outcome) = apply_edit_line(&mut session, line);
+        if !matches!(outcome, EditLineOutcome::Applied { .. }) {
+            rejected += 1;
+        }
         println!("{}", doc.render());
     }
     Ok(CmdOutput {

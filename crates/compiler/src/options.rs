@@ -9,7 +9,7 @@
 //! configuration code keeps reading the same.
 
 use crate::mapping::MappingStrategy;
-use ftqc_arch::{BusSpec, PortPlacement, Target, TargetSpec, Ticks, TimingModel};
+use ftqc_arch::{BusSpec, PortPlacement, TargetSpec, Ticks, TimingModel};
 
 /// How many magic states a non-Clifford rotation consumes.
 ///
@@ -106,11 +106,6 @@ impl CompilerOptions {
     pub fn target(mut self, spec: TargetSpec) -> Self {
         self.target = spec;
         self
-    }
-
-    /// Compiles for a [`Target`] implementation (its spec).
-    pub fn for_target(target: &dyn Target) -> Self {
-        CompilerOptions::default().target(target.spec())
     }
 
     /// Sets the number of routing paths (replaces any explicit bus mask
@@ -218,7 +213,6 @@ impl Default for CompilerOptions {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftqc_arch::PaperGrid;
 
     #[test]
     fn builder_chain() {
@@ -249,14 +243,10 @@ mod tests {
     }
 
     #[test]
-    fn target_setters_and_for_target() {
+    fn target_setters() {
         let o = CompilerOptions::default().target(TargetSpec::sparse());
         assert_eq!(o.target, TargetSpec::sparse());
         assert_eq!(o.penalty_weight, 5, "policy knobs untouched");
-        assert_eq!(
-            CompilerOptions::for_target(&PaperGrid),
-            CompilerOptions::default()
-        );
         // A routing-path override replaces an explicit mask with the family.
         let o = CompilerOptions::default()
             .target(TargetSpec {

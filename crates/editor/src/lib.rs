@@ -8,22 +8,23 @@
 //! [`ftqc_compiler::Compiler::compile`], so a session's program is always
 //! a cold compile of its circuit.
 //!
-//! Sessions once recompiled differentially, resuming routing and timing
-//! from checkpoints of the previous compile. On the paper's Table I
-//! circuits that was slower than a cold compile for most edits, and a
-//! session on a large circuit held gigabytes of checkpoints, so it was
-//! deleted; see the README's edit-session section for the measurements.
+//! A session edit sends a few dozen bytes where re-sending the edited
+//! circuit sends kilobytes, and the server skips parsing and resolving
+//! the circuit: over loopback, an edit of a paper-size Table I circuit
+//! answers ~1.4× faster than the same circuit re-sent as inline QASM
+//! (the README's edit-session section has the measurement).
 //!
 //! * [`edit`] — the [`CircuitEdit`] / [`EditSet`] model and its JSON
 //!   wire form (insert / remove / retarget / replace, batched, with a
 //!   stable content digest and optional optimistic version pinning).
 //! * [`session`] — [`EditSession`]: one circuit, its latest program, a
 //!   version counter; batches apply atomically.
+//! * [`line`](mod@line) — [`apply_edit_line`]: one JSONL edit line
+//!   applied to a session and its result line rendered, for the server's
+//!   `/v1/session/<id>/edit` and `ftqc edit` alike.
 //! * [`store`] — [`SessionStore`]: bounded, TTL-evicting, one lock per
-//!   session so distinct sessions never contend.
-//! * [`extension`] — [`SessionExtension`]: the four `/v1/session*`
-//!   endpoints on the server's [`ServerExtension`] seam, with
-//!   `ftqc_session_*` Prometheus families and per-edit trace spans.
+//!   session so distinct sessions never contend. `ftqc-server` holds one
+//!   and serves the `/v1/session*` endpoints from it.
 //!
 //! # Example
 //!
@@ -48,17 +49,15 @@
 //! assert_eq!(session.version(), 1);
 //! # Ok::<(), ftqc_compiler::CompileError>(())
 //! ```
-//!
-//! [`ServerExtension`]: ftqc_server::ServerExtension
 
 pub mod edit;
-pub mod extension;
+pub mod line;
 pub mod session;
 pub mod store;
 
 pub use edit::{
     gate_from_json, gate_from_parts, gate_to_json, retarget_gate, CircuitEdit, EditSet,
 };
-pub use extension::{delta_to_json, edit_failed_json, edit_result_json, SessionExtension};
+pub use line::{apply_edit_line, delta_to_json, edit_failed_json, EditLineOutcome};
 pub use session::{apply_edit, EditApplyError, EditSession};
 pub use store::{SessionCounters, SessionStore, DEFAULT_SESSION_CAPACITY, DEFAULT_SESSION_TTL};

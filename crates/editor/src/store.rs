@@ -25,7 +25,8 @@ pub const DEFAULT_SESSION_CAPACITY: usize = 64;
 /// Default idle time after which a session is evicted.
 pub const DEFAULT_SESSION_TTL: Duration = Duration::from_secs(15 * 60);
 
-/// Monotonic counters the store and its extension expose on `/metrics`.
+/// Monotonic counters the store keeps and the server exposes on
+/// `/metrics`.
 #[derive(Debug, Default)]
 pub struct SessionCounters {
     /// Sessions created.

@@ -402,9 +402,7 @@ impl Client {
     /// `POST /v1/session`: open an interactive edit session from a
     /// compile-job document (same shape as [`Client::compile`] takes).
     /// Answers the session descriptor — `"id"` is the handle for
-    /// [`Client::session_edit`] and friends. Requires a server running
-    /// the session extension (`ftqc serve`); a plain core server answers
-    /// 404.
+    /// [`Client::session_edit`] and friends.
     ///
     /// # Errors
     ///

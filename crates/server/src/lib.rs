@@ -19,6 +19,8 @@
 //! * [`metrics`] — Prometheus-style counters and latency histograms
 //!   behind `GET /metrics`.
 //! * [`api`] — sweep request/response wire types shared with the CLI.
+//! * `sessions` — the `/v1/session*` endpoints over the server's
+//!   `ftqc_editor::SessionStore`.
 //! * [`client`] — a small blocking client for every endpoint.
 //!
 //! Circuit resolution lives in `ftqc_service::resolve`, shared with the
@@ -32,6 +34,9 @@
 //! | `POST /v1/compile` | one JSON `CompileJob` → one JSON `JobResult` |
 //! | `POST /v1/batch` | JSONL jobs → JSONL results (submission order) |
 //! | `POST /v1/sweep` | options grid → design points / Pareto front |
+//! | `POST /v1/session` | one JSON `CompileJob` → an edit session's descriptor |
+//! | `POST /v1/session/<id>/edit` | JSONL edit batches → JSONL results |
+//! | `GET`/`DELETE /v1/session/<id>` | snapshot / close an edit session |
 //! | `GET /v1/targets` | the registered hardware targets |
 //! | `GET /v1/cache/stats` | compile-cache counters + latency percentiles |
 //! | `GET /v1/traces` | flight-recorder trace summaries, newest first |
@@ -55,6 +60,7 @@ pub mod client;
 pub mod http;
 pub mod metrics;
 pub mod server;
+mod sessions;
 
 pub use api::{
     check_wire_version, negotiate_version, versioned, versioned_as, MultiSweepResponse,
@@ -63,7 +69,4 @@ pub use api::{
 };
 pub use client::{Client, ClientError, RetryPolicy};
 pub use metrics::{Endpoint, ServerMetrics};
-pub use server::{
-    error_body, HandlerResult, Server, ServerConfig, ServerContext, ServerError, ServerExtension,
-    ServerReport, ShutdownHandle,
-};
+pub use server::{Server, ServerConfig, ServerError, ServerReport, ShutdownHandle};

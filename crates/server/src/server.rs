@@ -15,7 +15,10 @@
 //! Every request path — single compiles, JSONL batches, design-space
 //! sweeps — shares one process-wide [`SharedCache`], so concurrent clients
 //! warm each other and a repeated request mix is answered without
-//! recompiling.
+//! recompiling. The server also holds the edit sessions' bounded store
+//! ([`ServerConfig::session_capacity`], [`ServerConfig::session_ttl`]);
+//! `/v1/session*` routes to it like any other endpoint, and shutdown
+//! closes every session.
 //!
 //! ```no_run
 //! use ftqc_server::{Server, ServerConfig};
@@ -35,11 +38,13 @@ use crate::api::{
 };
 use crate::http::{self, HttpError, Request};
 use crate::metrics::{Endpoint, ServerMetrics};
+use crate::sessions;
 use ftqc_arch::TargetRegistry;
 use ftqc_compiler::{
     apply_job_target, explore_session, explore_targets, pareto_front, resolve_target_ref,
     stage_outcome, CompileSession, CompilerOptions, Metrics, Stage, StageCache, StageCacheStats,
 };
+use ftqc_editor::{SessionStore, DEFAULT_SESSION_CAPACITY, DEFAULT_SESSION_TTL};
 use ftqc_reactor::{ReactorConfig, ReactorService, Refusal};
 use ftqc_service::json::{JsonError, ToJson, Value};
 use ftqc_service::resolve::resolve_source_remote;
@@ -91,6 +96,11 @@ pub struct ServerConfig {
     /// Longest a request may wait in the reactor's admission queue before
     /// it is answered with a retryable 503 instead of being served stale.
     pub queue_timeout: Duration,
+    /// Live edit sessions (at least 1) before opening another evicts the
+    /// least recently used.
+    pub session_capacity: usize,
+    /// Idle time after which an edit session is evicted.
+    pub session_ttl: Duration,
 }
 
 impl Default for ServerConfig {
@@ -107,6 +117,8 @@ impl Default for ServerConfig {
             shards: 0,
             queue_cap: 256,
             queue_timeout: Duration::from_secs(30),
+            session_capacity: DEFAULT_SESSION_CAPACITY,
+            session_ttl: DEFAULT_SESSION_TTL,
         }
     }
 }
@@ -154,9 +166,6 @@ pub struct ServerReport {
 
 /// Everything the request handlers share, behind one `Arc`.
 struct AppState {
-    /// Extra endpoints grafted onto the core server (`ftqc serve`'s edit
-    /// sessions); `None` for a plain server.
-    extension: Option<Arc<dyn ServerExtension>>,
     service: BatchService<Metrics>,
     cache: SharedCache<Metrics>,
     /// Process-wide stage-artifact cache: every compile on this server —
@@ -166,6 +175,9 @@ struct AppState {
     /// Named hardware targets: the built-in presets, served by
     /// `GET /v1/targets` and resolved for job/sweep `"target"` fields.
     targets: TargetRegistry,
+    /// Live edit sessions, served by `/v1/session*` and drained at
+    /// shutdown.
+    sessions: SessionStore,
     /// Behind an `Arc` so per-job trace hooks on worker threads can feed
     /// the stage histograms directly.
     metrics: Arc<ServerMetrics>,
@@ -240,23 +252,6 @@ impl Server {
     /// [`ServerError::CacheFile`] when the cache file exists but is
     /// malformed.
     pub fn bind(config: ServerConfig) -> Result<Server, ServerError> {
-        Server::bind_with(config, None)
-    }
-
-    /// [`Server::bind`] with an extension: the extension sees every
-    /// request except `POST /v1/batch` before the core router, and
-    /// contributes to `/metrics` and `/v1/cache/stats`. This is how the
-    /// editor crate adds its session endpoints without the server crate
-    /// depending on it. Compile and batch jobs always run on this
-    /// server's own worker pool.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Server::bind`].
-    pub fn bind_with(
-        config: ServerConfig,
-        extension: Option<Arc<dyn ServerExtension>>,
-    ) -> Result<Server, ServerError> {
         let listener = TcpListener::bind(&config.addr)?;
         let mut cache = CompileCache::new(config.cache_capacity);
         if let Some(path) = &config.cache_file {
@@ -282,11 +277,11 @@ impl Server {
             body_limit: http::MAX_BODY_BYTES,
         };
         let state = AppState {
-            extension,
             service: BatchService::with_cache(workers, cache.clone()),
             cache,
             stages: StageCache::new(ftqc_compiler::DEFAULT_STAGE_CACHE_CAPACITY),
             targets: TargetRegistry::builtin(),
+            sessions: SessionStore::new(config.session_capacity, config.session_ttl),
             metrics: Arc::new(ServerMetrics::new()),
             recorder: FlightRecorder::new(config.trace_capacity),
             workers,
@@ -337,8 +332,9 @@ impl Server {
     /// Serves the endpoints from the `ftqc-reactor` event loops until a
     /// [`ShutdownHandle`] fires or SIGINT arrives (after
     /// [`Self::install_sigint_handler`]); then drains in-flight
-    /// connections, persists the cache file tier, and reports. The
-    /// reactor owns accepting, framing, admission, and draining.
+    /// connections, closes the edit sessions, persists the cache file
+    /// tier, and reports. The reactor owns accepting, framing, admission,
+    /// and draining.
     ///
     /// # Errors
     ///
@@ -353,9 +349,7 @@ impl Server {
         ftqc_reactor::run(self.listener, app, &self.reactor, move || {
             shutdown.load(Ordering::SeqCst) || SIGINT_FLAG.load(Ordering::SeqCst)
         })?;
-        if let Some(ext) = &self.state.extension {
-            ext.on_shutdown();
-        }
+        self.state.sessions.drain();
         let persisted = match &self.cache_file {
             Some(path) => {
                 self.state.cache.persist().map_err(ServerError::Io)?;
@@ -570,9 +564,8 @@ impl ReactorService for ReactorApp {
     }
 }
 
-/// Renders the server's standard versioned `{"error": …}` body — public so
-/// extension endpoints answer failures in the same shape.
-pub fn error_body(message: &str) -> String {
+/// Renders the server's standard versioned `{"error": …}` body.
+pub(crate) fn error_body(message: &str) -> String {
     versioned(Value::Obj(vec![(
         "error".into(),
         Value::Str(message.into()),
@@ -581,79 +574,42 @@ pub fn error_body(message: &str) -> String {
 }
 
 /// What a handler returns: `(status, content type, body)`.
-pub type HandlerResult = (u16, &'static str, String);
+pub(crate) type HandlerResult = (u16, &'static str, String);
 
-/// The slice of server internals an extension may use: the target
-/// registry and the request's trace. Handed to every [`ServerExtension`]
-/// hook by reference; never outlives the call.
-pub struct ServerContext<'a> {
-    state: &'a AppState,
-    trace: &'a Arc<ActiveTrace>,
+/// The 405 every endpoint answers a method it does not serve with.
+pub(crate) fn method_not_allowed(method: &str) -> HandlerResult {
+    (
+        405,
+        "application/json",
+        error_body(&format!("method {method} not allowed here")),
+    )
 }
 
-impl ServerContext<'_> {
-    /// The named hardware-target registry.
-    pub fn targets(&self) -> &TargetRegistry {
-        &self.state.targets
-    }
-
-    /// The request's active trace, for extension-added spans.
-    pub fn trace(&self) -> &Arc<ActiveTrace> {
-        self.trace
-    }
-}
-
-/// Extra endpoints grafted onto the core server via
-/// [`Server::bind_with`]: the editor crate implements this for the
-/// `/v1/session*` endpoints. Every hook has a no-op default, so an
-/// extension overrides only what it adds.
-pub trait ServerExtension: Send + Sync {
-    /// First crack at every request except `POST /v1/batch`, which
-    /// always streams from the core router. Return `Some` to answer it;
-    /// `None` falls through to the core router.
-    fn handle(&self, _ctx: &ServerContext<'_>, _request: &Request) -> Option<HandlerResult> {
-        None
-    }
-
-    /// Extra Prometheus exposition text appended to `GET /metrics`.
-    fn metrics_text(&self) -> String {
-        String::new()
-    }
-
-    /// Extra fields appended to the `GET /v1/cache/stats` document
-    /// (additive wire evolution: new keys, no version bump).
-    fn stats_fields(&self) -> Vec<(String, Value)> {
-        Vec::new()
-    }
-
-    /// Called once at shutdown, after the event loops have stopped
-    /// accepting and in-flight connections have drained (or the drain
-    /// timed out), before the cache file tier persists.
-    fn on_shutdown(&self) {}
+/// The 404 for a path no endpoint serves.
+pub(crate) fn no_such_endpoint(path: &str) -> HandlerResult {
+    (
+        404,
+        "application/json",
+        error_body(&format!("no such endpoint {path:?}")),
+    )
 }
 
 /// Routes one parsed request other than `POST /v1/batch` (which
-/// [`route_request`] streams) to its endpoint: extension first crack,
-/// then the core router.
+/// [`route_request`] streams) to its endpoint.
 fn handle_request(state: &AppState, request: &Request, trace: &Arc<ActiveTrace>) -> HandlerResult {
-    if let Some(ext) = &state.extension {
-        let ctx = ServerContext { state, trace };
-        if let Some(result) = ext.handle(&ctx, request) {
-            return result;
-        }
-    }
-    handle_request_core(state, request, trace)
-}
-
-/// The core router (no extension dispatch).
-fn handle_request_core(
-    state: &AppState,
-    request: &Request,
-    trace: &Arc<ActiveTrace>,
-) -> HandlerResult {
-    match (request.method.as_str(), request.path.as_str()) {
+    let method = request.method.as_str();
+    match (method, request.path.as_str()) {
         ("POST", "/v1/compile") => handle_compile(state, request, trace),
         ("POST", "/v1/sweep") => handle_sweep(state, request),
+        ("POST", "/v1/session") => {
+            sessions::create(&state.sessions, &state.targets, request, trace)
+        }
+        (_, path) if path.starts_with("/v1/session/") => sessions::handle_session(
+            &state.sessions,
+            request,
+            trace,
+            &path["/v1/session/".len()..],
+        ),
         ("GET", "/v1/targets") => handle_targets(state),
         ("GET", "/v1/cache/stats") => handle_cache_stats(state),
         ("GET", "/v1/traces") => handle_traces(state, request),
@@ -668,30 +624,16 @@ fn handle_request_core(
                 &state.stages.route_stats(),
                 state.started.elapsed(),
             );
-            if let Some(ext) = &state.extension {
-                text.push_str(&ext.metrics_text());
-            }
+            text.push_str(&sessions::metrics_text(&state.sessions));
             (200, "text/plain; version=0.0.4", text)
         }
         (
             _,
-            "/v1/compile" | "/v1/batch" | "/v1/sweep" | "/v1/targets" | "/v1/cache/stats"
-            | "/v1/traces" | "/healthz" | "/metrics",
-        ) => (
-            405,
-            "application/json",
-            error_body(&format!("method {} not allowed here", request.method)),
-        ),
-        (_, path) if path.starts_with("/v1/trace/") => (
-            405,
-            "application/json",
-            error_body(&format!("method {} not allowed here", request.method)),
-        ),
-        (_, path) => (
-            404,
-            "application/json",
-            error_body(&format!("no such endpoint {path:?}")),
-        ),
+            "/v1/compile" | "/v1/batch" | "/v1/sweep" | "/v1/session" | "/v1/targets"
+            | "/v1/cache/stats" | "/v1/traces" | "/healthz" | "/metrics",
+        ) => method_not_allowed(method),
+        (_, path) if path.starts_with("/v1/trace/") => method_not_allowed(method),
+        (_, path) => no_such_endpoint(path),
     }
 }
 
@@ -1155,9 +1097,7 @@ fn handle_cache_stats(state: &AppState) -> HandlerResult {
             ),
         ]),
     ));
-    if let Some(ext) = &state.extension {
-        doc.extend(ext.stats_fields());
-    }
+    doc.push(("sessions".into(), sessions::stats_json(&state.sessions)));
     (200, "application/json", versioned(Value::Obj(doc)).render())
 }
 
@@ -1185,11 +1125,11 @@ mod tests {
     fn test_state(workers: usize) -> AppState {
         let cache = SharedCache::in_memory(64);
         AppState {
-            extension: None,
             service: BatchService::with_cache(workers, cache.clone()),
             cache,
             stages: StageCache::new(64),
             targets: TargetRegistry::builtin(),
+            sessions: SessionStore::new(4, Duration::from_secs(60)),
             metrics: Arc::new(ServerMetrics::new()),
             recorder: FlightRecorder::new(16),
             workers,
@@ -1576,18 +1516,12 @@ mod tests {
         assert_eq!(status, 400, "an empty batch is a client error");
     }
 
-    /// Regression: with an extension installed (as `ftqc serve` always
-    /// has), the streamed batch path used to hand the whole batch to the
-    /// extension's non-streaming job hook, so no line reached the sink
-    /// until every job had finished.
+    /// Regression: the streamed batch path once handed the whole batch to
+    /// a non-streaming job hook, so no line reached the sink until every
+    /// job had finished.
     #[test]
-    fn streamed_batches_reach_the_sink_with_an_extension_installed() {
-        struct Inert;
-        impl ServerExtension for Inert {}
-        let state = AppState {
-            extension: Some(Arc::new(Inert)),
-            ..test_state(1)
-        };
+    fn streamed_batches_reach_the_sink() {
+        let state = test_state(1);
         let jobs = (0..3)
             .map(|i| {
                 CompileJob::new(

@@ -6,7 +6,7 @@
 //! cargo run --release --example custom_target
 //! ```
 
-use ftqc::arch::{Target, TargetRegistry, TargetSpec};
+use ftqc::arch::{TargetRegistry, TargetSpec};
 use ftqc::compiler::{
     explore_targets, target_digest, target_from_json, target_to_json, CompileSession,
     CompilerOptions, StageCache,
@@ -96,10 +96,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // Built-in Target implementations work the same way.
+    // The built-in presets are specs too.
     println!(
         "preset fast-d cnot   : {} (paper: 2d)",
-        ftqc::arch::FastD.timing().cnot
+        TargetSpec::fast_d().timing.cnot
     );
     Ok(())
 }

@@ -4,29 +4,23 @@
 //! Retry-After` responses, slow-loris and truncated requests leak no
 //! connection slots, and a connection at the cap gets a clean `503`.
 
-use ftqc::editor::SessionExtension;
-use ftqc::server::{Server, ServerConfig, ServerExtension, ShutdownHandle};
+use ftqc::server::{Server, ServerConfig, ShutdownHandle};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Starts a server on an ephemeral loopback port.
 fn spawn(
     config: ServerConfig,
-    extension: Option<Arc<dyn ServerExtension>>,
 ) -> (
     String,
     ShutdownHandle,
     std::thread::JoinHandle<ftqc::server::ServerReport>,
 ) {
-    let server = Server::bind_with(
-        ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            ..config
-        },
-        extension,
-    )
+    let server = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        ..config
+    })
     .expect("bind ephemeral port");
     let addr = server.local_addr().expect("local addr").to_string();
     let handle = server.handle().expect("shutdown handle");
@@ -136,15 +130,12 @@ fn wire_suite() -> Vec<(&'static str, u16, &'static str, Vec<u8>)> {
 
 #[test]
 fn wire_suite_answers_with_expected_statuses() {
-    let sessions: Arc<dyn ServerExtension> =
-        Arc::new(SessionExtension::new(16, Duration::from_secs(600)));
-    let (addr, handle, thread) = spawn(
-        ServerConfig {
-            workers: 2,
-            ..ServerConfig::default()
-        },
-        Some(sessions),
-    );
+    let (addr, handle, thread) = spawn(ServerConfig {
+        workers: 2,
+        session_capacity: 16,
+        session_ttl: Duration::from_secs(600),
+        ..ServerConfig::default()
+    });
 
     for (label, expected, fragment, request) in wire_suite() {
         let response = raw(&addr, &request);
@@ -155,8 +146,8 @@ fn wire_suite_answers_with_expected_statuses() {
         );
     }
 
-    // The interactive-session extension rides the same transport: open,
-    // edit, snapshot, close.
+    // Interactive edit sessions ride the same transport: open, edit,
+    // snapshot, close.
     let opened = raw(&addr, &post("/v1/session", COMPILE_JOB));
     assert_eq!(status(&opened), 200, "open: {opened:?}");
     let pat = "\"id\":\"";
@@ -189,14 +180,11 @@ fn wire_suite_answers_with_expected_statuses() {
 
 #[test]
 fn slow_loris_and_truncation_leak_no_slots() {
-    let (addr, handle, thread) = spawn(
-        ServerConfig {
-            workers: 1,
-            read_timeout: Duration::from_millis(300),
-            ..ServerConfig::default()
-        },
-        None,
-    );
+    let (addr, handle, thread) = spawn(ServerConfig {
+        workers: 1,
+        read_timeout: Duration::from_millis(300),
+        ..ServerConfig::default()
+    });
 
     // Three loris cycles: stalled and truncated connections must be
     // reaped every round, or the accumulated slots would eventually
@@ -259,14 +247,11 @@ fn reactor_answers_overload_with_well_formed_429s() {
     // One dispatcher (workers: 1) and a single queue slot: while a slow
     // sweep occupies the dispatcher, one request may wait and everything
     // else must be refused before its body is read.
-    let (addr, handle, thread) = spawn(
-        ServerConfig {
-            workers: 1,
-            queue_cap: 1,
-            ..ServerConfig::default()
-        },
-        None,
-    );
+    let (addr, handle, thread) = spawn(ServerConfig {
+        workers: 1,
+        queue_cap: 1,
+        ..ServerConfig::default()
+    });
 
     let sweep = r#"{"source":{"benchmark":"ising","size":3},"routing_paths":[2,3,4,5],"factories":[1,2],"pareto":true}"#;
     let sweep_addr = addr.clone();
@@ -334,15 +319,12 @@ fn reactor_answers_overload_with_well_formed_429s() {
 
 #[test]
 fn at_limit_rejection_answers_a_clean_503() {
-    let (addr, handle, thread) = spawn(
-        ServerConfig {
-            workers: 1,
-            max_connections: 1,
-            read_timeout: Duration::from_secs(10),
-            ..ServerConfig::default()
-        },
-        None,
-    );
+    let (addr, handle, thread) = spawn(ServerConfig {
+        workers: 1,
+        max_connections: 1,
+        read_timeout: Duration::from_secs(10),
+        ..ServerConfig::default()
+    });
 
     // One idle connection pins the single slot.
     let holder = TcpStream::connect(&addr).expect("connect");

@@ -6,13 +6,10 @@
 
 use ftqc::circuit::Gate;
 use ftqc::compiler::{explore, pareto_front, Compiler, CompilerOptions, Metrics};
-use ftqc::editor::{CircuitEdit, EditSet, SessionExtension};
-use ftqc::server::{
-    Client, ClientError, Server, ServerConfig, ServerExtension, ShutdownHandle, SweepRequest,
-};
+use ftqc::editor::{CircuitEdit, EditSet};
+use ftqc::server::{Client, ClientError, Server, ServerConfig, ShutdownHandle, SweepRequest};
 use ftqc::service::json::{FromJson, ToJson};
 use ftqc::service::{fingerprint, CircuitSource, CompileJob, JobResult, JobStatus};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Starts a server on an ephemeral loopback port; returns the client
@@ -24,25 +21,10 @@ fn spawn_server(
     ShutdownHandle,
     std::thread::JoinHandle<ftqc::server::ServerReport>,
 ) {
-    spawn_server_with(config, None)
-}
-
-/// [`spawn_server`] with a server extension grafted on.
-fn spawn_server_with(
-    config: ServerConfig,
-    extension: Option<Arc<dyn ServerExtension>>,
-) -> (
-    String,
-    ShutdownHandle,
-    std::thread::JoinHandle<ftqc::server::ServerReport>,
-) {
-    let server = Server::bind_with(
-        ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            ..config
-        },
-        extension,
-    )
+    let server = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        ..config
+    })
     .expect("bind ephemeral port");
     let addr = server.local_addr().expect("local addr").to_string();
     let handle = server.handle().expect("shutdown handle");
@@ -876,14 +858,12 @@ fn flight_recorder_keeps_slowest_over_loopback() {
 /// session counters reach `/metrics`, and a closed session is gone.
 #[test]
 fn edit_sessions_over_loopback() {
-    let sessions = Arc::new(SessionExtension::new(4, Duration::from_secs(600)));
-    let (addr, handle, thread) = spawn_server_with(
-        ServerConfig {
-            workers: 1,
-            ..ServerConfig::default()
-        },
-        Some(sessions),
-    );
+    let (addr, handle, thread) = spawn_server(ServerConfig {
+        workers: 1,
+        session_capacity: 4,
+        session_ttl: Duration::from_secs(600),
+        ..ServerConfig::default()
+    });
     let client = Client::new(addr);
     let options = CompilerOptions::default().routing_paths(4);
     let job = CompileJob::new(
