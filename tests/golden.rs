@@ -72,14 +72,14 @@ fn snake_mapping_benefits_1d_chains() {
     assert!(snake < row_major);
 }
 
-/// One Table I circuit's compile at paper size under the default options:
-/// a digest of every scheduled op (start, duration, cells, qubits,
-/// factory, gate) via the CSV export plus the metrics document without
-/// its `"route"` object, and the router's `arena_reuses` apart. The digest
-/// pins the schedule; the count moves whenever the router runs fewer or
-/// more searches for the same schedule.
-fn paper_size_digest(benchmark: Benchmark) -> (String, u64) {
-    let program = Compiler::new(CompilerOptions::default())
+/// One Table I circuit's compile at paper size under `options`: a digest
+/// of every scheduled op (start, duration, cells, qubits, factory, gate)
+/// via the CSV export plus the metrics document without its `"route"`
+/// object, and the router's `arena_reuses` apart. The digest pins the
+/// schedule; the count moves whenever the router runs fewer or more
+/// searches for the same schedule.
+fn paper_size_digest(benchmark: Benchmark, options: CompilerOptions) -> (String, u64) {
+    let program = Compiler::new(options)
         .compile(&benchmark.circuit())
         .expect("compiles");
     let mut metrics = program.metrics().to_json();
@@ -108,13 +108,54 @@ fn table1_paper_size_schedules_pinned() {
     let got: Vec<(Benchmark, String, u64)> = expected
         .iter()
         .map(|&(benchmark, _, _)| {
-            let (digest, reuses) = paper_size_digest(benchmark);
+            let (digest, reuses) = paper_size_digest(benchmark, CompilerOptions::default());
             (benchmark, digest, reuses)
         })
         .collect();
     let expected: Vec<(Benchmark, String, u64)> = expected
         .iter()
         .map(|&(benchmark, hex, reuses)| (benchmark, hex.to_string(), reuses))
+        .collect();
+    assert_eq!(got, expected);
+}
+
+/// The Fig 9 design-space grid at paper size (10×10 Ising, the points the
+/// `fig9-sweep` benchmark compiles): per routing-paths × factories point,
+/// the schedule digest and search count of `paper_size_digest`. The wide
+/// bus layouts (r ≥ 10) are where a goal-directed search prunes most.
+#[test]
+fn fig9_paper_size_schedules_pinned() {
+    let expected: [(u32, u32, &str, u64); 18] = [
+        (2, 1, "621eb77d72bfa11e", 2440),
+        (2, 3, "90ec922e4b2b934d", 2433),
+        (2, 6, "21fe86cb497096db", 2477),
+        (4, 1, "6bcfe340c194bd2a", 1978),
+        (4, 3, "a4e4ec2fd9098a94", 2102),
+        (4, 6, "8de2d20e835da172", 2009),
+        (6, 1, "5ed4af68f2591cfc", 1868),
+        (6, 3, "432612b043fee7f7", 1675),
+        (6, 6, "fb7069f13d57a3d2", 1708),
+        (10, 1, "315b8177bcfc7b98", 1354),
+        (10, 3, "d03c459e5fe14341", 1282),
+        (10, 6, "c9dc222f0072dd7f", 1325),
+        (14, 1, "c4aef203a0932954", 1176),
+        (14, 3, "b6617af431807f9b", 1127),
+        (14, 6, "9038814584b0f25d", 1167),
+        (22, 1, "f9a04837d7609ffd", 736),
+        (22, 3, "dec2c69b64f8e258", 790),
+        (22, 6, "398aac1209989320", 754),
+    ];
+    let got: Vec<(u32, u32, String, u64)> = expected
+        .iter()
+        .map(|&(r, f, _, _)| {
+            let options = CompilerOptions::default().routing_paths(r).factories(f);
+            let (digest, reuses) = paper_size_digest(Benchmark::Ising2d, options);
+            (r, f, digest, reuses)
+        })
+        .collect();
+    let expected: Vec<(u32, u32, String, u64)> = expected
+        .iter()
+        .map(|&(r, f, hex, reuses)| (r, f, hex.to_string(), reuses))
         .collect();
     assert_eq!(got, expected);
 }

@@ -21,8 +21,9 @@
 //!    pipeline pieces reproduces the compiled program's schedule
 //!    byte-for-byte.
 
-use ftqc::arch::{CellKind, Coord, Grid, Layout, TargetRegistry};
+use ftqc::arch::{CellKind, Coord, FactoryBank, Grid, Layout, TargetRegistry, Ticks};
 use ftqc::benchmarks::random_clifford_t;
+use ftqc::compiler::mapping::{InitialMapping, MappingStrategy};
 use ftqc::compiler::timer::time_schedule;
 use ftqc::compiler::{eliminate_redundant_moves, route_circuit, CompileSession, CompilerOptions};
 use ftqc::route::{
@@ -310,6 +311,117 @@ fn router_matches_seed_find_path_on_random_states() {
         routers.iter().any(|r| r.counters().arena_reuses > 0),
         "same-shape searches reuse the arena"
     );
+}
+
+/// `find_path`, and `path_cost` at and around the answer's cost, of
+/// `router` against the seed router on one query.
+fn assert_path_matches_seed(
+    router: &mut Router,
+    seed_router: &mut SeedRouter,
+    cells: &CellGrid,
+    blocked: &[Coord],
+    (from, to): (Coord, Coord),
+    at: &str,
+) {
+    let expected = seed_router.find_path(cells, blocked, from, to);
+    assert_eq!(
+        router.find_path(cells, blocked, from, to),
+        expected,
+        "find_path {from} -> {to}, {at}"
+    );
+    let cost = expected.map(|p| p.cost);
+    let c = cost.unwrap_or(0);
+    for below in [u64::MAX, c, c + 1] {
+        assert_eq!(
+            router.path_cost(cells, blocked, from, to, below),
+            cost.filter(|&c| c < below),
+            "path_cost {from} -> {to} below {below}, {at}"
+        );
+    }
+}
+
+/// Paper-size routing states, where a goal-directed search prunes and
+/// ties the most: the 100-qubit layouts at r = 2 and r = 22, qubits placed
+/// in the snake order and then a few displaced onto random bus cells. The
+/// queries are deliveries from each port of a six-factory bank to a
+/// vertical neighbour of a data qubit (the qubit's own cell blocked, as
+/// the engine does) and walks between random data cells, at weight 0
+/// (where many paths tie), 1 and 5. One router per weight serves every
+/// state and then a 5×10 and a 10×5 grid, a shape change that keeps the
+/// padded length.
+#[test]
+fn paper_size_layouts_match_seed_find_path() {
+    let weights = [0, 1, 5];
+    let mut routers = weights.map(|penalty_weight| {
+        let cost = CostModel { penalty_weight };
+        (Router::new(cost), SeedRouter::new(cost))
+    });
+    for r in [2, 22] {
+        let layout = Layout::with_routing_paths(100, r);
+        let grid = layout.grid();
+        let ports = FactoryBank::dock(&layout, 6, Ticks::ZERO).ports().to_vec();
+        let bus: Vec<Coord> = grid
+            .coords()
+            .filter(|&c| grid.kind(c) == CellKind::Bus)
+            .collect();
+        for seed in 0..2u64 {
+            let mut draw = 0x9a7e ^ (u64::from(r) << 8) ^ seed;
+            let mut pos = InitialMapping::new(&layout, 100, MappingStrategy::Snake)
+                .cells()
+                .to_vec();
+            let mut cells = CellGrid::new(grid.rows(), grid.cols());
+            for (q, &c) in pos.iter().enumerate() {
+                cells.place(c, q as u32);
+            }
+            for _ in 0..12 {
+                let q = lcg(&mut draw) as usize % pos.len();
+                let dest = bus[lcg(&mut draw) as usize % bus.len()];
+                if cells.occupant(dest).is_none() {
+                    cells.vacate(pos[q]);
+                    cells.place(dest, q as u32);
+                    pos[q] = dest;
+                }
+            }
+
+            let mut queries = Vec::new();
+            for &port in &ports {
+                for _ in 0..8 {
+                    let q = pos[lcg(&mut draw) as usize % pos.len()];
+                    let up = lcg(&mut draw).is_multiple_of(2);
+                    let dest = Coord::new(q.row + if up { -1 } else { 1 }, q.col);
+                    if grid.in_bounds(dest) {
+                        queries.push((port, dest, vec![q]));
+                    }
+                }
+            }
+            let data = layout.data_cells();
+            for _ in 0..24 {
+                let from = data[lcg(&mut draw) as usize % data.len()];
+                let to = data[lcg(&mut draw) as usize % data.len()];
+                queries.push((from, to, Vec::new()));
+            }
+
+            for (weight, (router, seed_router)) in weights.iter().zip(&mut routers) {
+                let at = format!("r = {r}, seed {seed}, weight {weight}");
+                for (from, to, blocked) in &queries {
+                    let query = (*from, *to);
+                    assert_path_matches_seed(router, seed_router, &cells, blocked, query, &at);
+                }
+            }
+        }
+    }
+
+    for (rows, cols) in [(5, 10), (10, 5)] {
+        let grid = Grid::filled(rows, cols, CellKind::Bus);
+        let (cells, blocked) = padded(&grid, &random_state(&grid, 7));
+        let corner = Coord::new(rows as i32 - 1, cols as i32 - 1);
+        for (weight, (router, seed_router)) in weights.iter().zip(&mut routers) {
+            let at = format!("{rows}x{cols}, weight {weight}");
+            for to in grid.coords() {
+                assert_path_matches_seed(router, seed_router, &cells, &blocked, (corner, to), &at);
+            }
+        }
+    }
 }
 
 /// The router's clearing and space searches against the seed functions on
