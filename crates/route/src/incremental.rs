@@ -10,20 +10,22 @@
 //!   relax a cell with one load: no `Coord`, no bounds check, no division.
 //! * `SearchArena` — distance/visited/parent buffers over the padded
 //!   cells, *generation-stamped* so resetting between searches is O(1)
-//!   instead of O(cells), plus a bucket-queue (Dial) specialisation of
-//!   Dijkstra for the small integer penalty domain. The same buffers back
-//!   the breadth-first push chains of the space searches. The arena owns
-//!   every scratch buffer a search uses (buckets, the level being drained,
-//!   the BFS queue, the push chains as padded indices) and keeps them
-//!   across searches, so a warmed-up search allocates only the result it
-//!   returns, at its exact length.
+//!   instead of O(cells), plus a goal-directed (A\*) bucket queue for the
+//!   penalty-weighted Dijkstra: cells queue on their cost plus the
+//!   Manhattan distance to the goal, so a search settles the cells toward
+//!   its goal first. The same buffers back the breadth-first push chains
+//!   of the space searches. The arena owns every scratch buffer a search
+//!   uses (buckets, the BFS queue, the push chains and the path being read
+//!   back as padded indices) and keeps them across searches, so a
+//!   warmed-up search allocates only the result it returns, at its exact
+//!   length.
 //! * [`Router`] — the one router type. It owns the cost model and the
 //!   arena, answers every [`RouteQueries`] query, and counts its own
 //!   activity ([`RouteCounters`]).
 //!
-//! **Bounded weights, no fallback.** The Dial ring has one bucket per
-//! distance in `[d, d + penalty_weight + 2)`, so it is sized from the
-//! weight the router is given. [`Router::new`] refuses weights above
+//! **Bounded weights, no fallback.** The A\* ring has one bucket per
+//! level in `[f, f + penalty_weight + 3)`, so it is sized from the weight
+//! the router is given. [`Router::new`] refuses weights above
 //! [`MAX_PENALTY_WEIGHT`]. The compiler engine caps every weight at twice
 //! its layout's cells (`router_cost` in `ftqc-compiler`'s engine), which
 //! is at most that bound, so every search runs on the bucket queue.
@@ -45,10 +47,13 @@
 //! *byte-identical* to the seed router (`ftqc-bench`'s `reference`
 //! module) on the same state. Padded indices sort exactly like row-major
 //! `(row, col)` pairs, and the neighbour offsets run in the seed's
-//! N/S/W/E order, so every queue drains in the seed's order.
-//! `tests/route_differential.rs` enforces this path-for-path (cost,
-//! cells, tie-breaks) across random layouts, occupancy patterns and
-//! degenerate grid shapes.
+//! N/S/W/E order, so the breadth-first queues drain in the seed's order.
+//! The A\* search drains its levels in any order and reads its path back
+//! from costs alone: each cell's parent is its lowest-index neighbour
+//! settled one entry cost closer, the parent the seed heap's
+//! `(d, row, col)` order picks. `tests/route_differential.rs` enforces
+//! this path-for-path (cost, cells, tie-breaks) across random layouts,
+//! occupancy patterns, degenerate grid shapes and the paper-size layouts.
 
 use crate::{CostModel, Path, SpacePlan};
 use ftqc_arch::{Coord, MAX_QUBITS};
@@ -285,38 +290,44 @@ pub trait RouteQueries {
 /// * Buffers are sized to the padded `(rows + 2) * (cols + 2)` cells of the
 ///   last grid seen; searching a different shape reallocates (and does not
 ///   count as a reuse).
-/// * The arena owns every scratch buffer a search needs: the Dial buckets
-///   and the level being drained (`batch`), the breadth-first `queue`, and
-///   the push chains (`chain`, and `best_chain` for the space search's
+/// * The arena owns every scratch buffer a search needs: the A\* buckets,
+///   the breadth-first `queue`, and the push chains (`chain`, which also
+///   holds a path being read back, and `best_chain` for the space search's
 ///   current winner). They keep their capacity across searches, so a
 ///   search allocates nothing once they have grown to the grid's needs;
 ///   only the results a caller keeps ([`Path`] cells, clearing moves) are
 ///   allocated, each at its exact length.
-/// * A query's extra-blocked cells are stamped before it starts: as settled
-///   at distance 0 for the Dijkstra (no relaxation beats 0, so nothing
-///   enters them, except `to`, which is left unstamped), and as visited for
-///   the breadth-first chains. Border cells are skipped by their off-grid
+/// * A query's extra-blocked cells are stamped before it starts: at cost 0
+///   for the A\* search (no relaxation beats 0, so nothing enters them,
+///   except `to`, which is left unstamped), and as visited for the
+///   breadth-first chains. Border cells are skipped by their off-grid
 ///   value, so neither needs a bounds or set-membership probe per
 ///   relaxation.
-/// * The Dial bucket ring holds only distances in `[d, d + ring)` while
-///   level `d` drains — guaranteed because every edge weight is in
-///   `1..=1 + penalty_weight` and `ring = penalty_weight + 2`. The ring
-///   grows to the largest weight searched with, which [`Router::new`]
-///   bounds by [`MAX_PENALTY_WEIGHT`]; there is no other search. Every
-///   bucket is empty between searches.
-/// * Within one distance level, cells drain in ascending padded index
-///   order. The padded index `(row + 1) * (cols + 2) + col + 1` grows with
+/// * The A\* bucket ring holds only levels in `[f, f + ring)` while level
+///   `f` drains — guaranteed because a step adds its entry cost (in
+///   `1..=1 + penalty_weight`) plus or minus 1 to a cell's level and
+///   `ring = penalty_weight + 3`. It is sized to the router's weight,
+///   which [`Router::new`] bounds by [`MAX_PENALTY_WEIGHT`]. A search that
+///   settles its goal leaves the rest of its queue in the ring (the path
+///   readback may drain more of the goal's level); the next search clears
+///   the ring when it starts.
+/// * Within one level, cells drain in any order (last queued first), and
+///   no answer depends on it: a cell's cost is final when it leaves its
+///   level. `dist` alone determines the path: a path cell's parent is its
+///   lowest padded index neighbour whose cost is exactly one entry cost
+///   lower. The padded index `(row + 1) * (cols + 2) + col + 1` grows with
 ///   `(row, col)` exactly as the row-major index does, so this is the
-///   `(d, row, col)` order of the seed binary heap, which is what keeps
-///   parent choices (and therefore paths) identical.
+///   parent the `(d, row, col)` order of the seed binary heap picks, which
+///   is what keeps paths identical. `prev` serves the push chains only.
 /// * A push chain is stored free cell first: `chain[0]` is the free cell
 ///   the search reached, the last entry its start, and every entry but the
 ///   first holds a qubit (the search only walks through occupied cells).
 /// * The cost-only queries run the searches of their full counterparts
 ///   and skip only building the result, except where a bound stops a
-///   search early: a Dial search stops at its `below` level, a push chain
-///   search at its `below` length. A stopped search reports nothing, so
-///   every answer it does give is the unbounded search's.
+///   search early: an A\* search stops at its `below` level (the goal's
+///   level is its cost), a push chain search at its `below` length. A
+///   stopped search reports nothing, so every answer it does give is the
+///   unbounded search's.
 #[derive(Debug, Default)]
 struct SearchArena {
     rows: u32,
@@ -326,7 +337,6 @@ struct SearchArena {
     dist: Vec<u64>,
     prev: Vec<u32>,
     buckets: Vec<Vec<u32>>,
-    batch: Vec<u32>,
     queue: VecDeque<u32>,
     chain: Vec<u32>,
     best_chain: Vec<u32>,
@@ -341,6 +351,72 @@ fn chain_moves(cells: &CellGrid, chain: &[u32]) -> Vec<(Coord, Coord)> {
         .windows(2)
         .map(|w| (cells.coord(w[1] as usize), cells.coord(w[0] as usize)))
         .collect()
+}
+
+/// A goal-directed search in progress: the goal and cost model it runs
+/// under, and its bucket queue's progress.
+///
+/// It keys each queued cell on `f = cost + bound`, the bound being the
+/// Manhattan distance to the goal. Every entered cell costs at least 1 and
+/// a step moves the bound by exactly 1, so the bound never overestimates
+/// and `f` never falls along a step: a cell's cost is final when its level
+/// drains, and the goal settles at the level of its cost. A step adds
+/// `enter ± 1` to `f`, so queued levels span `penalty + 3` buckets.
+#[derive(Debug, Clone, Copy)]
+struct Astar {
+    /// Padded index, row and column of the goal.
+    goal: usize,
+    row: u32,
+    col: u32,
+    stride: u32,
+    penalty: u64,
+    ring: u64,
+    /// The level draining; once the goal settles, its cost.
+    level: u64,
+    /// Entries queued and not yet drained.
+    pending: usize,
+}
+
+impl Astar {
+    fn new(cells: &CellGrid, to: Coord, penalty: u64) -> Self {
+        let goal = cells.index(to);
+        let stride = cells.stride() as u32;
+        Astar {
+            goal,
+            row: goal as u32 / stride,
+            col: goal as u32 % stride,
+            stride,
+            penalty,
+            ring: penalty + 3,
+            level: 0,
+            pending: 0,
+        }
+    }
+
+    /// Padded row and column of the padded index `i`.
+    #[inline]
+    fn row_col(&self, i: usize) -> (u32, u32) {
+        (i as u32 / self.stride, i as u32 % self.stride)
+    }
+
+    /// Manhattan distance from the padded index `i` to the goal.
+    #[inline]
+    fn bound(&self, i: usize) -> u64 {
+        let (row, col) = self.row_col(i);
+        u64::from(row.abs_diff(self.row) + col.abs_diff(self.col))
+    }
+
+    /// Cost of entering a cell held by `holder`.
+    #[inline]
+    fn enter(&self, holder: u32) -> u64 {
+        1 + if holder == FREE { 0 } else { self.penalty }
+    }
+
+    /// The bucket of `level`.
+    #[inline]
+    fn slot(&self, level: u64) -> usize {
+        (level % self.ring) as usize
+    }
 }
 
 impl SearchArena {
@@ -366,12 +442,11 @@ impl SearchArena {
         self.reuses += 1;
     }
 
-    /// Runs the bucket-queue search from `from` until `to` settles or the
-    /// level `below` would drain, over distinct on-grid endpoints; returns
-    /// whether `to` settled. On success the `prev` chain from `to` leads
-    /// back to `from` and `dist[to]`, which is under `below`, holds the
-    /// path cost.
-    fn dial(
+    /// Runs the goal-directed search from `from` until `to` settles or the
+    /// level `below` would drain, over distinct on-grid endpoints. When
+    /// `to` settles, returns the search, its level at `to`'s cost (which is
+    /// under `below`), for [`SearchArena::path`] to read the path back.
+    fn astar(
         &mut self,
         cells: &CellGrid,
         blocked: &[Coord],
@@ -379,16 +454,14 @@ impl SearchArena {
         to: Coord,
         penalty: u64,
         below: u64,
-    ) -> bool {
+    ) -> Option<Astar> {
         self.reset(cells);
-        let ring = penalty as usize + 2;
-        if self.buckets.len() < ring {
-            self.buckets.resize_with(ring, Vec::new);
-        }
+        let mut search = Astar::new(cells, to, penalty);
+        self.buckets.resize_with(search.ring as usize, Vec::new);
+        // A finished search may leave entries behind (see `path`).
+        self.buckets.iter_mut().for_each(Vec::clear);
 
         let generation = self.generation;
-        let from_i = cells.index(from);
-        let to_i = cells.index(to);
         for &b in blocked {
             if cells.in_bounds(b) && b != to {
                 let i = cells.index(b);
@@ -396,85 +469,146 @@ impl SearchArena {
                 self.dist[i] = 0;
             }
         }
+        let from_i = cells.index(from);
+        search.level = search.bound(from_i);
         self.stamp[from_i] = generation;
         self.dist[from_i] = 0;
-        self.buckets[0].push(from_i as u32);
-        let offsets = cells.neighbour_offsets();
-        let mut pending = 1usize;
-        let mut d: u64 = 0;
-        let mut batch = std::mem::take(&mut self.batch);
-        let mut reached = false;
-
-        'levels: while pending > 0 && d < below {
-            let slot = (d % ring as u64) as usize;
-            if !self.buckets[slot].is_empty() {
-                std::mem::swap(&mut batch, &mut self.buckets[slot]);
-                // Seed heap order for equal distances is (row, col) — i.e.
-                // ascending padded index.
-                batch.sort_unstable();
-                for &ui in &batch {
-                    pending -= 1;
-                    let ui = ui as usize;
-                    if ui == to_i {
-                        reached = true;
-                        break 'levels;
-                    }
-                    if self.dist[ui] < d {
-                        continue; // superseded by a shorter push
-                    }
-                    for off in offsets {
-                        let vi = ui.wrapping_add(off);
-                        let holder = cells.cells[vi];
-                        if holder == OFF_GRID {
-                            continue;
-                        }
-                        let nd = d + 1 + if holder == FREE { 0 } else { penalty };
-                        if self.stamp[vi] != generation || nd < self.dist[vi] {
-                            self.stamp[vi] = generation;
-                            self.dist[vi] = nd;
-                            self.prev[vi] = ui as u32;
-                            self.buckets[(nd % ring as u64) as usize].push(vi as u32);
-                            pending += 1;
-                        }
-                    }
-                }
-                batch.clear();
+        self.buckets[search.slot(search.level)].push(from_i as u32);
+        search.pending = 1;
+        while search.pending > 0 && search.level < below {
+            if self.drain_level(cells, &mut search) {
+                return Some(search);
             }
-            d += 1;
+            search.level += 1;
         }
-        batch.clear();
-        self.batch = batch;
-        // Leftover entries (early exit) must not leak into the next search.
-        for b in &mut self.buckets[..ring] {
-            b.clear();
-        }
-        reached
+        None
     }
 
-    /// The path `from ..= to` read back from the `prev` chain of the last
-    /// search, allocated at its exact length.
-    fn path(&self, cells: &CellGrid, from: Coord, to: Coord) -> Path {
-        let (from_i, to_i) = (cells.index(from), cells.index(to));
-        let mut length = 0usize;
+    /// Drains `search`'s current level until it is empty or `to` settles
+    /// (then returns `true`, leaving the rest of the level queued). Entries
+    /// leave a level in any order: a cell's cost is final once its level
+    /// drains, and `path` reads the tie-breaks from costs alone.
+    fn drain_level(&mut self, cells: &CellGrid, search: &mut Astar) -> bool {
+        let generation = self.generation;
+        let offsets = cells.neighbour_offsets();
+        let slot = search.slot(search.level);
+        while let Some(ui) = self.buckets[slot].pop() {
+            search.pending -= 1;
+            let ui = ui as usize;
+            let d = self.dist[ui];
+            if d + search.bound(ui) != search.level {
+                continue; // superseded by a shorter push
+            }
+            if ui == search.goal {
+                return true;
+            }
+            // N/S/W/E: whether the step brings the bound down by one.
+            let (row, col) = search.row_col(ui);
+            let toward = [
+                row > search.row,
+                row < search.row,
+                col > search.col,
+                col < search.col,
+            ];
+            for (off, toward) in offsets.into_iter().zip(toward) {
+                let vi = ui.wrapping_add(off);
+                let holder = cells.cells[vi];
+                if holder == OFF_GRID {
+                    continue;
+                }
+                let enter = search.enter(holder);
+                let nd = d + enter;
+                if self.stamp[vi] != generation || nd < self.dist[vi] {
+                    self.stamp[vi] = generation;
+                    self.dist[vi] = nd;
+                    let level = if toward {
+                        search.level + enter - 1
+                    } else {
+                        search.level + enter + 1
+                    };
+                    self.buckets[search.slot(level)].push(vi as u32);
+                    search.pending += 1;
+                }
+            }
+        }
+        false
+    }
+
+    /// The path `from ..= to` of `search`, which settled `to`, read back
+    /// from its costs and allocated at its exact length.
+    ///
+    /// Each cell's parent is its lowest-index neighbour that settled one
+    /// entry cost closer to `from`: the parent the seed's `(d, row, col)`
+    /// drain order picks. No neighbour's cost is below that, and a recorded
+    /// cost never undercuts the final one, so a neighbour recorded at it
+    /// has settled there. A neighbour not yet recorded at it may still
+    /// settle there only on the goal's level (its cost plus bound is that
+    /// level); when a lower-index neighbour may, the level drains to the
+    /// end before the parent is picked.
+    fn path(&mut self, cells: &CellGrid, from: Coord, search: &mut Astar) -> Path {
+        let from_i = cells.index(from);
+        let mut trail = std::mem::take(&mut self.chain);
+        trail.clear();
         let mut occupied = 0u32;
-        let mut cur = to_i;
+        let mut level_drained = false;
+        let mut cur = search.goal;
         while cur != from_i {
-            length += 1;
-            occupied += u32::from(cells.cells[cur] != FREE);
-            cur = self.prev[cur] as usize;
+            trail.push(cur as u32);
+            let holder = cells.cells[cur];
+            occupied += u32::from(holder != FREE);
+            // Only `from` settles at 0 (blocked cells are stamped there).
+            let want = self.dist[cur] - search.enter(holder);
+            cur = if want == 0 {
+                from_i
+            } else {
+                loop {
+                    if let Some(parent) = self.parent(cells, cur, want, search, level_drained) {
+                        break parent;
+                    }
+                    self.drain_level(cells, search);
+                    level_drained = true;
+                }
+            };
         }
-        let mut path = vec![from; length + 1];
-        let mut cur = to_i;
-        for slot in path[1..].iter_mut().rev() {
-            *slot = cells.coord(cur);
-            cur = self.prev[cur] as usize;
-        }
+        let mut path = Vec::with_capacity(trail.len() + 1);
+        path.push(from);
+        path.extend(trail.iter().rev().map(|&i| cells.coord(i as usize)));
+        self.chain = trail;
         Path {
-            length: length as u32,
+            length: (path.len() - 1) as u32,
             occupied,
-            cost: self.dist[to_i],
+            cost: search.level,
             cells: path,
         }
+    }
+
+    /// The lowest-index neighbour of `v` settled at `want` (> 0), or `None`
+    /// when a lower-index one could still settle there on the goal's level,
+    /// which `level_drained` says has finished.
+    fn parent(
+        &self,
+        cells: &CellGrid,
+        v: usize,
+        want: u64,
+        search: &Astar,
+        level_drained: bool,
+    ) -> Option<usize> {
+        let [north, south, west, east] = cells.neighbour_offsets();
+        for off in [north, west, east, south] {
+            let u = v.wrapping_add(off);
+            let reached = self.stamp[u] == self.generation;
+            if reached && self.dist[u] == want {
+                return Some(u);
+            }
+            if !level_drained
+                && cells.cells[u] != OFF_GRID
+                && (!reached || self.dist[u] > want)
+                && want + search.bound(u) == search.level
+            {
+                return None;
+            }
+        }
+        unreachable!("a settled cell has a settled neighbour one entry cost closer")
     }
 
     /// Breadth-first push chain from the on-grid `start` to the nearest
@@ -623,9 +757,10 @@ impl RouteQueries for Router {
                 cost: 0,
             });
         }
-        self.arena
-            .dial(cells, blocked, from, to, self.cost.penalty_weight, u64::MAX)
-            .then(|| self.arena.path(cells, from, to))
+        let mut search =
+            self.arena
+                .astar(cells, blocked, from, to, self.cost.penalty_weight, u64::MAX)?;
+        Some(self.arena.path(cells, from, &mut search))
     }
 
     fn path_cost(
@@ -643,8 +778,8 @@ impl RouteQueries for Router {
             return (0 < below).then_some(0);
         }
         self.arena
-            .dial(cells, blocked, from, to, self.cost.penalty_weight, below)
-            .then(|| self.arena.dist[cells.index(to)])
+            .astar(cells, blocked, from, to, self.cost.penalty_weight, below)
+            .map(|search| search.level)
     }
 
     fn clear_cell_plan(

@@ -5,9 +5,9 @@
 //! one router:
 //!
 //! * penalty-weighted Dijkstra pathfinding (§V.B, Fig 5), run as a
-//!   bucket-queue (Dial) search: the cost function prefers paths through
-//!   unoccupied bus cells, and crossing a cell occupied by a data qubit
-//!   accrues a penalty ([`CostModel`]);
+//!   goal-directed (A\*) bucket-queue search under the Manhattan bound: the
+//!   cost function prefers paths through unoccupied bus cells, and crossing
+//!   a cell occupied by a data qubit accrues a penalty ([`CostModel`]);
 //! * space search (§V.C, Fig 6): find the neighbouring cell that can be
 //!   freed for an ancilla with the fewest clearing moves ([`SpacePlan`]);
 //! * [`moves`] — gate-dependent moves (§V.A, Fig 4): choose the diagonal
@@ -16,8 +16,8 @@
 //!
 //! The [`incremental`] module holds the router: the engine's padded
 //! occupancy grid ([`CellGrid`]), a reusable generation-stamped search
-//! arena whose bucket-queue Dijkstra and breadth-first push chains walk
-//! that grid by index, and [`Router`], which owns the cost model and the
+//! arena whose A\* bucket queue and breadth-first push chains walk that
+//! grid by index, and [`Router`], which owns the cost model and the
 //! arena and answers every [`RouteQueries`] query. The gate-dependent
 //! moves score their candidates with its cost-only queries.
 //!
