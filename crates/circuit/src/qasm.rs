@@ -80,10 +80,10 @@ impl Error for QasmError {}
 /// # Ok::<(), ftqc_circuit::QasmError>(())
 /// ```
 pub fn parse_qasm(src: &str) -> Result<Circuit, QasmError> {
-    let mut regs: Vec<(String, u32)> = Vec::new();
-    let mut reg_offset: HashMap<String, u32> = HashMap::new();
+    let mut regs: HashMap<String, Register> = HashMap::new();
     let mut total_qubits = 0u32;
     let mut gates: Vec<Gate> = Vec::new();
+    let mut operands: Vec<Qubit> = Vec::new();
 
     for (lineno, raw_line) in src.lines().enumerate() {
         let lineno = lineno + 1;
@@ -96,12 +96,13 @@ pub fn parse_qasm(src: &str) -> Result<Circuit, QasmError> {
             if stmt.is_empty() {
                 continue;
             }
+            operands.clear();
             parse_statement(
                 stmt,
                 lineno,
                 &mut regs,
-                &mut reg_offset,
                 &mut total_qubits,
+                &mut operands,
                 &mut gates,
             )?;
         }
@@ -121,26 +122,85 @@ fn strip_comment(line: &str) -> &str {
     }
 }
 
+/// A declared quantum register: its first index in the flattened register,
+/// and its size.
+#[derive(Debug, Clone, Copy)]
+struct Register {
+    offset: u32,
+    size: u32,
+}
+
+/// What a gate mnemonic builds.
+#[derive(Debug, Clone, Copy)]
+enum Mnemonic {
+    /// A single-qubit gate, applied to every operand (a bare register
+    /// broadcasts).
+    Single(fn(Qubit) -> Gate),
+    /// The identity: no gate.
+    Id,
+    Rz,
+    Cnot,
+    Cz,
+    Swap,
+}
+
+/// The gate mnemonics read, in lower case (they match in any case).
+const MNEMONICS: [(&str, Mnemonic); 18] = [
+    ("h", Mnemonic::Single(Gate::H)),
+    ("s", Mnemonic::Single(Gate::S)),
+    ("sdg", Mnemonic::Single(Gate::Sdg)),
+    ("sx", Mnemonic::Single(Gate::Sx)),
+    ("sxdg", Mnemonic::Single(Gate::Sxdg)),
+    ("x", Mnemonic::Single(Gate::X)),
+    ("y", Mnemonic::Single(Gate::Y)),
+    ("z", Mnemonic::Single(Gate::Z)),
+    ("t", Mnemonic::Single(Gate::T)),
+    ("tdg", Mnemonic::Single(Gate::Tdg)),
+    ("id", Mnemonic::Id),
+    ("rz", Mnemonic::Rz),
+    ("u1", Mnemonic::Rz),
+    ("p", Mnemonic::Rz),
+    ("cx", Mnemonic::Cnot),
+    ("cnot", Mnemonic::Cnot),
+    ("cz", Mnemonic::Cz),
+    ("swap", Mnemonic::Swap),
+];
+
+/// Whether `stmt` starts with the lower-case `keyword`, in any case.
+fn has_keyword(stmt: &str, keyword: &str) -> bool {
+    stmt.get(..keyword.len())
+        .is_some_and(|head| head.eq_ignore_ascii_case(keyword))
+}
+
+/// The text between the first `open` in `s` and the first `close` after
+/// it, with what precedes `open` and follows `close`.
+fn enclosed(s: &str, open: char, close: char) -> Option<(&str, &str, &str)> {
+    let (before, rest) = s.split_once(open)?;
+    let (inside, after) = rest.split_once(close)?;
+    Some((before, inside, after))
+}
+
+/// Parses one statement, appending its gates to `gates`; `operands` is
+/// an empty scratch buffer for the statement's resolved operands.
 fn parse_statement(
     stmt: &str,
     lineno: usize,
-    regs: &mut Vec<(String, u32)>,
-    reg_offset: &mut HashMap<String, u32>,
+    regs: &mut HashMap<String, Register>,
     total_qubits: &mut u32,
+    operands: &mut Vec<Qubit>,
     gates: &mut Vec<Gate>,
 ) -> Result<(), QasmError> {
-    let lower = stmt.to_ascii_lowercase();
-    if lower.starts_with("openqasm") || lower.starts_with("include") || lower.starts_with("creg") {
+    if ["openqasm", "include", "creg", "barrier"]
+        .iter()
+        .any(|keyword| has_keyword(stmt, keyword))
+    {
         return Ok(());
     }
-    if lower.starts_with("barrier") {
-        return Ok(());
-    }
-    if lower.starts_with("qreg") {
+    if has_keyword(stmt, "qreg") {
         let rest = stmt["qreg".len()..].trim();
         let (name, size) = parse_reg_decl(rest)
             .ok_or_else(|| QasmError::new(lineno, format!("malformed qreg '{stmt}'")))?;
-        if reg_offset.contains_key(&name) {
+        if regs.contains_key(name) {
             return Err(QasmError::new(lineno, format!("duplicate qreg '{name}'")));
         }
         let total = u64::from(*total_qubits) + u64::from(size);
@@ -151,19 +211,17 @@ fn parse_statement(
             };
             return Err(QasmError::new(lineno, cap.to_string()));
         }
-        reg_offset.insert(name.clone(), *total_qubits);
-        regs.push((name, size));
+        let offset = *total_qubits;
+        regs.insert(name.to_string(), Register { offset, size });
         *total_qubits += size;
         return Ok(());
     }
-    if lower.starts_with("measure") {
+    if has_keyword(stmt, "measure") {
         // "measure q[i] -> c[i]" or "measure q -> c" (whole register)
         let body = stmt["measure".len()..].trim();
         let src = body.split("->").next().unwrap_or("").trim();
-        let operands = resolve_operands(src, regs, reg_offset, lineno)?;
-        for q in operands {
-            gates.push(Gate::Measure(q));
-        }
+        resolve_operands(src, regs, lineno, operands)?;
+        gates.extend(operands.iter().map(|&q| Gate::Measure(q)));
         return Ok(());
     }
 
@@ -177,23 +235,32 @@ fn parse_statement(
             ))
         }
     };
-    let (name, param) = match head.find('(') {
-        Some(i) => {
-            let close = head
+    let (name, param) = match head.split_once('(') {
+        Some((name, rest)) => {
+            let close = rest
                 .rfind(')')
                 .ok_or_else(|| QasmError::new(lineno, "unbalanced parenthesis"))?;
-            (&head[..i], Some(&head[i + 1..close]))
+            (name, Some(&rest[..close]))
         }
         None => (head, None),
     };
 
-    let mut operands: Vec<Qubit> = Vec::new();
     for part in operand_str.split(',') {
-        let resolved = resolve_operands(part.trim(), regs, reg_offset, lineno)?;
-        operands.extend(resolved);
+        resolve_operands(part.trim(), regs, lineno, operands)?;
     }
 
-    let name = name.to_ascii_lowercase();
+    let Some(&(name, mnemonic)) = MNEMONICS
+        .iter()
+        .find(|(mnemonic, _)| mnemonic.eq_ignore_ascii_case(name))
+    else {
+        return Err(QasmError::new(
+            lineno,
+            format!(
+                "unsupported gate '{}' (supported: h s sdg sx sxdg x y z t tdg rz cx cz swap measure)",
+                name.to_ascii_lowercase()
+            ),
+        ));
+    };
     let require = |n: usize| -> Result<(), QasmError> {
         if operands.len() == n {
             Ok(())
@@ -220,29 +287,10 @@ fn parse_statement(
         Ok((operands[0], operands[1]))
     };
 
-    match name.as_str() {
-        "h" | "s" | "sdg" | "sx" | "sxdg" | "x" | "y" | "z" | "t" | "tdg" | "id" => {
-            // Single-qubit mnemonics may be applied to a whole register;
-            // resolve_operands already expanded that case.
-            for &q in &operands {
-                let g = match name.as_str() {
-                    "h" => Gate::H(q),
-                    "s" => Gate::S(q),
-                    "sdg" => Gate::Sdg(q),
-                    "sx" => Gate::Sx(q),
-                    "sxdg" => Gate::Sxdg(q),
-                    "x" => Gate::X(q),
-                    "y" => Gate::Y(q),
-                    "z" => Gate::Z(q),
-                    "t" => Gate::T(q),
-                    "tdg" => Gate::Tdg(q),
-                    "id" => continue,
-                    _ => unreachable!(),
-                };
-                gates.push(g);
-            }
-        }
-        "rz" | "u1" | "p" => {
+    match mnemonic {
+        Mnemonic::Single(gate) => gates.extend(operands.iter().map(|&q| gate(q))),
+        Mnemonic::Id => {}
+        Mnemonic::Rz => {
             require(1)?;
             let angle = parse_angle(param.ok_or_else(|| {
                 QasmError::new(lineno, format!("'{name}' requires an angle parameter"))
@@ -250,89 +298,82 @@ fn parse_statement(
             .map_err(|e| QasmError::new(lineno, e))?;
             gates.push(Gate::Rz(operands[0], angle));
         }
-        "cx" | "cnot" => {
+        Mnemonic::Cnot => {
             let (control, target) = pair()?;
             gates.push(Gate::Cnot { control, target });
         }
-        "cz" => {
+        Mnemonic::Cz => {
             let (a, b) = pair()?;
             gates.push(Gate::Cz(a, b));
         }
-        "swap" => {
+        Mnemonic::Swap => {
             let (a, b) = pair()?;
             gates.push(Gate::Swap(a, b));
-        }
-        other => {
-            return Err(QasmError::new(
-                lineno,
-                format!("unsupported gate '{other}' (supported: h s sdg sx sxdg x y z t tdg rz cx cz swap measure)"),
-            ))
         }
     }
     Ok(())
 }
 
-fn parse_reg_decl(s: &str) -> Option<(String, u32)> {
-    let open = s.find('[')?;
-    let close = s.find(']')?;
-    let name = s[..open].trim().to_string();
-    let size: u32 = s[open + 1..close].trim().parse().ok()?;
+fn parse_reg_decl(s: &str) -> Option<(&str, u32)> {
+    let (name, size, _) = enclosed(s, '[', ']')?;
+    let name = name.trim();
+    let size: u32 = size.trim().parse().ok()?;
     if name.is_empty() {
         return None;
     }
     Some((name, size))
 }
 
-/// Resolves `q\[3\]` to one flat index, or a bare register name `q` to all of
-/// its indices (register broadcast).
+/// Appends the qubits `s` names to `out`: one flat index for `q\[3\]`, or
+/// every index of a bare register name `q` (register broadcast).
 fn resolve_operands(
     s: &str,
-    regs: &[(String, u32)],
-    reg_offset: &HashMap<String, u32>,
+    regs: &HashMap<String, Register>,
     lineno: usize,
-) -> Result<Vec<Qubit>, QasmError> {
-    if let Some(open) = s.find('[') {
-        let close = s
-            .find(']')
+    out: &mut Vec<Qubit>,
+) -> Result<(), QasmError> {
+    let register = |name: &str| {
+        regs.get(name)
+            .copied()
+            .ok_or_else(|| QasmError::new(lineno, format!("unknown register '{name}'")))
+    };
+    if s.contains('[') {
+        let (name, idx, _) = enclosed(s, '[', ']')
             .ok_or_else(|| QasmError::new(lineno, format!("missing ']' in '{s}'")))?;
-        let name = s[..open].trim();
-        let idx: u32 = s[open + 1..close]
+        let name = name.trim();
+        let idx: u32 = idx
             .trim()
             .parse()
             .map_err(|_| QasmError::new(lineno, format!("bad index in '{s}'")))?;
-        let &offset = reg_offset
-            .get(name)
-            .ok_or_else(|| QasmError::new(lineno, format!("unknown register '{name}'")))?;
-        let size = regs
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, sz)| *sz)
-            .unwrap_or(0);
+        let Register { offset, size } = register(name)?;
         if idx >= size {
             return Err(QasmError::new(
                 lineno,
                 format!("index {idx} out of range for register '{name}[{size}]'"),
             ));
         }
-        Ok(vec![offset + idx])
+        out.push(offset + idx);
     } else {
-        let name = s.trim();
-        let &offset = reg_offset
-            .get(name)
-            .ok_or_else(|| QasmError::new(lineno, format!("unknown register '{name}'")))?;
-        let size = regs
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, sz)| *sz)
-            .unwrap_or(0);
-        Ok((offset..offset + size).collect())
+        let Register { offset, size } = register(s.trim())?;
+        out.extend(offset..offset + size);
     }
+    Ok(())
 }
 
 /// Parses an angle expression: decimal radians, or `±a*pi/b` with optional
-/// parts (`pi`, `-pi/2`, `3*pi/4`, `2*pi`).
+/// parts (`pi`, `-pi/2`, `3*pi/4`, `2*pi`). The angle must be finite both
+/// in turns of π and in radians.
 fn parse_angle(s: &str) -> Result<Angle, String> {
     let s = s.trim().replace(' ', "");
+    let angle = parse_angle_expr(&s)?;
+    if angle.turns_of_pi().is_finite() && angle.radians().is_finite() {
+        Ok(angle)
+    } else {
+        Err(format!("angle '{s}' is not finite"))
+    }
+}
+
+fn parse_angle_expr(s: &str) -> Result<Angle, String> {
     if s.is_empty() {
         return Err("empty angle expression".into());
     }
@@ -341,7 +382,7 @@ fn parse_angle(s: &str) -> Result<Angle, String> {
     }
     let (neg, body) = match s.strip_prefix('-') {
         Some(rest) => (true, rest),
-        None => (false, s.as_str()),
+        None => (false, s),
     };
     let (num_part, den): (&str, f64) = match body.find('/') {
         Some(i) => {
@@ -516,11 +557,21 @@ mod tests {
     }
 
     /// Hostile input is a typed error: a two-qubit gate naming one qubit
-    /// twice (which `Circuit::push` panics on), and a register total past
-    /// the qubit cap, even one that wraps `u32`, before a broadcast can
-    /// allocate for it.
+    /// twice (which `Circuit::push` panics on), a register total past the
+    /// qubit cap, even one that wraps `u32`, before a broadcast can
+    /// allocate for it, and brackets or parentheses closed before they
+    /// open.
     #[test]
     fn hostile_registers_and_operands_are_refused() {
+        for src in [
+            "qreg ]q[3;",
+            "h ]q[0;",
+            "measure ]q[0 -> c[0];",
+            "rz)(pi q[0];",
+        ] {
+            let err = parse_qasm(src).unwrap_err();
+            assert_eq!(err.line(), 1, "{src}: {err}");
+        }
         for src in [
             "qreg q[2]; cx q[0], q[0];",
             "qreg q[2]; cz q[1], q[1];",
@@ -540,6 +591,18 @@ mod tests {
         }
         let full = parse_qasm("qreg a[4000]; qreg b[96]; cx a[0], b[95];").unwrap();
         assert_eq!(full.num_qubits(), MAX_QUBITS);
+    }
+
+    /// An angle must be finite in turns of π and in radians: `write_qasm`
+    /// prints radians, and the checkers compare rotations numerically.
+    #[test]
+    fn non_finite_angles_are_refused() {
+        for angle in ["nan", "inf", "-inf", "pi/0", "1e308*pi"] {
+            let err = parse_qasm(&format!("qreg q[1]; rz({angle}) q[0];")).unwrap_err();
+            assert!(err.to_string().contains("is not finite"), "{angle}: {err}");
+        }
+        let c = parse_qasm("qreg q[1]; rz(1e300) q[0]; rz(1e300*pi) q[0];").unwrap();
+        assert_eq!(c.len(), 2);
     }
 
     #[test]
