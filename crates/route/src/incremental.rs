@@ -289,7 +289,8 @@ pub trait RouteQueries {
 ///   the O(1) whole-arena reset.
 /// * Buffers are sized to the padded `(rows + 2) * (cols + 2)` cells of the
 ///   last grid seen; searching a different shape reallocates (and does not
-///   count as a reuse).
+///   count as a reuse) and rebuilds `row_col`, so a shape with the same
+///   padded length never reads the last shape's rows and columns.
 /// * The arena owns every scratch buffer a search needs: the A\* buckets,
 ///   the breadth-first `queue`, and the push chains (`chain`, which also
 ///   holds a path being read back, and `best_chain` for the space search's
@@ -336,6 +337,8 @@ struct SearchArena {
     stamp: Vec<u32>,
     dist: Vec<u64>,
     prev: Vec<u32>,
+    /// Padded row and column of every padded index.
+    row_col: Vec<(u32, u32)>,
     buckets: Vec<Vec<u32>>,
     queue: VecDeque<u32>,
     chain: Vec<u32>,
@@ -368,7 +371,6 @@ struct Astar {
     goal: usize,
     row: u32,
     col: u32,
-    stride: u32,
     penalty: u64,
     ring: u64,
     /// The level draining; once the goal settles, its cost.
@@ -379,13 +381,10 @@ struct Astar {
 
 impl Astar {
     fn new(cells: &CellGrid, to: Coord, penalty: u64) -> Self {
-        let goal = cells.index(to);
-        let stride = cells.stride() as u32;
         Astar {
-            goal,
-            row: goal as u32 / stride,
-            col: goal as u32 % stride,
-            stride,
+            goal: cells.index(to),
+            row: to.row as u32 + 1,
+            col: to.col as u32 + 1,
             penalty,
             ring: penalty + 3,
             level: 0,
@@ -393,16 +392,9 @@ impl Astar {
         }
     }
 
-    /// Padded row and column of the padded index `i`.
+    /// Manhattan distance from the padded `(row, col)` to the goal.
     #[inline]
-    fn row_col(&self, i: usize) -> (u32, u32) {
-        (i as u32 / self.stride, i as u32 % self.stride)
-    }
-
-    /// Manhattan distance from the padded index `i` to the goal.
-    #[inline]
-    fn bound(&self, i: usize) -> u64 {
-        let (row, col) = self.row_col(i);
+    fn bound(&self, (row, col): (u32, u32)) -> u64 {
         u64::from(row.abs_diff(self.row) + col.abs_diff(self.col))
     }
 
@@ -430,6 +422,10 @@ impl SearchArena {
             self.stamp = vec![0; len];
             self.dist = vec![0; len];
             self.prev = vec![0; len];
+            let stride = cells.stride();
+            self.row_col = (0..len)
+                .map(|i| ((i / stride) as u32, (i % stride) as u32))
+                .collect();
             self.generation = 1;
             return;
         }
@@ -470,7 +466,7 @@ impl SearchArena {
             }
         }
         let from_i = cells.index(from);
-        search.level = search.bound(from_i);
+        search.level = search.bound(self.row_col[from_i]);
         self.stamp[from_i] = generation;
         self.dist[from_i] = 0;
         self.buckets[search.slot(search.level)].push(from_i as u32);
@@ -496,14 +492,14 @@ impl SearchArena {
             search.pending -= 1;
             let ui = ui as usize;
             let d = self.dist[ui];
-            if d + search.bound(ui) != search.level {
+            let (row, col) = self.row_col[ui];
+            if d + search.bound((row, col)) != search.level {
                 continue; // superseded by a shorter push
             }
             if ui == search.goal {
                 return true;
             }
             // N/S/W/E: whether the step brings the bound down by one.
-            let (row, col) = search.row_col(ui);
             let toward = [
                 row > search.row,
                 row < search.row,
@@ -603,7 +599,7 @@ impl SearchArena {
             if !level_drained
                 && cells.cells[u] != OFF_GRID
                 && (!reached || self.dist[u] > want)
-                && want + search.bound(u) == search.level
+                && want + search.bound(self.row_col[u]) == search.level
             {
                 return None;
             }
