@@ -172,12 +172,12 @@ fn has_keyword(stmt: &str, keyword: &str) -> bool {
         .is_some_and(|head| head.eq_ignore_ascii_case(keyword))
 }
 
-/// The text between the first `open` in `s` and the first `close` after
-/// it, with what precedes `open` and follows `close`.
-fn enclosed(s: &str, open: char, close: char) -> Option<(&str, &str, &str)> {
+/// What precedes the first `open` in `s`, and the text between it and
+/// the first `close` after it.
+fn enclosed(s: &str, open: char, close: char) -> Option<(&str, &str)> {
     let (before, rest) = s.split_once(open)?;
-    let (inside, after) = rest.split_once(close)?;
-    Some((before, inside, after))
+    let (inside, _) = rest.split_once(close)?;
+    Some((before, inside))
 }
 
 /// Parses one statement, appending its gates to `gates`; `operands` is
@@ -315,7 +315,7 @@ fn parse_statement(
 }
 
 fn parse_reg_decl(s: &str) -> Option<(&str, u32)> {
-    let (name, size, _) = enclosed(s, '[', ']')?;
+    let (name, size) = enclosed(s, '[', ']')?;
     let name = name.trim();
     let size: u32 = size.trim().parse().ok()?;
     if name.is_empty() {
@@ -338,7 +338,7 @@ fn resolve_operands(
             .ok_or_else(|| QasmError::new(lineno, format!("unknown register '{name}'")))
     };
     if s.contains('[') {
-        let (name, idx, _) = enclosed(s, '[', ']')
+        let (name, idx) = enclosed(s, '[', ']')
             .ok_or_else(|| QasmError::new(lineno, format!("missing ']' in '{s}'")))?;
         let name = name.trim();
         let idx: u32 = idx
