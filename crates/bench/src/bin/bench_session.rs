@@ -115,7 +115,8 @@ fn parse_args() -> Result<Args, String> {
 }
 
 /// Times the map stage of `spec` cache-less under the seed router and the
-/// shipping one, and reports medians, speedup, and the router's counters.
+/// shipping one, one iteration of each in turn, and reports medians,
+/// speedup, and the router's counters.
 /// Fails if the two ever emit different routed programs — the bench
 /// doubles as a last-line differential check.
 fn bench_routing(spec: &str, iters: u64) -> Result<RoutingReport, String> {
@@ -130,8 +131,14 @@ fn bench_routing(spec: &str, iters: u64) -> Result<RoutingReport, String> {
         ));
     }
 
-    let reference_samples = time_map(&lowered, &options, iters, SeedRouter::new)?;
-    let incremental_samples = time_map(&lowered, &options, iters, Router::new)?;
+    // Alternate the two routers, so a load shift during the run slows both
+    // halves alike and the same-run speedup the gate vetoes on holds.
+    let mut reference_samples = Vec::with_capacity(iters as usize);
+    let mut incremental_samples = Vec::with_capacity(iters as usize);
+    for _ in 0..iters {
+        reference_samples.push(time_map(&lowered, &options, SeedRouter::new)?);
+        incremental_samples.push(time_map(&lowered, &options, Router::new)?);
+    }
     let incremental_min_micros = incremental_samples.iter().copied().min().unwrap_or(0);
 
     Ok(RoutingReport {
@@ -145,21 +152,16 @@ fn bench_routing(spec: &str, iters: u64) -> Result<RoutingReport, String> {
     })
 }
 
-/// `iters` cache-less map-stage timings of `lowered`, in microseconds, with
-/// the routers `new_router` builds.
+/// One cache-less map-stage timing of `lowered`, in microseconds, with the
+/// router `new_router` builds.
 fn time_map<R: RouteQueries>(
     lowered: &ftqc_circuit::Circuit,
     options: &CompilerOptions,
-    iters: u64,
     new_router: fn(CostModel) -> R,
-) -> Result<Vec<u64>, String> {
-    (0..iters)
-        .map(|_| {
-            let started = Instant::now();
-            route_circuit(lowered, options, new_router).map_err(|e| e.to_string())?;
-            Ok(started.elapsed().as_micros() as u64)
-        })
-        .collect()
+) -> Result<u64, String> {
+    let started = Instant::now();
+    route_circuit(lowered, options, new_router).map_err(|e| e.to_string())?;
+    Ok(started.elapsed().as_micros() as u64)
 }
 
 /// Resolves and lowers a circuit spec for the routing-family benches.

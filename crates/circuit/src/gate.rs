@@ -48,6 +48,13 @@ impl Angle {
         self.turns_of_pi
     }
 
+    /// Whether the angle is finite both in units of π and in radians (a
+    /// finite turn count past `f64::MAX / π` is infinite in radians). The
+    /// QASM reader and the edit wire form refuse any other angle.
+    pub fn is_finite(self) -> bool {
+        self.turns_of_pi.is_finite() && self.radians().is_finite()
+    }
+
     /// π/4 (the T-gate angle).
     pub fn t_angle() -> Self {
         Self::new(0.25)

@@ -366,7 +366,7 @@ fn resolve_operands(
 fn parse_angle(s: &str) -> Result<Angle, String> {
     let s = s.trim().replace(' ', "");
     let angle = parse_angle_expr(&s)?;
-    if angle.turns_of_pi().is_finite() && angle.radians().is_finite() {
+    if angle.is_finite() {
         Ok(angle)
     } else {
         Err(format!("angle '{s}' is not finite"))

@@ -70,7 +70,8 @@ fn gate_name(gate: &Gate) -> &'static str {
 /// # Errors
 ///
 /// Returns a schema error for unknown names, wrong arity, or a missing
-/// `angle` on `rz`.
+/// `angle` on `rz` or one that is not finite in units of π and in radians
+/// ([`Angle::is_finite`]).
 pub fn gate_from_parts(name: &str, qubits: &[u32], angle: Option<f64>) -> Result<Gate, JsonError> {
     let one = || -> Result<u32, JsonError> {
         match qubits {
@@ -109,7 +110,13 @@ pub fn gate_from_parts(name: &str, qubits: &[u32], angle: Option<f64>) -> Result
         "rz" => {
             let turns = angle
                 .ok_or_else(|| JsonError::schema("gate \"rz\" requires \"angle\" (units of π)"))?;
-            Gate::Rz(one()?, Angle::new(turns))
+            let angle = Angle::new(turns);
+            if !angle.is_finite() {
+                return Err(JsonError::schema(format!(
+                    "gate \"rz\" \"angle\" {turns} (units of π) is not finite"
+                )));
+            }
+            Gate::Rz(one()?, angle)
         }
         "cnot" | "cx" => {
             let (control, target) = two()?;
@@ -416,6 +423,11 @@ mod tests {
         assert!(gate_from_parts("rz", &[1], None).is_err());
         assert!(gate_from_parts("h", &[1], Some(0.5)).is_err());
         assert!(gate_from_parts("warp", &[1], None).is_err());
+        for turns in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e308, -1e308] {
+            let err = gate_from_parts("rz", &[1], Some(turns)).expect_err("refused");
+            assert!(err.to_string().contains("is not finite"), "{turns}: {err}");
+        }
+        assert!(gate_from_parts("rz", &[1], Some(1e300)).is_ok());
     }
 
     #[test]

@@ -178,5 +178,14 @@ mod tests {
         );
         assert!(!text.contains("\"delta\""), "{text}");
         assert_eq!(session.version(), 1);
+
+        // Finite in units of π, infinite in radians: refused, as in QASM.
+        let rz = r#"{"op":"insert","index":0,"gate":{"gate":"rz","qubits":[1],"angle":1e308}}"#;
+        let (doc, outcome) = apply_edit_line(&mut session, rz);
+        assert_eq!(outcome, EditLineOutcome::ParseError);
+        let text = doc.render();
+        assert!(!text.contains(r#""status":"ok""#), "{text}");
+        assert!(text.contains("is not finite"), "{text}");
+        assert_eq!(session.version(), 1);
     }
 }

@@ -8,9 +8,10 @@
 //!   border of off-grid sentinels. A neighbour of any on-grid cell is one
 //!   index offset away and never out of the buffer, so the search kernels
 //!   relax a cell with one load: no `Coord`, no bounds check, no division.
-//! * `SearchArena` — distance/visited/parent buffers over the padded
-//!   cells, *generation-stamped* so resetting between searches is O(1)
-//!   instead of O(cells), plus a goal-directed (A\*) bucket queue for the
+//! * `SearchArena` — one packed search word (the generation that reached
+//!   the cell and its cost) and one parent link per padded cell,
+//!   *generation-stamped* so resetting between searches is O(1) instead of
+//!   O(cells), plus a goal-directed (A\*) bucket queue for the
 //!   penalty-weighted Dijkstra: cells queue on their cost plus the
 //!   Manhattan distance to the goal, so a search settles the cells toward
 //!   its goal first. The same buffers back the breadth-first push chains
@@ -23,12 +24,17 @@
 //!   arena, answers every [`RouteQueries`] query, and counts its own
 //!   activity ([`RouteCounters`]).
 //!
-//! **Bounded weights, no fallback.** The A\* ring has one bucket per
-//! level in `[f, f + penalty_weight + 3)`, so it is sized from the weight
-//! the router is given. [`Router::new`] refuses weights above
+//! **Bounded weights, no fallback.** The A\* ring holds the levels
+//! `[f, f + penalty_weight + 3)` at once; it has the next power of two at
+//! or above `penalty_weight + 3` buckets, so a level finds its bucket with
+//! a mask, not a division. [`Router::new`] refuses weights above
 //! [`MAX_PENALTY_WEIGHT`]. The compiler engine caps every weight at twice
 //! its layout's cells (`router_cost` in `ftqc-compiler`'s engine), which
-//! is at most that bound, so every search runs on the bucket queue.
+//! is at most that bound, so every search runs on the bucket queue. A
+//! search word keeps a cost in 32 bits, so a router also refuses a grid
+//! whose padded cells times `1 + penalty_weight` (a bound on any cost a
+//! search records) exceed `u32::MAX`; the largest layout at the largest
+//! weight needs about 5.7e8.
 //!
 //! **Cost-only queries, bounded.** [`RouteQueries::path_cost`] and
 //! [`RouteQueries::space_search_cost`] return only the cost of
@@ -284,9 +290,18 @@ pub trait RouteQueries {
 ///
 /// # Invariants
 ///
-/// * A cell's `dist`/`prev` slots are meaningful only when its `stamp`
-///   equals the arena's current `generation`; bumping the generation is
-///   the O(1) whole-arena reset.
+/// * Each cell has one search word ([`search_word`]): the generation that
+///   last reached it in the high half, `u32::MAX - cost` in the low half.
+///   A cell's cost and `prev` slot are meaningful only when its word
+///   carries the arena's current `generation`; bumping the generation is
+///   the O(1) whole-arena reset. Words order by generation, then by cost
+///   reversed, so "unreached in this search, or reached at a cost above
+///   `c`" is the one compare `words[i] < search_word(generation, c)`.
+/// * Every recorded cost fits the low half: a search records costs of at
+///   most one entry cost (`1 + penalty`) per padded cell, and the arena
+///   refuses a shape whose padded cells times `1 + penalty` exceed
+///   `u32::MAX`. So a neighbour's candidate word is its settled parent's
+///   word minus the entry cost, with no borrow into the generation.
 /// * Buffers are sized to the padded `(rows + 2) * (cols + 2)` cells of the
 ///   last grid seen; searching a different shape reallocates (and does not
 ///   count as a reuse) and rebuilds `row_col`, so a shape with the same
@@ -298,23 +313,25 @@ pub trait RouteQueries {
 ///   search allocates nothing once they have grown to the grid's needs;
 ///   only the results a caller keeps ([`Path`] cells, clearing moves) are
 ///   allocated, each at its exact length.
-/// * A query's extra-blocked cells are stamped before it starts: at cost 0
-///   for the A\* search (no relaxation beats 0, so nothing enters them,
-///   except `to`, which is left unstamped), and as visited for the
-///   breadth-first chains. Border cells are skipped by their off-grid
-///   value, so neither needs a bounds or set-membership probe per
-///   relaxation.
-/// * The A\* bucket ring holds only levels in `[f, f + ring)` while level
-///   `f` drains — guaranteed because a step adds its entry cost (in
-///   `1..=1 + penalty_weight`) plus or minus 1 to a cell's level and
-///   `ring = penalty_weight + 3`. It is sized to the router's weight,
-///   which [`Router::new`] bounds by [`MAX_PENALTY_WEIGHT`]. A search that
+/// * A query's extra-blocked cells are stamped before it starts, reached
+///   at cost 0, the highest word of the generation: no relaxation beats
+///   it, so nothing enters them (except `to`, which the A\* search leaves
+///   unstamped), and the breadth-first chains take them as visited. Border
+///   cells are skipped by their off-grid value, so neither needs a bounds
+///   or set-membership probe per relaxation.
+/// * The A\* bucket ring holds only levels in `[f, f + penalty + 3)` while
+///   level `f` drains — guaranteed because a step adds its entry cost (in
+///   `1..=1 + penalty`) plus or minus 1 to a cell's level. Any ring of at
+///   least `penalty + 3` buckets keeps those levels apart; the arena's has
+///   the next power of two ([`ring_len`]), so a level's bucket is
+///   `level & (ring - 1)`. It is sized to the router's weight, which
+///   [`Router::new`] bounds by [`MAX_PENALTY_WEIGHT`]. A search that
 ///   settles its goal leaves the rest of its queue in the ring (the path
 ///   readback may drain more of the goal's level); the next search clears
 ///   the ring when it starts.
 /// * Within one level, cells drain in any order (last queued first), and
 ///   no answer depends on it: a cell's cost is final when it leaves its
-///   level. `dist` alone determines the path: a path cell's parent is its
+///   level. The costs alone determine the path: a path cell's parent is its
 ///   lowest padded index neighbour whose cost is exactly one entry cost
 ///   lower. The padded index `(row + 1) * (cols + 2) + col + 1` grows with
 ///   `(row, col)` exactly as the row-major index does, so this is the
@@ -331,11 +348,13 @@ pub trait RouteQueries {
 ///   unbounded search's.
 #[derive(Debug, Default)]
 struct SearchArena {
+    /// The router's penalty weight.
+    penalty: u64,
     rows: u32,
     cols: u32,
     generation: u32,
-    stamp: Vec<u32>,
-    dist: Vec<u64>,
+    /// One [`search_word`] per padded cell.
+    words: Vec<u64>,
     prev: Vec<u32>,
     /// Padded row and column of every padded index.
     row_col: Vec<(u32, u32)>,
@@ -344,6 +363,26 @@ struct SearchArena {
     chain: Vec<u32>,
     best_chain: Vec<u32>,
     reuses: u64,
+}
+
+/// The search word of a cell reached at `cost` (at most `u32::MAX`) in
+/// `generation`: the generation in the high half, `u32::MAX - cost` in
+/// the low half.
+#[inline]
+fn search_word(generation: u32, cost: u64) -> u64 {
+    u64::from(generation) << 32 | (u64::from(u32::MAX) - cost)
+}
+
+/// The cost a search word records.
+#[inline]
+fn word_cost(word: u64) -> u64 {
+    u64::from(!(word as u32))
+}
+
+/// The A\* ring's length under `penalty`: the power of two at or above
+/// the `penalty + 3` levels it holds at once.
+fn ring_len(penalty: u64) -> usize {
+    (penalty as usize + 3).next_power_of_two()
 }
 
 /// Clearing moves for a push chain stored free cell first: every occupant
@@ -364,7 +403,8 @@ fn chain_moves(cells: &CellGrid, chain: &[u32]) -> Vec<(Coord, Coord)> {
 /// a step moves the bound by exactly 1, so the bound never overestimates
 /// and `f` never falls along a step: a cell's cost is final when its level
 /// drains, and the goal settles at the level of its cost. A step adds
-/// `enter ± 1` to `f`, so queued levels span `penalty + 3` buckets.
+/// `enter ± 1` to `f`, so queued levels span `penalty + 3` buckets of a
+/// ring of [`ring_len`] buckets.
 #[derive(Debug, Clone, Copy)]
 struct Astar {
     /// Padded index, row and column of the goal.
@@ -372,7 +412,9 @@ struct Astar {
     row: u32,
     col: u32,
     penalty: u64,
-    ring: u64,
+    /// The ring's length minus one, a mask since the length is a power of
+    /// two.
+    mask: u64,
     /// The level draining; once the goal settles, its cost.
     level: u64,
     /// Entries queued and not yet drained.
@@ -386,7 +428,7 @@ impl Astar {
             row: to.row as u32 + 1,
             col: to.col as u32 + 1,
             penalty,
-            ring: penalty + 3,
+            mask: ring_len(penalty) as u64 - 1,
             level: 0,
             pending: 0,
         }
@@ -407,20 +449,32 @@ impl Astar {
     /// The bucket of `level`.
     #[inline]
     fn slot(&self, level: u64) -> usize {
-        (level % self.ring) as usize
+        (level & self.mask) as usize
     }
 }
 
 impl SearchArena {
     /// Prepares the arena for a search on `cells`: O(1) generation bump
     /// when the shape matches, reallocation otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a new shape whose padded cells times `1 + penalty` exceed
+    /// `u32::MAX`: a cost a search records might not fit its word.
     fn reset(&mut self, cells: &CellGrid) {
         let len = cells.cells.len();
-        if self.rows != cells.rows || self.cols != cells.cols || self.stamp.len() != len {
+        if self.rows != cells.rows || self.cols != cells.cols || self.words.len() != len {
+            assert!(
+                len as u64 * (1 + self.penalty) <= u64::from(u32::MAX),
+                "a {}x{} grid is too large to route at penalty weight {}: its costs \
+                 can exceed u32::MAX",
+                cells.rows,
+                cells.cols,
+                self.penalty
+            );
             self.rows = cells.rows;
             self.cols = cells.cols;
-            self.stamp = vec![0; len];
-            self.dist = vec![0; len];
+            self.words = vec![0; len];
             self.prev = vec![0; len];
             let stride = cells.stride();
             self.row_col = (0..len)
@@ -430,7 +484,7 @@ impl SearchArena {
             return;
         }
         if self.generation == u32::MAX {
-            self.stamp.fill(0);
+            self.words.fill(0);
             self.generation = 1;
         } else {
             self.generation += 1;
@@ -448,27 +502,23 @@ impl SearchArena {
         blocked: &[Coord],
         from: Coord,
         to: Coord,
-        penalty: u64,
         below: u64,
     ) -> Option<Astar> {
         self.reset(cells);
-        let mut search = Astar::new(cells, to, penalty);
-        self.buckets.resize_with(search.ring as usize, Vec::new);
+        let mut search = Astar::new(cells, to, self.penalty);
+        self.buckets.resize_with(ring_len(self.penalty), Vec::new);
         // A finished search may leave entries behind (see `path`).
         self.buckets.iter_mut().for_each(Vec::clear);
 
-        let generation = self.generation;
+        let start = search_word(self.generation, 0);
         for &b in blocked {
             if cells.in_bounds(b) && b != to {
-                let i = cells.index(b);
-                self.stamp[i] = generation;
-                self.dist[i] = 0;
+                self.words[cells.index(b)] = start;
             }
         }
         let from_i = cells.index(from);
         search.level = search.bound(self.row_col[from_i]);
-        self.stamp[from_i] = generation;
-        self.dist[from_i] = 0;
+        self.words[from_i] = start;
         self.buckets[search.slot(search.level)].push(from_i as u32);
         search.pending = 1;
         while search.pending > 0 && search.level < below {
@@ -485,15 +535,14 @@ impl SearchArena {
     /// leave a level in any order: a cell's cost is final once its level
     /// drains, and `path` reads the tie-breaks from costs alone.
     fn drain_level(&mut self, cells: &CellGrid, search: &mut Astar) -> bool {
-        let generation = self.generation;
         let offsets = cells.neighbour_offsets();
         let slot = search.slot(search.level);
         while let Some(ui) = self.buckets[slot].pop() {
             search.pending -= 1;
             let ui = ui as usize;
-            let d = self.dist[ui];
+            let reached = self.words[ui];
             let (row, col) = self.row_col[ui];
-            if d + search.bound((row, col)) != search.level {
+            if word_cost(reached) + search.bound((row, col)) != search.level {
                 continue; // superseded by a shorter push
             }
             if ui == search.goal {
@@ -513,10 +562,10 @@ impl SearchArena {
                     continue;
                 }
                 let enter = search.enter(holder);
-                let nd = d + enter;
-                if self.stamp[vi] != generation || nd < self.dist[vi] {
-                    self.stamp[vi] = generation;
-                    self.dist[vi] = nd;
+                // Reached `enter` further than `ui`, in this generation.
+                let relaxed = reached - enter;
+                if self.words[vi] < relaxed {
+                    self.words[vi] = relaxed;
                     let level = if toward {
                         search.level + enter - 1
                     } else {
@@ -553,7 +602,7 @@ impl SearchArena {
             let holder = cells.cells[cur];
             occupied += u32::from(holder != FREE);
             // Only `from` settles at 0 (blocked cells are stamped there).
-            let want = self.dist[cur] - search.enter(holder);
+            let want = word_cost(self.words[cur]) - search.enter(holder);
             cur = if want == 0 {
                 from_i
             } else {
@@ -589,16 +638,17 @@ impl SearchArena {
         search: &Astar,
         level_drained: bool,
     ) -> Option<usize> {
+        let settled = search_word(self.generation, want);
         let [north, south, west, east] = cells.neighbour_offsets();
         for off in [north, west, east, south] {
             let u = v.wrapping_add(off);
-            let reached = self.stamp[u] == self.generation;
-            if reached && self.dist[u] == want {
+            if self.words[u] == settled {
                 return Some(u);
             }
+            // Unreached, or reached at a higher cost so far.
             if !level_drained
                 && cells.cells[u] != OFF_GRID
-                && (!reached || self.dist[u] > want)
+                && self.words[u] < settled
                 && want + search.bound(self.row_col[u]) == search.level
             {
                 return None;
@@ -624,27 +674,30 @@ impl SearchArena {
         self.reset(cells);
         let generation = self.generation;
         self.queue.clear();
+        let visited = search_word(generation, 0);
         for &a in blocked.iter().chain(avoid) {
             if cells.in_bounds(a) {
-                self.stamp[cells.index(a)] = generation;
+                self.words[cells.index(a)] = visited;
             }
         }
         let start_i = cells.index(start);
-        self.stamp[start_i] = generation;
-        self.dist[start_i] = 0;
+        self.words[start_i] = visited;
         self.queue.push_back(start_i as u32);
         let offsets = cells.neighbour_offsets();
         while let Some(ui) = self.queue.pop_front() {
             // Steps to a neighbour of `ui`; the queue runs in step order, so
             // once they reach `below` no later entry finds a shorter chain.
-            let steps = self.dist[ui as usize] + 1;
+            let steps = word_cost(self.words[ui as usize]) + 1;
             if steps >= below {
                 break;
             }
+            // Every cell reached so far took at most `steps`, so a word
+            // below this one is unreached.
+            let next = search_word(generation, steps);
             for off in offsets {
                 let vi = (ui as usize).wrapping_add(off);
                 let holder = cells.cells[vi];
-                if holder == OFF_GRID || self.stamp[vi] == generation {
+                if holder == OFF_GRID || self.words[vi] >= next {
                     continue;
                 }
                 self.prev[vi] = ui;
@@ -658,8 +711,7 @@ impl SearchArena {
                     }
                     return true;
                 }
-                self.stamp[vi] = generation;
-                self.dist[vi] = steps;
+                self.words[vi] = next;
                 self.queue.push_back(vi as u32);
             }
         }
@@ -704,11 +756,10 @@ impl SearchArena {
     }
 }
 
-/// The router the compiler engine drives: the cost model and the search
-/// arena behind every [`RouteQueries`] query.
+/// The router the compiler engine drives: the search arena, under one
+/// cost model, behind every [`RouteQueries`] query.
 #[derive(Debug)]
 pub struct Router {
-    cost: CostModel,
     arena: SearchArena,
 }
 
@@ -719,7 +770,10 @@ impl Router {
     ///
     /// Panics if `cost.penalty_weight` exceeds [`MAX_PENALTY_WEIGHT`]. The
     /// compiler engine caps every weight at twice its layout's cells,
-    /// which the bound covers for every layout a compile can build.
+    /// which the bound covers for every layout a compile can build. A
+    /// query panics on a grid whose padded `(rows + 2) * (cols + 2)` cells
+    /// times `1 + penalty_weight` exceed `u32::MAX`, which no layout a
+    /// compile builds reaches at the weight the engine gives it.
     pub fn new(cost: CostModel) -> Self {
         assert!(
             cost.penalty_weight <= MAX_PENALTY_WEIGHT,
@@ -728,8 +782,10 @@ impl Router {
             cost.penalty_weight
         );
         Router {
-            cost,
-            arena: SearchArena::default(),
+            arena: SearchArena {
+                penalty: cost.penalty_weight,
+                ..SearchArena::default()
+            },
         }
     }
 }
@@ -753,9 +809,7 @@ impl RouteQueries for Router {
                 cost: 0,
             });
         }
-        let mut search =
-            self.arena
-                .astar(cells, blocked, from, to, self.cost.penalty_weight, u64::MAX)?;
+        let mut search = self.arena.astar(cells, blocked, from, to, u64::MAX)?;
         Some(self.arena.path(cells, from, &mut search))
     }
 
@@ -774,7 +828,7 @@ impl RouteQueries for Router {
             return (0 < below).then_some(0);
         }
         self.arena
-            .astar(cells, blocked, from, to, self.cost.penalty_weight, below)
+            .astar(cells, blocked, from, to, below)
             .map(|search| search.level)
     }
 
@@ -931,6 +985,69 @@ mod tests {
         Router::new(CostModel {
             penalty_weight: MAX_PENALTY_WEIGHT + 1,
         });
+    }
+
+    #[test]
+    fn ring_is_the_power_of_two_at_or_above_the_weight_plus_three() {
+        let cells = CellGrid::new(3, 3);
+        for penalty_weight in [0, 2, 6, 13, 14, MAX_PENALTY_WEIGHT] {
+            let mut router = Router::new(CostModel { penalty_weight });
+            router.path_cost(&cells, &[], Coord::new(0, 0), Coord::new(2, 2), u64::MAX);
+            let ring = router.arena.buckets.len() as u64;
+            let levels = penalty_weight + 3;
+            assert!(
+                ring.is_power_of_two() && ring >= levels && ring / 2 < levels,
+                "weight {penalty_weight}: ring of {ring}"
+            );
+        }
+    }
+
+    #[test]
+    fn search_words_order_by_generation_then_cost_reversed() {
+        let top = u64::from(u32::MAX);
+        for generation in [1, 2, u32::MAX] {
+            for cost in [0, 1, 5, top - 1, top] {
+                let word = search_word(generation, cost);
+                assert_eq!(word_cost(word), cost);
+                assert_eq!(word >> 32, u64::from(generation));
+                assert!(search_word(generation - 1, 0) < word, "older generation");
+                if cost < top {
+                    assert!(search_word(generation, cost + 1) < word, "costlier");
+                    assert_eq!(word - 1, search_word(generation, cost + 1));
+                }
+            }
+        }
+    }
+
+    /// The edge of the 32-bit cost guard. A 1 × 65,535 grid has
+    /// 3 × 65,537 padded cells, which times 21,845 is exactly `u32::MAX`:
+    /// it routes at weight 21,844, but not with one more column or one more
+    /// unit of weight. At the largest weight, 357 × 357 routes and
+    /// 358 × 358 is refused (the largest layout a compile builds is
+    /// 129 × 129).
+    #[test]
+    fn grids_past_the_cost_guard_are_refused() {
+        let routes = |penalty_weight: u64, rows: u32, cols: u32| {
+            let mut router = Router::new(CostModel { penalty_weight });
+            let cells = CellGrid::new(rows, cols);
+            let corner = Coord::new(rows as i32 - 1, cols as i32 - 1);
+            let answer = std::panic::catch_unwind(move || {
+                router.find_path(&cells, &[], Coord::new(0, 0), corner)
+            });
+            match answer {
+                Ok(path) => path.is_some(),
+                Err(panic) => {
+                    let message = panic.downcast_ref::<String>().expect("a message");
+                    assert!(message.contains("too large to route"), "{message}");
+                    false
+                }
+            }
+        };
+        assert!(routes(21_844, 1, 65_535));
+        assert!(!routes(21_844, 1, 65_536));
+        assert!(!routes(21_845, 1, 65_535));
+        assert!(routes(MAX_PENALTY_WEIGHT, 357, 357));
+        assert!(!routes(MAX_PENALTY_WEIGHT, 358, 358));
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!    pipeline pieces reproduces the compiled program's schedule
 //!    byte-for-byte.
 
-use ftqc::arch::{CellKind, Coord, FactoryBank, Grid, Layout, TargetRegistry, Ticks};
+use ftqc::arch::{CellKind, Coord, FactoryBank, Grid, Layout, TargetRegistry, Ticks, MAX_QUBITS};
 use ftqc::benchmarks::random_clifford_t;
 use ftqc::compiler::mapping::{InitialMapping, MappingStrategy};
 use ftqc::compiler::timer::time_schedule;
@@ -422,6 +422,68 @@ fn paper_size_layouts_match_seed_find_path() {
             }
         }
     }
+}
+
+/// The largest layout `MAX_QUBITS` admits, 129 × 129 cells, at
+/// `MAX_PENALTY_WEIGHT`: the largest padded grid and weight the router's
+/// 32-bit costs must hold. Its data cells are held in the snake order and
+/// about half of its bus cells are held too, so the free cells do not
+/// connect and most paths must cross held cells. Paths between random
+/// cells, a quarter of them with extra-blocked cells (`to` among them),
+/// match the seed router.
+#[test]
+fn largest_layout_at_the_largest_weight_matches_seed_find_path() {
+    let layout = Layout::try_with_routing_paths(MAX_QUBITS, Layout::max_routing_paths(MAX_QUBITS))
+        .expect("the largest layout builds");
+    let grid = layout.grid();
+    assert_eq!((grid.rows(), grid.cols()), (129, 129));
+    let mut cells = CellGrid::new(grid.rows(), grid.cols());
+    let data = InitialMapping::new(&layout, MAX_QUBITS, MappingStrategy::Snake)
+        .cells()
+        .to_vec();
+    for (q, &c) in data.iter().enumerate() {
+        cells.place(c, q as u32);
+    }
+    let mut draw = 0x1a29;
+    let mut next_qubit = MAX_QUBITS;
+    for c in grid.coords().filter(|&c| grid.kind(c) == CellKind::Bus) {
+        if lcg(&mut draw).is_multiple_of(2) {
+            cells.place(c, next_qubit);
+            next_qubit += 1;
+        }
+    }
+
+    let cost = CostModel {
+        penalty_weight: MAX_PENALTY_WEIGHT,
+    };
+    let (mut router, mut seed_router) = (Router::new(cost), SeedRouter::new(cost));
+    let coords: Vec<Coord> = grid.coords().collect();
+    let pick = |draw: &mut u64| coords[lcg(draw) as usize % coords.len()];
+    let queries = 32;
+    let mut crossing = 0;
+    for query in 0..queries {
+        let (from, to) = (pick(&mut draw), pick(&mut draw));
+        let blocked: Vec<Coord> = if query % 4 == 0 {
+            (0..6).map(|_| pick(&mut draw)).chain([to]).collect()
+        } else {
+            Vec::new()
+        };
+        let at = format!("query {query}");
+        assert_path_matches_seed(
+            &mut router,
+            &mut seed_router,
+            &cells,
+            &blocked,
+            (from, to),
+            &at,
+        );
+        let path = router.find_path(&cells, &blocked, from, to);
+        crossing += usize::from(path.is_some_and(|p| p.occupied > 0));
+    }
+    assert!(
+        crossing * 2 > queries,
+        "only {crossing} of {queries} paths cross a held cell"
+    );
 }
 
 /// The router's clearing and space searches against the seed functions on
